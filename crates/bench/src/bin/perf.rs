@@ -13,7 +13,9 @@
 //!
 //! It also emits `BENCH_cluster.json` (socket-cluster end-to-end
 //! throughput and one-way latency quantiles: line-5 and caterpillar(3,2)
-//! topologies, closed- and open-loop workloads over Unix-domain sockets)
+//! topologies, closed- and open-loop workloads over Unix-domain sockets,
+//! plus stop-and-wait on line-5, whose one-way p50 is held below the
+//! protocol tick in the same run)
 //! and `BENCH_scale.json` (the same end-to-end pipeline on 25-, 64- and
 //! 100-node grids with a sharded orchestrator: throughput and latency
 //! versus node count), plus `BENCH_clients.json` (the multiplexed client
@@ -581,45 +583,59 @@ fn bench_cluster(opts: &Options, json: &mut String) {
             },
         ),
     ];
-    let dir = std::env::temp_dir().join(format!("ssmfp-perf-cluster-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create cluster bench dir");
-    let last = topologies.len() * workloads.len() - 1;
-    let mut i = 0;
+    let mut instances = Vec::new();
     for (topo_name, graph) in &topologies {
         for (wl_name, kind) in workloads {
-            let report = cluster_run(topo_name, graph.clone(), kind, msgs, 1, &dir);
-            if !report.clean() {
-                eprintln!("perf: CLUSTER RUN NOT CLEAN on {topo_name}/{wl_name}");
-                std::process::exit(1);
-            }
-            let name = format!("{topo_name}, {wl_name}");
-            let (p50, p99) = (report.latency.quantile(0.50), report.latency.quantile(0.99));
-            let frames_per_write = if report.counters.write_syscalls > 0 {
-                report.counters.frames_sent as f64 / report.counters.write_syscalls as f64
-            } else {
-                0.0
-            };
+            instances.push((*topo_name, graph.clone(), wl_name, kind));
+        }
+    }
+    // Stop-and-wait: nothing overlaps, so one-way latency is the path's
+    // own — three frames a hop — and is held below the tick in this same
+    // run: a local rule that waits for a timeout puts it back above.
+    let stop_wait = ssmfp_cluster::WorkloadKind::Closed { outstanding: 1 };
+    instances.push(("line-5", gen::line(5), "closed-1", stop_wait));
+    let tick_us = ssmfp_cluster::TUNING.tick().as_micros() as u64;
+    let dir = std::env::temp_dir().join(format!("ssmfp-perf-cluster-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create cluster bench dir");
+    let last = instances.len() - 1;
+    for (i, (topo_name, graph, wl_name, kind)) in instances.into_iter().enumerate() {
+        let report = cluster_run(topo_name, graph, kind, msgs, 1, &dir);
+        if !report.clean() {
+            eprintln!("perf: CLUSTER RUN NOT CLEAN on {topo_name}/{wl_name}");
+            std::process::exit(1);
+        }
+        let name = format!("{topo_name}, {wl_name}");
+        let (p50, p99) = (report.latency.quantile(0.50), report.latency.quantile(0.99));
+        let frames_per_write = if report.counters.write_syscalls > 0 {
+            report.counters.frames_sent as f64 / report.counters.write_syscalls as f64
+        } else {
+            0.0
+        };
+        eprintln!(
+            "cluster | {:<28} | {:>5} primaries | {:>8.0} msg/s | p50 {:>7} us | p99 {:>7} us | {:>5.2} frames/write | wall {:.2}s",
+            name, report.primaries_delivered, report.throughput, p50, p99, frames_per_write, report.wall_s
+        );
+        writeln!(json, "    {{").unwrap();
+        writeln!(json, "      \"name\": \"{name}\",").unwrap();
+        writeln!(json, "      \"n\": {},", report.n).unwrap();
+        writeln!(
+            json,
+            "      \"primaries_delivered\": {},",
+            report.primaries_delivered
+        )
+        .unwrap();
+        writeln!(json, "      \"wall_s\": {:.4},", report.wall_s).unwrap();
+        writeln!(json, "      \"msgs_per_sec\": {:.1},", report.throughput).unwrap();
+        writeln!(json, "      \"p50_us\": {p50},").unwrap();
+        writeln!(json, "      \"p99_us\": {p99},").unwrap();
+        writeln!(json, "      \"frames_per_write\": {frames_per_write:.2},").unwrap();
+        writeln!(json, "      \"clean\": {}", report.clean()).unwrap();
+        writeln!(json, "    }}{}", if i == last { "" } else { "," }).unwrap();
+        if kind == stop_wait && p50 >= tick_us {
             eprintln!(
-                "cluster | {:<28} | {:>5} primaries | {:>8.0} msg/s | p50 {:>7} us | p99 {:>7} us | {:>5.2} frames/write | wall {:.2}s",
-                name, report.primaries_delivered, report.throughput, p50, p99, frames_per_write, report.wall_s
+                "perf: STOP-AND-WAIT P50 NOT BELOW THE TICK on {name}: {p50} us >= {tick_us} us"
             );
-            writeln!(json, "    {{").unwrap();
-            writeln!(json, "      \"name\": \"{name}\",").unwrap();
-            writeln!(json, "      \"n\": {},", report.n).unwrap();
-            writeln!(
-                json,
-                "      \"primaries_delivered\": {},",
-                report.primaries_delivered
-            )
-            .unwrap();
-            writeln!(json, "      \"wall_s\": {:.4},", report.wall_s).unwrap();
-            writeln!(json, "      \"msgs_per_sec\": {:.1},", report.throughput).unwrap();
-            writeln!(json, "      \"p50_us\": {p50},").unwrap();
-            writeln!(json, "      \"p99_us\": {p99},").unwrap();
-            writeln!(json, "      \"frames_per_write\": {frames_per_write:.2},").unwrap();
-            writeln!(json, "      \"clean\": {}", report.clean()).unwrap();
-            writeln!(json, "    }}{}", if i == last { "" } else { "," }).unwrap();
-            i += 1;
+            std::process::exit(1);
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

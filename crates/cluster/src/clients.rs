@@ -162,8 +162,12 @@ pub struct ClientMux {
     /// Sessions with a sendable message and nothing in flight, served
     /// round-robin for fairness across clients.
     ready: VecDeque<u32>,
-    /// Open-loop arrival schedule: `(due_us, session)` min-heap.
+    /// Open-loop arrival schedule: `(due_us, session)` min-heap, in µs
+    /// from `origin_us`.
     arrivals: BinaryHeap<Reverse<(u64, u32)>>,
+    /// The clock reading of the first `next` call: callers pass epoch
+    /// stamps, the schedule counts from zero.
+    origin_us: Option<u64>,
     /// Issues still owed across all sessions (drives `done_issuing`).
     remaining_issues: u64,
     /// Sessions that completed their full quota.
@@ -193,6 +197,7 @@ impl ClientMux {
             sessions: Vec::with_capacity(local as usize),
             ready: VecDeque::new(),
             arrivals: BinaryHeap::new(),
+            origin_us: None,
             remaining_issues: local * quota as u64,
             sessions_done: 0,
             completed_total: 0,
@@ -235,12 +240,14 @@ impl ClientMux {
 
     /// The next message to send at `now_us`, or `None` when every ready
     /// session is drained (more may become ready on acks or arrivals).
+    /// Open-loop arrivals are scheduled from the first call's `now_us`.
     /// The caller bounds calls per loop iteration with
     /// `TUNING.client_send_budget`.
     pub fn next(&mut self, now_us: u64) -> Option<Issue> {
         // Materialize due open-loop arrivals first.
+        let elapsed = now_us.wrapping_sub(*self.origin_us.get_or_insert(now_us)) & STAMP_MASK;
         while let Some(&Reverse((due, idx))) = self.arrivals.peek() {
-            if due > now_us {
+            if due > elapsed {
                 break;
             }
             self.arrivals.pop();
@@ -492,8 +499,9 @@ mod tests {
     fn open_loop_backlog_queues_behind_the_wire_slot() {
         // One client, fast arrivals, slow acks: arrivals outpace the
         // stop-and-wait slot, the backlog drains one ack at a time.
-        let s = spec(WorkloadKind::Open { rate_per_sec: 1e6 }, 5, 1);
+        let s = spec(WorkloadKind::Open { rate_per_sec: 1e3 }, 5, 1);
         let mut mux = ClientMux::new(&s, 0, 2, 3);
+        assert!(mux.next(0).is_none(), "nothing has arrived at the origin");
         let mut now = 1_000_000u64; // all 5 arrivals long due
         let first = mux.next(now).expect("backlog ready");
         assert!(mux.next(now).is_none(), "wire slot busy: stop-and-wait");
@@ -502,6 +510,32 @@ mod tests {
         now += 10;
         assert!(mux.next(now).is_some(), "ack re-arms the session");
         assert!(!mux.done_issuing());
+    }
+
+    #[test]
+    fn open_loop_paces_from_the_first_call_not_from_zero() {
+        // `node_main` passes epoch stamps: the schedule must count from
+        // the first one, or every arrival is due at once.
+        let s = spec(
+            WorkloadKind::Open {
+                rate_per_sec: 100.0,
+            },
+            1,
+            400,
+        );
+        let origin = 1_790_000_000_000_000u64 & STAMP_MASK;
+        let mut mux = ClientMux::new(&s, 0, 2, 9);
+        let due: Vec<u64> = mux.sessions.iter().map(|s| s.next_at_us).collect();
+        let mut issued = 0;
+        for x in [0u64, 2_000, 10_000, 40_000, 10_000_000] {
+            while mux.next(origin + x).is_some() {
+                issued += 1;
+            }
+            let want = due.iter().filter(|&&d| d <= x).count();
+            assert_eq!(issued, want, "at origin + {x} us");
+        }
+        assert_eq!(issued, 200, "the 10 s gap cap bounds the schedule");
+        assert!(due.iter().filter(|&&d| d <= 10_000).count() < 150);
     }
 
     #[test]

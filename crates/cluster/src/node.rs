@@ -23,13 +23,19 @@
 //! accept + reader threads — was retired after PR 7 cross-checked the SP
 //! verdicts of both planes.)
 //!
-//! The protocol loop itself is *event-driven*: `on_timeout` (which moves
-//! the R1/R2/R6 pipeline and retransmission) fires whenever the loop did
-//! work — inbound frames, workload, deliveries — and at worst every tick
-//! when idle. Per-hop latency therefore tracks socket readiness, not the
-//! tick. Correctness is schedule-independent (the simulated suite drives
-//! the same forwarder under an adversarial scheduler), so firing timeouts
-//! faster is safe by construction.
+//! The protocol loop itself is *event-driven*, and a node never sleeps
+//! while one of its own rules is enabled
+//! ([`MpForwarder::locally_enabled`], asserted at the end of every
+//! iteration). Each iteration runs `on_message` for what arrived, then
+//! `on_timeout` if anything arrived (and at worst every tick when idle),
+//! then the deliveries that produced — acks out, windows closed — then the
+//! workload; every send is followed by `advance(dest)`. So a primary, an
+//! ack and the next stop-and-wait primary are on the wire in the iteration
+//! that enabled them, and latency tracks socket readiness end to end —
+//! source, every hop and sink — not the tick. The tick paces
+//! retransmission only. Correctness is schedule-independent (the simulated
+//! suite drives the same forwarder under an adversarial scheduler), so
+//! running enabled rules at once is safe by construction.
 //!
 //! ## Control protocol
 //!
@@ -47,7 +53,9 @@ use crate::evloop::{CtrlPipe, NetListener, NodeLoop};
 use crate::frame::{frame_to_msg, msg_to_frame, msg_to_frame_client};
 use crate::telemetry::{LogHistogram, NodeCounters};
 use crate::tuning::TUNING;
-use crate::workload::{ack_payload, is_ack, stamp_of, WorkloadGen, WorkloadSpec, STAMP_MASK};
+use crate::workload::{
+    ack_payload, ghost_src, is_ack, stamp_of, WorkloadGen, WorkloadSpec, STAMP_MASK,
+};
 use ssmfp_core::conc::register_thread;
 use ssmfp_core::wire::WireFrame;
 use ssmfp_mp::{ack_ghost_of, decode_client_ghost, MpForwarder, MpGhost, MpNode, Outbox, WireMsg};
@@ -146,6 +154,129 @@ fn routing_table(graph: &Graph, p: NodeId) -> Vec<NodeId> {
         .collect()
 }
 
+/// The protocol side of a node — forwarder, traffic source, audit lists —
+/// apart from its sockets, so a test can drive `node_main`'s iteration
+/// over in-memory links.
+struct Engine {
+    p: NodeId,
+    n: usize,
+    fwd: MpForwarder,
+    gen: WorkloadGen,
+    mux: Option<ClientMux>,
+    out: Outbox<WireMsg>,
+    /// Drained scratch each turn swaps with `fwd.delivered_msgs`.
+    deliveries: Vec<(MpGhost, u64)>,
+    gen_list: Vec<(MpGhost, NodeId)>,
+    latency: LogHistogram,
+}
+
+impl Engine {
+    fn new(cfg: &NodeConfig, graph: &Graph) -> Self {
+        let (p, n) = (cfg.node, cfg.n);
+        Engine {
+            p,
+            n,
+            fwd: MpForwarder::new_static(
+                p,
+                n,
+                graph.max_degree() as u8,
+                graph.neighbors(p).to_vec(),
+                routing_table(graph, p),
+                cfg.seed,
+            ),
+            gen: WorkloadGen::new(cfg.workload, p, n, cfg.seed),
+            mux: cfg
+                .clients
+                .as_ref()
+                .map(|s| ClientMux::new(s, p, n, cfg.seed)),
+            out: Outbox::new(),
+            deliveries: Vec::new(),
+            gen_list: Vec::new(),
+            latency: LogHistogram::new(),
+        }
+    }
+
+    /// Queues a send and runs its slot, so the `Offer` is in `out` now.
+    fn send(&mut self, dest: NodeId, payload: u64, ghost: MpGhost) {
+        self.fwd.enqueue_send(dest, payload, ghost);
+        self.fwd.advance(dest, &mut self.out);
+        self.gen_list.push((ghost, dest));
+    }
+
+    /// One iteration's protocol work, after its inbound frames went through
+    /// `fwd.on_message`: the timeout if `fire`, then what it delivered,
+    /// then new traffic. Whatever that enables leaves in `out`.
+    fn turn(&mut self, fire: bool, issuing: bool, now_us: impl Fn() -> u64) {
+        // `on_timeout` runs every slot's rules after its retransmission
+        // timers, so what the inbound frames enabled — a confirmed copy to
+        // move on, a delivery at the sink — happens here, not a tick later.
+        if fire {
+            self.fwd.on_timeout(&mut self.out);
+        }
+
+        // New deliveries: record latency, issue acks, close windows.
+        let scratch = std::mem::take(&mut self.deliveries);
+        let mut deliveries = std::mem::replace(&mut self.fwd.delivered_msgs, scratch);
+        for (ghost, payload) in deliveries.drain(..) {
+            let now = now_us();
+            // A primary is answered with a real, audited SSMFP message. In
+            // client mode the ghost *is* the identity: acks credit their
+            // session, and the ack ghost is the primary's with the ack bit
+            // set — no per-client state here.
+            let answer = match self.mux.as_mut() {
+                Some(mux) => match decode_client_ghost(ghost) {
+                    Some(parts) if parts.ack => {
+                        mux.on_ack(parts, now);
+                        None
+                    }
+                    Some(parts) => Some((parts.node, ack_ghost_of(ghost))),
+                    None => None, // initial-configuration garbage: audited, not answered
+                },
+                None if is_ack(payload) => {
+                    self.gen.on_ack();
+                    None
+                }
+                None => Some((ghost_src(ghost), self.gen.next_ack_ghost())),
+            };
+            if let Some((src, ack_ghost)) = answer {
+                self.latency
+                    .record(now.wrapping_sub(stamp_of(payload)) & STAMP_MASK);
+                if src < self.n && src != self.p {
+                    self.send(src, ack_payload(now), ack_ghost);
+                }
+            }
+        }
+        self.deliveries = deliveries;
+
+        // Workload, after the acks that may have opened its window: the
+        // client mux replaces the node-level generator in client mode. The
+        // budget bounds time away from the socket pump; the mux's
+        // round-robin ready queue keeps the cut fair.
+        if issuing {
+            let now = now_us();
+            if self.mux.is_some() {
+                for _ in 0..TUNING.client_send_budget {
+                    let Some(issue) = self.mux.as_mut().and_then(|m| m.next(now)) else {
+                        break;
+                    };
+                    self.send(issue.dest, issue.payload, issue.ghost);
+                }
+            } else {
+                while let Some(issue) = self.gen.poll(now) {
+                    self.send(issue.dest, issue.payload, issue.ghost);
+                }
+            }
+        }
+        debug_assert!(!self.fwd.locally_enabled());
+    }
+
+    fn done_issuing(&self) -> bool {
+        self.mux
+            .as_ref()
+            .map_or_else(|| self.gen.done_issuing(), |m| m.done_issuing())
+    }
+}
+
 /// Runs one node to completion over the given control pipe. Returns the
 /// report it also wrote to the supervisor.
 pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
@@ -156,22 +287,10 @@ pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
     let graph = Graph::from_edges(cfg.n, &cfg.edges).map_err(io::Error::other)?;
     let p = cfg.node;
     let neighbors: Vec<NodeId> = graph.neighbors(p).to_vec();
-    let mut fwd = MpForwarder::new_static(
-        p,
-        cfg.n,
-        graph.max_degree() as u8,
-        neighbors.clone(),
-        routing_table(&graph, p),
-        cfg.seed,
-    );
-    let mut gen = WorkloadGen::new(cfg.workload, p, cfg.n, cfg.seed);
-    let mut mux: Option<ClientMux> = cfg
-        .clients
-        .as_ref()
-        .map(|s| ClientMux::new(s, p, cfg.n, cfg.seed));
+    let mut eng = Engine::new(cfg, &graph);
     // Client-mode frames carry the `(client_id, client_seq)` wire stamp;
     // picking the encoder once keeps the hot path branch-free.
-    let encode: fn(&WireMsg) -> WireFrame = if mux.is_some() {
+    let encode: fn(&WireMsg) -> WireFrame = if eng.mux.is_some() {
         msg_to_frame_client
     } else {
         msg_to_frame
@@ -180,9 +299,7 @@ pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
         .iter()
         .map(|&q| (q, InboundChaos::new(&cfg.chaos, q, p)))
         .collect();
-    let mut latency = LogHistogram::new();
     let mut counters = NodeCounters::default();
-    let mut gen_list: Vec<(MpGhost, NodeId)> = Vec::new();
 
     // --- sockets up, report ready ---
     let (listener, my_addr) = NetListener::bind(&cfg.listen, p)?;
@@ -231,8 +348,6 @@ pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
     }
 
     // --- main protocol loop: engine steps between I/O bursts ---
-    let mut out = Outbox::new();
-    let mut seen_deliveries = 0usize;
     let mut last_tick = Instant::now();
     let mut last_status = Instant::now();
     while !stopping {
@@ -253,8 +368,7 @@ pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
             handle_line(&line, &mut addrs, &mut started, &mut stopping);
         }
 
-        // Did this iteration move the protocol? Drives the event-driven
-        // timeout below.
+        // Did anything arrive? Drives the event-driven timeout below.
         let mut worked = false;
 
         // Inbound, through the chaos shim (data-plane frames only:
@@ -272,86 +386,27 @@ pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
             let c = chaos.get_mut(&q).expect("neighbour chaos");
             while let Some(frame) = c.poll() {
                 if let Some(msg) = frame_to_msg(&frame) {
-                    fwd.on_message(q, msg, &mut out);
+                    eng.fwd.on_message(q, msg, &mut eng.out);
                     worked = true;
                 }
             }
         }
 
-        // Workload: the client mux replaces the node-level generator in
-        // client mode. The budget bounds time away from the socket pump;
-        // the mux's round-robin ready queue keeps the cut fair.
-        if !stopping {
-            let now = now_stamp();
-            if let Some(mux) = mux.as_mut() {
-                for _ in 0..TUNING.client_send_budget {
-                    let Some(issue) = mux.next(now) else { break };
-                    fwd.enqueue_send(issue.dest, issue.payload, issue.ghost);
-                    gen_list.push((issue.ghost, issue.dest));
-                    worked = true;
-                }
-            } else {
-                while let Some(issue) = gen.poll(now) {
-                    fwd.enqueue_send(issue.dest, issue.payload, issue.ghost);
-                    gen_list.push((issue.ghost, issue.dest));
-                    worked = true;
-                }
-            }
-        }
-
-        // Protocol timeouts: event-driven, tick-bounded. `on_timeout`
-        // advances the R1/R2/R6 pipeline and retransmission, so firing it
-        // after every productive iteration makes per-hop latency track
-        // socket readiness instead of the tick; the idle path still fires
-        // at tick granularity so retransmission never starves. The
-        // adversarial-scheduler suite proves correctness at any firing
-        // schedule.
-        if worked || last_tick.elapsed() >= TUNING.tick() {
+        // Protocol timeout — event-driven, tick-bounded: after every
+        // iteration that received something, and at tick granularity when
+        // idle so retransmission never starves — then deliveries, then
+        // the workload. The adversarial-scheduler suite proves correctness
+        // at any firing schedule.
+        let fire = worked || last_tick.elapsed() >= TUNING.tick();
+        if fire {
             last_tick = Instant::now();
-            fwd.on_timeout(&mut out);
         }
-
-        // New deliveries: record latency, issue acks, close windows.
-        while seen_deliveries < fwd.delivered_msgs.len() {
-            let (ghost, payload) = fwd.delivered_msgs[seen_deliveries];
-            seen_deliveries += 1;
-            if let Some(mux) = mux.as_mut() {
-                // Client mode: the ghost *is* the identity. Acks credit
-                // their session; primaries answer with the identity-
-                // preserving ack ghost (primary | ack bit) — a real,
-                // audited SSMFP message, no per-client state here.
-                let now = now_stamp();
-                match decode_client_ghost(ghost) {
-                    Some(parts) if parts.ack => mux.on_ack(parts, now),
-                    Some(parts) => {
-                        latency.record(now.wrapping_sub(stamp_of(payload)) & STAMP_MASK);
-                        let src = parts.node;
-                        if src < cfg.n && src != p {
-                            let ack_ghost = ack_ghost_of(ghost);
-                            fwd.enqueue_send(src, ack_payload(now), ack_ghost);
-                            gen_list.push((ack_ghost, src));
-                        }
-                    }
-                    None => {} // initial-configuration garbage: audited, not answered
-                }
-            } else if is_ack(payload) {
-                gen.on_ack();
-            } else {
-                let now = now_stamp();
-                latency.record(now.wrapping_sub(stamp_of(payload)) & STAMP_MASK);
-                let src = crate::workload::ghost_src(ghost);
-                if src < cfg.n && src != p {
-                    let ack_ghost = gen.next_ack_ghost();
-                    fwd.enqueue_send(src, ack_payload(now), ack_ghost);
-                    gen_list.push((ack_ghost, src));
-                }
-            }
-        }
+        eng.turn(fire, !stopping, now_stamp);
 
         // Ship the outbox straight into the per-edge coalescing buffers;
         // the next pump's leading flush writes them (same stack, no
         // queue, no wake).
-        for (to, msg) in out.drain() {
+        for (to, msg) in eng.out.drain() {
             counters.frames_sent += 1;
             nl.send(to, &encode(&msg));
         }
@@ -359,15 +414,12 @@ pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
         // Status push.
         if last_status.elapsed() >= TUNING.status_every() {
             last_status = Instant::now();
-            let done = mux
-                .as_ref()
-                .map_or_else(|| gen.done_issuing(), |m| m.done_issuing());
             nl.write_ctrl(&format!(
                 "status {} {} {} {}\n",
-                done as u8,
-                fwd.generated.len(),
-                fwd.delivered.len(),
-                fwd.held_ghosts().len()
+                eng.done_issuing() as u8,
+                eng.fwd.generated.len(),
+                eng.fwd.delivered.len(),
+                eng.fwd.held_ghosts().len()
             ))?;
         }
     }
@@ -388,18 +440,19 @@ pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
     counters.read_syscalls = io_stats.read_syscalls;
     counters.conn_frames_dropped = io_stats.conn_frames_dropped;
 
+    let mux = eng.mux.as_ref();
     let report = NodeReport {
         node: p,
-        generated: gen_list,
-        delivered: fwd.delivered.clone(),
-        held: fwd.held_ghosts(),
-        latency,
+        held: eng.fwd.held_ghosts(),
+        generated: eng.gen_list,
+        delivered: eng.fwd.delivered,
+        latency: eng.latency,
         batch: io_stats.batch,
         counters,
-        client_rtt: mux.as_ref().map(|m| m.rtt().clone()).unwrap_or_default(),
-        client_fair: mux.as_ref().map(ClientMux::fairness).unwrap_or_default(),
-        clients: mux.as_ref().map_or(0, ClientMux::hosted),
-        clients_completed: mux.as_ref().map_or(0, ClientMux::completed),
+        client_rtt: mux.map(|m| m.rtt().clone()).unwrap_or_default(),
+        client_fair: mux.map(ClientMux::fairness).unwrap_or_default(),
+        clients: mux.map_or(0, ClientMux::hosted),
+        clients_completed: mux.map_or(0, ClientMux::completed),
     };
     {
         let w = nl.ctrl_writer();
@@ -554,6 +607,71 @@ pub fn parse_report_body(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `node_main`'s iteration over in-memory FIFO links with the tick
+    /// branch off: the timeout fires only after an iteration that received
+    /// something, so every local step has to happen without waiting for one.
+    #[test]
+    fn stop_and_wait_on_line5_needs_no_tick() {
+        use crate::workload::{WorkloadKind, WorkloadSpec};
+        let (n, primaries) = (5usize, 40u64);
+        let graph = ssmfp_topology::gen::line(n);
+        // One stop-and-wait source, so no slot is ever contended: a busy
+        // slot drops an `Offer` silently and only the tick retries it.
+        let mut engines: Vec<Engine> = (0..n)
+            .map(|p| {
+                let cfg = NodeConfig {
+                    node: p,
+                    n,
+                    edges: graph.edges().to_vec(),
+                    seed: 7,
+                    listen: ListenSpec::Tcp,
+                    workload: WorkloadSpec {
+                        kind: WorkloadKind::Closed { outstanding: 1 },
+                        messages: if p == 0 { primaries } else { 0 },
+                    },
+                    chaos: ChaosSpec::none(),
+                    clients: None,
+                };
+                Engine::new(&cfg, &graph)
+            })
+            .collect();
+        let mut inbox: Vec<Vec<(NodeId, WireMsg)>> = vec![Vec::new(); n];
+        let mut frames = 0u64;
+        for round in 0.. {
+            assert!(round < 100_000, "the links never went quiet");
+            let before = frames;
+            for p in 0..n {
+                let arrived = std::mem::take(&mut inbox[p]);
+                let eng = &mut engines[p];
+                for &(from, msg) in &arrived {
+                    eng.fwd.on_message(from, msg, &mut eng.out);
+                }
+                eng.turn(!arrived.is_empty(), true, || 0);
+                for (to, msg) in eng.out.drain() {
+                    inbox[to].push((p, msg));
+                    frames += 1;
+                }
+            }
+            if frames == before {
+                break;
+            }
+        }
+        // Quiet before the quota is out means a step waited for a tick.
+        assert!(engines.iter().all(Engine::done_issuing));
+        let sent: Vec<(NodeId, NodeId)> = engines
+            .iter()
+            .flat_map(|e| e.gen_list.iter().map(|&(_, dest)| (e.p, dest)))
+            .collect();
+        assert_eq!(sent.len() as u64, 2 * primaries, "every primary acked");
+        let delivered: usize = engines.iter().map(|e| e.fwd.delivered.len()).sum();
+        assert_eq!(delivered, sent.len(), "primaries and acks all delivered");
+        assert!(engines.iter().all(|e| e.fwd.is_idle()));
+        // Offer, Accept, Confirm per hop and nothing else: no step needed a
+        // retransmission to make progress.
+        let hops: u64 = sent.iter().map(|&(s, d)| s.abs_diff(d) as u64).sum();
+        assert_eq!(frames, 3 * hops);
+    }
 
     #[test]
     fn report_roundtrips_through_the_control_pipe() {
