@@ -284,6 +284,20 @@ impl ClientMux {
         })
     }
 
+    /// When `next` will next have something without an ack arriving first:
+    /// `now_us` while a session is ready, else the head of the open-loop
+    /// arrival schedule on the caller's clock, else `None`.
+    pub fn next_due_us(&self, now_us: u64) -> Option<u64> {
+        if !self.ready.is_empty() {
+            return Some(now_us);
+        }
+        let &Reverse((due, _)) = self.arrivals.peek()?;
+        Some(
+            self.origin_us
+                .map_or(now_us, |o| o.wrapping_add(due) & STAMP_MASK),
+        )
+    }
+
     /// Credits a delivered ack back to its session: closes the wire
     /// slot, records the round trip, re-arms the session if it still
     /// owes messages. Ignores acks that do not match a live slot (a
@@ -508,6 +522,7 @@ mod tests {
         let p = decode_client_ghost(first.ghost).unwrap();
         mux.on_ack(p, now + 10);
         now += 10;
+        assert_eq!(mux.next_due_us(now), Some(now), "a session is ready");
         assert!(mux.next(now).is_some(), "ack re-arms the session");
         assert!(!mux.done_issuing());
     }
@@ -533,6 +548,10 @@ mod tests {
             }
             let want = due.iter().filter(|&&d| d <= x).count();
             assert_eq!(issued, want, "at origin + {x} us");
+            // Nothing ready: the deadline is the schedule's head, on the
+            // caller's clock.
+            let head = due.iter().filter(|&&d| d > x).min();
+            assert_eq!(mux.next_due_us(origin + x), head.map(|d| origin + d));
         }
         assert_eq!(issued, 200, "the 10 s gap cap bounds the schedule");
         assert!(due.iter().filter(|&&d| d <= 10_000).count() < 150);

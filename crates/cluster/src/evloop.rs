@@ -9,9 +9,11 @@
 //! directly by `node_main`, so outbound frames append to per-connection
 //! buffers without crossing a thread boundary and inbound frames surface
 //! in a plain vector the caller drains each iteration. Engine work is a
-//! deadline task: the caller passes the distance to its next protocol
-//! tick as the poll budget and the loop sleeps exactly until the nearest
-//! deadline — tick, status, heartbeat, or reconnect.
+//! deadline task: the caller passes the distance to its next deadline —
+//! status push, workload arrival, or the protocol tick while a
+//! retransmission timer runs — as the poll budget and the loop sleeps
+//! exactly (`ppoll`, ns resolution) until the nearest of that, a
+//! heartbeat or a reconnect.
 //!
 //! ## Batching policy
 //!
@@ -81,6 +83,15 @@ mod sys {
         pub revents: i16,
     }
 
+    /// `struct timespec` from `<time.h>` (both fields are `i64` on every
+    /// 64-bit Linux target).
+    #[repr(C)]
+    #[allow(non_camel_case_types)]
+    pub struct timespec {
+        pub tv_sec: i64,
+        pub tv_nsec: i64,
+    }
+
     /// `struct rlimit` from `<sys/resource.h>` (`rlim_t` is `u64` on
     /// every 64-bit Linux target).
     #[repr(C)]
@@ -100,8 +111,15 @@ mod sys {
     pub const O_NONBLOCK: i32 = 0o4000;
 
     extern "C" {
-        /// `nfds_t` is `c_ulong` (= `u64` on every 64-bit Linux target).
-        pub fn poll(fds: *mut pollfd, nfds: u64, timeout: i32) -> i32;
+        /// `nfds_t` is `c_ulong` (= `u64` on every 64-bit Linux target);
+        /// a null `timeout` waits forever, a null `sigmask` leaves the
+        /// signal mask alone.
+        pub fn ppoll(
+            fds: *mut pollfd,
+            nfds: u64,
+            timeout: *const timespec,
+            sigmask: *const u8,
+        ) -> i32;
         pub fn getrlimit(resource: i32, rlim: *mut rlimit) -> i32;
         pub fn setrlimit(resource: i32, rlim: *const rlimit) -> i32;
         pub fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
@@ -203,16 +221,27 @@ impl PollSet {
     }
 
     /// Blocks until an fd is ready or `timeout` elapses (`None` = wait
-    /// forever). Returns the number of ready fds. EINTR retries.
+    /// forever). Returns the number of ready fds. EINTR retries. The
+    /// timeout goes to the kernel as it is (`ppoll`, ns): a deadline
+    /// 300 µs away is not a 1 ms sleep.
     pub fn poll(&mut self, timeout: Option<Duration>) -> io::Result<usize> {
-        // Round sub-millisecond deadlines *up*: a 0ms timeout would turn
-        // a near deadline into a busy spin.
-        let ms: i32 = match timeout {
-            None => -1,
-            Some(d) => d.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32,
-        };
+        let ts = timeout.map(|d| sys::timespec {
+            tv_sec: d.as_secs().min(i64::MAX as u64) as i64,
+            tv_nsec: d.subsec_nanos() as i64,
+        });
+        let ts_ptr = ts.as_ref().map_or(std::ptr::null(), |t| t as *const _);
         loop {
-            let rc = unsafe { sys::poll(self.fds.as_mut_ptr(), self.fds.len() as u64, ms) };
+            // SAFETY: `fds` is a live, exclusively borrowed array of
+            // `fds.len()` `pollfd`s; `ts_ptr` is null or points at `ts`,
+            // which outlives the call; a null sigmask is allowed.
+            let rc = unsafe {
+                sys::ppoll(
+                    self.fds.as_mut_ptr(),
+                    self.fds.len() as u64,
+                    ts_ptr,
+                    std::ptr::null(),
+                )
+            };
             if rc >= 0 {
                 return Ok(rc as usize);
             }
@@ -556,7 +585,7 @@ struct InConn {
 /// The single-thread node: every fd the node owns in one poll set, with
 /// the protocol engine driven by the caller between I/O bursts.
 ///
-/// `node_main` pumps the loop with the distance to its next protocol
+/// `node_main` pumps the loop with the distance to its next engine
 /// deadline, drains [`NodeLoop::inbound`] / [`NodeLoop::ctrl_lines`],
 /// steps the engine, and enqueues its outbox through [`NodeLoop::send`].
 pub(crate) struct NodeLoop {

@@ -27,15 +27,18 @@
 //! while one of its own rules is enabled
 //! ([`MpForwarder::locally_enabled`], asserted at the end of every
 //! iteration). Each iteration runs `on_message` for what arrived, then
-//! `on_timeout` if anything arrived (and at worst every tick when idle),
-//! then the deliveries that produced — acks out, windows closed — then the
-//! workload; every send is followed by `advance(dest)`. So a primary, an
-//! ack and the next stop-and-wait primary are on the wire in the iteration
-//! that enabled them, and latency tracks socket readiness end to end —
-//! source, every hop and sink — not the tick. The tick paces
-//! retransmission only. Correctness is schedule-independent (the simulated
-//! suite drives the same forwarder under an adversarial scheduler), so
-//! running enabled rules at once is safe by construction.
+//! `on_timeout` if anything arrived, then the deliveries that produced —
+//! acks out, windows closed — then the workload; every send is followed by
+//! `advance(dest)`. So a primary, an ack and the next stop-and-wait primary
+//! are on the wire in the iteration that enabled them, and latency tracks
+//! socket readiness end to end — source, every hop and sink — not the
+//! tick. The tick is loss recovery: it runs only while a handshake is open
+//! ([`MpForwarder::timers_pending`]; a busy downstream slot answers when
+//! it frees, nobody polls it), and a node with nothing to retransmit
+//! blocks until a frame, its next open-loop arrival or the status push.
+//! Correctness is schedule-independent (the simulated suite drives the
+//! same forwarder under an adversarial scheduler), so running enabled
+//! rules at once is safe by construction.
 //!
 //! ## Control protocol
 //!
@@ -61,7 +64,7 @@ use ssmfp_core::wire::WireFrame;
 use ssmfp_mp::{ack_ghost_of, decode_client_ghost, MpForwarder, MpGhost, MpNode, Outbox, WireMsg};
 use ssmfp_topology::{BfsTree, Graph, NodeId};
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::PathBuf;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -268,6 +271,18 @@ impl Engine {
             }
         }
         debug_assert!(!self.fwd.locally_enabled());
+        // …and nothing but a frame, an arrival or a running timer can move
+        // it: without the tick the node sleeps only on an empty forwarder.
+        debug_assert!(self.fwd.timers_pending() || self.fwd.is_idle());
+    }
+
+    /// When the traffic source next has something to send with no ack
+    /// arriving first (see the two `next_due_us`).
+    fn next_due_us(&self, now_us: u64) -> Option<u64> {
+        match &self.mux {
+            Some(mux) => mux.next_due_us(now_us),
+            None => self.gen.next_due_us(now_us),
+        }
     }
 
     fn done_issuing(&self) -> bool {
@@ -351,14 +366,23 @@ pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
     let mut last_tick = Instant::now();
     let mut last_status = Instant::now();
     while !stopping {
-        // Sleep until readiness or the nearest engine deadline — the
-        // protocol tick or the status push, whichever is closer.
+        // Sleep until readiness or the nearest engine deadline: the status
+        // push, the next open-loop arrival and — only while a
+        // retransmission timer runs — the protocol tick. A node with
+        // nothing to retransmit has no standing wake-up.
         let now = Instant::now();
-        let tick_in = TUNING.tick().saturating_sub(now.duration_since(last_tick));
-        let status_in = TUNING
+        let ticking = eng.fwd.timers_pending();
+        let mut wait = TUNING
             .status_every()
             .saturating_sub(now.duration_since(last_status));
-        nl.pump(tick_in.min(status_in));
+        if ticking {
+            wait = wait.min(TUNING.tick().saturating_sub(now.duration_since(last_tick)));
+        }
+        let stamp = now_stamp();
+        if let Some(due) = eng.next_due_us(stamp) {
+            wait = wait.min(Duration::from_micros(due.saturating_sub(stamp)));
+        }
+        nl.pump(wait);
 
         // Control.
         if nl.ctrl_eof() {
@@ -393,12 +417,13 @@ pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
         }
 
         // Protocol timeout — event-driven, tick-bounded: after every
-        // iteration that received something, and at tick granularity when
-        // idle so retransmission never starves — then deliveries, then
-        // the workload. The adversarial-scheduler suite proves correctness
-        // at any firing schedule.
-        let fire = worked || last_tick.elapsed() >= TUNING.tick();
-        if fire {
+        // iteration that received something, and at tick granularity while
+        // a timer runs so retransmission never starves — then deliveries,
+        // then the workload. The tick counts from the last timeout or the
+        // last moment there was nothing to time. The adversarial-scheduler
+        // suite proves correctness at any firing schedule.
+        let fire = worked || (ticking && last_tick.elapsed() >= TUNING.tick());
+        if fire || !ticking {
             last_tick = Instant::now();
         }
         eng.turn(fire, !stopping, now_stamp);
@@ -455,8 +480,9 @@ pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
         clients_completed: mux.map_or(0, ClientMux::completed),
     };
     {
-        let w = nl.ctrl_writer();
-        write_report(w, &report)?;
+        // One buffered write, not one per token.
+        let mut w = BufWriter::new(nl.ctrl_writer());
+        write_report(&mut w, &report)?;
         w.flush()?;
     }
     if let ListenSpec::Uds { dir } = &cfg.listen {
@@ -608,16 +634,15 @@ pub fn parse_report_body(
 mod tests {
     use super::*;
 
-    /// `node_main`'s iteration over in-memory FIFO links with the tick
-    /// branch off: the timeout fires only after an iteration that received
-    /// something, so every local step has to happen without waiting for one.
-    #[test]
-    fn stop_and_wait_on_line5_needs_no_tick() {
+    /// `node_main`'s iteration on `line:5` over in-memory FIFO links with
+    /// the tick branch off: the timeout fires only after an iteration that
+    /// received something, so every step — local or across a link — has to
+    /// happen without waiting for one. Node `p` is a stop-and-wait source
+    /// of `quota(p)` primaries.
+    fn tick_free_line5(quota: impl Fn(NodeId) -> u64) {
         use crate::workload::{WorkloadKind, WorkloadSpec};
-        let (n, primaries) = (5usize, 40u64);
+        let n = 5usize;
         let graph = ssmfp_topology::gen::line(n);
-        // One stop-and-wait source, so no slot is ever contended: a busy
-        // slot drops an `Offer` silently and only the tick retries it.
         let mut engines: Vec<Engine> = (0..n)
             .map(|p| {
                 let cfg = NodeConfig {
@@ -628,7 +653,7 @@ mod tests {
                     listen: ListenSpec::Tcp,
                     workload: WorkloadSpec {
                         kind: WorkloadKind::Closed { outstanding: 1 },
-                        messages: if p == 0 { primaries } else { 0 },
+                        messages: quota(p),
                     },
                     chaos: ChaosSpec::none(),
                     clients: None,
@@ -663,6 +688,7 @@ mod tests {
             .iter()
             .flat_map(|e| e.gen_list.iter().map(|&(_, dest)| (e.p, dest)))
             .collect();
+        let primaries: u64 = (0..n).map(quota).sum();
         assert_eq!(sent.len() as u64, 2 * primaries, "every primary acked");
         let delivered: usize = engines.iter().map(|e| e.fwd.delivered.len()).sum();
         assert_eq!(delivered, sent.len(), "primaries and acks all delivered");
@@ -671,6 +697,20 @@ mod tests {
         // retransmission to make progress.
         let hops: u64 = sent.iter().map(|&(s, d)| s.abs_diff(d) as u64).sum();
         assert_eq!(frames, 3 * hops);
+    }
+
+    /// One source: no slot is ever contended.
+    #[test]
+    fn stop_and_wait_on_line5_needs_no_tick() {
+        tick_free_line5(|p| if p == 0 { 40 } else { 0 });
+    }
+
+    /// Every node a source: primaries and acks collide in the slots all the
+    /// time, and an `Offer` that meets a busy slot is accepted when the
+    /// slot frees — no re-offer, no tick.
+    #[test]
+    fn five_colliding_sources_on_line5_need_no_tick() {
+        tick_free_line5(|_| 40);
     }
 
     #[test]

@@ -1257,12 +1257,12 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     for j in joins {
         let _ = j.join();
     }
-    let (converged, wall_s, shard_reports) = outcome?;
+    let (converged, wall_s, mut shard_reports) = outcome?;
 
     // --- reconcile + hierarchical aggregation ---
     let mut nodes: Vec<NodeReport> = Vec::with_capacity(n);
-    for sr in &shard_reports {
-        nodes.extend(sr.reports.iter().cloned());
+    for sr in &mut shard_reports {
+        nodes.append(&mut sr.reports);
     }
     nodes.sort_by_key(|r| r.node);
     let ledgers: Vec<NodeLedger> = nodes
@@ -1287,8 +1287,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
         .as_ref()
         .map(|_| reconcile_clients(&ledgers, crate::clients::stamp_decode));
 
-    let shard_summaries: Vec<ShardSummary> =
-        shard_reports.iter().map(|r| r.summary.clone()).collect();
+    let shard_summaries: Vec<ShardSummary> = shard_reports.into_iter().map(|r| r.summary).collect();
     let mut latency = LogHistogram::new();
     let mut batch = LogHistogram::new();
     let mut counters = NodeCounters::default();
