@@ -73,8 +73,8 @@ pub fn sweep(
         tally.runs += 1;
         tally.sent += count;
         tally.exactly_once += audit.exactly_once;
-        tally.lost += audit.lost;
-        tally.duplicated += audit.duplicated;
+        tally.lost += audit.lost();
+        tally.duplicated += audit.duplicated();
         if !quiescent {
             tally.non_quiescent += 1;
         }

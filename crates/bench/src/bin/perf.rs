@@ -11,18 +11,8 @@
 //! hand-rolled — numbers and booleans only, no string escapes needed
 //! beyond the fixed instance names.
 //!
-//! It also emits `BENCH_cluster.json` (socket-cluster end-to-end
-//! throughput and one-way latency quantiles: line-5 and caterpillar(3,2)
-//! topologies, closed- and open-loop workloads over Unix-domain sockets,
-//! plus stop-and-wait on line-5, whose one-way p50 is held below the
-//! protocol tick in the same run)
-//! and `BENCH_scale.json` (the same end-to-end pipeline on 25-, 64- and
-//! 100-node grids with a sharded orchestrator: throughput and latency
-//! versus node count), plus `BENCH_clients.json` (the multiplexed client
-//! layer: 10k/100k — full mode: 1M — logical clients fanned into the
-//! 25-node grid, stamped end-to-end, per-client round-trip quantiles;
-//! the 10k point is held to the grid-5x5 per-node throughput measured in
-//! the same run).
+//! The socket cluster is measured by the repo benchmark (`benchmark/`,
+//! `BENCHMARK.json`), not here.
 //!
 //! Usage: `perf [--quick] [--threads N] [--out-dir DIR] [--baseline DIR]`
 //!
@@ -512,324 +502,6 @@ fn bench_state(opts: &Options, json: &mut String) {
     writeln!(json, "}}").unwrap();
 }
 
-/// One end-to-end cluster run over real Unix-domain sockets (in-process
-/// node threads, no chaos — this measures the transport and protocol hot
-/// path, not fault recovery). Returns `(primaries, secs, report)`.
-fn cluster_run(
-    topology: &str,
-    graph: Graph,
-    kind: ssmfp_cluster::WorkloadKind,
-    messages: u64,
-    shards: usize,
-    dir: &std::path::Path,
-) -> ssmfp_cluster::RunReport {
-    let spec = ssmfp_cluster::ClusterSpec {
-        topology: topology.to_string(),
-        graph,
-        seed: 0xBE_BC,
-        workload: ssmfp_cluster::WorkloadSpec { kind, messages },
-        chaos: ssmfp_cluster::ChaosSpec::none(),
-        listen: ssmfp_cluster::ListenSpec::Uds {
-            dir: dir.to_path_buf(),
-        },
-        clients: None,
-        shards,
-        mode: ssmfp_cluster::RunMode::Inproc,
-        timeout: std::time::Duration::from_secs(180),
-    };
-    ssmfp_cluster::run_cluster(&spec).unwrap_or_else(|e| {
-        eprintln!("perf: cluster run {topology} failed: {e}");
-        std::process::exit(1);
-    })
-}
-
-fn bench_cluster(opts: &Options, json: &mut String) {
-    writeln!(json, "{{").unwrap();
-    writeln!(json, "  \"bench\": \"cluster\",").unwrap();
-    writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if opts.quick { "quick" } else { "full" }
-    )
-    .unwrap();
-    writeln!(json, "  \"instances\": [").unwrap();
-
-    // Message counts sized so the measured window dominates the fixed
-    // convergence-detection tail (stable_snapshots × status_every ≈
-    // 75-100ms): the event-driven plane drains the old 30-message quick
-    // runs inside that tail, which would make throughput numbers pure
-    // detector latency.
-    let msgs: u64 = if opts.quick { 1_000 } else { 4_000 };
-    // Open-loop rate is *per source node* (line-5 offers 5×, caterpillar
-    // 9×). 1000/s/node keeps the offered load at ~0.65-0.85 of measured
-    // closed-loop capacity on a single core: open-loop latency then
-    // measures the network, not an unbounded app-queue backlog. Rates
-    // past capacity drive the offer-backoff into congestion collapse —
-    // throughput *drops* and p99 becomes pure queueing delay.
-    let open_rate = 1_000.0;
-    let topologies = [
-        ("line-5", gen::line(5)),
-        ("caterpillar(3,2)", gen::caterpillar(3, 2)),
-    ];
-    let workloads = [
-        (
-            "closed-4",
-            ssmfp_cluster::WorkloadKind::Closed { outstanding: 4 },
-        ),
-        (
-            "open-1000/s",
-            ssmfp_cluster::WorkloadKind::Open {
-                rate_per_sec: open_rate,
-            },
-        ),
-    ];
-    let mut instances = Vec::new();
-    for (topo_name, graph) in &topologies {
-        for (wl_name, kind) in workloads {
-            instances.push((*topo_name, graph.clone(), wl_name, kind));
-        }
-    }
-    // Stop-and-wait: nothing overlaps, so one-way latency is the path's
-    // own — three frames a hop — and is held below the tick in this same
-    // run: a local rule that waits for a timeout puts it back above.
-    let stop_wait = ssmfp_cluster::WorkloadKind::Closed { outstanding: 1 };
-    instances.push(("line-5", gen::line(5), "closed-1", stop_wait));
-    let tick_us = ssmfp_cluster::TUNING.tick().as_micros() as u64;
-    let dir = std::env::temp_dir().join(format!("ssmfp-perf-cluster-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create cluster bench dir");
-    let last = instances.len() - 1;
-    for (i, (topo_name, graph, wl_name, kind)) in instances.into_iter().enumerate() {
-        let report = cluster_run(topo_name, graph, kind, msgs, 1, &dir);
-        if !report.clean() {
-            eprintln!("perf: CLUSTER RUN NOT CLEAN on {topo_name}/{wl_name}");
-            std::process::exit(1);
-        }
-        let name = format!("{topo_name}, {wl_name}");
-        let (p50, p99) = (report.latency.quantile(0.50), report.latency.quantile(0.99));
-        let frames_per_write = if report.counters.write_syscalls > 0 {
-            report.counters.frames_sent as f64 / report.counters.write_syscalls as f64
-        } else {
-            0.0
-        };
-        eprintln!(
-            "cluster | {:<28} | {:>5} primaries | {:>8.0} msg/s | p50 {:>7} us | p99 {:>7} us | {:>5.2} frames/write | wall {:.2}s",
-            name, report.primaries_delivered, report.throughput, p50, p99, frames_per_write, report.wall_s
-        );
-        writeln!(json, "    {{").unwrap();
-        writeln!(json, "      \"name\": \"{name}\",").unwrap();
-        writeln!(json, "      \"n\": {},", report.n).unwrap();
-        writeln!(
-            json,
-            "      \"primaries_delivered\": {},",
-            report.primaries_delivered
-        )
-        .unwrap();
-        writeln!(json, "      \"wall_s\": {:.4},", report.wall_s).unwrap();
-        writeln!(json, "      \"msgs_per_sec\": {:.1},", report.throughput).unwrap();
-        writeln!(json, "      \"p50_us\": {p50},").unwrap();
-        writeln!(json, "      \"p99_us\": {p99},").unwrap();
-        writeln!(json, "      \"frames_per_write\": {frames_per_write:.2},").unwrap();
-        writeln!(json, "      \"clean\": {}", report.clean()).unwrap();
-        writeln!(json, "    }}{}", if i == last { "" } else { "," }).unwrap();
-        if kind == stop_wait && p50 >= tick_us {
-            eprintln!(
-                "perf: STOP-AND-WAIT P50 NOT BELOW THE TICK on {name}: {p50} us >= {tick_us} us"
-            );
-            std::process::exit(1);
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    writeln!(json, "  ]").unwrap();
-    writeln!(json, "}}").unwrap();
-}
-
-/// Scale sweep: closed-loop grid workloads at 25, 64 and 100 nodes over
-/// UDS, 4 orchestrator shards, no chaos — measures how end-to-end
-/// throughput scales with topology size under the one-thread-per-node
-/// data plane and the sharded control plane. The regression gate reads
-/// `msgs_per_sec` only; p99 is reported for the record (tail latency on
-/// a shared core is too noisy for a 25% floor).
-///
-/// Returns the measured grid-5x5 `msgs_per_sec`, which the client-layer
-/// sweep uses as its same-machine per-node throughput reference.
-fn bench_scale(opts: &Options, json: &mut String) -> f64 {
-    writeln!(json, "{{").unwrap();
-    writeln!(json, "  \"bench\": \"scale\",").unwrap();
-    writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if opts.quick { "quick" } else { "full" }
-    )
-    .unwrap();
-    writeln!(json, "  \"instances\": [").unwrap();
-
-    // Per-node message counts: enough that the drain window dominates the
-    // fixed convergence tail even at 25 nodes, small enough that the
-    // 100-node quick run stays CI-sized.
-    let msgs: u64 = if opts.quick { 30 } else { 200 };
-    let shards = 4;
-    let grids: [(&str, usize, usize); 3] = [
-        ("grid-5x5", 5, 5),
-        ("grid-8x8", 8, 8),
-        ("grid-10x10", 10, 10),
-    ];
-    let dir = std::env::temp_dir().join(format!("ssmfp-perf-scale-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scale bench dir");
-    let last = grids.len() - 1;
-    let mut grid_5x5_mps = 0.0;
-    for (i, (name, rows, cols)) in grids.into_iter().enumerate() {
-        let graph = gen::grid(rows, cols);
-        let kind = ssmfp_cluster::WorkloadKind::Closed { outstanding: 2 };
-        let report = cluster_run(name, graph, kind, msgs, shards, &dir);
-        if !report.clean() {
-            eprintln!("perf: SCALE RUN NOT CLEAN on {name}");
-            std::process::exit(1);
-        }
-        if name == "grid-5x5" {
-            grid_5x5_mps = report.throughput;
-        }
-        let (p50, p99) = (report.latency.quantile(0.50), report.latency.quantile(0.99));
-        eprintln!(
-            "scale | {:<12} | n={:>3} shards={} | {:>5} primaries | {:>8.0} msg/s | p50 {:>7} us | p99 {:>7} us | wall {:.2}s",
-            name, report.n, report.shards, report.primaries_delivered, report.throughput, p50, p99, report.wall_s
-        );
-        writeln!(json, "    {{").unwrap();
-        writeln!(json, "      \"name\": \"{name}\",").unwrap();
-        writeln!(json, "      \"n\": {},", report.n).unwrap();
-        writeln!(json, "      \"shards\": {},", report.shards).unwrap();
-        writeln!(
-            json,
-            "      \"primaries_delivered\": {},",
-            report.primaries_delivered
-        )
-        .unwrap();
-        writeln!(json, "      \"wall_s\": {:.4},", report.wall_s).unwrap();
-        writeln!(json, "      \"msgs_per_sec\": {:.1},", report.throughput).unwrap();
-        writeln!(json, "      \"p50_us\": {p50},").unwrap();
-        writeln!(json, "      \"p99_us\": {p99},").unwrap();
-        writeln!(json, "      \"clean\": {}", report.clean()).unwrap();
-        writeln!(json, "    }}{}", if i == last { "" } else { "," }).unwrap();
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    writeln!(json, "  ]").unwrap();
-    writeln!(json, "}}").unwrap();
-    grid_5x5_mps
-}
-
-/// Client fan-in sweep: tens of thousands (full mode: a million) of
-/// logical clients multiplexed onto the 25-node grid through the
-/// per-node `ClientMux`, stop-and-wait per client, every message stamped
-/// and audited for per-client exactly-once. No chaos — this measures
-/// the fan-in hot path. The regression gate reads `msgs_per_sec`; the
-/// 10k instance is additionally held, within the same run, to at least
-/// the per-node throughput of the plain grid-5x5 scale workload
-/// (`scale_5x5_mps / 25`), so client multiplexing can never quietly
-/// drop below what one directly-driven node sustains.
-fn bench_clients(opts: &Options, json: &mut String, scale_5x5_mps: f64) {
-    writeln!(json, "{{").unwrap();
-    writeln!(json, "  \"bench\": \"clients\",").unwrap();
-    writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if opts.quick { "quick" } else { "full" }
-    )
-    .unwrap();
-    writeln!(json, "  \"instances\": [").unwrap();
-
-    // Two stamped messages per client: enough to exercise FIFO-per-client
-    // (a second seq after the first ack) without inflating run time at
-    // the million-client point.
-    let messages = 2u64;
-    let shards = 4;
-    let counts: &[(&str, u64)] = if opts.quick {
-        &[("clients-10k", 10_000), ("clients-100k", 100_000)]
-    } else {
-        &[
-            ("clients-10k", 10_000),
-            ("clients-100k", 100_000),
-            ("clients-1m", 1_000_000),
-        ]
-    };
-    let dir = std::env::temp_dir().join(format!("ssmfp-perf-clients-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create clients bench dir");
-    let last = counts.len() - 1;
-    for (i, &(name, clients)) in counts.iter().enumerate() {
-        let spec = ssmfp_cluster::ClusterSpec {
-            topology: "grid:5x5".to_string(),
-            graph: gen::grid(5, 5),
-            seed: 0xBE_BC,
-            // Inert in client mode; the mux replaces the node workload.
-            workload: ssmfp_cluster::WorkloadSpec {
-                kind: ssmfp_cluster::WorkloadKind::Closed { outstanding: 2 },
-                messages: 0,
-            },
-            chaos: ssmfp_cluster::ChaosSpec::none(),
-            listen: ssmfp_cluster::ListenSpec::Uds {
-                dir: dir.to_path_buf(),
-            },
-            clients: Some(ssmfp_cluster::ClientSpec {
-                clients,
-                load: ssmfp_cluster::WorkloadSpec {
-                    kind: ssmfp_cluster::WorkloadKind::Closed { outstanding: 1 },
-                    messages,
-                },
-                mutation: None,
-            }),
-            shards,
-            mode: ssmfp_cluster::RunMode::Inproc,
-            timeout: std::time::Duration::from_secs(600),
-        };
-        let report = ssmfp_cluster::run_cluster(&spec).unwrap_or_else(|e| {
-            eprintln!("perf: client run {name} failed: {e}");
-            std::process::exit(1);
-        });
-        if !report.clean() {
-            eprintln!("perf: CLIENT RUN NOT CLEAN on {name}");
-            std::process::exit(1);
-        }
-        let (p50, p99) = (
-            report.client_rtt.quantile(0.50),
-            report.client_rtt.quantile(0.99),
-        );
-        eprintln!(
-            "clients | {:<12} | {:>8} clients | {:>8} completed | {:>8.0} msg/s | rtt p50 {:>7} us | p99 {:>7} us | wall {:.2}s",
-            name, report.clients, report.clients_completed, report.throughput, p50, p99, report.wall_s
-        );
-        writeln!(json, "    {{").unwrap();
-        writeln!(json, "      \"name\": \"{name}\",").unwrap();
-        writeln!(json, "      \"n\": {},", report.n).unwrap();
-        writeln!(json, "      \"shards\": {},", report.shards).unwrap();
-        writeln!(json, "      \"clients\": {},", report.clients).unwrap();
-        writeln!(json, "      \"completed\": {},", report.clients_completed).unwrap();
-        writeln!(
-            json,
-            "      \"primaries_delivered\": {},",
-            report.primaries_delivered
-        )
-        .unwrap();
-        writeln!(json, "      \"wall_s\": {:.4},", report.wall_s).unwrap();
-        writeln!(json, "      \"msgs_per_sec\": {:.1},", report.throughput).unwrap();
-        writeln!(json, "      \"rtt_p50_us\": {p50},").unwrap();
-        writeln!(json, "      \"rtt_p99_us\": {p99},").unwrap();
-        writeln!(json, "      \"clean\": {}", report.clean()).unwrap();
-        writeln!(json, "    }}{}", if i == last { "" } else { "," }).unwrap();
-
-        if name == "clients-10k" && scale_5x5_mps > 0.0 {
-            let per_node_floor = scale_5x5_mps / 25.0;
-            if report.throughput < per_node_floor {
-                eprintln!(
-                    "perf: CLIENT FAN-IN BELOW PER-NODE BASELINE: {:.0} msg/s < {per_node_floor:.0} msg/s (grid-5x5 {scale_5x5_mps:.0} / 25 nodes)",
-                    report.throughput
-                );
-                std::process::exit(1);
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    writeln!(json, "  ]").unwrap();
-    writeln!(json, "}}").unwrap();
-}
-
 /// Extracts `(instance_name, value)` pairs for `key` from one of our
 /// hand-rolled `BENCH_*.json` files, in document order. Each `"name"` line
 /// updates the current instance; each `"<key>": <number>` occurrence is
@@ -916,25 +588,13 @@ fn compare_file(label: &str, key: &str, baseline: &str, current: &str) -> usize 
 /// `dir`. Missing baseline files are skipped with a note (so a baseline
 /// directory can predate `BENCH_state.json`). Exits nonzero on any >25%
 /// throughput regression.
-#[allow(clippy::too_many_arguments)]
-fn compare_baseline(
-    dir: &str,
-    check: &str,
-    engine: &str,
-    state: &str,
-    cluster: &str,
-    scale: &str,
-    clients: &str,
-) {
+fn compare_baseline(dir: &str, check: &str, engine: &str, state: &str) {
     let mut regressions = 0;
-    let files: [(&str, &str, &str, &str); 7] = [
+    let files: [(&str, &str, &str, &str); 4] = [
         ("check", "BENCH_check.json", "states_per_sec", check),
         ("engine", "BENCH_engine.json", "steps_per_sec", engine),
         ("state", "BENCH_state.json", "nodes_per_sec", state),
         ("state", "BENCH_state.json", "compression", state),
-        ("cluster", "BENCH_cluster.json", "msgs_per_sec", cluster),
-        ("scale", "BENCH_scale.json", "msgs_per_sec", scale),
-        ("clients", "BENCH_clients.json", "msgs_per_sec", clients),
     ];
     for (label, file, key, current) in files {
         match std::fs::read_to_string(format!("{dir}/{file}")) {
@@ -957,38 +617,16 @@ fn main() {
     bench_engine(&opts, &mut engine_json);
     let mut state_json = String::new();
     bench_state(&opts, &mut state_json);
-    let mut cluster_json = String::new();
-    bench_cluster(&opts, &mut cluster_json);
-    let mut scale_json = String::new();
-    let scale_5x5_mps = bench_scale(&opts, &mut scale_json);
-    let mut clients_json = String::new();
-    bench_clients(&opts, &mut clients_json, scale_5x5_mps);
 
     let check_path = format!("{}/BENCH_check.json", opts.out_dir);
     let engine_path = format!("{}/BENCH_engine.json", opts.out_dir);
     let state_path = format!("{}/BENCH_state.json", opts.out_dir);
-    let cluster_path = format!("{}/BENCH_cluster.json", opts.out_dir);
-    let scale_path = format!("{}/BENCH_scale.json", opts.out_dir);
-    let clients_path = format!("{}/BENCH_clients.json", opts.out_dir);
     std::fs::write(&check_path, &check_json).expect("write BENCH_check.json");
     std::fs::write(&engine_path, &engine_json).expect("write BENCH_engine.json");
     std::fs::write(&state_path, &state_json).expect("write BENCH_state.json");
-    std::fs::write(&cluster_path, &cluster_json).expect("write BENCH_cluster.json");
-    std::fs::write(&scale_path, &scale_json).expect("write BENCH_scale.json");
-    std::fs::write(&clients_path, &clients_json).expect("write BENCH_clients.json");
-    eprintln!(
-        "wrote {check_path}, {engine_path}, {state_path}, {cluster_path}, {scale_path} and {clients_path}"
-    );
+    eprintln!("wrote {check_path}, {engine_path} and {state_path}");
 
     if let Some(dir) = &opts.baseline {
-        compare_baseline(
-            dir,
-            &check_json,
-            &engine_json,
-            &state_json,
-            &cluster_json,
-            &scale_json,
-            &clients_json,
-        );
+        compare_baseline(dir, &check_json, &engine_json, &state_json);
     }
 }

@@ -110,7 +110,7 @@ impl ClientSpec {
 /// [`ssmfp_core::ledger::reconcile_clients`] — the core join stays
 /// agnostic of the packing, this bridge owns it.
 pub fn stamp_decode(g: GhostId) -> Option<ClientStamp> {
-    let p = ssmfp_mp::decode_client_ghost(crate::frame::ghost_from_wire(g))?;
+    let p = ssmfp_mp::decode_client_ghost(g)?;
     if p.ack {
         return None;
     }
@@ -613,11 +613,11 @@ mod tests {
     #[test]
     fn stamp_decode_skips_acks_and_garbage() {
         let g = client_ghost(3, 7, 2);
-        let s = stamp_decode(crate::frame::ghost_to_wire(g)).unwrap();
+        let s = stamp_decode(g).unwrap();
         assert_eq!(s.seq, 2);
         assert_eq!(s.client, decode_client_ghost(g).unwrap().client_id());
         let ack = ssmfp_mp::ack_ghost_of(g);
-        assert_eq!(stamp_decode(crate::frame::ghost_to_wire(ack)), None);
+        assert_eq!(stamp_decode(ack), None);
         assert_eq!(stamp_decode(GhostId::Invalid(9)), None);
     }
 }

@@ -492,6 +492,20 @@ pub struct IoStats {
 /// out-buffer cap check leaves before appending.
 const FRAME_MAX: usize = 4 + MAX_FRAME_LEN as usize;
 
+/// Splits complete control lines out of a byte accumulator (trimmed; empty
+/// lines dropped) — both ends of every control pipe read through this.
+pub(crate) fn take_lines(acc: &mut Vec<u8>) -> Vec<String> {
+    let mut out = Vec::new();
+    while let Some(nl) = acc.iter().position(|&b| b == b'\n') {
+        let line: Vec<u8> = acc.drain(..=nl).collect();
+        let text = String::from_utf8_lossy(&line[..nl]).trim_end().to_string();
+        if !text.is_empty() {
+            out.push(text);
+        }
+    }
+    out
+}
+
 /// The node's control pipe to its supervising shard.
 pub enum CtrlPipe {
     /// One bidirectional socketpair end (inproc mode: the shard holds
@@ -959,13 +973,7 @@ impl NodeLoop {
             Ok(0) => self.ctrl_eof = true,
             Ok(k) => {
                 self.ctrl_acc.extend_from_slice(&self.scratch[..k]);
-                while let Some(nl) = self.ctrl_acc.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = self.ctrl_acc.drain(..=nl).collect();
-                    let text = String::from_utf8_lossy(&line[..nl]).trim_end().to_string();
-                    if !text.is_empty() {
-                        self.ctrl_lines.push(text);
-                    }
-                }
+                self.ctrl_lines.extend(take_lines(&mut self.ctrl_acc));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}

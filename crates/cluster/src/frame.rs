@@ -1,36 +1,30 @@
 //! Mapping between the simulator's [`WireMsg`] and the wire codec's
 //! [`WireFrame`].
 //!
-//! `crates/mp` stays independent of `crates/core`, so the two sides have
-//! their own message/ghost types; this module is the (total, lossless)
-//! bridge. `Hello`/`Heartbeat` frames are supervision-only and have no
-//! `WireMsg` counterpart — [`frame_to_msg`] returns `None` for them.
+//! Both sides carry the same ghost identity (`ssmfp_core::GhostId`;
+//! `MpGhost` is its name in `crates/mp`), so nothing is converted there.
+//! What this (total, lossless) bridge still converts: destinations
+//! (`usize` in the simulator, `u16` on the wire), the client stamp a
+//! client-mode frame carries beside its ghost, and the supervision frames
+//! `Hello`/`Heartbeat`, which have no `WireMsg` counterpart —
+//! [`frame_to_msg`] returns `None` for them.
 
 use ssmfp_core::wire::{ClientStamp, WireFrame, WireMessage};
 use ssmfp_core::GhostId;
 use ssmfp_mp::{decode_client_ghost, MpGhost, MpMessage, WireMsg};
 
-/// `MpGhost` → `GhostId` (same 64-bit identity space).
+/// The identity (`MpGhost` *is* `GhostId`). No caller in the workspace;
+/// the frozen `benchmark/src/rep.rs` imports it.
+#[doc(hidden)]
 pub fn ghost_to_wire(g: MpGhost) -> GhostId {
-    match g {
-        MpGhost::Valid(k) => GhostId::Valid(k),
-        MpGhost::Invalid(k) => GhostId::Invalid(k),
-    }
-}
-
-/// `GhostId` → `MpGhost`.
-pub fn ghost_from_wire(g: GhostId) -> MpGhost {
-    match g {
-        GhostId::Valid(k) => MpGhost::Valid(k),
-        GhostId::Invalid(k) => MpGhost::Invalid(k),
-    }
+    g
 }
 
 fn msg_to_wire(m: &MpMessage) -> WireMessage {
     WireMessage {
         payload: m.payload,
         color: m.color,
-        ghost: ghost_to_wire(m.ghost),
+        ghost: m.ghost,
         stamp: ClientStamp::NONE,
     }
 }
@@ -59,7 +53,7 @@ fn msg_from_wire(m: &WireMessage) -> MpMessage {
     MpMessage {
         payload: m.payload,
         color: m.color,
-        ghost: ghost_from_wire(m.ghost),
+        ghost: m.ghost,
     }
 }
 

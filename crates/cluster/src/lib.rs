@@ -5,11 +5,11 @@
 //!
 //! Module map:
 //! * [`frame`] — lossless bridge between the simulator's `WireMsg` and
-//!   the wire codec's `WireFrame`.
-//! * [`transport`] — socket-backed `ssmfp_mp::Transport` impls the shared
-//!   exactly-once suite runs against: [`transport::LoopbackTransport`]
-//!   (blocking reader threads) and [`transport::PolledTransport`] (the
-//!   event loop's readiness/coalescing building blocks).
+//!   the wire codec's `WireFrame` (one ghost identity on both sides).
+//! * [`transport`] — [`transport::PolledTransport`], the socket-backed
+//!   `ssmfp_mp::Transport` the shared exactly-once suite runs against:
+//!   the event loop's readiness/coalescing building blocks, one
+//!   nonblocking socket pair per directed edge, no threads.
 //! * [`chaos`] — socket-level fault shim (drop/duplicate/reorder budgets
 //!   plus one partition/heal cycle), sharing the simulator's
 //!   `FaultClerk` decision procedure.
@@ -60,6 +60,6 @@ pub use orchestrator::{
     shard_ranges, ClusterSpec, RunMode, RunReport, ShardReport, ShardStatus, ShardSummary,
 };
 pub use telemetry::{LogHistogram, NodeCounters};
-pub use transport::{LoopbackTransport, PolledTransport};
+pub use transport::PolledTransport;
 pub use tuning::{ClusterTuning, TUNING};
 pub use workload::{is_ack_ghost, WorkloadGen, WorkloadKind, WorkloadSpec};

@@ -157,9 +157,9 @@ fn routing_table(graph: &Graph, p: NodeId) -> Vec<NodeId> {
         .collect()
 }
 
-/// The protocol side of a node — forwarder, traffic source, audit lists —
-/// apart from its sockets, so a test can drive `node_main`'s iteration
-/// over in-memory links.
+/// The protocol side of a node — forwarder (its audit lists with it),
+/// traffic source, sink latency — apart from its sockets, so a test can
+/// drive `node_main`'s iteration over in-memory links.
 struct Engine {
     p: NodeId,
     n: usize,
@@ -169,7 +169,6 @@ struct Engine {
     out: Outbox<WireMsg>,
     /// Drained scratch each turn swaps with `fwd.delivered_msgs`.
     deliveries: Vec<(MpGhost, u64)>,
-    gen_list: Vec<(MpGhost, NodeId)>,
     latency: LogHistogram,
 }
 
@@ -194,7 +193,6 @@ impl Engine {
                 .map(|s| ClientMux::new(s, p, n, cfg.seed)),
             out: Outbox::new(),
             deliveries: Vec::new(),
-            gen_list: Vec::new(),
             latency: LogHistogram::new(),
         }
     }
@@ -203,7 +201,6 @@ impl Engine {
     fn send(&mut self, dest: NodeId, payload: u64, ghost: MpGhost) {
         self.fwd.enqueue_send(dest, payload, ghost);
         self.fwd.advance(dest, &mut self.out);
-        self.gen_list.push((ghost, dest));
     }
 
     /// One iteration's protocol work, after its inbound frames went through
@@ -469,7 +466,7 @@ pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
     let report = NodeReport {
         node: p,
         held: eng.fwd.held_ghosts(),
-        generated: eng.gen_list,
+        generated: eng.fwd.generated,
         delivered: eng.fwd.delivered,
         latency: eng.latency,
         batch: io_stats.batch,
@@ -686,7 +683,7 @@ mod tests {
         assert!(engines.iter().all(Engine::done_issuing));
         let sent: Vec<(NodeId, NodeId)> = engines
             .iter()
-            .flat_map(|e| e.gen_list.iter().map(|&(_, dest)| (e.p, dest)))
+            .flat_map(|e| e.fwd.generated.iter().map(|&(_, dest)| (e.p, dest)))
             .collect();
         let primaries: u64 = (0..n).map(quota).sum();
         assert_eq!(sent.len() as u64, 2 * primaries, "every primary acked");

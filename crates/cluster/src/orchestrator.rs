@@ -30,14 +30,13 @@ use crate::chaos::{ChaosSpec, PartitionSpec};
 use crate::clients::{ClientMutation, ClientSpec};
 use crate::conc::COMPONENT;
 use crate::evloop::{
-    raise_nofile_limit, set_nonblocking_fd, CtrlPipe, PollSet, POLLERR, POLLHUP, POLLIN, POLLNVAL,
-    POLLOUT,
+    raise_nofile_limit, set_nonblocking_fd, take_lines, CtrlPipe, PollSet, POLLERR, POLLHUP,
+    POLLIN, POLLNVAL, POLLOUT,
 };
-use crate::frame::ghost_to_wire;
 use crate::node::{node_main, parse_report_body, ListenSpec, NodeConfig, NodeReport};
 use crate::telemetry::{LogHistogram, NodeCounters};
 use crate::tuning::TUNING;
-use crate::workload::{is_ack_ghost, WorkloadKind, WorkloadSpec};
+use crate::workload::{WorkloadKind, WorkloadSpec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use ssmfp_core::conc::{register_thread, spawn_registered, tracked_channel, TrackedSender};
@@ -363,7 +362,10 @@ fn summarize(shard: usize, reports: &[NodeReport]) -> ShardSummary {
     for r in reports {
         s.latency.merge(&r.latency);
         s.batch.merge(&r.batch);
-        s.primaries_delivered += r.delivered.iter().filter(|&&g| !is_ack_ghost(g)).count() as u64;
+        // The sink records one latency sample per primary it answers, in
+        // both modes — their ghost packings differ, so no ghost bit says
+        // "ack" in both.
+        s.primaries_delivered += r.latency.count();
         s.counters.add(&r.counters);
         s.client_rtt.merge(&r.client_rtt);
         s.client_fair.merge(&r.client_fair);
@@ -722,20 +724,6 @@ enum Phase {
     Ready,
     Running,
     Reporting,
-}
-
-/// Splits complete lines out of a byte accumulator (trimmed; empty lines
-/// dropped).
-fn take_lines(acc: &mut Vec<u8>) -> Vec<String> {
-    let mut out = Vec::new();
-    while let Some(nl) = acc.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = acc.drain(..=nl).collect();
-        let text = String::from_utf8_lossy(&line[..nl]).trim_end().to_string();
-        if !text.is_empty() {
-            out.push(text);
-        }
-    }
-    out
 }
 
 fn spawn_proc_node(exe: &PathBuf, cfg: &NodeConfig) -> io::Result<NodeCtrl> {
@@ -1265,27 +1253,28 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
         nodes.append(&mut sr.reports);
     }
     nodes.sort_by_key(|r| r.node);
+    // A report's three lists *are* its ledger: lend them to the two joins
+    // and hand them back, so `RunReport::nodes` stays whole.
     let ledgers: Vec<NodeLedger> = nodes
-        .iter()
+        .iter_mut()
         .map(|r| NodeLedger {
             node: r.node,
-            generated: r
-                .generated
-                .iter()
-                .map(|&(g, d)| (ghost_to_wire(g), d))
-                .collect(),
-            delivered: r.delivered.iter().map(|&g| ghost_to_wire(g)).collect(),
-            held: r.held.iter().map(|&g| ghost_to_wire(g)).collect(),
+            generated: std::mem::take(&mut r.generated),
+            delivered: std::mem::take(&mut r.delivered),
+            held: std::mem::take(&mut r.held),
         })
         .collect();
     let verdict = reconcile_ledgers(&ledgers);
     // Client mode: the per-client audit is a second single-pass join over
-    // the same merged ledgers, with `stamp_decode` bridging the ghost
-    // packing into `(client, seq)` stamps (acks decode to None).
+    // the same merged ledgers, with `stamp_decode` reading the ghost
+    // packing as `(client, seq)` stamps (acks decode to None).
     let client_verdict = spec
         .clients
         .as_ref()
         .map(|_| reconcile_clients(&ledgers, crate::clients::stamp_decode));
+    for (r, l) in nodes.iter_mut().zip(ledgers) {
+        (r.generated, r.delivered, r.held) = (l.generated, l.delivered, l.held);
+    }
 
     let shard_summaries: Vec<ShardSummary> = shard_reports.into_iter().map(|r| r.summary).collect();
     let mut latency = LogHistogram::new();

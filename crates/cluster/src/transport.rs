@@ -9,138 +9,13 @@
 
 use crate::evloop::{PollSet, WriteBuf, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::frame::{frame_to_msg, msg_to_frame};
-use ssmfp_core::wire::{encode_frame, FrameReader};
+use ssmfp_core::wire::FrameReader;
 use ssmfp_mp::{ChannelFaults, FaultClerk, LinkId, Transport, WireMsg};
 use ssmfp_topology::Graph;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::os::unix::prelude::AsRawFd;
-
-struct Lane {
-    link: LinkId,
-    tx: UnixStream,
-    rx: UnixStream,
-    reader: FrameReader,
-    queue: VecDeque<WireMsg>,
-    /// Frames written minus frames decoded (still in the socket).
-    in_socket: usize,
-}
-
-impl Lane {
-    /// Drains readable bytes and decodes complete frames into the queue.
-    fn pump(&mut self) {
-        let mut buf = [0u8; 4096];
-        loop {
-            match self.rx.read(&mut buf) {
-                Ok(0) => return,
-                Ok(k) => self.reader.extend(&buf[..k]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) => panic!("loopback read on {:?}: {e}", self.link),
-            }
-        }
-        loop {
-            match self.reader.next_frame() {
-                Ok(Some(frame)) => {
-                    self.in_socket -= 1;
-                    if let Some(msg) = frame_to_msg(&frame) {
-                        self.queue.push_back(msg);
-                    }
-                }
-                Ok(None) => return,
-                Err(e) => panic!("loopback decode on {:?}: {e}", self.link),
-            }
-        }
-    }
-}
-
-/// One `UnixStream` pair per directed edge; frames cross a real kernel
-/// socket between `send` and `recv`.
-pub struct LoopbackTransport {
-    lanes: Vec<Lane>,
-    clerk: Option<FaultClerk>,
-    scratch: Vec<u8>,
-}
-
-impl LoopbackTransport {
-    /// Builds the socket mesh for `graph`. Panics if the OS refuses a
-    /// socket pair (tests want the loud failure).
-    pub fn new(graph: &Graph) -> Self {
-        let mut lanes = Vec::new();
-        for &(p, q) in graph.edges() {
-            for link in [LinkId { from: p, to: q }, LinkId { from: q, to: p }] {
-                let (tx, rx) = UnixStream::pair().expect("socketpair");
-                rx.set_nonblocking(true).expect("nonblocking rx");
-                lanes.push(Lane {
-                    link,
-                    tx,
-                    rx,
-                    reader: FrameReader::new(),
-                    queue: VecDeque::new(),
-                    in_socket: 0,
-                });
-            }
-        }
-        LoopbackTransport {
-            lanes,
-            clerk: None,
-            scratch: Vec::with_capacity(64),
-        }
-    }
-
-    fn index(&self, link: LinkId) -> usize {
-        self.lanes
-            .iter()
-            .position(|l| l.link == link)
-            .expect("messages may only be sent to neighbours")
-    }
-}
-
-impl Transport<WireMsg> for LoopbackTransport {
-    fn send(&mut self, link: LinkId, msg: WireMsg) {
-        let idx = self.index(link);
-        let lane = &mut self.lanes[idx];
-        self.scratch.clear();
-        encode_frame(&msg_to_frame(&msg), &mut self.scratch);
-        lane.tx.write_all(&self.scratch).expect("loopback write");
-        lane.in_socket += 1;
-    }
-
-    fn busy_links(&mut self, out: &mut Vec<LinkId>) {
-        for lane in &mut self.lanes {
-            lane.pump();
-            if !lane.queue.is_empty() {
-                out.push(lane.link);
-            }
-        }
-    }
-
-    fn recv(&mut self, link: LinkId) -> Option<WireMsg> {
-        let idx = self.index(link);
-        self.lanes[idx].pump();
-        let lane = &mut self.lanes[idx];
-        match &mut self.clerk {
-            Some(clerk) => clerk.pull(&mut lane.queue),
-            None => Some(lane.queue.pop_front().expect("busy link")),
-        }
-    }
-
-    fn in_flight(&self) -> usize {
-        self.lanes.iter().map(|l| l.in_socket + l.queue.len()).sum()
-    }
-
-    fn set_faults(&mut self, faults: ChannelFaults) {
-        self.clerk = Some(FaultClerk::new(faults));
-    }
-
-    fn faults_exhausted(&self) -> bool {
-        self.clerk.as_ref().is_none_or(FaultClerk::exhausted)
-    }
-
-    fn fault_counts(&self) -> (u64, u64, u64) {
-        self.clerk.as_ref().map_or((0, 0, 0), FaultClerk::counts)
-    }
-}
 
 struct PolledLane {
     link: LinkId,
@@ -177,7 +52,7 @@ impl PolledLane {
 /// The event loop's building blocks ([`WriteBuf`] coalescing, [`PollSet`]
 /// readiness, incremental [`FrameReader`]) behind the plain [`Transport`]
 /// trait, so the shared exactly-once suite conformance-tests the batched
-/// wire hot path itself — not just the blocking per-edge variant.
+/// wire hot path itself.
 ///
 /// `send` never touches the socket: frames accumulate in the per-edge
 /// [`WriteBuf`] and cross the kernel in coalesced writes when
@@ -361,38 +236,8 @@ mod tests {
     use ssmfp_topology::gen;
 
     /// The same conformance suite `crates/mp` runs over its in-process
-    /// channels, here over real kernel sockets.
-    #[test]
-    fn loopback_transport_exactly_once_clean() {
-        let outcome = suite::exactly_once_clean(LoopbackTransport::new, 0..3);
-        assert!(outcome.clean());
-        assert!(outcome.sent > 0);
-    }
-
-    #[test]
-    fn loopback_transport_exactly_once_under_faults() {
-        let outcome = suite::exactly_once_under_faults(LoopbackTransport::new, 0..6);
-        assert!(outcome.clean());
-        assert!(outcome.sent > 0);
-    }
-
-    #[test]
-    fn frames_physically_cross_the_socket() {
-        let g = gen::line(2);
-        let mut t = LoopbackTransport::new(&g);
-        let link = LinkId { from: 0, to: 1 };
-        t.send(link, WireMsg::Dv { d: 1, dist: 3 });
-        assert_eq!(t.in_flight(), 1);
-        let mut busy = Vec::new();
-        t.busy_links(&mut busy);
-        assert_eq!(busy, vec![link]);
-        assert_eq!(t.recv(link), Some(WireMsg::Dv { d: 1, dist: 3 }));
-        assert_eq!(t.in_flight(), 0);
-    }
-
-    /// The batched readiness path passes the identical conformance
-    /// properties as the blocking one — coalescing is invisible to the
-    /// protocol.
+    /// channels, here over real kernel sockets on the batched readiness
+    /// path — coalescing is invisible to the protocol.
     #[test]
     fn polled_transport_exactly_once_clean() {
         let outcome = suite::exactly_once_clean(PolledTransport::new, 0..3);

@@ -100,6 +100,9 @@ fn grid_5x5_chaos_thousands_of_clients_clean_per_client_verdict() {
 
     // The SP totals include the acks: one audited ack per primary.
     assert_eq!(report.verdict.generated, 2 * clients * messages);
+    // …the primaries figure (and the msg/s derived from it) does not.
+    assert_eq!(report.primaries_delivered, clients * messages);
+    assert_eq!(report.latency.count(), report.primaries_delivered);
 
     // Per-client telemetry reached the root through the shard tree.
     assert_eq!(report.clients, clients);

@@ -325,6 +325,20 @@ impl ClusterVerdict {
     pub fn clean(&self) -> bool {
         self.violations.is_empty()
     }
+
+    /// Valid messages gone without any delivery.
+    pub fn lost(&self) -> u64 {
+        self.count(|v| matches!(v, SpViolation::Lost { .. }))
+    }
+
+    /// Valid messages delivered more than once.
+    pub fn duplicated(&self) -> u64 {
+        self.count(|v| matches!(v, SpViolation::DuplicateDelivery { .. }))
+    }
+
+    fn count(&self, kind: impl Fn(&SpViolation) -> bool) -> u64 {
+        self.violations.iter().filter(|v| kind(v)).count() as u64
+    }
 }
 
 /// Work meter for [`reconcile_ledgers_counted`]: how many ledger
@@ -957,6 +971,7 @@ mod tests {
         assert_eq!(v.generated, 4);
         assert_eq!(v.in_flight, 1);
         assert_eq!(v.invalid_delivered, 1);
+        assert_eq!((v.lost(), v.duplicated()), (1, 1));
         assert!(v.violations.contains(&SpViolation::Lost { ghost: lost }));
         assert!(v.violations.contains(&SpViolation::DuplicateDelivery {
             ghost: dup,

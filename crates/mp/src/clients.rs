@@ -19,6 +19,12 @@
 //! needs no per-client state. The caps multiply out to `2^63` distinct
 //! primaries — validated up front by the cluster crate's client-spec
 //! checks, not rechecked per message on the hot path.
+//!
+//! This is one of *the* two ghost packings; the other is node mode's
+//! (`ssmfp_cluster::workload`: `src << 40 | ack << 39 | seq`). Each mode
+//! has its own classifier — [`decode_client_ghost`] here,
+//! `ssmfp_cluster::workload::is_ack_ghost` there — and neither reads the
+//! other's ghosts: node mode's bit 39 is a session bit in this layout.
 
 use crate::MpGhost;
 use ssmfp_topology::NodeId;

@@ -47,4 +47,4 @@ pub use net::{
     ChannelFaults, ChannelTransport, FaultClerk, LinkId, MpConfig, MpNetwork, MpNode, Outbox,
     SchedulerEvent, Transport,
 };
-pub use port::{MpForwarder, MpGhost, MpLedger, MpMessage, PortNetwork, WireMsg};
+pub use port::{MpForwarder, MpGhost, MpMessage, PortNetwork, WireMsg};

@@ -34,25 +34,13 @@ use crate::net::{
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use ssmfp_core::choice::advance_ptr;
+use ssmfp_core::{reconcile_ledgers, ClusterVerdict, NodeLedger};
 use ssmfp_topology::{BfsTree, Graph, NodeId};
 use std::collections::VecDeque;
 
-/// Instrumentation-only message identity (mirrors the state model's ghost
-/// ids; never consulted by protocol logic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum MpGhost {
-    /// Generated by the higher layer after start.
-    Valid(u64),
-    /// Present in the initial configuration (buffers or wires).
-    Invalid(u64),
-}
-
-impl MpGhost {
-    /// Whether this is a post-start (valid) message.
-    pub fn is_valid(self) -> bool {
-        matches!(self, MpGhost::Valid(_))
-    }
-}
+/// Instrumentation-only message identity: the state model's ghost id, under
+/// the name the port's callers know it by. Never consulted by protocol logic.
+pub use ssmfp_core::GhostId as MpGhost;
 
 /// A message occupying a port buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,8 +261,10 @@ pub struct MpForwarder {
     /// Deliveries with their payloads, in delivery order (the cluster
     /// runtime reads latency stamps out of the payload at the sink).
     pub delivered_msgs: Vec<(MpGhost, u64)>,
-    /// Ghosts generated at this node.
-    pub generated: Vec<MpGhost>,
+    /// Sends queued at this node, with their destinations: written by
+    /// [`MpForwarder::enqueue_send`] and nowhere else, so a send R1 has not
+    /// picked up yet is generated *and* held — in flight, not lost.
+    pub generated: Vec<(MpGhost, NodeId)>,
 }
 
 impl MpForwarder {
@@ -327,6 +317,7 @@ impl MpForwarder {
     /// [`MpForwarder::advance`] of `dest` — call it now to skip the wait.
     pub fn enqueue_send(&mut self, dest: NodeId, payload: u64, ghost: MpGhost) {
         self.app_queues[dest].push_back(AppSend { payload, ghost });
+        self.generated.push((ghost, dest));
     }
 
     /// Switches the node to the distance-vector routing layer with the
@@ -488,7 +479,6 @@ impl MpForwarder {
                     ghost: front.ghost,
                 });
                 slot.choice_ptr = advance_ptr(pos, deg);
-                self.generated.push(front.ghost);
                 return true;
             }
             // An offer that met a busy slot: accepting it now is what its
@@ -787,23 +777,6 @@ impl MpNode for MpForwarder {
     }
 }
 
-/// Ledger/audit over a finished (or paused) port run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MpLedger {
-    /// Valid messages generated.
-    pub generated: u64,
-    /// Valid messages delivered exactly once.
-    pub exactly_once: u64,
-    /// Valid messages delivered more than once.
-    pub duplicated: u64,
-    /// Valid messages gone without any delivery.
-    pub lost: u64,
-    /// Valid messages still in the system (buffers, tentatives, queues).
-    pub in_flight: u64,
-    /// Invalid deliveries (garbage reaching an application).
-    pub invalid_delivered: u64,
-}
-
 /// The user-facing facade for the port (mirrors `ssmfp_core::Network`).
 ///
 /// ```
@@ -820,7 +793,6 @@ pub struct MpLedger {
 pub struct PortNetwork<T: Transport<WireMsg> = ChannelTransport<WireMsg>> {
     net: MpNetwork<MpForwarder, T>,
     next_valid: u64,
-    sent: Vec<(MpGhost, NodeId)>,
 }
 
 impl PortNetwork {
@@ -989,11 +961,7 @@ impl<T: Transport<WireMsg>> PortNetwork<T> {
             };
             net.inject_wire(LinkId { from, to }, wire);
         }
-        PortNetwork {
-            net,
-            next_valid: 0,
-            sent: Vec::new(),
-        }
+        PortNetwork { net, next_valid: 0 }
     }
 
     /// As [`PortNetwork::with_transport`], but with the **distance-vector
@@ -1065,8 +1033,7 @@ impl<T: Transport<WireMsg>> PortNetwork<T> {
     pub fn send(&mut self, src: NodeId, dst: NodeId, payload: u64) -> MpGhost {
         let ghost = MpGhost::Valid(self.next_valid);
         self.next_valid += 1;
-        self.net.node_mut(src).app_queues[dst].push_back(AppSend { payload, ghost });
-        self.sent.push((ghost, dst));
+        self.net.node_mut(src).enqueue_send(dst, payload, ghost);
         ghost
     }
 
@@ -1086,39 +1053,31 @@ impl<T: Transport<WireMsg>> PortNetwork<T> {
 
     /// Whether `ghost` was delivered at the *correct* node only.
     pub fn delivered_at_destination(&self, ghost: MpGhost) -> bool {
-        let Some(&(_, dst)) = self.sent.iter().find(|(g, _)| *g == ghost) else {
+        let nodes = self.net.nodes();
+        let mut generated = nodes.iter().flat_map(|n| &n.generated);
+        let Some(&(_, dst)) = generated.find(|(g, _)| *g == ghost) else {
             return false;
         };
-        self.net
-            .nodes()
+        nodes
             .iter()
             .enumerate()
-            .all(|(p, n)| n.delivered.iter().all(|g| *g != ghost || p == dst))
+            .all(|(p, n)| p == dst || !n.delivered.contains(&ghost))
     }
 
-    /// Audits the run.
-    pub fn audit(&self) -> MpLedger {
-        let mut ledger = MpLedger::default();
-        let mut in_system: std::collections::HashSet<MpGhost> = std::collections::HashSet::new();
-        for node in self.net.nodes() {
-            for g in node.held_ghosts() {
-                in_system.insert(g);
-            }
-        }
-        for node in self.net.nodes() {
-            ledger.generated += node.generated.iter().filter(|g| g.is_valid()).count() as u64;
-            ledger.invalid_delivered +=
-                node.delivered.iter().filter(|g| !g.is_valid()).count() as u64;
-        }
-        for &(ghost, _) in &self.sent {
-            match self.deliveries_of(ghost) {
-                0 if in_system.contains(&ghost) => ledger.in_flight += 1,
-                0 => ledger.lost += 1,
-                1 => ledger.exactly_once += 1,
-                _ => ledger.duplicated += 1,
-            }
-        }
-        ledger
+    /// Every node's ledger slice, as a cluster node would export it.
+    pub fn ledgers(&self) -> Vec<NodeLedger> {
+        let ledger = |(node, n): (NodeId, &MpForwarder)| NodeLedger {
+            node,
+            generated: n.generated.clone(),
+            delivered: n.delivered.clone(),
+            held: n.held_ghosts(),
+        };
+        self.net.nodes().iter().enumerate().map(ledger).collect()
+    }
+
+    /// Audits the run: the join that judges the socket cluster.
+    pub fn audit(&self) -> ClusterVerdict {
+        reconcile_ledgers(&self.ledgers())
     }
 }
 
@@ -1168,6 +1127,7 @@ mod tests {
         let mut node = line_node(0, 3);
         let mut out = Outbox::new();
         node.enqueue_send(2, 5, MpGhost::Valid(1));
+        assert_eq!(node.generated, [(MpGhost::Valid(1), 2)]);
         assert!(node.locally_enabled(), "R1 is enabled");
         node.advance(2, &mut out);
         let sent: Vec<_> = out.drain().collect();
@@ -1175,7 +1135,7 @@ mod tests {
             matches!(sent[..], [(1, WireMsg::Offer { d: 2, msg, .. })] if msg.ghost == MpGhost::Valid(1)),
             "exactly one Offer, to the next hop: {sent:?}"
         );
-        assert_eq!(node.generated, vec![MpGhost::Valid(1)]);
+        assert_eq!(node.generated.len(), 1, "R1 adds nothing");
         assert!(!node.locally_enabled());
         // The first timeout after it only counts the re-offer timer down.
         node.on_timeout(&mut out);
@@ -1363,11 +1323,11 @@ mod tests {
         // queue zero or more times, then at most one neighbour (a tentative
         // ends the slot's run).
         let mut served: Vec<NodeId> = Vec::new();
-        let mut generated = 0;
+        let mut queued = hub.app_queues[0].len();
         for _ in 0..100 {
             hub.on_timeout(&mut out);
-            served.resize(served.len() + hub.generated.len() - generated, 0);
-            generated = hub.generated.len();
+            served.resize(served.len() + queued - hub.app_queues[0].len(), 0);
+            queued = hub.app_queues[0].len();
             for (to, m) in out.drain().collect::<Vec<_>>() {
                 let WireMsg::Accept { d, msg, nonce } = m else {
                     panic!("only Accepts leave the destination: {m:?}")
@@ -1396,7 +1356,7 @@ mod tests {
         assert!(net.delivered_at_destination(g));
         let audit = net.audit();
         assert_eq!(audit.exactly_once, 1);
-        assert_eq!(audit.lost + audit.duplicated, 0);
+        assert_eq!(audit.lost() + audit.duplicated(), 0);
     }
 
     #[test]
@@ -1461,8 +1421,8 @@ mod tests {
                 ghosts.len() as u64,
                 "seed {seed}: {audit:?}"
             );
-            assert_eq!(audit.lost, 0, "seed {seed}: {audit:?}");
-            assert_eq!(audit.duplicated, 0, "seed {seed}: {audit:?}");
+            assert_eq!(audit.lost(), 0, "seed {seed}: {audit:?}");
+            assert_eq!(audit.duplicated(), 0, "seed {seed}: {audit:?}");
         }
     }
 
@@ -1557,7 +1517,7 @@ mod tests {
                 ghosts.len() as u64,
                 "seed {seed}: {audit:?}"
             );
-            assert_eq!(audit.lost + audit.duplicated, 0, "seed {seed}");
+            assert_eq!(audit.lost() + audit.duplicated(), 0, "seed {seed}");
         }
     }
 
@@ -1597,7 +1557,7 @@ mod tests {
         }
         let audit = net.audit();
         assert_eq!(audit.exactly_once + audit.in_flight, 1);
-        assert_eq!(audit.lost, 0);
+        assert_eq!(audit.lost(), 0);
     }
 
     #[test]

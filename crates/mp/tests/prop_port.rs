@@ -50,8 +50,8 @@ proptest! {
             prop_assert!(net.delivered_at_destination(*g));
         }
         let audit = net.audit();
-        prop_assert_eq!(audit.lost, 0, "{:?}", audit);
-        prop_assert_eq!(audit.duplicated, 0, "{:?}", audit);
+        prop_assert_eq!(audit.lost(), 0, "{:?}", audit);
+        prop_assert_eq!(audit.duplicated(), 0, "{:?}", audit);
     }
 
     /// Self-sends work in the port too.

@@ -50,8 +50,8 @@ fn main() {
             name,
             audit.generated,
             audit.exactly_once,
-            audit.lost,
-            audit.duplicated,
+            audit.lost(),
+            audit.duplicated(),
             net.net().steps()
         );
         assert_eq!(audit.exactly_once, ghosts.len() as u64, "{name}");

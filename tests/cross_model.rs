@@ -92,7 +92,11 @@ fn both_models_survive_corruption() {
         }
         assert!(sm.check_sp().is_empty());
         let audit = mp.audit();
-        assert_eq!(audit.lost + audit.duplicated, 0, "seed {seed}: {audit:?}");
+        assert_eq!(
+            audit.lost() + audit.duplicated(),
+            0,
+            "seed {seed}: {audit:?}"
+        );
     }
 }
 
