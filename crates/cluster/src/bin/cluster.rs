@@ -53,9 +53,13 @@ OPTIONS:
     --partition F:L    one partition/heal cycle: drop data-plane arrivals
                        [F, F+L) on a seed-picked edge (default off)
     --transport T      uds | tcp (default uds)
-    --shards K         orchestrator shards, each supervising a node group
-                       (default: one per 25 nodes; clamped to 1..=n)
-    --inproc           nodes as threads instead of processes
+    --shards K         orchestrator shards, each supervising a node group;
+                       with --inproc a shard's nodes share one data thread,
+                       so K is also the number of data threads (default:
+                       one per 25 nodes, and with --inproc at least one
+                       per available CPU; clamped to 1..=n)
+    --inproc           nodes inside this process, one thread per shard,
+                       instead of one process each
     --timeout-s T      convergence timeout in seconds (default 60)
     --json FILE        write the JSON run report to FILE ('-' = stdout)
     --quiet            suppress the human summary
@@ -266,7 +270,13 @@ fn main() -> ExitCode {
     } else if client_mutation.is_some() {
         die("--client-mutation needs --clients");
     }
-    let shards = shards.unwrap_or_else(|| graph.n().div_ceil(25));
+    // An inproc shard is a data thread: by default use the CPUs there are.
+    let shards = shards.unwrap_or_else(|| {
+        let n = graph.n();
+        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+        let threads = if inproc { cpus.min(n) } else { 1 };
+        n.div_ceil(25).max(threads)
+    });
     // An ignored side effect of `--chaos` syntax reuse: validate early so
     // the worker round-trip can't fail later.
     let chaos = ChaosSpec {

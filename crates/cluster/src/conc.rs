@@ -17,10 +17,16 @@
 //!   threads inproc, processes in proc mode), polls their control pipes,
 //!   pre-merges status/telemetry, forwards control lines downward with
 //!   POLLOUT-gated nonblocking writes.
-//! * `node.main` — one per node, and the *only* thread a node has: the
-//!   [`crate::evloop::NodeLoop`] multiplexes ctrl + listener + every data
-//!   connection through one `poll(2)` set and runs the protocol engine
-//!   between I/O bursts.
+//! * `node.main` — the data plane: one per shard inproc, carrying every
+//!   node of the shard (one per process in proc mode, carrying its one
+//!   node). [`crate::node::run_nodes`] registers the control pipe, the
+//!   listener and every data connection of every node it carries in one
+//!   `ppoll` set and runs each node's protocol engine between I/O
+//!   bursts. Its `SockRead`/`SockWrite("node.main")` edges therefore
+//!   also connect nodes of one thread, and stay timed: every data socket
+//!   is nonblocking behind the shared poll deadline, a full one is
+//!   retried on `POLLOUT`, and a dial is bounded (`evloop::dial`), so no
+//!   node can hold the thread against a peer that needs it.
 //!
 //! Every data-plane wait is timed (nonblocking sockets behind a poll
 //! deadline). Exactly two untimed edges remain, and they form a chain up
@@ -37,7 +43,7 @@
 //! ## The client layer adds no concurrency (PR 9)
 //!
 //! [`crate::clients::ClientMux`] — up to millions of logical clients per
-//! node — is a plain struct owned by the `node.main` loop, polled
+//! node — is a plain struct owned by its node in the `node.main` loop, polled
 //! between I/O bursts under the `client_send_budget` and fed by the same
 //! delivery vector the forwarder already fills. Re-deriving the model
 //! with it in place changes *nothing*: still three roles, zero locks,
@@ -74,10 +80,11 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
             },
             ThreadDecl {
                 role: "node.main",
-                multiplicity: Multiplicity::PerNode,
+                // Inproc; in proc mode each node process has its own.
+                multiplicity: Multiplicity::PerShard,
                 spawned_by: "shard.super",
-                doc: "the whole node: poll(2)-multiplexed ctrl/listener/connections plus \
-                      the protocol engine, one thread total",
+                doc: "every node of one shard: their ctrl pipes, listeners and connections \
+                      in one ppoll set plus their protocol engines, one thread total",
             },
         ],
         locks: vec![],
@@ -90,9 +97,10 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
             doc: "shard → orchestrator upstream: ready sets, merged status, shard reports",
         }],
         edges: vec![
-            // node.main — every data-plane wait is a timed poll; the one
-            // untimed edge is the blocking status/report write up to the
-            // shard, which drains node pipes unconditionally.
+            // node.main — every data-plane wait is a timed poll, between
+            // nodes of one thread as between threads; the one untimed edge
+            // is the blocking status/report write up to the shard, which
+            // drains node pipes unconditionally.
             BlockingEdge {
                 thread: "node.main",
                 waits: WaitPoint::SockRead("node.main"),
@@ -185,7 +193,7 @@ mod tests {
         );
     }
 
-    /// The single-thread node's data-plane waits are all timed — its one
+    /// The data thread's data-plane waits are all timed — its one
     /// untimed edge is the upward control write. That asymmetry is the
     /// whole deadlock-freedom argument, so pin it.
     #[test]

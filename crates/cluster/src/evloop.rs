@@ -1,19 +1,19 @@
-//! The readiness-based event loop — since PR 8 the *entire* node.
+//! The readiness-based I/O machinery of a node.
 //!
-//! One `node.main` thread per node multiplexes *every* file descriptor
-//! the node owns — the control pipe to its supervising shard, the
-//! listener, all inbound connections and all outbound connections —
-//! through `poll(2)`, and runs the protocol engine between I/O bursts.
-//! PR 7's separate `node.io` thread (readiness loop fed by a bounded
-//! channel plus a self-pipe wake) is gone: [`NodeLoop`] is driven
-//! directly by `node_main`, so outbound frames append to per-connection
-//! buffers without crossing a thread boundary and inbound frames surface
-//! in a plain vector the caller drains each iteration. Engine work is a
-//! deadline task: the caller passes the distance to its next deadline —
-//! status push, workload arrival, or the protocol tick while a
-//! retransmission timer runs — as the poll budget and the loop sleeps
-//! exactly (`ppoll`, ns resolution) until the nearest of that, a
-//! heartbeat or a reconnect.
+//! A [`NodeLoop`] owns *every* file descriptor of one node — the control
+//! pipe to its supervising shard, the listener, all inbound connections
+//! and all outbound connections — but not the thread, and not the poll
+//! set: the `node.main` thread that carries the node
+//! ([`crate::node::run_nodes`]) lends one [`PollSet`] to every node of its
+//! group. [`NodeLoop::prepare`] flushes, fires due heartbeats and dials,
+//! registers the node's fds and returns the distance to its nearest socket
+//! deadline; the thread sleeps exactly (`ppoll`, ns resolution) until the
+//! nearest deadline of any node — those, a status push, a workload
+//! arrival, or the protocol tick while a retransmission timer runs — and
+//! [`NodeLoop::dispatch`] reads back what became ready. Outbound frames
+//! append to per-connection buffers without crossing a thread boundary and
+//! inbound frames surface in a plain vector the node drains each
+//! iteration.
 //!
 //! ## Batching policy
 //!
@@ -63,7 +63,7 @@ use ssmfp_topology::NodeId;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::mem::ManuallyDrop;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::time::{Duration, Instant};
@@ -370,20 +370,32 @@ impl NetListener {
     }
 }
 
-/// Dials a `uds:<path>` / `tcp:<addr>` address string (blocking connect;
-/// both flavours complete immediately on localhost).
+/// Dials a `uds:<path>` / `tcp:<addr>` address string. A dial must never
+/// wait on an accept only its own thread can perform — dialler and
+/// listener may be two nodes of one [`crate::node::run_nodes`] loop. A
+/// Unix-domain connect completes while the listener's backlog has room,
+/// and std listens with `somaxconn` (4096 here: a 200-leaf star dials its
+/// hub from the hub's own thread in 0.4 s). std's TCP backlog is 128;
+/// past it the kernel drops the SYN and a blocking connect sits out a 1 s
+/// retransmission the hub can never answer, so the TCP arm is bounded by
+/// the backoff base and a timeout is an ordinary failed dial: back off,
+/// redial after the listener's next `step` has accepted.
 pub fn dial(addr: &str) -> io::Result<NetStream> {
+    let bad = || {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("bad peer address {addr:?}"),
+        )
+    };
     if let Some(path) = addr.strip_prefix("uds:") {
         Ok(NetStream::Unix(UnixStream::connect(path)?))
     } else if let Some(sock) = addr.strip_prefix("tcp:") {
-        let s = TcpStream::connect(sock)?;
+        let sock: SocketAddr = sock.parse().map_err(|_| bad())?;
+        let s = TcpStream::connect_timeout(&sock, Duration::from_millis(TUNING.backoff_base_ms))?;
         let _ = s.set_nodelay(true);
         Ok(NetStream::Tcp(s))
     } else {
-        Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("bad peer address {addr:?}"),
-        ))
+        Err(bad())
     }
 }
 
@@ -593,49 +605,79 @@ struct OutLink {
 struct InConn {
     stream: NetStream,
     reader: FrameReader,
-    from: Option<NodeId>,
+    /// The sender's local port, once its `Hello` named a neighbour.
+    from: Option<usize>,
 }
 
-/// The single-thread node: every fd the node owns in one poll set, with
-/// the protocol engine driven by the caller between I/O bursts.
+/// Where one node's fds sit in the poll set its loop lent it: written by
+/// [`NodeLoop::prepare`], read back by [`NodeLoop::dispatch`] after the
+/// poll. Slots are absolute, so any number of nodes register in one set.
+#[derive(Default)]
+struct Registration {
+    /// Control pipe (`None` once it hit EOF).
+    ctrl: Option<usize>,
+    listener: usize,
+    /// `conns[i]` sits in slot `conn_base + i`, for `i < n_conns`.
+    conn_base: usize,
+    n_conns: usize,
+    /// `(slot, link index)` of every connected link with bytes a full
+    /// socket refused (recycled, never reallocated in steady state).
+    blocked: Vec<(usize, usize)>,
+}
+
+/// One node's sockets: every fd the node owns, registered in a poll set
+/// the caller lends, with the protocol engine driven by the caller
+/// between I/O bursts.
 ///
-/// `node_main` pumps the loop with the distance to its next engine
-/// deadline, drains [`NodeLoop::inbound`] / [`NodeLoop::ctrl_lines`],
+/// [`crate::node::run_nodes`] calls [`NodeLoop::prepare`] on every node of
+/// its thread, polls once, then calls [`NodeLoop::dispatch`] on each;
+/// the node drains [`NodeLoop::inbound`] / [`NodeLoop::ctrl_lines`],
 /// steps the engine, and enqueues its outbox through [`NodeLoop::send`].
 pub(crate) struct NodeLoop {
     my_id: NodeId,
     t: &'static ClusterTuning,
     listener: NetListener,
+    /// The node's neighbours in local-port order: a `Hello` resolves to
+    /// its sender's port once, so no frame pays a lookup.
+    pub neighbors: Vec<NodeId>,
     links: Vec<OutLink>,
     conns: Vec<InConn>,
     ctrl: CtrlIo,
     ctrl_eof: bool,
     ctrl_acc: Vec<u8>,
     rng: ChaCha8Rng,
-    poll: PollSet,
+    reg: Registration,
     scratch: Vec<u8>,
     hello: Vec<u8>,
     stats: IoStats,
-    /// Data-plane frames read since the caller last drained.
-    pub inbound: Vec<(NodeId, WireFrame)>,
+    /// Data-plane frames read since the caller last drained, by the
+    /// sender's local port.
+    pub inbound: Vec<(usize, WireFrame)>,
     /// Complete control lines read since the caller last drained.
     pub ctrl_lines: Vec<String>,
 }
 
 impl NodeLoop {
-    pub fn new(my_id: NodeId, listener: NetListener, ctrl: CtrlPipe, seed: u64) -> Self {
+    pub fn new(
+        my_id: NodeId,
+        neighbors: Vec<NodeId>,
+        listener: NetListener,
+        ctrl: CtrlPipe,
+        seed: u64,
+    ) -> Self {
         let t = &TUNING;
         NodeLoop {
             my_id,
             t,
             listener,
+            neighbors,
             links: Vec::new(),
             conns: Vec::new(),
             ctrl: CtrlIo::new(ctrl),
             ctrl_eof: false,
             ctrl_acc: Vec::new(),
             rng: ChaCha8Rng::seed_from_u64(seed),
-            poll: PollSet::new(),
+            reg: Registration::default(),
             scratch: vec![0u8; t.io_read_chunk],
             hello: Vec::with_capacity(FRAME_MAX),
             stats: IoStats::default(),
@@ -644,15 +686,17 @@ impl NodeLoop {
         }
     }
 
-    /// Registers the outbound links (once the peer map arrives over
-    /// ctrl); dialing starts on the next pump.
-    pub fn connect_peers(&mut self, peers: Vec<(NodeId, String)>) {
+    /// Registers the outbound links, one per neighbour in local-port
+    /// order (once the address of every node arrives over ctrl); dialing
+    /// starts on the next `prepare`.
+    pub fn connect_peers(&mut self, addrs: &[&str]) {
         let now = Instant::now();
-        self.links = peers
-            .into_iter()
-            .map(|(peer, addr)| OutLink {
+        self.links = self
+            .neighbors
+            .iter()
+            .map(|&peer| OutLink {
                 peer,
-                addr,
+                addr: addrs[peer].to_string(),
                 stream: None,
                 out: WriteBuf::with_capacity(self.t.batch_max_bytes + FRAME_MAX),
                 attempt: 0,
@@ -707,34 +751,91 @@ impl NodeLoop {
         l.out.push_frame(frame);
     }
 
-    /// One loop turn: flush pending buffers, fire due timers, then block
-    /// in `poll` until I/O readiness or the nearest deadline — capped by
-    /// `max_wait`, the caller's distance to its next engine deadline.
-    /// Inbound frames and ctrl lines land in the public vectors.
-    pub fn pump(&mut self, max_wait: Duration) {
+    /// The half of a loop turn before the poll: flush pending buffers,
+    /// fire due timers, register every fd in `ps`. Returns the distance to
+    /// the nearest heartbeat or dial — the longest this node lets the poll
+    /// sleep.
+    pub fn prepare(&mut self, ps: &mut PollSet) -> Duration {
         self.flush_all();
         let now = Instant::now();
-        self.run_timers(now, false);
-        let timeout = self.next_deadline(now).min(max_wait);
-        self.poll_once(Some(timeout), false);
+        self.run_timers(now);
+        self.reg.ctrl = (!self.ctrl_eof).then(|| ps.push(self.ctrl.read_fd(), POLLIN));
+        self.reg.listener = ps.push(self.listener.fd(), POLLIN);
+        self.reg.conn_base = ps.fds_len();
+        self.reg.n_conns = self.conns.len();
+        for c in &self.conns {
+            ps.push(c.stream.fd(), POLLIN);
+        }
+        self.register_blocked(ps);
+        self.next_deadline(now)
+    }
+
+    /// The half after the poll: reads what `ps` shows ready and retries
+    /// the blocked writes. Inbound frames and ctrl lines land in the
+    /// public vectors.
+    pub fn dispatch(&mut self, ps: &PollSet) {
+        // Control pipe: one single-shot read per readiness.
+        if let Some(slot) = self.reg.ctrl {
+            if ps.revents(slot) & (POLLIN | POLLERR | POLLHUP) != 0 {
+                self.read_ctrl();
+            }
+        }
+
+        // New inbound connections.
+        if ps.revents(self.reg.listener) & POLLIN != 0 {
+            loop {
+                match self.listener.accept() {
+                    Ok(s) => {
+                        if s.set_nonblocking(true).is_ok() {
+                            self.conns.push(InConn {
+                                stream: s,
+                                reader: FrameReader::new(),
+                                from: None,
+                            });
+                        }
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(_) => break,
+                }
+            }
+        }
+
+        // Readable inbound connections. Slot `conn_base + i` was
+        // registered for `conns[i]`; walking in *reverse* keeps that
+        // mapping valid across `swap_remove` (a removal at `i` only
+        // disturbs indices ≥ i, all already visited — conns accepted this
+        // cycle live past the polled range and get polled next cycle).
+        for i in (0..self.reg.n_conns).rev() {
+            let ev = ps.revents(self.reg.conn_base + i);
+            if ev & (POLLIN | POLLERR | POLLHUP | POLLNVAL) == 0 {
+                continue;
+            }
+            if !self.read_conn(i) {
+                self.conns.swap_remove(i);
+            }
+        }
+
+        self.flush_writable(ps);
     }
 
     /// Shutdown flush: keeps writing blocked buffers (POLLOUT waits
-    /// only) until everything pending drains or `io_flush_grace`
-    /// expires. Undelivered frames become counted wire drops.
+    /// only, so chatty peers cannot stretch the window) until everything
+    /// pending drains or `io_flush_grace` expires. Undelivered frames
+    /// become counted wire drops.
     pub fn shutdown_flush(&mut self) {
         let deadline = Instant::now() + self.t.io_flush_grace();
+        let mut ps = PollSet::new();
         loop {
             self.flush_all();
             let now = Instant::now();
-            let pending = self
-                .links
-                .iter()
-                .any(|l| !l.out.is_empty() && l.stream.is_some());
-            if !pending || now >= deadline {
+            ps.clear();
+            self.register_blocked(&mut ps);
+            if self.reg.blocked.is_empty() || now >= deadline {
                 break;
             }
-            self.poll_once(Some(deadline.saturating_duration_since(now)), true);
+            if ps.poll(Some(deadline - now)).is_ok() {
+                self.flush_writable(&ps);
+            }
         }
         for l in &mut self.links {
             self.stats.conn_frames_dropped += l.out.reset() as u64;
@@ -751,6 +852,28 @@ impl NodeLoop {
         for l in &mut self.links {
             if !l.out.is_empty() {
                 Self::flush_link(l, &mut self.stats);
+            }
+        }
+    }
+
+    /// Registers every connected link still holding bytes for `POLLOUT`.
+    fn register_blocked(&mut self, ps: &mut PollSet) {
+        self.reg.blocked.clear();
+        for (i, l) in self.links.iter().enumerate() {
+            if let Some(s) = &l.stream {
+                if !l.out.is_empty() {
+                    self.reg.blocked.push((ps.push(s.fd(), POLLOUT), i));
+                }
+            }
+        }
+    }
+
+    /// Retries the links [`NodeLoop::register_blocked`] registered and the
+    /// poll found writable.
+    fn flush_writable(&mut self, ps: &PollSet) {
+        for &(slot, link_i) in &self.reg.blocked {
+            if ps.revents(slot) & (POLLOUT | POLLERR | POLLHUP | POLLNVAL) != 0 {
+                Self::flush_link(&mut self.links[link_i], &mut self.stats);
             }
         }
     }
@@ -790,16 +913,16 @@ impl NodeLoop {
         l.next_dial = Instant::now();
     }
 
-    /// Fires due dials and heartbeats; `poll` sleeps exactly until the
+    /// Fires due dials and heartbeats; the poll sleeps at most until the
     /// nearest remaining deadline.
-    fn run_timers(&mut self, now: Instant, stopping: bool) {
+    fn run_timers(&mut self, now: Instant) {
         for i in 0..self.links.len() {
             let l = &mut self.links[i];
             if l.dead {
                 continue;
             }
             if l.stream.is_none() {
-                if stopping || now < l.next_dial {
+                if now < l.next_dial {
                     continue;
                 }
                 match dial(&l.addr) {
@@ -850,7 +973,7 @@ impl NodeLoop {
                         l.next_dial = now + Duration::from_millis(backoff + jitter);
                     }
                 }
-            } else if !stopping && now.duration_since(l.last_write) >= self.t.heartbeat() {
+            } else if now.duration_since(l.last_write) >= self.t.heartbeat() {
                 l.hb_clock += 1;
                 let hb = WireFrame::Heartbeat {
                     node: self.my_id as u16,
@@ -888,85 +1011,6 @@ impl NodeLoop {
         }
     }
 
-    fn poll_once(&mut self, timeout: Option<Duration>, stopping: bool) {
-        self.poll.clear();
-        // While stopping only blocked writes matter: skip the read side
-        // so chatty peers cannot stretch the flush window.
-        let ctrl_idx = if stopping || self.ctrl_eof {
-            usize::MAX
-        } else {
-            self.poll.push(self.ctrl.read_fd(), POLLIN)
-        };
-        let listener_idx = if stopping {
-            usize::MAX
-        } else {
-            self.poll.push(self.listener.fd(), POLLIN)
-        };
-        let conn_base = self.poll.fds_len();
-        let n_conns = if stopping { 0 } else { self.conns.len() };
-        for c in self.conns.iter().take(n_conns) {
-            self.poll.push(c.stream.fd(), POLLIN);
-        }
-        let mut out_slots: Vec<(usize, usize)> = Vec::with_capacity(self.links.len());
-        for (i, l) in self.links.iter().enumerate() {
-            if let Some(s) = &l.stream {
-                if !l.out.is_empty() {
-                    out_slots.push((self.poll.push(s.fd(), POLLOUT), i));
-                }
-            }
-        }
-        if self.poll.poll(timeout).is_err() {
-            return;
-        }
-
-        // Control pipe: one single-shot read per readiness.
-        if ctrl_idx != usize::MAX && self.poll.revents(ctrl_idx) & (POLLIN | POLLERR | POLLHUP) != 0
-        {
-            self.read_ctrl();
-        }
-
-        // New inbound connections.
-        if listener_idx != usize::MAX && self.poll.revents(listener_idx) & POLLIN != 0 {
-            loop {
-                match self.listener.accept() {
-                    Ok(s) => {
-                        if s.set_nonblocking(true).is_ok() {
-                            self.conns.push(InConn {
-                                stream: s,
-                                reader: FrameReader::new(),
-                                from: None,
-                            });
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                }
-            }
-        }
-
-        // Readable inbound connections. Slot `s` was registered for
-        // `conns[s]`; walking slots in *reverse* keeps that mapping valid
-        // across `swap_remove` (a removal at `s` only disturbs indices
-        // ≥ s, all already visited — conns accepted this cycle live past
-        // the polled range and get polled next cycle).
-        for slot in (0..n_conns).rev() {
-            let ev = self.poll.revents(conn_base + slot);
-            if ev & (POLLIN | POLLERR | POLLHUP | POLLNVAL) == 0 {
-                continue;
-            }
-            if !self.read_conn(slot) {
-                self.conns.swap_remove(slot);
-            }
-        }
-
-        // Writable outbound connections (previously blocked flushes).
-        for (slot, link_i) in out_slots {
-            if self.poll.revents(slot) & (POLLOUT | POLLERR | POLLHUP | POLLNVAL) != 0 {
-                Self::flush_link(&mut self.links[link_i], &mut self.stats);
-            }
-        }
-    }
-
     /// One single-shot ctrl read; complete lines move to `ctrl_lines`.
     fn read_ctrl(&mut self) {
         match self.ctrl.read_once(&mut self.scratch) {
@@ -997,12 +1041,15 @@ impl NodeLoop {
             conn.reader.extend(&self.scratch[..k]);
             loop {
                 match conn.reader.next_frame() {
-                    Ok(Some(WireFrame::Hello { node, .. })) => conn.from = Some(node as NodeId),
+                    Ok(Some(WireFrame::Hello { node, .. })) => {
+                        conn.from = self.neighbors.iter().position(|&q| q == node as NodeId);
+                    }
                     Ok(Some(frame)) => match conn.from {
-                        // Frames before the Hello: unidentified
+                        // Frames before the Hello, or after one from a
+                        // node that is no neighbour: unidentified
                         // connection, drop it (the dialer re-Hellos).
                         None => return false,
-                        Some(p) => self.inbound.push((p, frame)),
+                        Some(port) => self.inbound.push((port, frame)),
                     },
                     Ok(None) => break,
                     Err(_) => return false, // garbage on the wire

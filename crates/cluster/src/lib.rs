@@ -19,16 +19,19 @@
 //!   clients per run, each a ~56-byte session stamping its sends with a
 //!   `(client, seq)` identity the shutdown reconcile audits per client
 //!   (exactly-once *and* FIFO), with fairness-spread telemetry.
-//! * [`evloop`] — the whole node's I/O machinery: a `poll(2)` shim,
+//! * [`evloop`] — a node's I/O machinery: a `ppoll` shim,
 //!   per-connection coalescing write buffers (zero-realloc hot path),
-//!   and [`evloop::NodeLoop`], which multiplexes the control pipe, the
-//!   listener and every data connection in one readiness set with
-//!   heartbeat/reconnect deadlines on its timer list.
-//! * [`node`] — one node = **one thread**: [`node_main`] runs the
-//!   forwarder, the workload and the control state machine between
-//!   [`evloop::NodeLoop`] pump bursts.
+//!   and [`evloop::NodeLoop`], which registers the control pipe, the
+//!   listener and every data connection of one node in a readiness set
+//!   its thread lends it, with heartbeat/reconnect deadlines on its timer
+//!   list.
+//! * [`node`] — one node = **one resumable task**, one shard = one
+//!   thread: `run_nodes` prepares every node of a group, polls once and
+//!   steps every node — forwarder, workload and control state machine —
+//!   and [`node_main`] (a node process) is that loop with a group of one.
 //! * [`orchestrator`] — the sharded control tree: K `shard.super`
-//!   threads each supervise a node group (threads or processes),
+//!   threads each supervise a node group (one data thread or a process
+//!   per node),
 //!   pre-merging status and telemetry so the root works O(shards) per
 //!   tick, then one global ledger reconciliation renders the SP verdict
 //!   and the JSON run report.

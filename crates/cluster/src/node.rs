@@ -1,5 +1,6 @@
-//! One SSMFP node as an OS process (or thread): the forwarder from
-//! `crates/mp` driven by real sockets instead of the simulated scheduler.
+//! One SSMFP node as a resumable task: the forwarder from `crates/mp`
+//! driven by real sockets instead of the simulated scheduler, on a thread
+//! it may share with the other nodes of its shard.
 //!
 //! ## Connection model
 //!
@@ -10,23 +11,31 @@
 //! which the protocol's retransmission already tolerates, and the dialer
 //! re-establishes with exponential backoff plus jitter.
 //!
-//! ## One thread per node
+//! ## One thread per shard
 //!
-//! Since PR 8 a node *is* one thread: [`node_main`] drives the
-//! [`crate::evloop::NodeLoop`], which multiplexes the control pipe, the
-//! listener and every data connection through one `poll(2)` set, and runs
-//! the protocol engine between I/O bursts. There is no inbound queue, no
-//! writer threads, no control-reader thread — frames and control lines
-//! surface in plain vectors the loop drains, and outbound frames append
-//! to per-connection coalescing buffers in the same stack frame that
-//! produced them. (The PR-5 blocking plane — per-neighbour writers,
-//! accept + reader threads — was retired after PR 7 cross-checked the SP
-//! verdicts of both planes.)
+//! The paper's model is guarded commands under a daemon: which enabled
+//! processor moves next is the scheduler's choice, and SP holds under
+//! every choice. So a node is not a thread but a `Node` — engine, sockets
+//! ([`crate::evloop::NodeLoop`]), chaos shim, counters, control state —
+//! with `prepare` (flush, socket timers, register its fds, distance to its
+//! nearest deadline), `step` (what became readable, control lines,
+//! chaos → `on_message`, one engine turn, outbox → write buffers, status
+//! line) and `finish` (shutdown flush, report). [`run_nodes`] is the
+//! daemon and the only loop: prepare every node of the group, one `ppoll`
+//! to the nearest deadline, step every node. `RunMode::Inproc` runs it
+//! once per shard, on the shard's one `node.main` thread; [`node_main`] —
+//! a `--node-worker` process — runs it with a group of one. Frames between
+//! two nodes of a group still cross their UDS/TCP sockets, but a frame
+//! flushed in one iteration is readable in the next and nobody slept or
+//! was woken in between. There is no inbound queue, no writer thread, no
+//! control-reader thread — frames and control lines surface in plain
+//! vectors the node drains, and outbound frames append to per-connection
+//! coalescing buffers in the same stack frame that produced them.
 //!
-//! The protocol loop itself is *event-driven*, and a node never sleeps
-//! while one of its own rules is enabled
+//! The protocol iteration itself is *event-driven*, and a node is never
+//! left waiting while one of its own rules is enabled
 //! ([`MpForwarder::locally_enabled`], asserted at the end of every
-//! iteration). Each iteration runs `on_message` for what arrived, then
+//! turn). Each `step` runs `on_message` for what arrived, then
 //! `on_timeout` if anything arrived, then the deliveries that produced —
 //! acks out, windows closed — then the workload; every send is followed by
 //! `advance(dest)`. So a primary, an ack and the next stop-and-wait primary
@@ -34,11 +43,12 @@
 //! socket readiness end to end — source, every hop and sink — not the
 //! tick. The tick is loss recovery: it runs only while a handshake is open
 //! ([`MpForwarder::timers_pending`]; a busy downstream slot answers when
-//! it frees, nobody polls it), and a node with nothing to retransmit
-//! blocks until a frame, its next open-loop arrival or the status push.
-//! Correctness is schedule-independent (the simulated suite drives the
-//! same forwarder under an adversarial scheduler), so running enabled
-//! rules at once is safe by construction.
+//! it frees, nobody polls it), and a group in which no node has anything
+//! to retransmit blocks until a frame, the next open-loop arrival or the
+//! status push. Correctness is schedule-independent (the simulated suite
+//! drives the same forwarder under an adversarial scheduler), so running
+//! enabled rules at once — and in whatever order the group's nodes happen
+//! to sit — is safe by construction.
 //!
 //! ## Control protocol
 //!
@@ -52,7 +62,7 @@
 use crate::chaos::{ChaosSpec, InboundChaos};
 use crate::clients::{ClientMux, ClientSpec};
 use crate::conc::COMPONENT;
-use crate::evloop::{CtrlPipe, NetListener, NodeLoop};
+use crate::evloop::{CtrlPipe, NetListener, NodeLoop, PollSet};
 use crate::frame::{frame_to_msg, msg_to_frame, msg_to_frame_client};
 use crate::telemetry::{LogHistogram, NodeCounters};
 use crate::tuning::TUNING;
@@ -63,7 +73,6 @@ use ssmfp_core::conc::register_thread;
 use ssmfp_core::wire::WireFrame;
 use ssmfp_mp::{ack_ghost_of, decode_client_ghost, MpForwarder, MpGhost, MpNode, Outbox, WireMsg};
 use ssmfp_topology::{BfsTree, Graph, NodeId};
-use std::collections::HashMap;
 use std::io::{self, BufWriter, Write};
 use std::path::PathBuf;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -159,7 +168,7 @@ fn routing_table(graph: &Graph, p: NodeId) -> Vec<NodeId> {
 
 /// The protocol side of a node — forwarder (its audit lists with it),
 /// traffic source, sink latency — apart from its sockets, so a test can
-/// drive `node_main`'s iteration over in-memory links.
+/// drive the node's iteration over in-memory links.
 struct Engine {
     p: NodeId,
     n: usize,
@@ -289,104 +298,131 @@ impl Engine {
     }
 }
 
-/// Runs one node to completion over the given control pipe. Returns the
-/// report it also wrote to the supervisor.
-pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
-    // In proc mode this is the process main thread; in inproc mode the
-    // shard's spawn already registered it (re-registration is
-    // idempotent). Either way the declared role holds from here on.
-    register_thread(COMPONENT, "node.main");
-    let graph = Graph::from_edges(cfg.n, &cfg.edges).map_err(io::Error::other)?;
-    let p = cfg.node;
-    let neighbors: Vec<NodeId> = graph.neighbors(p).to_vec();
-    let mut eng = Engine::new(cfg, &graph);
-    // Client-mode frames carry the `(client_id, client_seq)` wire stamp;
-    // picking the encoder once keeps the hot path branch-free.
-    let encode: fn(&WireMsg) -> WireFrame = if eng.mux.is_some() {
-        msg_to_frame_client
-    } else {
-        msg_to_frame
-    };
-    let mut chaos: HashMap<NodeId, InboundChaos> = neighbors
-        .iter()
-        .map(|&q| (q, InboundChaos::new(&cfg.chaos, q, p)))
-        .collect();
-    let mut counters = NodeCounters::default();
+/// One node as a resumable task: everything it keeps between two polls of
+/// the thread that carries it. [`run_nodes`] is the daemon — it picks
+/// when each node moves; no rule here depends on that choice.
+struct Node {
+    listen: ListenSpec,
+    eng: Engine,
+    nl: NodeLoop,
+    /// Client-mode frames carry the `(client_id, client_seq)` wire stamp;
+    /// picking the encoder once keeps the hot path branch-free.
+    encode: fn(&WireMsg) -> WireFrame,
+    /// The inbound chaos shim of every neighbour, by local port.
+    chaos: Vec<InboundChaos>,
+    counters: NodeCounters,
+    // Control state: `peers`, then `start` (or an early `stop`).
+    peers_wired: bool,
+    started: bool,
+    stopping: bool,
+    /// Whether a retransmission timer ran when `prepare` looked.
+    ticking: bool,
+    last_tick: Instant,
+    last_status: Instant,
+}
 
-    // --- sockets up, report ready ---
-    let (listener, my_addr) = NetListener::bind(&cfg.listen, p)?;
-    let io_seed = cfg.seed ^ ((p as u64) << 32).wrapping_mul(0xDEAD_BEEF_1234_5677);
-    let mut nl = NodeLoop::new(p, listener, ctrl, io_seed);
-    nl.write_ctrl(&format!("ready {my_addr}\n"))?;
-
-    // --- control state machine: peers, then start (or an early stop) ---
-    // A single pump can surface several control lines at once (the shard
-    // may write `peers` and `start` back-to-back), so parse every line as
-    // it arrives instead of blocking per expected token.
-    let mut addrs: Option<Vec<String>> = None;
-    let mut started = false;
-    let mut stopping = false;
-    let handle_line =
-        |line: &str, addrs: &mut Option<Vec<String>>, started: &mut bool, stopping: &mut bool| {
-            if let Some(rest) = line.strip_prefix("peers ") {
-                *addrs = Some(rest.split_whitespace().map(str::to_string).collect());
-            } else if line.starts_with("start") {
-                *started = true;
-            } else if line.starts_with("stop") {
-                *stopping = true;
-            }
-        };
-    let mut peers_wired = false;
-    while !(started || stopping) {
-        if nl.ctrl_eof() {
-            return Err(io::Error::other("control pipe closed"));
-        }
-        nl.pump(TUNING.status_every());
-        for line in std::mem::take(&mut nl.ctrl_lines) {
-            handle_line(&line, &mut addrs, &mut started, &mut stopping);
-        }
-        if let (Some(a), false) = (&addrs, peers_wired) {
-            if a.len() != cfg.n {
-                return Err(io::Error::other("peers line has wrong arity"));
-            }
-            let peers: Vec<(NodeId, String)> =
-                neighbors.iter().map(|&q| (q, a[q].clone())).collect();
-            nl.connect_peers(peers);
-            peers_wired = true;
-        }
-    }
-    if started && !peers_wired {
-        return Err(io::Error::other("start before peers"));
-    }
-
-    // --- main protocol loop: engine steps between I/O bursts ---
-    let mut last_tick = Instant::now();
-    let mut last_status = Instant::now();
-    while !stopping {
-        // Sleep until readiness or the nearest engine deadline: the status
-        // push, the next open-loop arrival and — only while a
-        // retransmission timer runs — the protocol tick. A node with
-        // nothing to retransmit has no standing wake-up.
+impl Node {
+    /// Binds the listener and reports `ready <addr>` up the control pipe.
+    fn new(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<Self> {
+        let graph = Graph::from_edges(cfg.n, &cfg.edges).map_err(io::Error::other)?;
+        let p = cfg.node;
+        let neighbors: Vec<NodeId> = graph.neighbors(p).to_vec();
+        let eng = Engine::new(cfg, &graph);
+        let (listener, my_addr) = NetListener::bind(&cfg.listen, p)?;
+        let io_seed = cfg.seed ^ ((p as u64) << 32).wrapping_mul(0xDEAD_BEEF_1234_5677);
+        let chaos = neighbors
+            .iter()
+            .map(|&q| InboundChaos::new(&cfg.chaos, q, p))
+            .collect();
+        let mut nl = NodeLoop::new(p, neighbors, listener, ctrl, io_seed);
+        nl.write_ctrl(&format!("ready {my_addr}\n"))?;
         let now = Instant::now();
-        let ticking = eng.fwd.timers_pending();
-        let mut wait = TUNING
-            .status_every()
-            .saturating_sub(now.duration_since(last_status));
-        if ticking {
-            wait = wait.min(TUNING.tick().saturating_sub(now.duration_since(last_tick)));
-        }
-        let stamp = now_stamp();
-        if let Some(due) = eng.next_due_us(stamp) {
-            wait = wait.min(Duration::from_micros(due.saturating_sub(stamp)));
-        }
-        nl.pump(wait);
+        Ok(Node {
+            listen: cfg.listen.clone(),
+            encode: if eng.mux.is_some() {
+                msg_to_frame_client
+            } else {
+                msg_to_frame
+            },
+            eng,
+            nl,
+            chaos,
+            counters: NodeCounters::default(),
+            peers_wired: false,
+            started: false,
+            stopping: false,
+            ticking: false,
+            last_tick: now,
+            last_status: now,
+        })
+    }
 
-        // Control.
-        if nl.ctrl_eof() {
-            stopping = true;
+    /// Before the poll: flushes and fires the socket timers, registers the
+    /// node's fds in `ps`, and returns how long the node can sleep — to
+    /// the nearest of a heartbeat or dial, the status push, the next
+    /// open-loop arrival and, only while a retransmission timer runs, the
+    /// protocol tick. A node with nothing to retransmit has no standing
+    /// wake-up.
+    fn prepare(&mut self, ps: &mut PollSet) -> Duration {
+        let now = Instant::now();
+        let mut wait = TUNING.status_every();
+        if self.started {
+            wait = wait.saturating_sub(now.duration_since(self.last_status));
+            self.ticking = self.eng.fwd.timers_pending();
+            if self.ticking {
+                wait = wait.min(
+                    TUNING
+                        .tick()
+                        .saturating_sub(now.duration_since(self.last_tick)),
+                );
+            }
+            let stamp = now_stamp();
+            if let Some(due) = self.eng.next_due_us(stamp) {
+                wait = wait.min(Duration::from_micros(due.saturating_sub(stamp)));
+            }
         }
-        for line in std::mem::take(&mut nl.ctrl_lines) {
-            handle_line(&line, &mut addrs, &mut started, &mut stopping);
+        wait.min(self.nl.prepare(ps))
+    }
+
+    /// After the poll: reads what is ready, obeys the control lines and —
+    /// once started — runs one protocol iteration, leaving what it sends
+    /// in the write buffers for the next `prepare` to flush (same stack,
+    /// no queue, no wake). `Ok(true)` when the node was told to stop.
+    fn step(&mut self, ps: &PollSet) -> io::Result<bool> {
+        self.nl.dispatch(ps);
+
+        // Control. One read can surface several lines at once (the shard
+        // writes `peers` and `start` back to back), so every line is
+        // parsed as it arrives, not awaited token by token.
+        for line in std::mem::take(&mut self.nl.ctrl_lines) {
+            if let Some(rest) = line.strip_prefix("peers ") {
+                if !self.peers_wired {
+                    let addrs: Vec<&str> = rest.split_whitespace().collect();
+                    if addrs.len() != self.eng.n {
+                        return Err(io::Error::other("peers line has wrong arity"));
+                    }
+                    self.nl.connect_peers(&addrs);
+                    self.peers_wired = true;
+                }
+            } else if line.starts_with("start") {
+                if !self.peers_wired {
+                    return Err(io::Error::other("start before peers"));
+                }
+                self.started = true;
+                self.last_tick = Instant::now();
+                self.last_status = self.last_tick;
+            } else if line.starts_with("stop") {
+                self.stopping = true;
+            }
+        }
+        if self.nl.ctrl_eof() {
+            if !self.started && !self.stopping {
+                return Err(io::Error::other("control pipe closed"));
+            }
+            self.stopping = true;
+        }
+        if !self.started {
+            return Ok(self.stopping);
         }
 
         // Did anything arrive? Drives the event-driven timeout below.
@@ -394,20 +430,19 @@ pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
 
         // Inbound, through the chaos shim (data-plane frames only:
         // heartbeats keep connections warm but carry no protocol).
-        for (from, frame) in std::mem::take(&mut nl.inbound) {
+        for (port, frame) in self.nl.inbound.drain(..) {
             if frame.is_data_plane() {
-                counters.frames_received += 1;
-                if let Some(c) = chaos.get_mut(&from) {
-                    c.push(frame);
-                }
+                self.counters.frames_received += 1;
+                self.chaos[port].push(frame);
             }
             worked = true;
         }
-        for &q in &neighbors {
-            let c = chaos.get_mut(&q).expect("neighbour chaos");
+        for (port, c) in self.chaos.iter_mut().enumerate() {
             while let Some(frame) = c.poll() {
                 if let Some(msg) = frame_to_msg(&frame) {
-                    eng.fwd.on_message(q, msg, &mut eng.out);
+                    self.eng
+                        .fwd
+                        .on_message(self.nl.neighbors[port], msg, &mut self.eng.out);
                     worked = true;
                 }
             }
@@ -419,79 +454,147 @@ pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
         // then the workload. The tick counts from the last timeout or the
         // last moment there was nothing to time. The adversarial-scheduler
         // suite proves correctness at any firing schedule.
-        let fire = worked || (ticking && last_tick.elapsed() >= TUNING.tick());
-        if fire || !ticking {
-            last_tick = Instant::now();
+        let fire = worked || (self.ticking && self.last_tick.elapsed() >= TUNING.tick());
+        if fire || !self.ticking {
+            self.last_tick = Instant::now();
         }
-        eng.turn(fire, !stopping, now_stamp);
+        self.eng.turn(fire, !self.stopping, now_stamp);
 
-        // Ship the outbox straight into the per-edge coalescing buffers;
-        // the next pump's leading flush writes them (same stack, no
-        // queue, no wake).
-        for (to, msg) in eng.out.drain() {
-            counters.frames_sent += 1;
-            nl.send(to, &encode(&msg));
+        for (to, msg) in self.eng.out.drain() {
+            self.counters.frames_sent += 1;
+            self.nl.send(to, &(self.encode)(&msg));
         }
 
         // Status push.
-        if last_status.elapsed() >= TUNING.status_every() {
-            last_status = Instant::now();
-            nl.write_ctrl(&format!(
+        if self.last_status.elapsed() >= TUNING.status_every() {
+            self.last_status = Instant::now();
+            self.nl.write_ctrl(&format!(
                 "status {} {} {} {}\n",
-                eng.done_issuing() as u8,
-                eng.fwd.generated.len(),
-                eng.fwd.delivered.len(),
-                eng.fwd.held_ghosts().len()
+                self.eng.done_issuing() as u8,
+                self.eng.fwd.generated.len(),
+                self.eng.fwd.delivered.len(),
+                self.eng.fwd.held_ghosts().len()
             ))?;
         }
+        Ok(self.stopping)
     }
 
-    // --- shutdown: flush, aggregate counters, emit the report ---
-    nl.shutdown_flush();
-    for c in chaos.values() {
-        let (d, u, r) = c.fault_counts();
-        counters.chaos_dropped += d;
-        counters.chaos_duplicated += u;
-        counters.chaos_reordered += r;
-        counters.partition_dropped += c.partition_dropped();
-    }
-    let io_stats = nl.take_stats();
-    counters.heartbeats_sent = io_stats.heartbeats;
-    counters.reconnects = io_stats.reconnects;
-    counters.write_syscalls = io_stats.write_syscalls;
-    counters.read_syscalls = io_stats.read_syscalls;
-    counters.conn_frames_dropped = io_stats.conn_frames_dropped;
+    /// Shutdown: flush, aggregate counters, emit the report.
+    fn finish(mut self) -> io::Result<NodeReport> {
+        self.nl.shutdown_flush();
+        let mut counters = self.counters;
+        for c in &self.chaos {
+            let (d, u, r) = c.fault_counts();
+            counters.chaos_dropped += d;
+            counters.chaos_duplicated += u;
+            counters.chaos_reordered += r;
+            counters.partition_dropped += c.partition_dropped();
+        }
+        let io_stats = self.nl.take_stats();
+        counters.heartbeats_sent = io_stats.heartbeats;
+        counters.reconnects = io_stats.reconnects;
+        counters.write_syscalls = io_stats.write_syscalls;
+        counters.read_syscalls = io_stats.read_syscalls;
+        counters.conn_frames_dropped = io_stats.conn_frames_dropped;
 
-    let mux = eng.mux.as_ref();
-    let report = NodeReport {
-        node: p,
-        held: eng.fwd.held_ghosts(),
-        generated: eng.fwd.generated,
-        delivered: eng.fwd.delivered,
-        latency: eng.latency,
-        batch: io_stats.batch,
-        counters,
-        client_rtt: mux.map(|m| m.rtt().clone()).unwrap_or_default(),
-        client_fair: mux.map(ClientMux::fairness).unwrap_or_default(),
-        clients: mux.map_or(0, ClientMux::hosted),
-        clients_completed: mux.map_or(0, ClientMux::completed),
-    };
-    {
-        // One buffered write, not one per token.
-        let mut w = BufWriter::new(nl.ctrl_writer());
-        write_report(&mut w, &report)?;
-        w.flush()?;
+        let eng = self.eng;
+        let mux = eng.mux.as_ref();
+        let report = NodeReport {
+            node: eng.p,
+            held: eng.fwd.held_ghosts(),
+            generated: eng.fwd.generated,
+            delivered: eng.fwd.delivered,
+            latency: eng.latency,
+            batch: io_stats.batch,
+            counters,
+            client_rtt: mux.map(|m| m.rtt().clone()).unwrap_or_default(),
+            client_fair: mux.map(ClientMux::fairness).unwrap_or_default(),
+            clients: mux.map_or(0, ClientMux::hosted),
+            clients_completed: mux.map_or(0, ClientMux::completed),
+        };
+        {
+            // One buffered write, not one per token.
+            let mut w = BufWriter::new(self.nl.ctrl_writer());
+            write_report(&mut w, &report)?;
+            w.flush()?;
+        }
+        if let ListenSpec::Uds { dir } = &self.listen {
+            let _ = std::fs::remove_file(dir.join(format!("node{}.sock", report.node)));
+        }
+        Ok(report)
     }
-    if let ListenSpec::Uds { dir } = &cfg.listen {
-        let _ = std::fs::remove_file(dir.join(format!("node{p}.sock")));
-    }
-    Ok(report)
 }
 
-fn ghost_key(g: MpGhost) -> String {
+/// Runs a group of nodes to completion on the calling thread, each over
+/// its own control pipe: prepare every live node, one `ppoll` to the
+/// nearest deadline among them, step every live node. Frames between two
+/// nodes of the group still cross their sockets — a frame one iteration
+/// flushes is readable in the next — but nobody sleeps and nobody is
+/// woken in between. A node that fails is dropped without disturbing the
+/// others, and its control pipe with it, so its supervisor sees EOF.
+/// Returns every node's outcome (the report it also wrote to its
+/// supervisor), in argument order.
+pub(crate) fn run_nodes(nodes: Vec<(NodeConfig, CtrlPipe)>) -> Vec<io::Result<NodeReport>> {
+    // In proc mode this is the process main thread; in inproc mode the
+    // shard's spawn already registered it (re-registration is
+    // idempotent). Either way the declared role holds from here on.
+    register_thread(COMPONENT, "node.main");
+    let mut results: Vec<Option<io::Result<NodeReport>>> = Vec::with_capacity(nodes.len());
+    let mut live: Vec<(usize, Node)> = Vec::with_capacity(nodes.len());
+    for (i, (cfg, ctrl)) in nodes.into_iter().enumerate() {
+        match Node::new(&cfg, ctrl) {
+            Ok(node) => {
+                results.push(None);
+                live.push((i, node));
+            }
+            Err(e) => results.push(Some(Err(e))),
+        }
+    }
+    let mut ps = PollSet::new();
+    while !live.is_empty() {
+        ps.clear();
+        let mut wait = Duration::MAX;
+        for (_, node) in &mut live {
+            wait = wait.min(node.prepare(&mut ps));
+        }
+        // A failed poll leaves every `revents` zero: the nodes step as on
+        // a timeout and the next iteration polls again.
+        let _ = ps.poll(Some(wait));
+        let mut at = 0;
+        while at < live.len() {
+            let stopped = match live[at].1.step(&ps) {
+                Ok(false) => {
+                    at += 1;
+                    continue;
+                }
+                Ok(true) => Ok(()),
+                Err(e) => Err(e),
+            };
+            // Slots in `ps` are absolute and rebuilt every iteration, so
+            // the order of `live` is free.
+            let (i, node) = live.swap_remove(at);
+            results[i] = Some(stopped.and_then(|()| node.finish()));
+        }
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every node finished or failed"))
+        .collect()
+}
+
+/// Runs one node to completion over the given control pipe — a
+/// [`run_nodes`] group of one. Returns the report it also wrote to the
+/// supervisor.
+pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
+    run_nodes(vec![(cfg.clone(), ctrl)])
+        .pop()
+        .expect("one node in, one outcome out")
+}
+
+fn write_ghost<W: Write>(w: &mut W, g: MpGhost) -> io::Result<()> {
     match g {
-        MpGhost::Valid(k) => format!("v{k}"),
-        MpGhost::Invalid(k) => format!("i{k}"),
+        MpGhost::Valid(k) => write!(w, " v{k}"),
+        MpGhost::Invalid(k) => write!(w, " i{k}"),
     }
 }
 
@@ -530,17 +633,18 @@ pub fn write_report<W: Write>(w: &mut W, r: &NodeReport) -> io::Result<()> {
     writeln!(w, "report {}", r.node)?;
     write!(w, "gen")?;
     for &(g, d) in &r.generated {
-        write!(w, " {}:{d}", ghost_key(g))?;
+        write_ghost(w, g)?;
+        write!(w, ":{d}")?;
     }
     writeln!(w)?;
     write!(w, "del")?;
     for &g in &r.delivered {
-        write!(w, " {}", ghost_key(g))?;
+        write_ghost(w, g)?;
     }
     writeln!(w)?;
     write!(w, "held")?;
     for &g in &r.held {
-        write!(w, " {}", ghost_key(g))?;
+        write_ghost(w, g)?;
     }
     writeln!(w)?;
     write_histogram(w, "lat", &r.latency)?;
@@ -631,7 +735,7 @@ pub fn parse_report_body(
 mod tests {
     use super::*;
 
-    /// `node_main`'s iteration on `line:5` over in-memory FIFO links with
+    /// The node's iteration on `line:5` over in-memory FIFO links with
     /// the tick branch off: the timeout fires only after an iteration that
     /// received something, so every step — local or across a link — has to
     /// happen without waiting for one. Node `p` is a stop-and-wait source
@@ -710,6 +814,80 @@ mod tests {
         tick_free_line5(|_| 40);
     }
 
+    /// Two nodes of one thread over real sockets, driven by hand the way
+    /// [`run_nodes`] drives them. Once warm, an iteration neither frees
+    /// nor regrows the inbound vector: same allocation, same capacity,
+    /// however many frames pass through it.
+    #[test]
+    fn steady_state_iterations_never_realloc_inbound() {
+        use crate::workload::{WorkloadKind, WorkloadSpec};
+        use std::io::{BufRead, BufReader};
+        use std::os::unix::net::UnixStream;
+        let dir = std::env::temp_dir().join(format!("ssmfp-node-pin-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let graph = ssmfp_topology::gen::line(2);
+        // Node 0 is a stop-and-wait source: one handshake on the link at a
+        // time, so a warm vector never needs to grow.
+        let (mut supervisor, mut nodes): (Vec<UnixStream>, Vec<Node>) = (0..2)
+            .map(|p| {
+                let cfg = NodeConfig {
+                    node: p,
+                    n: 2,
+                    edges: graph.edges().to_vec(),
+                    seed: 7,
+                    listen: ListenSpec::Uds { dir: dir.clone() },
+                    workload: WorkloadSpec {
+                        kind: WorkloadKind::Closed { outstanding: 1 },
+                        messages: if p == 0 { 1_000_000 } else { 0 },
+                    },
+                    chaos: ChaosSpec::none(),
+                    clients: None,
+                };
+                let (sup_side, node_side) = UnixStream::pair().unwrap();
+                let node = Node::new(&cfg, CtrlPipe::Stream(node_side)).unwrap();
+                (sup_side, node)
+            })
+            .unzip();
+        let addrs: Vec<String> = supervisor
+            .iter()
+            .map(|s| {
+                let mut line = String::new();
+                BufReader::new(s).read_line(&mut line).unwrap();
+                line.trim().strip_prefix("ready ").unwrap().to_string()
+            })
+            .collect();
+        for s in &mut supervisor {
+            writeln!(s, "peers {}\nstart", addrs.join(" ")).unwrap();
+        }
+        let mut ps = PollSet::new();
+        let mut iterate_until = |nodes: &mut Vec<Node>, frames: u64, check: &dyn Fn(&Node)| {
+            for _ in 0..1_000_000 {
+                if nodes.iter().all(|n| n.counters.frames_received >= frames) {
+                    return;
+                }
+                ps.clear();
+                let wait = nodes.iter_mut().map(|n| n.prepare(&mut ps)).min().unwrap();
+                ps.poll(Some(wait)).unwrap();
+                for n in nodes.iter_mut() {
+                    assert!(!n.step(&ps).unwrap(), "nobody said stop");
+                    check(n);
+                }
+            }
+            panic!("the link went quiet before {frames} frames");
+        };
+        iterate_until(&mut nodes, 300, &|_| {});
+        let pins: Vec<_> = nodes
+            .iter()
+            .map(|n| (n.nl.inbound.as_ptr(), n.nl.inbound.capacity()))
+            .collect();
+        assert!(pins.iter().all(|&(_, cap)| cap > 0));
+        iterate_until(&mut nodes, 3_000, &|n| {
+            let pin = (n.nl.inbound.as_ptr(), n.nl.inbound.capacity());
+            assert_eq!(pin, pins[n.eng.p], "node {} reallocated inbound", n.eng.p);
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn report_roundtrips_through_the_control_pipe() {
         let mut lat = LogHistogram::new();
@@ -755,6 +933,21 @@ mod tests {
         let mut buf = Vec::new();
         write_report(&mut buf, &r).unwrap();
         let text = String::from_utf8(buf).unwrap();
+        // The wire format, byte for byte.
+        assert_eq!(
+            text,
+            "report 3\n\
+             gen v7:1 i9:0\n\
+             del v42\n\
+             held\n\
+             lat 3 70000 70510 10:1 95:1 209:1\n\
+             bat 4 17 23 1:2 4:1 17:1\n\
+             crtt 3 90000 90550 79:1 82:1 213:1\n\
+             cfair 2 90000 90275 81:1 213:1\n\
+             cli 2 3\n\
+             ctr 1 2 3 4 5 6 7 8 11 12 13\n\
+             end\n"
+        );
         let mut lines = text.lines().map(str::to_string);
         let head = lines.next().unwrap();
         assert_eq!(head, "report 3");

@@ -6,10 +6,12 @@
 //!
 //! The control plane is a two-level tree. `orch.main` spawns K
 //! `shard.super` threads, each supervising a contiguous block of nodes
-//! (threads in [`RunMode::Inproc`], OS processes in [`RunMode::Proc`]).
-//! A shard polls its nodes' control pipes directly — no per-node reader
-//! threads — so a whole run costs `nodes + shards + 1` threads, and the
-//! 100-node topologies that motivated this PR stay cheap to supervise.
+//! (tasks of one `node.main` data thread in [`RunMode::Inproc`], OS
+//! processes in [`RunMode::Proc`]). A shard polls its nodes' control
+//! pipes directly — no per-node reader threads — so a whole inproc run
+//! costs `2 · shards + 1` threads: [`ClusterSpec::shards`] says how many
+//! groups the nodes run in and thereby how many threads carry them
+//! (`shards = n` is one thread per node).
 //!
 //! Shards pre-merge what flows upward: per-node status lines become one
 //! [`ShardStatus`] sum per period, and per-node reports become one
@@ -33,7 +35,7 @@ use crate::evloop::{
     raise_nofile_limit, set_nonblocking_fd, take_lines, CtrlPipe, PollSet, POLLERR, POLLHUP,
     POLLIN, POLLNVAL, POLLOUT,
 };
-use crate::node::{node_main, parse_report_body, ListenSpec, NodeConfig, NodeReport};
+use crate::node::{parse_report_body, run_nodes, ListenSpec, NodeConfig, NodeReport};
 use crate::telemetry::{LogHistogram, NodeCounters};
 use crate::tuning::TUNING;
 use crate::workload::{WorkloadKind, WorkloadSpec};
@@ -55,7 +57,7 @@ use std::time::{Duration, Instant};
 /// How nodes are launched.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunMode {
-    /// Threads inside this process.
+    /// Inside this process, every shard's nodes on one thread.
     Inproc,
     /// One OS process per node, running `<exe> --node-worker …`.
     Proc {
@@ -83,6 +85,7 @@ pub struct ClusterSpec {
     /// and audit them per-client at reconciliation.
     pub clients: Option<ClientSpec>,
     /// Orchestrator shards (supervised node groups); clamped to `1..=n`.
+    /// Inproc, each group also shares one data thread.
     pub shards: usize,
     /// Launch mode.
     pub mode: RunMode,
@@ -598,13 +601,12 @@ fn node_config(spec: &ClusterSpec, p: usize) -> NodeConfig {
 // Shard supervisor
 // ---------------------------------------------------------------------------
 
-/// A shard's handle on one node's control pipe and lifetime.
+/// A shard's handle on one node's control pipe — and, for a process, its
+/// lifetime (an inproc shard's nodes share one thread, joined once for
+/// the shard).
 enum NodeCtrl {
-    Thread {
-        /// The supervisor's end of the socketpair (nonblocking).
-        pipe: UnixStream,
-        join: JoinHandle<io::Result<NodeReport>>,
-    },
+    /// The supervisor's end of the socketpair (nonblocking).
+    Thread(UnixStream),
     Proc {
         child: Child,
         /// Parent's write end of the child's stdin pipe (nonblocking).
@@ -617,38 +619,37 @@ enum NodeCtrl {
 impl NodeCtrl {
     fn read_fd(&self) -> i32 {
         match self {
-            NodeCtrl::Thread { pipe, .. } => pipe.as_raw_fd(),
+            NodeCtrl::Thread(pipe) => pipe.as_raw_fd(),
             NodeCtrl::Proc { stdout, .. } => stdout.as_raw_fd(),
         }
     }
 
     fn write_fd(&self) -> i32 {
         match self {
-            NodeCtrl::Thread { pipe, .. } => pipe.as_raw_fd(),
+            NodeCtrl::Thread(pipe) => pipe.as_raw_fd(),
             NodeCtrl::Proc { stdin, .. } => stdin.as_ref().expect("stdin open").as_raw_fd(),
         }
     }
 
     fn read_once(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
-            NodeCtrl::Thread { pipe, .. } => (&*pipe).read(buf),
+            NodeCtrl::Thread(pipe) => (&*pipe).read(buf),
             NodeCtrl::Proc { stdout, .. } => stdout.read(buf),
         }
     }
 
     fn write_some(&mut self, bytes: &[u8]) -> io::Result<usize> {
         match self {
-            NodeCtrl::Thread { pipe, .. } => (&*pipe).write(bytes),
+            NodeCtrl::Thread(pipe) => (&*pipe).write(bytes),
             NodeCtrl::Proc { stdin, .. } => stdin.as_mut().expect("stdin open").write(bytes),
         }
     }
 
+    /// Closes the control pipe (a node still running reads EOF and winds
+    /// down) and reaps the process, if it is one.
     fn finish(self) {
         match self {
-            NodeCtrl::Thread { pipe, join } => {
-                drop(pipe);
-                let _ = join.join();
-            }
+            NodeCtrl::Thread(pipe) => drop(pipe),
             NodeCtrl::Proc {
                 mut child, stdin, ..
             } => {
@@ -748,6 +749,55 @@ fn spawn_proc_node(exe: &PathBuf, cfg: &NodeConfig) -> io::Result<NodeCtrl> {
     })
 }
 
+/// Launches a shard's node group: one `node.main` thread running all of
+/// them inproc (`Some` handle to join once every pipe is closed), one
+/// process each in proc mode. On error `slots` holds what was launched
+/// before it.
+fn spawn_nodes(
+    cfgs: Vec<NodeConfig>,
+    mode: &RunMode,
+    slots: &mut Vec<NodeSlot>,
+) -> io::Result<Option<JoinHandle<()>>> {
+    let named = |id: NodeId| move |e: io::Error| io::Error::other(format!("node {id}: {e}"));
+    match mode {
+        RunMode::Inproc => {
+            let mut nodes = Vec::with_capacity(cfgs.len());
+            for cfg in cfgs {
+                let (sup_side, node_side) = UnixStream::pair().map_err(named(cfg.node))?;
+                sup_side.set_nonblocking(true).map_err(named(cfg.node))?;
+                slots.push(NodeSlot::new(cfg.node, NodeCtrl::Thread(sup_side)));
+                nodes.push((cfg, CtrlPipe::Stream(node_side)));
+            }
+            // The reports come up the pipes; the thread's own copies go.
+            Ok(Some(spawn_registered(COMPONENT, "node.main", move || {
+                drop(run_nodes(nodes))
+            })))
+        }
+        RunMode::Proc { exe } => {
+            for cfg in &cfgs {
+                let ctrl = spawn_proc_node(exe, cfg).map_err(named(cfg.node))?;
+                slots.push(NodeSlot::new(cfg.node, ctrl));
+            }
+            Ok(None)
+        }
+    }
+}
+
+/// Closes **every** control pipe of the shard, and only then joins the
+/// thread its nodes share: a node leaves that thread when it reads EOF,
+/// so a join behind a single closed pipe would wait forever on the
+/// nodes still holding theirs.
+fn wind_down(slots: Vec<NodeSlot>, data: Option<JoinHandle<()>>) {
+    for s in slots {
+        s.ctrl.finish();
+    }
+    if let Some(join) = data {
+        // Whatever ended a node — error or panic — already reached the
+        // supervisor as EOF on its pipe.
+        let _ = join.join();
+    }
+}
+
 /// One shard supervisor: spawns its node group, polls every control pipe
 /// plus the orchestrator socketpair in one `poll(2)` set, forwards
 /// control lines downward (staged, `POLLOUT`-gated — the declared timed
@@ -767,49 +817,15 @@ fn shard_main(
         let _ = up.send((shard, msg));
     };
 
-    // --- spawn the node group ---
     let mut slots: Vec<NodeSlot> = Vec::with_capacity(cfgs.len());
-    for cfg in cfgs {
-        let id = cfg.node;
-        let ctrl = match &mode {
-            RunMode::Inproc => match UnixStream::pair() {
-                Ok((sup_side, node_side)) => {
-                    if let Err(e) = sup_side.set_nonblocking(true) {
-                        send_up(ShardUp::Error(format!("nonblocking ctrl: {e}")));
-                        for s in slots {
-                            s.ctrl.finish();
-                        }
-                        return;
-                    }
-                    let join = spawn_registered(COMPONENT, "node.main", move || {
-                        node_main(&cfg, CtrlPipe::Stream(node_side))
-                    });
-                    NodeCtrl::Thread {
-                        pipe: sup_side,
-                        join,
-                    }
-                }
-                Err(e) => {
-                    send_up(ShardUp::Error(format!("socketpair: {e}")));
-                    for s in slots {
-                        s.ctrl.finish();
-                    }
-                    return;
-                }
-            },
-            RunMode::Proc { exe } => match spawn_proc_node(exe, &cfg) {
-                Ok(c) => c,
-                Err(e) => {
-                    send_up(ShardUp::Error(format!("spawn node {id}: {e}")));
-                    for s in slots {
-                        s.ctrl.finish();
-                    }
-                    return;
-                }
-            },
-        };
-        slots.push(NodeSlot::new(id, ctrl));
-    }
+    let data = match spawn_nodes(cfgs, &mode, &mut slots) {
+        Ok(data) => data,
+        Err(e) => {
+            send_up(ShardUp::Error(format!("spawn {e}")));
+            wind_down(slots, None);
+            return;
+        }
+    };
 
     // --- supervision loop ---
     let mut poll = PollSet::new();
@@ -1042,9 +1058,7 @@ fn shard_main(
             }
         }
     }
-    for s in slots {
-        s.ctrl.finish();
-    }
+    wind_down(slots, data);
 }
 
 // ---------------------------------------------------------------------------

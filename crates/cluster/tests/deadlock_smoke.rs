@@ -10,23 +10,50 @@
 //! model missed, a writer stuck on a full queue, a reader stuck on a dead
 //! socket), the watchdog expires and the test fails with a diagnosis
 //! instead of hanging the whole suite until the harness timeout.
+//!
+//! The same watchdog holds the two ways nodes that share a thread could
+//! wait on each other forever: a dial waiting on an accept its own thread
+//! must perform, and a join waiting on thread-mates whose pipes are still
+//! open.
 
 use ssmfp_cluster::{
-    pick_partition, run_cluster, ChaosSpec, ClusterSpec, ListenSpec, RunMode, WorkloadKind,
-    WorkloadSpec,
+    pick_partition, run_cluster, ChaosSpec, ClusterSpec, ListenSpec, RunMode, RunReport,
+    WorkloadKind, WorkloadSpec,
 };
-use ssmfp_topology::gen;
+use ssmfp_topology::{gen, Graph};
+use std::io;
+use std::path::PathBuf;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Generous wall-clock bound: the run itself converges in a few seconds;
+/// Generous wall-clock bound: the runs themselves end in a few seconds;
 /// anything near the bound means threads stopped making progress.
 const WATCHDOG: Duration = Duration::from_secs(90);
 
+/// Runs the cluster in a worker thread and waits for it on the watchdog.
+fn run_watched(spec: ClusterSpec) -> io::Result<RunReport> {
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(run_cluster(&spec));
+    });
+    done_rx.recv_timeout(WATCHDOG).unwrap_or_else(|_| {
+        panic!(
+            "cluster wedged: no completion within {WATCHDOG:?} — a blocking cycle the declared \
+             concurrency model (crates/cluster/src/conc.rs) does not admit; run \
+             `ssmfp-lint --only conc-deadlock` against the updated model and check for \
+             undeclared blocking edges"
+        )
+    })
+}
+
+fn uds_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ssmfp-deadlock-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create uds dir");
+    dir
+}
+
 #[test]
 fn five_node_uds_chaos_never_wedges() {
-    let dir = std::env::temp_dir().join(format!("ssmfp-deadlock-smoke-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create uds dir");
     let graph = gen::line(5);
     let chaos = ChaosSpec {
         seed: 0xDEAD,
@@ -44,33 +71,85 @@ fn five_node_uds_chaos_never_wedges() {
             messages: 30,
         },
         chaos,
-        listen: ListenSpec::Uds { dir },
+        listen: ListenSpec::Uds {
+            dir: uds_dir("smoke"),
+        },
         clients: None,
         shards: 2,
         mode: RunMode::Inproc,
         timeout: Duration::from_secs(60),
     };
+    let report = run_watched(spec).expect("cluster run failed");
+    assert!(report.converged, "cluster did not converge");
+    assert!(
+        report.verdict.clean(),
+        "SP violations under the aggressive schedule: {:?}",
+        report.verdict.violations
+    );
+}
 
-    let (done_tx, done_rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = done_tx.send(run_cluster(&spec));
-    });
+/// A quiet `closed:1:3` run of `topology` with every node on one data
+/// thread.
+fn one_thread_spec(topology: &str, graph: Graph, listen: ListenSpec) -> ClusterSpec {
+    ClusterSpec {
+        topology: topology.into(),
+        graph,
+        seed: 1,
+        workload: WorkloadSpec {
+            kind: WorkloadKind::Closed { outstanding: 1 },
+            messages: 3,
+        },
+        chaos: ChaosSpec::none(),
+        listen,
+        clients: None,
+        shards: 1,
+        mode: RunMode::Inproc,
+        timeout: Duration::from_secs(60),
+    }
+}
 
-    match done_rx.recv_timeout(WATCHDOG) {
-        Ok(result) => {
-            let report = result.expect("cluster run failed");
-            assert!(report.converged, "cluster did not converge");
-            assert!(
-                report.verdict.clean(),
-                "SP violations under the aggressive schedule: {:?}",
-                report.verdict.violations
-            );
-        }
-        Err(_) => panic!(
-            "cluster wedged: no completion within {WATCHDOG:?} — a blocking cycle the declared \
-             concurrency model (crates/cluster/src/conc.rs) does not admit; run \
-             `ssmfp-lint --only conc-deadlock` against the updated model and check for \
-             undeclared blocking edges"
-        ),
+/// A dial must never wait on an accept only its own thread can perform:
+/// 199 leaves dial one TCP hub from the hub's own thread, past std's
+/// listen backlog of 128. A blocking `connect` sits out SYN
+/// retransmissions the hub cannot answer while its thread is in the
+/// dial, and the cluster never comes up.
+#[test]
+fn tcp_star_past_the_listen_backlog_comes_up_on_one_thread() {
+    let report = run_watched(one_thread_spec("star:200", gen::star(200), ListenSpec::Tcp))
+        .expect("cluster run failed");
+    assert!(report.clean(), "star:200 over TCP: {:?}", report.verdict);
+    assert_eq!(report.primaries_delivered, 200 * 3);
+}
+
+/// A node that cannot bind ends the run with an error, not a hang — when
+/// every node of the shard fails (no socket directory), and when one
+/// fails and its four thread-mates sit waiting for a `peers` line that
+/// will never come: the shard closes every one of their pipes before it
+/// joins the thread they share.
+#[test]
+fn a_shard_whose_nodes_never_get_ready_is_wound_down() {
+    let missing = std::env::temp_dir().join(format!("ssmfp-no-such-dir-{}", std::process::id()));
+    let blocked = uds_dir("blocked");
+    // `node3.sock` is a directory: bind fails for node 3 only.
+    std::fs::create_dir_all(blocked.join("node3.sock")).expect("block node 3");
+    for dir in [missing, blocked] {
+        let t0 = Instant::now();
+        let err = run_watched(one_thread_spec(
+            "line:5",
+            gen::line(5),
+            ListenSpec::Uds { dir: dir.clone() },
+        ))
+        .expect_err("a node could not bind");
+        assert!(
+            err.to_string().contains("exited before ready"),
+            "{}: {err}",
+            dir.display()
+        );
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "{}: took {:?} to give up",
+            dir.display(),
+            t0.elapsed()
+        );
     }
 }

@@ -1,13 +1,16 @@
 //! Scale end-to-end: the tentpole claim of the sharded orchestrator and
-//! the one-thread-per-node data plane, exercised on real grids.
+//! the one-thread-per-shard data plane, exercised on real grids.
 //!
 //! * A 64-node grid over UDS with full chaos (per-link faults plus a
 //!   partition/heal cycle) converges with a clean reconciled SP verdict
 //!   under 4 shards.
-//! * The run's thread footprint is `nodes + shards + O(1)` — measured by
-//!   the debug-build registration counter, not inferred.
-//! * Sharding is a pure supervision detail: the primary message set of a
-//!   `shards: 1` run equals that of a `shards: 4` run at the same seed.
+//! * The run's thread footprint is `2 · shards + O(1)` — a supervisor and
+//!   a data thread per shard — measured by the debug-build registration
+//!   counter, not inferred; with one shard a whole `line:5` under chaos
+//!   runs on exactly one `node.main`, over UDS and over TCP.
+//! * Sharding is a pure scheduling detail: the primary message set is the
+//!   same whether the 25 nodes of a grid share one data thread, four, or
+//!   have one each, or are 25 processes.
 //!
 //! The registration counter is process-global and cumulative, so the
 //! tests serialize on a mutex and measure deltas.
@@ -16,7 +19,7 @@ use ssmfp_cluster::{
     pick_partition, run_cluster, shard_ranges, ChaosSpec, ClusterSpec, ListenSpec, RunMode,
     WorkloadKind, WorkloadSpec,
 };
-use ssmfp_topology::gen;
+use ssmfp_topology::{gen, Graph};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -38,7 +41,16 @@ fn uds_dir() -> PathBuf {
 }
 
 fn grid_spec(rows: usize, cols: usize, seed: u64, shards: usize, msgs: u64) -> ClusterSpec {
-    let graph = gen::grid(rows, cols);
+    chaos_spec(
+        format!("grid:{rows}x{cols}"),
+        gen::grid(rows, cols),
+        seed,
+        shards,
+        msgs,
+    )
+}
+
+fn chaos_spec(topology: String, graph: Graph, seed: u64, shards: usize, msgs: u64) -> ClusterSpec {
     let chaos = ChaosSpec {
         seed: seed ^ 0x5CA1E,
         // Modest budgets: this is a debug-build test with 64 unoptimized
@@ -47,7 +59,7 @@ fn grid_spec(rows: usize, cols: usize, seed: u64, shards: usize, msgs: u64) -> C
         partition: Some(pick_partition(&graph, seed, 4, 10)),
     };
     ClusterSpec {
-        topology: format!("grid:{rows}x{cols}"),
+        topology,
         graph,
         seed,
         workload: WorkloadSpec {
@@ -75,7 +87,7 @@ fn primary_set(r: &ssmfp_cluster::RunReport) -> Vec<(ssmfp_mp::MpGhost, usize)> 
 }
 
 /// The tentpole e2e: 64 nodes, full chaos, 4 shards, clean verdict, and
-/// a thread footprint bounded by `nodes + shards + O(1)`.
+/// a thread footprint bounded by `2 · shards + O(1)`.
 #[test]
 fn grid_8x8_uds_chaos_clean_with_bounded_threads() {
     let _guard = SCALE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
@@ -105,49 +117,93 @@ fn grid_8x8_uds_chaos_clean_with_bounded_threads() {
         "chaos never fired: {c:?}"
     );
 
-    // One thread per node, one per shard, plus the orchestrator (the
-    // calling thread re-registers for free on repeat runs — hence ≤ 2
-    // slack, not an exact count). Only meaningful in debug builds, where
-    // the registry records anything at all.
+    // Per shard one supervisor and one data thread carrying all its
+    // nodes, plus the orchestrator (the calling thread re-registers for
+    // free on repeat runs — hence ≤ 2 slack, not an exact count). Only
+    // meaningful in debug builds, where the registry records anything at
+    // all.
     if cfg!(debug_assertions) {
         let delta = after - before;
         assert!(
-            delta >= (n + shards) as u64,
-            "thread registry missed workers: delta {delta} < n+K = {}",
-            n + shards
+            delta >= 2 * shards as u64,
+            "thread registry missed workers: delta {delta} < 2K = {}",
+            2 * shards
         );
         assert!(
-            delta <= (n + shards + 2) as u64,
-            "thread footprint blew the per-run bound: delta {delta} > n+K+2 = {}",
-            n + shards + 2
+            delta <= 2 * shards as u64 + 2,
+            "thread footprint blew the per-run bound: delta {delta} > 2K+2 = {}",
+            2 * shards + 2
         );
     }
 }
 
+/// Every node of the cluster on one thread, under chaos, over both socket
+/// flavours: clean verdict, and the registry saw exactly one `node.main`.
+#[test]
+fn line5_one_shard_chaos_runs_on_one_data_thread() {
+    let _guard = SCALE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let component = ssmfp_cluster::conc::COMPONENT;
+    for listen in [ListenSpec::Uds { dir: uds_dir() }, ListenSpec::Tcp] {
+        let spec = ClusterSpec {
+            listen,
+            ..chaos_spec("line:5".into(), gen::line(5), 5, 1, 12)
+        };
+        let before = ssmfp_core::conc::registered_role_count(component, "node.main");
+        let report = run_cluster(&spec).expect("run");
+        let after = ssmfp_core::conc::registered_role_count(component, "node.main");
+        assert!(report.clean(), "{:?}: {:?}", spec.listen, report.verdict);
+        assert_eq!(report.primaries_delivered, 5 * 12);
+        let c = &report.counters;
+        assert!(
+            c.chaos_dropped + c.chaos_duplicated + c.chaos_reordered + c.partition_dropped > 0,
+            "chaos never fired: {c:?}"
+        );
+        if cfg!(debug_assertions) {
+            assert_eq!(
+                after - before,
+                1,
+                "{:?}: one shard, one data thread",
+                spec.listen
+            );
+        }
+    }
+}
+
 /// Sharding must not leak into protocol behaviour: at a fixed seed the
-/// primary ghost↔destination set is identical whether one supervisor or
-/// four drive the same 25-node grid.
+/// primary ghost↔destination set of a 25-node grid is identical whether
+/// its nodes share one data thread, four, have one each (`shards = n`)
+/// or are 25 processes.
 #[test]
 fn primary_set_identical_across_shard_counts() {
     let _guard = SCALE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let one = run_cluster(&grid_spec(5, 5, 17, 1, 6)).expect("shards=1 run");
-    let four = run_cluster(&grid_spec(5, 5, 17, 4, 6)).expect("shards=4 run");
-    for r in [&one, &four] {
-        assert!(r.converged, "shards={} run did not converge", r.shards);
+    let proc = ClusterSpec {
+        mode: RunMode::Proc {
+            exe: PathBuf::from(env!("CARGO_BIN_EXE_ssmfp-cluster")),
+        },
+        ..grid_spec(5, 5, 17, 4, 6)
+    };
+    let runs = [
+        ("shards=1", grid_spec(5, 5, 17, 1, 6)),
+        ("shards=4", grid_spec(5, 5, 17, 4, 6)),
+        ("shards=n", grid_spec(5, 5, 17, 25, 6)),
+        ("processes", proc),
+    ]
+    .map(|(name, spec)| (name, spec.shards, run_cluster(&spec).expect(name)));
+    let (_, _, one) = &runs[0];
+    for (name, shards, r) in &runs {
+        assert!(r.converged, "{name} run did not converge");
         assert!(
             r.verdict.clean(),
-            "shards={}: SP violations: {:?}",
-            r.shards,
+            "{name}: SP violations: {:?}",
             r.verdict.violations
         );
+        assert_eq!(r.shards, *shards);
+        assert_eq!(
+            primary_set(r),
+            primary_set(one),
+            "{name} changed the primary message set"
+        );
+        assert_eq!(r.verdict.generated, one.verdict.generated);
+        assert_eq!(r.verdict.exactly_once, one.verdict.exactly_once);
     }
-    assert_eq!(one.shards, 1);
-    assert_eq!(four.shards, 4);
-    assert_eq!(
-        primary_set(&one),
-        primary_set(&four),
-        "shard count changed the primary message set"
-    );
-    assert_eq!(one.verdict.generated, four.verdict.generated);
-    assert_eq!(one.verdict.exactly_once, four.verdict.exactly_once);
 }

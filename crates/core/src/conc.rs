@@ -281,7 +281,7 @@ pub fn observed_threads(component: &str) -> Vec<String> {
 /// far (cumulative across the process lifetime; zero in release builds).
 /// Tests bound a run's thread footprint by measuring the delta across the
 /// run: an inproc cluster run must register at most
-/// `nodes + shards + O(1)` new roles.
+/// `2 · shards + O(1)` new roles.
 pub fn registered_thread_count(component: &str) -> u64 {
     registry()
         .lock()
@@ -290,6 +290,17 @@ pub fn registered_thread_count(component: &str) -> u64 {
         .filter(|((c, _), _)| c == component)
         .map(|(_, n)| *n)
         .sum()
+}
+
+/// The share of [`registered_thread_count`] that registered as `role` —
+/// for the tests that pin how many threads of one role a run takes.
+pub fn registered_role_count(component: &str, role: &str) -> u64 {
+    registry()
+        .lock()
+        .expect("conc registry")
+        .get(&(component.to_string(), role.to_string()))
+        .copied()
+        .unwrap_or(0)
 }
 
 /// Spawns a thread pre-registered as `role` of `component`. The one
