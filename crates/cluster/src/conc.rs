@@ -19,17 +19,20 @@
 //!   POLLOUT-gated nonblocking writes.
 //! * `node.main` — the data plane: one per shard inproc, carrying every
 //!   node of the shard (one per process in proc mode, carrying its one
-//!   node). [`crate::node::run_nodes`] registers the control pipe, the
+//!   node). [`crate::node::run_nodes`] keeps the control pipe, the
 //!   listener and every data connection of every node it carries in one
-//!   `ppoll` set and runs each node's protocol engine between I/O
-//!   bursts. Its `SockRead`/`SockWrite("node.main")` edges therefore
-//!   also connect nodes of one thread, and stay timed: every data socket
-//!   is nonblocking behind the shared poll deadline, a full one is
-//!   retried on `POLLOUT`, and a dial is bounded (`evloop::dial`), so no
-//!   node can hold the thread against a peer that needs it.
+//!   persistent `epoll` set, waits on it to the nearest deadline of any
+//!   node, and runs the protocol engine of each node that is ready or due
+//!   between I/O bursts. Its `SockRead`/`SockWrite("node.main")` edges
+//!   therefore also connect nodes of one thread, and stay timed: the
+//!   wait is the only place the thread sleeps and it carries a deadline;
+//!   every data socket is nonblocking behind it, a full one is retried
+//!   when the set reports it writable, and a dial is bounded
+//!   (`evloop::dial`), so no node can hold the thread against a peer that
+//!   needs it.
 //!
-//! Every data-plane wait is timed (nonblocking sockets behind a poll
-//! deadline). Exactly two untimed edges remain, and they form a chain up
+//! Every data-plane wait is timed (nonblocking sockets behind the one
+//! timed wait). Exactly two untimed edges remain, and they form a chain up
 //! the control tree — `node.main` blocking-writes status/report lines to
 //! its shard (which polls node pipes unconditionally), and `shard.super`
 //! blocking-sends on `orch.shard` (which `orch.main` drains with a
@@ -84,7 +87,7 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
                 multiplicity: Multiplicity::PerShard,
                 spawned_by: "shard.super",
                 doc: "every node of one shard: their ctrl pipes, listeners and connections \
-                      in one ppoll set plus their protocol engines, one thread total",
+                      in one epoll set plus their protocol engines, one thread total",
             },
         ],
         locks: vec![],
@@ -97,21 +100,23 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
             doc: "shard → orchestrator upstream: ready sets, merged status, shard reports",
         }],
         edges: vec![
-            // node.main — every data-plane wait is a timed poll, between
-            // nodes of one thread as between threads; the one untimed edge
-            // is the blocking status/report write up to the shard, which
-            // drains node pipes unconditionally.
+            // node.main — the thread sleeps in one timed `epoll` wait and
+            // nowhere else on the data plane, between nodes of one thread
+            // as between threads: reads and writes behind it are
+            // nonblocking. The one untimed edge is the blocking
+            // status/report write up to the shard, which drains node pipes
+            // unconditionally.
             BlockingEdge {
                 thread: "node.main",
                 waits: WaitPoint::SockRead("node.main"),
                 holding: vec![],
-                timed: true, // nonblocking reads behind the poll deadline
+                timed: true, // nonblocking reads behind the timed wait
             },
             BlockingEdge {
                 thread: "node.main",
                 waits: WaitPoint::SockWrite("node.main"),
                 holding: vec![],
-                timed: true, // nonblocking writes, POLLOUT-driven retry
+                timed: true, // nonblocking writes, retried when reported writable
             },
             BlockingEdge {
                 thread: "node.main",
@@ -123,7 +128,7 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
                 thread: "node.main",
                 waits: WaitPoint::SockRead("shard.super"),
                 holding: vec![],
-                timed: true, // single-shot ctrl read behind the poll deadline
+                timed: true, // single-shot ctrl read behind the timed wait
             },
             BlockingEdge {
                 thread: "node.main",

@@ -2,18 +2,32 @@
 //!
 //! A [`NodeLoop`] owns *every* file descriptor of one node — the control
 //! pipe to its supervising shard, the listener, all inbound connections
-//! and all outbound connections — but not the thread, and not the poll
-//! set: the `node.main` thread that carries the node
-//! ([`crate::node::run_nodes`]) lends one [`PollSet`] to every node of its
-//! group. [`NodeLoop::prepare`] flushes, fires due heartbeats and dials,
-//! registers the node's fds and returns the distance to its nearest socket
-//! deadline; the thread sleeps exactly (`ppoll`, ns resolution) until the
-//! nearest deadline of any node — those, a status push, a workload
-//! arrival, or the protocol tick while a retransmission timer runs — and
-//! [`NodeLoop::dispatch`] reads back what became ready. Outbound frames
-//! append to per-connection buffers without crossing a thread boundary and
-//! inbound frames surface in a plain vector the node drains each
-//! iteration.
+//! and all outbound connections — but not the thread, not the readiness
+//! set and not the clock: the `node.main` thread that carries the node
+//! ([`crate::node::run_nodes`]) owns one [`Poller`] — a persistent,
+//! level-triggered `epoll` set — for every node of its group, reads the
+//! monotonic clock twice a turn and hands the reading down.
+//!
+//! Registration follows an fd's life, not the loop's iteration: control
+//! pipe and listener once, when the node joins ([`NodeLoop::new`]); an
+//! inbound connection when `accept` returns it; an outbound stream, for
+//! writability, only from the `WouldBlock` that left bytes in its
+//! [`WriteBuf`] until the flush that empties it; and nothing on close —
+//! closing the only descriptor removes it (see [`Poller`]).
+//! [`NodeLoop::prepare`] flushes, fires due heartbeats and dials and
+//! returns the node's nearest socket deadline; the thread sleeps exactly
+//! (`epoll_pwait2`, ns resolution) until the nearest deadline of any node
+//! — those, a status push, a workload arrival, or the protocol tick while
+//! a retransmission timer runs — and [`NodeLoop::dispatch`] reads the fds
+//! the wait named for this node, nothing else. Outbound frames append to
+//! per-connection buffers without crossing a thread boundary and inbound
+//! frames surface in a plain vector the node drains each turn.
+//!
+//! [`PollSet`] (`ppoll`, rebuilt per wait) stays for the waits that are
+//! cold and ad hoc: a shard supervisor's pipes, a deadline-bounded control
+//! write, the shutdown flush, `PolledTransport`.
+//!
+//! **Platform floor:** `epoll_pwait2` needs Linux ≥ 5.11 and glibc ≥ 2.35.
 //!
 //! ## Batching policy
 //!
@@ -34,10 +48,10 @@
 //!
 //! ## Control pipe
 //!
-//! The ctrl fd sits in the same poll set as the sockets. Reads are
+//! The ctrl fd sits in the same readiness set as the sockets. Reads are
 //! *single-shot*: one `read(2)` per `POLLIN` readiness on a blocking fd
-//! never blocks, and level-triggered `poll` re-arms anything left
-//! unread. This deliberately avoids `BufReader`, whose invisible
+//! never blocks, and the level-triggered set reports anything left unread
+//! again. This deliberately avoids `BufReader`, whose invisible
 //! buffering holds complete lines where `poll` cannot see them. Writes
 //! (status lines, the final report) are plain blocking `write_all`: the
 //! supervising shard drains node pipes unconditionally, and this edge is
@@ -64,7 +78,7 @@ use std::fs::File;
 use std::io::{self, Read, Write};
 use std::mem::ManuallyDrop;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
+use std::os::unix::io::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::time::{Duration, Instant};
 
@@ -102,6 +116,24 @@ mod sys {
         pub rlim_max: u64,
     }
 
+    /// `struct epoll_event` from `<sys/epoll.h>`: packed on x86-64 (12
+    /// bytes, the kernel's 32-bit-compatible layout), naturally aligned
+    /// everywhere else.
+    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+    #[derive(Clone, Copy)]
+    #[allow(non_camel_case_types)]
+    pub struct epoll_event {
+        pub events: u32,
+        pub data: u64,
+    }
+
+    /// `EPOLL_CLOEXEC` (= `O_CLOEXEC`) on Linux.
+    pub const EPOLL_CLOEXEC: i32 = 0o2000000;
+    /// `epoll_ctl` operations.
+    pub const EPOLL_CTL_ADD: i32 = 1;
+    pub const EPOLL_CTL_DEL: i32 = 2;
+
     /// `RLIMIT_NOFILE` on Linux.
     pub const RLIMIT_NOFILE: i32 = 7;
     /// `fcntl` get/set file-status-flags commands.
@@ -117,6 +149,18 @@ mod sys {
         pub fn ppoll(
             fds: *mut pollfd,
             nfds: u64,
+            timeout: *const timespec,
+            sigmask: *const u8,
+        ) -> i32;
+        pub fn epoll_create1(flags: i32) -> i32;
+        pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut epoll_event) -> i32;
+        /// `epoll_wait` with a `timespec` timeout (Linux ≥ 5.11, glibc ≥
+        /// 2.35): a null `timeout` waits forever, a null `sigmask` leaves
+        /// the signal mask alone.
+        pub fn epoll_pwait2(
+            epfd: i32,
+            events: *mut epoll_event,
+            maxevents: i32,
             timeout: *const timespec,
             sigmask: *const u8,
         ) -> i32;
@@ -187,8 +231,18 @@ pub fn set_nonblocking_fd(fd: RawFd, nb: bool) -> io::Result<()> {
     }
 }
 
-/// A reusable `poll(2)` interest set: build it each cycle (O(degree),
-/// the allocation is recycled), poll once, read `revents` back by index.
+fn timespec_of(d: Duration) -> sys::timespec {
+    sys::timespec {
+        tv_sec: d.as_secs().min(i64::MAX as u64) as i64,
+        tv_nsec: d.subsec_nanos() as i64,
+    }
+}
+
+/// A reusable `poll(2)` interest set for the cold, ad-hoc waits — a shard
+/// supervisor's K + 1 pipes, a deadline-bounded control write, the
+/// shutdown flush, [`crate::transport::PolledTransport`]: build it each
+/// cycle (O(degree), the allocation is recycled), poll once, read
+/// `revents` back by index. A data thread waits on a [`Poller`] instead.
 pub struct PollSet {
     fds: Vec<sys::pollfd>,
 }
@@ -225,10 +279,7 @@ impl PollSet {
     /// timeout goes to the kernel as it is (`ppoll`, ns): a deadline
     /// 300 µs away is not a 1 ms sleep.
     pub fn poll(&mut self, timeout: Option<Duration>) -> io::Result<usize> {
-        let ts = timeout.map(|d| sys::timespec {
-            tv_sec: d.as_secs().min(i64::MAX as u64) as i64,
-            tv_nsec: d.subsec_nanos() as i64,
-        });
+        let ts = timeout.map(timespec_of);
         let ts_ptr = ts.as_ref().map_or(std::ptr::null(), |t| t as *const _);
         loop {
             // SAFETY: `fds` is a live, exclusively borrowed array of
@@ -260,6 +311,126 @@ impl PollSet {
     /// Number of registered fds (slot indices are `0..fds_len()`).
     pub fn fds_len(&self) -> usize {
         self.fds.len()
+    }
+}
+
+/// How many ready fds one [`Poller::wait`] reports; the rest surface on the
+/// next (the kernel serves its ready list round-robin).
+const POLLER_EVENTS: usize = 64;
+
+/// The persistent readiness set of one data thread: an `epoll` instance,
+/// level-triggered. A registration follows its fd's life, not the loop's
+/// iteration — [`Poller::add`] when the fd starts to matter, [`Poller::del`]
+/// when it stops, and *nothing* on close: the kernel drops a registration
+/// when the last descriptor of its open file goes, and nothing under
+/// `crates/cluster/src` dups a descriptor (no `try_clone`, no `dup`; the
+/// sockets and the `epoll` fd itself are close-on-exec), so closing the
+/// one fd is removing it. A wait costs what is *ready*, not what is
+/// registered.
+///
+/// The timeout is a `timespec` (`epoll_pwait2`: Linux ≥ 5.11, glibc ≥
+/// 2.35) because the deadlines are: an open-loop arrival 300 µs away is
+/// not `epoll_wait`'s 1 ms.
+pub struct Poller {
+    epfd: OwnedFd,
+    buf: [sys::epoll_event; POLLER_EVENTS],
+    ready: Vec<(u64, i16)>,
+}
+
+impl Poller {
+    /// A new, empty set.
+    pub fn new() -> io::Result<Self> {
+        // SAFETY: no pointers; the result is checked.
+        let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(Poller {
+            // SAFETY: a descriptor `epoll_create1` just returned, owned by
+            // nobody else.
+            epfd: unsafe { OwnedFd::from_raw_fd(epfd) },
+            buf: [sys::epoll_event { events: 0, data: 0 }; POLLER_EVENTS],
+            ready: Vec::with_capacity(POLLER_EVENTS),
+        })
+    }
+
+    /// The token of `fd` as owned by member `owner` of the thread's group.
+    pub fn token(owner: usize, fd: RawFd) -> u64 {
+        (owner as u64) << 32 | fd as u32 as u64
+    }
+
+    /// `(owner, fd)` back out of a [`Poller::token`].
+    pub fn untoken(token: u64) -> (usize, RawFd) {
+        ((token >> 32) as usize, token as u32 as RawFd)
+    }
+
+    /// Registers `fd` for `interest` (`POLLIN` / `POLLOUT`; errors and
+    /// hang-ups are always reported) until [`Poller::del`] or its close.
+    /// Fails where the kernel refuses — `EPERM` for a regular file or
+    /// `/dev/null`, `EEXIST` for an fd already in the set.
+    pub fn add(&self, fd: RawFd, interest: i16, token: u64) -> io::Result<()> {
+        let mut ev = sys::epoll_event {
+            events: interest as u16 as u32,
+            data: token,
+        };
+        self.ctl(sys::EPOLL_CTL_ADD, fd, &mut ev)
+    }
+
+    /// Removes an fd that stays open (one that is closed is gone already).
+    pub fn del(&self, fd: RawFd) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_DEL, fd, std::ptr::null_mut())
+    }
+
+    fn ctl(&self, op: i32, fd: RawFd, ev: *mut sys::epoll_event) -> io::Result<()> {
+        // SAFETY: `ev` is null (`EPOLL_CTL_DEL` ignores it) or points at
+        // the caller's live `epoll_event`, which the kernel only reads.
+        if unsafe { sys::epoll_ctl(self.epfd.as_raw_fd(), op, fd, ev) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
+    /// Blocks until a registered fd is ready or `timeout` elapses (`None`
+    /// = wait forever) and returns `(token, events)` of up to
+    /// [`POLLER_EVENTS`] ready fds — empty on a timeout. `EINTR` retries;
+    /// any other error is the caller's to end on, not to retry.
+    pub fn wait(&mut self, timeout: Option<Duration>) -> io::Result<&[(u64, i16)]> {
+        let ts = timeout.map(timespec_of);
+        let ts_ptr = ts.as_ref().map_or(std::ptr::null(), |t| t as *const _);
+        let n = loop {
+            // SAFETY: `buf` is a live, exclusively borrowed array of
+            // `POLLER_EVENTS` events; `ts_ptr` is null or points at `ts`,
+            // which outlives the call; a null sigmask is allowed.
+            let rc = unsafe {
+                sys::epoll_pwait2(
+                    self.epfd.as_raw_fd(),
+                    self.buf.as_mut_ptr(),
+                    POLLER_EVENTS as i32,
+                    ts_ptr,
+                    std::ptr::null(),
+                )
+            };
+            if rc >= 0 {
+                break rc as usize;
+            }
+            let e = io::Error::last_os_error();
+            if e.kind() != io::ErrorKind::Interrupted {
+                return Err(e);
+            }
+        };
+        self.ready.clear();
+        // By value: a field of a packed struct cannot be borrowed.
+        self.ready
+            .extend(self.buf[..n].iter().map(|ev| (ev.data, ev.events as i16)));
+        Ok(&self.ready)
+    }
+
+    /// Test hook: closes the `epoll` fd under the set and leaves a
+    /// descriptor no wait can work on, so every later [`Poller::wait`]
+    /// fails (`EINVAL`) the way a broken kernel object would.
+    #[cfg(test)]
+    pub(crate) fn break_for_test(&mut self) {
+        self.epfd = File::open("/dev/null").expect("open /dev/null").into();
     }
 }
 
@@ -560,8 +731,9 @@ impl CtrlIo {
     }
 
     /// One `read(2)`. The fd is blocking, so this is only called after
-    /// `poll` reported `POLLIN` — a single read on a readable fd never
-    /// blocks, and level-triggered poll re-arms any remainder.
+    /// the wait reported it readable — a single read on a readable fd
+    /// never blocks, and the level-triggered set reports any remainder
+    /// again.
     fn read_once(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
             CtrlIo::Stream(s) => (&*s).read(buf),
@@ -600,6 +772,9 @@ struct OutLink {
     dead: bool,
     last_write: Instant,
     hb_clock: u64,
+    /// The stream sits in the thread's [`Poller`] for writability: a
+    /// `WouldBlock` left bytes in `out` and no flush has emptied it since.
+    blocked: bool,
 }
 
 struct InConn {
@@ -609,30 +784,18 @@ struct InConn {
     from: Option<usize>,
 }
 
-/// Where one node's fds sit in the poll set its loop lent it: written by
-/// [`NodeLoop::prepare`], read back by [`NodeLoop::dispatch`] after the
-/// poll. Slots are absolute, so any number of nodes register in one set.
-#[derive(Default)]
-struct Registration {
-    /// Control pipe (`None` once it hit EOF).
-    ctrl: Option<usize>,
-    listener: usize,
-    /// `conns[i]` sits in slot `conn_base + i`, for `i < n_conns`.
-    conn_base: usize,
-    n_conns: usize,
-    /// `(slot, link index)` of every connected link with bytes a full
-    /// socket refused (recycled, never reallocated in steady state).
-    blocked: Vec<(usize, usize)>,
-}
-
-/// One node's sockets: every fd the node owns, registered in a poll set
-/// the caller lends, with the protocol engine driven by the caller
-/// between I/O bursts.
+/// One node's sockets: every fd the node owns, registered — for as long
+/// as it matters, not per iteration — in the [`Poller`] of the thread that
+/// carries the node, with the protocol engine driven by the caller between
+/// I/O bursts.
 ///
-/// [`crate::node::run_nodes`] calls [`NodeLoop::prepare`] on every node of
-/// its thread, polls once, then calls [`NodeLoop::dispatch`] on each;
-/// the node drains [`NodeLoop::inbound`] / [`NodeLoop::ctrl_lines`],
-/// steps the engine, and enqueues its outbox through [`NodeLoop::send`].
+/// [`crate::node::run_nodes`] calls [`NodeLoop::prepare`] on the nodes
+/// that moved, waits once, then calls [`NodeLoop::dispatch`] on each node
+/// the wait named, with that node's events; the node drains
+/// [`NodeLoop::inbound`] / [`NodeLoop::ctrl_lines`], steps the engine, and
+/// enqueues its outbox through [`NodeLoop::send`]. No method here reads
+/// the monotonic clock: `now` comes down from the thread's loop (the
+/// shutdown flush, which waits on its own, is the exception).
 pub(crate) struct NodeLoop {
     my_id: NodeId,
     t: &'static ClusterTuning,
@@ -646,7 +809,9 @@ pub(crate) struct NodeLoop {
     ctrl_eof: bool,
     ctrl_acc: Vec<u8>,
     rng: ChaCha8Rng,
-    reg: Registration,
+    /// The node's place in its thread's group: the owner half of every
+    /// [`Poller::token`] it registers.
+    index: usize,
     scratch: Vec<u8>,
     hello: Vec<u8>,
     stats: IoStats,
@@ -658,39 +823,50 @@ pub(crate) struct NodeLoop {
 }
 
 impl NodeLoop {
+    /// Takes over the node's control pipe and listener and registers both
+    /// with `poller`, for the node's whole life, as member `index` of the
+    /// group. A control fd the kernel cannot poll (`EPERM`: a regular file,
+    /// `/dev/null`) is an error here, not a pipe that "reads" EOF later.
     pub fn new(
         my_id: NodeId,
         neighbors: Vec<NodeId>,
         listener: NetListener,
         ctrl: CtrlPipe,
         seed: u64,
-    ) -> Self {
+        index: usize,
+        poller: &Poller,
+    ) -> io::Result<Self> {
         let t = &TUNING;
-        NodeLoop {
+        let ctrl = CtrlIo::new(ctrl);
+        let fd = ctrl.read_fd();
+        poller
+            .add(fd, POLLIN, Poller::token(index, fd))
+            .map_err(|e| io::Error::new(e.kind(), format!("control pipe cannot be polled: {e}")))?;
+        poller.add(listener.fd(), POLLIN, Poller::token(index, listener.fd()))?;
+        Ok(NodeLoop {
             my_id,
             t,
             listener,
             neighbors,
             links: Vec::new(),
             conns: Vec::new(),
-            ctrl: CtrlIo::new(ctrl),
+            ctrl,
             ctrl_eof: false,
             ctrl_acc: Vec::new(),
             rng: ChaCha8Rng::seed_from_u64(seed),
-            reg: Registration::default(),
+            index,
             scratch: vec![0u8; t.io_read_chunk],
             hello: Vec::with_capacity(FRAME_MAX),
             stats: IoStats::default(),
             inbound: Vec::new(),
             ctrl_lines: Vec::new(),
-        }
+        })
     }
 
     /// Registers the outbound links, one per neighbour in local-port
     /// order (once the address of every node arrives over ctrl); dialing
     /// starts on the next `prepare`.
-    pub fn connect_peers(&mut self, addrs: &[&str]) {
-        let now = Instant::now();
+    pub fn connect_peers(&mut self, addrs: &[&str], now: Instant) {
         self.links = self
             .neighbors
             .iter()
@@ -705,6 +881,7 @@ impl NodeLoop {
                 dead: false,
                 last_write: now,
                 hb_clock: 0,
+                blocked: false,
             })
             .collect();
     }
@@ -729,112 +906,135 @@ impl NodeLoop {
     /// Enqueues one frame for `to`: appends to the edge's write buffer,
     /// flushing at the batch budget and shedding (counted) at the hard
     /// cap.
-    pub fn send(&mut self, to: NodeId, frame: &WireFrame) {
+    pub fn send(
+        &mut self,
+        to: NodeId,
+        frame: &WireFrame,
+        now: Instant,
+        poller: &Poller,
+    ) -> io::Result<()> {
         let Some(i) = self.links.iter().position(|l| l.peer == to) else {
             debug_assert!(false, "send to non-neighbour {to}");
-            return;
+            return Ok(());
         };
-        let l = &mut self.links[i];
+        let l = &self.links[i];
         if l.dead {
             self.stats.conn_frames_dropped += 1;
-            return;
+            return Ok(());
         }
         if l.out.pending() >= self.t.batch_max_bytes || l.out.frames() >= self.t.batch_max_frames {
-            Self::flush_link(l, &mut self.stats);
+            self.flush_link(i, now, poller)?;
         }
+        let l = &mut self.links[i];
         if l.out.pending() + FRAME_MAX > self.t.out_buf_cap_bytes {
             // Congested or disconnected peer: bounded buffer, counted
             // wire drop, retransmission recovers.
             self.stats.conn_frames_dropped += 1;
-            return;
+            return Ok(());
         }
         l.out.push_frame(frame);
+        Ok(())
     }
 
-    /// The half of a loop turn before the poll: flush pending buffers,
-    /// fire due timers, register every fd in `ps`. Returns the distance to
-    /// the nearest heartbeat or dial — the longest this node lets the poll
-    /// sleep.
-    pub fn prepare(&mut self, ps: &mut PollSet) -> Duration {
-        self.flush_all();
-        let now = Instant::now();
-        self.run_timers(now);
-        self.reg.ctrl = (!self.ctrl_eof).then(|| ps.push(self.ctrl.read_fd(), POLLIN));
-        self.reg.listener = ps.push(self.listener.fd(), POLLIN);
-        self.reg.conn_base = ps.fds_len();
-        self.reg.n_conns = self.conns.len();
-        for c in &self.conns {
-            ps.push(c.stream.fd(), POLLIN);
-        }
-        self.register_blocked(ps);
-        self.next_deadline(now)
-    }
-
-    /// The half after the poll: reads what `ps` shows ready and retries
-    /// the blocked writes. Inbound frames and ctrl lines land in the
-    /// public vectors.
-    pub fn dispatch(&mut self, ps: &PollSet) {
-        // Control pipe: one single-shot read per readiness.
-        if let Some(slot) = self.reg.ctrl {
-            if ps.revents(slot) & (POLLIN | POLLERR | POLLHUP) != 0 {
-                self.read_ctrl();
+    /// The half of a turn before the wait, for a node that moved since the
+    /// last one: flush what it buffered, fire due heartbeats and dials.
+    /// Returns the nearest heartbeat or dial — the latest this node lets
+    /// the thread sleep on its sockets' account.
+    pub fn prepare(&mut self, now: Instant, poller: &Poller) -> io::Result<Instant> {
+        for i in 0..self.links.len() {
+            if !self.links[i].out.is_empty() {
+                self.flush_link(i, now, poller)?;
             }
         }
+        self.run_timers(now, poller)?;
+        Ok(self.next_deadline(now))
+    }
 
-        // New inbound connections.
-        if ps.revents(self.reg.listener) & POLLIN != 0 {
-            loop {
-                match self.listener.accept() {
-                    Ok(s) => {
-                        if s.set_nonblocking(true).is_ok() {
-                            self.conns.push(InConn {
-                                stream: s,
-                                reader: FrameReader::new(),
-                                from: None,
-                            });
-                        }
+    /// The half after the wait: `events` are this node's `(fd, events)`
+    /// pairs out of [`Poller::wait`]. Reads the control pipe and the
+    /// connections they name, accepts on the listener, retries a blocked
+    /// write. Inbound frames and ctrl lines land in the public vectors. An
+    /// fd nothing here owns any more (closed earlier in this very call)
+    /// is skipped, and a stale event on a reused number costs one
+    /// `WouldBlock` — every data socket is nonblocking, and the one
+    /// blocking fd, the control pipe, is never closed while the node
+    /// lives.
+    pub fn dispatch(
+        &mut self,
+        now: Instant,
+        events: &[(RawFd, i16)],
+        poller: &Poller,
+    ) -> io::Result<()> {
+        for &(fd, ev) in events {
+            if fd == self.ctrl.read_fd() {
+                // One single-shot read per readiness. At EOF the fd stays
+                // open (it is also the write side, or the process's
+                // stdin), so it leaves the level-triggered set by hand.
+                if !self.ctrl_eof {
+                    self.read_ctrl();
+                    if self.ctrl_eof {
+                        poller.del(fd)?;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
                 }
+            } else if fd == self.listener.fd() {
+                if ev & POLLIN != 0 {
+                    self.accept_all(poller)?;
+                }
+            } else if let Some(i) = self.conns.iter().position(|c| c.stream.fd() == fd) {
+                if !self.read_conn(i) {
+                    // Dropping the stream closes the fd, which removes it.
+                    self.conns.swap_remove(i);
+                }
+            } else if let Some(i) = self
+                .links
+                .iter()
+                .position(|l| l.blocked && l.stream.as_ref().is_some_and(|s| s.fd() == fd))
+            {
+                self.flush_link(i, now, poller)?;
             }
         }
+        Ok(())
+    }
 
-        // Readable inbound connections. Slot `conn_base + i` was
-        // registered for `conns[i]`; walking in *reverse* keeps that
-        // mapping valid across `swap_remove` (a removal at `i` only
-        // disturbs indices ≥ i, all already visited — conns accepted this
-        // cycle live past the polled range and get polled next cycle).
-        for i in (0..self.reg.n_conns).rev() {
-            let ev = ps.revents(self.reg.conn_base + i);
-            if ev & (POLLIN | POLLERR | POLLHUP | POLLNVAL) == 0 {
-                continue;
-            }
-            if !self.read_conn(i) {
-                self.conns.swap_remove(i);
+    /// Accepts every pending connection; each is registered for reading
+    /// from here until it closes.
+    fn accept_all(&mut self, poller: &Poller) -> io::Result<()> {
+        // Any accept error ends the burst like `WouldBlock`: the listener
+        // is level-triggered, so what is still pending comes back.
+        while let Ok(s) = self.listener.accept() {
+            if s.set_nonblocking(true).is_ok() {
+                poller.add(s.fd(), POLLIN, Poller::token(self.index, s.fd()))?;
+                self.conns.push(InConn {
+                    stream: s,
+                    reader: FrameReader::new(),
+                    from: None,
+                });
             }
         }
-
-        self.flush_writable(ps);
+        Ok(())
     }
 
     /// Shutdown flush: keeps writing blocked buffers (POLLOUT waits
     /// only, so chatty peers cannot stretch the window) until everything
     /// pending drains or `io_flush_grace` expires. Undelivered frames
-    /// become counted wire drops.
+    /// become counted wire drops. A cold wait of its own — own clock, own
+    /// [`PollSet`] — after the node has left its thread's loop.
     pub fn shutdown_flush(&mut self) {
         let deadline = Instant::now() + self.t.io_flush_grace();
         let mut ps = PollSet::new();
         loop {
-            self.flush_all();
             let now = Instant::now();
             ps.clear();
-            self.register_blocked(&mut ps);
-            if self.reg.blocked.is_empty() || now >= deadline {
-                break;
+            for l in &mut self.links {
+                Self::write_pending(l, &mut self.stats, now);
+                if let Some(s) = &l.stream {
+                    if !l.out.is_empty() {
+                        ps.push(s.fd(), POLLOUT);
+                    }
+                }
             }
-            if ps.poll(Some(deadline - now)).is_ok() {
-                self.flush_writable(&ps);
+            if ps.fds_len() == 0 || now >= deadline || ps.poll(Some(deadline - now)).is_err() {
+                break;
             }
         }
         for l in &mut self.links {
@@ -848,50 +1048,42 @@ impl NodeLoop {
         std::mem::take(&mut self.stats)
     }
 
-    fn flush_all(&mut self) {
-        for l in &mut self.links {
-            if !l.out.is_empty() {
-                Self::flush_link(l, &mut self.stats);
-            }
-        }
-    }
-
-    /// Registers every connected link still holding bytes for `POLLOUT`.
-    fn register_blocked(&mut self, ps: &mut PollSet) {
-        self.reg.blocked.clear();
-        for (i, l) in self.links.iter().enumerate() {
+    /// Writes as much of link `i`'s buffer as its socket accepts, and
+    /// keeps the stream's writability registration in step: in the set
+    /// from the `WouldBlock` that left bytes behind to the flush that
+    /// empties the buffer. A stream that died took its registration with
+    /// it (close removes).
+    fn flush_link(&mut self, i: usize, now: Instant, poller: &Poller) -> io::Result<()> {
+        let l = &mut self.links[i];
+        Self::write_pending(l, &mut self.stats, now);
+        let want = l.stream.is_some() && !l.out.is_empty();
+        if want != l.blocked {
             if let Some(s) = &l.stream {
-                if !l.out.is_empty() {
-                    self.reg.blocked.push((ps.push(s.fd(), POLLOUT), i));
+                if want {
+                    poller.add(s.fd(), POLLOUT, Poller::token(self.index, s.fd()))?;
+                } else {
+                    poller.del(s.fd())?;
                 }
             }
+            l.blocked = want;
         }
-    }
-
-    /// Retries the links [`NodeLoop::register_blocked`] registered and the
-    /// poll found writable.
-    fn flush_writable(&mut self, ps: &PollSet) {
-        for &(slot, link_i) in &self.reg.blocked {
-            if ps.revents(slot) & (POLLOUT | POLLERR | POLLHUP | POLLNVAL) != 0 {
-                Self::flush_link(&mut self.links[link_i], &mut self.stats);
-            }
-        }
+        Ok(())
     }
 
     /// Writes as much of `l.out` as the socket accepts. On error the
     /// connection dies (buffered bytes become counted wire drops) and the
     /// link redials immediately.
-    fn flush_link(l: &mut OutLink, stats: &mut IoStats) {
+    fn write_pending(l: &mut OutLink, stats: &mut IoStats, now: Instant) {
         let Some(stream) = &mut l.stream else { return };
         while !l.out.is_empty() {
             match stream.write(l.out.pending_bytes()) {
                 Ok(0) => {
-                    Self::disconnect(l, stats);
+                    Self::disconnect(l, stats, now);
                     return;
                 }
                 Ok(k) => {
                     stats.write_syscalls += 1;
-                    l.last_write = Instant::now();
+                    l.last_write = now;
                     if let Some(batch) = l.out.consume(k) {
                         stats.batch.record(batch as u64);
                     }
@@ -899,23 +1091,22 @@ impl NodeLoop {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    Self::disconnect(l, stats);
+                    Self::disconnect(l, stats, now);
                     return;
                 }
             }
         }
     }
 
-    fn disconnect(l: &mut OutLink, stats: &mut IoStats) {
+    fn disconnect(l: &mut OutLink, stats: &mut IoStats, now: Instant) {
         l.stream = None;
         stats.conn_frames_dropped += l.out.reset() as u64;
         l.attempt = 0;
-        l.next_dial = Instant::now();
+        l.next_dial = now;
     }
 
-    /// Fires due dials and heartbeats; the poll sleeps at most until the
-    /// nearest remaining deadline.
-    fn run_timers(&mut self, now: Instant) {
+    /// Fires due dials and heartbeats.
+    fn run_timers(&mut self, now: Instant, poller: &Poller) -> io::Result<()> {
         for i in 0..self.links.len() {
             let l = &mut self.links[i];
             if l.dead {
@@ -954,10 +1145,10 @@ impl NodeLoop {
                                 self.stats.write_syscalls += 1;
                                 l.stream = Some(s);
                                 l.last_write = now;
-                                Self::flush_link(l, &mut self.stats);
                             }
                             _ => {
                                 l.next_dial = now + Duration::from_millis(1);
+                                continue;
                             }
                         }
                     }
@@ -971,6 +1162,7 @@ impl NodeLoop {
                         let backoff = self.t.backoff_ms(l.attempt);
                         let jitter = self.rng.gen_range(0..=backoff / 2);
                         l.next_dial = now + Duration::from_millis(backoff + jitter);
+                        continue;
                     }
                 }
             } else if now.duration_since(l.last_write) >= self.t.heartbeat() {
@@ -981,34 +1173,27 @@ impl NodeLoop {
                 };
                 l.out.push_frame(&hb);
                 self.stats.heartbeats += 1;
-                Self::flush_link(l, &mut self.stats);
-            }
-        }
-    }
-
-    /// Distance to the nearest heartbeat/dial deadline (the poll
-    /// timeout); the idle ceiling is one heartbeat period.
-    fn next_deadline(&self, now: Instant) -> Duration {
-        let mut next: Option<Instant> = None;
-        let mut consider = |d: Instant| {
-            next = Some(match next {
-                Some(n) if n <= d => n,
-                _ => d,
-            });
-        };
-        for l in &self.links {
-            if l.dead {
+            } else {
                 continue;
             }
-            match &l.stream {
-                Some(_) => consider(l.last_write + self.t.heartbeat()),
-                None => consider(l.next_dial),
-            }
+            // Freshly connected, or a heartbeat to ship.
+            self.flush_link(i, now, poller)?;
         }
-        match next {
-            Some(d) => d.saturating_duration_since(now).min(self.t.heartbeat()),
-            None => self.t.heartbeat(),
-        }
+        Ok(())
+    }
+
+    /// The nearest heartbeat/dial deadline; the idle ceiling is one
+    /// heartbeat period.
+    fn next_deadline(&self, now: Instant) -> Instant {
+        let ceiling = now + self.t.heartbeat();
+        self.links
+            .iter()
+            .filter(|l| !l.dead)
+            .map(|l| match &l.stream {
+                Some(_) => l.last_write + self.t.heartbeat(),
+                None => l.next_dial,
+            })
+            .fold(ceiling, Instant::min)
     }
 
     /// One single-shot ctrl read; complete lines move to `ctrl_lines`.
@@ -1168,6 +1353,132 @@ mod tests {
         assert_ne!(ps.revents(ri) & POLLIN, 0);
         let mut buf = [0u8; 8];
         assert_eq!((&b).read(&mut buf).unwrap(), 2);
+    }
+
+    /// A registration follows the fd, not the wait: added once, it
+    /// reports readiness — level-triggered — on every wait until the bytes
+    /// are read, and again for the next bytes, with no re-`add`.
+    #[test]
+    fn poller_registration_survives_across_waits() {
+        let (a, b) = UnixStream::pair().expect("socketpair");
+        let mut p = Poller::new().unwrap();
+        let token = Poller::token(3, b.as_raw_fd());
+        assert_eq!(Poller::untoken(token), (3, b.as_raw_fd()));
+        p.add(b.as_raw_fd(), POLLIN, token).unwrap();
+        let ms = Some(Duration::from_millis(1));
+        assert!(p.wait(ms).unwrap().is_empty());
+        let mut buf = [0u8; 8];
+        for round in 0..3u8 {
+            (&a).write_all(&[round]).unwrap();
+            for _ in 0..2 {
+                let ready = p.wait(ms).unwrap();
+                assert_eq!(ready.len(), 1);
+                assert_eq!(ready[0].0, token);
+                assert_ne!(ready[0].1 & POLLIN, 0);
+            }
+            assert_eq!((&b).read(&mut buf).unwrap(), 1);
+            assert!(p.wait(ms).unwrap().is_empty());
+        }
+        // Out of the set by hand: the fd is still open and readable.
+        (&a).write_all(&[9]).unwrap();
+        p.del(b.as_raw_fd()).unwrap();
+        assert!(p.wait(ms).unwrap().is_empty());
+    }
+
+    /// The timeout reaches the kernel in ns (`epoll_pwait2`): 300 µs on an
+    /// idle set is not rounded up to `epoll_wait`'s millisecond.
+    #[test]
+    fn poller_timeout_has_sub_millisecond_resolution() {
+        let (_a, b) = UnixStream::pair().expect("socketpair");
+        let mut p = Poller::new().unwrap();
+        p.add(b.as_raw_fd(), POLLIN, 0).unwrap();
+        // Best of a few: one preemption of the test thread is not a bug.
+        let best = (0..20)
+            .map(|_| {
+                let began = Instant::now();
+                assert!(p.wait(Some(Duration::from_micros(300))).unwrap().is_empty());
+                began.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(best >= Duration::from_micros(300), "woke early: {best:?}");
+        assert!(
+            best < Duration::from_millis(1),
+            "a 300 µs wait took {best:?}"
+        );
+    }
+
+    /// Closing the only descriptor removes the registration — the rule
+    /// every "nothing on close" in this file relies on, and it holds
+    /// because nothing here dups an fd: the number, reused by a new
+    /// socket, registers again (`EEXIST` otherwise) and the set reports
+    /// the new socket under the new token, never the old.
+    #[test]
+    fn poller_close_removes_and_the_number_can_register_again() {
+        let mut p = Poller::new().unwrap();
+        let ms = Some(Duration::from_millis(1));
+        // The lowest free number is the one just closed — unless another
+        // test's thread takes it in between, so try until it comes back.
+        for _ in 0..200 {
+            let (a, b) = UnixStream::pair().expect("socketpair");
+            let fd = b.as_raw_fd();
+            p.add(fd, POLLIN, 1).unwrap();
+            assert_eq!(
+                p.add(fd, POLLIN, 1).unwrap_err().kind(),
+                io::ErrorKind::AlreadyExists
+            );
+            (&a).write_all(&[1]).unwrap();
+            drop(b);
+            assert!(p.wait(ms).unwrap().is_empty(), "a closed fd reported");
+            let (c, d) = UnixStream::pair().expect("socketpair");
+            let (w, r) = if c.as_raw_fd() == fd { (d, c) } else { (c, d) };
+            if r.as_raw_fd() != fd {
+                continue;
+            }
+            p.add(fd, POLLIN, 2).expect("a closed fd left the set");
+            (&w).write_all(&[2]).unwrap();
+            assert_eq!(p.wait(ms).unwrap(), [(2, POLLIN)]);
+            return;
+        }
+        panic!("the closed number never came back");
+    }
+
+    /// More ready fds than one wait reports: none is lost, they surface
+    /// over consecutive waits (the kernel rotates its ready list).
+    #[test]
+    fn poller_overflow_surfaces_over_consecutive_waits() {
+        let mut p = Poller::new().unwrap();
+        let n = POLLER_EVENTS + 20;
+        let pairs: Vec<_> = (0..n)
+            .map(|_| UnixStream::pair().expect("socketpair"))
+            .collect();
+        for (i, (a, b)) in pairs.iter().enumerate() {
+            p.add(b.as_raw_fd(), POLLIN, i as u64).unwrap();
+            (&*a).write_all(&[1]).unwrap();
+        }
+        let mut seen = vec![false; n];
+        let mut buf = [0u8; 8];
+        for _ in 0..3 {
+            let ready = p.wait(Some(Duration::from_millis(100))).unwrap().to_vec();
+            assert!(ready.len() <= POLLER_EVENTS);
+            for (token, _) in ready {
+                let i = token as usize;
+                assert!(!seen[i], "fd {i} reported after it was drained");
+                seen[i] = true;
+                assert_eq!((&pairs[i].1).read(&mut buf).unwrap(), 1);
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "a ready fd never surfaced");
+    }
+
+    /// What `ppoll` called "readable" `epoll` refuses outright: a regular
+    /// file or `/dev/null` as a control pipe is an error at registration.
+    #[test]
+    fn poller_refuses_an_fd_that_cannot_be_polled() {
+        let p = Poller::new().unwrap();
+        let null = File::open("/dev/null").unwrap();
+        let err = p.add(null.as_raw_fd(), POLLIN, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
     }
 
     /// The nonblocking-fd shim against a real pipe-like fd: flipping

@@ -19,16 +19,18 @@
 //!   clients per run, each a ~56-byte session stamping its sends with a
 //!   `(client, seq)` identity the shutdown reconcile audits per client
 //!   (exactly-once *and* FIFO), with fairness-spread telemetry.
-//! * [`evloop`] — a node's I/O machinery: a `ppoll` shim,
-//!   per-connection coalescing write buffers (zero-realloc hot path),
-//!   and [`evloop::NodeLoop`], which registers the control pipe, the
-//!   listener and every data connection of one node in a readiness set
-//!   its thread lends it, with heartbeat/reconnect deadlines on its timer
-//!   list.
+//! * [`evloop`] — a node's I/O machinery: [`evloop::Poller`], the
+//!   persistent `epoll` set of a data thread (and a `ppoll` shim for the
+//!   cold waits), per-connection coalescing write buffers (zero-realloc
+//!   hot path), and [`evloop::NodeLoop`], which registers the control
+//!   pipe, the listener and every data connection of one node in the
+//!   readiness set of its thread for as long as each matters, with
+//!   heartbeat/reconnect deadlines on its timer list.
 //! * [`node`] — one node = **one resumable task**, one shard = one
-//!   thread: `run_nodes` prepares every node of a group, polls once and
-//!   steps every node — forwarder, workload and control state machine —
-//!   and [`node_main`] (a node process) is that loop with a group of one.
+//!   thread: a turn of `run_nodes` prepares the nodes that moved, waits
+//!   once and steps only the nodes with a ready fd or a passed deadline —
+//!   forwarder, workload and control state machine — and [`node_main`] (a
+//!   node process) is that loop with a group of one.
 //! * [`orchestrator`] — the sharded control tree: K `shard.super`
 //!   threads each supervise a node group (one data thread or a process
 //!   per node),

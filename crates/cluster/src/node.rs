@@ -13,24 +13,32 @@
 //!
 //! ## One thread per shard
 //!
-//! The paper's model is guarded commands under a daemon: which enabled
+//! The paper's model is guarded commands under a daemon: which *enabled*
 //! processor moves next is the scheduler's choice, and SP holds under
 //! every choice. So a node is not a thread but a `Node` — engine, sockets
 //! ([`crate::evloop::NodeLoop`]), chaos shim, counters, control state —
-//! with `prepare` (flush, socket timers, register its fds, distance to its
-//! nearest deadline), `step` (what became readable, control lines,
-//! chaos → `on_message`, one engine turn, outbox → write buffers, status
-//! line) and `finish` (shutdown flush, report). [`run_nodes`] is the
-//! daemon and the only loop: prepare every node of the group, one `ppoll`
-//! to the nearest deadline, step every node. `RunMode::Inproc` runs it
-//! once per shard, on the shard's one `node.main` thread; [`node_main`] —
-//! a `--node-worker` process — runs it with a group of one. Frames between
-//! two nodes of a group still cross their UDS/TCP sockets, but a frame
-//! flushed in one iteration is readable in the next and nobody slept or
-//! was woken in between. There is no inbound queue, no writer thread, no
-//! control-reader thread — frames and control lines surface in plain
-//! vectors the node drains, and outbound frames append to per-connection
-//! coalescing buffers in the same stack frame that produced them.
+//! with `prepare` (flush, socket timers, its nearest deadline), `step`
+//! (the fds the wait named, control lines, chaos → `on_message`, one
+//! engine turn, outbox → write buffers, status line) and `finish`
+//! (shutdown flush, report). A `Group` is the daemon, and its one `turn`
+//! the only copy of the iteration: read the clock, prepare the nodes that
+//! stepped last turn, one wait on the thread's persistent `epoll` set
+//! ([`crate::evloop::Poller`]) to the nearest deadline of any node, read
+//! the clock again, step the nodes that have a ready fd or a passed
+//! deadline — the enabled ones — and nobody else. A node's fds are
+//! registered when they start to matter (control pipe and listener when it
+//! joins, a connection when `accept` returns it, an out-stream while a
+//! full socket holds its bytes back), not once per iteration, so a turn
+//! costs what is ready, not what exists. [`run_nodes`] loops on `turn`;
+//! `RunMode::Inproc` runs it once per shard, on the shard's one
+//! `node.main` thread; [`node_main`] — a `--node-worker` process — runs it
+//! with a group of one. Frames between two nodes of a group still cross
+//! their UDS/TCP sockets, but a frame flushed in one turn is readable in
+//! the next and nobody slept or was woken in between. There is no inbound
+//! queue, no writer thread, no control-reader thread — frames and control
+//! lines surface in plain vectors the node drains, and outbound frames
+//! append to per-connection coalescing buffers in the same stack frame
+//! that produced them.
 //!
 //! The protocol iteration itself is *event-driven*, and a node is never
 //! left waiting while one of its own rules is enabled
@@ -45,10 +53,11 @@
 //! ([`MpForwarder::timers_pending`]; a busy downstream slot answers when
 //! it frees, nobody polls it), and a group in which no node has anything
 //! to retransmit blocks until a frame, the next open-loop arrival or the
-//! status push. Correctness is schedule-independent (the simulated suite
-//! drives the same forwarder under an adversarial scheduler), so running
-//! enabled rules at once — and in whatever order the group's nodes happen
-//! to sit — is safe by construction.
+//! status push — and then moves only the node that is about. Correctness
+//! is schedule-independent (the simulated suite drives the same forwarder
+//! under an adversarial scheduler), so running enabled rules at once — and
+//! in whatever order the group's nodes happen to sit — is safe by
+//! construction.
 //!
 //! ## Control protocol
 //!
@@ -62,7 +71,7 @@
 use crate::chaos::{ChaosSpec, InboundChaos};
 use crate::clients::{ClientMux, ClientSpec};
 use crate::conc::COMPONENT;
-use crate::evloop::{CtrlPipe, NetListener, NodeLoop, PollSet};
+use crate::evloop::{CtrlPipe, NetListener, NodeLoop, Poller};
 use crate::frame::{frame_to_msg, msg_to_frame, msg_to_frame_client};
 use crate::telemetry::{LogHistogram, NodeCounters};
 use crate::tuning::TUNING;
@@ -73,7 +82,9 @@ use ssmfp_core::conc::register_thread;
 use ssmfp_core::wire::WireFrame;
 use ssmfp_mp::{ack_ghost_of, decode_client_ghost, MpForwarder, MpGhost, MpNode, Outbox, WireMsg};
 use ssmfp_topology::{BfsTree, Graph, NodeId};
+use std::fmt::Write as _;
 use std::io::{self, BufWriter, Write};
+use std::os::unix::io::RawFd;
 use std::path::PathBuf;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -298,9 +309,12 @@ impl Engine {
     }
 }
 
-/// One node as a resumable task: everything it keeps between two polls of
-/// the thread that carries it. [`run_nodes`] is the daemon — it picks
-/// when each node moves; no rule here depends on that choice.
+/// One node as a resumable task: everything it keeps between two turns of
+/// the thread that carries it. The [`Group`] is the daemon — it picks
+/// when each node moves; no rule here depends on that choice. Nothing in
+/// here reads the monotonic clock either: `prepare` and `step` are handed
+/// the turn's reading (the wall-clock latency stamp, [`now_stamp`], is
+/// still taken where a message is enqueued or delivered).
 struct Node {
     listen: ListenSpec,
     eng: Engine,
@@ -319,11 +333,21 @@ struct Node {
     ticking: bool,
     last_tick: Instant,
     last_status: Instant,
+    /// The status line, rebuilt in place every push.
+    status_line: String,
 }
 
 impl Node {
-    /// Binds the listener and reports `ready <addr>` up the control pipe.
-    fn new(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<Self> {
+    /// Binds the listener, registers it and the control pipe with `poller`
+    /// as member `index` of the group, and reports `ready <addr>` up the
+    /// pipe.
+    fn new(
+        cfg: &NodeConfig,
+        ctrl: CtrlPipe,
+        index: usize,
+        poller: &Poller,
+        now: Instant,
+    ) -> io::Result<Self> {
         let graph = Graph::from_edges(cfg.n, &cfg.edges).map_err(io::Error::other)?;
         let p = cfg.node;
         let neighbors: Vec<NodeId> = graph.neighbors(p).to_vec();
@@ -334,9 +358,8 @@ impl Node {
             .iter()
             .map(|&q| InboundChaos::new(&cfg.chaos, q, p))
             .collect();
-        let mut nl = NodeLoop::new(p, neighbors, listener, ctrl, io_seed);
+        let mut nl = NodeLoop::new(p, neighbors, listener, ctrl, io_seed, index, poller)?;
         nl.write_ctrl(&format!("ready {my_addr}\n"))?;
-        let now = Instant::now();
         Ok(Node {
             listen: cfg.listen.clone(),
             encode: if eng.mux.is_some() {
@@ -354,42 +377,45 @@ impl Node {
             ticking: false,
             last_tick: now,
             last_status: now,
+            status_line: String::new(),
         })
     }
 
-    /// Before the poll: flushes and fires the socket timers, registers the
-    /// node's fds in `ps`, and returns how long the node can sleep — to
-    /// the nearest of a heartbeat or dial, the status push, the next
-    /// open-loop arrival and, only while a retransmission timer runs, the
-    /// protocol tick. A node with nothing to retransmit has no standing
-    /// wake-up.
-    fn prepare(&mut self, ps: &mut PollSet) -> Duration {
-        let now = Instant::now();
-        let mut wait = TUNING.status_every();
+    /// Before the wait, after a turn in which the node moved: flushes what
+    /// it buffered, fires the socket timers, and returns the node's
+    /// deadline — the nearest of a heartbeat or dial, the status push, the
+    /// next open-loop arrival and, only while a retransmission timer runs,
+    /// the protocol tick. A node with nothing to retransmit has no
+    /// standing wake-up, and until the deadline passes or one of its fds
+    /// is ready, stepping it would change nothing.
+    fn prepare(&mut self, now: Instant, poller: &Poller) -> io::Result<Instant> {
+        let mut deadline = self.nl.prepare(now, poller)?;
         if self.started {
-            wait = wait.saturating_sub(now.duration_since(self.last_status));
+            deadline = deadline.min(self.last_status + TUNING.status_every());
             self.ticking = self.eng.fwd.timers_pending();
             if self.ticking {
-                wait = wait.min(
-                    TUNING
-                        .tick()
-                        .saturating_sub(now.duration_since(self.last_tick)),
-                );
+                deadline = deadline.min(self.last_tick + TUNING.tick());
             }
+            // The traffic source runs on the wall-clock stamp; a mux that
+            // ran out of budget is due at once.
             let stamp = now_stamp();
             if let Some(due) = self.eng.next_due_us(stamp) {
-                wait = wait.min(Duration::from_micros(due.saturating_sub(stamp)));
+                deadline = deadline.min(now + Duration::from_micros(due.saturating_sub(stamp)));
             }
+        } else {
+            deadline = deadline.min(now + TUNING.status_every());
         }
-        wait.min(self.nl.prepare(ps))
+        Ok(deadline)
     }
 
-    /// After the poll: reads what is ready, obeys the control lines and —
-    /// once started — runs one protocol iteration, leaving what it sends
-    /// in the write buffers for the next `prepare` to flush (same stack,
-    /// no queue, no wake). `Ok(true)` when the node was told to stop.
-    fn step(&mut self, ps: &PollSet) -> io::Result<bool> {
-        self.nl.dispatch(ps);
+    /// After the wait, for a node one of whose fds is in `events` or whose
+    /// deadline has passed at `now`: reads what is ready, obeys the
+    /// control lines and — once started — runs one protocol iteration,
+    /// leaving what it sends in the write buffers for the next `prepare`
+    /// to flush (same stack, no queue, no wake). `Ok(true)` when the node
+    /// was told to stop.
+    fn step(&mut self, now: Instant, events: &[(RawFd, i16)], poller: &Poller) -> io::Result<bool> {
+        self.nl.dispatch(now, events, poller)?;
 
         // Control. One read can surface several lines at once (the shard
         // writes `peers` and `start` back to back), so every line is
@@ -401,7 +427,7 @@ impl Node {
                     if addrs.len() != self.eng.n {
                         return Err(io::Error::other("peers line has wrong arity"));
                     }
-                    self.nl.connect_peers(&addrs);
+                    self.nl.connect_peers(&addrs, now);
                     self.peers_wired = true;
                 }
             } else if line.starts_with("start") {
@@ -409,8 +435,8 @@ impl Node {
                     return Err(io::Error::other("start before peers"));
                 }
                 self.started = true;
-                self.last_tick = Instant::now();
-                self.last_status = self.last_tick;
+                self.last_tick = now;
+                self.last_status = now;
             } else if line.starts_with("stop") {
                 self.stopping = true;
             }
@@ -454,27 +480,31 @@ impl Node {
         // then the workload. The tick counts from the last timeout or the
         // last moment there was nothing to time. The adversarial-scheduler
         // suite proves correctness at any firing schedule.
-        let fire = worked || (self.ticking && self.last_tick.elapsed() >= TUNING.tick());
+        let fire = worked || (self.ticking && now.duration_since(self.last_tick) >= TUNING.tick());
         if fire || !self.ticking {
-            self.last_tick = Instant::now();
+            self.last_tick = now;
         }
         self.eng.turn(fire, !self.stopping, now_stamp);
 
         for (to, msg) in self.eng.out.drain() {
             self.counters.frames_sent += 1;
-            self.nl.send(to, &(self.encode)(&msg));
+            self.nl.send(to, &(self.encode)(&msg), now, poller)?;
         }
 
         // Status push.
-        if self.last_status.elapsed() >= TUNING.status_every() {
-            self.last_status = Instant::now();
-            self.nl.write_ctrl(&format!(
-                "status {} {} {} {}\n",
+        if now.duration_since(self.last_status) >= TUNING.status_every() {
+            self.last_status = now;
+            self.status_line.clear();
+            let fwd = &self.eng.fwd;
+            let _ = writeln!(
+                self.status_line,
+                "status {} {} {} {}",
                 self.eng.done_issuing() as u8,
-                self.eng.fwd.generated.len(),
-                self.eng.fwd.delivered.len(),
-                self.eng.fwd.held_ghosts().len()
-            ))?;
+                fwd.generated.len(),
+                fwd.delivered.len(),
+                fwd.held_count()
+            );
+            self.nl.write_ctrl(&self.status_line)?;
         }
         Ok(self.stopping)
     }
@@ -525,58 +555,198 @@ impl Node {
     }
 }
 
+/// One member of a [`Group`].
+struct Slot {
+    node: Node,
+    /// The node's nearest deadline, as its last `prepare` computed it.
+    deadline: Instant,
+    /// Stepped last turn: its write buffers may hold frames and its
+    /// deadline is stale, so the next turn prepares it first.
+    stepped: bool,
+    /// This turn's `(fd, events)` of the node's fds (recycled).
+    events: Vec<(RawFd, i16)>,
+    #[cfg(debug_assertions)]
+    audit: StepAudit,
+}
+
+/// Debug builds count a member's `step` calls and what paid for them:
+/// events handed to it, and turns that found its deadline passed.
+#[cfg(debug_assertions)]
+#[derive(Default)]
+struct StepAudit {
+    steps: u64,
+    events_seen: u64,
+    deadlines_due: u64,
+}
+
+/// The nodes that share one data thread, and the paper's daemon over
+/// them: one persistent [`Poller`] holding every fd of every member, and
+/// per member a deadline. [`Group::turn`] is the only copy of the
+/// iteration — [`run_nodes`] loops on it.
+struct Group {
+    poller: Poller,
+    /// By group index, the owner half of every token: a member that
+    /// finished leaves a hole, not a shift.
+    slots: Vec<Option<Slot>>,
+    results: Vec<Option<io::Result<NodeReport>>>,
+}
+
+/// `io::Error` is not `Clone`; every member of a group that one failure
+/// ends gets its own copy.
+fn same_error(e: &io::Error) -> io::Error {
+    io::Error::new(e.kind(), e.to_string())
+}
+
+impl Group {
+    /// Creates the thread's `Poller` and every node on it. A node that
+    /// fails to come up has its outcome already; the others go on.
+    fn new(nodes: Vec<(NodeConfig, CtrlPipe)>) -> io::Result<Self> {
+        let poller = Poller::new()?;
+        let now = Instant::now();
+        let mut slots = Vec::with_capacity(nodes.len());
+        let mut results = Vec::with_capacity(nodes.len());
+        for (i, (cfg, ctrl)) in nodes.into_iter().enumerate() {
+            match Node::new(&cfg, ctrl, i, &poller, now) {
+                Ok(node) => {
+                    slots.push(Some(Slot {
+                        node,
+                        deadline: now,
+                        stepped: true,
+                        events: Vec::new(),
+                        #[cfg(debug_assertions)]
+                        audit: StepAudit::default(),
+                    }));
+                    results.push(None);
+                }
+                Err(e) => {
+                    slots.push(None);
+                    results.push(Some(Err(e)));
+                }
+            }
+        }
+        Ok(Group {
+            poller,
+            slots,
+            results,
+        })
+    }
+
+    fn live(&self) -> bool {
+        self.slots.iter().any(Option::is_some)
+    }
+
+    /// Member `i` leaves the group: stopped (`Ok`: flush and report) or
+    /// failed. Either way the node is dropped here, its sockets and its
+    /// `CtrlPipe` with it — closing them is what takes them out of the
+    /// `Poller`, and EOF is what tells its supervisor.
+    fn retire(&mut self, i: usize, outcome: io::Result<()>) {
+        if let Some(slot) = self.slots[i].take() {
+            self.results[i] = Some(outcome.and_then(|()| slot.node.finish()));
+        }
+    }
+
+    /// One turn of the daemon: read the clock; `prepare` the members that
+    /// stepped last turn; wait to the nearest deadline of any member (a
+    /// linear min: a group is a shard, ≤ 25 nodes); read the clock again;
+    /// `step` exactly the members the wait named or whose deadline has
+    /// passed, each with its own events. Frames between two members still
+    /// cross their sockets — a frame one turn flushes is readable in the
+    /// next — but nobody sleeps and nobody is woken in between.
+    ///
+    /// Skipping a member is skipping a no-op, not a move: with no event
+    /// and no due deadline its `step` would find no control line, no
+    /// inbound frame, no tick to fire, a workload that is not due and a
+    /// status push that is not due; a chaos shim drains its queue inside
+    /// the step that filled it, and a client mux that ran out of send
+    /// budget is due *now*, a zero deadline.
+    ///
+    /// A member that fails is retired without disturbing the others. A
+    /// wait that fails (anything but `EINTR`) cannot be retried into
+    /// working: it ends the group, every member's outcome that error.
+    fn turn(&mut self) {
+        let now = Instant::now();
+        let mut wake: Option<Instant> = None;
+        for i in 0..self.slots.len() {
+            let Some(slot) = &mut self.slots[i] else {
+                continue;
+            };
+            if slot.stepped {
+                slot.stepped = false;
+                match slot.node.prepare(now, &self.poller) {
+                    Ok(deadline) => slot.deadline = deadline,
+                    Err(e) => {
+                        self.retire(i, Err(e));
+                        continue;
+                    }
+                }
+            }
+            wake = Some(wake.map_or(slot.deadline, |w| w.min(slot.deadline)));
+        }
+        let Some(wake) = wake else {
+            return;
+        };
+        match self.poller.wait(Some(wake.saturating_duration_since(now))) {
+            Ok(ready) => {
+                for &(token, events) in ready {
+                    let (i, fd) = Poller::untoken(token);
+                    if let Some(Some(slot)) = self.slots.get_mut(i) {
+                        slot.events.push((fd, events));
+                    }
+                }
+            }
+            Err(e) => {
+                for i in 0..self.slots.len() {
+                    self.retire(i, Err(same_error(&e)));
+                }
+                return;
+            }
+        }
+        let now = Instant::now();
+        for i in 0..self.slots.len() {
+            let Some(slot) = &mut self.slots[i] else {
+                continue;
+            };
+            let due = slot.deadline <= now;
+            if slot.events.is_empty() && !due {
+                continue;
+            }
+            #[cfg(debug_assertions)]
+            {
+                slot.audit.steps += 1;
+                slot.audit.events_seen += slot.events.len() as u64;
+                slot.audit.deadlines_due += due as u64;
+            }
+            slot.stepped = true;
+            let outcome = slot.node.step(now, &slot.events, &self.poller);
+            slot.events.clear();
+            match outcome {
+                Ok(false) => {}
+                Ok(true) => self.retire(i, Ok(())),
+                Err(e) => self.retire(i, Err(e)),
+            }
+        }
+    }
+}
+
 /// Runs a group of nodes to completion on the calling thread, each over
-/// its own control pipe: prepare every live node, one `ppoll` to the
-/// nearest deadline among them, step every live node. Frames between two
-/// nodes of the group still cross their sockets — a frame one iteration
-/// flushes is readable in the next — but nobody sleeps and nobody is
-/// woken in between. A node that fails is dropped without disturbing the
-/// others, and its control pipe with it, so its supervisor sees EOF.
-/// Returns every node's outcome (the report it also wrote to its
+/// its own control pipe: [`Group::turn`] until every node has stopped or
+/// failed. Returns every node's outcome (the report it also wrote to its
 /// supervisor), in argument order.
 pub(crate) fn run_nodes(nodes: Vec<(NodeConfig, CtrlPipe)>) -> Vec<io::Result<NodeReport>> {
     // In proc mode this is the process main thread; in inproc mode the
     // shard's spawn already registered it (re-registration is
     // idempotent). Either way the declared role holds from here on.
     register_thread(COMPONENT, "node.main");
-    let mut results: Vec<Option<io::Result<NodeReport>>> = Vec::with_capacity(nodes.len());
-    let mut live: Vec<(usize, Node)> = Vec::with_capacity(nodes.len());
-    for (i, (cfg, ctrl)) in nodes.into_iter().enumerate() {
-        match Node::new(&cfg, ctrl) {
-            Ok(node) => {
-                results.push(None);
-                live.push((i, node));
-            }
-            Err(e) => results.push(Some(Err(e))),
-        }
+    let n = nodes.len();
+    let mut group = match Group::new(nodes) {
+        Ok(group) => group,
+        Err(e) => return (0..n).map(|_| Err(same_error(&e))).collect(),
+    };
+    while group.live() {
+        group.turn();
     }
-    let mut ps = PollSet::new();
-    while !live.is_empty() {
-        ps.clear();
-        let mut wait = Duration::MAX;
-        for (_, node) in &mut live {
-            wait = wait.min(node.prepare(&mut ps));
-        }
-        // A failed poll leaves every `revents` zero: the nodes step as on
-        // a timeout and the next iteration polls again.
-        let _ = ps.poll(Some(wait));
-        let mut at = 0;
-        while at < live.len() {
-            let stopped = match live[at].1.step(&ps) {
-                Ok(false) => {
-                    at += 1;
-                    continue;
-                }
-                Ok(true) => Ok(()),
-                Err(e) => Err(e),
-            };
-            // Slots in `ps` are absolute and rebuilt every iteration, so
-            // the order of `live` is free.
-            let (i, node) = live.swap_remove(at);
-            results[i] = Some(stopped.and_then(|()| node.finish()));
-        }
-    }
-    results
+    group
+        .results
         .into_iter()
         .map(|r| r.expect("every node finished or failed"))
         .collect()
@@ -814,40 +984,43 @@ mod tests {
         tick_free_line5(|_| 40);
     }
 
-    /// Two nodes of one thread over real sockets, driven by hand the way
-    /// [`run_nodes`] drives them. Once warm, an iteration neither frees
-    /// nor regrows the inbound vector: same allocation, same capacity,
-    /// however many frames pass through it.
-    #[test]
-    fn steady_state_iterations_never_realloc_inbound() {
+    /// A hand-driven [`Group`] over real sockets: two two-node lines on one
+    /// thread. In the first (members 0 and 1) node 0 is a stop-and-wait
+    /// source — one handshake on the link at a time, so a warm vector
+    /// never needs to grow; the second (members 2 and 3) has nothing to
+    /// send, ever. Returns the group, wired and started, the supervisor
+    /// ends of the control pipes (kept open: EOF means stop) and the
+    /// socket directory to remove.
+    fn hand_driven_group(tag: &str) -> (Group, Vec<std::os::unix::net::UnixStream>, PathBuf) {
         use crate::workload::{WorkloadKind, WorkloadSpec};
         use std::io::{BufRead, BufReader};
         use std::os::unix::net::UnixStream;
-        let dir = std::env::temp_dir().join(format!("ssmfp-node-pin-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let graph = ssmfp_topology::gen::line(2);
-        // Node 0 is a stop-and-wait source: one handshake on the link at a
-        // time, so a warm vector never needs to grow.
-        let (mut supervisor, mut nodes): (Vec<UnixStream>, Vec<Node>) = (0..2)
-            .map(|p| {
+        let dir = std::env::temp_dir().join(format!("ssmfp-node-{tag}-{}", std::process::id()));
+        let dirs = [dir.join("busy"), dir.join("idle")];
+        let (mut supervisor, nodes): (Vec<UnixStream>, Vec<_>) = (0..4usize)
+            .map(|member| {
                 let cfg = NodeConfig {
-                    node: p,
+                    node: member % 2,
                     n: 2,
-                    edges: graph.edges().to_vec(),
+                    edges: ssmfp_topology::gen::line(2).edges().to_vec(),
                     seed: 7,
-                    listen: ListenSpec::Uds { dir: dir.clone() },
+                    listen: ListenSpec::Uds {
+                        dir: dirs[member / 2].clone(),
+                    },
                     workload: WorkloadSpec {
                         kind: WorkloadKind::Closed { outstanding: 1 },
-                        messages: if p == 0 { 1_000_000 } else { 0 },
+                        messages: if member == 0 { 1_000_000 } else { 0 },
                     },
                     chaos: ChaosSpec::none(),
                     clients: None,
                 };
                 let (sup_side, node_side) = UnixStream::pair().unwrap();
-                let node = Node::new(&cfg, CtrlPipe::Stream(node_side)).unwrap();
-                (sup_side, node)
+                (sup_side, (cfg, CtrlPipe::Stream(node_side)))
             })
             .unzip();
+        dirs.iter()
+            .for_each(|d| std::fs::create_dir_all(d).unwrap());
+        let group = Group::new(nodes).unwrap();
         let addrs: Vec<String> = supervisor
             .iter()
             .map(|s| {
@@ -856,35 +1029,118 @@ mod tests {
                 line.trim().strip_prefix("ready ").unwrap().to_string()
             })
             .collect();
-        for s in &mut supervisor {
-            writeln!(s, "peers {}\nstart", addrs.join(" ")).unwrap();
+        for (member, s) in supervisor.iter_mut().enumerate() {
+            let line = member / 2 * 2;
+            writeln!(s, "peers {}\nstart", addrs[line..line + 2].join(" ")).unwrap();
         }
-        let mut ps = PollSet::new();
-        let mut iterate_until = |nodes: &mut Vec<Node>, frames: u64, check: &dyn Fn(&Node)| {
-            for _ in 0..1_000_000 {
-                if nodes.iter().all(|n| n.counters.frames_received >= frames) {
-                    return;
-                }
-                ps.clear();
-                let wait = nodes.iter_mut().map(|n| n.prepare(&mut ps)).min().unwrap();
-                ps.poll(Some(wait)).unwrap();
-                for n in nodes.iter_mut() {
-                    assert!(!n.step(&ps).unwrap(), "nobody said stop");
-                    check(n);
-                }
+        (group, supervisor, dir)
+    }
+
+    /// Turns the group until both nodes of the pair have received `frames`.
+    fn turn_until(group: &mut Group, frames: u64, check: &dyn Fn(&Node)) {
+        for _ in 0..1_000_000 {
+            let pair = group.slots[..2].iter().map(|s| &s.as_ref().unwrap().node);
+            if pair.clone().all(|n| n.counters.frames_received >= frames) {
+                return;
             }
-            panic!("the link went quiet before {frames} frames");
-        };
-        iterate_until(&mut nodes, 300, &|_| {});
-        let pins: Vec<_> = nodes
+            group.turn();
+            assert!(
+                group.results.iter().all(Option::is_none),
+                "nobody said stop"
+            );
+            group.slots[..2]
+                .iter()
+                .for_each(|s| check(&s.as_ref().unwrap().node));
+        }
+        panic!("the link went quiet before {frames} frames");
+    }
+
+    /// Two nodes of one thread, driven through the [`Group::turn`] that
+    /// [`run_nodes`] loops on. Once warm, a turn neither frees nor regrows
+    /// the inbound vector: same allocation, same capacity, however many
+    /// frames pass through it.
+    #[test]
+    fn steady_state_iterations_never_realloc_inbound() {
+        let (mut group, _supervisor, dir) = hand_driven_group("pin");
+        turn_until(&mut group, 300, &|_| {});
+        let pins: Vec<_> = group.slots[..2]
             .iter()
-            .map(|n| (n.nl.inbound.as_ptr(), n.nl.inbound.capacity()))
+            .map(|s| &s.as_ref().unwrap().node.nl.inbound)
+            .map(|inbound| (inbound.as_ptr(), inbound.capacity()))
             .collect();
         assert!(pins.iter().all(|&(_, cap)| cap > 0));
-        iterate_until(&mut nodes, 3_000, &|n| {
+        turn_until(&mut group, 3_000, &|n| {
             let pin = (n.nl.inbound.as_ptr(), n.nl.inbound.capacity());
             assert_eq!(pin, pins[n.eng.p], "node {} reallocated inbound", n.eng.p);
         });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The daemon steps only what is ready or due: every `step` is paid
+    /// for by an event handed to that node or by its deadline having
+    /// passed, and a member that no data frame ever reaches moves on its
+    /// control lines, its connections coming up, and its status and
+    /// heartbeat deadlines — not once per frame of its thread-mates.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_turn_steps_only_members_that_are_ready_or_due() {
+        let began = Instant::now();
+        let (mut group, _supervisor, dir) = hand_driven_group("ready-or-due");
+        turn_until(&mut group, 3_000, &|_| {});
+        let periods =
+            |every: Duration| (began.elapsed().as_micros() / every.as_micros()) as u64 + 1;
+        let (pushes, heartbeats) = (periods(TUNING.status_every()), periods(TUNING.heartbeat()));
+        let slots: Vec<&StepAudit> = group
+            .slots
+            .iter()
+            .map(|s| &s.as_ref().unwrap().audit)
+            .collect();
+        for s in &slots {
+            assert!(
+                s.steps <= s.events_seen + s.deadlines_due,
+                "{} steps for {} events + {} deadlines",
+                s.steps,
+                s.events_seen,
+                s.deadlines_due
+            );
+        }
+        assert!(slots[0].steps >= 1_000, "{} steps", slots[0].steps);
+        for idle in &slots[2..] {
+            // `peers` and `start` (one read or two), one accept, the
+            // `Hello`, then a heartbeat per period.
+            assert!(
+                idle.events_seen <= 4 + heartbeats,
+                "{} events over {heartbeats} heartbeat periods",
+                idle.events_seen
+            );
+            assert!(
+                idle.deadlines_due <= pushes + heartbeats,
+                "{} deadlines over {pushes} status and {heartbeats} heartbeat periods",
+                idle.deadlines_due
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A wait that cannot work ends the group instead of spinning it:
+    /// every live member's outcome is the error, and dropping the members
+    /// closed their control pipes.
+    #[test]
+    fn a_broken_poller_fails_every_member() {
+        use std::io::Read;
+        let (mut group, mut supervisor, dir) = hand_driven_group("broken");
+        turn_until(&mut group, 30, &|_| {});
+        group.poller.break_for_test();
+        group.turn();
+        assert!(!group.live());
+        for r in &group.results {
+            assert!(matches!(r, Some(Err(_))), "outcome {r:?}");
+        }
+        for s in &mut supervisor {
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut rest = Vec::new();
+            s.read_to_end(&mut rest).expect("EOF, not a timeout");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

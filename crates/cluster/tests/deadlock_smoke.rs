@@ -14,15 +14,17 @@
 //! The same watchdog holds the two ways nodes that share a thread could
 //! wait on each other forever: a dial waiting on an accept its own thread
 //! must perform, and a join waiting on thread-mates whose pipes are still
-//! open.
+//! open. And a node whose control fd cannot be waited on at all says so
+//! and exits — it neither spins nor mistakes the fd for a closed pipe.
 
 use ssmfp_cluster::{
-    pick_partition, run_cluster, ChaosSpec, ClusterSpec, ListenSpec, RunMode, RunReport,
-    WorkloadKind, WorkloadSpec,
+    node_args, pick_partition, run_cluster, ChaosSpec, ClusterSpec, ListenSpec, NodeConfig,
+    RunMode, RunReport, WorkloadKind, WorkloadSpec,
 };
 use ssmfp_topology::{gen, Graph};
 use std::io;
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -152,4 +154,60 @@ fn a_shard_whose_nodes_never_get_ready_is_wound_down() {
             t0.elapsed()
         );
     }
+}
+
+/// A `--node-worker` whose stdin is `/dev/null` or a regular file has a
+/// control fd `epoll` refuses (`EPERM`). That is an error out of the node
+/// at registration — a message and a non-zero exit at once — where a
+/// `ppoll` loop called the fd readable and the node read its way to
+/// "control pipe closed".
+#[test]
+fn a_worker_whose_control_fd_cannot_be_polled_exits_with_a_message() {
+    let dir = uds_dir("unpollable");
+    let cfg = NodeConfig {
+        node: 0,
+        n: 2,
+        edges: gen::line(2).edges().to_vec(),
+        seed: 1,
+        listen: ListenSpec::Uds { dir: dir.clone() },
+        workload: WorkloadSpec {
+            kind: WorkloadKind::Closed { outstanding: 1 },
+            messages: 1,
+        },
+        chaos: ChaosSpec::none(),
+        clients: None,
+    };
+    let file = dir.join("not-a-pipe");
+    std::fs::write(&file, "peers a b\nstart\n").expect("write stdin file");
+    for stdin in [PathBuf::from("/dev/null"), file] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_ssmfp-cluster"))
+            .arg("--node-worker")
+            .args(node_args(&cfg))
+            .stdin(std::fs::File::open(&stdin).expect("open stdin"))
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn worker");
+        let t0 = Instant::now();
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("wait for worker") {
+                break status;
+            }
+            if t0.elapsed() >= Duration::from_secs(5) {
+                let _ = child.kill();
+                panic!("worker on {} still running after 5 s", stdin.display());
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let mut stderr = String::new();
+        io::Read::read_to_string(&mut child.stderr.take().expect("piped stderr"), &mut stderr)
+            .expect("read stderr");
+        assert!(!status.success(), "{}: exited clean", stdin.display());
+        assert!(
+            stderr.contains("control pipe cannot be polled"),
+            "{}: stderr {stderr:?}",
+            stdin.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -383,6 +383,12 @@ impl MpForwarder {
             .sum()
     }
 
+    /// How many messages this node holds — `held_ghosts().len()` without
+    /// the list.
+    pub fn held_count(&self) -> usize {
+        self.occupied() + self.app_queues.iter().map(|q| q.len()).sum::<usize>()
+    }
+
     /// Ghosts of all messages currently held by this node.
     pub fn held_ghosts(&self) -> Vec<MpGhost> {
         let mut out = Vec::new();
