@@ -6,8 +6,9 @@
 //! drop/duplicate/reorder under transient budgets — plus an
 //! arrival-indexed partition window (both directions of one edge drop
 //! every data-plane frame inside the window, then heal). Supervision
-//! frames (`Hello`/`Heartbeat`) bypass chaos entirely: the shim tests the
-//! protocol, not the connection supervisor.
+//! frames (`Heartbeat`/`Route`) bypass chaos entirely — the group's
+//! reader consumes them before the demultiplexed frames reach a link's
+//! shim: the shim tests the protocol, not the connection supervisor.
 
 use ssmfp_core::wire::WireFrame;
 use ssmfp_mp::{ChannelFaults, FaultClerk};

@@ -19,17 +19,20 @@
 //!   POLLOUT-gated nonblocking writes.
 //! * `node.main` — the data plane: one per shard inproc, carrying every
 //!   node of the shard (one per process in proc mode, carrying its one
-//!   node). [`crate::node::run_nodes`] keeps the control pipe, the
-//!   listener and every data connection of every node it carries in one
-//!   persistent `epoll` set, waits on it to the nearest deadline of any
-//!   node, and runs the protocol engine of each node that is ready or due
-//!   between I/O bursts. Its `SockRead`/`SockWrite("node.main")` edges
-//!   therefore also connect nodes of one thread, and stay timed: the
+//!   node). [`crate::node::run_nodes`] keeps every member's control pipe
+//!   and the group's sockets — one listener, one stream per destination
+//!   address, the streams dialled in — in one persistent `epoll` set,
+//!   waits on it to the nearest deadline of any node or stream, and runs
+//!   the protocol engine of each node that has frames or is due between
+//!   I/O bursts. Its `SockRead`/`SockWrite("node.main")` edges therefore
+//!   also connect a thread to itself (the group's stream to its own
+//!   address carries the links between its members), and stay timed: the
 //!   wait is the only place the thread sleeps and it carries a deadline;
 //!   every data socket is nonblocking behind it, a full one is retried
 //!   when the set reports it writable, and a dial is bounded
-//!   (`evloop::dial`), so no node can hold the thread against a peer that
-//!   needs it.
+//!   (`evloop::dial`), so no stream can hold the thread against a peer
+//!   that needs it. Which links share a stream changes how many sockets
+//!   there are, not who waits on whom: roles and edges are as they were.
 //!
 //! Every data-plane wait is timed (nonblocking sockets behind the one
 //! timed wait). Exactly two untimed edges remain, and they form a chain up
@@ -86,8 +89,8 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
                 // Inproc; in proc mode each node process has its own.
                 multiplicity: Multiplicity::PerShard,
                 spawned_by: "shard.super",
-                doc: "every node of one shard: their ctrl pipes, listeners and connections \
-                      in one epoll set plus their protocol engines, one thread total",
+                doc: "every node of one shard: their ctrl pipes and the group's listener and \
+                      streams in one epoll set plus their protocol engines, one thread total",
             },
         ],
         locks: vec![],

@@ -1,27 +1,36 @@
-//! The readiness-based I/O machinery of a node.
+//! The readiness-based I/O machinery of a data thread.
 //!
-//! A [`NodeLoop`] owns *every* file descriptor of one node — the control
-//! pipe to its supervising shard, the listener, all inbound connections
-//! and all outbound connections — but not the thread, not the readiness
-//! set and not the clock: the `node.main` thread that carries the node
-//! ([`crate::node::run_nodes`]) owns one [`Poller`] — a persistent,
-//! level-triggered `epoll` set — for every node of its group, reads the
-//! monotonic clock twice a turn and hands the reading down.
+//! The sockets belong to the *group* — the nodes that share a thread —
+//! not to the node. A [`Hub`] owns one listener, one simplex out-stream
+//! per distinct listener address among its members' neighbours, and the
+//! streams dialled in; each member keeps only its [`Control`] pipe. None
+//! of them owns the thread, the readiness set or the clock: the
+//! `node.main` thread ([`crate::node::run_nodes`]) owns one [`Poller`] —
+//! a persistent, level-triggered `epoll` set — for the whole group, reads
+//! the monotonic clock twice a turn and hands the reading down.
+//!
+//! A link is the paper's logical FIFO channel, not a kernel connection:
+//! every link whose far end listens at one address rides the one stream
+//! to that address, and a `WireFrame::Route { src, dst }` in the byte
+//! stream says which link the frames after it crossed. A shard whose
+//! neighbours are its own members writes once and reads once a turn; a
+//! `--node-worker` process, whose every neighbour has an address of its
+//! own, has one stream per directed edge by the same rule.
 //!
 //! Registration follows an fd's life, not the loop's iteration: control
-//! pipe and listener once, when the node joins ([`NodeLoop::new`]); an
-//! inbound connection when `accept` returns it; an outbound stream, for
-//! writability, only from the `WouldBlock` that left bytes in its
-//! [`WriteBuf`] until the flush that empties it; and nothing on close —
-//! closing the only descriptor removes it (see [`Poller`]).
-//! [`NodeLoop::prepare`] flushes, fires due heartbeats and dials and
-//! returns the node's nearest socket deadline; the thread sleeps exactly
-//! (`epoll_pwait2`, ns resolution) until the nearest deadline of any node
-//! — those, a status push, a workload arrival, or the protocol tick while
-//! a retransmission timer runs — and [`NodeLoop::dispatch`] reads the fds
-//! the wait named for this node, nothing else. Outbound frames append to
-//! per-connection buffers without crossing a thread boundary and inbound
-//! frames surface in a plain vector the node drains each turn.
+//! pipes and the listener once, when the group comes up; an inbound
+//! connection when `accept` returns it; an out-stream, for writability,
+//! only from the `WouldBlock` that left bytes in its [`WriteBuf`] until
+//! the flush that empties it; and nothing on close — closing the only
+//! descriptor removes it (see [`Poller`]). [`Hub::prepare`] flushes each
+//! stream once, fires due heartbeats and dials and returns the nearest
+//! socket deadline; the thread sleeps exactly (`epoll_pwait2`, ns
+//! resolution) until that or the nearest deadline of any member — a status
+//! push, a workload arrival, or the protocol tick while a retransmission
+//! timer runs — and [`Hub::dispatch`] reads the fds the wait named,
+//! nothing else. Outbound frames append to per-stream buffers without
+//! crossing a thread boundary and inbound frames surface in one plain
+//! vector per member, which the member drains when it is stepped.
 //!
 //! [`PollSet`] (`ppoll`, rebuilt per wait) stays for the waits that are
 //! cold and ad hoc: a shard supervisor's pipes, a deadline-bounded control
@@ -31,41 +40,44 @@
 //!
 //! ## Batching policy
 //!
-//! Outbound frames append straight into a per-connection [`WriteBuf`]
+//! Outbound frames append straight into a per-stream [`WriteBuf`]
 //! (length-prefixed wire bytes, no intermediate `Vec` per frame) and one
-//! `write()` ships everything pending. When the node is idle a frame is
-//! flushed the moment it is enqueued; under load the outbox drains in
-//! bursts and frames coalesce naturally, bounded by the
-//! [`ClusterTuning`] byte/frame budgets (`batch_max_bytes`,
-//! `batch_max_frames`). The buffer never reallocates in steady state: it
-//! is pre-sized to the batch budget and `consume` recycles capacity.
+//! `write()` a turn ships everything pending, whichever links it belongs
+//! to. Under load the members' outboxes drain in bursts and frames
+//! coalesce further, bounded by the [`ClusterTuning`] byte/frame budgets
+//! (`batch_max_bytes`, `batch_max_frames`), at which a stream is flushed
+//! mid-turn. The buffer never reallocates in steady state: it is
+//! pre-sized to the batch budget and `consume` recycles capacity.
 //!
-//! Per-directed-edge FIFO ordering is preserved under coalescing: the
-//! protocol enqueues frames in send order, they append to each edge's
-//! buffer in order, and a buffer is always written front-to-back —
-//! coalescing only changes syscall boundaries, never byte order on a
-//! connection.
+//! Per-directed-edge FIFO ordering is preserved under sharing and
+//! coalescing: the protocol enqueues a link's frames in send order, they
+//! append to one stream's buffer in that order, and a buffer is always
+//! written front-to-back — sharing and coalescing change which bytes sit
+//! between two frames of a link and where the syscall boundaries fall,
+//! never the order of a link's frames.
 //!
 //! ## Control pipe
 //!
-//! The ctrl fd sits in the same readiness set as the sockets. Reads are
-//! *single-shot*: one `read(2)` per `POLLIN` readiness on a blocking fd
-//! never blocks, and the level-triggered set reports anything left unread
-//! again. This deliberately avoids `BufReader`, whose invisible
-//! buffering holds complete lines where `poll` cannot see them. Writes
-//! (status lines, the final report) are plain blocking `write_all`: the
-//! supervising shard drains node pipes unconditionally, and this edge is
-//! declared untimed in the concurrency model — it is the one leaf-to-root
-//! arc of an acyclic control tree.
+//! A member's ctrl fd sits in the same readiness set as the sockets.
+//! Reads are *single-shot*: one `read(2)` per `POLLIN` readiness on a
+//! blocking fd never blocks, and the level-triggered set reports anything
+//! left unread again. This deliberately avoids `BufReader`, whose
+//! invisible buffering holds complete lines where `poll` cannot see them.
+//! Writes (status lines, the final report) are plain blocking
+//! `write_all`: the supervising shard drains node pipes unconditionally,
+//! and this edge is declared untimed in the concurrency model — it is the
+//! one leaf-to-root arc of an acyclic control tree.
 //!
 //! ## Failure policy
 //!
-//! A connection that errors mid-stream drops its buffered bytes (a
-//! counted burst of wire drops — a partially-written frame cannot be
+//! A stream that errors drops its buffered bytes (a counted burst of wire
+//! drops on every link it carried — a partially-written frame cannot be
 //! resumed on a new connection, and the protocol's retransmission
-//! recovers), then redials with the shared backoff schedule. A peer that
-//! stops reading cannot grow the buffer past `out_buf_cap_bytes`:
-//! beyond it, new frames for that edge are shed and counted.
+//! recovers), forgets its `Route`, then redials with the shared backoff
+//! schedule. A reader drops a connection that names a link that does not
+//! end here. A peer that stops reading cannot grow the buffer past
+//! `out_buf_cap_bytes`: beyond it, new frames for that stream are shed
+//! and counted.
 
 use crate::node::ListenSpec;
 use crate::telemetry::LogHistogram;
@@ -354,7 +366,8 @@ impl Poller {
         })
     }
 
-    /// The token of `fd` as owned by member `owner` of the thread's group.
+    /// The token of `fd` as owned by member `owner` of the thread's group
+    /// — or by the group's [`Hub`], as [`HUB`].
     pub fn token(owner: usize, fd: RawFd) -> u64 {
         (owner as u64) << 32 | fd as u32 as u64
     }
@@ -487,9 +500,10 @@ impl Write for NetStream {
     }
 }
 
-/// A node's listener of either flavour (always nonblocking).
+/// A group's listener of either flavour (always nonblocking).
 pub enum NetListener {
-    /// Unix-domain listener at `<dir>/node<k>.sock`.
+    /// Unix-domain listener at `<dir>/node<k>.sock`, `k` the group's
+    /// first member.
     Unix(UnixListener),
     /// TCP listener on `127.0.0.1`, OS-assigned port.
     Tcp(TcpListener),
@@ -542,15 +556,15 @@ impl NetListener {
 }
 
 /// Dials a `uds:<path>` / `tcp:<addr>` address string. A dial must never
-/// wait on an accept only its own thread can perform — dialler and
-/// listener may be two nodes of one [`crate::node::run_nodes`] loop. A
+/// wait on an accept only its own thread can perform — a group dials its
+/// own listener from the [`crate::node::run_nodes`] loop that accepts. A
 /// Unix-domain connect completes while the listener's backlog has room,
-/// and std listens with `somaxconn` (4096 here: a 200-leaf star dials its
-/// hub from the hub's own thread in 0.4 s). std's TCP backlog is 128;
+/// and std listens with `somaxconn` (4096 here). std's TCP backlog is 128
+/// (a 200-leaf star of `--node-worker` processes dials its hub past it);
 /// past it the kernel drops the SYN and a blocking connect sits out a 1 s
-/// retransmission the hub can never answer, so the TCP arm is bounded by
-/// the backoff base and a timeout is an ordinary failed dial: back off,
-/// redial after the listener's next `step` has accepted.
+/// retransmission — one its own thread could never answer — so the TCP arm
+/// is bounded by the backoff base and a timeout is an ordinary failed
+/// dial: back off, redial after the listener's next dispatch has accepted.
 pub fn dial(addr: &str) -> io::Result<NetStream> {
     let bad = || {
         io::Error::new(
@@ -570,7 +584,7 @@ pub fn dial(addr: &str) -> io::Result<NetStream> {
     }
 }
 
-/// A per-connection outbound byte buffer: frames are encoded straight
+/// A per-stream outbound byte buffer: frames are encoded straight
 /// into it (append-only, front-to-back writes), so the hot path performs
 /// no per-frame allocation and one `write()` can carry a whole batch.
 pub struct WriteBuf {
@@ -608,6 +622,13 @@ impl WriteBuf {
     pub fn push_frame(&mut self, frame: &WireFrame) {
         encode_frame(frame, &mut self.buf);
         self.frames += 1;
+    }
+
+    /// Encodes a supervision frame that labels what follows (a `Route`):
+    /// it rides the next write, but is no part of the batch a completed
+    /// write reports or a dying connection loses.
+    pub fn push_mark(&mut self, frame: &WireFrame) {
+        encode_frame(frame, &mut self.buf);
     }
 
     /// The pending byte range, for `write()`.
@@ -651,23 +672,24 @@ impl WriteBuf {
     }
 }
 
-/// Counters and the frames-per-write histogram the loop accumulates,
-/// merged into the node's [`crate::telemetry::NodeCounters`] at the end.
+/// Counters and the frames-per-write histogram a group's [`Hub`]
+/// accumulates over all its streams, folded into the
+/// [`crate::telemetry::NodeCounters`] of the member that retires last.
 #[derive(Debug, Default)]
 pub struct IoStats {
     /// `write()` syscalls issued on data connections.
     pub write_syscalls: u64,
     /// `read()` syscalls that returned data.
     pub read_syscalls: u64,
-    /// Heartbeats written on idle links.
+    /// Heartbeats written on idle streams.
     pub heartbeats: u64,
-    /// Successful re-dials beyond the first connection per link.
+    /// Successful re-dials beyond the first connection per stream.
     pub reconnects: u64,
     /// Frames lost with a dying connection or shed at the out-buffer
     /// cap — wire drops the protocol's retransmission tolerates.
     pub conn_frames_dropped: u64,
-    /// Frames per buffer-emptying `write()` (the coalescing win,
-    /// observable rather than inferred).
+    /// Frames per buffer-emptying `write()`, `Route`s not counted (the
+    /// coalescing win, observable rather than inferred).
     pub batch: LogHistogram,
 }
 
@@ -758,18 +780,106 @@ impl Write for CtrlIo {
     }
 }
 
-struct OutLink {
-    peer: NodeId,
+/// A node's end of its control pipe, in the thread's [`Poller`] under the
+/// node's own token for the node's whole life: single-shot reads into
+/// complete lines, blocking writes up.
+pub(crate) struct Control {
+    io: CtrlIo,
+    eof: bool,
+    acc: Vec<u8>,
+    /// Complete control lines read since the node last drained.
+    pub lines: Vec<String>,
+}
+
+impl Control {
+    /// Takes over the pipe and registers it as member `index`'s fd. A
+    /// control fd the kernel cannot poll (`EPERM`: a regular file,
+    /// `/dev/null`) is an error here, not a pipe that "reads" EOF later.
+    pub fn new(pipe: CtrlPipe, index: usize, poller: &Poller) -> io::Result<Self> {
+        let io = CtrlIo::new(pipe);
+        let fd = io.read_fd();
+        poller
+            .add(fd, POLLIN, Poller::token(index, fd))
+            .map_err(|e| io::Error::new(e.kind(), format!("control pipe cannot be polled: {e}")))?;
+        Ok(Control {
+            io,
+            eof: false,
+            acc: Vec::new(),
+            lines: Vec::new(),
+        })
+    }
+
+    /// True once the supervisor closed the pipe (treat as stop).
+    pub fn eof(&self) -> bool {
+        self.eof
+    }
+
+    /// One single-shot read after the wait named the pipe; complete lines
+    /// move to `lines`. At EOF the fd stays open (it is also the write
+    /// side, or the process's stdin), so it leaves the level-triggered set
+    /// by hand.
+    pub fn read(&mut self, poller: &Poller) -> io::Result<()> {
+        if self.eof {
+            return Ok(());
+        }
+        let mut buf = [0u8; 4096];
+        match self.io.read_once(&mut buf) {
+            Ok(0) => self.eof = true,
+            Ok(k) => {
+                self.acc.extend_from_slice(&buf[..k]);
+                self.lines.extend(take_lines(&mut self.acc));
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => self.eof = true,
+        }
+        if self.eof {
+            poller.del(self.io.read_fd())?;
+        }
+        Ok(())
+    }
+
+    /// Blocking line write to the supervisor — the declared untimed
+    /// `SockWrite(shard.super)` edge (the shard drains unconditionally).
+    pub fn write_line(&mut self, text: &str) -> io::Result<()> {
+        self.io.write_all(text.as_bytes())?;
+        self.io.flush()
+    }
+
+    /// The pipe as a writer, for the multi-line report codec.
+    pub fn writer(&mut self) -> &mut impl Write {
+        &mut self.io
+    }
+}
+
+/// The owner half of the [`Poller::token`] of every fd a [`Hub`]
+/// registers; a member's control pipe carries the member's group index.
+pub(crate) const HUB: usize = u32::MAX as usize;
+
+/// [`Hub::index_of`]'s "no member has this id".
+const NOBODY: u32 = u32::MAX;
+
+/// Encoded size of a `Route` (length prefix, tag, two ids).
+const ROUTE_LEN: usize = 4 + 1 + 2 + 2;
+
+/// One simplex stream out of the group, to one listener address: every
+/// link from a member to a node listening there rides it.
+struct OutStream {
     addr: String,
     stream: Option<NetStream>,
     out: WriteBuf,
+    /// The link the last `Route` in `out` — or already on the wire — named.
+    /// `None` on a connection that has carried nothing yet.
+    route: Option<(u16, u16)>,
     /// Dial attempts this connection session (resets on success).
     attempt: u32,
-    incarnation: u32,
+    /// A dial has succeeded before: the next one that does is a reconnect.
+    connected: bool,
     /// Next dial deadline while disconnected.
     next_dial: Instant,
-    /// Link gave up redialing (peer gone for good / shutdown race).
+    /// The stream gave up redialing (peer gone for good / shutdown race).
     dead: bool,
+    /// The last write, or the last heartbeat queued behind a full socket.
     last_write: Instant,
     hb_clock: u64,
     /// The stream sits in the thread's [`Poller`] for writability: a
@@ -777,188 +887,240 @@ struct OutLink {
     blocked: bool,
 }
 
+/// One accepted stream: read-only, and it says itself whose frames it
+/// carries.
 struct InConn {
     stream: NetStream,
     reader: FrameReader,
-    /// The sender's local port, once its `Hello` named a neighbour.
-    from: Option<usize>,
+    /// The receiving member (group index) and the sender's local port
+    /// there, as the last `Route` resolved.
+    route: Option<(usize, usize)>,
 }
 
-/// One node's sockets: every fd the node owns, registered — for as long
-/// as it matters, not per iteration — in the [`Poller`] of the thread that
-/// carries the node, with the protocol engine driven by the caller between
-/// I/O bursts.
+/// What the [`Hub`] knows of one member of its group.
+struct Member {
+    id: NodeId,
+    /// The member's neighbours in local-port order.
+    neighbors: Vec<NodeId>,
+    /// By local port, the out-stream to that neighbour's address (empty
+    /// until the `peers` line).
+    links: Vec<usize>,
+    /// Data-plane frames read since the member last drained, by the
+    /// sender's local port.
+    inbound: Vec<(usize, WireFrame)>,
+    /// Never joined, or retired: frames for it are counted drops.
+    gone: bool,
+}
+
+/// The sockets of one group — of every node that shares a data thread:
+/// **one** listener, whose address every member reports as its own, one
+/// simplex out-stream per *distinct address* among the members'
+/// neighbours (the group's own included), and whatever streams other
+/// groups — or this one — dialled in. "Same address, same stream" is the
+/// only rule: a group of one whose neighbours each listen for themselves
+/// (`--node-worker`) has one stream per directed edge, a shard whose
+/// neighbours are mostly its own members has mostly one stream.
 ///
-/// [`crate::node::run_nodes`] calls [`NodeLoop::prepare`] on the nodes
-/// that moved, waits once, then calls [`NodeLoop::dispatch`] on each node
-/// the wait named, with that node's events; the node drains
-/// [`NodeLoop::inbound`] / [`NodeLoop::ctrl_lines`], steps the engine, and
-/// enqueues its outbox through [`NodeLoop::send`]. No method here reads
-/// the monotonic clock: `now` comes down from the thread's loop (the
-/// shutdown flush, which waits on its own, is the exception).
-pub(crate) struct NodeLoop {
-    my_id: NodeId,
+/// Which link a run of frames crossed is said in-band: a
+/// `WireFrame::Route { src, dst }` goes into the stream's [`WriteBuf`]
+/// whenever the link changes, and the reader remembers the last one per
+/// connection. Frames of one link are appended in send order to one
+/// buffer that is written front to back, so per-link FIFO is the byte
+/// order of the stream.
+///
+/// [`crate::node::run_nodes`] calls [`Hub::prepare`] once a turn — every
+/// stream flushed **once** — waits, hands [`Hub::dispatch`] the events
+/// under the [`HUB`] token, and steps the members whose
+/// [`Hub::inbound`] filled. No method here reads the monotonic clock:
+/// `now` comes down from the thread's loop (the shutdown flush, which
+/// waits on its own, is the exception).
+pub(crate) struct Hub {
     t: &'static ClusterTuning,
     listener: NetListener,
-    /// The node's neighbours in local-port order: a `Hello` resolves to
-    /// its sender's port once, so no frame pays a lookup.
-    pub neighbors: Vec<NodeId>,
-    links: Vec<OutLink>,
+    /// The listener's dialable address (`uds:<path>` / `tcp:<addr>`).
+    addr: String,
+    /// The id heartbeats carry: the group's first member.
+    lead: NodeId,
+    /// By group index.
+    members: Vec<Member>,
+    /// Node id → group index ([`NOBODY`] for everyone else): a `Route`
+    /// resolves with one load.
+    index_of: Vec<u32>,
+    streams: Vec<OutStream>,
     conns: Vec<InConn>,
-    ctrl: CtrlIo,
-    ctrl_eof: bool,
-    ctrl_acc: Vec<u8>,
     rng: ChaCha8Rng,
-    /// The node's place in its thread's group: the owner half of every
-    /// [`Poller::token`] it registers.
-    index: usize,
     scratch: Vec<u8>,
-    hello: Vec<u8>,
     stats: IoStats,
-    /// Data-plane frames read since the caller last drained, by the
-    /// sender's local port.
-    pub inbound: Vec<(usize, WireFrame)>,
-    /// Complete control lines read since the caller last drained.
-    pub ctrl_lines: Vec<String>,
 }
 
-impl NodeLoop {
-    /// Takes over the node's control pipe and listener and registers both
-    /// with `poller`, for the node's whole life, as member `index` of the
-    /// group. A control fd the kernel cannot poll (`EPERM`: a regular file,
-    /// `/dev/null`) is an error here, not a pipe that "reads" EOF later.
+impl Hub {
+    /// Binds the group's listener per `listen` (named after `lead`) and
+    /// registers it with `poller` for the group's whole life; `members`
+    /// seats, all empty until [`Hub::join`].
     pub fn new(
-        my_id: NodeId,
-        neighbors: Vec<NodeId>,
-        listener: NetListener,
-        ctrl: CtrlPipe,
+        listen: &ListenSpec,
+        lead: NodeId,
+        members: usize,
         seed: u64,
-        index: usize,
         poller: &Poller,
     ) -> io::Result<Self> {
         let t = &TUNING;
-        let ctrl = CtrlIo::new(ctrl);
-        let fd = ctrl.read_fd();
-        poller
-            .add(fd, POLLIN, Poller::token(index, fd))
-            .map_err(|e| io::Error::new(e.kind(), format!("control pipe cannot be polled: {e}")))?;
-        poller.add(listener.fd(), POLLIN, Poller::token(index, listener.fd()))?;
-        Ok(NodeLoop {
-            my_id,
+        let (listener, addr) = NetListener::bind(listen, lead)?;
+        poller.add(listener.fd(), POLLIN, Poller::token(HUB, listener.fd()))?;
+        Ok(Hub {
             t,
             listener,
-            neighbors,
-            links: Vec::new(),
+            addr,
+            lead,
+            members: (0..members)
+                .map(|_| Member {
+                    id: NodeId::MAX,
+                    neighbors: Vec::new(),
+                    links: Vec::new(),
+                    inbound: Vec::new(),
+                    gone: true,
+                })
+                .collect(),
+            index_of: Vec::new(),
+            streams: Vec::new(),
             conns: Vec::new(),
-            ctrl,
-            ctrl_eof: false,
-            ctrl_acc: Vec::new(),
             rng: ChaCha8Rng::seed_from_u64(seed),
-            index,
             scratch: vec![0u8; t.io_read_chunk],
-            hello: Vec::with_capacity(FRAME_MAX),
             stats: IoStats::default(),
-            inbound: Vec::new(),
-            ctrl_lines: Vec::new(),
         })
     }
 
-    /// Registers the outbound links, one per neighbour in local-port
-    /// order (once the address of every node arrives over ctrl); dialing
-    /// starts on the next `prepare`.
-    pub fn connect_peers(&mut self, addrs: &[&str], now: Instant) {
-        self.links = self
-            .neighbors
-            .iter()
-            .map(|&peer| OutLink {
-                peer,
-                addr: addrs[peer].to_string(),
-                stream: None,
-                out: WriteBuf::with_capacity(self.t.batch_max_bytes + FRAME_MAX),
-                attempt: 0,
-                incarnation: 0,
-                next_dial: now,
-                dead: false,
-                last_write: now,
-                hb_clock: 0,
-                blocked: false,
-            })
-            .collect();
+    /// The address every member reports in its `ready` line.
+    pub fn addr(&self) -> &str {
+        &self.addr
     }
 
-    /// True once the supervisor closed the control pipe (treat as stop).
-    pub fn ctrl_eof(&self) -> bool {
-        self.ctrl_eof
+    /// Seats node `id` as member `index`: from here a `Route` may name it.
+    pub fn join(&mut self, index: usize, id: NodeId, neighbors: Vec<NodeId>) {
+        if self.index_of.len() <= id {
+            self.index_of.resize(id + 1, NOBODY);
+        }
+        debug_assert_eq!(self.index_of[id], NOBODY, "node {id} joined twice");
+        self.index_of[id] = index as u32;
+        let m = &mut self.members[index];
+        (m.id, m.neighbors, m.gone) = (id, neighbors, false);
     }
 
-    /// Blocking line write to the supervisor — the declared untimed
-    /// `SockWrite(shard.super)` edge (the shard drains unconditionally).
-    pub fn write_ctrl(&mut self, text: &str) -> io::Result<()> {
-        self.ctrl.write_all(text.as_bytes())?;
-        self.ctrl.flush()
+    /// The member retired: what it had not drained, and whatever still
+    /// arrives for it, is a counted drop.
+    pub fn leave(&mut self, index: usize) {
+        let m = &mut self.members[index];
+        m.gone = true;
+        self.stats.conn_frames_dropped += std::mem::take(&mut m.inbound).len() as u64;
     }
 
-    /// The control pipe as a writer, for the multi-line report codec.
-    pub fn ctrl_writer(&mut self) -> &mut impl Write {
-        &mut self.ctrl
+    /// Wires member `index`'s links once the address of every node arrived
+    /// over ctrl: each neighbour's link rides the stream to that
+    /// neighbour's address, opened here if it is the first. Dialing starts
+    /// on the next `prepare`.
+    pub fn connect_peers(&mut self, index: usize, addrs: &[&str], now: Instant) {
+        let mut links = Vec::with_capacity(self.members[index].neighbors.len());
+        for &q in &self.members[index].neighbors {
+            let at = self.streams.iter().position(|s| s.addr == addrs[q]);
+            links.push(at.unwrap_or_else(|| {
+                self.streams.push(OutStream {
+                    addr: addrs[q].to_string(),
+                    stream: None,
+                    out: WriteBuf::with_capacity(self.t.batch_max_bytes + ROUTE_LEN + FRAME_MAX),
+                    route: None,
+                    attempt: 0,
+                    connected: false,
+                    next_dial: now,
+                    dead: false,
+                    last_write: now,
+                    hb_clock: 0,
+                    blocked: false,
+                });
+                self.streams.len() - 1
+            }));
+        }
+        self.members[index].links = links;
     }
 
-    /// Enqueues one frame for `to`: appends to the edge's write buffer,
-    /// flushing at the batch budget and shedding (counted) at the hard
-    /// cap.
+    /// The frames read for member `index` since it last drained.
+    pub fn inbound(&mut self, index: usize) -> &mut Vec<(usize, WireFrame)> {
+        &mut self.members[index].inbound
+    }
+
+    /// Enqueues one frame on the link from member `index` to its
+    /// neighbour `to`: appends to the stream's write buffer — behind a
+    /// `Route` if the stream last spoke for another link — flushing at the
+    /// batch budget and shedding (counted) at the hard cap.
     pub fn send(
         &mut self,
+        index: usize,
         to: NodeId,
         frame: &WireFrame,
         now: Instant,
         poller: &Poller,
     ) -> io::Result<()> {
-        let Some(i) = self.links.iter().position(|l| l.peer == to) else {
+        let m = &self.members[index];
+        let link = m.neighbors.iter().position(|&q| q == to);
+        let Some(&i) = link.and_then(|port| m.links.get(port)) else {
             debug_assert!(false, "send to non-neighbour {to}");
             return Ok(());
         };
-        let l = &self.links[i];
-        if l.dead {
+        let edge = (m.id as u16, to as u16);
+        let s = &self.streams[i];
+        if s.dead {
             self.stats.conn_frames_dropped += 1;
             return Ok(());
         }
-        if l.out.pending() >= self.t.batch_max_bytes || l.out.frames() >= self.t.batch_max_frames {
-            self.flush_link(i, now, poller)?;
+        if s.out.pending() >= self.t.batch_max_bytes || s.out.frames() >= self.t.batch_max_frames {
+            self.flush_stream(i, now, poller)?;
         }
-        let l = &mut self.links[i];
-        if l.out.pending() + FRAME_MAX > self.t.out_buf_cap_bytes {
+        let s = &mut self.streams[i];
+        if s.out.pending() + ROUTE_LEN + FRAME_MAX > self.t.out_buf_cap_bytes {
             // Congested or disconnected peer: bounded buffer, counted
             // wire drop, retransmission recovers.
             self.stats.conn_frames_dropped += 1;
             return Ok(());
         }
-        l.out.push_frame(frame);
+        if s.route != Some(edge) {
+            s.out.push_mark(&WireFrame::Route {
+                src: edge.0,
+                dst: edge.1,
+            });
+            s.route = Some(edge);
+        }
+        s.out.push_frame(frame);
         Ok(())
     }
 
-    /// The half of a turn before the wait, for a node that moved since the
-    /// last one: flush what it buffered, fire due heartbeats and dials.
-    /// Returns the nearest heartbeat or dial — the latest this node lets
-    /// the thread sleep on its sockets' account.
+    /// The half of a turn before the wait: every stream that holds bytes
+    /// is flushed — once — and due heartbeats and dials fire. Returns the
+    /// nearest heartbeat or dial — the latest the group's sockets let the
+    /// thread sleep; the idle ceiling is one heartbeat period.
     pub fn prepare(&mut self, now: Instant, poller: &Poller) -> io::Result<Instant> {
-        for i in 0..self.links.len() {
-            if !self.links[i].out.is_empty() {
-                self.flush_link(i, now, poller)?;
+        let mut deadline = now + self.t.heartbeat();
+        for i in 0..self.streams.len() {
+            if !self.streams[i].out.is_empty() {
+                self.flush_stream(i, now, poller)?;
+            }
+            self.run_timer(i, now, poller)?;
+            let s = &self.streams[i];
+            if !s.dead {
+                deadline = deadline.min(match &s.stream {
+                    Some(_) => s.last_write + self.t.heartbeat(),
+                    None => s.next_dial,
+                });
             }
         }
-        self.run_timers(now, poller)?;
-        Ok(self.next_deadline(now))
+        Ok(deadline)
     }
 
-    /// The half after the wait: `events` are this node's `(fd, events)`
-    /// pairs out of [`Poller::wait`]. Reads the control pipe and the
-    /// connections they name, accepts on the listener, retries a blocked
-    /// write. Inbound frames and ctrl lines land in the public vectors. An
-    /// fd nothing here owns any more (closed earlier in this very call)
-    /// is skipped, and a stale event on a reused number costs one
-    /// `WouldBlock` — every data socket is nonblocking, and the one
-    /// blocking fd, the control pipe, is never closed while the node
-    /// lives.
+    /// The half after the wait: `events` are the `(fd, events)` pairs
+    /// [`Poller::wait`] reported under the [`HUB`] token. Accepts on the
+    /// listener, reads the connections they name — demultiplexing into the
+    /// members' [`Hub::inbound`] — and retries a blocked write. An fd
+    /// nothing here owns any more (closed earlier in this very call) is
+    /// skipped, and a stale event on a reused number costs one
+    /// `WouldBlock`: every data socket is nonblocking.
     pub fn dispatch(
         &mut self,
         now: Instant,
@@ -966,17 +1128,7 @@ impl NodeLoop {
         poller: &Poller,
     ) -> io::Result<()> {
         for &(fd, ev) in events {
-            if fd == self.ctrl.read_fd() {
-                // One single-shot read per readiness. At EOF the fd stays
-                // open (it is also the write side, or the process's
-                // stdin), so it leaves the level-triggered set by hand.
-                if !self.ctrl_eof {
-                    self.read_ctrl();
-                    if self.ctrl_eof {
-                        poller.del(fd)?;
-                    }
-                }
-            } else if fd == self.listener.fd() {
+            if fd == self.listener.fd() {
                 if ev & POLLIN != 0 {
                     self.accept_all(poller)?;
                 }
@@ -986,11 +1138,11 @@ impl NodeLoop {
                     self.conns.swap_remove(i);
                 }
             } else if let Some(i) = self
-                .links
+                .streams
                 .iter()
-                .position(|l| l.blocked && l.stream.as_ref().is_some_and(|s| s.fd() == fd))
+                .position(|s| s.blocked && s.stream.as_ref().is_some_and(|s| s.fd() == fd))
             {
-                self.flush_link(i, now, poller)?;
+                self.flush_stream(i, now, poller)?;
             }
         }
         Ok(())
@@ -1003,33 +1155,35 @@ impl NodeLoop {
         // is level-triggered, so what is still pending comes back.
         while let Ok(s) = self.listener.accept() {
             if s.set_nonblocking(true).is_ok() {
-                poller.add(s.fd(), POLLIN, Poller::token(self.index, s.fd()))?;
+                poller.add(s.fd(), POLLIN, Poller::token(HUB, s.fd()))?;
                 self.conns.push(InConn {
                     stream: s,
                     reader: FrameReader::new(),
-                    from: None,
+                    route: None,
                 });
             }
         }
         Ok(())
     }
 
-    /// Shutdown flush: keeps writing blocked buffers (POLLOUT waits
-    /// only, so chatty peers cannot stretch the window) until everything
-    /// pending drains or `io_flush_grace` expires. Undelivered frames
-    /// become counted wire drops. A cold wait of its own — own clock, own
-    /// [`PollSet`] — after the node has left its thread's loop.
-    pub fn shutdown_flush(&mut self) {
+    /// The group's last member retired: keeps writing blocked buffers
+    /// (POLLOUT waits only, so chatty peers cannot stretch the window)
+    /// until everything pending drains or `io_flush_grace` expires —
+    /// undelivered frames become counted wire drops — unlinks a
+    /// Unix-domain listener, and hands over the group's I/O stats. A cold
+    /// wait of its own — own clock, own [`PollSet`] — after the group has
+    /// left its thread's loop.
+    pub fn shutdown(&mut self) -> IoStats {
         let deadline = Instant::now() + self.t.io_flush_grace();
         let mut ps = PollSet::new();
         loop {
             let now = Instant::now();
             ps.clear();
-            for l in &mut self.links {
-                Self::write_pending(l, &mut self.stats, now);
-                if let Some(s) = &l.stream {
-                    if !l.out.is_empty() {
-                        ps.push(s.fd(), POLLOUT);
+            for s in &mut self.streams {
+                Self::write_pending(s, &mut self.stats, now);
+                if let Some(stream) = &s.stream {
+                    if !s.out.is_empty() {
+                        ps.push(stream.fd(), POLLOUT);
                     }
                 }
             }
@@ -1037,212 +1191,196 @@ impl NodeLoop {
                 break;
             }
         }
-        for l in &mut self.links {
-            self.stats.conn_frames_dropped += l.out.reset() as u64;
+        for s in &mut self.streams {
+            self.stats.conn_frames_dropped += s.out.reset() as u64;
         }
-    }
-
-    /// Hands the accumulated I/O stats to the caller (for the final
-    /// report merge).
-    pub fn take_stats(&mut self) -> IoStats {
+        if let Some(path) = self.addr.strip_prefix("uds:") {
+            let _ = std::fs::remove_file(path);
+        }
         std::mem::take(&mut self.stats)
     }
 
-    /// Writes as much of link `i`'s buffer as its socket accepts, and
+    /// Writes as much of stream `i`'s buffer as its socket accepts, and
     /// keeps the stream's writability registration in step: in the set
     /// from the `WouldBlock` that left bytes behind to the flush that
     /// empties the buffer. A stream that died took its registration with
     /// it (close removes).
-    fn flush_link(&mut self, i: usize, now: Instant, poller: &Poller) -> io::Result<()> {
-        let l = &mut self.links[i];
-        Self::write_pending(l, &mut self.stats, now);
-        let want = l.stream.is_some() && !l.out.is_empty();
-        if want != l.blocked {
-            if let Some(s) = &l.stream {
+    fn flush_stream(&mut self, i: usize, now: Instant, poller: &Poller) -> io::Result<()> {
+        let s = &mut self.streams[i];
+        Self::write_pending(s, &mut self.stats, now);
+        let want = s.stream.is_some() && !s.out.is_empty();
+        if want != s.blocked {
+            if let Some(stream) = &s.stream {
                 if want {
-                    poller.add(s.fd(), POLLOUT, Poller::token(self.index, s.fd()))?;
+                    poller.add(stream.fd(), POLLOUT, Poller::token(HUB, stream.fd()))?;
                 } else {
-                    poller.del(s.fd())?;
+                    poller.del(stream.fd())?;
                 }
             }
-            l.blocked = want;
+            s.blocked = want;
         }
         Ok(())
     }
 
-    /// Writes as much of `l.out` as the socket accepts. On error the
-    /// connection dies (buffered bytes become counted wire drops) and the
-    /// link redials immediately.
-    fn write_pending(l: &mut OutLink, stats: &mut IoStats, now: Instant) {
-        let Some(stream) = &mut l.stream else { return };
-        while !l.out.is_empty() {
-            match stream.write(l.out.pending_bytes()) {
-                Ok(0) => {
-                    Self::disconnect(l, stats, now);
-                    return;
-                }
+    /// Writes as much of `s.out` as the socket accepts. On error the
+    /// connection dies (buffered frames become counted wire drops — a
+    /// partially written frame cannot be resumed on a new connection) and
+    /// the stream redials immediately; whatever it carries next starts
+    /// with a `Route`.
+    fn write_pending(s: &mut OutStream, stats: &mut IoStats, now: Instant) {
+        let Some(stream) = &mut s.stream else { return };
+        while !s.out.is_empty() {
+            match stream.write(s.out.pending_bytes()) {
+                Ok(0) => return Self::disconnect(s, stats, now),
                 Ok(k) => {
                     stats.write_syscalls += 1;
-                    l.last_write = now;
-                    if let Some(batch) = l.out.consume(k) {
+                    s.last_write = now;
+                    if let Some(batch) = s.out.consume(k) {
                         stats.batch.record(batch as u64);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return Self::disconnect(s, stats, now),
+            }
+        }
+    }
+
+    fn disconnect(s: &mut OutStream, stats: &mut IoStats, now: Instant) {
+        s.stream = None;
+        stats.conn_frames_dropped += s.out.reset() as u64;
+        s.route = None;
+        s.attempt = 0;
+        s.next_dial = now;
+    }
+
+    /// Fires stream `i`'s due dial or heartbeat.
+    fn run_timer(&mut self, i: usize, now: Instant, poller: &Poller) -> io::Result<()> {
+        let s = &mut self.streams[i];
+        if s.dead {
+            return Ok(());
+        }
+        if s.stream.is_none() {
+            if now < s.next_dial {
+                return Ok(());
+            }
+            match dial(&s.addr).and_then(|stream| stream.set_nonblocking(true).map(|()| stream)) {
+                Ok(stream) => {
+                    self.stats.reconnects += std::mem::replace(&mut s.connected, true) as u64;
+                    s.attempt = 0;
+                    s.stream = Some(stream);
+                    s.last_write = now;
+                }
                 Err(_) => {
-                    Self::disconnect(l, stats, now);
-                    return;
-                }
-            }
-        }
-    }
-
-    fn disconnect(l: &mut OutLink, stats: &mut IoStats, now: Instant) {
-        l.stream = None;
-        stats.conn_frames_dropped += l.out.reset() as u64;
-        l.attempt = 0;
-        l.next_dial = now;
-    }
-
-    /// Fires due dials and heartbeats.
-    fn run_timers(&mut self, now: Instant, poller: &Poller) -> io::Result<()> {
-        for i in 0..self.links.len() {
-            let l = &mut self.links[i];
-            if l.dead {
-                continue;
-            }
-            if l.stream.is_none() {
-                if now < l.next_dial {
-                    continue;
-                }
-                match dial(&l.addr) {
-                    Ok(s) => {
-                        if s.set_nonblocking(true).is_err() {
-                            l.next_dial = now + Duration::from_millis(self.t.backoff_ms(l.attempt));
-                            continue;
-                        }
-                        if l.incarnation > 0 {
-                            self.stats.reconnects += 1;
-                        }
-                        l.incarnation += 1;
-                        l.attempt = 0;
-                        // The Hello must precede any buffered frames. A
-                        // fresh socket's send buffer is empty, so this
-                        // tiny write cannot WouldBlock in practice; if it
-                        // somehow fails the link just redials.
-                        self.hello.clear();
-                        encode_frame(
-                            &WireFrame::Hello {
-                                node: self.my_id as u16,
-                                incarnation: l.incarnation,
-                            },
-                            &mut self.hello,
-                        );
-                        let mut s = s;
-                        match s.write(&self.hello) {
-                            Ok(k) if k == self.hello.len() => {
-                                self.stats.write_syscalls += 1;
-                                l.stream = Some(s);
-                                l.last_write = now;
-                            }
-                            _ => {
-                                l.next_dial = now + Duration::from_millis(1);
-                                continue;
-                            }
-                        }
+                    s.attempt += 1;
+                    if s.attempt > self.t.max_dial_attempts {
+                        s.dead = true;
+                        self.stats.conn_frames_dropped += s.out.reset() as u64;
+                        return Ok(());
                     }
-                    Err(_) => {
-                        l.attempt += 1;
-                        if l.attempt > self.t.max_dial_attempts {
-                            l.dead = true;
-                            self.stats.conn_frames_dropped += l.out.reset() as u64;
-                            continue;
-                        }
-                        let backoff = self.t.backoff_ms(l.attempt);
-                        let jitter = self.rng.gen_range(0..=backoff / 2);
-                        l.next_dial = now + Duration::from_millis(backoff + jitter);
-                        continue;
-                    }
+                    let backoff = self.t.backoff_ms(s.attempt);
+                    let jitter = self.rng.gen_range(0..=backoff / 2);
+                    s.next_dial = now + Duration::from_millis(backoff + jitter);
+                    return Ok(());
                 }
-            } else if now.duration_since(l.last_write) >= self.t.heartbeat() {
-                l.hb_clock += 1;
-                let hb = WireFrame::Heartbeat {
-                    node: self.my_id as u16,
-                    clock: l.hb_clock,
-                };
-                l.out.push_frame(&hb);
-                self.stats.heartbeats += 1;
-            } else {
-                continue;
             }
-            // Freshly connected, or a heartbeat to ship.
-            self.flush_link(i, now, poller)?;
+        } else if now.duration_since(s.last_write) >= self.t.heartbeat() {
+            s.hb_clock += 1;
+            s.out.push_frame(&WireFrame::Heartbeat {
+                node: self.lead as u16,
+                clock: s.hb_clock,
+            });
+            // Behind a full socket too: one heartbeat a period, not one a
+            // turn.
+            s.last_write = now;
+            self.stats.heartbeats += 1;
+        } else {
+            return Ok(());
         }
-        Ok(())
+        // Freshly connected — what was buffered meanwhile starts with a
+        // `Route` — or a heartbeat to ship.
+        self.flush_stream(i, now, poller)
     }
 
-    /// The nearest heartbeat/dial deadline; the idle ceiling is one
-    /// heartbeat period.
-    fn next_deadline(&self, now: Instant) -> Instant {
-        let ceiling = now + self.t.heartbeat();
-        self.links
-            .iter()
-            .filter(|l| !l.dead)
-            .map(|l| match &l.stream {
-                Some(_) => l.last_write + self.t.heartbeat(),
-                None => l.next_dial,
-            })
-            .fold(ceiling, Instant::min)
-    }
-
-    /// One single-shot ctrl read; complete lines move to `ctrl_lines`.
-    fn read_ctrl(&mut self) {
-        match self.ctrl.read_once(&mut self.scratch) {
-            Ok(0) => self.ctrl_eof = true,
-            Ok(k) => {
-                self.ctrl_acc.extend_from_slice(&self.scratch[..k]);
-                self.ctrl_lines.extend(take_lines(&mut self.ctrl_acc));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => self.ctrl_eof = true,
-        }
-    }
-
-    /// Drains one readable inbound connection. Returns false when the
-    /// connection must be dropped (EOF, error, garbage, pre-Hello data).
+    /// Drains one readable inbound connection into the members' inboxes.
+    /// Returns false when the connection must be dropped: EOF, error,
+    /// garbage, a `Route` that names a `dst` that is no member here or a
+    /// `src` that is no neighbour of `dst`, data before any `Route`. The
+    /// dialer's write fails, it redials, and its first frame is a `Route`.
     fn read_conn(&mut self, i: usize) -> bool {
+        let Hub {
+            conns,
+            members,
+            index_of,
+            scratch,
+            stats,
+            ..
+        } = self;
+        let conn = &mut conns[i];
         loop {
-            let k = match self.conns[i].stream.read(&mut self.scratch) {
+            let k = match conn.stream.read(scratch) {
                 Ok(0) => return false,
                 Ok(k) => k,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return false,
             };
-            self.stats.read_syscalls += 1;
-            let conn = &mut self.conns[i];
-            conn.reader.extend(&self.scratch[..k]);
+            stats.read_syscalls += 1;
+            conn.reader.extend(&scratch[..k]);
             loop {
                 match conn.reader.next_frame() {
-                    Ok(Some(WireFrame::Hello { node, .. })) => {
-                        conn.from = self.neighbors.iter().position(|&q| q == node as NodeId);
+                    Ok(Some(WireFrame::Route { src, dst })) => {
+                        let member = match index_of.get(dst as usize) {
+                            Some(&m) if m != NOBODY => m as usize,
+                            _ => return false,
+                        };
+                        let neighbors = &members[member].neighbors;
+                        let Some(port) = neighbors.iter().position(|&q| q == src as NodeId) else {
+                            return false;
+                        };
+                        conn.route = Some((member, port));
                     }
-                    Ok(Some(frame)) => match conn.from {
-                        // Frames before the Hello, or after one from a
-                        // node that is no neighbour: unidentified
-                        // connection, drop it (the dialer re-Hellos).
-                        None => return false,
-                        Some(port) => self.inbound.push((port, frame)),
-                    },
+                    // A heartbeat: the stream is alive, nobody is told.
+                    Ok(Some(frame)) if !frame.is_data_plane() => {}
+                    Ok(Some(frame)) => {
+                        let Some((member, port)) = conn.route else {
+                            return false;
+                        };
+                        let m = &mut members[member];
+                        if m.gone {
+                            stats.conn_frames_dropped += 1;
+                        } else {
+                            m.inbound.push((port, frame));
+                        }
+                    }
                     Ok(None) => break,
                     Err(_) => return false, // garbage on the wire
                 }
             }
-            if k < self.scratch.len() {
+            if k < scratch.len() {
                 return true; // short read: socket drained
             }
+        }
+    }
+}
+
+#[cfg(test)]
+impl Hub {
+    /// `(out-streams, accepted connections)`.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.streams.len(), self.conns.len())
+    }
+
+    pub(crate) fn stats(&self) -> &IoStats {
+        &self.stats
+    }
+
+    /// Shuts out-stream `i`'s socket down under the hub: the next write
+    /// fails the way a reset connection would.
+    pub(crate) fn cut_stream_for_test(&self, i: usize) {
+        match self.streams[i].stream.as_ref().expect("connected") {
+            NetStream::Unix(s) => s.shutdown(std::net::Shutdown::Both).unwrap(),
+            NetStream::Tcp(s) => s.shutdown(std::net::Shutdown::Both).unwrap(),
         }
     }
 }
@@ -1321,6 +1459,87 @@ mod tests {
         assert_eq!(wb.reset(), 7);
         assert!(wb.is_empty());
         assert_eq!(wb.pending(), 0);
+    }
+
+    /// A `Route` rides the write but is no frame of the batch: not in the
+    /// count a completed write reports, not in what a reset loses.
+    #[test]
+    fn a_mark_is_not_part_of_the_batch() {
+        let mut wb = WriteBuf::with_capacity(1024);
+        wb.push_mark(&WireFrame::Route { src: 0, dst: 1 });
+        assert_eq!((wb.pending(), wb.frames()), (ROUTE_LEN, 0));
+        wb.push_frame(&data_frame(1));
+        wb.push_mark(&WireFrame::Route { src: 1, dst: 0 });
+        wb.push_frame(&data_frame(2));
+        assert_eq!(wb.consume(wb.pending()), Some(2));
+        wb.push_mark(&WireFrame::Route { src: 0, dst: 1 });
+        wb.push_frame(&data_frame(3));
+        assert_eq!(wb.reset(), 1);
+    }
+
+    /// Reads `n` frames off a blocking stream (a frame that never comes is
+    /// a failure, not a hang).
+    fn read_frames(s: &mut UnixStream, n: usize) -> Vec<WireFrame> {
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let (mut reader, mut frames, mut buf) = (FrameReader::new(), Vec::new(), [0u8; 512]);
+        while frames.len() < n {
+            let k = s.read(&mut buf).expect("read");
+            assert!(k > 0, "EOF after {frames:?}");
+            reader.extend(&buf[..k]);
+            while let Some(f) = reader.next_frame().expect("clean stream") {
+                frames.push(f);
+            }
+        }
+        frames
+    }
+
+    /// A hub of one member against a listener the test holds: the link's
+    /// frames arrive behind one `Route`, a second link to the same address
+    /// shares the stream behind its own, and a stream that was cut redials
+    /// at once and opens with a `Route` again.
+    #[test]
+    fn a_stream_opens_with_a_route_and_again_after_a_redial() {
+        let dir = std::env::temp_dir().join(format!("ssmfp-hub-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let far_path = dir.join("far.sock");
+        let far = UnixListener::bind(&far_path).unwrap();
+        let far_addr = format!("uds:{}", far_path.display());
+        let poller = Poller::new().unwrap();
+        let mut hub = Hub::new(&ListenSpec::Uds { dir: dir.clone() }, 0, 1, 7, &poller).unwrap();
+        hub.join(0, 0, vec![1, 2]);
+        let now = Instant::now();
+        hub.connect_peers(0, &["", &far_addr, &far_addr], now);
+        assert_eq!(hub.shape(), (1, 0), "two neighbours, one address");
+        let (to_1, to_2) = (
+            WireFrame::Route { src: 0, dst: 1 },
+            WireFrame::Route { src: 0, dst: 2 },
+        );
+
+        for (to, seq) in [(1, 1), (1, 2), (2, 3), (1, 4)] {
+            hub.send(0, to, &data_frame(seq), now, &poller).unwrap();
+        }
+        hub.prepare(now, &poller).unwrap();
+        let (mut conn, _) = far.accept().unwrap();
+        let [d1, d2, d3, d4, d5, d6] = [1, 2, 3, 4, 5, 6].map(data_frame);
+        assert_eq!(
+            read_frames(&mut conn, 7),
+            [to_1, d1, d2, to_2, d3, to_1, d4]
+        );
+        assert_eq!(hub.stats().write_syscalls, 1, "one flush for both links");
+
+        // The write that meets the cut loses what it held; the redial is
+        // in the same `prepare`.
+        hub.cut_stream_for_test(0);
+        hub.send(0, 1, &d5, now, &poller).unwrap();
+        hub.prepare(now, &poller).unwrap();
+        hub.send(0, 1, &d6, now, &poller).unwrap();
+        hub.prepare(now, &poller).unwrap();
+        let (mut conn, _) = far.accept().unwrap();
+        assert_eq!(read_frames(&mut conn, 2), [to_1, d6]);
+        let io = hub.shutdown();
+        assert_eq!((io.reconnects, io.conn_frames_dropped), (1, 1));
+        assert!(!dir.join("node0.sock").exists(), "shutdown unlinks");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The poll shim against a real socketpair: writability up front,

@@ -6,7 +6,7 @@
 //! What this (total, lossless) bridge still converts: destinations
 //! (`usize` in the simulator, `u16` on the wire), the client stamp a
 //! client-mode frame carries beside its ghost, and the supervision frames
-//! `Hello`/`Heartbeat`, which have no `WireMsg` counterpart —
+//! `Hello`/`Heartbeat`/`Route`, which have no `WireMsg` counterpart —
 //! [`frame_to_msg`] returns `None` for them.
 
 use ssmfp_core::wire::{ClientStamp, WireFrame, WireMessage};
@@ -102,8 +102,8 @@ fn msg_to_frame_with(msg: &WireMsg, conv: fn(&MpMessage) -> WireMessage) -> Wire
 }
 
 /// Decodes a frame back into a simulator message; `None` for the
-/// supervision frames (`Hello`/`Heartbeat`), which never reach the
-/// protocol.
+/// supervision frames (`Hello`/`Heartbeat`/`Route`), which never reach
+/// the protocol.
 pub fn frame_to_msg(frame: &WireFrame) -> Option<WireMsg> {
     Some(match frame {
         WireFrame::Offer { d, msg, nonce } => WireMsg::Offer {
@@ -130,7 +130,9 @@ pub fn frame_to_msg(frame: &WireFrame) -> Option<WireMsg> {
             d: *d as usize,
             dist: *dist,
         },
-        WireFrame::Hello { .. } | WireFrame::Heartbeat { .. } => return None,
+        WireFrame::Hello { .. } | WireFrame::Heartbeat { .. } | WireFrame::Route { .. } => {
+            return None
+        }
     })
 }
 
@@ -169,6 +171,7 @@ mod tests {
             frame_to_msg(&WireFrame::Heartbeat { node: 1, clock: 2 }),
             None
         );
+        assert_eq!(frame_to_msg(&WireFrame::Route { src: 1, dst: 2 }), None);
     }
 
     #[test]

@@ -19,16 +19,17 @@
 //!   clients per run, each a ~56-byte session stamping its sends with a
 //!   `(client, seq)` identity the shutdown reconcile audits per client
 //!   (exactly-once *and* FIFO), with fairness-spread telemetry.
-//! * [`evloop`] — a node's I/O machinery: [`evloop::Poller`], the
-//!   persistent `epoll` set of a data thread (and a `ppoll` shim for the
-//!   cold waits), per-connection coalescing write buffers (zero-realloc
-//!   hot path), and [`evloop::NodeLoop`], which registers the control
-//!   pipe, the listener and every data connection of one node in the
-//!   readiness set of its thread for as long as each matters, with
-//!   heartbeat/reconnect deadlines on its timer list.
+//! * [`evloop`] — a data thread's I/O machinery: [`evloop::Poller`], the
+//!   persistent `epoll` set (and a `ppoll` shim for the cold waits),
+//!   coalescing write buffers (zero-realloc hot path), and `evloop::Hub`,
+//!   the sockets of one group of nodes — one listener, one simplex stream
+//!   per distinct destination address, `Route` frames saying which link a
+//!   run of frames crossed — with heartbeat/reconnect deadlines per
+//!   stream.
 //! * [`node`] — one node = **one resumable task**, one shard = one
-//!   thread: a turn of `run_nodes` prepares the nodes that moved, waits
-//!   once and steps only the nodes with a ready fd or a passed deadline —
+//!   thread: a turn of `run_nodes` flushes each of the group's streams
+//!   once, waits once, reads each ready stream once and steps only the
+//!   nodes with frames, a ready control pipe or a passed deadline —
 //!   forwarder, workload and control state machine — and [`node_main`] (a
 //!   node process) is that loop with a group of one.
 //! * [`orchestrator`] — the sharded control tree: K `shard.super`

@@ -151,7 +151,7 @@ pub struct ShardStatus {
 
 /// Shard → orchestrator upstream messages (the `orch.shard` channel).
 enum ShardUp {
-    /// All shard nodes bound their listeners.
+    /// All shard nodes reported the address they listen at.
     Ready(Vec<(NodeId, String)>),
     /// Periodic merged status.
     Status(ShardStatus),
@@ -582,6 +582,35 @@ pub fn parse_chaos(s: &str) -> Result<ChaosSpec, String> {
         });
     }
     Ok(spec)
+}
+
+/// The descriptors a run holds at once, from the shape of its streams. A
+/// data stream joins an ordered pair of groups that share an edge (a group
+/// with an inner edge pairs with itself) and is two descriptors, the
+/// dialling end and the accepted end; a group also holds a listener and
+/// its `epoll` set, every node a control pipe of two ends, every shard a
+/// socketpair to the orchestrator. Inproc a group is a shard and all of it
+/// is in this process. In process mode a group is one node in a process of
+/// its own, which inherits the limit set here: the parent holds the
+/// control tree only, and no child's two streams per neighbour come to
+/// more than that.
+fn nofile_budget(graph: &Graph, ranges: &[Range<usize>], mode: &RunMode) -> u64 {
+    let control = 2 * graph.n() + 2 * ranges.len();
+    let held = match mode {
+        RunMode::Inproc => {
+            let group = |p: NodeId| ranges.iter().position(|r| r.contains(&p));
+            let mut pairs: Vec<_> = graph
+                .edges()
+                .iter()
+                .flat_map(|&(a, b)| [(group(a), group(b)), (group(b), group(a))])
+                .collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            control + 2 * pairs.len() + 2 * ranges.len()
+        }
+        RunMode::Proc { .. } => control,
+    };
+    (held + 64) as u64
 }
 
 fn node_config(spec: &ClusterSpec, p: usize) -> NodeConfig {
@@ -1181,7 +1210,7 @@ fn drive(
         let held: u64 = snap.iter().map(|s| s.held).sum();
         let generated: u64 = snap.iter().map(|s| s.generated).sum();
         let delivered: u64 = snap.iter().map(|s| s.delivered).sum();
-        if all_done && held == 0 && generated == delivered && generated > 0 {
+        if all_done && held == 0 && generated == delivered {
             if last_snapshot.as_deref() == Some(&snap[..]) {
                 stable += 1;
                 if stable >= TUNING.stable_snapshots {
@@ -1230,10 +1259,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     let n = spec.graph.n();
     let ranges = shard_ranges(n, spec.shards);
     let k = ranges.len();
-    // An inproc run holds both ends of every data connection plus the
-    // control tree in one process — past the common 1024-fd default well
-    // before 100 nodes.
-    raise_nofile_limit((4 * spec.graph.edges().len() + 6 * n + 8 * k + 64) as u64);
+    raise_nofile_limit(nofile_budget(&spec.graph, &ranges, &spec.mode));
 
     let (up_tx, up_rx, _up_stats) =
         tracked_channel::<(usize, ShardUp)>(COMPONENT, model.channel_decl("orch.shard"));
@@ -1539,6 +1565,29 @@ mod tests {
         assert_eq!(rtt.count(), k as u64 * clients_per_shard);
         assert_eq!(fair.count(), k as u64 * clients_per_shard);
         assert!(rtt.nonzero_buckets().len() <= BUCKET_CAPACITY);
+    }
+
+    /// The fd budget counts streams, not edges: a 100-node grid on four
+    /// data threads holds 10 ordered pairs of groups, whatever its 180
+    /// edges; one thread holds one stream to itself; a process per node
+    /// leaves the parent the control tree.
+    #[test]
+    fn nofile_budget_counts_streams_between_groups() {
+        let grid = ssmfp_topology::gen::grid(10, 10);
+        let slack = 64;
+        let four = nofile_budget(&grid, &shard_ranges(100, 4), &RunMode::Inproc);
+        assert_eq!(four, 2 * 10 + 2 * 4 + 2 * 100 + 2 * 4 + slack);
+        let one = nofile_budget(&grid, &shard_ranges(100, 1), &RunMode::Inproc);
+        assert_eq!(one, 2 + 2 + 2 * 100 + 2 + slack);
+        let each = nofile_budget(&grid, &shard_ranges(100, 100), &RunMode::Inproc);
+        assert_eq!(each, 2 * 2 * 180 + 2 * 100 + 2 * 100 + 2 * 100 + slack);
+        let proc = RunMode::Proc {
+            exe: PathBuf::from("ssmfp-cluster"),
+        };
+        assert_eq!(
+            nofile_budget(&grid, &shard_ranges(100, 4), &proc),
+            2 * 100 + 2 * 4 + slack
+        );
     }
 
     #[test]

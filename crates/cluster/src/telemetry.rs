@@ -155,16 +155,20 @@ impl LogHistogram {
     }
 }
 
-/// Per-node transport and chaos counters, reported at shutdown.
+/// Per-node transport and chaos counters, reported at shutdown. The
+/// sockets are the group's, so the five socket counters (heartbeats,
+/// reconnects, the two syscall counts, connection drops) ride the report of
+/// the group's last member to retire and are zero in the others; sums
+/// over a run's reports are the run's totals either way.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeCounters {
     /// Data-plane frames handed to writer queues.
     pub frames_sent: u64,
     /// Data-plane frames received (pre-chaos).
     pub frames_received: u64,
-    /// Heartbeats written on idle links.
+    /// Heartbeats written on idle streams.
     pub heartbeats_sent: u64,
-    /// Successful (re)connections dialed, beyond the first per link.
+    /// Successful (re)connections dialed, beyond the first per stream.
     pub reconnects: u64,
     /// Frames the chaos shim dropped.
     pub chaos_dropped: u64,
@@ -180,8 +184,8 @@ pub struct NodeCounters {
     pub write_syscalls: u64,
     /// `read()` syscalls that returned data.
     pub read_syscalls: u64,
-    /// Frames lost with a dying connection or shed at the per-connection
-    /// out-buffer cap — counted wire drops, distinct from the chaos
+    /// Frames lost with a dying connection, shed at the per-stream
+    /// out-buffer cap or routed to a node that had already retired — counted wire drops, distinct from the chaos
     /// shim's deliberate ones.
     pub conn_frames_dropped: u64,
 }

@@ -171,6 +171,84 @@ fn tcp_transport_also_clean() {
     assert_clean(&report);
 }
 
+/// Two data threads over a 25-node grid, under chaos, over both socket
+/// flavours: each group holds a stream to its own address and one to the
+/// other's at once, every link rides one of the two, and the group's
+/// socket accounting reaches the run totals through exactly one report.
+#[test]
+fn two_shard_grid_shares_an_own_and_a_cross_group_stream() {
+    for listen in [ListenSpec::Uds { dir: uds_dir() }, ListenSpec::Tcp] {
+        let graph = gen::grid(5, 5);
+        let spec = ClusterSpec {
+            topology: "grid:5x5".into(),
+            chaos: chaos_spec(&graph, 9),
+            graph,
+            seed: 9,
+            workload: WorkloadSpec {
+                kind: WorkloadKind::Closed { outstanding: 2 },
+                messages: 8,
+            },
+            listen,
+            clients: None,
+            shards: 2,
+            mode: RunMode::Inproc,
+            timeout: Duration::from_secs(120),
+        };
+        let report = run_cluster(&spec).expect("run");
+        assert_clean(&report);
+        assert_eq!(report.primaries_delivered, 25 * 8, "{:?}", spec.listen);
+        let carriers = report
+            .nodes
+            .iter()
+            .filter(|r| r.counters.write_syscalls > 0 || r.counters.read_syscalls > 0);
+        assert_eq!(carriers.count(), 2, "one report per group carries its I/O");
+        // Four streams, each written at most once a turn: far fewer writes
+        // than frames.
+        let c = &report.counters;
+        assert!(
+            c.write_syscalls < c.frames_sent,
+            "{} writes for {} frames",
+            c.write_syscalls,
+            c.frames_sent
+        );
+    }
+}
+
+/// A run that issues nothing is done when it starts: every node reports
+/// `done_issuing` with nothing generated, held or delivered, and that is
+/// convergence — not a wait for the timeout.
+#[test]
+fn a_run_of_zero_messages_converges_clean() {
+    let modes = [
+        RunMode::Inproc,
+        RunMode::Proc {
+            exe: PathBuf::from(env!("CARGO_BIN_EXE_ssmfp-cluster")),
+        },
+    ];
+    for mode in modes {
+        let spec = ClusterSpec {
+            topology: "line:5".into(),
+            graph: gen::line(5),
+            seed: 1,
+            workload: WorkloadSpec {
+                kind: WorkloadKind::Closed { outstanding: 1 },
+                messages: 0,
+            },
+            chaos: ChaosSpec::none(),
+            listen: ListenSpec::Uds { dir: uds_dir() },
+            clients: None,
+            shards: 2,
+            mode,
+            timeout: Duration::from_secs(30),
+        };
+        let report = run_cluster(&spec).expect("run");
+        assert!(report.clean(), "{:?}: {:?}", spec.mode, report.verdict);
+        assert!(report.wall_s < 2.0, "{:?}: {} s", spec.mode, report.wall_s);
+        assert_eq!(report.verdict.generated, 0);
+        assert_eq!(report.primaries_delivered, 0);
+    }
+}
+
 /// The primary ghost↔destination message set — what the SP verdict
 /// quantifies over — is a pure function of the seed, independent of
 /// scheduling. (Ack *identities* depend on delivery order; their count

@@ -91,7 +91,7 @@ fn five_node_uds_chaos_never_wedges() {
 }
 
 /// A quiet `closed:1:3` run of `topology` with every node on one data
-/// thread.
+/// thread (unless the caller says otherwise).
 fn one_thread_spec(topology: &str, graph: Graph, listen: ListenSpec) -> ClusterSpec {
     ClusterSpec {
         topology: topology.into(),
@@ -110,11 +110,14 @@ fn one_thread_spec(topology: &str, graph: Graph, listen: ListenSpec) -> ClusterS
     }
 }
 
-/// A dial must never wait on an accept only its own thread can perform:
-/// 199 leaves dial one TCP hub from the hub's own thread, past std's
-/// listen backlog of 128. A blocking `connect` sits out SYN
-/// retransmissions the hub cannot answer while its thread is in the
-/// dial, and the cluster never comes up.
+/// A dial must never wait on an accept only its own thread can perform.
+/// On one thread the star's 398 links ride the group's one stream to its
+/// own listener, dialled by the thread that has to accept it. (When every
+/// node listened for itself, 199 leaves dialled one TCP hub from the hub's
+/// own thread, past std's listen backlog of 128: a blocking `connect` sat
+/// out SYN retransmissions the hub could not answer while its thread was
+/// in the dial, and the cluster never came up. A process per node still
+/// dials like that, across processes.)
 #[test]
 fn tcp_star_past_the_listen_backlog_comes_up_on_one_thread() {
     let report = run_watched(one_thread_spec("star:200", gen::star(200), ListenSpec::Tcp))
@@ -123,25 +126,25 @@ fn tcp_star_past_the_listen_backlog_comes_up_on_one_thread() {
     assert_eq!(report.primaries_delivered, 200 * 3);
 }
 
-/// A node that cannot bind ends the run with an error, not a hang — when
-/// every node of the shard fails (no socket directory), and when one
-/// fails and its four thread-mates sit waiting for a `peers` line that
-/// will never come: the shard closes every one of their pipes before it
-/// joins the thread they share.
+/// A group that cannot bind its listener ends the run with an error, not
+/// a hang — when the only group fails (no socket directory), and when one
+/// of two fails and the three nodes of the other sit on their thread
+/// waiting for a `peers` line that will never come: their shard closes
+/// every one of their pipes before it joins the thread they share.
 #[test]
 fn a_shard_whose_nodes_never_get_ready_is_wound_down() {
     let missing = std::env::temp_dir().join(format!("ssmfp-no-such-dir-{}", std::process::id()));
     let blocked = uds_dir("blocked");
-    // `node3.sock` is a directory: bind fails for node 3 only.
+    // `node3.sock` is a directory: bind fails for the group node 3 leads,
+    // the second of two.
     std::fs::create_dir_all(blocked.join("node3.sock")).expect("block node 3");
-    for dir in [missing, blocked] {
+    for (dir, shards) in [(missing, 1), (blocked, 2)] {
         let t0 = Instant::now();
-        let err = run_watched(one_thread_spec(
-            "line:5",
-            gen::line(5),
-            ListenSpec::Uds { dir: dir.clone() },
-        ))
-        .expect_err("a node could not bind");
+        let err = run_watched(ClusterSpec {
+            shards,
+            ..one_thread_spec("line:5", gen::line(5), ListenSpec::Uds { dir: dir.clone() })
+        })
+        .expect_err("a group could not bind");
         assert!(
             err.to_string().contains("exited before ready"),
             "{}: {err}",

@@ -44,15 +44,20 @@ pub enum FrameTag {
     Deny = 4,
     /// Routing algorithm `A`'s distance-vector advertisement.
     Dv = 5,
-    /// Connection bootstrap: the dialing node identifies itself.
+    /// Connection bootstrap: the dialing node identifies itself. (The
+    /// cluster runtime's streams carry several nodes' links and say whose
+    /// with [`FrameTag::Route`]; nothing there sends this any more.)
     Hello = 6,
     /// Liveness probe on an idle link (supervision only, never audited).
     Heartbeat = 7,
+    /// Which directed edge the data-plane frames that follow on this
+    /// stream belong to, until the next one (supervision only).
+    Route = 8,
 }
 
 impl FrameTag {
     /// Every tag, in wire order.
-    pub const ALL: [FrameTag; 7] = [
+    pub const ALL: [FrameTag; 8] = [
         FrameTag::Offer,
         FrameTag::Accept,
         FrameTag::Confirm,
@@ -60,6 +65,7 @@ impl FrameTag {
         FrameTag::Dv,
         FrameTag::Hello,
         FrameTag::Heartbeat,
+        FrameTag::Route,
     ];
 
     /// The wire byte.
@@ -84,6 +90,7 @@ impl FrameTag {
             FrameTag::Dv => "routing.dv",
             FrameTag::Hello => "control.hello",
             FrameTag::Heartbeat => "control.heartbeat",
+            FrameTag::Route => "control.route",
         }
     }
 }
@@ -91,7 +98,7 @@ impl FrameTag {
 /// Every protocol event kind that crosses a link, declared once. The
 /// `wire-coverage` lint checks this list against [`FrameTag::ALL`] in
 /// both directions.
-pub const LINK_EVENT_KINDS: [&str; 7] = [
+pub const LINK_EVENT_KINDS: [&str; 8] = [
     "port.offer",
     "port.accept",
     "port.confirm",
@@ -99,6 +106,7 @@ pub const LINK_EVENT_KINDS: [&str; 7] = [
     "routing.dv",
     "control.hello",
     "control.heartbeat",
+    "control.route",
 ];
 
 /// The logical-client identity stamped on a message by the client
@@ -211,6 +219,15 @@ pub enum WireFrame {
         /// Its monotonic probe counter.
         clock: u64,
     },
+    /// `Route { src, dst }` — several links may share one ordered byte
+    /// stream; the data-plane frames after this one, up to the next
+    /// `Route`, crossed the link `src → dst`.
+    Route {
+        /// The sending end of the link.
+        src: u16,
+        /// The receiving end of the link.
+        dst: u16,
+    },
 }
 
 impl WireFrame {
@@ -224,14 +241,19 @@ impl WireFrame {
             WireFrame::Dv { .. } => FrameTag::Dv,
             WireFrame::Hello { .. } => FrameTag::Hello,
             WireFrame::Heartbeat { .. } => FrameTag::Heartbeat,
+            WireFrame::Route { .. } => FrameTag::Route,
         }
     }
 
     /// Whether this frame is data-plane traffic (audited, chaos-eligible)
-    /// as opposed to supervision (`Hello`/`Heartbeat`, which the chaos
-    /// shim must never touch lest it kill the link it is testing).
+    /// as opposed to supervision (`Hello`/`Heartbeat`/`Route`, which the
+    /// chaos shim must never touch lest it kill — or mislabel — the link
+    /// it is testing).
     pub fn is_data_plane(&self) -> bool {
-        !matches!(self, WireFrame::Hello { .. } | WireFrame::Heartbeat { .. })
+        !matches!(
+            self,
+            WireFrame::Hello { .. } | WireFrame::Heartbeat { .. } | WireFrame::Route { .. }
+        )
     }
 }
 
@@ -379,6 +401,10 @@ pub fn encode_frame(frame: &WireFrame, out: &mut Vec<u8>) {
             put_u16(out, *node);
             put_u64(out, *clock);
         }
+        WireFrame::Route { src, dst } => {
+            put_u16(out, *src);
+            put_u16(out, *dst);
+        }
     }
     let body_len = (out.len() - start - 4) as u32;
     out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
@@ -396,6 +422,7 @@ pub fn decode_body(body: &[u8]) -> Result<WireFrame, WireError> {
         }
         FrameTag::Dv | FrameTag::Hello => 2 + 4,
         FrameTag::Heartbeat => 2 + 8,
+        FrameTag::Route => 2 + 2,
     };
     if rest.len() != expected {
         return Err(WireError::BadBodyLen {
@@ -441,6 +468,10 @@ pub fn decode_body(body: &[u8]) -> Result<WireFrame, WireError> {
         FrameTag::Heartbeat => WireFrame::Heartbeat {
             node: c.u16(),
             clock: c.u64(),
+        },
+        FrameTag::Route => WireFrame::Route {
+            src: c.u16(),
+            dst: c.u16(),
         },
     })
 }
@@ -551,6 +582,7 @@ mod tests {
                 incarnation: 5,
             },
             WireFrame::Heartbeat { node: 2, clock: 99 },
+            WireFrame::Route { src: 3, dst: 4 },
         ]
     }
 

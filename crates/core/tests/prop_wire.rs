@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 use ssmfp_core::message::{Color, GhostId, Message};
 use ssmfp_core::wire::{
-    decode_body, encode_frame, ClientStamp, FrameReader, WireError, WireFrame, WireMessage,
-    MAX_FRAME_LEN,
+    decode_body, encode_frame, ClientStamp, FrameReader, FrameTag, WireError, WireFrame,
+    WireMessage, MAX_FRAME_LEN,
 };
 use ssmfp_core::MessageTable;
 
@@ -66,6 +66,7 @@ fn arb_frame() -> impl Strategy<Value = WireFrame> {
         (any::<u16>(), any::<u32>())
             .prop_map(|(node, incarnation)| WireFrame::Hello { node, incarnation }),
         (any::<u16>(), any::<u64>()).prop_map(|(node, clock)| WireFrame::Heartbeat { node, clock }),
+        (any::<u16>(), any::<u16>()).prop_map(|(src, dst)| WireFrame::Route { src, dst }),
     ]
 }
 
@@ -140,6 +141,33 @@ proptest! {
             Ok(_) => {}
             Err(WireError::OversizedFrame(len)) => prop_assert!(len > MAX_FRAME_LEN),
             Err(_) => {}
+        }
+    }
+
+    /// A `Route` is the tag and two ids, exactly: it round-trips, it is
+    /// supervision (the chaos shim never sees it), and a body under its
+    /// tag that is cut short or runs long is a structural rejection
+    /// whatever bytes it holds.
+    #[test]
+    fn route_roundtrips_and_rejects_other_lengths(
+        src in any::<u16>(), dst in any::<u16>(),
+        body in proptest::collection::vec(any::<u8>(), 0..12)
+    ) {
+        let frame = WireFrame::Route { src, dst };
+        prop_assert!(!frame.is_data_plane());
+        let mut bytes = Vec::new();
+        encode_frame(&frame, &mut bytes);
+        prop_assert_eq!(bytes.len(), 4 + 1 + 2 + 2);
+        prop_assert_eq!(decode_body(&bytes[4..]), Ok(frame));
+        let mut tagged = vec![FrameTag::Route.as_u8()];
+        tagged.extend_from_slice(&body);
+        match decode_body(&tagged) {
+            Ok(WireFrame::Route { .. }) => prop_assert_eq!(body.len(), 4),
+            Err(WireError::BadBodyLen { tag: FrameTag::Route, expected: 4, got }) => {
+                prop_assert_eq!(got, body.len());
+                prop_assert!(got != 4);
+            }
+            other => prop_assert!(false, "{:?}", other),
         }
     }
 
