@@ -24,9 +24,9 @@
 //!   address, the streams dialled in — in one persistent `epoll` set,
 //!   waits on it to the nearest deadline of any node or stream, and runs
 //!   the protocol engine of each node that has frames or is due between
-//!   I/O bursts. Its `SockRead`/`SockWrite("node.main")` edges therefore
-//!   also connect a thread to itself (the group's stream to its own
-//!   address carries the links between its members), and stay timed: the
+//!   I/O bursts. Its `SockRead`/`SockWrite("node.main")` edges join two
+//!   data threads — the links between members of one thread are in
+//!   memory, no socket and no wait — and stay timed: the
 //!   wait is the only place the thread sleeps and it carries a deadline;
 //!   every data socket is nonblocking behind it, a full one is retried
 //!   when the set reports it writable, and a dial is bounded

@@ -1,19 +1,22 @@
 //! The readiness-based I/O machinery of a data thread.
 //!
-//! The sockets belong to the *group* — the nodes that share a thread —
-//! not to the node. A [`Hub`] owns one listener, one simplex out-stream
-//! per distinct listener address among its members' neighbours, and the
-//! streams dialled in; each member keeps only its [`Control`] pipe. None
-//! of them owns the thread, the readiness set or the clock: the
-//! `node.main` thread ([`crate::node::run_nodes`]) owns one [`Poller`] —
-//! a persistent, level-triggered `epoll` set — for the whole group, reads
-//! the monotonic clock twice a turn and hands the reading down.
+//! The links belong to the *group* — the nodes that share a thread —
+//! not to the node. A [`Hub`] owns them: one between two members is a
+//! bounded queue in memory, the rest ride a listener (if anyone outside
+//! can dial it), one simplex out-stream per distinct listener address
+//! and the streams dialled in; each member keeps only its [`Control`]
+//! pipe. None of them owns the thread, the readiness set or the clock:
+//! the `node.main` thread ([`crate::node::run_nodes`]) owns one
+//! [`Poller`] — a persistent, level-triggered `epoll` set — for the whole
+//! group, reads the monotonic clock twice a turn and hands the reading
+//! down.
 //!
 //! A link is the paper's logical FIFO channel, not a kernel connection:
-//! every link whose far end listens at one address rides the one stream
-//! to that address, and a `WireFrame::Route { src, dst }` in the byte
-//! stream says which link the frames after it crossed. A shard whose
-//! neighbours are its own members writes once and reads once a turn; a
+//! to a member, [`Hub::send`] pushes the frame into its inbox — no
+//! encode, no syscall — and every link whose far end listens at one
+//! address rides the one stream to that address, where a
+//! `WireFrame::Route { src, dst }` says which link the frames after it
+//! crossed. A shard touches sockets only for edges that leave it; a
 //! `--node-worker` process, whose every neighbour has an address of its
 //! own, has one stream per directed edge by the same rule.
 //!
@@ -28,9 +31,9 @@
 //! resolution) until that or the nearest deadline of any member — a status
 //! push, a workload arrival, or the protocol tick while a retransmission
 //! timer runs — and [`Hub::dispatch`] reads the fds the wait named,
-//! nothing else. Outbound frames append to per-stream buffers without
-//! crossing a thread boundary and inbound frames surface in one plain
-//! vector per member, which the member drains when it is stepped.
+//! nothing else. No frame crosses a thread boundary: outbound ones append
+//! to a stream's buffer or a member's inbox, and inbound ones surface in
+//! one plain vector per member, which the member drains when stepped.
 //!
 //! [`PollSet`] (`ppoll`, rebuilt per wait) stays for the waits that are
 //! cold and ad hoc: a shard supervisor's pipes, a deadline-bounded control
@@ -54,7 +57,8 @@
 //! append to one stream's buffer in that order, and a buffer is always
 //! written front-to-back — sharing and coalescing change which bytes sit
 //! between two frames of a link and where the syscall boundaries fall,
-//! never the order of a link's frames.
+//! never the order of a link's frames. An in-memory link pushes onto an
+//! inbox that is drained front to back: the same argument, no bytes.
 //!
 //! ## Control pipe
 //!
@@ -556,13 +560,13 @@ impl NetListener {
 }
 
 /// Dials a `uds:<path>` / `tcp:<addr>` address string. A dial must never
-/// wait on an accept only its own thread can perform — a group dials its
-/// own listener from the [`crate::node::run_nodes`] loop that accepts. A
-/// Unix-domain connect completes while the listener's backlog has room,
+/// wait on an accept only a thread busy dialling can perform — every
+/// group dials from the [`crate::node::run_nodes`] loop that also accepts.
+/// A Unix-domain connect completes while the listener's backlog has room,
 /// and std listens with `somaxconn` (4096 here). std's TCP backlog is 128
 /// (a 200-leaf star of `--node-worker` processes dials its hub past it);
 /// past it the kernel drops the SYN and a blocking connect sits out a 1 s
-/// retransmission — one its own thread could never answer — so the TCP arm
+/// retransmission — one a hub stuck in a dial never answers — so the TCP arm
 /// is bounded by the backoff base and a timeout is an ordinary failed
 /// dial: back off, redial after the listener's next dispatch has accepted.
 pub fn dial(addr: &str) -> io::Result<NetStream> {
@@ -862,6 +866,9 @@ const NOBODY: u32 = u32::MAX;
 /// Encoded size of a `Route` (length prefix, tag, two ids).
 const ROUTE_LEN: usize = 4 + 1 + 2 + 2;
 
+/// The address a group with no neighbour outside it reports; none dials it.
+const UNLISTENED: &str = "unlistened";
+
 /// One simplex stream out of the group, to one listener address: every
 /// link from a member to a node listening there rides it.
 struct OutStream {
@@ -897,29 +904,40 @@ struct InConn {
     route: Option<(usize, usize)>,
 }
 
+/// Where a member's link goes: into member `.0`'s inbox as its local port
+/// `.1`, or onto an out-stream.
+#[derive(Clone, Copy)]
+enum Link {
+    Local(usize, usize),
+    Stream(usize),
+}
+
 /// What the [`Hub`] knows of one member of its group.
 struct Member {
     id: NodeId,
     /// The member's neighbours in local-port order.
     neighbors: Vec<NodeId>,
-    /// By local port, the out-stream to that neighbour's address (empty
-    /// until the `peers` line).
-    links: Vec<usize>,
-    /// Data-plane frames read since the member last drained, by the
-    /// sender's local port.
+    /// By local port, where that neighbour's link goes (empty until the
+    /// `peers` line).
+    links: Vec<Link>,
+    /// Data-plane frames that arrived since the member last drained, by
+    /// the sender's local port.
     inbound: Vec<(usize, WireFrame)>,
+    /// By local port, the frames of `inbound` an in-memory link brought.
+    queued: Vec<usize>,
     /// Never joined, or retired: frames for it are counted drops.
     gone: bool,
 }
 
-/// The sockets of one group — of every node that shares a data thread:
-/// **one** listener, whose address every member reports as its own, one
-/// simplex out-stream per *distinct address* among the members'
-/// neighbours (the group's own included), and whatever streams other
-/// groups — or this one — dialled in. "Same address, same stream" is the
+/// The links of one group — of every node that shares a data thread: in
+/// memory between two members, and otherwise over **one** listener
+/// (bound only if a member has a neighbour outside the group), whose
+/// address every member reports as its own, one simplex out-stream per
+/// *distinct address* among the members' outside neighbours, and whatever
+/// streams other groups dialled in. "Same address, same stream" is the
 /// only rule: a group of one whose neighbours each listen for themselves
-/// (`--node-worker`) has one stream per directed edge, a shard whose
-/// neighbours are mostly its own members has mostly one stream.
+/// (`--node-worker`) has one stream per directed edge, a shard one to each
+/// thread it borders.
 ///
 /// Which link a run of frames crossed is said in-band: a
 /// `WireFrame::Route { src, dst }` goes into the stream's [`WriteBuf`]
@@ -936,9 +954,8 @@ struct Member {
 /// waits on its own, is the exception).
 pub(crate) struct Hub {
     t: &'static ClusterTuning,
-    listener: NetListener,
-    /// The listener's dialable address (`uds:<path>` / `tcp:<addr>`).
-    addr: String,
+    /// The listener and its dialable address (`uds:<path>` / `tcp:<addr>`).
+    listener: Option<(NetListener, String)>,
     /// The id heartbeats carry: the group's first member.
     lead: NodeId,
     /// By group index.
@@ -954,23 +971,24 @@ pub(crate) struct Hub {
 }
 
 impl Hub {
-    /// Binds the group's listener per `listen` (named after `lead`) and
-    /// registers it with `poller` for the group's whole life; `members`
-    /// seats, all empty until [`Hub::join`].
+    /// Binds the group's listener per `listen` (named after `lead`), if
+    /// any, and registers it with `poller` for the group's whole life;
+    /// `members` seats, all empty until [`Hub::join`].
     pub fn new(
-        listen: &ListenSpec,
+        listen: Option<&ListenSpec>,
         lead: NodeId,
         members: usize,
         seed: u64,
         poller: &Poller,
     ) -> io::Result<Self> {
         let t = &TUNING;
-        let (listener, addr) = NetListener::bind(listen, lead)?;
-        poller.add(listener.fd(), POLLIN, Poller::token(HUB, listener.fd()))?;
+        let listener = listen.map(|l| NetListener::bind(l, lead)).transpose()?;
+        if let Some((l, _)) = &listener {
+            poller.add(l.fd(), POLLIN, Poller::token(HUB, l.fd()))?;
+        }
         Ok(Hub {
             t,
             listener,
-            addr,
             lead,
             members: (0..members)
                 .map(|_| Member {
@@ -978,6 +996,7 @@ impl Hub {
                     neighbors: Vec::new(),
                     links: Vec::new(),
                     inbound: Vec::new(),
+                    queued: Vec::new(),
                     gone: true,
                 })
                 .collect(),
@@ -992,7 +1011,7 @@ impl Hub {
 
     /// The address every member reports in its `ready` line.
     pub fn addr(&self) -> &str {
-        &self.addr
+        self.listener.as_ref().map_or(UNLISTENED, |(_, addr)| addr)
     }
 
     /// Seats node `id` as member `index`: from here a `Route` may name it.
@@ -1003,6 +1022,7 @@ impl Hub {
         debug_assert_eq!(self.index_of[id], NOBODY, "node {id} joined twice");
         self.index_of[id] = index as u32;
         let m = &mut self.members[index];
+        m.queued = vec![0; neighbors.len()];
         (m.id, m.neighbors, m.gone) = (id, neighbors, false);
     }
 
@@ -1015,14 +1035,22 @@ impl Hub {
     }
 
     /// Wires member `index`'s links once the address of every node arrived
-    /// over ctrl: each neighbour's link rides the stream to that
+    /// over ctrl: a neighbour that is a member gets an in-memory link and
+    /// no socket; every other neighbour's link rides the stream to that
     /// neighbour's address, opened here if it is the first. Dialing starts
     /// on the next `prepare`.
     pub fn connect_peers(&mut self, index: usize, addrs: &[&str], now: Instant) {
+        let p = self.members[index].id;
         let mut links = Vec::with_capacity(self.members[index].neighbors.len());
         for &q in &self.members[index].neighbors {
+            if let Some(&j) = self.index_of.get(q).filter(|&&j| j != NOBODY) {
+                let m = &self.members[j as usize];
+                let port = m.neighbors.iter().position(|&r| r == p);
+                links.push(Link::Local(j as usize, port.expect("an undirected edge")));
+                continue;
+            }
             let at = self.streams.iter().position(|s| s.addr == addrs[q]);
-            links.push(at.unwrap_or_else(|| {
+            links.push(Link::Stream(at.unwrap_or_else(|| {
                 self.streams.push(OutStream {
                     addr: addrs[q].to_string(),
                     stream: None,
@@ -1037,20 +1065,29 @@ impl Hub {
                     blocked: false,
                 });
                 self.streams.len() - 1
-            }));
+            })));
         }
         self.members[index].links = links;
     }
 
-    /// The frames read for member `index` since it last drained.
+    /// The frames that arrived for member `index` since it last drained.
     pub fn inbound(&mut self, index: usize) -> &mut Vec<(usize, WireFrame)> {
         &mut self.members[index].inbound
     }
 
+    /// Hands member `index` what arrived for it, emptying its links.
+    pub fn drain_inbound(&mut self, index: usize) -> std::vec::Drain<'_, (usize, WireFrame)> {
+        let m = &mut self.members[index];
+        m.queued.fill(0);
+        m.inbound.drain(..)
+    }
+
     /// Enqueues one frame on the link from member `index` to its
-    /// neighbour `to`: appends to the stream's write buffer — behind a
-    /// `Route` if the stream last spoke for another link — flushing at the
-    /// batch budget and shedding (counted) at the hard cap.
+    /// neighbour `to`: into a member's inbox, dropped (counted) past the
+    /// `out_buf_cap_bytes / FRAME_MAX` undrained frames the stream cap
+    /// holds or to a member that is gone; or appended to the stream's write
+    /// buffer — behind a `Route` if the stream last spoke for another link
+    /// — flushing at the batch budget and shedding (counted) at the hard cap.
     pub fn send(
         &mut self,
         index: usize,
@@ -1061,11 +1098,24 @@ impl Hub {
     ) -> io::Result<()> {
         let m = &self.members[index];
         let link = m.neighbors.iter().position(|&q| q == to);
-        let Some(&i) = link.and_then(|port| m.links.get(port)) else {
+        let Some(&link) = link.and_then(|port| m.links.get(port)) else {
             debug_assert!(false, "send to non-neighbour {to}");
             return Ok(());
         };
         let edge = (m.id as u16, to as u16);
+        let i = match link {
+            Link::Stream(i) => i,
+            Link::Local(j, port) => {
+                let r = &mut self.members[j];
+                if r.gone || r.queued[port] >= self.t.out_buf_cap_bytes / FRAME_MAX {
+                    self.stats.conn_frames_dropped += 1;
+                } else {
+                    r.queued[port] += 1;
+                    r.inbound.push((port, *frame));
+                }
+                return Ok(());
+            }
+        };
         let s = &self.streams[i];
         if s.dead {
             self.stats.conn_frames_dropped += 1;
@@ -1094,10 +1144,11 @@ impl Hub {
 
     /// The half of a turn before the wait: every stream that holds bytes
     /// is flushed — once — and due heartbeats and dials fire. Returns the
-    /// nearest heartbeat or dial — the latest the group's sockets let the
-    /// thread sleep; the idle ceiling is one heartbeat period.
+    /// latest the group's links let the thread sleep: the nearest heartbeat
+    /// or dial, at most a heartbeat period, `now` while an inbox holds frames.
     pub fn prepare(&mut self, now: Instant, poller: &Poller) -> io::Result<Instant> {
-        let mut deadline = now + self.t.heartbeat();
+        let idle = self.members.iter().all(|m| m.inbound.is_empty());
+        let mut deadline = if idle { now + self.t.heartbeat() } else { now };
         for i in 0..self.streams.len() {
             if !self.streams[i].out.is_empty() {
                 self.flush_stream(i, now, poller)?;
@@ -1128,7 +1179,7 @@ impl Hub {
         poller: &Poller,
     ) -> io::Result<()> {
         for &(fd, ev) in events {
-            if fd == self.listener.fd() {
+            if self.listener.as_ref().is_some_and(|(l, _)| l.fd() == fd) {
                 if ev & POLLIN != 0 {
                     self.accept_all(poller)?;
                 }
@@ -1153,7 +1204,7 @@ impl Hub {
     fn accept_all(&mut self, poller: &Poller) -> io::Result<()> {
         // Any accept error ends the burst like `WouldBlock`: the listener
         // is level-triggered, so what is still pending comes back.
-        while let Ok(s) = self.listener.accept() {
+        while let Some(Ok(s)) = self.listener.as_ref().map(|(l, _)| l.accept()) {
             if s.set_nonblocking(true).is_ok() {
                 poller.add(s.fd(), POLLIN, Poller::token(HUB, s.fd()))?;
                 self.conns.push(InConn {
@@ -1194,7 +1245,7 @@ impl Hub {
         for s in &mut self.streams {
             self.stats.conn_frames_dropped += s.out.reset() as u64;
         }
-        if let Some(path) = self.addr.strip_prefix("uds:") {
+        if let Some(path) = self.addr().strip_prefix("uds:") {
             let _ = std::fs::remove_file(path);
         }
         std::mem::take(&mut self.stats)
@@ -1305,8 +1356,9 @@ impl Hub {
     /// Drains one readable inbound connection into the members' inboxes.
     /// Returns false when the connection must be dropped: EOF, error,
     /// garbage, a `Route` that names a `dst` that is no member here or a
-    /// `src` that is no neighbour of `dst`, data before any `Route`. The
-    /// dialer's write fails, it redials, and its first frame is a `Route`.
+    /// `src` that is no neighbour of `dst` or is a member (that link is in
+    /// memory), data before any `Route`. The dialer's write fails, it
+    /// redials, and its first frame is a `Route`.
     fn read_conn(&mut self, i: usize) -> bool {
         let Hub {
             conns,
@@ -1334,6 +1386,9 @@ impl Hub {
                             Some(&m) if m != NOBODY => m as usize,
                             _ => return false,
                         };
+                        if index_of.get(src as usize).is_some_and(|&m| m != NOBODY) {
+                            return false;
+                        }
                         let neighbors = &members[member].neighbors;
                         let Some(port) = neighbors.iter().position(|&q| q == src as NodeId) else {
                             return false;
@@ -1505,7 +1560,8 @@ mod tests {
         let far = UnixListener::bind(&far_path).unwrap();
         let far_addr = format!("uds:{}", far_path.display());
         let poller = Poller::new().unwrap();
-        let mut hub = Hub::new(&ListenSpec::Uds { dir: dir.clone() }, 0, 1, 7, &poller).unwrap();
+        let listen = ListenSpec::Uds { dir: dir.clone() };
+        let mut hub = Hub::new(Some(&listen), 0, 1, 7, &poller).unwrap();
         hub.join(0, 0, vec![1, 2]);
         let now = Instant::now();
         hub.connect_peers(0, &["", &far_addr, &far_addr], now);
@@ -1540,6 +1596,112 @@ mod tests {
         assert_eq!((io.reconnects, io.conn_frames_dropped), (1, 1));
         assert!(!dir.join("node0.sock").exists(), "shutdown unlinks");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `line:4` as one group, member `p` node `p`: nobody outside it, so
+    /// no listener, and every link in memory.
+    fn line4_group(poller: &Poller) -> Hub {
+        let mut hub = Hub::new(None, 0, 4, 7, poller).unwrap();
+        for p in 0..4usize {
+            let neighbors = [p.checked_sub(1), (p < 3).then_some(p + 1)];
+            hub.join(p, p, neighbors.into_iter().flatten().collect());
+        }
+        for p in 0..4 {
+            hub.connect_peers(p, &[UNLISTENED; 4], Instant::now());
+        }
+        hub
+    }
+
+    /// Thousands of frames over the six links of a group: every one
+    /// arrives, each link's in send order, and the group holds no socket
+    /// and makes no `read` or `write`.
+    #[test]
+    fn a_same_group_link_never_touches_the_kernel() {
+        let poller = Poller::new().unwrap();
+        let mut hub = line4_group(&poller);
+        assert_eq!(hub.addr(), UNLISTENED);
+        let now = Instant::now();
+        // By `[from][to]`, the next sequence number a link sends and the
+        // next its receiver expects.
+        let (mut next_out, mut next_in) = ([[0u64; 4]; 4], [[0u64; 4]; 4]);
+        let (mut sent, mut received) = (0u64, 0u64);
+        for round in 0..500usize {
+            for (p, next) in next_out.iter_mut().enumerate() {
+                for q in [p.wrapping_sub(1), p + 1].into_iter().filter(|&q| q < 4) {
+                    for _ in 0..=(round + p) % 3 {
+                        hub.send(p, q, &data_frame(next[q]), now, &poller).unwrap();
+                        next[q] += 1;
+                        sent += 1;
+                    }
+                }
+            }
+            for q in (0..4).rev() {
+                let neighbors = hub.members[q].neighbors.clone();
+                for (port, frame) in hub.drain_inbound(q) {
+                    let p = neighbors[port];
+                    assert_eq!(frame, data_frame(next_in[p][q]), "link {p}→{q}");
+                    next_in[p][q] += 1;
+                    received += 1;
+                }
+            }
+            hub.prepare(now, &poller).unwrap();
+        }
+        assert!(sent >= 5_000, "{sent} frames");
+        assert_eq!(sent, received);
+        assert_eq!(hub.shape(), (0, 0), "(out-streams, accepted)");
+        let io = hub.shutdown();
+        assert_eq!((io.write_syscalls, io.read_syscalls), (0, 0));
+        assert_eq!(io.conn_frames_dropped, 0);
+    }
+
+    /// An in-memory link holds as many undrained frames as the stream cap
+    /// would: past that a frame is a counted drop, another link into the
+    /// same member has a bound of its own, and a drain frees the link.
+    #[test]
+    fn a_same_group_link_is_bounded_in_frames() {
+        let poller = Poller::new().unwrap();
+        let mut hub = line4_group(&poller);
+        let (now, bound, k) = (Instant::now(), TUNING.out_buf_cap_bytes / FRAME_MAX, 7);
+        assert!(bound >= 1_000, "{bound}");
+        for seq in 0..(bound + k) as u64 {
+            hub.send(1, 2, &data_frame(seq), now, &poller).unwrap();
+        }
+        assert_eq!(hub.inbound(2).len(), bound);
+        assert_eq!(hub.stats().conn_frames_dropped, k as u64);
+        hub.send(3, 2, &data_frame(0), now, &poller).unwrap();
+        assert_eq!(hub.inbound(2).len(), bound + 1);
+        let kept: Vec<u64> = hub
+            .drain_inbound(2)
+            .filter_map(|(_, f)| match f {
+                WireFrame::Offer { nonce, .. } => Some(nonce),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            kept[..bound].iter().copied().eq(0..bound as u64),
+            "the first kept"
+        );
+        hub.send(1, 2, &data_frame(0), now, &poller).unwrap();
+        assert_eq!(hub.inbound(2).len(), 1);
+        assert_eq!(hub.stats().conn_frames_dropped, k as u64);
+    }
+
+    /// A member that retired takes what it had not drained with it, and
+    /// whatever its links bring later, as counted drops.
+    #[test]
+    fn a_link_to_a_retired_member_is_a_counted_drop() {
+        let poller = Poller::new().unwrap();
+        let mut hub = line4_group(&poller);
+        let now = Instant::now();
+        hub.send(0, 1, &data_frame(0), now, &poller).unwrap();
+        hub.leave(1);
+        assert_eq!(hub.stats().conn_frames_dropped, 1);
+        for seq in 1..=10 {
+            hub.send(0, 1, &data_frame(seq), now, &poller).unwrap();
+            hub.send(2, 1, &data_frame(seq), now, &poller).unwrap();
+        }
+        assert!(hub.inbound(1).is_empty());
+        assert_eq!(hub.stats().conn_frames_dropped, 21);
     }
 
     /// The poll shim against a real socketpair: writability up front,

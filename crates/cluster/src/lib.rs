@@ -22,10 +22,10 @@
 //! * [`evloop`] — a data thread's I/O machinery: [`evloop::Poller`], the
 //!   persistent `epoll` set (and a `ppoll` shim for the cold waits),
 //!   coalescing write buffers (zero-realloc hot path), and `evloop::Hub`,
-//!   the sockets of one group of nodes — one listener, one simplex stream
-//!   per distinct destination address, `Route` frames saying which link a
-//!   run of frames crossed — with heartbeat/reconnect deadlines per
-//!   stream.
+//!   the links of one group of nodes — in memory between two members,
+//!   else one listener and one simplex stream per destination address,
+//!   `Route` frames saying which link a run crossed — with heartbeat and
+//!   reconnect deadlines per stream.
 //! * [`node`] — one node = **one resumable task**, one shard = one
 //!   thread: a turn of `run_nodes` flushes each of the group's streams
 //!   once, waits once, reads each ready stream once and steps only the

@@ -4,24 +4,26 @@
 //!
 //! ## Connection model
 //!
-//! A link is a logical FIFO channel, not a kernel connection. The sockets
-//! belong to the *group* — the nodes that share a thread — and there is one
-//! rule: **same address, same stream**. A group binds one listener, every
-//! member reports that address in its `ready` line, and the group keeps
-//! one simplex stream per distinct address among its members' neighbours,
-//! its own included ([`crate::evloop::Hub`]). The dialling side only
-//! writes, the accepting side only reads, and a
-//! `WireFrame::Route { src, dst }` in the byte stream says which directed
-//! edge the frames after it crossed; a reader hangs up on a stream that
-//! names an edge that does not end in its group. So a shard whose
-//! neighbours are its own members has one stream, two shards that share an
-//! edge have one each way, and a `--node-worker` process — a group of one
-//! whose every neighbour has an address of its own — has one per directed
-//! edge, by the same rule and the same code. Reconnection stays trivially
-//! safe: a lost stream loses its in-flight frames on every link it carried
-//! (wire drops), which the protocol's retransmission already tolerates,
-//! and the dialler re-establishes with exponential backoff plus jitter and
-//! opens with a `Route`.
+//! A link is a logical FIFO channel, not a kernel connection, and the
+//! links belong to the *group* — the nodes that share a thread
+//! ([`crate::evloop::Hub`]). One between two members is in memory: a send
+//! pushes the frame into the receiver's inbox, bounded per link. Only the
+//! links that leave the group touch a socket, by one rule: **same
+//! address, same stream**. A group with a neighbour outside binds one
+//! listener, every member reports that address in its `ready` line, and
+//! the group keeps one simplex stream per distinct address among its
+//! members' outside neighbours. The dialling side only writes, the
+//! accepting side only reads, and a `WireFrame::Route { src, dst }` in the
+//! byte stream says which directed edge the frames after it crossed; a
+//! reader hangs up on a stream that names an edge that does not cross into
+//! its group. So a shard has no socket for its inner edges, two shards
+//! that share an edge have one stream each way, and a `--node-worker`
+//! process — a group of one whose every neighbour has an address of its
+//! own — has one per directed edge, by the same rule and the same code.
+//! Reconnection stays trivially safe: a lost stream loses its in-flight
+//! frames on every link it carried (wire drops), which the protocol's
+//! retransmission already tolerates, and the dialler re-establishes with
+//! exponential backoff plus jitter and opens with a `Route`.
 //!
 //! ## One thread per shard
 //!
@@ -29,32 +31,31 @@
 //! processor moves next is the scheduler's choice, and SP holds under
 //! every choice. So a node is not a thread but a `Node` — engine, chaos
 //! shim, control pipe, counters, control state — with `prepare` (its
-//! nearest deadline), `step` (control lines, the frames demultiplexed to
-//! it → chaos → `on_message`, one engine turn, outbox → the group's write
-//! buffers, status line) and `finish` (report). A `Group` is the daemon,
-//! and its one `turn` the only copy of the iteration: read the clock,
-//! flush each stream **once**, prepare the nodes that stepped last turn,
-//! one wait on the thread's persistent `epoll` set
-//! ([`crate::evloop::Poller`]) to the nearest deadline of any node or
-//! stream, read the clock again, one dispatch for the group (accept, read
+//! nearest deadline), `step` (control lines, the frames in its inbox →
+//! chaos → `on_message`, one engine turn, outbox → the group's links,
+//! status line) and `finish` (report). A `Group` is the daemon, and its
+//! one `turn` the only copy of the iteration: read the clock, flush each
+//! stream **once**, prepare the nodes that stepped last turn, one wait on
+//! the thread's persistent `epoll` set ([`crate::evloop::Poller`]) to the
+//! nearest deadline of any node or stream — zero while an inbox holds
+//! frames — read the clock again, one dispatch for the group (accept, read
 //! each ready stream, demultiplex by `Route` into the members' inboxes by
-//! local port, retry blocked writes), then step the nodes that have
-//! frames, a ready control pipe or a passed deadline — the enabled ones —
-//! and nobody else. A turn costs one `write` and one `read` per stream
-//! that has something, however many links and members its bytes belong
-//! to, and what is registered costs nothing: control pipes and the
-//! listener go into the set when the group comes up, a connection when
-//! `accept` returns it, an out-stream only while a full socket holds its
-//! bytes back. [`run_nodes`] loops on `turn`; `RunMode::Inproc` runs it
-//! once per shard, on the shard's one `node.main` thread; [`node_main`] —
-//! a `--node-worker` process — runs it with a group of one. Frames
-//! between two nodes of a group still cross a socket — the group's stream
-//! to its own address — but a frame flushed in one turn is readable in the
-//! next and nobody slept or was woken in between. There is no inbound
-//! queue, no writer thread, no control-reader thread — frames and control
-//! lines surface in plain vectors the node drains, and outbound frames
-//! append to per-stream coalescing buffers in the same stack frame that
-//! produced them.
+//! local port, retry blocked writes), then step, in slot order, the nodes
+//! that have frames, a ready control pipe or a passed deadline — the
+//! enabled ones — and nobody else. A turn costs one `write` and one `read`
+//! per stream that has something, however many links and members its
+//! bytes belong to, and what is registered costs nothing: control pipes
+//! and the listener go into the set when the group comes up, a connection
+//! when `accept` returns it, an out-stream only while a full socket holds
+//! its bytes back. [`run_nodes`] loops on `turn`; `RunMode::Inproc` runs
+//! it once per shard, on the shard's one `node.main` thread; [`node_main`]
+//! — a `--node-worker` process — runs it with a group of one. A frame
+//! between two nodes of a group never touches the kernel: a receiver
+//! later in the slot order steps in the same turn, an earlier one in the
+//! next. There is no writer thread, no control-reader thread — frames and
+//! control lines surface in plain vectors the node drains, and outbound
+//! frames go to a stream's coalescing buffer or a thread-mate's inbox in
+//! the same stack frame that produced them.
 //!
 //! The protocol iteration itself is *event-driven*, and a node is never
 //! left waiting while one of its own rules is enabled
@@ -410,8 +411,8 @@ impl Node {
     /// arrival and, only while a retransmission timer runs, the protocol
     /// tick. A node with nothing to retransmit has no standing wake-up,
     /// and until the deadline passes, a frame arrives or its control pipe
-    /// is ready, stepping it would change nothing. (What it sent is in the
-    /// group's stream buffers; [`Hub::prepare`] flushes those.)
+    /// is ready, stepping it would change nothing. (What it sent sits in
+    /// an inbox or a stream buffer; [`Hub::prepare`] flushes the buffers.)
     fn prepare(&mut self, now: Instant) -> Instant {
         if !self.started {
             return now + TUNING.status_every();
@@ -433,7 +434,7 @@ impl Node {
     /// After the wait, for a node that has frames in its [`Hub::inbound`],
     /// whose control pipe the wait named (`ctrl_ready`) or whose deadline
     /// has passed at `now`: obeys the control lines and — once started —
-    /// runs one protocol iteration, leaving what it sends in the group's
+    /// runs one protocol iteration, leaving what it sends in inboxes or in
     /// stream buffers for the next [`Hub::prepare`] to flush (same stack,
     /// no queue, no wake). `Ok(true)` when the node was told to stop.
     fn step(
@@ -484,9 +485,8 @@ impl Node {
         // Did anything arrive? Drives the event-driven timeout below.
         let mut worked = false;
 
-        // Inbound, demultiplexed by local port already, through the chaos
-        // shim.
-        for (port, frame) in hub.inbound(self.index).drain(..) {
+        // Inbound, by local port already, through the chaos shim.
+        for (port, frame) in hub.drain_inbound(self.index) {
             self.counters.frames_received += 1;
             self.chaos[port].push(frame);
             worked = true;
@@ -607,8 +607,8 @@ struct StepAudit {
 }
 
 /// The nodes that share one data thread, and the paper's daemon over
-/// them: one persistent [`Poller`], one [`Hub`] holding the sockets of
-/// them all, and per member a control pipe and a deadline.
+/// them: one persistent [`Poller`], one [`Hub`] holding the links of them
+/// all, and per member a control pipe and a deadline.
 /// [`Group::turn`] is the only copy of the iteration — [`run_nodes`]
 /// loops on it.
 struct Group {
@@ -630,15 +630,18 @@ fn same_error(e: &io::Error) -> io::Error {
 
 impl Group {
     /// Creates the thread's `Poller`, binds the group's one listener — per
-    /// the first member's `listen`, named after it — and seats every node.
-    /// A node that fails to come up has its outcome already; the others go
-    /// on.
+    /// the first member's `listen`, named after it, if a member has a
+    /// neighbour outside to dial it — and seats every node. A node that
+    /// fails to come up has its outcome already; the others go on.
     fn new(nodes: Vec<(NodeConfig, CtrlPipe)>) -> io::Result<Self> {
         let poller = Poller::new()?;
         let now = Instant::now();
         let (lead, _) = nodes.first().ok_or_else(|| io::Error::other("no nodes"))?;
         let io_seed = lead.seed ^ ((lead.node as u64) << 32).wrapping_mul(0xDEAD_BEEF_1234_5677);
-        let mut hub = Hub::new(&lead.listen, lead.node, nodes.len(), io_seed, &poller)?;
+        let ids: Vec<NodeId> = nodes.iter().map(|(cfg, _)| cfg.node).collect();
+        let crosses = |(a, b): &(NodeId, NodeId)| ids.contains(a) != ids.contains(b);
+        let listen = lead.edges.iter().any(crosses).then_some(&lead.listen);
+        let mut hub = Hub::new(listen, lead.node, nodes.len(), io_seed, &poller)?;
         let mut slots = Vec::with_capacity(nodes.len());
         let mut results = Vec::with_capacity(nodes.len());
         for (i, (cfg, ctrl)) in nodes.into_iter().enumerate() {
@@ -703,14 +706,14 @@ impl Group {
     /// streams — once, whichever members and links its bytes belong to;
     /// `prepare` the members that stepped last turn; wait to the nearest
     /// deadline of any member or stream (a linear min: a group is a
-    /// shard, ≤ 25 nodes); read the clock again; one dispatch for the
-    /// group — accept, read each ready stream, demultiplex into the
-    /// members' inboxes by local port, retry blocked writes; then `step`
-    /// exactly the members that have frames, a ready control pipe or a
-    /// passed deadline. Frames between two members still cross a socket —
-    /// the group's stream to its own address: a frame one turn flushes is
-    /// readable in the next — but nobody sleeps and nobody is woken in
-    /// between.
+    /// shard, ≤ 25 nodes), zero while an inbox holds frames; read
+    /// the clock again; one dispatch for the group — accept, read each
+    /// ready stream, demultiplex into the members' inboxes by local port,
+    /// retry blocked writes; then `step`, in slot order, exactly the
+    /// members that have frames, a ready control pipe or a passed
+    /// deadline. A frame between two members is pushed into the
+    /// receiver's inbox: one later in the order steps this very turn, an
+    /// earlier one the next, and nobody sleeps in between.
     ///
     /// Skipping a member is skipping a no-op, not a move: with no frame,
     /// no control event and no due deadline its `step` would find no
@@ -1038,120 +1041,182 @@ mod tests {
         tick_free_line5(|_| 40);
     }
 
-    /// A hand-driven [`Group`] over real sockets: `line:4`, one cluster, on
-    /// one thread. Node 0 is a stop-and-wait source of `quota` primaries
-    /// whose generator is narrowed to its one neighbour, node 1 — one
-    /// handshake on the link at a time, so a warm vector never needs to
-    /// grow; nodes 2 and 3 have nothing to send and nothing is ever sent
-    /// to them. Returns the group, wired and started, the supervisor ends
-    /// of the control pipes (kept open: EOF means stop) and the socket
-    /// directory to remove.
-    fn hand_driven_group(tag: &str, quota: u64) -> (Group, Vec<UnixStream>, PathBuf) {
-        use crate::workload::{WorkloadKind, WorkloadSpec};
-        use std::io::{BufRead, BufReader};
-        let dir = std::env::temp_dir().join(format!("ssmfp-node-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let stop_and_wait = |messages| WorkloadSpec {
-            kind: WorkloadKind::Closed { outstanding: 1 },
-            messages,
-        };
-        let (mut supervisor, nodes): (Vec<UnixStream>, Vec<_>) = (0..4usize)
-            .map(|node| {
-                let cfg = NodeConfig {
-                    node,
-                    n: 4,
-                    edges: ssmfp_topology::gen::line(4).edges().to_vec(),
-                    seed: 7,
-                    listen: ListenSpec::Uds { dir: dir.clone() },
-                    workload: stop_and_wait(0),
-                    chaos: ChaosSpec::none(),
-                    clients: None,
-                };
-                let (sup_side, node_side) = UnixStream::pair().unwrap();
-                (sup_side, (cfg, CtrlPipe::Stream(node_side)))
-            })
-            .unzip();
-        let mut group = Group::new(nodes).unwrap();
-        // In a cluster of two, every destination is the other node.
-        group.slots[0].as_mut().unwrap().node.eng.gen =
-            WorkloadGen::new(stop_and_wait(quota), 0, 2, 7);
-        let addrs: Vec<String> = supervisor
-            .iter()
-            .map(|s| {
+    /// A hand-driven `line:4` over real control pipes, every node on the
+    /// test thread, in groups of consecutive ids `sizes` long: `&[4]` is
+    /// one group, every link in memory; `&[2, 2]` the split
+    /// `{0, 1} | {2, 3}`, whose `1 ↔ 2` edge crosses a socket. Node
+    /// `source` is a stop-and-wait source of `quota` primaries whose
+    /// generator is narrowed to one destination — in a cluster of two,
+    /// every destination is node 0, or node 1 for node 0 — so one
+    /// handshake is in flight at a time and a warm vector never needs to
+    /// grow; nobody else sends anything. `pair` is the busy link
+    /// [`Rig::turn_until`] watches.
+    struct Rig {
+        groups: Vec<Group>,
+        /// The supervisor ends of the control pipes, by node (kept open:
+        /// EOF means stop).
+        supervisor: Vec<UnixStream>,
+        dir: PathBuf,
+        pair: [NodeId; 2],
+        /// Groups turned in alternation must not sleep on frames only the
+        /// other's turn sends: a byte nobody reads, in every group's set
+        /// under an owner that is no member, makes every wait a poll.
+        _nudge: Option<(UnixStream, UnixStream)>,
+    }
+
+    impl Rig {
+        fn new(tag: &str, sizes: &[usize], source: NodeId, quota: u64, pair: [NodeId; 2]) -> Self {
+            use crate::evloop::POLLIN;
+            use crate::workload::{WorkloadKind, WorkloadSpec};
+            use std::io::{BufRead, BufReader};
+            use std::os::unix::io::AsRawFd;
+            let dir = std::env::temp_dir().join(format!("ssmfp-node-{tag}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let stop_and_wait = |messages| WorkloadSpec {
+                kind: WorkloadKind::Closed { outstanding: 1 },
+                messages,
+            };
+            let (mut supervisor, nodes): (Vec<UnixStream>, Vec<_>) = (0..4usize)
+                .map(|node| {
+                    let cfg = NodeConfig {
+                        node,
+                        n: 4,
+                        edges: ssmfp_topology::gen::line(4).edges().to_vec(),
+                        seed: 7,
+                        listen: ListenSpec::Uds { dir: dir.clone() },
+                        workload: stop_and_wait(0),
+                        chaos: ChaosSpec::none(),
+                        clients: None,
+                    };
+                    let (sup_side, node_side) = UnixStream::pair().unwrap();
+                    (sup_side, (cfg, CtrlPipe::Stream(node_side)))
+                })
+                .unzip();
+            let mut nodes = nodes.into_iter();
+            let mut groups: Vec<Group> = sizes
+                .iter()
+                .map(|&k| Group::new(nodes.by_ref().take(k).collect()).unwrap())
+                .collect();
+            let slots = groups.iter_mut().flat_map(|g| g.slots.iter_mut().flatten());
+            for slot in slots.filter(|s| s.node.eng.p == source) {
+                slot.node.eng.gen = WorkloadGen::new(stop_and_wait(quota), source, 2, 7);
+            }
+            // Every member reports its group's address: node order is group
+            // order.
+            let addrs: Vec<&str> = groups
+                .iter()
+                .flat_map(|g| g.slots.iter().map(|_| g.hub.addr()))
+                .collect();
+            for (s, addr) in supervisor.iter().zip(&addrs) {
                 let mut line = String::new();
                 BufReader::new(s).read_line(&mut line).unwrap();
-                line.trim().strip_prefix("ready ").unwrap().to_string()
-            })
-            .collect();
-        assert!(
-            addrs.iter().all(|a| a == group.hub.addr()),
-            "one listener for the group: {addrs:?}"
-        );
-        for s in &mut supervisor {
-            writeln!(s, "peers {}\nstart", addrs.join(" ")).unwrap();
-        }
-        (group, supervisor, dir)
-    }
-
-    fn members(group: &Group) -> impl Iterator<Item = &Node> {
-        group.slots.iter().map(|s| &s.as_ref().unwrap().node)
-    }
-
-    /// Turns the group, `each_turn` after every one, until both nodes of
-    /// the busy pair have received `frames`.
-    fn turn_until(group: &mut Group, frames: u64, each_turn: &mut dyn FnMut(&mut Group)) {
-        for _ in 0..1_000_000 {
-            if members(group)
-                .take(2)
-                .all(|n| n.counters.frames_received >= frames)
-            {
-                return;
+                assert_eq!(line.trim(), format!("ready {addr}"), "one address a group");
             }
-            group.turn();
-            assert!(
-                group.results.iter().all(Option::is_none),
-                "nobody said stop"
-            );
-            each_turn(group);
+            for s in &mut supervisor {
+                writeln!(s, "peers {}\nstart", addrs.join(" ")).unwrap();
+            }
+            let nudge = (groups.len() > 1).then(|| {
+                let (mut tx, rx) = UnixStream::pair().unwrap();
+                tx.write_all(&[1]).unwrap();
+                let token = Poller::token(HUB - 1, rx.as_raw_fd());
+                for g in &groups {
+                    g.poller.add(rx.as_raw_fd(), POLLIN, token).unwrap();
+                }
+                (tx, rx)
+            });
+            Rig {
+                groups,
+                supervisor,
+                dir,
+                pair,
+                _nudge: nudge,
+            }
         }
-        panic!("the link went quiet before {frames} frames");
+
+        fn nodes(&self) -> impl Iterator<Item = &Node> {
+            let slots = self.groups.iter().flat_map(|g| g.slots.iter().flatten());
+            slots.map(|s| &s.node)
+        }
+
+        fn node(&self, p: NodeId) -> &Node {
+            self.nodes().find(|n| n.eng.p == p).expect("a live node")
+        }
+
+        /// One turn of every group, in order.
+        fn turn(&mut self) {
+            self.groups.iter_mut().for_each(Group::turn);
+        }
+
+        /// Turns, `each_turn` after every round, until both nodes of the
+        /// busy pair have received `frames`.
+        fn turn_until(&mut self, frames: u64, each_turn: &mut dyn FnMut(&mut Rig)) {
+            for _ in 0..1_000_000 {
+                let received = |p| self.node(p).counters.frames_received;
+                if self.pair.iter().all(|&p| received(p) >= frames) {
+                    return;
+                }
+                self.turn();
+                let results = self.groups.iter().flat_map(|g| &g.results);
+                assert!(results.into_iter().all(Option::is_none), "nobody said stop");
+                each_turn(self);
+            }
+            panic!("the link went quiet before {frames} frames");
+        }
+    }
+
+    impl Drop for Rig {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    /// The split, node 2 a stop-and-wait source to node 0: every frame
+    /// of the run crosses the `1 ↔ 2` edge, the one link between the
+    /// groups.
+    fn split_rig(tag: &str, quota: u64) -> Rig {
+        Rig::new(tag, &[2, 2], 2, quota, [1, 2])
     }
 
     /// Four nodes of one thread, driven through the [`Group::turn`] that
-    /// [`run_nodes`] loops on. Once warm, a turn neither frees nor regrows
-    /// a member's inbound vector: same allocation, same capacity, however
-    /// many frames pass through it.
+    /// [`run_nodes`] loops on, every link in memory. Once warm, a turn
+    /// neither frees nor regrows a member's inbound vector: same
+    /// allocation, same capacity, however many frames pass through it.
     #[test]
     fn steady_state_iterations_never_realloc_inbound() {
-        let (mut group, _supervisor, dir) = hand_driven_group("pin", 1_000_000);
-        turn_until(&mut group, 300, &mut |_| {});
-        let pin = |group: &mut Group, i| {
-            let inbound = group.hub.inbound(i);
+        let mut rig = Rig::new("pin", &[4], 0, 1_000_000, [0, 1]);
+        rig.turn_until(300, &mut |_| {});
+        let pin = |rig: &mut Rig, i| {
+            let inbound = rig.groups[0].hub.inbound(i);
             (inbound.as_ptr(), inbound.capacity())
         };
-        let pins = [pin(&mut group, 0), pin(&mut group, 1)];
+        let pins = [pin(&mut rig, 0), pin(&mut rig, 1)];
         assert!(pins.iter().all(|&(_, cap)| cap > 0));
-        turn_until(&mut group, 3_000, &mut |group| {
+        rig.turn_until(3_000, &mut |rig| {
             for (i, &pinned) in pins.iter().enumerate() {
-                assert_eq!(pin(group, i), pinned, "node {i} reallocated inbound");
+                assert_eq!(pin(rig, i), pinned, "node {i} reallocated inbound");
             }
         });
-        let _ = std::fs::remove_dir_all(&dir);
+        let hub = &rig.groups[0].hub;
+        assert_eq!(hub.shape(), (0, 0), "no socket: every link in memory");
+        assert_eq!(
+            (hub.stats().write_syscalls, hub.stats().read_syscalls),
+            (0, 0)
+        );
     }
 
     /// The daemon steps only what is ready or due: every `step` is paid
-    /// for by frames demultiplexed to that node, its control pipe, or its
+    /// for by frames in that node's inbox, its control pipe, or its
     /// deadline having passed, and a member that no data frame ever
     /// reaches moves on its control lines and its status deadline — not
-    /// once per frame of its thread-mates, whose frames share its stream.
+    /// once per frame of its thread-mates.
     #[cfg(debug_assertions)]
     #[test]
     fn a_turn_steps_only_members_that_are_ready_or_due() {
         let began = Instant::now();
-        let (mut group, _supervisor, dir) = hand_driven_group("ready-or-due", 1_000_000);
-        turn_until(&mut group, 3_000, &mut |_| {});
+        let mut rig = Rig::new("ready-or-due", &[4], 0, 1_000_000, [0, 1]);
+        rig.turn_until(3_000, &mut |_| {});
         let pushes = (began.elapsed().as_micros() / TUNING.status_every().as_micros()) as u64 + 1;
-        let slots: Vec<&StepAudit> = group
+        let slots: Vec<&StepAudit> = rig.groups[0]
             .slots
             .iter()
             .map(|s| &s.as_ref().unwrap().audit)
@@ -1175,42 +1240,52 @@ mod tests {
                 idle.deadlines_due
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Same address, same stream: four members, three links each way, and
-    /// the group holds one listener, one out-stream — to itself — and the
-    /// one stream it accepted; a turn writes that stream at most once and
-    /// reads it at most once, whatever the links its frames belong to.
+    /// Same address, same stream: each group of the split holds one
+    /// listener, one out-stream — to the other — and the one stream it
+    /// accepted, and a turn writes its stream at most once and reads at
+    /// most once, whatever the frames it carries.
     #[test]
     fn a_turn_flushes_each_stream_once() {
-        let (mut group, _supervisor, dir) = hand_driven_group("once", 1_000_000);
+        let mut rig = split_rig("once", 1_000_000);
         let mut turns = 0u64;
-        turn_until(&mut group, 3_000, &mut |_| turns += 1);
-        assert_eq!(group.hub.shape(), (1, 1), "(out-streams, accepted)");
-        let io = group.hub.stats();
-        let sent: u64 = members(&group).map(|n| n.counters.frames_sent).sum();
+        rig.turn_until(3_000, &mut |_| turns += 1);
+        let sent: u64 = rig.nodes().map(|n| n.counters.frames_sent).sum();
         assert!(sent >= 6_000, "{sent} frames");
-        assert!(
-            io.write_syscalls <= turns && io.read_syscalls <= turns,
-            "{} writes and {} reads in {turns} turns",
-            io.write_syscalls,
-            io.read_syscalls
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        for (g, group) in rig.groups.iter().enumerate() {
+            assert_eq!(
+                group.hub.shape(),
+                (1, 1),
+                "group {g}: (out-streams, accepted)"
+            );
+            let io = group.hub.stats();
+            assert!(
+                io.write_syscalls > 0 && io.write_syscalls <= turns && io.read_syscalls <= turns,
+                "group {g}: {} writes and {} reads in {turns} turns",
+                io.write_syscalls,
+                io.read_syscalls
+            );
+        }
     }
 
-    /// A stream speaks only for links that end in this group: a `Route`
-    /// to a node that is no member, a `Route` from a node that is no
-    /// neighbour of its `dst`, and data before any `Route` each cost the
+    /// A stream speaks only for links that end in this group and cross a
+    /// socket: a `Route` to a node that is no member, a `Route` from a
+    /// node that is no neighbour of its `dst`, a `Route` for a link the
+    /// group carries in memory, and data before any `Route` each cost the
     /// stranger its connection — and nobody else anything.
     #[test]
     fn a_route_to_a_stranger_drops_the_connection() {
         use ssmfp_core::wire::encode_frame;
         use std::io::Read;
-        let (mut group, _supervisor, dir) = hand_driven_group("stranger", 1_000_000);
-        turn_until(&mut group, 30, &mut |_| {});
-        let path = group.hub.addr().strip_prefix("uds:").unwrap().to_string();
+        let mut rig = split_rig("stranger", 1_000_000);
+        rig.turn_until(30, &mut |_| {});
+        let path = rig.groups[0]
+            .hub
+            .addr()
+            .strip_prefix("uds:")
+            .unwrap()
+            .to_string();
         let data = msg_to_frame(&WireMsg::Dv { d: 0, dist: 1 });
         let connect = |frames: &[WireFrame]| {
             let mut bytes = Vec::new();
@@ -1223,61 +1298,62 @@ mod tests {
         for (why, frames) in [
             ("no member", vec![WireFrame::Route { src: 0, dst: 9 }]),
             ("no neighbour", vec![WireFrame::Route { src: 3, dst: 0 }]),
+            ("in memory", vec![WireFrame::Route { src: 0, dst: 1 }]),
             ("no route", vec![data]),
         ] {
             let mut stranger = connect(&frames);
             let hung_up = (0..10_000).any(|_| {
-                group.turn();
+                rig.turn();
                 matches!(stranger.read(&mut [0u8; 8]), Ok(0))
             });
             assert!(hung_up, "{why}: the connection stayed");
-            assert_eq!(group.hub.shape(), (1, 1), "{why}");
+            assert_eq!(rig.groups[0].hub.shape(), (1, 1), "{why}");
         }
         // A link that does end here is taken, whoever dialled.
-        let received = |group: &Group| members(group).next().unwrap().counters.frames_received;
-        let before = received(&group);
-        let _neighbour = connect(&[WireFrame::Route { src: 1, dst: 0 }, data]);
-        turn_until(&mut group, before + 30, &mut |_| {});
-        assert_eq!(group.hub.shape(), (1, 2));
-        assert!(group.results.iter().all(Option::is_none));
-        let _ = std::fs::remove_dir_all(&dir);
+        let before = rig.node(1).counters.frames_received;
+        let _neighbour = connect(&[WireFrame::Route { src: 2, dst: 1 }, data]);
+        rig.turn_until(before + 30, &mut |_| {});
+        assert_eq!(rig.groups[0].hub.shape(), (1, 2));
     }
 
-    /// The group's stream to itself is cut mid-run: the write that finds
+    /// The stream across the split is cut mid-run: the write that finds
     /// out drops what it held, the stream redials — once: a redialled
     /// stream that did not open with a `Route` would be hung up on at its
     /// first frame, and redial again — retransmission recovers what the
-    /// cut lost on every link the stream carried, and the run ends with
-    /// every message delivered exactly once.
+    /// cut lost, and the run ends with every message delivered exactly
+    /// once.
     #[test]
     fn a_cut_stream_redials_and_the_run_stays_clean() {
         use ssmfp_core::{reconcile_ledgers, NodeLedger};
-        let (mut group, mut supervisor, dir) = hand_driven_group("cut", 400);
-        turn_until(&mut group, 300, &mut |_| {});
-        group.hub.cut_stream_for_test(0);
-        let quiet =
-            |group: &Group| members(group).all(|n| n.eng.done_issuing() && n.eng.fwd.is_idle());
+        let mut rig = split_rig("cut", 400);
+        rig.turn_until(300, &mut |_| {});
+        rig.groups[1].hub.cut_stream_for_test(0);
+        let quiet = |rig: &Rig| {
+            rig.nodes()
+                .all(|n| n.eng.done_issuing() && n.eng.fwd.is_idle())
+        };
         let give_up = Instant::now() + Duration::from_secs(30);
-        while !quiet(&group) && Instant::now() < give_up {
-            group.turn();
+        while !quiet(&rig) && Instant::now() < give_up {
+            rig.turn();
         }
-        assert!(quiet(&group), "the run never drained");
-        assert_eq!(group.hub.stats().reconnects, 1);
-        assert_eq!(group.hub.shape(), (1, 1));
-        for s in &mut supervisor {
+        assert!(quiet(&rig), "the run never drained");
+        assert_eq!(rig.groups[1].hub.stats().reconnects, 1);
+        for group in &rig.groups {
+            assert_eq!(group.hub.shape(), (1, 1));
+        }
+        for s in &mut rig.supervisor {
             writeln!(s, "stop").unwrap();
         }
-        while group.live() {
-            group.turn();
+        while rig.groups.iter().any(Group::live) {
+            rig.turn();
         }
-        let reports: Vec<NodeReport> = group
-            .results
-            .into_iter()
+        let reports: Vec<NodeReport> = (rig.groups.iter_mut())
+            .flat_map(|g| std::mem::take(&mut g.results))
             .map(|r| r.expect("an outcome").expect("a report"))
             .collect();
-        // The group's socket accounting rides exactly one report.
+        // Each group's socket accounting rides exactly one report.
         let carriers = reports.iter().filter(|r| r.counters.write_syscalls > 0);
-        assert_eq!(carriers.count(), 1);
+        assert_eq!(carriers.count(), 2);
         let reconnects: u64 = reports.iter().map(|r| r.counters.reconnects).sum();
         let dropped: u64 = reports.iter().map(|r| r.counters.conn_frames_dropped).sum();
         assert_eq!(reconnects, 1);
@@ -1295,11 +1371,9 @@ mod tests {
         assert!(verdict.clean(), "{:?}", verdict.violations);
         assert_eq!(verdict.generated, 800, "400 primaries, 400 acks");
         assert_eq!(verdict.exactly_once, verdict.generated);
-        assert!(
-            !dir.join("node0.sock").exists(),
-            "the listener was unlinked"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        for lead in ["node0.sock", "node2.sock"] {
+            assert!(!rig.dir.join(lead).exists(), "{lead} was not unlinked");
+        }
     }
 
     /// A wait that cannot work ends the group instead of spinning it:
@@ -1308,20 +1382,20 @@ mod tests {
     #[test]
     fn a_broken_poller_fails_every_member() {
         use std::io::Read;
-        let (mut group, mut supervisor, dir) = hand_driven_group("broken", 1_000_000);
-        turn_until(&mut group, 30, &mut |_| {});
+        let mut rig = Rig::new("broken", &[4], 0, 1_000_000, [0, 1]);
+        rig.turn_until(30, &mut |_| {});
+        let group = &mut rig.groups[0];
         group.poller.break_for_test();
         group.turn();
         assert!(!group.live());
         for r in &group.results {
             assert!(matches!(r, Some(Err(_))), "outcome {r:?}");
         }
-        for s in &mut supervisor {
+        for s in &mut rig.supervisor {
             s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
             let mut rest = Vec::new();
             s.read_to_end(&mut rest).expect("EOF, not a timeout");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -585,15 +585,15 @@ pub fn parse_chaos(s: &str) -> Result<ChaosSpec, String> {
 }
 
 /// The descriptors a run holds at once, from the shape of its streams. A
-/// data stream joins an ordered pair of groups that share an edge (a group
-/// with an inner edge pairs with itself) and is two descriptors, the
-/// dialling end and the accepted end; a group also holds a listener and
-/// its `epoll` set, every node a control pipe of two ends, every shard a
-/// socketpair to the orchestrator. Inproc a group is a shard and all of it
-/// is in this process. In process mode a group is one node in a process of
-/// its own, which inherits the limit set here: the parent holds the
-/// control tree only, and no child's two streams per neighbour come to
-/// more than that.
+/// data stream joins an ordered pair of *distinct* groups that share an
+/// edge — an edge inside a group is in memory and holds none — and is two
+/// descriptors, the dialling end and the accepted end; a group also holds
+/// at most a listener and its `epoll` set, every node a control pipe of
+/// two ends, every shard a socketpair to the orchestrator. Inproc a group
+/// is a shard and all of it is in this process. In process mode a group is
+/// one node in a process of its own, which inherits the limit set here:
+/// the parent holds the control tree only, and no child's two streams per
+/// neighbour come to more than that.
 fn nofile_budget(graph: &Graph, ranges: &[Range<usize>], mode: &RunMode) -> u64 {
     let control = 2 * graph.n() + 2 * ranges.len();
     let held = match mode {
@@ -602,6 +602,7 @@ fn nofile_budget(graph: &Graph, ranges: &[Range<usize>], mode: &RunMode) -> u64 
             let mut pairs: Vec<_> = graph
                 .edges()
                 .iter()
+                .filter(|&&(a, b)| group(a) != group(b))
                 .flat_map(|&(a, b)| [(group(a), group(b)), (group(b), group(a))])
                 .collect();
             pairs.sort_unstable();
@@ -1568,17 +1569,17 @@ mod tests {
     }
 
     /// The fd budget counts streams, not edges: a 100-node grid on four
-    /// data threads holds 10 ordered pairs of groups, whatever its 180
-    /// edges; one thread holds one stream to itself; a process per node
+    /// data threads holds 6 ordered pairs of distinct groups, whatever its
+    /// 180 edges; one thread holds no stream at all; a process per node
     /// leaves the parent the control tree.
     #[test]
     fn nofile_budget_counts_streams_between_groups() {
         let grid = ssmfp_topology::gen::grid(10, 10);
         let slack = 64;
         let four = nofile_budget(&grid, &shard_ranges(100, 4), &RunMode::Inproc);
-        assert_eq!(four, 2 * 10 + 2 * 4 + 2 * 100 + 2 * 4 + slack);
+        assert_eq!(four, 2 * 6 + 2 * 4 + 2 * 100 + 2 * 4 + slack);
         let one = nofile_budget(&grid, &shard_ranges(100, 1), &RunMode::Inproc);
-        assert_eq!(one, 2 + 2 + 2 * 100 + 2 + slack);
+        assert_eq!(one, 2 + 2 * 100 + 2 + slack);
         let each = nofile_budget(&grid, &shard_ranges(100, 100), &RunMode::Inproc);
         assert_eq!(each, 2 * 2 * 180 + 2 * 100 + 2 * 100 + 2 * 100 + slack);
         let proc = RunMode::Proc {

@@ -55,9 +55,17 @@ fn assert_conc_coverage() {
 
 fn assert_clean(report: &ssmfp_cluster::RunReport) {
     assert_conc_coverage();
-    // Everything now runs on the event plane: the syscall counters must
-    // be wired in every mode.
-    assert!(report.counters.write_syscalls > 0, "no write was counted");
+    // Everything runs on the event plane, so the syscall counters are
+    // wired in every mode: one shard (always in-process here) keeps every
+    // link in memory and writes nothing, any other run writes through its
+    // sockets.
+    assert_eq!(
+        report.counters.write_syscalls > 0,
+        report.shards > 1,
+        "{} writes on {} shards",
+        report.counters.write_syscalls,
+        report.shards
+    );
     // The shard tree preserves totals: the top-level primary count is the
     // sum of the per-shard pre-merges.
     assert_eq!(
@@ -145,6 +153,7 @@ fn caterpillar_uds_open_loop_chaos_exactly_once() {
     assert_eq!(report.primaries_delivered, 9 * 20);
 }
 
+/// Two data threads, so the ring's two cross-thread edges ride TCP.
 #[test]
 fn tcp_transport_also_clean() {
     let graph = gen::ring(4);
@@ -163,7 +172,7 @@ fn tcp_transport_also_clean() {
         },
         listen: ListenSpec::Tcp,
         clients: None,
-        shards: 1,
+        shards: 2,
         mode: RunMode::Inproc,
         timeout: Duration::from_secs(120),
     };
@@ -171,12 +180,49 @@ fn tcp_transport_also_clean() {
     assert_clean(&report);
 }
 
-/// Two data threads over a 25-node grid, under chaos, over both socket
-/// flavours: each group holds a stream to its own address and one to the
-/// other's at once, every link rides one of the two, and the group's
-/// socket accounting reaches the run totals through exactly one report.
+/// Every node on one data thread, under the same chaos as the socket
+/// runs: each link is in memory and no `write` is made, yet the shim drops,
+/// duplicates and reorders on every link and the partition bites, and
+/// every message is still delivered exactly once.
 #[test]
-fn two_shard_grid_shares_an_own_and_a_cross_group_stream() {
+fn one_shard_line_in_memory_chaos_exactly_once() {
+    let graph = gen::line(5);
+    let spec = ClusterSpec {
+        topology: "line:5".into(),
+        chaos: chaos_spec(&graph, 1),
+        graph,
+        seed: 1,
+        workload: WorkloadSpec {
+            kind: WorkloadKind::Closed { outstanding: 4 },
+            messages: 50,
+        },
+        listen: ListenSpec::Uds { dir: uds_dir() },
+        clients: None,
+        shards: 1,
+        mode: RunMode::Inproc,
+        timeout: Duration::from_secs(120),
+    };
+    let report = run_cluster(&spec).expect("run");
+    assert_clean(&report);
+    assert_eq!(report.primaries_delivered, 5 * 50);
+    let c = &report.counters;
+    assert_eq!((c.write_syscalls, c.read_syscalls), (0, 0));
+    for (what, count) in [
+        ("dropped", c.chaos_dropped),
+        ("duplicated", c.chaos_duplicated),
+        ("reordered", c.chaos_reordered),
+        ("partition_dropped", c.partition_dropped),
+    ] {
+        assert!(count > 0, "chaos never {what}: {c:?}");
+    }
+}
+
+/// Two data threads over a 25-node grid, under chaos, over both socket
+/// flavours: the links inside a group are in memory, the ones across ride
+/// one stream each way, and each group's socket accounting reaches the run
+/// totals through exactly one report.
+#[test]
+fn two_shard_grid_shares_one_cross_group_stream_each_way() {
     for listen in [ListenSpec::Uds { dir: uds_dir() }, ListenSpec::Tcp] {
         let graph = gen::grid(5, 5);
         let spec = ClusterSpec {
