@@ -35,9 +35,9 @@
 //! to a stream's buffer or a member's inbox, and inbound ones surface in
 //! one plain vector per member, which the member drains when stepped.
 //!
-//! [`PollSet`] (`ppoll`, rebuilt per wait) stays for the waits that are
-//! cold and ad hoc: a shard supervisor's pipes, a deadline-bounded control
-//! write, the shutdown flush, `PolledTransport`.
+//! [`Poller`] is the crate's one readiness wait: the cold ones — a shard
+//! supervisor's pipes, a deadline-bounded control write, the shutdown
+//! flush — hold a set of their own.
 //!
 //! **Platform floor:** `epoll_pwait2` needs Linux ≥ 5.11 and glibc ≥ 2.35.
 //!
@@ -103,16 +103,6 @@ use std::time::{Duration, Instant};
 /// stable, tiny ABI — so they are declared by hand for the Linux targets
 /// the cluster runtime already assumes (Unix-domain sockets everywhere).
 mod sys {
-    /// `struct pollfd` from `<poll.h>`.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    #[allow(non_camel_case_types)]
-    pub struct pollfd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
-
     /// `struct timespec` from `<time.h>` (both fields are `i64` on every
     /// 64-bit Linux target).
     #[repr(C)]
@@ -149,6 +139,7 @@ mod sys {
     /// `epoll_ctl` operations.
     pub const EPOLL_CTL_ADD: i32 = 1;
     pub const EPOLL_CTL_DEL: i32 = 2;
+    pub const EPOLL_CTL_MOD: i32 = 3;
 
     /// `RLIMIT_NOFILE` on Linux.
     pub const RLIMIT_NOFILE: i32 = 7;
@@ -159,15 +150,6 @@ mod sys {
     pub const O_NONBLOCK: i32 = 0o4000;
 
     extern "C" {
-        /// `nfds_t` is `c_ulong` (= `u64` on every 64-bit Linux target);
-        /// a null `timeout` waits forever, a null `sigmask` leaves the
-        /// signal mask alone.
-        pub fn ppoll(
-            fds: *mut pollfd,
-            nfds: u64,
-            timeout: *const timespec,
-            sigmask: *const u8,
-        ) -> i32;
         pub fn epoll_create1(flags: i32) -> i32;
         pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut epoll_event) -> i32;
         /// `epoll_wait` with a `timespec` timeout (Linux ≥ 5.11, glibc ≥
@@ -190,12 +172,10 @@ mod sys {
 pub const POLLIN: i16 = 0x001;
 /// Writable without blocking.
 pub const POLLOUT: i16 = 0x004;
-/// Error condition (always polled, delivered in `revents` only).
+/// Error condition (always reported, never asked for).
 pub const POLLERR: i16 = 0x008;
-/// Peer hung up.
+/// Peer hung up (always reported, never asked for).
 pub const POLLHUP: i16 = 0x010;
-/// fd not open (always polled, delivered in `revents` only).
-pub const POLLNVAL: i16 = 0x020;
 
 /// Best-effort raise of the soft `RLIMIT_NOFILE` toward `want` (capped
 /// by the hard limit). An inproc 100-node grid holds both ends of every
@@ -254,95 +234,20 @@ fn timespec_of(d: Duration) -> sys::timespec {
     }
 }
 
-/// A reusable `poll(2)` interest set for the cold, ad-hoc waits — a shard
-/// supervisor's K + 1 pipes, a deadline-bounded control write, the
-/// shutdown flush, [`crate::transport::PolledTransport`]: build it each
-/// cycle (O(degree), the allocation is recycled), poll once, read
-/// `revents` back by index. A data thread waits on a [`Poller`] instead.
-pub struct PollSet {
-    fds: Vec<sys::pollfd>,
-}
-
-impl Default for PollSet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PollSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        PollSet { fds: Vec::new() }
-    }
-
-    /// Removes every registered fd (keeps capacity).
-    pub fn clear(&mut self) {
-        self.fds.clear();
-    }
-
-    /// Registers `fd` with the given interest; returns its slot index.
-    pub fn push(&mut self, fd: RawFd, events: i16) -> usize {
-        self.fds.push(sys::pollfd {
-            fd,
-            events,
-            revents: 0,
-        });
-        self.fds.len() - 1
-    }
-
-    /// Blocks until an fd is ready or `timeout` elapses (`None` = wait
-    /// forever). Returns the number of ready fds. EINTR retries. The
-    /// timeout goes to the kernel as it is (`ppoll`, ns): a deadline
-    /// 300 µs away is not a 1 ms sleep.
-    pub fn poll(&mut self, timeout: Option<Duration>) -> io::Result<usize> {
-        let ts = timeout.map(timespec_of);
-        let ts_ptr = ts.as_ref().map_or(std::ptr::null(), |t| t as *const _);
-        loop {
-            // SAFETY: `fds` is a live, exclusively borrowed array of
-            // `fds.len()` `pollfd`s; `ts_ptr` is null or points at `ts`,
-            // which outlives the call; a null sigmask is allowed.
-            let rc = unsafe {
-                sys::ppoll(
-                    self.fds.as_mut_ptr(),
-                    self.fds.len() as u64,
-                    ts_ptr,
-                    std::ptr::null(),
-                )
-            };
-            if rc >= 0 {
-                return Ok(rc as usize);
-            }
-            let e = io::Error::last_os_error();
-            if e.kind() != io::ErrorKind::Interrupted {
-                return Err(e);
-            }
-        }
-    }
-
-    /// The result events of slot `idx` from the last [`PollSet::poll`].
-    pub fn revents(&self, idx: usize) -> i16 {
-        self.fds[idx].revents
-    }
-
-    /// Number of registered fds (slot indices are `0..fds_len()`).
-    pub fn fds_len(&self) -> usize {
-        self.fds.len()
-    }
-}
-
 /// How many ready fds one [`Poller::wait`] reports; the rest surface on the
 /// next (the kernel serves its ready list round-robin).
 const POLLER_EVENTS: usize = 64;
 
-/// The persistent readiness set of one data thread: an `epoll` instance,
-/// level-triggered. A registration follows its fd's life, not the loop's
-/// iteration — [`Poller::add`] when the fd starts to matter, [`Poller::del`]
-/// when it stops, and *nothing* on close: the kernel drops a registration
-/// when the last descriptor of its open file goes, and nothing under
-/// `crates/cluster/src` dups a descriptor (no `try_clone`, no `dup`; the
-/// sockets and the `epoll` fd itself are close-on-exec), so closing the
-/// one fd is removing it. A wait costs what is *ready*, not what is
-/// registered.
+/// A persistent readiness set — a data thread's, a shard supervisor's, a
+/// cold wait's: an `epoll` instance, level-triggered. A registration
+/// follows its fd's life, not the loop's iteration — [`Poller::add`] when
+/// the fd starts to matter, [`Poller::modify`] when its interest changes,
+/// [`Poller::del`] when it stops, and *nothing* on close: the kernel drops
+/// a registration when the last descriptor of its open file goes, and
+/// nothing under `crates/cluster/src` dups a descriptor (no `try_clone`,
+/// no `dup`; the sockets and the `epoll` fd itself are close-on-exec), so
+/// closing the one fd is removing it. A wait costs what is *ready*, not
+/// what is registered.
 ///
 /// The timeout is a `timespec` (`epoll_pwait2`: Linux ≥ 5.11, glibc ≥
 /// 2.35) because the deadlines are: an open-loop arrival 300 µs away is
@@ -386,22 +291,28 @@ impl Poller {
     /// Fails where the kernel refuses — `EPERM` for a regular file or
     /// `/dev/null`, `EEXIST` for an fd already in the set.
     pub fn add(&self, fd: RawFd, interest: i16, token: u64) -> io::Result<()> {
-        let mut ev = sys::epoll_event {
-            events: interest as u16 as u32,
-            data: token,
-        };
-        self.ctl(sys::EPOLL_CTL_ADD, fd, &mut ev)
+        self.ctl(sys::EPOLL_CTL_ADD, fd, interest, token)
+    }
+
+    /// Changes the interest of an fd already in the set — one fd that
+    /// carries both directions toggles `POLLOUT` here.
+    pub fn modify(&self, fd: RawFd, interest: i16, token: u64) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_MOD, fd, interest, token)
     }
 
     /// Removes an fd that stays open (one that is closed is gone already).
     pub fn del(&self, fd: RawFd) -> io::Result<()> {
-        self.ctl(sys::EPOLL_CTL_DEL, fd, std::ptr::null_mut())
+        self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    fn ctl(&self, op: i32, fd: RawFd, ev: *mut sys::epoll_event) -> io::Result<()> {
-        // SAFETY: `ev` is null (`EPOLL_CTL_DEL` ignores it) or points at
-        // the caller's live `epoll_event`, which the kernel only reads.
-        if unsafe { sys::epoll_ctl(self.epfd.as_raw_fd(), op, fd, ev) } < 0 {
+    fn ctl(&self, op: i32, fd: RawFd, interest: i16, token: u64) -> io::Result<()> {
+        let mut ev = sys::epoll_event {
+            events: interest as u16 as u32,
+            data: token,
+        };
+        // SAFETY: `ev` is a live `epoll_event` the kernel only reads
+        // (`EPOLL_CTL_DEL` ignores it).
+        if unsafe { sys::epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) } < 0 {
             return Err(io::Error::last_os_error());
         }
         Ok(())
@@ -628,9 +539,9 @@ impl WriteBuf {
         self.frames += 1;
     }
 
-    /// Encodes a supervision frame that labels what follows (a `Route`):
-    /// it rides the next write, but is no part of the batch a completed
-    /// write reports or a dying connection loses.
+    /// Encodes a supervision frame — a `Route` that labels what follows, a
+    /// heartbeat: it rides the next write, but is no part of the batch a
+    /// completed write reports or a dying connection loses.
     pub fn push_mark(&mut self, frame: &WireFrame) {
         encode_frame(frame, &mut self.buf);
     }
@@ -692,8 +603,8 @@ pub struct IoStats {
     /// Frames lost with a dying connection or shed at the out-buffer
     /// cap — wire drops the protocol's retransmission tolerates.
     pub conn_frames_dropped: u64,
-    /// Frames per buffer-emptying `write()`, `Route`s not counted (the
-    /// coalescing win, observable rather than inferred).
+    /// Frames per buffer-emptying `write()`, supervision frames not
+    /// counted (the coalescing win, observable rather than inferred).
     pub batch: LogHistogram,
 }
 
@@ -1014,6 +925,11 @@ impl Hub {
         self.listener.as_ref().map_or(UNLISTENED, |(_, addr)| addr)
     }
 
+    /// The group's I/O accounting so far.
+    pub fn stats(&self) -> &IoStats {
+        &self.stats
+    }
+
     /// Seats node `id` as member `index`: from here a `Route` may name it.
     pub fn join(&mut self, index: usize, id: NodeId, neighbors: Vec<NodeId>) {
         if self.index_of.len() <= id {
@@ -1218,28 +1134,28 @@ impl Hub {
     }
 
     /// The group's last member retired: keeps writing blocked buffers
-    /// (POLLOUT waits only, so chatty peers cannot stretch the window)
     /// until everything pending drains or `io_flush_grace` expires —
     /// undelivered frames become counted wire drops — unlinks a
     /// Unix-domain listener, and hands over the group's I/O stats. A cold
-    /// wait of its own — own clock, own [`PollSet`] — after the group has
-    /// left its thread's loop.
+    /// wait of its own clock, after the group has left its thread's loop,
+    /// on a set of its own that holds only the blocked streams: the
+    /// group's would wake on every readable connection and control pipe.
     pub fn shutdown(&mut self) -> IoStats {
         let deadline = Instant::now() + self.t.io_flush_grace();
-        let mut ps = PollSet::new();
-        loop {
-            let now = Instant::now();
-            ps.clear();
-            for s in &mut self.streams {
-                Self::write_pending(s, &mut self.stats, now);
-                if let Some(stream) = &s.stream {
-                    if !s.out.is_empty() {
-                        ps.push(stream.fd(), POLLOUT);
-                    }
+        if let Ok(mut set) = Poller::new() {
+            // Their writability registrations were in the group's set.
+            self.streams.iter_mut().for_each(|s| s.blocked = false);
+            loop {
+                let now = Instant::now();
+                let flushed =
+                    (0..self.streams.len()).try_for_each(|i| self.flush_stream(i, now, &set));
+                let blocked = self.streams.iter().any(|s| s.blocked);
+                if flushed.is_err() || !blocked || now >= deadline {
+                    break;
                 }
-            }
-            if ps.fds_len() == 0 || now >= deadline || ps.poll(Some(deadline - now)).is_err() {
-                break;
+                if set.wait(Some(deadline - now)).is_err() {
+                    break;
+                }
             }
         }
         for s in &mut self.streams {
@@ -1286,7 +1202,8 @@ impl Hub {
                 Ok(k) => {
                     stats.write_syscalls += 1;
                     s.last_write = now;
-                    if let Some(batch) = s.out.consume(k) {
+                    // A write of heartbeats alone is no batch.
+                    if let Some(batch) = s.out.consume(k).filter(|&b| b > 0) {
                         stats.batch.record(batch as u64);
                     }
                 }
@@ -1337,7 +1254,7 @@ impl Hub {
             }
         } else if now.duration_since(s.last_write) >= self.t.heartbeat() {
             s.hb_clock += 1;
-            s.out.push_frame(&WireFrame::Heartbeat {
+            s.out.push_mark(&WireFrame::Heartbeat {
                 node: self.lead as u16,
                 clock: s.hb_clock,
             });
@@ -1424,10 +1341,6 @@ impl Hub {
     /// `(out-streams, accepted connections)`.
     pub(crate) fn shape(&self) -> (usize, usize) {
         (self.streams.len(), self.conns.len())
-    }
-
-    pub(crate) fn stats(&self) -> &IoStats {
-        &self.stats
     }
 
     /// Shuts out-stream `i`'s socket down under the hub: the next write
@@ -1592,8 +1505,13 @@ mod tests {
         hub.prepare(now, &poller).unwrap();
         let (mut conn, _) = far.accept().unwrap();
         assert_eq!(read_frames(&mut conn, 2), [to_1, d6]);
+        // An idle stream's heartbeat is supervision: no batch of its own.
+        hub.prepare(now + TUNING.heartbeat(), &poller).unwrap();
+        let beat = WireFrame::Heartbeat { node: 0, clock: 1 };
+        assert_eq!(read_frames(&mut conn, 1), [beat]);
         let io = hub.shutdown();
         assert_eq!((io.reconnects, io.conn_frames_dropped), (1, 1));
+        assert_eq!((io.batch.count(), io.batch.sum()), (2, 5), "d1–d4, d6");
         assert!(!dir.join("node0.sock").exists(), "shutdown unlinks");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1704,38 +1622,6 @@ mod tests {
         assert_eq!(hub.stats().conn_frames_dropped, 21);
     }
 
-    /// The poll shim against a real socketpair: writability up front,
-    /// readability only after bytes land, timeouts when idle.
-    #[test]
-    fn poll_set_reports_readiness_on_a_socketpair() {
-        let (a, b) = UnixStream::pair().expect("socketpair");
-        a.set_nonblocking(true).unwrap();
-        b.set_nonblocking(true).unwrap();
-        let mut ps = PollSet::new();
-
-        // Nothing to read yet: a pure POLLIN wait times out.
-        ps.clear();
-        let ri = ps.push(b.as_raw_fd(), POLLIN);
-        let n = ps.poll(Some(Duration::from_millis(1))).unwrap();
-        assert_eq!(n, 0);
-        assert_eq!(ps.revents(ri) & POLLIN, 0);
-
-        // An empty socket is writable immediately.
-        ps.clear();
-        let wi = ps.push(a.as_raw_fd(), POLLOUT);
-        assert_eq!(ps.poll(Some(Duration::from_millis(100))).unwrap(), 1);
-        assert_ne!(ps.revents(wi) & POLLOUT, 0);
-
-        // After a write, the peer polls readable.
-        (&a).write_all(&[42u8, 43]).unwrap();
-        ps.clear();
-        let ri = ps.push(b.as_raw_fd(), POLLIN);
-        assert_eq!(ps.poll(Some(Duration::from_millis(100))).unwrap(), 1);
-        assert_ne!(ps.revents(ri) & POLLIN, 0);
-        let mut buf = [0u8; 8];
-        assert_eq!((&b).read(&mut buf).unwrap(), 2);
-    }
-
     /// A registration follows the fd, not the wait: added once, it
     /// reports readiness — level-triggered — on every wait until the bytes
     /// are read, and again for the next bytes, with no re-`add`.
@@ -1764,6 +1650,10 @@ mod tests {
         (&a).write_all(&[9]).unwrap();
         p.del(b.as_raw_fd()).unwrap();
         assert!(p.wait(ms).unwrap().is_empty());
+        // Back for writability only: the unread byte no longer counts.
+        p.add(b.as_raw_fd(), POLLIN, token).unwrap();
+        p.modify(b.as_raw_fd(), POLLOUT, token).unwrap();
+        assert_eq!(p.wait(ms).unwrap(), [(token, POLLOUT)]);
     }
 
     /// The timeout reaches the kernel in ns (`epoll_pwait2`): 300 µs on an

@@ -6,7 +6,7 @@
 //! What this (total, lossless) bridge still converts: destinations
 //! (`usize` in the simulator, `u16` on the wire), the client stamp a
 //! client-mode frame carries beside its ghost, and the supervision frames
-//! `Hello`/`Heartbeat`/`Route`, which have no `WireMsg` counterpart —
+//! `Heartbeat`/`Route`, which have no `WireMsg` counterpart —
 //! [`frame_to_msg`] returns `None` for them.
 
 use ssmfp_core::wire::{ClientStamp, WireFrame, WireMessage};
@@ -102,7 +102,7 @@ fn msg_to_frame_with(msg: &WireMsg, conv: fn(&MpMessage) -> WireMessage) -> Wire
 }
 
 /// Decodes a frame back into a simulator message; `None` for the
-/// supervision frames (`Hello`/`Heartbeat`/`Route`), which never reach
+/// supervision frames (`Heartbeat`/`Route`), which never reach
 /// the protocol.
 pub fn frame_to_msg(frame: &WireFrame) -> Option<WireMsg> {
     Some(match frame {
@@ -130,9 +130,7 @@ pub fn frame_to_msg(frame: &WireFrame) -> Option<WireMsg> {
             d: *d as usize,
             dist: *dist,
         },
-        WireFrame::Hello { .. } | WireFrame::Heartbeat { .. } | WireFrame::Route { .. } => {
-            return None
-        }
+        WireFrame::Heartbeat { .. } | WireFrame::Route { .. } => return None,
     })
 }
 

@@ -6,10 +6,9 @@
 //! Module map:
 //! * [`frame`] — lossless bridge between the simulator's `WireMsg` and
 //!   the wire codec's `WireFrame` (one ghost identity on both sides).
-//! * [`transport`] — [`transport::PolledTransport`], the socket-backed
-//!   `ssmfp_mp::Transport` the shared exactly-once suite runs against:
-//!   the event loop's readiness/coalescing building blocks, one
-//!   nonblocking socket pair per directed edge, no threads.
+//! * [`transport`] — [`transport::PolledTransport`], the shipped `Hub`s
+//!   behind `ssmfp_mp::Transport`, so the shared exactly-once suite runs
+//!   over the links the cluster runs.
 //! * [`chaos`] — socket-level fault shim (drop/duplicate/reorder budgets
 //!   plus one partition/heal cycle), sharing the simulator's
 //!   `FaultClerk` decision procedure.
@@ -20,8 +19,8 @@
 //!   `(client, seq)` identity the shutdown reconcile audits per client
 //!   (exactly-once *and* FIFO), with fairness-spread telemetry.
 //! * [`evloop`] — a data thread's I/O machinery: [`evloop::Poller`], the
-//!   persistent `epoll` set (and a `ppoll` shim for the cold waits),
-//!   coalescing write buffers (zero-realloc hot path), and `evloop::Hub`,
+//!   persistent `epoll` set and the crate's one readiness wait, coalescing
+//!   write buffers (zero-realloc hot path), and `evloop::Hub`,
 //!   the links of one group of nodes — in memory between two members,
 //!   else one listener and one simplex stream per destination address,
 //!   `Route` frames saying which link a run crossed — with heartbeat and

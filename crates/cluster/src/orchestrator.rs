@@ -32,8 +32,8 @@ use crate::chaos::{ChaosSpec, PartitionSpec};
 use crate::clients::{ClientMutation, ClientSpec};
 use crate::conc::COMPONENT;
 use crate::evloop::{
-    raise_nofile_limit, set_nonblocking_fd, take_lines, CtrlPipe, PollSet, POLLERR, POLLHUP,
-    POLLIN, POLLNVAL, POLLOUT,
+    raise_nofile_limit, set_nonblocking_fd, take_lines, CtrlPipe, Poller, POLLERR, POLLHUP, POLLIN,
+    POLLOUT,
 };
 use crate::node::{parse_report_body, run_nodes, ListenSpec, NodeConfig, NodeReport};
 use crate::telemetry::{LogHistogram, NodeCounters};
@@ -726,6 +726,8 @@ struct NodeSlot {
     /// Everything the node says after `stop` (the report block).
     lines: Vec<String>,
     ended: bool,
+    /// The interest registered for the read fd and for the write fd.
+    watched: [i16; 2],
 }
 
 impl NodeSlot {
@@ -741,12 +743,43 @@ impl NodeSlot {
             status: NodeStatus::default(),
             lines: Vec::new(),
             ended: false,
+            watched: [0; 2],
         }
     }
 
     fn stage(&mut self, line: &str) {
         self.staged.extend_from_slice(line.as_bytes());
         self.staged.push(b'\n');
+    }
+
+    /// Keeps slot `i`'s registrations at what the shard still waits for:
+    /// the node's lines until EOF — a pipe whose writer closed stays open,
+    /// and level-triggered `POLLHUP` would spin the loop — and writability
+    /// while bytes are staged. An inproc pipe is one fd both ways, so
+    /// `POLLOUT` toggles on it; a process has two.
+    fn watch(&mut self, i: usize, poll: &Poller) -> io::Result<()> {
+        let read = if self.eof { 0 } else { POLLIN };
+        let write = if self.staged_at < self.staged.len() {
+            POLLOUT
+        } else {
+            0
+        };
+        let (r, w) = (self.ctrl.read_fd(), self.ctrl.write_fd());
+        let want = if r == w {
+            [(r, read | write), (w, 0)]
+        } else {
+            [(r, read), (w, write)]
+        };
+        for (had, (fd, want)) in self.watched.iter_mut().zip(want) {
+            match (*had, want) {
+                (had, want) if had == want => {}
+                (0, _) => poll.add(fd, want, Poller::token(i, fd))?,
+                (_, 0) => poll.del(fd)?,
+                _ => poll.modify(fd, want, Poller::token(i, fd))?,
+            }
+            *had = want;
+        }
+        Ok(())
     }
 }
 
@@ -828,8 +861,12 @@ fn wind_down(slots: Vec<NodeSlot>, data: Option<JoinHandle<()>>) {
     }
 }
 
-/// One shard supervisor: spawns its node group, polls every control pipe
-/// plus the orchestrator socketpair in one `poll(2)` set, forwards
+/// The owner half of the orchestrator socketpair's [`Poller::token`] in a
+/// shard's set; a node's control fds carry its slot index.
+const ORCH: usize = u32::MAX as usize;
+
+/// One shard supervisor: spawns its node group, waits on every control
+/// pipe plus the orchestrator socketpair in one [`Poller`], forwards
 /// control lines downward (staged, `POLLOUT`-gated — the declared timed
 /// write), and pre-merges status and reports upward.
 fn shard_main(
@@ -846,44 +883,56 @@ fn shard_main(
         // up; keep going so the node handles still get finished.
         let _ = up.send((shard, msg));
     };
-
     let mut slots: Vec<NodeSlot> = Vec::with_capacity(cfgs.len());
-    let data = match spawn_nodes(cfgs, &mode, &mut slots) {
-        Ok(data) => data,
-        Err(e) => {
-            send_up(ShardUp::Error(format!("spawn {e}")));
-            wind_down(slots, None);
-            return;
-        }
-    };
+    let data = spawn_nodes(cfgs, &mode, &mut slots);
+    let outcome = data
+        .as_ref()
+        .map_err(|e| format!("spawn {e}"))
+        .and_then(|_| {
+            let mut poll = watch(&orch, &mut slots).map_err(shard_wait)?;
+            supervise(&mut poll, &orch, &mut slots, &send_up)?;
+            shard_report(shard, &mut slots)
+        });
+    send_up(match outcome {
+        Ok(report) => ShardUp::Done(Box::new(report)),
+        Err(e) => ShardUp::Error(e),
+    });
+    wind_down(slots, data.ok().flatten());
+}
 
-    // --- supervision loop ---
-    let mut poll = PollSet::new();
+fn shard_wait(e: io::Error) -> String {
+    format!("shard wait: {e}")
+}
+
+/// A shard's readiness set: the orchestrator socketpair and every node's
+/// control pipe, each registered for as long as the shard waits on it.
+fn watch(orch: &UnixStream, slots: &mut [NodeSlot]) -> io::Result<Poller> {
+    let (poll, fd) = (Poller::new()?, orch.as_raw_fd());
+    poll.add(fd, POLLIN, Poller::token(ORCH, fd))?;
+    for (i, s) in slots.iter_mut().enumerate() {
+        s.watch(i, &poll)?;
+    }
+    Ok(poll)
+}
+
+/// The supervision loop, on the set [`watch`] built, until every node has
+/// reported or hung up. A wait that fails — anything but `EINTR` — or a
+/// registration the set refuses cannot be retried into working: it ends
+/// the shard with the error instead of spinning it.
+fn supervise(
+    poll: &mut Poller,
+    orch: &UnixStream,
+    slots: &mut [NodeSlot],
+    send_up: &dyn Fn(ShardUp),
+) -> Result<(), String> {
+    let mut events: Vec<(u64, i16)> = Vec::new();
     let mut scratch = vec![0u8; 16 * 1024];
     let mut orch_acc: Vec<u8> = Vec::new();
-    let mut orch_eof = false;
     let mut phase = Phase::Ready;
     let mut ready_sent = false;
     let mut last_status = Instant::now();
     let mut report_deadline = Instant::now();
-    let mut failed: Option<String> = None;
     loop {
-        poll.clear();
-        let orch_idx = if orch_eof {
-            usize::MAX
-        } else {
-            poll.push(orch.as_raw_fd(), POLLIN)
-        };
-        let mut read_slots: Vec<(usize, usize)> = Vec::with_capacity(slots.len());
-        let mut write_slots: Vec<(usize, usize)> = Vec::new();
-        for (i, s) in slots.iter().enumerate() {
-            if !s.eof {
-                read_slots.push((poll.push(s.ctrl.read_fd(), POLLIN), i));
-            }
-            if s.staged_at < s.staged.len() {
-                write_slots.push((poll.push(s.ctrl.write_fd(), POLLOUT), i));
-            }
-        }
         let cap = Duration::from_millis(50);
         let timeout = match phase {
             Phase::Ready => cap,
@@ -895,18 +944,19 @@ fn shard_main(
                 .saturating_duration_since(Instant::now())
                 .min(cap),
         };
-        let _ = poll.poll(Some(timeout));
+        events.clear();
+        events.extend_from_slice(poll.wait(Some(timeout)).map_err(shard_wait)?);
 
-        // Orchestrator lines: interpret, then forward verbatim to every
-        // node. (The shard's end of the socketpair is blocking: one
+        // Orchestrator lines first: interpret, then forward verbatim to
+        // every node. (The shard's end of the socketpair is blocking: one
         // single-shot read per POLLIN readiness never blocks.)
-        if orch_idx != usize::MAX && poll.revents(orch_idx) & (POLLIN | POLLERR | POLLHUP) != 0 {
-            match (&orch).read(&mut scratch) {
-                Ok(0) => orch_eof = true,
+        if events.iter().any(|&(t, _)| Poller::untoken(t).0 == ORCH) {
+            let orch_eof = match (&*orch).read(&mut scratch) {
+                Ok(0) => true,
                 Ok(k) => {
                     orch_acc.extend_from_slice(&scratch[..k]);
                     for line in take_lines(&mut orch_acc) {
-                        for s in &mut slots {
+                        for s in slots.iter_mut() {
                             s.stage(&line);
                         }
                         if line.starts_with("start") && phase == Phase::Ready {
@@ -917,37 +967,38 @@ fn shard_main(
                             report_deadline = Instant::now() + TUNING.report_grace();
                         }
                     }
+                    false
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => orch_eof = true,
-            }
-            if orch_eof && phase != Phase::Reporting {
-                // Orchestrator gone: wind the run down cleanly.
-                for s in &mut slots {
-                    s.stage("stop");
+                Err(e) => !matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ),
+            };
+            if orch_eof {
+                // It stays open: out of the level-triggered set by hand.
+                poll.del(orch.as_raw_fd()).map_err(shard_wait)?;
+                if phase != Phase::Reporting {
+                    // Orchestrator gone: wind the run down cleanly.
+                    for s in slots.iter_mut() {
+                        s.stage("stop");
+                    }
+                    phase = Phase::Reporting;
+                    report_deadline = Instant::now() + TUNING.report_grace();
                 }
-                phase = Phase::Reporting;
-                report_deadline = Instant::now() + TUNING.report_grace();
             }
         }
 
-        // Node lines (nonblocking fds: drain to WouldBlock).
-        for &(idx, i) in &read_slots {
-            if poll.revents(idx) & (POLLIN | POLLERR | POLLHUP | POLLNVAL) == 0 {
-                continue;
-            }
-            loop {
-                match slots[i].ctrl.read_once(&mut scratch) {
-                    Ok(0) => {
-                        slots[i].eof = true;
-                        break;
-                    }
+        for &(token, ev) in &events {
+            let (i, fd) = Poller::untoken(token);
+            let Some(s) = slots.get_mut(i) else { continue };
+            // Node lines (nonblocking fds: drain to WouldBlock).
+            let readable = ev & (POLLIN | POLLERR | POLLHUP) != 0 && fd == s.ctrl.read_fd();
+            while readable && !s.eof {
+                match s.ctrl.read_once(&mut scratch) {
+                    Ok(0) => s.eof = true,
                     Ok(k) => {
-                        slots[i].acc.extend_from_slice(&scratch[..k]);
-                        let short = k < scratch.len();
-                        for line in take_lines(&mut slots[i].acc) {
-                            let s = &mut slots[i];
+                        s.acc.extend_from_slice(&scratch[..k]);
+                        for line in take_lines(&mut s.acc) {
                             if phase == Phase::Reporting {
                                 if line == "end" {
                                     s.ended = true;
@@ -967,45 +1018,36 @@ fn shard_main(
                                 };
                             }
                         }
-                        if short {
+                        if k < scratch.len() {
                             break;
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        slots[i].eof = true;
-                        break;
-                    }
+                    Err(_) => s.eof = true,
                 }
             }
-        }
-
-        // Staged downward writes, POLLOUT-gated (the declared timed
-        // `SockWrite(node.main)` edge — the shard never blocks on a
-        // node).
-        for &(idx, i) in &write_slots {
-            if poll.revents(idx) & (POLLOUT | POLLERR | POLLHUP | POLLNVAL) == 0 {
-                continue;
-            }
-            let s = &mut slots[i];
-            while s.staged_at < s.staged.len() {
+            // Staged downward writes, POLLOUT-gated (the declared timed
+            // `SockWrite(node.main)` edge — the shard never blocks on a
+            // node).
+            let writable = ev & (POLLOUT | POLLERR | POLLHUP) != 0 && fd == s.ctrl.write_fd();
+            while writable && s.staged_at < s.staged.len() {
                 match s.ctrl.write_some(&s.staged[s.staged_at..]) {
                     Ok(0) => break,
                     Ok(k) => s.staged_at += k,
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        // Node died; the read side will surface EOF.
-                        s.staged_at = s.staged.len();
-                        break;
-                    }
+                    // Node died; the read side will surface EOF.
+                    Err(_) => s.staged_at = s.staged.len(),
                 }
             }
             if s.staged_at == s.staged.len() {
                 s.staged.clear();
                 s.staged_at = 0;
             }
+        }
+        for (i, s) in slots.iter_mut().enumerate() {
+            s.watch(i, poll).map_err(shard_wait)?;
         }
 
         // Phase work.
@@ -1020,8 +1062,7 @@ fn shard_main(
                     ready_sent = true;
                 }
                 if let Some(dead) = slots.iter().find(|s| s.eof && s.ready.is_none()) {
-                    failed = Some(format!("node {} exited before ready", dead.id));
-                    break;
+                    return Err(format!("node {} exited before ready", dead.id));
                 }
             }
             Phase::Running => {
@@ -1031,7 +1072,7 @@ fn shard_main(
                         nodes: slots.len() as u64,
                         ..ShardStatus::default()
                     };
-                    for s in &slots {
+                    for s in slots.iter() {
                         st.done += u64::from(s.status.done);
                         st.generated += s.status.generated;
                         st.delivered += s.status.delivered;
@@ -1042,53 +1083,36 @@ fn shard_main(
             }
             Phase::Reporting => {
                 if slots.iter().all(|s| s.ended || s.eof) {
-                    break;
+                    return Ok(());
                 }
                 if Instant::now() >= report_deadline {
                     let missing = slots.iter().find(|s| !s.ended).map(|s| s.id).unwrap_or(0);
-                    failed = Some(format!("node {missing} sent no report in time"));
-                    break;
+                    return Err(format!("node {missing} sent no report in time"));
                 }
             }
         }
     }
+}
 
-    // --- parse reports, send the pre-merged shard report ---
-    if failed.is_none() {
-        if let Some(s) = slots.iter().find(|s| !s.ended) {
-            failed = Some(format!("node {} hung up before its report", s.id));
-        }
+/// Parses every node's report block into the pre-merged shard report.
+fn shard_report(shard: usize, slots: &mut [NodeSlot]) -> Result<ShardReport, String> {
+    if let Some(s) = slots.iter().find(|s| !s.ended) {
+        return Err(format!("node {} hung up before its report", s.id));
     }
-    match failed {
-        Some(e) => send_up(ShardUp::Error(e)),
-        None => {
-            let mut reports: Vec<NodeReport> = Vec::with_capacity(slots.len());
-            let mut ok = true;
-            for s in &mut slots {
-                let mut it = std::mem::take(&mut s.lines)
-                    .into_iter()
-                    .skip_while(|l| !l.starts_with("report "))
-                    .skip(1);
-                match parse_report_body(s.id, &mut it) {
-                    Some(r) => reports.push(r),
-                    None => {
-                        send_up(ShardUp::Error(format!("node {} report unparsable", s.id)));
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                let summary = summarize(shard, &reports);
-                send_up(ShardUp::Done(Box::new(ShardReport {
-                    shard,
-                    summary,
-                    reports,
-                })));
-            }
-        }
+    let mut reports: Vec<NodeReport> = Vec::with_capacity(slots.len());
+    for s in slots.iter_mut() {
+        let mut it = std::mem::take(&mut s.lines)
+            .into_iter()
+            .skip_while(|l| !l.starts_with("report "))
+            .skip(1);
+        let report = parse_report_body(s.id, &mut it);
+        reports.push(report.ok_or_else(|| format!("node {} report unparsable", s.id))?);
     }
-    wind_down(slots, data);
+    Ok(ShardReport {
+        shard,
+        summary: summarize(shard, &reports),
+        reports,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1097,7 +1121,7 @@ fn shard_main(
 
 /// Deadline-bounded `write_all` on a nonblocking stream (the declared
 /// timed `SockWrite(shard.super)` edge). Control lines are tiny next to
-/// the socketpair buffer, so the poll path is cold.
+/// the socketpair buffer, so the wait — on a set of its own — is cold.
 fn write_all_deadline(s: &UnixStream, mut bytes: &[u8], deadline: Instant) -> io::Result<()> {
     while !bytes.is_empty() {
         match (&*s).write(bytes) {
@@ -1111,9 +1135,9 @@ fn write_all_deadline(s: &UnixStream, mut bytes: &[u8], deadline: Instant) -> io
                         "shard not draining control writes",
                     ));
                 }
-                let mut ps = PollSet::new();
-                ps.push(s.as_raw_fd(), POLLOUT);
-                ps.poll(Some(deadline - now))?;
+                let mut writable = Poller::new()?;
+                writable.add(s.as_raw_fd(), POLLOUT, 0)?;
+                writable.wait(Some(deadline - now))?;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
@@ -1589,6 +1613,26 @@ mod tests {
             nofile_budget(&grid, &shard_ranges(100, 4), &proc),
             2 * 100 + 2 * 4 + slack
         );
+    }
+
+    /// A wait that cannot work ends the shard with the error instead of
+    /// spinning it at full CPU with the error dropped.
+    #[test]
+    fn a_broken_poller_ends_the_shard_with_an_error() {
+        let (_orch_side, orch) = UnixStream::pair().unwrap();
+        let (sup_side, _node_side) = UnixStream::pair().unwrap();
+        sup_side.set_nonblocking(true).unwrap();
+        let mut slots = vec![NodeSlot::new(0, NodeCtrl::Thread(sup_side))];
+        let mut poll = watch(&orch, &mut slots).unwrap();
+        poll.break_for_test();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let shard = thread::spawn(move || {
+            let _ = tx.send(supervise(&mut poll, &orch, &mut slots, &|_| {}));
+        });
+        let outcome = rx.recv_timeout(Duration::from_secs(5));
+        let err = outcome.expect("the shard spun").unwrap_err();
+        assert!(err.starts_with("shard wait:"), "{err}");
+        shard.join().unwrap();
     }
 
     #[test]

@@ -1,173 +1,153 @@
-//! A socket-backed [`Transport`]: every directed edge is a real
-//! `UnixStream` pair carrying length-prefixed frames from `core::wire`.
-//!
-//! This is the bridge that lets the simulator's adversarial scheduler
-//! drive the protocol over actual OS sockets — the shared exactly-once
-//! suite in `ssmfp_mp::suite` runs unchanged against it, so the channel
-//! transport and the socket path are conformance-tested by the *same*
-//! properties (and any framing bug shows up as a protocol-level failure).
+//! [`PolledTransport`]: the cluster's shipped links behind the plain
+//! [`Transport`] trait, so the shared exactly-once suite
+//! (`ssmfp_mp::suite`) runs over the socket path that ships.
 
-use crate::evloop::{PollSet, WriteBuf, POLLERR, POLLHUP, POLLIN, POLLOUT};
+use crate::evloop::{raise_nofile_limit, Hub, Poller};
 use crate::frame::{frame_to_msg, msg_to_frame};
-use ssmfp_core::wire::FrameReader;
+use crate::node::ListenSpec;
+use crate::orchestrator::shard_ranges;
 use ssmfp_mp::{ChannelFaults, FaultClerk, LinkId, Transport, WireMsg};
 use ssmfp_topology::Graph;
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::os::unix::net::UnixStream;
-use std::os::unix::prelude::AsRawFd;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
-struct PolledLane {
-    link: LinkId,
-    tx: UnixStream,
-    rx: UnixStream,
-    /// Coalescing outbound buffer: `send` only appends; bytes reach the
-    /// socket in batched writes from [`PolledTransport::drive`].
-    out: WriteBuf,
-    reader: FrameReader,
-    queue: VecDeque<WireMsg>,
-    /// Frames handed to `send` minus frames decoded on the far side.
-    sent: u64,
-    decoded: u64,
-}
+/// How long [`Transport::busy_links`] waits for frames that have neither
+/// arrived nor been dropped before it calls the links broken.
+const PATIENCE: Duration = Duration::from_secs(10);
 
-impl PolledLane {
-    /// Decodes whatever the incremental reader has accumulated.
-    fn drain_frames(&mut self) {
-        loop {
-            match self.reader.next_frame() {
-                Ok(Some(frame)) => {
-                    self.decoded += 1;
-                    if let Some(msg) = frame_to_msg(&frame) {
-                        self.queue.push_back(msg);
-                    }
-                }
-                Ok(None) => return,
-                Err(e) => panic!("polled decode on {:?}: {e}", self.link),
-            }
-        }
-    }
-}
-
-/// The event loop's building blocks ([`WriteBuf`] coalescing, [`PollSet`]
-/// readiness, incremental [`FrameReader`]) behind the plain [`Transport`]
-/// trait, so the shared exactly-once suite conformance-tests the batched
-/// wire hot path itself.
+/// The nodes of a topology in groups, as data threads hold them: one
+/// [`Hub`] per group, all on the calling thread and in one [`Poller`] (a
+/// token names its fd; a hub's dispatch skips fds it does not own). So the
+/// suite checks `Route` multiplexing, the per-stream shed, the redial that
+/// resets the route and the in-memory link, and a framing or demultiplexing
+/// bug is a protocol-level failure.
 ///
-/// `send` never touches the socket: frames accumulate in the per-edge
-/// [`WriteBuf`] and cross the kernel in coalesced writes when
-/// [`Transport::drive`] observes `POLLOUT` readiness. That makes the
-/// adversarial scheduler exercise arbitrary interleavings of "buffered
-/// but unflushed" and "in socket but undecoded" states.
+/// `send` is [`Hub::send`]. [`Transport::drive`] is a data thread's turn
+/// without its members — [`Hub::prepare`], a zero-timeout wait,
+/// [`Hub::dispatch`] — and then every inbox drained by local port into
+/// per-link queues, behind which the [`FaultClerk`] sits: the adversarial
+/// scheduler meets frames buffered, in the kernel and undrained.
 pub struct PolledTransport {
-    lanes: Vec<PolledLane>,
+    graph: Graph,
+    poller: Poller,
+    hubs: Vec<Hub>,
+    /// By node: its hub and its seat there.
+    seat: Vec<(usize, usize)>,
+    /// By node and local port (its sorted neighbour list), what arrived.
+    queues: Vec<Vec<VecDeque<WireMsg>>>,
     clerk: Option<FaultClerk>,
-    poll: PollSet,
-    scratch: Vec<u8>,
-    write_syscalls: u64,
-    read_syscalls: u64,
-    frames_flushed: u64,
+    /// Frames handed to `send`, and frames that reached a queue.
+    sent: u64,
+    arrived: u64,
+    /// Where the Unix-domain listeners are bound, removed on drop: tests
+    /// in one process build transports in parallel.
+    dir: PathBuf,
 }
 
 impl PolledTransport {
-    /// Builds one nonblocking socket pair per directed edge.
+    /// Every node a group of its own, as `--node-worker` processes run:
+    /// every link rides a Unix-domain stream of its own behind a `Route`.
     pub fn new(graph: &Graph) -> Self {
-        let mut lanes = Vec::new();
-        for &(p, q) in graph.edges() {
-            for link in [LinkId { from: p, to: q }, LinkId { from: q, to: p }] {
-                let (tx, rx) = UnixStream::pair().expect("socketpair");
-                tx.set_nonblocking(true).expect("nonblocking tx");
-                rx.set_nonblocking(true).expect("nonblocking rx");
-                lanes.push(PolledLane {
-                    link,
-                    tx,
-                    rx,
-                    out: WriteBuf::with_capacity(4096),
-                    reader: FrameReader::new(),
-                    queue: VecDeque::new(),
-                    sent: 0,
-                    decoded: 0,
-                });
+        Self::with_groups(graph, graph.n(), false)
+    }
+
+    /// The nodes in `groups` contiguous blocks of ids, as `--shards` cuts
+    /// them — links inside a block in memory, the rest on one stream per
+    /// ordered pair of blocks — listening on TCP if `tcp`.
+    fn with_groups(graph: &Graph, groups: usize, tcp: bool) -> Self {
+        static INSTANCE: AtomicU64 = AtomicU64::new(0);
+        let id = INSTANCE.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("ssmfp-transport-{}-{id}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("socket directory");
+        let listen = if tcp {
+            ListenSpec::Tcp
+        } else {
+            ListenSpec::Uds { dir: dir.clone() }
+        };
+        let ranges = shard_ranges(graph.n(), groups);
+        // The `epoll` set, a listener per group, and per directed edge at
+        // most an out-stream and the stream it is accepted as.
+        let open = std::fs::read_dir("/proc/self/fd").map_or(0, Iterator::count);
+        raise_nofile_limit((open + 1 + ranges.len() + 4 * graph.edges().len()) as u64);
+
+        let poller = Poller::new().expect("epoll set");
+        let mut seat = vec![(0, 0); graph.n()];
+        let mut hubs = Vec::with_capacity(ranges.len());
+        for (g, r) in ranges.iter().enumerate() {
+            let out = r
+                .clone()
+                .any(|p| graph.neighbors(p).iter().any(|q| !r.contains(q)));
+            let hub = Hub::new(out.then_some(&listen), r.start, r.len(), g as u64, &poller);
+            let mut hub = hub.expect("bind a group's listener");
+            for (i, p) in r.clone().enumerate() {
+                hub.join(i, p, graph.neighbors(p).to_vec());
+                seat[p] = (g, i);
             }
+            hubs.push(hub);
+        }
+        let addrs: Vec<String> = seat.iter().map(|&(g, _)| hubs[g].addr().into()).collect();
+        let addrs: Vec<&str> = addrs.iter().map(String::as_str).collect();
+        for &(g, i) in &seat {
+            hubs[g].connect_peers(i, &addrs, Instant::now());
         }
         PolledTransport {
-            lanes,
+            queues: (0..graph.n())
+                .map(|p| vec![VecDeque::new(); graph.degree(p)])
+                .collect(),
+            graph: graph.clone(),
+            poller,
+            hubs,
+            seat,
             clerk: None,
-            poll: PollSet::new(),
-            scratch: vec![0u8; 4096],
-            write_syscalls: 0,
-            read_syscalls: 0,
-            frames_flushed: 0,
+            sent: 0,
+            arrived: 0,
+            dir,
         }
     }
 
-    fn index(&self, link: LinkId) -> usize {
-        self.lanes
-            .iter()
-            .position(|l| l.link == link)
-            .expect("messages may only be sent to neighbours")
-    }
-
-    /// `(frames flushed, write syscalls, read syscalls)` — the
-    /// observability hook the coalescing test asserts against.
+    /// `(frames flushed, write syscalls, read syscalls)` over every hub —
+    /// the observability hook the coalescing test asserts against.
     pub fn io_counts(&self) -> (u64, u64, u64) {
-        (self.frames_flushed, self.write_syscalls, self.read_syscalls)
+        let sum = |f: fn(&Hub) -> u64| self.hubs.iter().map(f).sum();
+        (
+            sum(|h| h.stats().batch.sum()),
+            sum(|h| h.stats().write_syscalls),
+            sum(|h| h.stats().read_syscalls),
+        )
     }
 
-    /// One readiness pass: registers every receiving end for `POLLIN`
-    /// and every lane with pending output for `POLLOUT`, polls with a
-    /// zero timeout, then flushes/pumps exactly the ready lanes.
-    fn poll_pass(&mut self) {
-        self.poll.clear();
-        let mut rx_slots = Vec::with_capacity(self.lanes.len());
-        let mut tx_slots = Vec::new();
-        for (i, lane) in self.lanes.iter().enumerate() {
-            rx_slots.push(self.poll.push(lane.rx.as_raw_fd(), POLLIN));
-            if !lane.out.is_empty() {
-                tx_slots.push((self.poll.push(lane.tx.as_raw_fd(), POLLOUT), i));
-            }
+    /// Frames sent that have neither reached a queue nor been dropped by
+    /// a hub (a counted drop is not in flight): in a write buffer, in the
+    /// kernel, or in a reader not yet drained.
+    fn unheard(&self) -> u64 {
+        let dropped = self.hubs.iter().map(|h| h.stats().conn_frames_dropped);
+        (self.sent - self.arrived).saturating_sub(dropped.sum())
+    }
+
+    /// One turn of every group's links, waiting at most `timeout` — less
+    /// if a stream's dial or heartbeat is due sooner — then every inbox
+    /// into the link queues.
+    fn pump(&mut self, timeout: Duration) {
+        let now = Instant::now();
+        let mut wake = now + timeout;
+        for hub in &mut self.hubs {
+            wake = wake.min(hub.prepare(now, &self.poller).expect("hub flush"));
         }
-        match self.poll.poll(Some(std::time::Duration::ZERO)) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e) => panic!("polled transport poll: {e}"),
+        let ready = self.poller.wait(Some(wake.saturating_duration_since(now)));
+        let ready = ready.expect("transport wait").iter();
+        let events: Vec<_> = ready
+            .map(|&(token, ev)| (Poller::untoken(token).1, ev))
+            .collect();
+        for hub in &mut self.hubs {
+            hub.dispatch(Instant::now(), &events, &self.poller)
+                .expect("hub read");
         }
-        for (slot, i) in tx_slots {
-            if self.poll.revents(slot) & (POLLOUT | POLLERR | POLLHUP) != 0 {
-                let lane = &mut self.lanes[i];
-                loop {
-                    match lane.tx.write(lane.out.pending_bytes()) {
-                        Ok(k) => {
-                            self.write_syscalls += 1;
-                            if let Some(batch) = lane.out.consume(k) {
-                                self.frames_flushed += batch as u64;
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) => panic!("polled write on {:?}: {e}", lane.link),
-                    }
-                }
-            }
-        }
-        for (i, slot) in rx_slots.into_iter().enumerate() {
-            if self.poll.revents(slot) & (POLLIN | POLLERR | POLLHUP) != 0 {
-                let lane = &mut self.lanes[i];
-                loop {
-                    match lane.rx.read(&mut self.scratch) {
-                        Ok(0) => break,
-                        Ok(k) => {
-                            self.read_syscalls += 1;
-                            lane.reader.extend(&self.scratch[..k]);
-                            if k < self.scratch.len() {
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) => panic!("polled read on {:?}: {e}", lane.link),
-                    }
-                }
-                lane.drain_frames();
+        for (p, &(g, i)) in self.seat.iter().enumerate() {
+            for (port, frame) in self.hubs[g].drain_inbound(i) {
+                self.arrived += 1;
+                self.queues[p][port].extend(frame_to_msg(&frame));
             }
         }
     }
@@ -175,45 +155,52 @@ impl PolledTransport {
 
 impl Transport<WireMsg> for PolledTransport {
     fn send(&mut self, link: LinkId, msg: WireMsg) {
-        let idx = self.index(link);
+        let (g, i) = self.seat[link.from];
+        assert!(
+            self.graph.has_edge(link.from, link.to),
+            "not a link: {link:?}"
+        );
+        self.sent += 1;
         let frame = msg_to_frame(&msg);
-        let lane = &mut self.lanes[idx];
-        lane.out.push_frame(&frame);
-        lane.sent += 1;
+        (self.hubs[g].send(i, link.to, &frame, Instant::now(), &self.poller)).expect("hub send");
     }
 
     fn drive(&mut self) {
-        self.poll_pass();
+        self.pump(Duration::ZERO);
     }
 
+    /// With nothing to deliver but frames on their way, waits for them:
+    /// no busy link means nothing in flight.
     fn busy_links(&mut self, out: &mut Vec<LinkId>) {
-        // Pump here too so the suite stays correct even for callers that
-        // never invoke `drive` between steps.
-        self.poll_pass();
-        for lane in &self.lanes {
-            if !lane.queue.is_empty() {
-                out.push(lane.link);
+        let give_up = Instant::now() + PATIENCE;
+        while self.unheard() > 0 && self.queues.iter().flatten().all(VecDeque::is_empty) {
+            assert!(
+                Instant::now() < give_up,
+                "frames neither arrived nor dropped"
+            );
+            self.pump(PATIENCE);
+        }
+        for (to, ports) in self.queues.iter().enumerate() {
+            for (&from, q) in self.graph.neighbors(to).iter().zip(ports) {
+                if !q.is_empty() {
+                    out.push(LinkId { from, to });
+                }
             }
         }
     }
 
     fn recv(&mut self, link: LinkId) -> Option<WireMsg> {
-        let idx = self.index(link);
-        if self.lanes[idx].queue.is_empty() {
-            self.poll_pass();
-        }
-        let lane = &mut self.lanes[idx];
+        let port = self.graph.neighbors(link.to).binary_search(&link.from);
+        let q = &mut self.queues[link.to][port.expect("a link of the graph")];
         match &mut self.clerk {
-            Some(clerk) => clerk.pull(&mut lane.queue),
-            None => Some(lane.queue.pop_front().expect("busy link")),
+            Some(clerk) => clerk.pull(q),
+            None => Some(q.pop_front().expect("busy link")),
         }
     }
 
     fn in_flight(&self) -> usize {
-        self.lanes
-            .iter()
-            .map(|l| (l.sent - l.decoded) as usize + l.queue.len())
-            .sum()
+        let queued: usize = self.queues.iter().flatten().map(VecDeque::len).sum();
+        self.unheard() as usize + queued
     }
 
     fn set_faults(&mut self, faults: ChannelFaults) {
@@ -229,15 +216,21 @@ impl Transport<WireMsg> for PolledTransport {
     }
 }
 
+impl Drop for PolledTransport {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssmfp_mp::suite;
+    use ssmfp_mp::{suite, MpConfig, PortNetwork};
     use ssmfp_topology::gen;
 
     /// The same conformance suite `crates/mp` runs over its in-process
-    /// channels, here over real kernel sockets on the batched readiness
-    /// path — coalescing is invisible to the protocol.
+    /// channels, here over the shipped hub with every node a group of its
+    /// own: every link a stream behind a `Route`.
     #[test]
     fn polled_transport_exactly_once_clean() {
         let outcome = suite::exactly_once_clean(PolledTransport::new, 0..3);
@@ -250,6 +243,64 @@ mod tests {
         let outcome = suite::exactly_once_under_faults(PolledTransport::new, 0..6);
         assert!(outcome.clean());
         assert!(outcome.sent > 0);
+    }
+
+    /// Each topology cut in two groups, as two shards run it: links inside
+    /// a group in memory, and the crossing links sharing one stream each
+    /// way (two of them on the ring and the caterpillar).
+    fn split(graph: &Graph) -> PolledTransport {
+        PolledTransport::with_groups(graph, 2, false)
+    }
+
+    #[test]
+    fn split_groups_exactly_once_clean() {
+        let outcome = suite::exactly_once_clean(split, 0..3);
+        assert!(outcome.clean());
+        assert!(outcome.sent > 0);
+    }
+
+    #[test]
+    fn split_groups_exactly_once_under_faults() {
+        let outcome = suite::exactly_once_under_faults(split, 0..6);
+        assert!(outcome.clean());
+        assert!(outcome.sent > 0);
+    }
+
+    #[test]
+    fn tcp_streams_exactly_once_clean() {
+        let outcome =
+            suite::exactly_once_clean(|g| PolledTransport::with_groups(g, g.n(), true), 0..1);
+        assert!(outcome.clean());
+        assert!(outcome.sent > 0);
+    }
+
+    /// A stream is cut under a running network: the write that finds out
+    /// drops what it held, the stream redials and opens with a `Route`
+    /// again, retransmission recovers the loss, and every message still
+    /// arrives exactly once.
+    #[test]
+    fn a_stream_cut_mid_run_redials_and_every_message_arrives_once() {
+        let graph = gen::ring(5);
+        let t = PolledTransport::new(&graph);
+        let config = MpConfig {
+            seed: 1,
+            timeout_bias: 0.3,
+        };
+        let mut net = PortNetwork::with_transport(graph, config, t, false, 0, 0, 0);
+        for k in 0..20 {
+            for s in 0..5 {
+                net.send(s, (s + 2) % 5, k);
+            }
+        }
+        assert!(!net.run_to_quiescence(300), "cut before the run is over");
+        net.net().transport().hubs[0].cut_stream_for_test(0);
+        assert!(net.run_to_quiescence(800_000));
+        let verdict = net.audit();
+        assert!(verdict.clean(), "{:?}", verdict.violations);
+        assert_eq!((verdict.generated, verdict.exactly_once), (100, 100));
+        let hubs = &net.net().transport().hubs;
+        let reconnects: u64 = hubs.iter().map(|h| h.stats().reconnects).sum();
+        assert!(reconnects >= 1, "the cut stream never redialled");
     }
 
     /// Many sends followed by one `drive` must cross the socket in far
@@ -287,7 +338,7 @@ mod tests {
         let mut t = PolledTransport::new(&g);
         let link = LinkId { from: 0, to: 1 };
         t.send(link, WireMsg::Dv { d: 1, dist: 9 });
-        // Not driven yet: the frame lives only in the WriteBuf.
+        // Not driven yet: the frame lives only in the write buffer.
         let (frames, _, _) = t.io_counts();
         assert_eq!(frames, 0);
         assert_eq!(t.in_flight(), 1);

@@ -44,10 +44,6 @@ pub enum FrameTag {
     Deny = 4,
     /// Routing algorithm `A`'s distance-vector advertisement.
     Dv = 5,
-    /// Connection bootstrap: the dialing node identifies itself. (The
-    /// cluster runtime's streams carry several nodes' links and say whose
-    /// with [`FrameTag::Route`]; nothing there sends this any more.)
-    Hello = 6,
     /// Liveness probe on an idle link (supervision only, never audited).
     Heartbeat = 7,
     /// Which directed edge the data-plane frames that follow on this
@@ -57,13 +53,12 @@ pub enum FrameTag {
 
 impl FrameTag {
     /// Every tag, in wire order.
-    pub const ALL: [FrameTag; 8] = [
+    pub const ALL: [FrameTag; 7] = [
         FrameTag::Offer,
         FrameTag::Accept,
         FrameTag::Confirm,
         FrameTag::Deny,
         FrameTag::Dv,
-        FrameTag::Hello,
         FrameTag::Heartbeat,
         FrameTag::Route,
     ];
@@ -88,7 +83,6 @@ impl FrameTag {
             FrameTag::Confirm => "port.confirm",
             FrameTag::Deny => "port.deny",
             FrameTag::Dv => "routing.dv",
-            FrameTag::Hello => "control.hello",
             FrameTag::Heartbeat => "control.heartbeat",
             FrameTag::Route => "control.route",
         }
@@ -98,13 +92,12 @@ impl FrameTag {
 /// Every protocol event kind that crosses a link, declared once. The
 /// `wire-coverage` lint checks this list against [`FrameTag::ALL`] in
 /// both directions.
-pub const LINK_EVENT_KINDS: [&str; 8] = [
+pub const LINK_EVENT_KINDS: [&str; 7] = [
     "port.offer",
     "port.accept",
     "port.confirm",
     "port.deny",
     "routing.dv",
-    "control.hello",
     "control.heartbeat",
     "control.route",
 ];
@@ -205,13 +198,6 @@ pub enum WireFrame {
         /// Estimated distance.
         dist: u32,
     },
-    /// `Hello { node, incarnation }` — dialing node identifies itself.
-    Hello {
-        /// The dialing node's id.
-        node: u16,
-        /// Its connection incarnation (bumped per reconnect).
-        incarnation: u32,
-    },
     /// `Heartbeat { node, clock }` — idle-link liveness probe.
     Heartbeat {
         /// The probing node's id.
@@ -239,21 +225,17 @@ impl WireFrame {
             WireFrame::Confirm { .. } => FrameTag::Confirm,
             WireFrame::Deny { .. } => FrameTag::Deny,
             WireFrame::Dv { .. } => FrameTag::Dv,
-            WireFrame::Hello { .. } => FrameTag::Hello,
             WireFrame::Heartbeat { .. } => FrameTag::Heartbeat,
             WireFrame::Route { .. } => FrameTag::Route,
         }
     }
 
     /// Whether this frame is data-plane traffic (audited, chaos-eligible)
-    /// as opposed to supervision (`Hello`/`Heartbeat`/`Route`, which the
+    /// as opposed to supervision (`Heartbeat`/`Route`, which the
     /// chaos shim must never touch lest it kill — or mislabel — the link
     /// it is testing).
     pub fn is_data_plane(&self) -> bool {
-        !matches!(
-            self,
-            WireFrame::Hello { .. } | WireFrame::Heartbeat { .. } | WireFrame::Route { .. }
-        )
+        !matches!(self, WireFrame::Heartbeat { .. } | WireFrame::Route { .. })
     }
 }
 
@@ -393,10 +375,6 @@ pub fn encode_frame(frame: &WireFrame, out: &mut Vec<u8>) {
             put_u16(out, *d);
             put_u32(out, *dist);
         }
-        WireFrame::Hello { node, incarnation } => {
-            put_u16(out, *node);
-            put_u32(out, *incarnation);
-        }
         WireFrame::Heartbeat { node, clock } => {
             put_u16(out, *node);
             put_u64(out, *clock);
@@ -420,7 +398,7 @@ pub fn decode_body(body: &[u8]) -> Result<WireFrame, WireError> {
         FrameTag::Offer | FrameTag::Accept | FrameTag::Confirm | FrameTag::Deny => {
             HANDSHAKE_BODY - 1
         }
-        FrameTag::Dv | FrameTag::Hello => 2 + 4,
+        FrameTag::Dv => 2 + 4,
         FrameTag::Heartbeat => 2 + 8,
         FrameTag::Route => 2 + 2,
     };
@@ -460,10 +438,6 @@ pub fn decode_body(body: &[u8]) -> Result<WireFrame, WireError> {
         FrameTag::Dv => WireFrame::Dv {
             d: c.u16(),
             dist: c.u32(),
-        },
-        FrameTag::Hello => WireFrame::Hello {
-            node: c.u16(),
-            incarnation: c.u32(),
         },
         FrameTag::Heartbeat => WireFrame::Heartbeat {
             node: c.u16(),
@@ -577,10 +551,6 @@ mod tests {
                 nonce: 9,
             },
             WireFrame::Dv { d: 3, dist: 17 },
-            WireFrame::Hello {
-                node: 2,
-                incarnation: 5,
-            },
             WireFrame::Heartbeat { node: 2, clock: 99 },
             WireFrame::Route { src: 3, dst: 4 },
         ]
@@ -627,14 +597,18 @@ mod tests {
         );
     }
 
+    /// An unassigned byte, and 6 — the retired `Hello` — are no tag.
     #[test]
     fn unknown_tag_rejected() {
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, 1);
-        bytes.push(0xEE);
-        let mut r = FrameReader::new();
-        r.extend(&bytes);
-        assert_eq!(r.next_frame(), Err(WireError::UnknownTag(0xEE)));
+        for tag in [0xEE, 6] {
+            let mut bytes = Vec::new();
+            put_u32(&mut bytes, 7);
+            bytes.push(tag);
+            bytes.extend_from_slice(&[0; 6]);
+            let mut r = FrameReader::new();
+            r.extend(&bytes);
+            assert_eq!(r.next_frame(), Err(WireError::UnknownTag(tag)));
+        }
     }
 
     #[test]

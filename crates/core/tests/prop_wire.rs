@@ -63,8 +63,6 @@ fn arb_frame() -> impl Strategy<Value = WireFrame> {
             nonce
         }),
         (any::<u16>(), any::<u32>()).prop_map(|(d, dist)| WireFrame::Dv { d, dist }),
-        (any::<u16>(), any::<u32>())
-            .prop_map(|(node, incarnation)| WireFrame::Hello { node, incarnation }),
         (any::<u16>(), any::<u64>()).prop_map(|(node, clock)| WireFrame::Heartbeat { node, clock }),
         (any::<u16>(), any::<u16>()).prop_map(|(src, dst)| WireFrame::Route { src, dst }),
     ]

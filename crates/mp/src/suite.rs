@@ -5,8 +5,9 @@
 //! *same* suite instead of diverging copies. Each check here is generic
 //! over a transport factory `FnMut(&Graph) -> T`; `crates/mp`'s own tests
 //! instantiate it with [`crate::net::ChannelTransport`], and `crates/cluster`
-//! runs the identical checks over its `PolledTransport` (real sockets, the
-//! event loop's readiness and coalescing path).
+//! runs the identical checks over its `PolledTransport` — the shipped
+//! `evloop::Hub`: real sockets, `Route` multiplexing of several links on one
+//! stream, in-memory links inside a group, a stream cut and redialled.
 
 use crate::conc::{COMPONENT, DRIVER_ROLE};
 use crate::net::{ChannelFaults, MpConfig, Transport};
