@@ -350,6 +350,19 @@ fn main() -> ExitCode {
             report.counters.chaos_reordered,
             report.counters.partition_dropped,
         );
+        if !report.converged {
+            let d = &report.detect;
+            eprintln!(
+                "detect: probes={} last: nodes={}/{} done={} generated={} delivered={} held={}",
+                d.probes,
+                d.last.nodes,
+                report.n,
+                d.last.done,
+                d.last.generated,
+                d.last.delivered,
+                d.last.held,
+            );
+        }
         if let Some(cv) = &report.client_verdict {
             eprintln!(
                 "clients: hosted={} completed={} stamped={} exactly_once={} in_flight={} \

@@ -991,6 +991,13 @@ impl Hub {
         &mut self.members[index].inbound
     }
 
+    /// Whether a frame still waits in a member's inbox or a stream's
+    /// buffer.
+    pub fn holds_frames(&self) -> bool {
+        self.members.iter().any(|m| !m.inbound.is_empty())
+            || self.streams.iter().any(|s| !s.out.is_empty())
+    }
+
     /// Hands member `index` what arrived for it, emptying its links.
     pub fn drain_inbound(&mut self, index: usize) -> std::vec::Drain<'_, (usize, WireFrame)> {
         let m = &mut self.members[index];

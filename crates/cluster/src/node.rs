@@ -32,12 +32,13 @@
 //! every choice. So a node is not a thread but a `Node` — engine, chaos
 //! shim, control pipe, counters, control state — with `prepare` (its
 //! nearest deadline), `step` (control lines, the frames in its inbox →
-//! chaos → `on_message`, one engine turn, outbox → the group's links,
-//! status line) and `finish` (report). A `Group` is the daemon, and its
-//! one `turn` the only copy of the iteration: read the clock, flush each
-//! stream **once**, prepare the nodes that stepped last turn, one wait on
-//! the thread's persistent `epoll` set ([`crate::evloop::Poller`]) to the
-//! nearest deadline of any node or stream — zero while an inbox holds
+//! chaos → `on_message`, one engine turn, outbox → the group's links)
+//! and `finish` (report). A `Group` is the daemon, and its one `turn` the
+//! only copy of the iteration: read the clock, flush each stream
+//! **once**, take the group's status cut if a member moved, prepare the
+//! nodes that stepped last turn, one wait on the thread's persistent
+//! `epoll` set ([`crate::evloop::Poller`]) to the nearest deadline of any
+//! node or stream or the status keep-alive — zero while an inbox holds
 //! frames — read the clock again, one dispatch for the group (accept, read
 //! each ready stream, demultiplex by `Route` into the members' inboxes by
 //! local port, retry blocked writes), then step, in slot order, the nodes
@@ -70,7 +71,8 @@
 //! ([`MpForwarder::timers_pending`]; a busy downstream slot answers when
 //! it frees, nobody polls it), and a group in which no node has anything
 //! to retransmit blocks until a frame, the next open-loop arrival or the
-//! status push — and then moves only the node that is about. Correctness
+//! group's status keep-alive — and then moves only the node that is
+//! about. Correctness
 //! is schedule-independent (the simulated suite drives the same forwarder
 //! under an adversarial scheduler), so running enabled rules at once — and
 //! in whatever order the group's nodes happen to sit — is safe by
@@ -81,7 +83,13 @@
 //! Line-based, over the supervising shard's pipe:
 //! * node → shard: `ready <addr>`
 //! * shard → node: `peers <addr_0> … <addr_{n-1}>`, then `start`
-//! * node → shard: `status <done_issuing> <generated> <delivered> <held>`
+//! * group → shard, on its first live member's pipe: `status <wave>
+//!   <nodes> <done> <generated> <delivered> <held> <busy>` ([`Status`]) —
+//!   one line for the whole group, a cut of all its members at one
+//!   instant, written the turn the cut goes quiet or changes while quiet,
+//!   once per probe wave, and otherwise once per `status_every`
+//! * shard → node: `probe <wave>` — the root's second wave; the group
+//!   answers it once, with a cut taken after a member read it
 //! * shard → node: `stop`
 //! * node → shard: a multi-line `report … end` block, then exit.
 
@@ -99,7 +107,6 @@ use ssmfp_core::conc::register_thread;
 use ssmfp_core::wire::WireFrame;
 use ssmfp_mp::{ack_ghost_of, decode_client_ghost, MpForwarder, MpGhost, MpNode, Outbox, WireMsg};
 use ssmfp_topology::{BfsTree, Graph, NodeId};
-use std::fmt::Write as _;
 use std::io::{self, BufWriter, Write};
 use std::os::unix::io::RawFd;
 use std::path::PathBuf;
@@ -167,6 +174,82 @@ pub struct NodeReport {
     pub clients: u64,
     /// Client mode: acked primaries across hosted sessions.
     pub clients_completed: u64,
+}
+
+/// What a `status` line says: sums over a set of nodes — one group's
+/// members at one instant, or the lines of several groups added up by a
+/// shard and again by the root. Every count is monotone per node while a
+/// run drains, which is what the root's stop rule rests on
+/// ([`crate::orchestrator`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Status {
+    /// The last probe wave every summed group had answered when it took
+    /// its cut (0: none).
+    pub wave: u64,
+    /// Nodes counted.
+    pub nodes: u64,
+    /// Nodes done issuing their workload.
+    pub done: u64,
+    /// Messages generated.
+    pub generated: u64,
+    /// Messages delivered.
+    pub delivered: u64,
+    /// Messages still held.
+    pub held: u64,
+    /// Groups with a frame still in an inbox or a stream buffer.
+    pub busy: u64,
+}
+
+impl Status {
+    /// All of `nodes` nodes counted, all done issuing, nothing held and
+    /// nothing buffered.
+    pub fn quiet(&self, nodes: u64) -> bool {
+        self.nodes == nodes && self.done == nodes && self.held == 0 && self.busy == 0
+    }
+
+    /// The sum of `parts`; its wave is the lowest of theirs.
+    pub fn sum<'a>(parts: impl IntoIterator<Item = &'a Status>) -> Status {
+        let mut s = Status {
+            wave: u64::MAX,
+            ..Status::default()
+        };
+        for p in parts {
+            s.wave = s.wave.min(p.wave);
+            s.nodes += p.nodes;
+            s.done += p.done;
+            s.generated += p.generated;
+            s.delivered += p.delivered;
+            s.held += p.held;
+            s.busy += p.busy;
+        }
+        if s.wave == u64::MAX {
+            s.wave = 0;
+        }
+        s
+    }
+
+    /// The control line, newline included.
+    fn line(&self) -> String {
+        format!(
+            "status {} {} {} {} {} {} {}\n",
+            self.wave, self.nodes, self.done, self.generated, self.delivered, self.held, self.busy
+        )
+    }
+
+    /// Parses what follows `status ` on a line written by [`Status::line`].
+    pub fn parse(rest: &str) -> Option<Status> {
+        let mut it = rest.split_whitespace().map(str::parse::<u64>);
+        let mut next = || it.next()?.ok();
+        Some(Status {
+            wave: next()?,
+            nodes: next()?,
+            done: next()?,
+            generated: next()?,
+            delivered: next()?,
+            held: next()?,
+            busy: next()?,
+        })
+    }
 }
 
 /// Wall clock in µs, truncated to the payload stamp width. Latency is the
@@ -310,13 +393,21 @@ impl Engine {
         debug_assert!(self.fwd.timers_pending() || self.fwd.is_idle());
     }
 
-    /// When the traffic source next has something to send with no ack
-    /// arriving first (see the two `next_due_us`).
-    fn next_due_us(&self, now_us: u64) -> Option<u64> {
-        match &self.mux {
-            Some(mux) => mux.next_due_us(now_us),
-            None => self.gen.next_due_us(now_us),
+    /// How long until the traffic source next has something to send with
+    /// no ack arriving first (see the two `next_due_us`). Only a source
+    /// with an arrival schedule — an open loop still issuing, a client mux
+    /// — reads the wall clock for it: a closed loop's window opens on an
+    /// ack, an event, not a deadline.
+    fn until_due(&self) -> Option<Duration> {
+        if self.mux.is_none() && !self.gen.scheduled() {
+            return None;
         }
+        let stamp = now_stamp();
+        let due = match &self.mux {
+            Some(mux) => mux.next_due_us(stamp),
+            None => self.gen.next_due_us(stamp),
+        };
+        due.map(|due| Duration::from_micros(due.saturating_sub(stamp)))
     }
 
     fn done_issuing(&self) -> bool {
@@ -353,12 +444,11 @@ struct Node {
     peers_wired: bool,
     started: bool,
     stopping: bool,
+    /// The highest `probe` wave read on the control pipe.
+    probe: u64,
     /// Whether a retransmission timer ran when `prepare` looked.
     ticking: bool,
     last_tick: Instant,
-    last_status: Instant,
-    /// The status line, rebuilt in place every push.
-    status_line: String,
 }
 
 impl Node {
@@ -399,36 +489,29 @@ impl Node {
             peers_wired: false,
             started: false,
             stopping: false,
+            probe: 0,
             ticking: false,
             last_tick: now,
-            last_status: now,
-            status_line: String::new(),
         })
     }
 
     /// Before the wait, after a turn in which the node moved: the node's
-    /// deadline — the nearest of the status push, the next open-loop
-    /// arrival and, only while a retransmission timer runs, the protocol
-    /// tick. A node with nothing to retransmit has no standing wake-up,
-    /// and until the deadline passes, a frame arrives or its control pipe
-    /// is ready, stepping it would change nothing. (What it sent sits in
-    /// an inbox or a stream buffer; [`Hub::prepare`] flushes the buffers.)
-    fn prepare(&mut self, now: Instant) -> Instant {
+    /// deadline, if it has one — the nearer of the next open-loop arrival
+    /// and, only while a retransmission timer runs, the protocol tick. A
+    /// node with nothing to retransmit and nothing scheduled has no
+    /// standing wake-up, and until the deadline passes, a frame arrives or
+    /// its control pipe is ready, stepping it would change nothing. (What
+    /// it sent sits in an inbox or a stream buffer; [`Hub::prepare`]
+    /// flushes the buffers. Its status is the group's, [`Group::status`].)
+    fn prepare(&mut self, now: Instant) -> Option<Instant> {
         if !self.started {
-            return now + TUNING.status_every();
+            return None;
         }
-        let mut deadline = self.last_status + TUNING.status_every();
         self.ticking = self.eng.fwd.timers_pending();
-        if self.ticking {
-            deadline = deadline.min(self.last_tick + TUNING.tick());
-        }
-        // The traffic source runs on the wall-clock stamp; a mux that
-        // ran out of budget is due at once.
-        let stamp = now_stamp();
-        if let Some(due) = self.eng.next_due_us(stamp) {
-            deadline = deadline.min(now + Duration::from_micros(due.saturating_sub(stamp)));
-        }
-        deadline
+        let tick = self.ticking.then(|| self.last_tick + TUNING.tick());
+        // A mux that ran out of budget is due at once.
+        let arrival = self.eng.until_due().map(|wait| now + wait);
+        tick.into_iter().chain(arrival).min()
     }
 
     /// After the wait, for a node that has frames in its [`Hub::inbound`],
@@ -467,7 +550,8 @@ impl Node {
                 }
                 self.started = true;
                 self.last_tick = now;
-                self.last_status = now;
+            } else if let Some(wave) = line.strip_prefix("probe ") {
+                self.probe = self.probe.max(wave.trim().parse().unwrap_or(0));
             } else if line.starts_with("stop") {
                 self.stopping = true;
             }
@@ -517,22 +601,6 @@ impl Node {
         for (to, msg) in self.eng.out.drain() {
             self.counters.frames_sent += 1;
             hub.send(self.index, to, &(self.encode)(&msg), now, poller)?;
-        }
-
-        // Status push.
-        if now.duration_since(self.last_status) >= TUNING.status_every() {
-            self.last_status = now;
-            self.status_line.clear();
-            let fwd = &self.eng.fwd;
-            let _ = writeln!(
-                self.status_line,
-                "status {} {} {} {}",
-                self.eng.done_issuing() as u8,
-                fwd.generated.len(),
-                fwd.delivered.len(),
-                fwd.held_count()
-            );
-            self.ctrl.write_line(&self.status_line)?;
         }
         Ok(self.stopping)
     }
@@ -585,7 +653,7 @@ impl Node {
 struct Slot {
     node: Node,
     /// The node's nearest deadline, as its last `prepare` computed it.
-    deadline: Instant,
+    deadline: Option<Instant>,
     /// Stepped last turn: its deadline is stale, so the next turn
     /// prepares it first.
     stepped: bool,
@@ -608,9 +676,9 @@ struct StepAudit {
 
 /// The nodes that share one data thread, and the paper's daemon over
 /// them: one persistent [`Poller`], one [`Hub`] holding the links of them
-/// all, and per member a control pipe and a deadline.
-/// [`Group::turn`] is the only copy of the iteration — [`run_nodes`]
-/// loops on it.
+/// all, per member a control pipe and a deadline, and one status line for
+/// them all. [`Group::turn`] is the only copy of the iteration —
+/// [`run_nodes`] loops on it.
 struct Group {
     poller: Poller,
     hub: Hub,
@@ -620,6 +688,12 @@ struct Group {
     results: Vec<Option<io::Result<NodeReport>>>,
     /// This turn's `(fd, events)` of the hub's fds (recycled).
     hub_events: Vec<(RawFd, i16)>,
+    /// A member stepped since the group last looked at its cut.
+    moved: bool,
+    /// The last status line the group wrote.
+    pushed: Option<Status>,
+    /// When the next keep-alive line is due.
+    keepalive: Instant,
 }
 
 /// `io::Error` is not `Clone`; every member of a group that one failure
@@ -649,7 +723,7 @@ impl Group {
                 Ok(node) => {
                     slots.push(Some(Slot {
                         node,
-                        deadline: now,
+                        deadline: None,
                         stepped: true,
                         ctrl_ready: false,
                         #[cfg(debug_assertions)]
@@ -669,6 +743,9 @@ impl Group {
             slots,
             results,
             hub_events: Vec::new(),
+            moved: false,
+            pushed: None,
+            keepalive: now,
         })
     }
 
@@ -702,10 +779,69 @@ impl Group {
         }
     }
 
+    /// The group's status, looked at before every wait. Once every member
+    /// has started and none is stopping, the group takes its cut — done,
+    /// generated, delivered and held summed over the members, and whether
+    /// an inbox or a stream buffer still holds a frame, all at this one
+    /// instant between two turns — and writes it as one line on its first
+    /// live member's pipe: when the cut is quiet and differs from the last
+    /// line (the quiet edge, or a change while quiet), when a member has
+    /// read a probe the group has not answered, and otherwise once per
+    /// `status_every`. A cut with a member still issuing cannot be quiet,
+    /// so a turn takes none — and scans no `held_count` — unless a probe
+    /// or the keep-alive asks for one. Returns the keep-alive deadline
+    /// while the group runs.
+    fn status(&mut self, now: Instant) -> Option<Instant> {
+        let (mut nodes, mut done, mut probe, mut first) = (0, 0, 0, None);
+        for (i, slot) in self.slots.iter().enumerate() {
+            let Some(Slot { node, .. }) = slot else {
+                continue;
+            };
+            if !node.started || node.stopping {
+                return None;
+            }
+            first.get_or_insert(i);
+            nodes += 1;
+            done += node.eng.done_issuing() as u64;
+            probe = probe.max(node.probe);
+        }
+        let first = first?;
+        let moved = std::mem::take(&mut self.moved);
+        let answer = probe > self.pushed.map_or(0, |s| s.wave);
+        let due = now >= self.keepalive;
+        if !(answer || due || moved && done == nodes) {
+            return Some(self.keepalive);
+        }
+        let mut cut = Status {
+            wave: probe,
+            nodes,
+            done,
+            busy: self.hub.holds_frames() as u64,
+            ..Status::default()
+        };
+        for fwd in self.slots.iter().flatten().map(|s| &s.node.eng.fwd) {
+            cut.generated += fwd.generated.len() as u64;
+            cut.delivered += fwd.delivered.len() as u64;
+            cut.held += fwd.held_count() as u64;
+        }
+        if answer || due || cut.quiet(nodes) && self.pushed != Some(cut) {
+            let node = &mut self.slots[first].as_mut().expect("a live member").node;
+            if let Err(e) = node.ctrl.write_line(&cut.line()) {
+                // The next member's pipe carries the line, next turn.
+                self.retire(first, Err(e));
+                return Some(now);
+            }
+            self.pushed = Some(cut);
+            self.keepalive = now + TUNING.status_every();
+        }
+        Some(self.keepalive)
+    }
+
     /// One turn of the daemon: read the clock; flush each of the group's
     /// streams — once, whichever members and links its bytes belong to;
-    /// `prepare` the members that stepped last turn; wait to the nearest
-    /// deadline of any member or stream (a linear min: a group is a
+    /// look at the group's [`Group::status`]; `prepare` the members that
+    /// stepped last turn; wait to the nearest deadline of any member or
+    /// stream or the status keep-alive (a linear min: a group is a
     /// shard, ≤ 25 nodes), zero while an inbox holds frames; read
     /// the clock again; one dispatch for the group — accept, read each
     /// ready stream, demultiplex into the members' inboxes by local port,
@@ -717,10 +853,10 @@ impl Group {
     ///
     /// Skipping a member is skipping a no-op, not a move: with no frame,
     /// no control event and no due deadline its `step` would find no
-    /// control line, no inbound frame, no tick to fire, a workload that is
-    /// not due and a status push that is not due; a chaos shim drains its
-    /// queue inside the step that filled it, and a client mux that ran out
-    /// of send budget is due *now*, a zero deadline.
+    /// control line, no inbound frame, no tick to fire and a workload that
+    /// is not due; a chaos shim drains its queue inside the step that
+    /// filled it, and a client mux that ran out of send budget is due
+    /// *now*, a zero deadline.
     ///
     /// A member that fails is retired without disturbing the others. A
     /// wait that fails (anything but `EINTR`), or a socket the set
@@ -732,12 +868,20 @@ impl Group {
             Ok(deadline) => deadline,
             Err(e) => return self.fail(&e),
         };
+        if let Some(keepalive) = self.status(now) {
+            wake = wake.min(keepalive);
+        }
+        if !self.live() {
+            return;
+        }
         for slot in self.slots.iter_mut().flatten() {
             if slot.stepped {
                 slot.stepped = false;
                 slot.deadline = slot.node.prepare(now);
             }
-            wake = wake.min(slot.deadline);
+            if let Some(deadline) = slot.deadline {
+                wake = wake.min(deadline);
+            }
         }
         match self.poller.wait(Some(wake.saturating_duration_since(now))) {
             Ok(ready) => {
@@ -764,7 +908,7 @@ impl Group {
             };
             let ctrl_ready = std::mem::take(&mut slot.ctrl_ready);
             let woken = ctrl_ready || !self.hub.inbound(i).is_empty();
-            let due = slot.deadline <= now;
+            let due = slot.deadline.is_some_and(|d| d <= now);
             if !woken && !due {
                 continue;
             }
@@ -775,6 +919,7 @@ impl Group {
                 slot.audit.deadlines_due += due as u64;
             }
             slot.stepped = true;
+            self.moved = true;
             match slot.node.step(now, ctrl_ready, &mut self.hub, &self.poller) {
                 Ok(false) => {}
                 Ok(true) => self.retire(i, Ok(())),
@@ -1056,6 +1201,8 @@ mod tests {
         /// The supervisor ends of the control pipes, by node (kept open:
         /// EOF means stop).
         supervisor: Vec<UnixStream>,
+        /// By node, the bytes read off its supervisor end so far.
+        heard: Vec<Vec<u8>>,
         dir: PathBuf,
         pair: [NodeId; 2],
         /// Groups turned in alternation must not sleep on frames only the
@@ -1127,10 +1274,18 @@ mod tests {
             Rig {
                 groups,
                 supervisor,
+                heard: vec![Vec::new(); 4],
                 dir,
                 pair,
                 _nudge: nudge,
             }
+        }
+
+        /// The `status` lines node `p`'s supervisor end has read so far.
+        fn statuses(&self, p: NodeId) -> Vec<Status> {
+            let text = std::str::from_utf8(&self.heard[p]).unwrap();
+            let rests = text.lines().filter_map(|l| l.strip_prefix("status "));
+            rests.map(|rest| Status::parse(rest).unwrap()).collect()
         }
 
         fn nodes(&self) -> impl Iterator<Item = &Node> {
@@ -1142,9 +1297,20 @@ mod tests {
             self.nodes().find(|n| n.eng.p == p).expect("a live node")
         }
 
-        /// One turn of every group, in order.
+        /// One turn of every group, in order, then — as a shard would —
+        /// whatever they wrote up the control pipes, read without waiting:
+        /// a pipe nobody reads fills, and a group's next line blocks.
         fn turn(&mut self) {
+            use std::io::Read;
             self.groups.iter_mut().for_each(Group::turn);
+            let mut buf = [0u8; 4096];
+            for (s, heard) in self.supervisor.iter_mut().zip(&mut self.heard) {
+                s.set_nonblocking(true).unwrap();
+                while let Ok(k @ 1..) = s.read(&mut buf) {
+                    heard.extend_from_slice(&buf[..k]);
+                }
+                s.set_nonblocking(false).unwrap();
+            }
         }
 
         /// Turns, `each_turn` after every round, until both nodes of the
@@ -1207,15 +1373,13 @@ mod tests {
     /// The daemon steps only what is ready or due: every `step` is paid
     /// for by frames in that node's inbox, its control pipe, or its
     /// deadline having passed, and a member that no data frame ever
-    /// reaches moves on its control lines and its status deadline — not
-    /// once per frame of its thread-mates.
+    /// reaches moves on its control lines alone — not once per frame of
+    /// its thread-mates, and not for the status, which is the group's.
     #[cfg(debug_assertions)]
     #[test]
     fn a_turn_steps_only_members_that_are_ready_or_due() {
-        let began = Instant::now();
         let mut rig = Rig::new("ready-or-due", &[4], 0, 1_000_000, [0, 1]);
         rig.turn_until(3_000, &mut |_| {});
-        let pushes = (began.elapsed().as_micros() / TUNING.status_every().as_micros()) as u64 + 1;
         let slots: Vec<&StepAudit> = rig.groups[0]
             .slots
             .iter()
@@ -1234,12 +1398,57 @@ mod tests {
         for idle in &slots[2..] {
             // `peers` and `start`: one read or two.
             assert!(idle.events_seen <= 2, "{} events", idle.events_seen);
-            assert!(
-                idle.deadlines_due <= pushes,
-                "{} deadlines over {pushes} status periods",
-                idle.deadlines_due
-            );
+            assert_eq!(idle.deadlines_due, 0, "an idle member has no deadline");
         }
+    }
+
+    /// One status line per group, on its first member's pipe, the turn the
+    /// group's cut goes quiet — not one per turn, not one per member — and
+    /// one answer per probe wave, however many members read the probe.
+    #[test]
+    fn a_group_writes_one_status_line_per_quiet_edge() {
+        let began = Instant::now();
+        let mut rig = Rig::new("status", &[4], 0, 20, [0, 1]);
+        let pushed = |rig: &Rig| rig.groups[0].pushed;
+        let mut turns = 0u64;
+        while !pushed(&rig).is_some_and(|s| s.quiet(4)) {
+            assert!(turns < 100_000, "the group never went quiet");
+            rig.turn();
+            turns += 1;
+        }
+        let quiet = pushed(&rig).unwrap();
+        assert_eq!(
+            (quiet.generated, quiet.delivered),
+            (40, 40),
+            "20 primaries, 20 acks"
+        );
+        // The first line after `start`, the quiet edge, and keep-alives.
+        let lines = rig.statuses(0);
+        let periods = began.elapsed().as_micros() / TUNING.status_every().as_micros();
+        assert!(
+            lines.len() as u128 <= periods + 2 && lines.len() as u64 * 4 < turns,
+            "{} lines in {turns} turns over {periods} status periods",
+            lines.len()
+        );
+        assert_eq!(lines.last(), Some(&quiet));
+        assert_eq!(lines.iter().filter(|s| s.quiet(4)).count(), 1);
+        for p in 1..4 {
+            assert!(rig.heard[p].is_empty(), "one line a group, not a member");
+        }
+
+        // Every member reads the probe; the group answers once.
+        for s in &mut rig.supervisor {
+            writeln!(s, "probe 7").unwrap();
+        }
+        while pushed(&rig).unwrap().wave < 7 {
+            rig.turn();
+        }
+        let answers: Vec<Status> = rig
+            .statuses(0)
+            .into_iter()
+            .filter(|s| s.wave == 7)
+            .collect();
+        assert_eq!(answers, [Status { wave: 7, ..quiet }]);
     }
 
     /// Same address, same stream: each group of the split holds one

@@ -13,20 +13,39 @@
 //! groups the nodes run in and thereby how many threads carry them
 //! (`shards = n` is one thread per node).
 //!
-//! Shards pre-merge what flows upward: per-node status lines become one
-//! [`ShardStatus`] sum per period, and per-node reports become one
-//! [`ShardReport`] whose [`ShardSummary`] already carries the merged
-//! histograms and counters. The orchestrator then works O(K) per status
-//! tick and O(merged) at reconciliation — it concatenates the shard
+//! Shards pre-merge what flows upward: the `status` lines of their node
+//! groups (one per group, [`Status`]) become one sum, and per-node reports
+//! become one [`ShardReport`] whose [`ShardSummary`] already carries the
+//! merged histograms and counters. The orchestrator then works O(K) per
+//! status and O(merged) at reconciliation — it concatenates the shard
 //! ledger lists and calls `reconcile_ledgers` exactly once (the SP
 //! verdict is a global join; only the *assembly* shards, never the
 //! verdict).
 //!
-//! Convergence is judged on shard sums. Every summed quantity
-//! (generated, delivered, held, done-count) is per-node monotone during
-//! drain, so "all shards report identical sums for
-//! `stable_snapshots` consecutive periods" is exactly as sound as the
-//! old per-node snapshot comparison, at a K-th of the traffic.
+//! ## When a run is over: four counters
+//!
+//! A group writes its line the turn its cut goes quiet (every member done
+//! issuing, nothing held, nothing buffered) and a shard forwards its sum at
+//! once when that is quiet and new, so the root hears of a quiet cluster
+//! within a turn or two. But the lines are read at different instants: a
+//! sink read before it delivered a primary and generated its ack, and the
+//! source read after it delivered that ack, add up to Σgenerated ==
+//! Σdelivered while the two were in flight between the reads. So the root
+//! ([`Detector`]) runs Mattern's four-counter rule ("Algorithms for
+//! distributed termination detection", 1987). A quiet merged snapshot with
+//! Σgenerated == Σdelivered is wave 1; the root then writes `probe <w>`,
+//! which every shard forwards to every node, and each group answers once
+//! with a cut taken after it read the probe (wave 2, a one-level
+//! propagation of information with feedback). The run has converged iff
+//! every answer is quiet and their Σgenerated G₂ equals wave 1's
+//! Σdelivered D₁. The counters are monotone and every wave-2 read follows
+//! every wave-1 read, so at the instant wave 1 ended, delivered ≥ D₁ = G₂ ≥
+//! generated ≥ delivered: nothing was in flight, and with every node done
+//! issuing nothing can be generated again. (A duplicate delivery could
+//! fake the equality, but that is an SP violation the verdict reports.)
+//! Anything else drops the candidate, and the next quiet snapshot starts
+//! wave `w + 1`. The same rule covers one group or many, threads or
+//! processes.
 
 use crate::chaos::{ChaosSpec, PartitionSpec};
 use crate::clients::{ClientMutation, ClientSpec};
@@ -35,7 +54,7 @@ use crate::evloop::{
     raise_nofile_limit, set_nonblocking_fd, take_lines, CtrlPipe, Poller, POLLERR, POLLHUP, POLLIN,
     POLLOUT,
 };
-use crate::node::{parse_report_body, run_nodes, ListenSpec, NodeConfig, NodeReport};
+use crate::node::{parse_report_body, run_nodes, ListenSpec, NodeConfig, NodeReport, Status};
 use crate::telemetry::{LogHistogram, NodeCounters};
 use crate::tuning::TUNING;
 use crate::workload::{WorkloadKind, WorkloadSpec};
@@ -133,28 +152,12 @@ pub struct ShardReport {
     pub reports: Vec<NodeReport>,
 }
 
-/// One shard's merged status snapshot (all fields are sums over the
-/// shard's nodes; `done` counts nodes that finished issuing).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStatus {
-    /// Nodes in the shard.
-    pub nodes: u64,
-    /// Nodes done issuing their workload.
-    pub done: u64,
-    /// Messages generated.
-    pub generated: u64,
-    /// Messages delivered.
-    pub delivered: u64,
-    /// Messages still held.
-    pub held: u64,
-}
-
 /// Shard → orchestrator upstream messages (the `orch.shard` channel).
 enum ShardUp {
     /// All shard nodes reported the address they listen at.
     Ready(Vec<(NodeId, String)>),
-    /// Periodic merged status.
-    Status(ShardStatus),
+    /// The sum of the shard's latest group lines.
+    Status(Status),
     /// Final report (boxed: the reports dwarf the other variants).
     Done(Box<ShardReport>),
     /// The shard cannot finish the run.
@@ -176,6 +179,8 @@ pub struct RunReport {
     pub converged: bool,
     /// Wall-clock seconds from `start` to convergence (or timeout).
     pub wall_s: f64,
+    /// Where the root's stop rule stood at the end.
+    pub detect: Detection,
     /// Cluster-wide SP reconciliation.
     pub verdict: ClusterVerdict,
     /// Primaries delivered end-to-end.
@@ -223,6 +228,7 @@ impl RunReport {
         let v = &self.verdict;
         let violations: Vec<String> = v.violations.iter().map(|x| format!("{:?}", x)).collect();
         let c = &self.counters;
+        let last = &self.detect.last;
         let clients_json = match &self.client_verdict {
             None => String::new(),
             Some(cv) => {
@@ -281,7 +287,9 @@ impl RunReport {
                 "\"chaos_duplicated\": {}, \"chaos_reordered\": {}, \"partition_dropped\": {}}},\n",
                 "  \"io\": {{\"write_syscalls\": {}, \"read_syscalls\": {}, ",
                 "\"conn_frames_dropped\": {}, \"frames_per_write\": {{\"count\": {}, ",
-                "\"mean\": {:.2}, \"p50\": {}, \"p99\": {}, \"max\": {}}}}}{}\n",
+                "\"mean\": {:.2}, \"p50\": {}, \"p99\": {}, \"max\": {}}}}},\n",
+                "  \"detect\": {{\"probes\": {}, \"last\": {{\"nodes\": {}, \"done\": {}, ",
+                "\"generated\": {}, \"delivered\": {}, \"held\": {}}}}}{}\n",
                 "}}"
             ),
             self.topology,
@@ -325,6 +333,12 @@ impl RunReport {
             self.batch.quantile(0.50),
             self.batch.quantile(0.99),
             self.batch.max(),
+            self.detect.probes,
+            last.nodes,
+            last.done,
+            last.generated,
+            last.delivered,
+            last.held,
             clients_json,
         )
     }
@@ -703,14 +717,6 @@ impl NodeCtrl {
     }
 }
 
-#[derive(Clone, Copy, Default)]
-struct NodeStatus {
-    done: bool,
-    generated: u64,
-    delivered: u64,
-    held: u64,
-}
-
 /// A shard's per-node supervision state.
 struct NodeSlot {
     id: NodeId,
@@ -722,7 +728,9 @@ struct NodeSlot {
     staged_at: usize,
     eof: bool,
     ready: Option<String>,
-    status: NodeStatus,
+    /// The latest `status` line on this pipe: its group's, if the node is
+    /// the group's first live member.
+    status: Option<Status>,
     /// Everything the node says after `stop` (the report block).
     lines: Vec<String>,
     ended: bool,
@@ -740,7 +748,7 @@ impl NodeSlot {
             staged_at: 0,
             eof: false,
             ready: None,
-            status: NodeStatus::default(),
+            status: None,
             lines: Vec::new(),
             ended: false,
             watched: [0; 2],
@@ -868,7 +876,9 @@ const ORCH: usize = u32::MAX as usize;
 /// One shard supervisor: spawns its node group, waits on every control
 /// pipe plus the orchestrator socketpair in one [`Poller`], forwards
 /// control lines downward (staged, `POLLOUT`-gated — the declared timed
-/// write), and pre-merges status and reports upward.
+/// write), and pre-merges status and reports upward: the sum of its
+/// groups' latest lines goes up at once when it is quiet and new or
+/// completes a probe wave, and otherwise once per `status_every`.
 fn shard_main(
     shard: usize,
     cfgs: Vec<NodeConfig>,
@@ -931,6 +941,7 @@ fn supervise(
     let mut phase = Phase::Ready;
     let mut ready_sent = false;
     let mut last_status = Instant::now();
+    let mut forwarded: Option<Status> = None;
     let mut report_deadline = Instant::now();
     loop {
         let cap = Duration::from_millis(50);
@@ -1007,15 +1018,7 @@ fn supervise(
                             } else if let Some(a) = line.strip_prefix("ready ") {
                                 s.ready = Some(a.to_string());
                             } else if let Some(rest) = line.strip_prefix("status ") {
-                                let mut it = rest.split_whitespace();
-                                let mut num =
-                                    || it.next().and_then(|t| t.parse::<u64>().ok()).unwrap_or(0);
-                                s.status = NodeStatus {
-                                    done: num() == 1,
-                                    generated: num(),
-                                    delivered: num(),
-                                    held: num(),
-                                };
+                                s.status = Status::parse(rest).or(s.status);
                             }
                         }
                         if k < scratch.len() {
@@ -1026,6 +1029,11 @@ fn supervise(
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(_) => s.eof = true,
                 }
+            }
+            if s.eof {
+                // A node gone: its group's line, if it carried one, moves
+                // to the next live member's pipe.
+                s.status = None;
             }
             // Staged downward writes, POLLOUT-gated (the declared timed
             // `SockWrite(node.main)` edge — the shard never blocks on a
@@ -1066,19 +1074,13 @@ fn supervise(
                 }
             }
             Phase::Running => {
-                if last_status.elapsed() >= TUNING.status_every() {
+                let sum = Status::sum(slots.iter().filter_map(|s| s.status.as_ref()));
+                let quiet_news = sum.quiet(slots.len() as u64) && forwarded != Some(sum);
+                let answered = sum.wave > forwarded.map_or(0, |f| f.wave);
+                if quiet_news || answered || last_status.elapsed() >= TUNING.status_every() {
                     last_status = Instant::now();
-                    let mut st = ShardStatus {
-                        nodes: slots.len() as u64,
-                        ..ShardStatus::default()
-                    };
-                    for s in slots.iter() {
-                        st.done += u64::from(s.status.done);
-                        st.generated += s.status.generated;
-                        st.delivered += s.status.delivered;
-                        st.held += s.status.held;
-                    }
-                    send_up(ShardUp::Status(st));
+                    forwarded = Some(sum);
+                    send_up(ShardUp::Status(sum));
                 }
             }
             Phase::Reporting => {
@@ -1163,15 +1165,78 @@ fn recv_or_timeout(
     }
 }
 
+/// What the root does after a merged status.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Nothing yet.
+    Wait,
+    /// Write `probe <w>` to every shard.
+    Probe(u64),
+    /// The run is over.
+    Converged,
+}
+
+/// How the root's stop rule stood when the run ended.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Detection {
+    /// Probe waves sent.
+    pub probes: u64,
+    /// The last merged status the root saw.
+    pub last: Status,
+}
+
+/// The root's stop rule, the four-counter test of the module header, as a
+/// pure state machine over merged statuses.
+#[derive(Debug, Default)]
+struct Detector {
+    /// Nodes in the run.
+    n: u64,
+    /// While probe wave `detect.probes` is out: its wave-1 Σdelivered.
+    candidate: Option<u64>,
+    detect: Detection,
+}
+
+impl Detector {
+    fn new(n: u64) -> Self {
+        Detector {
+            n,
+            ..Detector::default()
+        }
+    }
+
+    /// One merged status: the sum of every shard's latest, its wave the
+    /// lowest any of them has completed. While a probe is out, a status in
+    /// which some group has not answered it is no answer.
+    fn observe(&mut self, s: Status) -> Step {
+        self.detect.last = s;
+        if let Some(d1) = self.candidate {
+            if s.wave < self.detect.probes {
+                return Step::Wait;
+            }
+            if s.quiet(self.n) && s.generated == d1 {
+                return Step::Converged;
+            }
+            self.candidate = None;
+        }
+        if s.quiet(self.n) && s.generated == s.delivered {
+            self.detect.probes += 1;
+            self.candidate = Some(s.delivered);
+            return Step::Probe(self.detect.probes);
+        }
+        Step::Wait
+    }
+}
+
 /// The orchestrator's control phases against live shards: gather ready
-/// addresses, broadcast `peers`/`start`, watch shard status sums until
-/// stable, broadcast `stop`, collect shard reports.
+/// addresses, broadcast `peers`/`start`, feed shard status sums to the
+/// [`Detector`] — writing its probes — until it declares convergence,
+/// broadcast `stop`, collect shard reports.
 fn drive(
     spec: &ClusterSpec,
     n: usize,
     rx: &Receiver<(usize, ShardUp)>,
     pipes: &[UnixStream],
-) -> io::Result<(bool, f64, Vec<ShardReport>)> {
+) -> io::Result<(bool, f64, Detection, Vec<ShardReport>)> {
     let k = pipes.len();
 
     // --- gather ready addresses ---
@@ -1209,12 +1274,11 @@ fn drive(
         write_all_deadline(p, b"start\n", wdl)?;
     }
 
-    // --- watch shard status sums until converged or timed out ---
+    // --- feed shard status sums to the detector until converged or timed out ---
     let started = Instant::now();
     let deadline = started + spec.timeout;
-    let mut shard_status: Vec<Option<ShardStatus>> = vec![None; k];
-    let mut last_snapshot: Option<Vec<ShardStatus>> = None;
-    let mut stable: u32 = 0;
+    let mut shard_status: Vec<Option<Status>> = vec![None; k];
+    let mut detector = Detector::new(n as u64);
     let mut converged = false;
     let mut wall_s;
     loop {
@@ -1230,26 +1294,19 @@ fn drive(
         if shard_status.iter().any(Option::is_none) {
             continue;
         }
-        let snap: Vec<ShardStatus> = shard_status.iter().map(|s| s.expect("checked")).collect();
-        let all_done = snap.iter().all(|s| s.done == s.nodes);
-        let held: u64 = snap.iter().map(|s| s.held).sum();
-        let generated: u64 = snap.iter().map(|s| s.generated).sum();
-        let delivered: u64 = snap.iter().map(|s| s.delivered).sum();
-        if all_done && held == 0 && generated == delivered {
-            if last_snapshot.as_deref() == Some(&snap[..]) {
-                stable += 1;
-                if stable >= TUNING.stable_snapshots {
-                    converged = true;
-                    wall_s = started.elapsed().as_secs_f64();
-                    break;
+        match detector.observe(Status::sum(shard_status.iter().flatten())) {
+            Step::Wait => {}
+            Step::Probe(wave) => {
+                let wdl = Instant::now() + TUNING.report_grace();
+                for p in pipes {
+                    write_all_deadline(p, format!("probe {wave}\n").as_bytes(), wdl)?;
                 }
-            } else {
-                last_snapshot = Some(snap);
-                stable = 1;
             }
-        } else {
-            last_snapshot = None;
-            stable = 0;
+            Step::Converged => {
+                converged = true;
+                wall_s = started.elapsed().as_secs_f64();
+                break;
+            }
         }
     }
 
@@ -1274,7 +1331,7 @@ fn drive(
     for (s, r) in reports.into_iter().enumerate() {
         out.push(r.ok_or_else(|| io::Error::other(format!("shard {s} sent no report")))?);
     }
-    Ok((converged, wall_s, out))
+    Ok((converged, wall_s, detector.detect, out))
 }
 
 /// Runs a cluster to convergence (or timeout) and reconciles the ledgers.
@@ -1310,7 +1367,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     for j in joins {
         let _ = j.join();
     }
-    let (converged, wall_s, mut shard_reports) = outcome?;
+    let (converged, wall_s, detect, mut shard_reports) = outcome?;
 
     // --- reconcile + hierarchical aggregation ---
     let mut nodes: Vec<NodeReport> = Vec::with_capacity(n);
@@ -1366,6 +1423,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
         shards: k,
         converged,
         wall_s,
+        detect,
         verdict,
         primaries_delivered,
         throughput,
@@ -1633,6 +1691,94 @@ mod tests {
         let err = outcome.expect("the shard spun").unwrap_err();
         assert!(err.starts_with("shard wait:"), "{err}");
         shard.join().unwrap();
+    }
+
+    /// A merged status of two nodes, both done, nothing held or buffered,
+    /// every group having answered probe `wave`.
+    fn quiet(wave: u64, generated: u64, delivered: u64) -> Status {
+        Status {
+            wave,
+            nodes: 2,
+            done: 2,
+            generated,
+            delivered,
+            ..Status::default()
+        }
+    }
+
+    /// Wave 1 read the sink A before it delivered B's primary and
+    /// generated the ack, and the source B after it delivered that ack:
+    /// A's (0, 0) and B's (1, 1) match though both messages were in flight
+    /// between the two reads. The answer to the probe sees A's (1, 1) too:
+    /// Σgenerated 2 > D₁ = 1, so no convergence — the answer starts the
+    /// next wave, and only that wave's matching answer ends the run.
+    #[test]
+    fn a_skewed_wave_that_matches_does_not_converge() {
+        let mut d = Detector::new(2);
+        let node = |generated, delivered| Status {
+            nodes: 1,
+            done: 1,
+            generated,
+            delivered,
+            ..Status::default()
+        };
+        assert_eq!(
+            d.observe(Status::sum([&node(0, 0), &node(1, 1)])),
+            Step::Probe(1)
+        );
+        assert_eq!(d.observe(quiet(1, 2, 2)), Step::Probe(2));
+        assert_eq!(d.observe(quiet(2, 2, 2)), Step::Converged);
+        assert_eq!(d.detect.probes, 2);
+    }
+
+    /// An answer every group gave after reading the probe, quiet, whose
+    /// Σgenerated is wave 1's Σdelivered: converged. A status from before
+    /// the answers (a keep-alive) is no answer.
+    #[test]
+    fn a_matching_answer_converges() {
+        let mut d = Detector::new(2);
+        assert_eq!(d.observe(quiet(0, 10, 10)), Step::Probe(1));
+        let busy = Status {
+            busy: 1,
+            ..quiet(0, 10, 10)
+        };
+        assert_eq!(d.observe(busy), Step::Wait);
+        assert_eq!(d.observe(quiet(1, 10, 10)), Step::Converged);
+    }
+
+    /// Wave 1's answer moved on, so wave 2 went out; a status in which
+    /// some group has answered only wave 1 is ignored even though its sums
+    /// match, and wave 2's answer decides.
+    #[test]
+    fn an_answer_to_a_stale_wave_is_ignored() {
+        let mut d = Detector::new(2);
+        assert_eq!(d.observe(quiet(0, 4, 4)), Step::Probe(1));
+        assert_eq!(d.observe(quiet(1, 6, 6)), Step::Probe(2));
+        assert_eq!(d.observe(quiet(1, 6, 6)), Step::Wait);
+        assert_eq!(d.observe(quiet(2, 6, 6)), Step::Converged);
+        assert_eq!(d.detect.probes, 2);
+    }
+
+    /// A run of zero messages: the first status that counts every node is
+    /// wave 1, and the first answer ends the run — one probe.
+    #[test]
+    fn a_zero_message_start_converges_after_one_probe() {
+        let mut d = Detector::new(2);
+        let half = Status {
+            nodes: 1,
+            done: 1,
+            ..Status::default()
+        };
+        assert_eq!(d.observe(half), Step::Wait, "a node not yet counted");
+        assert_eq!(d.observe(quiet(0, 0, 0)), Step::Probe(1));
+        assert_eq!(d.observe(quiet(1, 0, 0)), Step::Converged);
+        assert_eq!(
+            d.detect,
+            Detection {
+                probes: 1,
+                last: quiet(1, 0, 0)
+            }
+        );
     }
 
     #[test]

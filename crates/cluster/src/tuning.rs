@@ -16,7 +16,8 @@ pub struct ClusterTuning {
     pub tick_ms: u64,
     /// Idle gap after which a link emits a heartbeat.
     pub heartbeat_ms: u64,
-    /// Status push period (node → shard supervisor).
+    /// Status keep-alive period: a group's line to its shard supervisor,
+    /// and a shard's sum to the orchestrator, when nothing sent one sooner.
     pub status_every_ms: u64,
     /// Bounded shard → orchestrator upstream queue depth (`orch.shard`).
     /// Shards send a handful of messages per run; the bound is slack by
@@ -30,10 +31,6 @@ pub struct ClusterTuning {
     /// Dial attempts before a link gives up (node is shutting down or
     /// the peer is gone for good).
     pub max_dial_attempts: u32,
-    /// Consecutive identical all-done snapshots required to declare
-    /// convergence (guards against reading between a send and its
-    /// delivery).
-    pub stable_snapshots: u32,
     /// How long the orchestrator waits for final reports after `stop`.
     pub report_grace_s: u64,
     /// How long a shard waits for a node process to exit before killing
@@ -73,15 +70,14 @@ pub struct ClusterTuning {
 pub const TUNING: ClusterTuning = ClusterTuning {
     tick_ms: 1,
     heartbeat_ms: 50,
-    // 10ms: with `stable_snapshots: 3` the convergence-detection tail is
-    // ~30-40ms of every run's wall clock. At 25ms the tail dwarfed short
-    // benchmark runs on the event-driven plane.
+    // 10ms: only the keep-alive. A group writes its status the turn its cut
+    // goes quiet, its shard forwards a quiet sum at once, and one probe
+    // wave confirms it, so a run's end waits on no period.
     status_every_ms: 10,
     orch_shard_queue: 1024,
     backoff_base_ms: 4,
     backoff_cap_ms: 250,
     max_dial_attempts: 400,
-    stable_snapshots: 3,
     report_grace_s: 20,
     proc_exit_grace_s: 5,
     proc_wait_poll_ms: 10,

@@ -4,7 +4,7 @@
 
 use ssmfp_cluster::{
     pick_partition, run_cluster, ChaosSpec, ClusterSpec, ListenSpec, RunMode, WorkloadKind,
-    WorkloadSpec,
+    WorkloadSpec, TUNING,
 };
 use ssmfp_topology::{gen, Graph};
 use std::path::PathBuf;
@@ -260,39 +260,55 @@ fn two_shard_grid_shares_one_cross_group_stream_each_way() {
     }
 }
 
-/// A run that issues nothing is done when it starts: every node reports
-/// `done_issuing` with nothing generated, held or delivered, and that is
-/// convergence — not a wait for the timeout.
+/// A run that issues nothing is done when it starts: every group's first
+/// cut is quiet with nothing generated, held or delivered, and one probe
+/// wave confirms it — convergence, not a wait for the timeout, and in
+/// process not even for one status period. (The best of three inproc
+/// runs: the other tests of this file load the same cores, and a thread
+/// hop of the probe's round trip can wait a scheduler slice.)
 #[test]
 fn a_run_of_zero_messages_converges_clean() {
     let modes = [
-        RunMode::Inproc,
-        RunMode::Proc {
-            exe: PathBuf::from(env!("CARGO_BIN_EXE_ssmfp-cluster")),
-        },
-    ];
-    for mode in modes {
-        let spec = ClusterSpec {
-            topology: "line:5".into(),
-            graph: gen::line(5),
-            seed: 1,
-            workload: WorkloadSpec {
-                kind: WorkloadKind::Closed { outstanding: 1 },
-                messages: 0,
+        (RunMode::Inproc, 3, TUNING.status_every().as_secs_f64()),
+        (
+            RunMode::Proc {
+                exe: PathBuf::from(env!("CARGO_BIN_EXE_ssmfp-cluster")),
             },
-            chaos: ChaosSpec::none(),
-            listen: ListenSpec::Uds { dir: uds_dir() },
-            clients: None,
-            shards: 2,
-            mode,
-            timeout: Duration::from_secs(30),
-        };
-        let report = run_cluster(&spec).expect("run");
-        assert!(report.clean(), "{:?}: {:?}", spec.mode, report.verdict);
-        assert!(report.wall_s < 2.0, "{:?}: {} s", spec.mode, report.wall_s);
-        assert_eq!(report.verdict.generated, 0);
-        assert_eq!(report.primaries_delivered, 0);
+            1,
+            2.0,
+        ),
+    ];
+    for (mode, runs, bound) in modes {
+        let best = (0..runs)
+            .map(|_| run_zero_messages(mode.clone()).wall_s)
+            .fold(f64::INFINITY, f64::min);
+        assert!(best < bound, "{mode:?}: {best} s");
     }
+}
+
+/// One clean `line:5` run on two shards that issues nothing.
+fn run_zero_messages(mode: RunMode) -> ssmfp_cluster::RunReport {
+    let spec = ClusterSpec {
+        topology: "line:5".into(),
+        graph: gen::line(5),
+        seed: 1,
+        workload: WorkloadSpec {
+            kind: WorkloadKind::Closed { outstanding: 1 },
+            messages: 0,
+        },
+        chaos: ChaosSpec::none(),
+        listen: ListenSpec::Uds { dir: uds_dir() },
+        clients: None,
+        shards: 2,
+        mode,
+        timeout: Duration::from_secs(30),
+    };
+    let report = run_cluster(&spec).expect("run");
+    assert!(report.clean(), "{:?}: {:?}", spec.mode, report.verdict);
+    assert_eq!(report.detect.probes, 1, "{:?}", spec.mode);
+    assert_eq!(report.verdict.generated, 0);
+    assert_eq!(report.primaries_delivered, 0);
+    report
 }
 
 /// The primary ghost↔destination message set — what the SP verdict
