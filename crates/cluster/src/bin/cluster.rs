@@ -350,6 +350,13 @@ fn main() -> ExitCode {
             report.counters.chaos_reordered,
             report.counters.partition_dropped,
         );
+        let ph = &report.phases;
+        eprintln!(
+            "phases: ready={:.1}ms report={:.1}ms audit={:.1}ms",
+            ph.ready_s * 1e3,
+            ph.report_s * 1e3,
+            ph.audit_s * 1e3,
+        );
         if !report.converged {
             let d = &report.detect;
             eprintln!(

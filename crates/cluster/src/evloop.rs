@@ -612,17 +612,32 @@ pub struct IoStats {
 /// out-buffer cap check leaves before appending.
 const FRAME_MAX: usize = 4 + MAX_FRAME_LEN as usize;
 
-/// Splits complete control lines out of a byte accumulator (trimmed; empty
-/// lines dropped) — both ends of every control pipe read through this.
-pub(crate) fn take_lines(acc: &mut Vec<u8>) -> Vec<String> {
+/// Splits the control lines that freshly read `bytes` complete (trimmed;
+/// empty lines dropped) — both ends of every control pipe read through
+/// this. `acc` holds the unfinished line between calls, so each byte is
+/// scanned once, and a line that arrives whole is copied once, straight
+/// into its `String`.
+pub(crate) fn take_lines(acc: &mut Vec<u8>, bytes: &[u8]) -> Vec<String> {
     let mut out = Vec::new();
-    while let Some(nl) = acc.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = acc.drain(..=nl).collect();
-        let text = String::from_utf8_lossy(&line[..nl]).trim_end().to_string();
+    let mut push = |line: &[u8]| {
+        let text = String::from_utf8_lossy(line);
+        let text = text.trim_end();
         if !text.is_empty() {
-            out.push(text);
+            out.push(text.to_string());
         }
+    };
+    let mut rest = bytes;
+    while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+        if acc.is_empty() {
+            push(&rest[..nl]);
+        } else {
+            acc.extend_from_slice(&rest[..nl]);
+            push(acc);
+            acc.clear();
+        }
+        rest = &rest[nl + 1..];
     }
+    acc.extend_from_slice(rest);
     out
 }
 
@@ -741,8 +756,7 @@ impl Control {
         match self.io.read_once(&mut buf) {
             Ok(0) => self.eof = true,
             Ok(k) => {
-                self.acc.extend_from_slice(&buf[..k]);
-                self.lines.extend(take_lines(&mut self.acc));
+                self.lines.extend(take_lines(&mut self.acc, &buf[..k]));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -1377,6 +1391,29 @@ mod tests {
             },
             nonce: seq,
         }
+    }
+
+    /// A 1 MB line read 4 KB at a time comes out once, whole, on the read
+    /// that completes it; blank lines are dropped and trailing whitespace
+    /// trimmed, whichever read they straddle.
+    #[test]
+    fn take_lines_reassembles_a_long_line_across_reads() {
+        let long: String = (0..1 << 20)
+            .map(|i| (b'a' + (i % 26) as u8) as char)
+            .collect();
+        let stream = format!("first \r\n\n  \n{long}  \nlast\npart");
+        let mut acc = Vec::new();
+        let mut lines = Vec::new();
+        for chunk in stream.as_bytes().chunks(4096) {
+            lines.extend(take_lines(&mut acc, chunk));
+        }
+        assert_eq!(lines.len(), 3);
+        assert_eq!(lines[0], "first");
+        assert!(lines[1] == long, "the long line came out changed");
+        assert_eq!(lines[2], "last");
+        assert_eq!(acc, b"part", "the unfinished line waits for its newline");
+        assert_eq!(take_lines(&mut acc, b"ial \n"), ["partial"]);
+        assert!(acc.is_empty());
     }
 
     /// The zero-realloc pin for the hot path: once warmed to the batch

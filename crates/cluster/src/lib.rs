@@ -62,7 +62,7 @@ pub use evloop::CtrlPipe;
 pub use node::{node_main, ListenSpec, NodeConfig, NodeReport, Status};
 pub use orchestrator::{
     node_args, parse_chaos, parse_node_args, parse_workload, pick_partition, run_cluster,
-    shard_ranges, ClusterSpec, Detection, RunMode, RunReport, ShardReport, ShardSummary,
+    shard_ranges, ClusterSpec, Detection, Phases, RunMode, RunReport, ShardReport, ShardSummary,
 };
 pub use telemetry::{LogHistogram, NodeCounters};
 pub use transport::PolledTransport;

@@ -107,7 +107,7 @@ use ssmfp_core::conc::register_thread;
 use ssmfp_core::wire::WireFrame;
 use ssmfp_mp::{ack_ghost_of, decode_client_ghost, MpForwarder, MpGhost, MpNode, Outbox, WireMsg};
 use ssmfp_topology::{BfsTree, Graph, NodeId};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::os::unix::io::RawFd;
 use std::path::PathBuf;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -639,12 +639,9 @@ impl Node {
             clients: mux.map_or(0, ClientMux::hosted),
             clients_completed: mux.map_or(0, ClientMux::completed),
         };
-        {
-            // One buffered write, not one per token.
-            let mut w = BufWriter::new(self.ctrl.writer());
-            write_report(&mut w, &report)?;
-            w.flush()?;
-        }
+        let w = self.ctrl.writer();
+        w.write_all(&report_block(&report))?;
+        w.flush()?;
         Ok(report)
     }
 }
@@ -962,88 +959,198 @@ pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
         .expect("one node in, one outcome out")
 }
 
-fn write_ghost<W: Write>(w: &mut W, g: MpGhost) -> io::Result<()> {
-    match g {
-        MpGhost::Valid(k) => write!(w, " v{k}"),
-        MpGhost::Invalid(k) => write!(w, " i{k}"),
+/// `"00" "01" … "99"`: two decimal digits per division.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `v` in decimal.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[v as usize * 2..v as usize * 2 + 2]);
+    } else {
+        i -= 1;
+        digits[i] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
+fn push_ghost(out: &mut Vec<u8>, g: MpGhost) {
+    let (tag, k) = match g {
+        MpGhost::Valid(k) => (b'v', k),
+        MpGhost::Invalid(k) => (b'i', k),
+    };
+    out.extend_from_slice(&[b' ', tag]);
+    push_u64(out, k);
+}
+
+/// Appends `tag`, then each value after a space.
+fn push_fields(out: &mut Vec<u8>, tag: &str, values: &[u64]) {
+    out.extend_from_slice(tag.as_bytes());
+    for &v in values {
+        out.push(b' ');
+        push_u64(out, v);
     }
 }
 
-fn parse_ghost(s: &str) -> Option<MpGhost> {
-    let (kind, num) = s.split_at(1);
-    let k: u64 = num.parse().ok()?;
-    match kind {
-        "v" => Some(MpGhost::Valid(k)),
-        "i" => Some(MpGhost::Invalid(k)),
-        _ => None,
-    }
-}
-
-fn write_histogram<W: Write>(w: &mut W, tag: &str, h: &LogHistogram) -> io::Result<()> {
-    write!(w, "{tag} {} {} {}", h.count(), h.max(), h.sum())?;
+fn push_histogram(out: &mut Vec<u8>, tag: &str, h: &LogHistogram) {
+    push_fields(out, tag, &[h.count(), h.max(), h.sum()]);
     for (i, c) in h.nonzero_buckets() {
-        write!(w, " {i}:{c}")?;
+        out.push(b' ');
+        push_u64(out, i as u64);
+        out.push(b':');
+        push_u64(out, c);
     }
-    writeln!(w)
+    out.push(b'\n');
 }
 
-fn parse_histogram(it: &mut std::str::SplitWhitespace<'_>) -> Option<LogHistogram> {
-    let _count: u64 = it.next()?.parse().ok()?;
-    let max: u64 = it.next()?.parse().ok()?;
-    let sum: u64 = it.next()?.parse().ok()?;
-    let mut pairs = Vec::new();
-    for tok in it {
-        let (i, c) = tok.split_once(':')?;
-        pairs.push((i.parse().ok()?, c.parse().ok()?));
-    }
-    Some(LogHistogram::from_parts(&pairs, max, sum))
-}
-
-/// Writes the line-based `report … end` block.
-pub fn write_report<W: Write>(w: &mut W, r: &NodeReport) -> io::Result<()> {
-    writeln!(w, "report {}", r.node)?;
-    write!(w, "gen")?;
+/// The line-based `report … end` block [`write_report`] writes, built in
+/// one buffer.
+fn report_block(r: &NodeReport) -> Vec<u8> {
+    // A cluster ghost is ~13 digits: room for that and a destination.
+    let entries = r.generated.len() + r.delivered.len() + r.held.len();
+    let mut out = Vec::with_capacity(256 + 20 * entries);
+    out.extend_from_slice(b"report ");
+    push_u64(&mut out, r.node as u64);
+    out.extend_from_slice(b"\ngen");
     for &(g, d) in &r.generated {
-        write_ghost(w, g)?;
-        write!(w, ":{d}")?;
+        push_ghost(&mut out, g);
+        out.push(b':');
+        push_u64(&mut out, d as u64);
     }
-    writeln!(w)?;
-    write!(w, "del")?;
+    out.extend_from_slice(b"\ndel");
     for &g in &r.delivered {
-        write_ghost(w, g)?;
+        push_ghost(&mut out, g);
     }
-    writeln!(w)?;
-    write!(w, "held")?;
+    out.extend_from_slice(b"\nheld");
     for &g in &r.held {
-        write_ghost(w, g)?;
+        push_ghost(&mut out, g);
     }
-    writeln!(w)?;
-    write_histogram(w, "lat", &r.latency)?;
-    write_histogram(w, "bat", &r.batch)?;
-    write_histogram(w, "crtt", &r.client_rtt)?;
-    write_histogram(w, "cfair", &r.client_fair)?;
-    writeln!(w, "cli {} {}", r.clients, r.clients_completed)?;
+    out.push(b'\n');
+    push_histogram(&mut out, "lat", &r.latency);
+    push_histogram(&mut out, "bat", &r.batch);
+    push_histogram(&mut out, "crtt", &r.client_rtt);
+    push_histogram(&mut out, "cfair", &r.client_fair);
+    push_fields(&mut out, "cli", &[r.clients, r.clients_completed]);
     let c = &r.counters;
-    writeln!(
-        w,
-        "ctr {} {} {} {} {} {} {} {} {} {} {}",
-        c.frames_sent,
-        c.frames_received,
-        c.heartbeats_sent,
-        c.reconnects,
-        c.chaos_dropped,
-        c.chaos_duplicated,
-        c.chaos_reordered,
-        c.partition_dropped,
-        c.write_syscalls,
-        c.read_syscalls,
-        c.conn_frames_dropped
-    )?;
-    writeln!(w, "end")
+    push_fields(
+        &mut out,
+        "\nctr",
+        &[
+            c.frames_sent,
+            c.frames_received,
+            c.heartbeats_sent,
+            c.reconnects,
+            c.chaos_dropped,
+            c.chaos_duplicated,
+            c.chaos_reordered,
+            c.partition_dropped,
+            c.write_syscalls,
+            c.read_syscalls,
+            c.conn_frames_dropped,
+        ],
+    );
+    out.extend_from_slice(b"\nend\n");
+    out
+}
+
+/// Writes the line-based `report … end` block in one `write_all`.
+pub fn write_report<W: Write>(w: &mut W, r: &NodeReport) -> io::Result<()> {
+    w.write_all(&report_block(r))
+}
+
+/// One report line after its tag, read front to back in place.
+struct Fields<'a>(&'a [u8]);
+
+impl Fields<'_> {
+    /// Consumes `b` if the line goes on with it.
+    fn eat(&mut self, b: u8) -> bool {
+        let next = self.0.first() == Some(&b);
+        if next {
+            self.0 = &self.0[1..];
+        }
+        next
+    }
+
+    /// Consumes the decimal number the line goes on with: ASCII digits
+    /// only, no sign, no overflow.
+    fn num(&mut self) -> Option<u64> {
+        let mut v = 0u64;
+        let mut digits = 0;
+        for &b in self.0 {
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                break;
+            }
+            v = v.wrapping_mul(10).wrapping_add(d as u64);
+            digits += 1;
+        }
+        let (num, rest) = self.0.split_at(digits);
+        self.0 = rest;
+        // Only a 20-digit number can overflow, and between two of those
+        // the byte order is the numeric one.
+        let fits = digits < 20 || (digits == 20 && num <= b"18446744073709551615");
+        (digits > 0 && fits).then_some(v)
+    }
+
+    /// Consumes `sep`, then a number.
+    fn after(&mut self, sep: u8) -> Option<u64> {
+        if self.eat(sep) {
+            self.num()
+        } else {
+            None
+        }
+    }
+
+    /// Consumes a ghost, `v<k>` or `i<k>`.
+    fn ghost(&mut self) -> Option<MpGhost> {
+        let (&tag, rest) = self.0.split_first()?;
+        self.0 = rest;
+        let k = self.num()?;
+        match tag {
+            b'v' => Some(MpGhost::Valid(k)),
+            b'i' => Some(MpGhost::Invalid(k)),
+            _ => None,
+        }
+    }
+
+    /// Consumes ` <ghost>` entries into `out`.
+    fn ghosts(&mut self, out: &mut Vec<MpGhost>) -> Option<()> {
+        while self.eat(b' ') {
+            out.push(self.ghost()?);
+        }
+        Some(())
+    }
+
+    fn histogram(&mut self) -> Option<LogHistogram> {
+        let _count = self.after(b' ')?;
+        let max = self.after(b' ')?;
+        let sum = self.after(b' ')?;
+        let mut pairs = Vec::new();
+        while self.eat(b' ') {
+            let i = usize::try_from(self.num()?).ok()?;
+            pairs.push((i, self.after(b':')?));
+        }
+        Some(LogHistogram::from_parts(&pairs, max, sum))
+    }
 }
 
 /// Parses the block written by [`write_report`]; the `report <node>` line
-/// has already been consumed by the caller (who saw it arrive).
+/// has already been consumed by the caller (who saw it arrive). Each line
+/// is read as bytes, in place, and must be exactly as `write_report`
+/// wrote it.
 pub fn parse_report_body(
     node: NodeId,
     lines: &mut impl Iterator<Item = String>,
@@ -1053,34 +1160,29 @@ pub fn parse_report_body(
         ..NodeReport::default()
     };
     for line in lines {
-        let mut it = line.split_whitespace();
-        match it.next()? {
-            "gen" => {
-                for tok in it {
-                    let (g, d) = tok.split_once(':')?;
-                    r.generated.push((parse_ghost(g)?, d.parse().ok()?));
+        let line = line.as_bytes();
+        let (tag, rest) = line.split_at(line.iter().position(|&b| b == b' ').unwrap_or(line.len()));
+        let mut f = Fields(rest);
+        match tag {
+            b"gen" => {
+                while f.eat(b' ') {
+                    let g = f.ghost()?;
+                    let d = usize::try_from(f.after(b':')?).ok()?;
+                    r.generated.push((g, d));
                 }
             }
-            "del" => {
-                for tok in it {
-                    r.delivered.push(parse_ghost(tok)?);
-                }
+            b"del" => f.ghosts(&mut r.delivered)?,
+            b"held" => f.ghosts(&mut r.held)?,
+            b"lat" => r.latency = f.histogram()?,
+            b"bat" => r.batch = f.histogram()?,
+            b"crtt" => r.client_rtt = f.histogram()?,
+            b"cfair" => r.client_fair = f.histogram()?,
+            b"cli" => {
+                r.clients = f.after(b' ')?;
+                r.clients_completed = f.after(b' ')?;
             }
-            "held" => {
-                for tok in it {
-                    r.held.push(parse_ghost(tok)?);
-                }
-            }
-            "lat" => r.latency = parse_histogram(&mut it)?,
-            "bat" => r.batch = parse_histogram(&mut it)?,
-            "crtt" => r.client_rtt = parse_histogram(&mut it)?,
-            "cfair" => r.client_fair = parse_histogram(&mut it)?,
-            "cli" => {
-                r.clients = it.next()?.parse().ok()?;
-                r.clients_completed = it.next()?.parse().ok()?;
-            }
-            "ctr" => {
-                let mut next = || it.next().and_then(|t| t.parse::<u64>().ok());
+            b"ctr" => {
+                let mut next = || f.after(b' ');
                 r.counters = NodeCounters {
                     frames_sent: next()?,
                     frames_received: next()?,
@@ -1095,8 +1197,11 @@ pub fn parse_report_body(
                     conn_frames_dropped: next()?,
                 };
             }
-            "end" => return Some(r),
+            b"end" => return Some(r),
             _ => return None,
+        }
+        if !f.0.is_empty() {
+            return None;
         }
     }
     None
@@ -1105,6 +1210,7 @@ pub fn parse_report_body(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::os::unix::net::UnixStream;
 
     /// The node's iteration on `line:5` over in-memory FIFO links with
@@ -1605,6 +1711,137 @@ mod tests {
             let mut rest = Vec::new();
             s.read_to_end(&mut rest).expect("EOF, not a timeout");
         }
+    }
+
+    fn arb_ghost() -> impl Strategy<Value = MpGhost> {
+        prop_oneof![
+            any::<u64>().prop_map(MpGhost::Valid),
+            any::<u64>().prop_map(MpGhost::Invalid),
+            Just(MpGhost::Valid(u64::MAX)),
+            Just(MpGhost::Invalid(0)),
+        ]
+    }
+
+    /// Empty, or a few values anywhere in the `u64` range.
+    fn arb_histogram() -> impl Strategy<Value = LogHistogram> {
+        prop_oneof![
+            Just(Vec::new()),
+            proptest::collection::vec(any::<u64>(), 1..6),
+            proptest::collection::vec(0u64..100_000, 1..40),
+        ]
+        .prop_map(|values| {
+            let mut h = LogHistogram::new();
+            values.into_iter().for_each(|v| h.record(v));
+            h
+        })
+    }
+
+    fn arb_report() -> impl Strategy<Value = NodeReport> {
+        let lists = (
+            0usize..=u16::MAX as usize,
+            proptest::collection::vec((arb_ghost(), 0usize..=u16::MAX as usize), 0..20),
+            proptest::collection::vec(arb_ghost(), 0..20),
+            proptest::collection::vec(arb_ghost(), 0..4),
+        );
+        let histograms = (
+            arb_histogram(),
+            arb_histogram(),
+            arb_histogram(),
+            arb_histogram(),
+        );
+        let counts = proptest::collection::vec(any::<u64>(), 13);
+        (lists, histograms, counts).prop_map(
+            |((node, generated, delivered, held), (latency, batch, client_rtt, client_fair), c)| {
+                NodeReport {
+                    node,
+                    generated,
+                    delivered,
+                    held,
+                    latency,
+                    batch,
+                    counters: NodeCounters {
+                        frames_sent: c[0],
+                        frames_received: c[1],
+                        heartbeats_sent: c[2],
+                        reconnects: c[3],
+                        chaos_dropped: c[4],
+                        chaos_duplicated: c[5],
+                        chaos_reordered: c[6],
+                        partition_dropped: c[7],
+                        write_syscalls: c[8],
+                        read_syscalls: c[9],
+                        conn_frames_dropped: c[10],
+                    },
+                    client_rtt,
+                    client_fair,
+                    clients: c[11],
+                    clients_completed: c[12],
+                }
+            },
+        )
+    }
+
+    /// Feeds a written block back through the parser, after its
+    /// `report <node>` line as the supervisor does.
+    fn parse_block(text: &str) -> Option<NodeReport> {
+        let mut lines = text.lines().map(str::to_string);
+        let node = lines.next()?.strip_prefix("report ")?.parse().ok()?;
+        parse_report_body(node, &mut lines)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+        /// Every report survives its codec whole: extreme ghosts and
+        /// destinations, empty lists and histograms, every counter.
+        #[test]
+        fn any_report_roundtrips_through_its_codec(r in arb_report()) {
+            let mut buf = Vec::new();
+            write_report(&mut buf, &r).unwrap();
+            let text = String::from_utf8(buf).expect("reports are ASCII");
+            prop_assert_eq!(parse_block(&text), Some(r));
+        }
+    }
+
+    /// Malformed tokens and a block cut before its `end` are refused with
+    /// `None`, never a panic.
+    #[test]
+    fn malformed_reports_are_refused() {
+        let body = |line: &str| format!("report 1\n{line}\nend\n");
+        assert!(parse_block(&body("del v1 i2")).is_some());
+        for bad in ["v", "x7", "v7:", "v18446744073709551616", "é7", "+7"] {
+            assert_eq!(parse_block(&body(&format!("del {bad}"))), None, "del {bad}");
+            assert_eq!(
+                parse_block(&body(&format!("held {bad}"))),
+                None,
+                "held {bad}"
+            );
+            assert_eq!(
+                parse_block(&body(&format!("gen {bad}:1"))),
+                None,
+                "gen {bad}:1"
+            );
+        }
+        for bad in ["v7", "v7:", "v7:x", "v7:18446744073709551616", ":1"] {
+            assert_eq!(parse_block(&body(&format!("gen {bad}"))), None, "gen {bad}");
+        }
+        for bad in [
+            "lat",
+            "lat 1 2",
+            "lat 1 2 3 4",
+            "lat 1 2 3 4:",
+            "cli 1",
+            "ctr 1 2 3",
+            "what",
+        ] {
+            assert_eq!(parse_block(&body(bad)), None, "{bad}");
+        }
+        let mut buf = Vec::new();
+        write_report(&mut buf, &NodeReport::default()).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(parse_block(&text).is_some());
+        let cut = text.strip_suffix("end\n").unwrap();
+        assert_eq!(parse_block(cut), None, "a block with no end");
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //! groups (one per group, [`Status`]) become one sum, and per-node reports
 //! become one [`ShardReport`] whose [`ShardSummary`] already carries the
 //! merged histograms and counters. The orchestrator then works O(K) per
-//! status and O(merged) at reconciliation — it concatenates the shard
-//! ledger lists and calls `reconcile_ledgers` exactly once (the SP
-//! verdict is a global join; only the *assembly* shards, never the
-//! verdict).
+//! status and, at reconciliation, one visit per merged ledger entry plus
+//! one sort per list — it concatenates the shard ledger lists and calls
+//! `reconcile_ledgers` exactly once, a sort-merge join (the SP verdict is
+//! a global join; only the *assembly* shards, never the verdict).
+//! [`RunReport::phases`] says where the time outside the measured window
+//! went: bring-up, report upload, and these joins.
 //!
 //! ## When a run is over: four counters
 //!
@@ -164,6 +166,19 @@ enum ShardUp {
     Error(String),
 }
 
+/// Where a run's time outside its measured window went, in seconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Phases {
+    /// From the `run_cluster` call until `peers` and `start` went to
+    /// every shard: spawn, bind, listen, ready.
+    pub ready_s: f64,
+    /// From `stop` until the last shard report arrived: every node's
+    /// report written, read and parsed.
+    pub report_s: f64,
+    /// The ledger joins.
+    pub audit_s: f64,
+}
+
 /// Outcome of one cluster run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -181,6 +196,8 @@ pub struct RunReport {
     pub wall_s: f64,
     /// Where the root's stop rule stood at the end.
     pub detect: Detection,
+    /// Where the time outside `wall_s` went.
+    pub phases: Phases,
     /// Cluster-wide SP reconciliation.
     pub verdict: ClusterVerdict,
     /// Primaries delivered end-to-end.
@@ -289,7 +306,8 @@ impl RunReport {
                 "\"conn_frames_dropped\": {}, \"frames_per_write\": {{\"count\": {}, ",
                 "\"mean\": {:.2}, \"p50\": {}, \"p99\": {}, \"max\": {}}}}},\n",
                 "  \"detect\": {{\"probes\": {}, \"last\": {{\"nodes\": {}, \"done\": {}, ",
-                "\"generated\": {}, \"delivered\": {}, \"held\": {}}}}}{}\n",
+                "\"generated\": {}, \"delivered\": {}, \"held\": {}}}}},\n",
+                "  \"phases\": {{\"ready_s\": {:.6}, \"report_s\": {:.6}, \"audit_s\": {:.6}}}{}\n",
                 "}}"
             ),
             self.topology,
@@ -339,6 +357,9 @@ impl RunReport {
             last.generated,
             last.delivered,
             last.held,
+            self.phases.ready_s,
+            self.phases.report_s,
+            self.phases.audit_s,
             clients_json,
         )
     }
@@ -965,8 +986,7 @@ fn supervise(
             let orch_eof = match (&*orch).read(&mut scratch) {
                 Ok(0) => true,
                 Ok(k) => {
-                    orch_acc.extend_from_slice(&scratch[..k]);
-                    for line in take_lines(&mut orch_acc) {
+                    for line in take_lines(&mut orch_acc, &scratch[..k]) {
                         for s in slots.iter_mut() {
                             s.stage(&line);
                         }
@@ -1008,8 +1028,7 @@ fn supervise(
                 match s.ctrl.read_once(&mut scratch) {
                     Ok(0) => s.eof = true,
                     Ok(k) => {
-                        s.acc.extend_from_slice(&scratch[..k]);
-                        for line in take_lines(&mut s.acc) {
+                        for line in take_lines(&mut s.acc, &scratch[..k]) {
                             if phase == Phase::Reporting {
                                 if line == "end" {
                                     s.ended = true;
@@ -1236,6 +1255,8 @@ fn drive(
     n: usize,
     rx: &Receiver<(usize, ShardUp)>,
     pipes: &[UnixStream],
+    called: Instant,
+    phases: &mut Phases,
 ) -> io::Result<(bool, f64, Detection, Vec<ShardReport>)> {
     let k = pipes.len();
 
@@ -1273,6 +1294,7 @@ fn drive(
         write_all_deadline(p, peer_line.as_bytes(), wdl)?;
         write_all_deadline(p, b"start\n", wdl)?;
     }
+    phases.ready_s = called.elapsed().as_secs_f64();
 
     // --- feed shard status sums to the detector until converged or timed out ---
     let started = Instant::now();
@@ -1311,7 +1333,8 @@ fn drive(
     }
 
     // --- stop everyone, collect the shard reports ---
-    let wdl = Instant::now() + TUNING.report_grace();
+    let stopped = Instant::now();
+    let wdl = stopped + TUNING.report_grace();
     for p in pipes {
         let _ = write_all_deadline(p, b"stop\n", wdl);
     }
@@ -1327,6 +1350,7 @@ fn drive(
             _ => {}
         }
     }
+    phases.report_s = stopped.elapsed().as_secs_f64();
     let mut out = Vec::with_capacity(k);
     for (s, r) in reports.into_iter().enumerate() {
         out.push(r.ok_or_else(|| io::Error::other(format!("shard {s} sent no report")))?);
@@ -1336,6 +1360,7 @@ fn drive(
 
 /// Runs a cluster to convergence (or timeout) and reconciles the ledgers.
 pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
+    let called = Instant::now();
     register_thread(COMPONENT, "orch.main");
     let model = crate::conc::model(&TUNING);
     let n = spec.graph.n();
@@ -1360,7 +1385,8 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     }
     drop(up_tx);
 
-    let outcome = drive(spec, n, &up_rx, &pipes);
+    let mut phases = Phases::default();
+    let outcome = drive(spec, n, &up_rx, &pipes, called, &mut phases);
     // Dropping the pipes EOFs any shard still in flight (error paths);
     // shards wind their nodes down and exit, so the joins are bounded.
     drop(pipes);
@@ -1377,6 +1403,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     nodes.sort_by_key(|r| r.node);
     // A report's three lists *are* its ledger: lend them to the two joins
     // and hand them back, so `RunReport::nodes` stays whole.
+    let audit = Instant::now();
     let ledgers: Vec<NodeLedger> = nodes
         .iter_mut()
         .map(|r| NodeLedger {
@@ -1387,7 +1414,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
         })
         .collect();
     let verdict = reconcile_ledgers(&ledgers);
-    // Client mode: the per-client audit is a second single-pass join over
+    // Client mode: the per-client audit is a second sort-merge join over
     // the same merged ledgers, with `stamp_decode` reading the ghost
     // packing as `(client, seq)` stamps (acks decode to None).
     let client_verdict = spec
@@ -1397,6 +1424,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     for (r, l) in nodes.iter_mut().zip(ledgers) {
         (r.generated, r.delivered, r.held) = (l.generated, l.delivered, l.held);
     }
+    phases.audit_s = audit.elapsed().as_secs_f64();
 
     let shard_summaries: Vec<ShardSummary> = shard_reports.into_iter().map(|r| r.summary).collect();
     let mut latency = LogHistogram::new();
@@ -1424,6 +1452,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
         converged,
         wall_s,
         detect,
+        phases,
         verdict,
         primaries_delivered,
         throughput,

@@ -382,3 +382,49 @@ fn process_mode_five_node_line_clean() {
     assert_clean(&report);
     assert_eq!(report.primaries_delivered, 5 * 10);
 }
+
+/// Every report says where the time outside its window went: the three
+/// phases are in its JSON, and they and the window are disjoint slices
+/// of the call.
+#[test]
+fn a_report_prices_its_phases() {
+    let spec = ClusterSpec {
+        topology: "line:5".into(),
+        graph: gen::line(5),
+        seed: 3,
+        workload: WorkloadSpec {
+            kind: WorkloadKind::Closed { outstanding: 2 },
+            messages: 30,
+        },
+        chaos: ChaosSpec::none(),
+        listen: ListenSpec::Uds { dir: uds_dir() },
+        clients: None,
+        shards: 1,
+        mode: RunMode::Inproc,
+        timeout: Duration::from_secs(60),
+    };
+    let t0 = std::time::Instant::now();
+    let report = run_cluster(&spec).expect("run");
+    let call_s = t0.elapsed().as_secs_f64();
+    assert!(report.clean());
+    let p = report.phases;
+    for (name, v) in [
+        ("ready_s", p.ready_s),
+        ("report_s", p.report_s),
+        ("audit_s", p.audit_s),
+    ] {
+        assert!(
+            v > 0.0 && v <= call_s,
+            "{name} = {v} s of a {call_s} s call"
+        );
+    }
+    assert!(p.ready_s + report.wall_s + p.report_s + p.audit_s <= call_s);
+    let json = report.to_json();
+    let phases = json
+        .lines()
+        .find(|l| l.trim_start().starts_with("\"phases\": {"))
+        .expect("a phases object");
+    for key in ["\"ready_s\": ", "\"report_s\": ", "\"audit_s\": "] {
+        assert!(phases.contains(key), "{key} missing from {phases}");
+    }
+}

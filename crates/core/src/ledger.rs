@@ -342,9 +342,9 @@ impl ClusterVerdict {
 }
 
 /// Work meter for [`reconcile_ledgers_counted`]: how many ledger
-/// entries each phase of the join touched. The reconcile must stay
-/// `O(merged)` — one bounded-cost visit per entry, no global rescans —
-/// and this meter is what the regression test pins that against.
+/// entries each phase of the join touched. The join is one visit per
+/// entry plus one sort per list — no hash map, no allocation per ghost
+/// — and this meter is what the regression test pins the visits against.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReconcileWork {
     /// Generated-list entries scanned (phase 1).
@@ -357,13 +357,55 @@ pub struct ReconcileWork {
     pub ghosts_resolved: u64,
 }
 
+/// Bits of a join key below its ghost rank: the entry's position in its
+/// flattened list (ledger order, then list order).
+const POS_BITS: u32 = 63;
+
+/// A ghost as an integer that sorts exactly as [`GhostId`]'s derived
+/// `Ord`: `Valid(k)` is `k`, `Invalid(k)` is `2^64 + k`.
+fn ghost_rank(g: GhostId) -> u128 {
+    match g {
+        GhostId::Valid(k) => k as u128,
+        GhostId::Invalid(k) => 1 << 64 | k as u128,
+    }
+}
+
+fn rank_ghost(rank: u128) -> GhostId {
+    if rank >> 64 == 0 {
+        GhostId::Valid(rank as u64)
+    } else {
+        GhostId::Invalid(rank as u64)
+    }
+}
+
+/// The position packed into the low bits of a join key.
+fn pos(key: u128, bits: u32) -> usize {
+    (key & ((1 << bits) - 1)) as usize
+}
+
+/// Moves `cursor` along the sorted `keys` past every key whose
+/// `key >> shift` is below `rank`, and returns how many it passed and
+/// the run of keys equal to `rank` after them (in position order, since
+/// the position is the key's low part).
+fn take_run<'a>(keys: &'a [u128], cursor: &mut usize, rank: u128, shift: u32) -> (u64, &'a [u128]) {
+    let start = *cursor;
+    while keys.get(*cursor).is_some_and(|&k| k >> shift < rank) {
+        *cursor += 1;
+    }
+    let first = *cursor;
+    while keys.get(*cursor).is_some_and(|&k| k >> shift == rank) {
+        *cursor += 1;
+    }
+    ((first - start) as u64, &keys[first..*cursor])
+}
+
 /// Joins per-node ledger slices into the cluster-wide `SP` verdict:
 /// every generated valid message must be delivered exactly once, at its
 /// destination; undelivered messages still held somewhere count as
 /// in-flight, held nowhere as [`SpViolation::Lost`]. A ghost delivered
 /// at several nodes is both duplicated and (at the wrong nodes)
 /// misdelivered; the duplication is reported once and each wrong-node
-/// delivery separately.
+/// delivery separately. Violations come out by ghost.
 ///
 /// The join is **total on adversarial input**: a ghost listed as
 /// generated by several entries (a duplicate-stamp bug upstream, or the
@@ -375,59 +417,80 @@ pub fn reconcile_ledgers(ledgers: &[NodeLedger]) -> ClusterVerdict {
 }
 
 /// [`reconcile_ledgers`] with its [`ReconcileWork`] meter exposed.
+///
+/// A sort-merge join: each list is flattened once into integer keys —
+/// the ghost's rank over its input position — and sorted once; one walk
+/// over the generated ghosts then meets each ghost's deliveries (in
+/// ledger order) and held copies. Nothing is hashed or allocated per
+/// ghost.
 pub fn reconcile_ledgers_counted(ledgers: &[NodeLedger]) -> (ClusterVerdict, ReconcileWork) {
     let mut work = ReconcileWork::default();
     let mut verdict = ClusterVerdict::default();
-    let mut expected: HashMap<GhostId, NodeId> = HashMap::new();
+    let mut dest: Vec<NodeId> = Vec::new();
+    let mut gen: Vec<u128> = Vec::new();
     for l in ledgers {
-        for &(ghost, dest) in &l.generated {
-            work.generated_scanned += 1;
-            expected.insert(ghost, dest);
+        for &(ghost, d) in &l.generated {
+            gen.push(ghost_rank(ghost) << POS_BITS | dest.len() as u128);
+            dest.push(d);
         }
     }
-    let mut deliveries: HashMap<GhostId, Vec<NodeId>> = HashMap::new();
+    work.generated_scanned = gen.len() as u64;
+    // Only a valid ghost can be delivered legitimately: the others are
+    // counted here and never join.
+    let mut at: Vec<NodeId> = Vec::new();
+    let mut del: Vec<u128> = Vec::new();
     for l in ledgers {
+        work.delivered_scanned += l.delivered.len() as u64;
         for &ghost in &l.delivered {
-            work.delivered_scanned += 1;
-            if ghost.is_valid() && expected.contains_key(&ghost) {
-                deliveries.entry(ghost).or_default().push(l.node);
+            if ghost.is_valid() {
+                del.push(ghost_rank(ghost) << POS_BITS | at.len() as u128);
+                at.push(l.node);
             } else {
                 verdict.invalid_delivered += 1;
             }
         }
     }
-    let mut held: std::collections::HashSet<GhostId> = std::collections::HashSet::new();
-    for l in ledgers {
-        work.held_scanned += l.held.len() as u64;
-        held.extend(l.held.iter().copied());
-    }
-    verdict.generated = expected.len() as u64;
-    let mut ghosts: Vec<(&GhostId, &NodeId)> = expected.iter().collect();
-    ghosts.sort(); // deterministic violation order across runs
-    for (&ghost, &dest) in ghosts {
+    let mut held: Vec<u128> = ledgers
+        .iter()
+        .flat_map(|l| l.held.iter().map(|&g| ghost_rank(g)))
+        .collect();
+    work.held_scanned = held.len() as u64;
+    gen.sort_unstable();
+    del.sort_unstable();
+    held.sort_unstable();
+
+    let (mut d, mut h) = (0, 0);
+    for run in gen.chunk_by(|a, b| a >> POS_BITS == b >> POS_BITS) {
         work.ghosts_resolved += 1;
-        let at = deliveries.get(&ghost).map_or(&[][..], Vec::as_slice);
-        match at.len() {
-            0 => {
-                if held.contains(&ghost) {
-                    verdict.in_flight += 1;
-                } else {
+        let rank = run[0] >> POS_BITS;
+        let ghost = rank_ghost(rank);
+        // The last generation sets the destination.
+        let want = dest[pos(run[run.len() - 1], POS_BITS)];
+        // Deliveries of valid ghosts nobody generated sort in between.
+        let (ungenerated, got) = take_run(&del, &mut d, rank, POS_BITS);
+        verdict.invalid_delivered += ungenerated;
+        match got {
+            [] => {
+                if take_run(&held, &mut h, rank, 0).1.is_empty() {
                     verdict.violations.push(SpViolation::Lost { ghost });
+                } else {
+                    verdict.in_flight += 1;
                 }
             }
-            1 if at[0] == dest => verdict.exactly_once += 1,
-            k => {
-                if k > 1 {
+            [k] if at[pos(*k, POS_BITS)] == want => verdict.exactly_once += 1,
+            _ => {
+                if got.len() > 1 {
                     verdict.violations.push(SpViolation::DuplicateDelivery {
                         ghost,
-                        count: k as u64,
+                        count: got.len() as u64,
                     });
                 }
-                for &node in at {
-                    if node != dest {
+                for &k in got {
+                    let node = at[pos(k, POS_BITS)];
+                    if node != want {
                         verdict.violations.push(SpViolation::Misdelivered {
                             ghost,
-                            expected: dest,
+                            expected: want,
                             actual: node,
                         });
                     }
@@ -435,6 +498,8 @@ pub fn reconcile_ledgers_counted(ledgers: &[NodeLedger]) -> (ClusterVerdict, Rec
             }
         }
     }
+    verdict.invalid_delivered += (del.len() - d) as u64;
+    verdict.generated = work.ghosts_resolved;
     (verdict, work)
 }
 
@@ -508,7 +573,9 @@ impl ClientVerdict {
 /// every logical client, no stamp lost, no stamp delivered twice, no
 /// stamp generated twice, and deliveries in increasing sequence order
 /// at the delivering node (each node's `delivered` list is in delivery
-/// order, so per-node order is observable directly).
+/// order, so per-node order is observable directly). Violations come
+/// out by stamp, with the [`ClientViolation::OutOfOrder`] entries
+/// appended last in delivery order.
 ///
 /// `decode` maps a ghost to its client stamp — `None` for ghosts that
 /// carry no client identity (acks, node-level traffic, garbage), which
@@ -516,109 +583,298 @@ impl ClientVerdict {
 /// Keeping the stamp convention in a closure keeps this join agnostic
 /// of how upper layers pack identities into ghosts.
 ///
-/// Cost is `O(merged)`: `decode` is called exactly once per ledger
-/// entry (generated + delivered + held) and every other step is a
-/// bounded-cost hash/compare per entry. The regression test pins the
-/// call count.
+/// Cost is one visit per entry plus one sort per list: `decode` is
+/// called exactly once per ledger entry (generated + delivered + held),
+/// each list becomes integer keys sorted once, and one merge walk over
+/// the generated stamps yields the verdict; a last sort groups the
+/// deliveries per (node, client) for the FIFO check. The regression
+/// test pins the call count. At most `u32::MAX` stamped deliveries.
 pub fn reconcile_clients<F>(ledgers: &[NodeLedger], mut decode: F) -> ClientVerdict
 where
     F: FnMut(GhostId) -> Option<ClientStamp>,
 {
+    // A stamp as a 96-bit integer ordered as `(client, seq)`.
+    let stamp_key = |s: ClientStamp| (s.client as u128) << 32 | s.seq as u128;
     let mut verdict = ClientVerdict::default();
-    // Phase 1: generations. Count per stamp so duplicate stamps (two
+    // Phase 1: generations. Counted per stamp so duplicate stamps (two
     // logical messages sharing one identity) are caught even if the
     // protocol collapses them into one delivery.
-    let mut gen_count: HashMap<(u64, u32), u64> = HashMap::new();
-    let mut clients: std::collections::HashSet<u64> = std::collections::HashSet::new();
+    let mut gen: Vec<u128> = Vec::new();
     for l in ledgers {
-        for &(ghost, _dest) in &l.generated {
-            if let Some(s) = decode(ghost) {
-                verdict.stamped += 1;
-                *gen_count.entry((s.client, s.seq)).or_insert(0) += 1;
-                clients.insert(s.client);
-            }
-        }
+        gen.extend(
+            l.generated
+                .iter()
+                .filter_map(|&(g, _)| decode(g).map(stamp_key)),
+        );
     }
-    verdict.clients = clients.len() as u64;
-    // Phase 2: deliveries, in each node's delivery order. FIFO is
-    // checked per (delivering node, client): sequences must be strictly
-    // increasing. Stamps nobody generated are skipped — the plain SP
-    // join already counts those deliveries as invalid.
-    let mut del_count: HashMap<(u64, u32), u64> = HashMap::new();
-    let mut last_seq: HashMap<(NodeId, u64), u32> = HashMap::new();
-    let mut order_violations: Vec<ClientViolation> = Vec::new();
+    verdict.stamped = gen.len() as u64;
+    // Phase 2: deliveries, each keyed by stamp over its position in
+    // delivery order; `at[pos]` is its delivering node's rank among the
+    // distinct node ids, and its sequence number.
+    let mut nodes: Vec<NodeId> = ledgers.iter().map(|l| l.node).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let mut at: Vec<(u32, u32)> = Vec::new();
+    let mut del: Vec<u128> = Vec::new();
     for l in ledgers {
-        for &ghost in &l.delivered {
-            let Some(s) = decode(ghost) else { continue };
-            if !gen_count.contains_key(&(s.client, s.seq)) {
-                continue;
-            }
-            *del_count.entry((s.client, s.seq)).or_insert(0) += 1;
-            match last_seq.entry((l.node, s.client)) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(s.seq);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let prev = *e.get();
-                    if s.seq <= prev {
-                        order_violations.push(ClientViolation::OutOfOrder {
-                            node: l.node,
-                            client: s.client,
-                            prev_seq: prev,
-                            seq: s.seq,
-                        });
-                    } else {
-                        e.insert(s.seq);
-                    }
-                }
+        let rank = nodes.binary_search(&l.node).expect("every node listed") as u32;
+        for &g in &l.delivered {
+            if let Some(s) = decode(g) {
+                let p = u32::try_from(at.len()).expect("fewer than 2^32 stamped deliveries");
+                del.push(stamp_key(s) << 32 | p as u128);
+                at.push((rank, s.seq));
             }
         }
     }
     // Phase 3: held stamps (legal in-flight at a non-quiescent stop).
-    let mut held: std::collections::HashSet<(u64, u32)> = std::collections::HashSet::new();
+    let mut held: Vec<u128> = Vec::new();
     for l in ledgers {
-        for &ghost in &l.held {
-            if let Some(s) = decode(ghost) {
-                held.insert((s.client, s.seq));
-            }
-        }
+        held.extend(l.held.iter().filter_map(|&g| decode(g).map(stamp_key)));
     }
-    // Phase 4: one verdict per distinct stamp, deterministic order.
-    let mut stamps: Vec<(&(u64, u32), &u64)> = gen_count.iter().collect();
-    stamps.sort();
-    for (&(client, seq), &gcount) in stamps {
-        if gcount > 1 {
+    gen.sort_unstable();
+    del.sort_unstable();
+    held.sort_unstable();
+    verdict.clients = gen.chunk_by(|a, b| a >> 32 == b >> 32).count() as u64;
+
+    // Phase 4: one verdict per distinct stamp. Stamps nobody generated
+    // are skipped — the plain SP join already counts those deliveries as
+    // invalid — and the others' deliveries go on to the FIFO check,
+    // keyed (node rank, client, position).
+    let mut fifo: Vec<u128> = Vec::with_capacity(del.len());
+    let (mut d, mut h) = (0, 0);
+    for run in gen.chunk_by(|a, b| a == b) {
+        let (client, seq) = ((run[0] >> 32) as u64, run[0] as u32);
+        if run.len() > 1 {
             verdict.violations.push(ClientViolation::DuplicateStamp {
                 client,
                 seq,
-                count: gcount,
+                count: run.len() as u64,
             });
         }
-        match del_count.get(&(client, seq)).copied().unwrap_or(0) {
+        let (_, got) = take_run(&del, &mut d, run[0], 32);
+        for &k in got {
+            let p = pos(k, 32);
+            fifo.push((at[p].0 as u128) << 96 | (client as u128) << 32 | p as u128);
+        }
+        match got.len() {
             0 => {
-                if held.contains(&(client, seq)) {
-                    verdict.in_flight += 1;
-                } else {
+                if take_run(&held, &mut h, run[0], 0).1.is_empty() {
                     verdict
                         .violations
                         .push(ClientViolation::Lost { client, seq });
+                } else {
+                    verdict.in_flight += 1;
                 }
             }
             1 => verdict.exactly_once += 1,
             k => verdict.violations.push(ClientViolation::Duplicate {
                 client,
                 seq,
-                count: k,
+                count: k as u64,
             }),
         }
     }
-    verdict.violations.extend(order_violations);
+    // FIFO per (delivering node, client): in delivery order, each
+    // sequence must exceed the highest delivered there before it.
+    fifo.sort_unstable();
+    let mut late: Vec<(usize, ClientViolation)> = Vec::new();
+    for run in fifo.chunk_by(|a, b| a >> 32 == b >> 32) {
+        let mut highest = None;
+        for &k in run {
+            let p = pos(k, 32);
+            let (rank, seq) = at[p];
+            match highest {
+                Some(prev_seq) if seq <= prev_seq => late.push((
+                    p,
+                    ClientViolation::OutOfOrder {
+                        node: nodes[rank as usize],
+                        client: (k >> 32) as u64,
+                        prev_seq,
+                        seq,
+                    },
+                )),
+                _ => highest = Some(seq),
+            }
+        }
+    }
+    late.sort_unstable_by_key(|&(p, _)| p);
+    verdict.violations.extend(late.into_iter().map(|(_, v)| v));
     verdict
+}
+
+/// The hash-map joins the sort-merge ones replaced, kept as the oracles
+/// the property test holds them to.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use std::collections::HashSet;
+
+    pub(super) fn reconcile_ledgers_counted(
+        ledgers: &[NodeLedger],
+    ) -> (ClusterVerdict, ReconcileWork) {
+        let mut work = ReconcileWork::default();
+        let mut verdict = ClusterVerdict::default();
+        let mut expected: HashMap<GhostId, NodeId> = HashMap::new();
+        for l in ledgers {
+            for &(ghost, dest) in &l.generated {
+                work.generated_scanned += 1;
+                expected.insert(ghost, dest);
+            }
+        }
+        let mut deliveries: HashMap<GhostId, Vec<NodeId>> = HashMap::new();
+        for l in ledgers {
+            for &ghost in &l.delivered {
+                work.delivered_scanned += 1;
+                if ghost.is_valid() && expected.contains_key(&ghost) {
+                    deliveries.entry(ghost).or_default().push(l.node);
+                } else {
+                    verdict.invalid_delivered += 1;
+                }
+            }
+        }
+        let mut held: HashSet<GhostId> = HashSet::new();
+        for l in ledgers {
+            work.held_scanned += l.held.len() as u64;
+            held.extend(l.held.iter().copied());
+        }
+        verdict.generated = expected.len() as u64;
+        let mut ghosts: Vec<(&GhostId, &NodeId)> = expected.iter().collect();
+        ghosts.sort(); // deterministic violation order across runs
+        for (&ghost, &dest) in ghosts {
+            work.ghosts_resolved += 1;
+            let at = deliveries.get(&ghost).map_or(&[][..], Vec::as_slice);
+            match at.len() {
+                0 => {
+                    if held.contains(&ghost) {
+                        verdict.in_flight += 1;
+                    } else {
+                        verdict.violations.push(SpViolation::Lost { ghost });
+                    }
+                }
+                1 if at[0] == dest => verdict.exactly_once += 1,
+                k => {
+                    if k > 1 {
+                        verdict.violations.push(SpViolation::DuplicateDelivery {
+                            ghost,
+                            count: k as u64,
+                        });
+                    }
+                    for &node in at {
+                        if node != dest {
+                            verdict.violations.push(SpViolation::Misdelivered {
+                                ghost,
+                                expected: dest,
+                                actual: node,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        (verdict, work)
+    }
+
+    pub(super) fn reconcile_clients<F>(ledgers: &[NodeLedger], mut decode: F) -> ClientVerdict
+    where
+        F: FnMut(GhostId) -> Option<ClientStamp>,
+    {
+        let mut verdict = ClientVerdict::default();
+        // Phase 1: generations. Count per stamp so duplicate stamps (two
+        // logical messages sharing one identity) are caught even if the
+        // protocol collapses them into one delivery.
+        let mut gen_count: HashMap<(u64, u32), u64> = HashMap::new();
+        let mut clients: HashSet<u64> = HashSet::new();
+        for l in ledgers {
+            for &(ghost, _dest) in &l.generated {
+                if let Some(s) = decode(ghost) {
+                    verdict.stamped += 1;
+                    *gen_count.entry((s.client, s.seq)).or_insert(0) += 1;
+                    clients.insert(s.client);
+                }
+            }
+        }
+        verdict.clients = clients.len() as u64;
+        // Phase 2: deliveries, in each node's delivery order. FIFO is
+        // checked per (delivering node, client): sequences must be strictly
+        // increasing. Stamps nobody generated are skipped — the plain SP
+        // join already counts those deliveries as invalid.
+        let mut del_count: HashMap<(u64, u32), u64> = HashMap::new();
+        let mut last_seq: HashMap<(NodeId, u64), u32> = HashMap::new();
+        let mut order_violations: Vec<ClientViolation> = Vec::new();
+        for l in ledgers {
+            for &ghost in &l.delivered {
+                let Some(s) = decode(ghost) else { continue };
+                if !gen_count.contains_key(&(s.client, s.seq)) {
+                    continue;
+                }
+                *del_count.entry((s.client, s.seq)).or_insert(0) += 1;
+                match last_seq.entry((l.node, s.client)) {
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        e.insert(s.seq);
+                    }
+                    std::collections::hash_map::Entry::Occupied(mut e) => {
+                        let prev = *e.get();
+                        if s.seq <= prev {
+                            order_violations.push(ClientViolation::OutOfOrder {
+                                node: l.node,
+                                client: s.client,
+                                prev_seq: prev,
+                                seq: s.seq,
+                            });
+                        } else {
+                            e.insert(s.seq);
+                        }
+                    }
+                }
+            }
+        }
+        // Phase 3: held stamps (legal in-flight at a non-quiescent stop).
+        let mut held: HashSet<(u64, u32)> = HashSet::new();
+        for l in ledgers {
+            for &ghost in &l.held {
+                if let Some(s) = decode(ghost) {
+                    held.insert((s.client, s.seq));
+                }
+            }
+        }
+        // Phase 4: one verdict per distinct stamp, deterministic order.
+        let mut stamps: Vec<(&(u64, u32), &u64)> = gen_count.iter().collect();
+        stamps.sort();
+        for (&(client, seq), &gcount) in stamps {
+            if gcount > 1 {
+                verdict.violations.push(ClientViolation::DuplicateStamp {
+                    client,
+                    seq,
+                    count: gcount,
+                });
+            }
+            match del_count.get(&(client, seq)).copied().unwrap_or(0) {
+                0 => {
+                    if held.contains(&(client, seq)) {
+                        verdict.in_flight += 1;
+                    } else {
+                        verdict
+                            .violations
+                            .push(ClientViolation::Lost { client, seq });
+                    }
+                }
+                1 => verdict.exactly_once += 1,
+                k => verdict.violations.push(ClientViolation::Duplicate {
+                    client,
+                    seq,
+                    count: k,
+                }),
+            }
+        }
+        verdict.violations.extend(order_violations);
+        verdict
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rec(step: u64, node: NodeId, event: Event) -> EventRecord<Event> {
         EventRecord {
@@ -1048,6 +1304,67 @@ mod tests {
         GhostId::Valid(client << 8 | seq as u64)
     }
 
+    /// Ghosts from a small universe, so that lists collide: stamps of
+    /// clients 0–2 with sequences 0–3 (and the one at the top of the
+    /// range), plus a few invalid ghosts, which carry no stamp.
+    fn arb_ghost() -> impl Strategy<Value = GhostId> {
+        prop_oneof![
+            ((0u64..3), (0u32..4)).prop_map(|(c, s)| stamp_ghost(c, s)),
+            ((0u64..3), (0u32..4)).prop_map(|(c, s)| stamp_ghost(c, s)),
+            (0u64..3).prop_map(GhostId::Invalid),
+            Just(GhostId::Valid(u64::MAX)),
+        ]
+    }
+
+    /// Adversarial ledgers: node ids repeat across ledgers, a ghost may be
+    /// generated by several nodes with different destinations, delivered
+    /// at several nodes or twice at one, at the wrong node, out of order,
+    /// held only or held and delivered, and stamps may be delivered that
+    /// nobody generated.
+    fn arb_ledgers() -> impl Strategy<Value = Vec<NodeLedger>> {
+        let ledger = (
+            0usize..4,
+            proptest::collection::vec((arb_ghost(), 0usize..4), 0..6),
+            proptest::collection::vec(arb_ghost(), 0..8),
+            proptest::collection::vec(arb_ghost(), 0..3),
+        )
+            .prop_map(|(node, generated, delivered, held)| NodeLedger {
+                node,
+                generated,
+                delivered,
+                held,
+            });
+        proptest::collection::vec(ledger, 0..6)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+        /// The sort-merge joins agree with the hash-map oracles on the
+        /// verdict, the violation order and the work meter, and decode
+        /// each entry once as they do.
+        #[test]
+        fn sort_merge_joins_match_the_oracles(ledgers in arb_ledgers()) {
+            prop_assert_eq!(
+                reconcile_ledgers_counted(&ledgers),
+                oracle::reconcile_ledgers_counted(&ledgers),
+                "{:?}",
+                ledgers
+            );
+            let (mut calls, mut oracle_calls) = (0u64, 0u64);
+            let v = reconcile_clients(&ledgers, |g| {
+                calls += 1;
+                test_decode(g)
+            });
+            let o = oracle::reconcile_clients(&ledgers, |g| {
+                oracle_calls += 1;
+                test_decode(g)
+            });
+            prop_assert_eq!(v, o, "{:?}", ledgers);
+            prop_assert_eq!(calls, oracle_calls);
+        }
+    }
+
     #[test]
     fn reconcile_clients_clean_fifo_run() {
         // Two clients, two messages each, delivered in order at node 2.
@@ -1141,7 +1458,7 @@ mod tests {
 
     #[test]
     fn reconcile_clients_decodes_each_merged_entry_exactly_once() {
-        // The O(merged) pin: the stamp decoder runs once per ledger
+        // The one-visit-per-entry pin: the stamp decoder runs once per ledger
         // entry — generated + delivered + held — and never again.
         let ledgers = vec![
             NodeLedger {
