@@ -352,10 +352,12 @@ fn main() -> ExitCode {
         );
         let ph = &report.phases;
         eprintln!(
-            "phases: ready={:.1}ms report={:.1}ms audit={:.1}ms",
+            "phases: ready={:.1}ms report={:.1}ms audit={:.1}ms | ledger: streamed={} tail={}",
             ph.ready_s * 1e3,
             ph.report_s * 1e3,
             ph.audit_s * 1e3,
+            report.ledger.streamed,
+            report.ledger.tail,
         );
         if !report.converged {
             let d = &report.detect;

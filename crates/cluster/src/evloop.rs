@@ -612,18 +612,16 @@ pub struct IoStats {
 /// out-buffer cap check leaves before appending.
 const FRAME_MAX: usize = 4 + MAX_FRAME_LEN as usize;
 
-/// Splits the control lines that freshly read `bytes` complete (trimmed;
-/// empty lines dropped) — both ends of every control pipe read through
-/// this. `acc` holds the unfinished line between calls, so each byte is
-/// scanned once, and a line that arrives whole is copied once, straight
-/// into its `String`.
-pub(crate) fn take_lines(acc: &mut Vec<u8>, bytes: &[u8]) -> Vec<String> {
-    let mut out = Vec::new();
+/// Hands `each` the control lines that freshly read `bytes` complete, as
+/// bytes (trailing ASCII whitespace trimmed; empty lines dropped) — both
+/// ends of every control pipe read through this. `acc` holds the
+/// unfinished line between calls, so each byte is scanned once, and a line
+/// that arrives whole is read where it lies, in `bytes`.
+pub(crate) fn take_lines(acc: &mut Vec<u8>, bytes: &[u8], mut each: impl FnMut(&[u8])) {
     let mut push = |line: &[u8]| {
-        let text = String::from_utf8_lossy(line);
-        let text = text.trim_end();
-        if !text.is_empty() {
-            out.push(text.to_string());
+        let line = line.trim_ascii_end();
+        if !line.is_empty() {
+            each(line);
         }
     };
     let mut rest = bytes;
@@ -638,7 +636,6 @@ pub(crate) fn take_lines(acc: &mut Vec<u8>, bytes: &[u8]) -> Vec<String> {
         rest = &rest[nl + 1..];
     }
     acc.extend_from_slice(rest);
-    out
 }
 
 /// The node's control pipe to its supervising shard.
@@ -755,9 +752,9 @@ impl Control {
         let mut buf = [0u8; 4096];
         match self.io.read_once(&mut buf) {
             Ok(0) => self.eof = true,
-            Ok(k) => {
-                self.lines.extend(take_lines(&mut self.acc, &buf[..k]));
-            }
+            Ok(k) => take_lines(&mut self.acc, &buf[..k], |line| {
+                self.lines.push(String::from_utf8_lossy(line).into_owned())
+            }),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => self.eof = true,
@@ -768,16 +765,12 @@ impl Control {
         Ok(())
     }
 
-    /// Blocking line write to the supervisor — the declared untimed
-    /// `SockWrite(shard.super)` edge (the shard drains unconditionally).
-    pub fn write_line(&mut self, text: &str) -> io::Result<()> {
-        self.io.write_all(text.as_bytes())?;
+    /// Blocking write of whole lines to the supervisor — the declared
+    /// untimed `SockWrite(shard.super)` edge (the shard drains
+    /// unconditionally).
+    pub fn write_line(&mut self, lines: &[u8]) -> io::Result<()> {
+        self.io.write_all(lines)?;
         self.io.flush()
-    }
-
-    /// The pipe as a writer, for the multi-line report codec.
-    pub fn writer(&mut self) -> &mut impl Write {
-        &mut self.io
     }
 }
 
@@ -1405,14 +1398,18 @@ mod tests {
         let mut acc = Vec::new();
         let mut lines = Vec::new();
         for chunk in stream.as_bytes().chunks(4096) {
-            lines.extend(take_lines(&mut acc, chunk));
+            take_lines(&mut acc, chunk, |l| {
+                lines.push(String::from_utf8_lossy(l).into_owned())
+            });
         }
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], "first");
         assert!(lines[1] == long, "the long line came out changed");
         assert_eq!(lines[2], "last");
         assert_eq!(acc, b"part", "the unfinished line waits for its newline");
-        assert_eq!(take_lines(&mut acc, b"ial \n"), ["partial"]);
+        let mut last = Vec::new();
+        take_lines(&mut acc, b"ial \n", |l| last.push(l.to_vec()));
+        assert_eq!(last, [b"partial"]);
         assert!(acc.is_empty());
     }
 

@@ -31,9 +31,13 @@
 //!   nodes with frames, a ready control pipe or a passed deadline —
 //!   forwarder, workload and control state machine — and [`node_main`] (a
 //!   node process) is that loop with a group of one.
+//! * [`codec`] — the lines a node writes up its control pipe: its group's
+//!   `status`, the ledger deltas that ride behind every status line, and
+//!   the `report … end` block at `stop` — written and read as bytes, by
+//!   one line folder.
 //! * [`orchestrator`] — the sharded control tree: K `shard.super`
 //!   threads each supervise a node group (one data thread or a process
-//!   per node),
+//!   per node), folding each node's ledger as it streams in and
 //!   pre-merging status and telemetry so the root works O(shards) per
 //!   tick, then one global ledger reconciliation renders the SP verdict
 //!   and the JSON run report.
@@ -46,6 +50,7 @@
 
 pub mod chaos;
 pub mod clients;
+pub mod codec;
 pub mod conc;
 pub mod evloop;
 pub mod frame;
@@ -62,7 +67,8 @@ pub use evloop::CtrlPipe;
 pub use node::{node_main, ListenSpec, NodeConfig, NodeReport, Status};
 pub use orchestrator::{
     node_args, parse_chaos, parse_node_args, parse_workload, pick_partition, run_cluster,
-    shard_ranges, ClusterSpec, Detection, Phases, RunMode, RunReport, ShardReport, ShardSummary,
+    shard_ranges, ClusterSpec, Detection, LedgerFlow, Phases, RunMode, RunReport, ShardReport,
+    ShardSummary,
 };
 pub use telemetry::{LogHistogram, NodeCounters};
 pub use transport::PolledTransport;

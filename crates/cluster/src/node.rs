@@ -88,13 +88,21 @@
 //!   one line for the whole group, a cut of all its members at one
 //!   instant, written the turn the cut goes quiet or changes while quiet,
 //!   once per probe wave, and otherwise once per `status_every`
+//! * node → shard, after every status line of its group: its ledger
+//!   entries since the last one, as a `gen …` and a `del …` line
+//!   ([`crate::codec::push_delta`]) — nothing if it has none — after which
+//!   the node lets them go: the ledger leaves while the run runs
 //! * shard → node: `probe <wave>` — the root's second wave; the group
 //!   answers it once, with a cut taken after a member read it
 //! * shard → node: `stop`
-//! * node → shard: a multi-line `report … end` block, then exit.
+//! * node → shard: a multi-line `report … end` block whose `gen` and `del`
+//!   carry only the entries no status line did, then exit.
+//!
+//! Every line a node writes is [`crate::codec`]'s.
 
 use crate::chaos::{ChaosSpec, InboundChaos};
 use crate::clients::{ClientMux, ClientSpec};
+use crate::codec::{push_delta, report_block};
 use crate::conc::COMPONENT;
 use crate::evloop::{Control, CtrlPipe, Hub, IoStats, Poller, HUB};
 use crate::frame::{frame_to_msg, msg_to_frame, msg_to_frame_client};
@@ -107,10 +115,12 @@ use ssmfp_core::conc::register_thread;
 use ssmfp_core::wire::WireFrame;
 use ssmfp_mp::{ack_ghost_of, decode_client_ghost, MpForwarder, MpGhost, MpNode, Outbox, WireMsg};
 use ssmfp_topology::{BfsTree, Graph, NodeId};
-use std::io::{self, Write};
+use std::io;
 use std::os::unix::io::RawFd;
 use std::path::PathBuf;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+
+pub use crate::codec::{parse_report_body, write_report, NodeReport, Status};
 
 /// Where a node listens for inbound connections.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,110 +156,6 @@ pub struct NodeConfig {
     /// workload generator, stamping every send with its `(client, seq)`
     /// identity for the per-client audit.
     pub clients: Option<ClientSpec>,
-}
-
-/// One node's final report, as parsed by the orchestrator.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct NodeReport {
-    /// Reporting node.
-    pub node: NodeId,
-    /// Ghosts this node generated, with their destinations.
-    pub generated: Vec<(MpGhost, NodeId)>,
-    /// Ghosts delivered here.
-    pub delivered: Vec<MpGhost>,
-    /// Ghosts still held at shutdown.
-    pub held: Vec<MpGhost>,
-    /// One-way latency of primaries delivered here (µs).
-    pub latency: LogHistogram,
-    /// Frames per coalesced `write()`.
-    pub batch: LogHistogram,
-    /// Transport/chaos counters.
-    pub counters: NodeCounters,
-    /// Client mode: every ack round trip, log-bucketed (empty otherwise).
-    pub client_rtt: LogHistogram,
-    /// Client mode: fairness spread — one sample per hosted session, its
-    /// mean RTT (empty otherwise).
-    pub client_fair: LogHistogram,
-    /// Client mode: sessions hosted here.
-    pub clients: u64,
-    /// Client mode: acked primaries across hosted sessions.
-    pub clients_completed: u64,
-}
-
-/// What a `status` line says: sums over a set of nodes — one group's
-/// members at one instant, or the lines of several groups added up by a
-/// shard and again by the root. Every count is monotone per node while a
-/// run drains, which is what the root's stop rule rests on
-/// ([`crate::orchestrator`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Status {
-    /// The last probe wave every summed group had answered when it took
-    /// its cut (0: none).
-    pub wave: u64,
-    /// Nodes counted.
-    pub nodes: u64,
-    /// Nodes done issuing their workload.
-    pub done: u64,
-    /// Messages generated.
-    pub generated: u64,
-    /// Messages delivered.
-    pub delivered: u64,
-    /// Messages still held.
-    pub held: u64,
-    /// Groups with a frame still in an inbox or a stream buffer.
-    pub busy: u64,
-}
-
-impl Status {
-    /// All of `nodes` nodes counted, all done issuing, nothing held and
-    /// nothing buffered.
-    pub fn quiet(&self, nodes: u64) -> bool {
-        self.nodes == nodes && self.done == nodes && self.held == 0 && self.busy == 0
-    }
-
-    /// The sum of `parts`; its wave is the lowest of theirs.
-    pub fn sum<'a>(parts: impl IntoIterator<Item = &'a Status>) -> Status {
-        let mut s = Status {
-            wave: u64::MAX,
-            ..Status::default()
-        };
-        for p in parts {
-            s.wave = s.wave.min(p.wave);
-            s.nodes += p.nodes;
-            s.done += p.done;
-            s.generated += p.generated;
-            s.delivered += p.delivered;
-            s.held += p.held;
-            s.busy += p.busy;
-        }
-        if s.wave == u64::MAX {
-            s.wave = 0;
-        }
-        s
-    }
-
-    /// The control line, newline included.
-    fn line(&self) -> String {
-        format!(
-            "status {} {} {} {} {} {} {}\n",
-            self.wave, self.nodes, self.done, self.generated, self.delivered, self.held, self.busy
-        )
-    }
-
-    /// Parses what follows `status ` on a line written by [`Status::line`].
-    pub fn parse(rest: &str) -> Option<Status> {
-        let mut it = rest.split_whitespace().map(str::parse::<u64>);
-        let mut next = || it.next()?.ok();
-        Some(Status {
-            wave: next()?,
-            nodes: next()?,
-            done: next()?,
-            generated: next()?,
-            delivered: next()?,
-            held: next()?,
-            busy: next()?,
-        })
-    }
 }
 
 /// Wall clock in µs, truncated to the payload stamp width. Latency is the
@@ -449,6 +355,9 @@ struct Node {
     /// Whether a retransmission timer ran when `prepare` looked.
     ticking: bool,
     last_tick: Instant,
+    /// Ledger entries generated and delivered that [`Node::ship`] wrote
+    /// and let go.
+    shipped: [u64; 2],
 }
 
 impl Node {
@@ -473,7 +382,7 @@ impl Node {
             .collect();
         let mut ctrl = Control::new(ctrl, index, poller)?;
         hub.join(index, p, neighbors.clone());
-        ctrl.write_line(&format!("ready {}\n", hub.addr()))?;
+        ctrl.write_line(format!("ready {}\n", hub.addr()).as_bytes())?;
         Ok(Node {
             index,
             encode: if eng.mux.is_some() {
@@ -492,7 +401,35 @@ impl Node {
             probe: 0,
             ticking: false,
             last_tick: now,
+            shipped: [0; 2],
         })
+    }
+
+    /// Messages generated and delivered here so far, shipped or not.
+    fn totals(&self) -> [u64; 2] {
+        let fwd = &self.eng.fwd;
+        [
+            self.shipped[0] + fwd.generated.len() as u64,
+            self.shipped[1] + fwd.delivered.len() as u64,
+        ]
+    }
+
+    /// After a status line of its group: writes the ledger entries recorded
+    /// since the last call as one `gen` and one `del` line (`buf` is
+    /// scratch), then lets them go, keeping the lists' capacity. A node
+    /// with nothing new writes nothing.
+    fn ship(&mut self, buf: &mut Vec<u8>) -> io::Result<()> {
+        let fwd = &mut self.eng.fwd;
+        if fwd.generated.is_empty() && fwd.delivered.is_empty() {
+            return Ok(());
+        }
+        buf.clear();
+        push_delta(buf, &fwd.generated, &fwd.delivered);
+        self.shipped[0] += fwd.generated.len() as u64;
+        self.shipped[1] += fwd.delivered.len() as u64;
+        fwd.generated.clear();
+        fwd.delivered.clear();
+        self.ctrl.write_line(buf)
     }
 
     /// Before the wait, after a turn in which the node moved: the node's
@@ -605,11 +542,11 @@ impl Node {
         Ok(self.stopping)
     }
 
-    /// Shutdown: aggregate counters, emit the report. `io` is the group's
-    /// socket accounting for the one member that retires last and zeros
-    /// for the others — every cluster-wide sum over the reports stays a
-    /// sum.
-    fn finish(mut self, io: IoStats) -> io::Result<NodeReport> {
+    /// Shutdown: aggregate counters, emit the report, its `gen` and `del`
+    /// only what no status line shipped. `io` is the group's socket
+    /// accounting for the one member that retires last and zeros for the
+    /// others — every cluster-wide sum over the reports stays a sum.
+    fn finish(mut self, io: IoStats) -> io::Result<()> {
         let mut counters = self.counters;
         for c in &self.chaos {
             let (d, u, r) = c.fault_counts();
@@ -639,10 +576,7 @@ impl Node {
             clients: mux.map_or(0, ClientMux::hosted),
             clients_completed: mux.map_or(0, ClientMux::completed),
         };
-        let w = self.ctrl.writer();
-        w.write_all(&report_block(&report))?;
-        w.flush()?;
-        Ok(report)
+        self.ctrl.write_line(&report_block(&report))
     }
 }
 
@@ -682,7 +616,7 @@ struct Group {
     /// By group index, the owner half of a control pipe's token: a member
     /// that finished leaves a hole, not a shift.
     slots: Vec<Option<Slot>>,
-    results: Vec<Option<io::Result<NodeReport>>>,
+    results: Vec<Option<io::Result<()>>>,
     /// This turn's `(fd, events)` of the hub's fds (recycled).
     hub_events: Vec<(RawFd, i16)>,
     /// A member stepped since the group last looked at its cut.
@@ -691,6 +625,8 @@ struct Group {
     pushed: Option<Status>,
     /// When the next keep-alive line is due.
     keepalive: Instant,
+    /// The bytes of the next control line or ledger delta (recycled).
+    line: Vec<u8>,
 }
 
 /// `io::Error` is not `Clone`; every member of a group that one failure
@@ -743,6 +679,7 @@ impl Group {
             moved: false,
             pushed: None,
             keepalive: now,
+            line: Vec::new(),
         })
     }
 
@@ -784,10 +721,13 @@ impl Group {
     /// live member's pipe: when the cut is quiet and differs from the last
     /// line (the quiet edge, or a change while quiet), when a member has
     /// read a probe the group has not answered, and otherwise once per
-    /// `status_every`. A cut with a member still issuing cannot be quiet,
-    /// so a turn takes none — and scans no `held_count` — unless a probe
-    /// or the keep-alive asks for one. Returns the keep-alive deadline
-    /// while the group runs.
+    /// `status_every`. Behind the line — never ahead of it, so a probe's
+    /// answer waits for nobody's ledger — every member ships the entries
+    /// the cut counted and it had not shipped ([`Node::ship`]): after a
+    /// status line the thread holds no ledger entry older than the line. A
+    /// cut with a member still issuing cannot be quiet, so a turn takes
+    /// none — and scans no `held_count` — unless a probe or the keep-alive
+    /// asks for one. Returns the keep-alive deadline while the group runs.
     fn status(&mut self, now: Instant) -> Option<Instant> {
         let (mut nodes, mut done, mut probe, mut first) = (0, 0, 0, None);
         for (i, slot) in self.slots.iter().enumerate() {
@@ -816,20 +756,31 @@ impl Group {
             busy: self.hub.holds_frames() as u64,
             ..Status::default()
         };
-        for fwd in self.slots.iter().flatten().map(|s| &s.node.eng.fwd) {
-            cut.generated += fwd.generated.len() as u64;
-            cut.delivered += fwd.delivered.len() as u64;
-            cut.held += fwd.held_count() as u64;
+        for node in self.slots.iter().flatten().map(|s| &s.node) {
+            let [generated, delivered] = node.totals();
+            cut.generated += generated;
+            cut.delivered += delivered;
+            cut.held += node.eng.fwd.held_count() as u64;
         }
-        if answer || due || cut.quiet(nodes) && self.pushed != Some(cut) {
-            let node = &mut self.slots[first].as_mut().expect("a live member").node;
-            if let Err(e) = node.ctrl.write_line(&cut.line()) {
-                // The next member's pipe carries the line, next turn.
-                self.retire(first, Err(e));
-                return Some(now);
+        if !(answer || due || cut.quiet(nodes) && self.pushed != Some(cut)) {
+            return Some(self.keepalive);
+        }
+        self.line.clear();
+        cut.push_line(&mut self.line);
+        let node = &mut self.slots[first].as_mut().expect("a live member").node;
+        if let Err(e) = node.ctrl.write_line(&self.line) {
+            // The next member's pipe carries the line, next turn.
+            self.retire(first, Err(e));
+            return Some(now);
+        }
+        self.pushed = Some(cut);
+        self.keepalive = now + TUNING.status_every();
+        for i in 0..self.slots.len() {
+            if let Some(slot) = &mut self.slots[i] {
+                if let Err(e) = slot.node.ship(&mut self.line) {
+                    self.retire(i, Err(e));
+                }
             }
-            self.pushed = Some(cut);
-            self.keepalive = now + TUNING.status_every();
         }
         Some(self.keepalive)
     }
@@ -928,9 +879,9 @@ impl Group {
 
 /// Runs a group of nodes to completion on the calling thread, each over
 /// its own control pipe: [`Group::turn`] until every node has stopped or
-/// failed. Returns every node's outcome (the report it also wrote to its
-/// supervisor), in argument order.
-pub(crate) fn run_nodes(nodes: Vec<(NodeConfig, CtrlPipe)>) -> Vec<io::Result<NodeReport>> {
+/// failed. Returns every node's outcome, in argument order; what a node
+/// reports went up its pipe.
+pub(crate) fn run_nodes(nodes: Vec<(NodeConfig, CtrlPipe)>) -> Vec<io::Result<()>> {
     // In proc mode this is the process main thread; in inproc mode the
     // shard's spawn already registered it (re-registration is
     // idempotent). Either way the declared role holds from here on.
@@ -951,266 +902,19 @@ pub(crate) fn run_nodes(nodes: Vec<(NodeConfig, CtrlPipe)>) -> Vec<io::Result<No
 }
 
 /// Runs one node to completion over the given control pipe — a
-/// [`run_nodes`] group of one. Returns the report it also wrote to the
-/// supervisor.
-pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<NodeReport> {
+/// [`run_nodes`] group of one.
+pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<()> {
     run_nodes(vec![(cfg.clone(), ctrl)])
         .pop()
         .expect("one node in, one outcome out")
 }
 
-/// `"00" "01" … "99"`: two decimal digits per division.
-const DIGIT_PAIRS: &[u8; 200] = b"\
-    0001020304050607080910111213141516171819\
-    2021222324252627282930313233343536373839\
-    4041424344454647484950515253545556575859\
-    6061626364656667686970717273747576777879\
-    8081828384858687888990919293949596979899";
-
-/// Appends `v` in decimal.
-fn push_u64(out: &mut Vec<u8>, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    while v >= 100 {
-        let pair = (v % 100) as usize * 2;
-        v /= 100;
-        i -= 2;
-        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    }
-    if v >= 10 {
-        i -= 2;
-        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[v as usize * 2..v as usize * 2 + 2]);
-    } else {
-        i -= 1;
-        digits[i] = b'0' + v as u8;
-    }
-    out.extend_from_slice(&digits[i..]);
-}
-
-fn push_ghost(out: &mut Vec<u8>, g: MpGhost) {
-    let (tag, k) = match g {
-        MpGhost::Valid(k) => (b'v', k),
-        MpGhost::Invalid(k) => (b'i', k),
-    };
-    out.extend_from_slice(&[b' ', tag]);
-    push_u64(out, k);
-}
-
-/// Appends `tag`, then each value after a space.
-fn push_fields(out: &mut Vec<u8>, tag: &str, values: &[u64]) {
-    out.extend_from_slice(tag.as_bytes());
-    for &v in values {
-        out.push(b' ');
-        push_u64(out, v);
-    }
-}
-
-fn push_histogram(out: &mut Vec<u8>, tag: &str, h: &LogHistogram) {
-    push_fields(out, tag, &[h.count(), h.max(), h.sum()]);
-    for (i, c) in h.nonzero_buckets() {
-        out.push(b' ');
-        push_u64(out, i as u64);
-        out.push(b':');
-        push_u64(out, c);
-    }
-    out.push(b'\n');
-}
-
-/// The line-based `report … end` block [`write_report`] writes, built in
-/// one buffer.
-fn report_block(r: &NodeReport) -> Vec<u8> {
-    // A cluster ghost is ~13 digits: room for that and a destination.
-    let entries = r.generated.len() + r.delivered.len() + r.held.len();
-    let mut out = Vec::with_capacity(256 + 20 * entries);
-    out.extend_from_slice(b"report ");
-    push_u64(&mut out, r.node as u64);
-    out.extend_from_slice(b"\ngen");
-    for &(g, d) in &r.generated {
-        push_ghost(&mut out, g);
-        out.push(b':');
-        push_u64(&mut out, d as u64);
-    }
-    out.extend_from_slice(b"\ndel");
-    for &g in &r.delivered {
-        push_ghost(&mut out, g);
-    }
-    out.extend_from_slice(b"\nheld");
-    for &g in &r.held {
-        push_ghost(&mut out, g);
-    }
-    out.push(b'\n');
-    push_histogram(&mut out, "lat", &r.latency);
-    push_histogram(&mut out, "bat", &r.batch);
-    push_histogram(&mut out, "crtt", &r.client_rtt);
-    push_histogram(&mut out, "cfair", &r.client_fair);
-    push_fields(&mut out, "cli", &[r.clients, r.clients_completed]);
-    let c = &r.counters;
-    push_fields(
-        &mut out,
-        "\nctr",
-        &[
-            c.frames_sent,
-            c.frames_received,
-            c.heartbeats_sent,
-            c.reconnects,
-            c.chaos_dropped,
-            c.chaos_duplicated,
-            c.chaos_reordered,
-            c.partition_dropped,
-            c.write_syscalls,
-            c.read_syscalls,
-            c.conn_frames_dropped,
-        ],
-    );
-    out.extend_from_slice(b"\nend\n");
-    out
-}
-
-/// Writes the line-based `report … end` block in one `write_all`.
-pub fn write_report<W: Write>(w: &mut W, r: &NodeReport) -> io::Result<()> {
-    w.write_all(&report_block(r))
-}
-
-/// One report line after its tag, read front to back in place.
-struct Fields<'a>(&'a [u8]);
-
-impl Fields<'_> {
-    /// Consumes `b` if the line goes on with it.
-    fn eat(&mut self, b: u8) -> bool {
-        let next = self.0.first() == Some(&b);
-        if next {
-            self.0 = &self.0[1..];
-        }
-        next
-    }
-
-    /// Consumes the decimal number the line goes on with: ASCII digits
-    /// only, no sign, no overflow.
-    fn num(&mut self) -> Option<u64> {
-        let mut v = 0u64;
-        let mut digits = 0;
-        for &b in self.0 {
-            let d = b.wrapping_sub(b'0');
-            if d > 9 {
-                break;
-            }
-            v = v.wrapping_mul(10).wrapping_add(d as u64);
-            digits += 1;
-        }
-        let (num, rest) = self.0.split_at(digits);
-        self.0 = rest;
-        // Only a 20-digit number can overflow, and between two of those
-        // the byte order is the numeric one.
-        let fits = digits < 20 || (digits == 20 && num <= b"18446744073709551615");
-        (digits > 0 && fits).then_some(v)
-    }
-
-    /// Consumes `sep`, then a number.
-    fn after(&mut self, sep: u8) -> Option<u64> {
-        if self.eat(sep) {
-            self.num()
-        } else {
-            None
-        }
-    }
-
-    /// Consumes a ghost, `v<k>` or `i<k>`.
-    fn ghost(&mut self) -> Option<MpGhost> {
-        let (&tag, rest) = self.0.split_first()?;
-        self.0 = rest;
-        let k = self.num()?;
-        match tag {
-            b'v' => Some(MpGhost::Valid(k)),
-            b'i' => Some(MpGhost::Invalid(k)),
-            _ => None,
-        }
-    }
-
-    /// Consumes ` <ghost>` entries into `out`.
-    fn ghosts(&mut self, out: &mut Vec<MpGhost>) -> Option<()> {
-        while self.eat(b' ') {
-            out.push(self.ghost()?);
-        }
-        Some(())
-    }
-
-    fn histogram(&mut self) -> Option<LogHistogram> {
-        let _count = self.after(b' ')?;
-        let max = self.after(b' ')?;
-        let sum = self.after(b' ')?;
-        let mut pairs = Vec::new();
-        while self.eat(b' ') {
-            let i = usize::try_from(self.num()?).ok()?;
-            pairs.push((i, self.after(b':')?));
-        }
-        Some(LogHistogram::from_parts(&pairs, max, sum))
-    }
-}
-
-/// Parses the block written by [`write_report`]; the `report <node>` line
-/// has already been consumed by the caller (who saw it arrive). Each line
-/// is read as bytes, in place, and must be exactly as `write_report`
-/// wrote it.
-pub fn parse_report_body(
-    node: NodeId,
-    lines: &mut impl Iterator<Item = String>,
-) -> Option<NodeReport> {
-    let mut r = NodeReport {
-        node,
-        ..NodeReport::default()
-    };
-    for line in lines {
-        let line = line.as_bytes();
-        let (tag, rest) = line.split_at(line.iter().position(|&b| b == b' ').unwrap_or(line.len()));
-        let mut f = Fields(rest);
-        match tag {
-            b"gen" => {
-                while f.eat(b' ') {
-                    let g = f.ghost()?;
-                    let d = usize::try_from(f.after(b':')?).ok()?;
-                    r.generated.push((g, d));
-                }
-            }
-            b"del" => f.ghosts(&mut r.delivered)?,
-            b"held" => f.ghosts(&mut r.held)?,
-            b"lat" => r.latency = f.histogram()?,
-            b"bat" => r.batch = f.histogram()?,
-            b"crtt" => r.client_rtt = f.histogram()?,
-            b"cfair" => r.client_fair = f.histogram()?,
-            b"cli" => {
-                r.clients = f.after(b' ')?;
-                r.clients_completed = f.after(b' ')?;
-            }
-            b"ctr" => {
-                let mut next = || f.after(b' ');
-                r.counters = NodeCounters {
-                    frames_sent: next()?,
-                    frames_received: next()?,
-                    heartbeats_sent: next()?,
-                    reconnects: next()?,
-                    chaos_dropped: next()?,
-                    chaos_duplicated: next()?,
-                    chaos_reordered: next()?,
-                    partition_dropped: next()?,
-                    write_syscalls: next()?,
-                    read_syscalls: next()?,
-                    conn_frames_dropped: next()?,
-                };
-            }
-            b"end" => return Some(r),
-            _ => return None,
-        }
-        if !f.0.is_empty() {
-            return None;
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::codec::fold_line;
+    use crate::evloop::take_lines;
+    use std::io::Write;
     use std::os::unix::net::UnixStream;
 
     /// The node's iteration on `line:5` over in-memory FIFO links with
@@ -1387,11 +1091,34 @@ mod tests {
             }
         }
 
+        /// The lines node `p`'s supervisor end has read so far.
+        fn lines(&self, p: NodeId) -> Vec<Vec<u8>> {
+            let mut lines = Vec::new();
+            take_lines(&mut Vec::new(), &self.heard[p], |l| lines.push(l.to_vec()));
+            lines
+        }
+
         /// The `status` lines node `p`'s supervisor end has read so far.
         fn statuses(&self, p: NodeId) -> Vec<Status> {
-            let text = std::str::from_utf8(&self.heard[p]).unwrap();
-            let rests = text.lines().filter_map(|l| l.strip_prefix("status "));
+            let lines = self.lines(p);
+            let rests = lines.iter().filter_map(|l| l.strip_prefix(b"status "));
             rests.map(|rest| Status::parse(rest).unwrap()).collect()
+        }
+
+        /// What a shard makes of node `p`'s lines so far: its ledger
+        /// deltas and, once it stopped, its block, folded into one report.
+        fn folded(&self, p: NodeId) -> NodeReport {
+            let mut r = NodeReport {
+                node: p,
+                ..NodeReport::default()
+            };
+            for line in self.lines(p) {
+                if !(line.starts_with(b"status ") || line.starts_with(b"report ")) {
+                    let text = String::from_utf8_lossy(&line);
+                    assert!(fold_line(&mut r, &line).is_some(), "node {p}: {text}");
+                }
+            }
+            r
         }
 
         fn nodes(&self) -> impl Iterator<Item = &Node> {
@@ -1539,7 +1266,7 @@ mod tests {
         assert_eq!(lines.last(), Some(&quiet));
         assert_eq!(lines.iter().filter(|s| s.quiet(4)).count(), 1);
         for p in 1..4 {
-            assert!(rig.heard[p].is_empty(), "one line a group, not a member");
+            assert!(rig.statuses(p).is_empty(), "one line a group, not a member");
         }
 
         // Every member reads the probe; the group answers once.
@@ -1555,6 +1282,90 @@ mod tests {
             .filter(|s| s.wave == 7)
             .collect();
         assert_eq!(answers, [Status { wave: 7, ..quiet }]);
+    }
+
+    /// The cluster-wide SP verdict over reports.
+    fn reconcile(reports: Vec<NodeReport>) -> ssmfp_core::ClusterVerdict {
+        let ledgers: Vec<ssmfp_core::NodeLedger> = reports
+            .into_iter()
+            .map(|r| ssmfp_core::NodeLedger {
+                node: r.node,
+                generated: r.generated,
+                delivered: r.delivered,
+                held: r.held,
+            })
+            .collect();
+        ssmfp_core::reconcile_ledgers(&ledgers)
+    }
+
+    /// The ledger leaves behind the status line: once the group wrote its
+    /// quiet edge, no member holds a ledger entry; every member's pipe
+    /// holds `gen` / `del` lines with every entry it generated or
+    /// delivered, in order — each node's ghosts, of one kind, count up —
+    /// and as many as the line counted; and the block `stop` draws carries
+    /// empty `gen` and `del` lines.
+    #[test]
+    fn a_quiet_edge_ships_every_ledger_entry() {
+        let mut rig = Rig::new("ledger", &[4], 0, 20, [0, 1]);
+        let mut turns = 0u64;
+        let quiet = loop {
+            if let Some(s) = rig.groups[0].pushed.filter(|s| s.quiet(4)) {
+                break s;
+            }
+            assert!(turns < 100_000, "the group never went quiet");
+            rig.turn();
+            turns += 1;
+        };
+        for node in rig.nodes() {
+            let fwd = &node.eng.fwd;
+            assert!(fwd.generated.is_empty() && fwd.delivered.is_empty());
+            assert_eq!(node.totals(), node.shipped);
+        }
+        let streamed: Vec<NodeReport> = (0..4).map(|p| rig.folded(p)).collect();
+        for r in &streamed {
+            let ghosts = r.generated.iter().map(|&(g, _)| g);
+            for list in [ghosts.collect(), r.delivered.clone()] {
+                assert!(list.windows(2).all(|w| w[0] < w[1]), "node {}", r.node);
+            }
+        }
+        let sum = |count: fn(&NodeReport) -> usize| streamed.iter().map(count).sum::<usize>();
+        assert_eq!(
+            (quiet.generated, quiet.delivered),
+            (
+                sum(|r| r.generated.len()) as u64,
+                sum(|r| r.delivered.len()) as u64
+            )
+        );
+        let verdict = reconcile(streamed);
+        assert!(verdict.clean(), "{:?}", verdict.violations);
+        assert_eq!((verdict.generated, verdict.exactly_once), (40, 40));
+        // A delta rides behind its status line, never ahead of it: on the
+        // pipe that carries the group's lines, each `gen` follows one.
+        let lines = rig.lines(0);
+        let deltas = lines
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.starts_with(b"gen"));
+        for (i, _) in deltas {
+            assert!(i > 0 && lines[i - 1].starts_with(b"status "), "line {i}");
+        }
+
+        let before: Vec<usize> = rig.heard.iter().map(Vec::len).collect();
+        for s in &mut rig.supervisor {
+            writeln!(s, "stop").unwrap();
+        }
+        while rig.groups[0].live() {
+            rig.turn();
+        }
+        assert!(rig.groups[0]
+            .results
+            .iter()
+            .all(|r| matches!(r, Some(Ok(())))));
+        for (p, from) in before.into_iter().enumerate() {
+            let text = String::from_utf8_lossy(&rig.heard[p][from..]).into_owned();
+            let block = text.split_once("report ").expect("a report block").1;
+            assert!(block.contains("\ngen\ndel\nheld"), "node {p}: {block}");
+        }
     }
 
     /// Same address, same stream: each group of the split holds one
@@ -1639,7 +1450,6 @@ mod tests {
     /// once.
     #[test]
     fn a_cut_stream_redials_and_the_run_stays_clean() {
-        use ssmfp_core::{reconcile_ledgers, NodeLedger};
         let mut rig = split_rig("cut", 400);
         rig.turn_until(300, &mut |_| {});
         rig.groups[1].hub.cut_stream_for_test(0);
@@ -1662,10 +1472,10 @@ mod tests {
         while rig.groups.iter().any(Group::live) {
             rig.turn();
         }
-        let reports: Vec<NodeReport> = (rig.groups.iter_mut())
-            .flat_map(|g| std::mem::take(&mut g.results))
-            .map(|r| r.expect("an outcome").expect("a report"))
-            .collect();
+        for group in &rig.groups {
+            assert!(group.results.iter().all(|r| matches!(r, Some(Ok(())))));
+        }
+        let reports: Vec<NodeReport> = (0..4).map(|p| rig.folded(p)).collect();
         // Each group's socket accounting rides exactly one report.
         let carriers = reports.iter().filter(|r| r.counters.write_syscalls > 0);
         assert_eq!(carriers.count(), 2);
@@ -1673,16 +1483,7 @@ mod tests {
         let dropped: u64 = reports.iter().map(|r| r.counters.conn_frames_dropped).sum();
         assert_eq!(reconnects, 1);
         assert!(dropped >= 1, "the cut lost nothing");
-        let ledgers: Vec<NodeLedger> = reports
-            .into_iter()
-            .map(|r| NodeLedger {
-                node: r.node,
-                generated: r.generated,
-                delivered: r.delivered,
-                held: r.held,
-            })
-            .collect();
-        let verdict = reconcile_ledgers(&ledgers);
+        let verdict = reconcile(reports);
         assert!(verdict.clean(), "{:?}", verdict.violations);
         assert_eq!(verdict.generated, 800, "400 primaries, 400 acks");
         assert_eq!(verdict.exactly_once, verdict.generated);
@@ -1711,217 +1512,5 @@ mod tests {
             let mut rest = Vec::new();
             s.read_to_end(&mut rest).expect("EOF, not a timeout");
         }
-    }
-
-    fn arb_ghost() -> impl Strategy<Value = MpGhost> {
-        prop_oneof![
-            any::<u64>().prop_map(MpGhost::Valid),
-            any::<u64>().prop_map(MpGhost::Invalid),
-            Just(MpGhost::Valid(u64::MAX)),
-            Just(MpGhost::Invalid(0)),
-        ]
-    }
-
-    /// Empty, or a few values anywhere in the `u64` range.
-    fn arb_histogram() -> impl Strategy<Value = LogHistogram> {
-        prop_oneof![
-            Just(Vec::new()),
-            proptest::collection::vec(any::<u64>(), 1..6),
-            proptest::collection::vec(0u64..100_000, 1..40),
-        ]
-        .prop_map(|values| {
-            let mut h = LogHistogram::new();
-            values.into_iter().for_each(|v| h.record(v));
-            h
-        })
-    }
-
-    fn arb_report() -> impl Strategy<Value = NodeReport> {
-        let lists = (
-            0usize..=u16::MAX as usize,
-            proptest::collection::vec((arb_ghost(), 0usize..=u16::MAX as usize), 0..20),
-            proptest::collection::vec(arb_ghost(), 0..20),
-            proptest::collection::vec(arb_ghost(), 0..4),
-        );
-        let histograms = (
-            arb_histogram(),
-            arb_histogram(),
-            arb_histogram(),
-            arb_histogram(),
-        );
-        let counts = proptest::collection::vec(any::<u64>(), 13);
-        (lists, histograms, counts).prop_map(
-            |((node, generated, delivered, held), (latency, batch, client_rtt, client_fair), c)| {
-                NodeReport {
-                    node,
-                    generated,
-                    delivered,
-                    held,
-                    latency,
-                    batch,
-                    counters: NodeCounters {
-                        frames_sent: c[0],
-                        frames_received: c[1],
-                        heartbeats_sent: c[2],
-                        reconnects: c[3],
-                        chaos_dropped: c[4],
-                        chaos_duplicated: c[5],
-                        chaos_reordered: c[6],
-                        partition_dropped: c[7],
-                        write_syscalls: c[8],
-                        read_syscalls: c[9],
-                        conn_frames_dropped: c[10],
-                    },
-                    client_rtt,
-                    client_fair,
-                    clients: c[11],
-                    clients_completed: c[12],
-                }
-            },
-        )
-    }
-
-    /// Feeds a written block back through the parser, after its
-    /// `report <node>` line as the supervisor does.
-    fn parse_block(text: &str) -> Option<NodeReport> {
-        let mut lines = text.lines().map(str::to_string);
-        let node = lines.next()?.strip_prefix("report ")?.parse().ok()?;
-        parse_report_body(node, &mut lines)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
-
-        /// Every report survives its codec whole: extreme ghosts and
-        /// destinations, empty lists and histograms, every counter.
-        #[test]
-        fn any_report_roundtrips_through_its_codec(r in arb_report()) {
-            let mut buf = Vec::new();
-            write_report(&mut buf, &r).unwrap();
-            let text = String::from_utf8(buf).expect("reports are ASCII");
-            prop_assert_eq!(parse_block(&text), Some(r));
-        }
-    }
-
-    /// Malformed tokens and a block cut before its `end` are refused with
-    /// `None`, never a panic.
-    #[test]
-    fn malformed_reports_are_refused() {
-        let body = |line: &str| format!("report 1\n{line}\nend\n");
-        assert!(parse_block(&body("del v1 i2")).is_some());
-        for bad in ["v", "x7", "v7:", "v18446744073709551616", "é7", "+7"] {
-            assert_eq!(parse_block(&body(&format!("del {bad}"))), None, "del {bad}");
-            assert_eq!(
-                parse_block(&body(&format!("held {bad}"))),
-                None,
-                "held {bad}"
-            );
-            assert_eq!(
-                parse_block(&body(&format!("gen {bad}:1"))),
-                None,
-                "gen {bad}:1"
-            );
-        }
-        for bad in ["v7", "v7:", "v7:x", "v7:18446744073709551616", ":1"] {
-            assert_eq!(parse_block(&body(&format!("gen {bad}"))), None, "gen {bad}");
-        }
-        for bad in [
-            "lat",
-            "lat 1 2",
-            "lat 1 2 3 4",
-            "lat 1 2 3 4:",
-            "cli 1",
-            "ctr 1 2 3",
-            "what",
-        ] {
-            assert_eq!(parse_block(&body(bad)), None, "{bad}");
-        }
-        let mut buf = Vec::new();
-        write_report(&mut buf, &NodeReport::default()).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(parse_block(&text).is_some());
-        let cut = text.strip_suffix("end\n").unwrap();
-        assert_eq!(parse_block(cut), None, "a block with no end");
-    }
-
-    #[test]
-    fn report_roundtrips_through_the_control_pipe() {
-        let mut lat = LogHistogram::new();
-        for v in [10u64, 500, 70_000] {
-            lat.record(v);
-        }
-        let mut bat = LogHistogram::new();
-        for v in [1u64, 1, 4, 17] {
-            bat.record(v);
-        }
-        let mut crtt = LogHistogram::new();
-        let mut cfair = LogHistogram::new();
-        for v in [250u64, 300, 90_000] {
-            crtt.record(v);
-        }
-        cfair.record(275);
-        cfair.record(90_000);
-        let r = NodeReport {
-            node: 3,
-            generated: vec![(MpGhost::Valid(7), 1), (MpGhost::Invalid(9), 0)],
-            delivered: vec![MpGhost::Valid(42)],
-            held: vec![],
-            latency: lat,
-            batch: bat,
-            counters: NodeCounters {
-                frames_sent: 1,
-                frames_received: 2,
-                heartbeats_sent: 3,
-                reconnects: 4,
-                chaos_dropped: 5,
-                chaos_duplicated: 6,
-                chaos_reordered: 7,
-                partition_dropped: 8,
-                write_syscalls: 11,
-                read_syscalls: 12,
-                conn_frames_dropped: 13,
-            },
-            client_rtt: crtt,
-            client_fair: cfair,
-            clients: 2,
-            clients_completed: 3,
-        };
-        let mut buf = Vec::new();
-        write_report(&mut buf, &r).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        // The wire format, byte for byte.
-        assert_eq!(
-            text,
-            "report 3\n\
-             gen v7:1 i9:0\n\
-             del v42\n\
-             held\n\
-             lat 3 70000 70510 10:1 95:1 209:1\n\
-             bat 4 17 23 1:2 4:1 17:1\n\
-             crtt 3 90000 90550 79:1 82:1 213:1\n\
-             cfair 2 90000 90275 81:1 213:1\n\
-             cli 2 3\n\
-             ctr 1 2 3 4 5 6 7 8 11 12 13\n\
-             end\n"
-        );
-        let mut lines = text.lines().map(str::to_string);
-        let head = lines.next().unwrap();
-        assert_eq!(head, "report 3");
-        let back = parse_report_body(3, &mut lines).unwrap();
-        assert_eq!(back.node, r.node);
-        assert_eq!(back.generated, r.generated);
-        assert_eq!(back.delivered, r.delivered);
-        assert_eq!(back.held, r.held);
-        assert_eq!(back.counters, r.counters);
-        assert_eq!(back.latency.count(), r.latency.count());
-        assert_eq!(back.latency.quantile(0.5), r.latency.quantile(0.5));
-        assert_eq!(back.latency.max(), r.latency.max());
-        assert_eq!(back.batch.count(), r.batch.count());
-        assert_eq!(back.batch.mean(), r.batch.mean());
-        assert_eq!(back.client_rtt.count(), r.client_rtt.count());
-        assert_eq!(back.client_rtt.max(), r.client_rtt.max());
-        assert_eq!(back.client_fair.count(), r.client_fair.count());
-        assert_eq!(back.clients, 2);
-        assert_eq!(back.clients_completed, 3);
     }
 }

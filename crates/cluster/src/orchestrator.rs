@@ -16,7 +16,11 @@
 //! Shards pre-merge what flows upward: the `status` lines of their node
 //! groups (one per group, [`Status`]) become one sum, and per-node reports
 //! become one [`ShardReport`] whose [`ShardSummary`] already carries the
-//! merged histograms and counters. The orchestrator then works O(K) per
+//! merged histograms and counters. A node's ledger reaches its shard while
+//! the run runs — each member's new entries ride behind every status line
+//! of its group, and the shard folds each line into the node's report as
+//! it completes ([`crate::codec`]) — so `stop` draws only the tail
+//! ([`RunReport::ledger`]). The orchestrator then works O(K) per
 //! status and, at reconciliation, one visit per merged ledger entry plus
 //! one sort per list — it concatenates the shard ledger lists and calls
 //! `reconcile_ledgers` exactly once, a sort-merge join (the SP verdict is
@@ -51,12 +55,13 @@
 
 use crate::chaos::{ChaosSpec, PartitionSpec};
 use crate::clients::{ClientMutation, ClientSpec};
+use crate::codec::{fold_line, NodeReport, Status};
 use crate::conc::COMPONENT;
 use crate::evloop::{
     raise_nofile_limit, set_nonblocking_fd, take_lines, CtrlPipe, Poller, POLLERR, POLLHUP, POLLIN,
     POLLOUT,
 };
-use crate::node::{parse_report_body, run_nodes, ListenSpec, NodeConfig, NodeReport, Status};
+use crate::node::{run_nodes, ListenSpec, NodeConfig};
 use crate::telemetry::{LogHistogram, NodeCounters};
 use crate::tuning::TUNING;
 use crate::workload::{WorkloadKind, WorkloadSpec};
@@ -140,6 +145,8 @@ pub struct ShardSummary {
     pub clients: u64,
     /// Client mode: acked primaries in the shard.
     pub clients_completed: u64,
+    /// When the shard's ledger entries reached it.
+    pub ledger: LedgerFlow,
 }
 
 /// Everything a shard sends upward at the end of a run.
@@ -179,6 +186,18 @@ pub struct Phases {
     pub audit_s: f64,
 }
 
+/// When the ledger reached the shards: entries — generated plus delivered
+/// — folded before the shard read `stop`, and after it. A node ships its
+/// new entries behind every status line of its group, so after a quiet
+/// probe answer, in a converged run, nothing is left for `stop`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LedgerFlow {
+    /// Entries shipped while the run ran.
+    pub streamed: u64,
+    /// Entries in the blocks written at `stop`.
+    pub tail: u64,
+}
+
 /// Outcome of one cluster run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -198,6 +217,8 @@ pub struct RunReport {
     pub detect: Detection,
     /// Where the time outside `wall_s` went.
     pub phases: Phases,
+    /// When the ledger entries reached the shards.
+    pub ledger: LedgerFlow,
     /// Cluster-wide SP reconciliation.
     pub verdict: ClusterVerdict,
     /// Primaries delivered end-to-end.
@@ -307,7 +328,8 @@ impl RunReport {
                 "\"mean\": {:.2}, \"p50\": {}, \"p99\": {}, \"max\": {}}}}},\n",
                 "  \"detect\": {{\"probes\": {}, \"last\": {{\"nodes\": {}, \"done\": {}, ",
                 "\"generated\": {}, \"delivered\": {}, \"held\": {}}}}},\n",
-                "  \"phases\": {{\"ready_s\": {:.6}, \"report_s\": {:.6}, \"audit_s\": {:.6}}}{}\n",
+                "  \"phases\": {{\"ready_s\": {:.6}, \"report_s\": {:.6}, \"audit_s\": {:.6}}},\n",
+                "  \"ledger\": {{\"streamed\": {}, \"tail\": {}}}{}\n",
                 "}}"
             ),
             self.topology,
@@ -360,6 +382,8 @@ impl RunReport {
             self.phases.ready_s,
             self.phases.report_s,
             self.phases.audit_s,
+            self.ledger.streamed,
+            self.ledger.tail,
             clients_json,
         )
     }
@@ -752,9 +776,13 @@ struct NodeSlot {
     /// The latest `status` line on this pipe: its group's, if the node is
     /// the group's first live member.
     status: Option<Status>,
-    /// Everything the node says after `stop` (the report block).
-    lines: Vec<String>,
+    /// The node's report as its lines arrive ([`NodeSlot::hear`]); `None`
+    /// once a line was refused.
+    report: Option<NodeReport>,
+    /// Its block's `end` arrived.
     ended: bool,
+    /// Its ledger entries folded before and after `stop`.
+    ledger: LedgerFlow,
     /// The interest registered for the read fd and for the write fd.
     watched: [i16; 2],
 }
@@ -770,15 +798,47 @@ impl NodeSlot {
             eof: false,
             ready: None,
             status: None,
-            lines: Vec::new(),
+            report: Some(NodeReport {
+                node: id,
+                ..NodeReport::default()
+            }),
             ended: false,
+            ledger: LedgerFlow::default(),
             watched: [0; 2],
         }
     }
 
-    fn stage(&mut self, line: &str) {
-        self.staged.extend_from_slice(line.as_bytes());
+    fn stage(&mut self, line: &[u8]) {
+        self.staged.extend_from_slice(line);
         self.staged.push(b'\n');
+    }
+
+    /// One line from the node, read where it lies: `ready` and `status`
+    /// are the shard's; every other line folds into the node's report the
+    /// moment it completes — ledger deltas whenever they come, counted
+    /// as streamed or, once the shard read `stop`, as tail.
+    fn hear(&mut self, line: &[u8], stopped: bool) {
+        if let Some(addr) = line.strip_prefix(b"ready ") {
+            self.ready = Some(String::from_utf8_lossy(addr).into_owned());
+        } else if let Some(rest) = line.strip_prefix(b"status ") {
+            self.status = Status::parse(rest).or(self.status);
+        } else if line.starts_with(b"report ") {
+            // The block's head: its lines follow.
+        } else if let Some(r) = &mut self.report {
+            let before = r.generated.len() + r.delivered.len();
+            match fold_line(r, line) {
+                Some(end) => {
+                    self.ended |= end;
+                    let entries = (r.generated.len() + r.delivered.len() - before) as u64;
+                    if stopped {
+                        self.ledger.tail += entries;
+                    } else {
+                        self.ledger.streamed += entries;
+                    }
+                }
+                None => self.report = None,
+            }
+        }
     }
 
     /// Keeps slot `i`'s registrations at what the shard still waits for:
@@ -986,18 +1046,18 @@ fn supervise(
             let orch_eof = match (&*orch).read(&mut scratch) {
                 Ok(0) => true,
                 Ok(k) => {
-                    for line in take_lines(&mut orch_acc, &scratch[..k]) {
+                    take_lines(&mut orch_acc, &scratch[..k], |line| {
                         for s in slots.iter_mut() {
-                            s.stage(&line);
+                            s.stage(line);
                         }
-                        if line.starts_with("start") && phase == Phase::Ready {
+                        if line.starts_with(b"start") && phase == Phase::Ready {
                             phase = Phase::Running;
                             last_status = Instant::now();
-                        } else if line.starts_with("stop") && phase != Phase::Reporting {
+                        } else if line.starts_with(b"stop") && phase != Phase::Reporting {
                             phase = Phase::Reporting;
                             report_deadline = Instant::now() + TUNING.report_grace();
                         }
-                    }
+                    });
                     false
                 }
                 Err(e) => !matches!(
@@ -1011,7 +1071,7 @@ fn supervise(
                 if phase != Phase::Reporting {
                     // Orchestrator gone: wind the run down cleanly.
                     for s in slots.iter_mut() {
-                        s.stage("stop");
+                        s.stage(b"stop");
                     }
                     phase = Phase::Reporting;
                     report_deadline = Instant::now() + TUNING.report_grace();
@@ -1024,22 +1084,14 @@ fn supervise(
             let Some(s) = slots.get_mut(i) else { continue };
             // Node lines (nonblocking fds: drain to WouldBlock).
             let readable = ev & (POLLIN | POLLERR | POLLHUP) != 0 && fd == s.ctrl.read_fd();
+            let stopped = phase == Phase::Reporting;
             while readable && !s.eof {
                 match s.ctrl.read_once(&mut scratch) {
                     Ok(0) => s.eof = true,
                     Ok(k) => {
-                        for line in take_lines(&mut s.acc, &scratch[..k]) {
-                            if phase == Phase::Reporting {
-                                if line == "end" {
-                                    s.ended = true;
-                                }
-                                s.lines.push(line);
-                            } else if let Some(a) = line.strip_prefix("ready ") {
-                                s.ready = Some(a.to_string());
-                            } else if let Some(rest) = line.strip_prefix("status ") {
-                                s.status = Status::parse(rest).or(s.status);
-                            }
-                        }
+                        let mut acc = std::mem::take(&mut s.acc);
+                        take_lines(&mut acc, &scratch[..k], |line| s.hear(line, stopped));
+                        s.acc = acc;
                         if k < scratch.len() {
                             break;
                         }
@@ -1115,23 +1167,28 @@ fn supervise(
     }
 }
 
-/// Parses every node's report block into the pre-merged shard report.
+/// Takes every node's folded report into the pre-merged shard report.
 fn shard_report(shard: usize, slots: &mut [NodeSlot]) -> Result<ShardReport, String> {
-    if let Some(s) = slots.iter().find(|s| !s.ended) {
-        return Err(format!("node {} hung up before its report", s.id));
-    }
     let mut reports: Vec<NodeReport> = Vec::with_capacity(slots.len());
+    let mut ledger = LedgerFlow::default();
     for s in slots.iter_mut() {
-        let mut it = std::mem::take(&mut s.lines)
-            .into_iter()
-            .skip_while(|l| !l.starts_with("report "))
-            .skip(1);
-        let report = parse_report_body(s.id, &mut it);
-        reports.push(report.ok_or_else(|| format!("node {} report unparsable", s.id))?);
+        let report = s
+            .report
+            .take()
+            .ok_or_else(|| format!("node {} report unparsable", s.id))?;
+        if !s.ended {
+            return Err(format!("node {} hung up before its report", s.id));
+        }
+        reports.push(report);
+        ledger.streamed += s.ledger.streamed;
+        ledger.tail += s.ledger.tail;
     }
     Ok(ShardReport {
         shard,
-        summary: summarize(shard, &reports),
+        summary: ShardSummary {
+            ledger,
+            ..summarize(shard, &reports)
+        },
         reports,
     })
 }
@@ -1431,11 +1488,14 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     let mut batch = LogHistogram::new();
     let mut counters = NodeCounters::default();
     let mut primaries_delivered = 0u64;
+    let mut ledger = LedgerFlow::default();
     for s in &shard_summaries {
         latency.merge(&s.latency);
         batch.merge(&s.batch);
         counters.add(&s.counters);
         primaries_delivered += s.primaries_delivered;
+        ledger.streamed += s.ledger.streamed;
+        ledger.tail += s.ledger.tail;
     }
     let (client_rtt, client_fair, clients, clients_completed) =
         fold_client_totals(&shard_summaries);
@@ -1453,6 +1513,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
         wall_s,
         detect,
         phases,
+        ledger,
         verdict,
         primaries_delivered,
         throughput,

@@ -6,6 +6,7 @@ use ssmfp_cluster::{
     pick_partition, run_cluster, ChaosSpec, ClusterSpec, ListenSpec, RunMode, WorkloadKind,
     WorkloadSpec, TUNING,
 };
+use ssmfp_core::{reconcile_ledgers, NodeLedger};
 use ssmfp_topology::{gen, Graph};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -426,5 +427,67 @@ fn a_report_prices_its_phases() {
         .expect("a phases object");
     for key in ["\"ready_s\": ", "\"report_s\": ", "\"audit_s\": "] {
         assert!(phases.contains(key), "{key} missing from {phases}");
+    }
+}
+
+/// The ledger rides the status lines: a converged run, with its nodes on
+/// a thread or in processes, uploads nothing at `stop` — every entry of
+/// every node's report streamed in while the run ran — and the verdict
+/// is the one the whole reports reconcile to.
+#[test]
+fn a_converged_run_streams_its_whole_ledger() {
+    for mode in [
+        RunMode::Inproc,
+        RunMode::Proc {
+            exe: PathBuf::from(env!("CARGO_BIN_EXE_ssmfp-cluster")),
+        },
+    ] {
+        let spec = ClusterSpec {
+            topology: "line:5".into(),
+            graph: gen::line(5),
+            seed: 4,
+            workload: WorkloadSpec {
+                kind: WorkloadKind::Closed { outstanding: 2 },
+                messages: 40,
+            },
+            chaos: ChaosSpec::none(),
+            listen: ListenSpec::Uds { dir: uds_dir() },
+            clients: None,
+            shards: 2,
+            mode: mode.clone(),
+            timeout: Duration::from_secs(60),
+        };
+        let report = run_cluster(&spec).expect("run");
+        assert!(report.clean(), "{mode:?}");
+        let entries: usize = report
+            .nodes
+            .iter()
+            .map(|r| r.generated.len() + r.delivered.len())
+            .sum();
+        assert_eq!(report.ledger.tail, 0, "{mode:?}");
+        assert_eq!(report.ledger.streamed, entries as u64, "{mode:?}");
+        assert_eq!(
+            entries,
+            4 * 5 * 40,
+            "{mode:?}: primaries and acks, each twice"
+        );
+        let ledgers: Vec<NodeLedger> = report
+            .nodes
+            .iter()
+            .map(|r| NodeLedger {
+                node: r.node,
+                generated: r.generated.clone(),
+                delivered: r.delivered.clone(),
+                held: r.held.clone(),
+            })
+            .collect();
+        assert_eq!(reconcile_ledgers(&ledgers), report.verdict, "{mode:?}");
+        let json = report.to_json();
+        assert!(
+            json.contains(&format!(
+                "\"ledger\": {{\"streamed\": {entries}, \"tail\": 0}}"
+            )),
+            "{json}"
+        );
     }
 }
