@@ -13,54 +13,29 @@
 //! single-threaded run; default: the machine's available parallelism).
 
 use ssmfp_analysis::experiments::run_all_with;
+use ssmfp_core::cli::{self, Tool};
 
-fn die(msg: &str) -> ! {
-    eprintln!("ssmfp-experiments: {msg}");
-    std::process::exit(2);
-}
+const TOOL: Tool = Tool {
+    name: "ssmfp-experiments",
+    usage: "usage: ssmfp-experiments [seed] [--csv DIR] [--json FILE] [--threads N]",
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut seed: u64 = 2026;
     let mut csv_dir: Option<String> = None;
     let mut json: Option<String> = None;
-    let mut threads: Option<usize> = None;
-    let mut seed: u64 = 2026;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| die(&format!("{arg} needs a value")))
-        };
-        match arg.as_str() {
-            "--csv" => csv_dir = Some(value()),
-            "--json" => json = Some(value()),
-            "--threads" => {
-                threads = Some(
-                    value()
-                        .parse::<usize>()
-                        .unwrap_or_else(|_| die("--threads takes a number"))
-                        .max(1),
-                )
+    let mut threads = std::thread::available_parallelism().map_or(1, usize::from);
+    TOOL.parse(|args| {
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
+                "--csv" => csv_dir = Some(args.value()?),
+                "--json" => json = Some(args.value()?),
+                "--threads" => threads = args.parse::<usize>()?.max(1),
+                word if !word.starts_with('-') => seed = cli::parse("seed", word)?,
+                _ => return Err(args.unknown()),
             }
-            "--version" => {
-                println!("ssmfp-experiments {}", env!("CARGO_PKG_VERSION"));
-                std::process::exit(0);
-            }
-            "--help" | "-h" => {
-                println!("usage: ssmfp-experiments [seed] [--csv DIR] [--json FILE] [--threads N]");
-                std::process::exit(0);
-            }
-            bare => match bare.parse() {
-                Ok(s) => seed = s,
-                Err(_) => die(&format!("unknown argument: {bare}")),
-            },
         }
-    }
-    let threads = threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        Ok(())
     });
     println!("SSMFP experiment suite (seed {seed}, {threads} sweep threads)");
     println!("Reproduces: Cournier, Dubois, Villain — IPPS 2009, all figures & propositions.\n");
@@ -69,7 +44,7 @@ fn main() {
         println!("{table}");
         if let Some(dir) = &csv_dir {
             std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| die(&format!("cannot create {dir}: {e}")));
+                .unwrap_or_else(|e| TOOL.die(&format!("cannot create {dir}: {e}")));
             let slug: String = table
                 .title
                 .chars()
@@ -79,7 +54,7 @@ fn main() {
                 .collect();
             let path = format!("{dir}/{:02}_{slug}.csv", i + 1);
             std::fs::write(&path, table.to_csv())
-                .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+                .unwrap_or_else(|e| TOOL.die(&format!("cannot write {path}: {e}")));
         }
     }
     if let Some(dir) = &csv_dir {
@@ -98,7 +73,7 @@ fn main() {
             print!("{body}");
         } else {
             std::fs::write(path, body)
-                .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+                .unwrap_or_else(|e| TOOL.die(&format!("cannot write {path}: {e}")));
             println!("(JSON suite written to {path})");
         }
     }

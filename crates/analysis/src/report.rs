@@ -1,5 +1,6 @@
 //! Plain-text report tables and small-sample statistics.
 
+use ssmfp_core::cli::json_string;
 use std::fmt;
 
 /// A titled, column-aligned text table (also exportable as CSV).
@@ -34,9 +35,10 @@ impl Table {
         self
     }
 
-    /// CSV rendering (headers + rows; fields are comma-escaped by quoting).
+    /// CSV rendering (headers + rows; a field holding a comma or a quote
+    /// is quoted, its quotes doubled).
     pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
+        let field = |s: &str| {
             if s.contains(',') || s.contains('"') {
                 format!("\"{}\"", s.replace('"', "\"\""))
             } else {
@@ -48,13 +50,13 @@ impl Table {
             &self
                 .headers
                 .iter()
-                .map(|h| esc(h))
+                .map(|h| field(h))
                 .collect::<Vec<_>>()
                 .join(","),
         );
         out.push('\n');
         for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
+            out.push_str(&row.iter().map(|c| field(c)).collect::<Vec<_>>().join(","));
             out.push('\n');
         }
         out
@@ -63,20 +65,19 @@ impl Table {
     /// Renders the table as a JSON object (`title`, `headers`, `rows` —
     /// all cells as strings, matching the CSV rendering).
     pub fn to_json(&self) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
         let arr = |cells: &[String]| {
             format!(
                 "[{}]",
                 cells
                     .iter()
-                    .map(|c| format!("\"{}\"", esc(c)))
+                    .map(|c| json_string(c))
                     .collect::<Vec<_>>()
                     .join(", ")
             )
         };
         format!(
-            "{{\"title\": \"{}\", \"headers\": {}, \"rows\": [{}]}}",
-            esc(&self.title),
+            "{{\"title\": {}, \"headers\": {}, \"rows\": [{}]}}",
+            json_string(&self.title),
             arr(&self.headers),
             self.rows
                 .iter()

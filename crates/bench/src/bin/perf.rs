@@ -7,9 +7,9 @@
 //! throughput: steps/sec under full-refresh guard evaluation vs
 //! footprint-driven incremental evaluation), and `BENCH_state.json`
 //! (codec microbench: pack/unpack ns per node, packed vs deep bytes per
-//! configuration, roundtrip check) into the current directory. JSON is
-//! hand-rolled — numbers and booleans only, no string escapes needed
-//! beyond the fixed instance names.
+//! configuration, roundtrip check) into the current directory. The JSON
+//! is written by hand, one key per line where the baseline scanner reads
+//! it; instance names go through `cli::json_string`.
 //!
 //! The socket cluster is measured by the repo benchmark (`benchmark/`,
 //! `BENCHMARK.json`), not here.
@@ -21,10 +21,11 @@
 //!   (default: available parallelism).
 //! * `--out-dir DIR` — where to write the JSON files (default: `.`).
 //! * `--baseline DIR` — compare this run's throughput against the
-//!   `BENCH_*.json` files in DIR; exit nonzero if any matching metric
-//!   regressed by more than 25%.
+//!   `BENCH_*.json` files in DIR; exit nonzero if any metric regressed by
+//!   more than 25% or is missing from this run.
 
 use ssmfp_check::Explorer;
+use ssmfp_core::cli::{json_string, Args, Tool};
 use ssmfp_core::state::{NodeState, Outgoing};
 use ssmfp_core::{
     deep_node_bytes, GhostId, MessageTable, Network, NetworkConfig, SsmfpProtocol, StateCodec,
@@ -55,6 +56,11 @@ fn timed_reps(min_secs: f64, mut run: impl FnMut() -> (u64, f64)) -> (u64, f64) 
     }
 }
 
+const TOOL: Tool = Tool {
+    name: "perf",
+    usage: "usage: perf [--quick] [--threads N] [--out-dir DIR] [--baseline DIR]",
+};
+
 struct Options {
     quick: bool,
     threads: usize,
@@ -62,56 +68,28 @@ struct Options {
     baseline: Option<String>,
 }
 
-fn parse_args() -> Options {
+fn parse_args(args: &mut Args) -> Result<Options, String> {
     let mut opts = Options {
         quick: false,
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        threads: std::thread::available_parallelism().map_or(1, usize::from),
         out_dir: ".".to_string(),
         baseline: None,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
             "--quick" => opts.quick = true,
             "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&t| t >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("perf: --threads needs a positive integer");
-                        std::process::exit(2);
-                    });
+                opts.threads = args.parse()?;
+                if opts.threads == 0 {
+                    return Err("--threads must be >= 1".into());
+                }
             }
-            "--out-dir" => {
-                opts.out_dir = args.next().unwrap_or_else(|| {
-                    eprintln!("perf: --out-dir needs a value");
-                    std::process::exit(2);
-                });
-            }
-            "--baseline" => {
-                opts.baseline = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("perf: --baseline needs a directory");
-                    std::process::exit(2);
-                }));
-            }
-            "--version" => {
-                println!("perf {}", env!("CARGO_PKG_VERSION"));
-                std::process::exit(0);
-            }
-            "--help" | "-h" => {
-                println!("usage: perf [--quick] [--threads N] [--out-dir DIR] [--baseline DIR]");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("perf: unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--out-dir" => opts.out_dir = args.value()?,
+            "--baseline" => opts.baseline = Some(args.value()?),
+            _ => return Err(args.unknown()),
         }
     }
-    opts
+    Ok(opts)
 }
 
 fn clean_states(graph: &Graph) -> Vec<NodeState> {
@@ -259,7 +237,7 @@ fn bench_check(opts: &Options, json: &mut String) {
             compression,
         );
         writeln!(json, "    {{").unwrap();
-        writeln!(json, "      \"name\": \"{}\",", inst.name).unwrap();
+        writeln!(json, "      \"name\": {},", json_string(inst.name)).unwrap();
         writeln!(json, "      \"states\": {},", seq_report.states).unwrap();
         writeln!(json, "      \"verified\": {},", seq_report.verified()).unwrap();
         writeln!(
@@ -375,7 +353,7 @@ fn bench_engine(opts: &Options, json: &mut String) {
             name, full_steps, full_sps, inc_sps, inc_sps / full_sps
         );
         writeln!(json, "    {{").unwrap();
-        writeln!(json, "      \"name\": \"{name}\",").unwrap();
+        writeln!(json, "      \"name\": {},", json_string(name)).unwrap();
         writeln!(json, "      \"n\": {},", graph.n()).unwrap();
         writeln!(json, "      \"steps\": {full_steps},").unwrap();
         writeln!(
@@ -480,7 +458,7 @@ fn bench_state(opts: &Options, json: &mut String) {
             name, pack_ns, unpack_ns, words_bytes, deep_bytes, compression, table_bytes
         );
         writeln!(json, "    {{").unwrap();
-        writeln!(json, "      \"name\": \"{name}\",").unwrap();
+        writeln!(json, "      \"name\": {},", json_string(name)).unwrap();
         writeln!(json, "      \"n\": {n},").unwrap();
         writeln!(json, "      \"pack_ns_per_node\": {pack_ns:.1},").unwrap();
         writeln!(json, "      \"unpack_ns_per_node\": {unpack_ns:.1},").unwrap();
@@ -534,8 +512,10 @@ fn extract_metrics(json: &str, key: &str) -> Vec<(String, f64)> {
 /// Compares every throughput metric of `current` against `baseline`
 /// (matched by instance name and per-name occurrence order — e.g. the
 /// sequential and parallel `states_per_sec` of one check instance).
-/// Returns the number of >25% regressions found, printing one line per
-/// comparison.
+/// Returns the number of regressions found — metrics more than 25% below
+/// their baseline, and baseline metrics the current run lacks — printing
+/// one line per comparison. A baseline value ≤ 0 has no ratio and is only
+/// noted.
 fn compare_file(label: &str, key: &str, baseline: &str, current: &str) -> usize {
     let base = extract_metrics(baseline, key);
     let cur = extract_metrics(current, key);
@@ -559,7 +539,18 @@ fn compare_file(label: &str, key: &str, baseline: &str, current: &str) -> usize 
             .nth(k)
             .map(|(_, v)| *v);
         match cur_v {
-            Some(v) if *base_v > 0.0 => {
+            None => {
+                eprintln!(
+                    "baseline | {label:<6} | {name:<44} | {key}[{k}] missing in current run REGRESSED"
+                );
+                regressions += 1;
+            }
+            Some(v) if *base_v <= 0.0 => {
+                eprintln!(
+                    "baseline | {label:<6} | {name:<44} | {key}[{k}] baseline {base_v} is not positive, current {v:.1} — not compared"
+                );
+            }
+            Some(v) => {
                 let ratio = v / base_v;
                 let verdict = if ratio < BASELINE_FLOOR {
                     "REGRESSED"
@@ -574,11 +565,6 @@ fn compare_file(label: &str, key: &str, baseline: &str, current: &str) -> usize 
                     regressions += 1;
                 }
             }
-            _ => {
-                eprintln!(
-                    "baseline | {label:<6} | {name:<44} | {key}[{k}] missing in current run — skipped"
-                );
-            }
         }
     }
     regressions
@@ -587,7 +573,7 @@ fn compare_file(label: &str, key: &str, baseline: &str, current: &str) -> usize 
 /// Checks the freshly-written JSON against the `BENCH_*.json` files in
 /// `dir`. Missing baseline files are skipped with a note (so a baseline
 /// directory can predate `BENCH_state.json`). Exits nonzero on any >25%
-/// throughput regression.
+/// throughput regression or baseline metric missing from this run.
 fn compare_baseline(dir: &str, check: &str, engine: &str, state: &str) {
     let mut regressions = 0;
     let files: [(&str, &str, &str, &str); 4] = [
@@ -603,14 +589,16 @@ fn compare_baseline(dir: &str, check: &str, engine: &str, state: &str) {
         }
     }
     if regressions > 0 {
-        eprintln!("perf: {regressions} metric(s) regressed more than 25% vs baseline {dir}");
+        eprintln!(
+            "perf: {regressions} metric(s) regressed more than 25% or missing vs baseline {dir}"
+        );
         std::process::exit(1);
     }
     eprintln!("baseline | no metric regressed more than 25% vs {dir}");
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = TOOL.parse(parse_args);
     let mut check_json = String::new();
     bench_check(&opts, &mut check_json);
     let mut engine_json = String::new();
@@ -628,5 +616,37 @@ fn main() {
 
     if let Some(dir) = &opts.baseline {
         compare_baseline(dir, &check_json, &engine_json, &state_json);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ENGINE: &str = include_str!("../../baselines/quick/BENCH_engine.json");
+
+    #[test]
+    fn a_baseline_metric_the_run_lacks_is_a_regression() {
+        assert_eq!(compare_file("engine", "steps_per_sec", ENGINE, ENGINE), 0);
+        let instance = |name: &str| {
+            ENGINE
+                .find(&format!("    {{\n      \"name\": \"{name}"))
+                .expect("instance in the baseline")
+        };
+        let without_ring16 = format!(
+            "{}{}",
+            &ENGINE[..instance("ring-16")],
+            &ENGINE[instance("caterpillar(6,2)")..]
+        );
+        // Its full-refresh and its incremental steps/s.
+        assert_eq!(
+            compare_file("engine", "steps_per_sec", ENGINE, &without_ring16),
+            2
+        );
+        let zero_base = ENGINE.replacen("283014.8", "0.0", 1);
+        assert_eq!(
+            compare_file("engine", "steps_per_sec", &zero_base, ENGINE),
+            0
+        );
     }
 }

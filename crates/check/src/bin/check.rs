@@ -21,6 +21,7 @@
 //!   the packed-vs-unpacked cross-check still runs).
 
 use ssmfp_check::{Explorer, Violation};
+use ssmfp_core::cli::{json_string, Tool};
 use ssmfp_core::message::{Color, GhostId, Message};
 use ssmfp_core::state::{NodeState, Outgoing};
 use ssmfp_core::SsmfpProtocol;
@@ -71,68 +72,39 @@ fn verdict_of(report: &ssmfp_check::Report) -> String {
     }
 }
 
-struct Options {
-    threads: usize,
-    seq_only: bool,
-    json: Option<String>,
-}
-
-fn parse_args() -> Options {
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut opts = Options {
-        threads: default_threads,
-        seq_only: false,
-        json: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seq" => opts.seq_only = true,
-            "--threads" => {
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| die("--threads needs a value"));
-                opts.threads = v
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("bad --threads value: {v}")));
-                if opts.threads == 0 {
-                    die("--threads must be >= 1");
-                }
-            }
-            "--json" => {
-                opts.json = Some(args.next().unwrap_or_else(|| die("--json needs a path")));
-            }
-            "--version" => {
-                println!("ssmfp-check {}", env!("CARGO_PKG_VERSION"));
-                std::process::exit(0);
-            }
-            "--help" | "-h" => {
-                println!("usage: ssmfp-check [--threads N] [--seq] [--json FILE]");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown argument: {other}")),
-        }
-    }
-    opts
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("ssmfp-check: {msg}");
-    std::process::exit(2);
-}
+const TOOL: Tool = Tool {
+    name: "ssmfp-check",
+    usage: "usage: ssmfp-check [--threads N] [--seq] [--json FILE]",
+};
 
 fn main() {
-    let opts = parse_args();
+    let mut threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let mut seq_only = false;
+    let mut json: Option<String> = None;
+    TOOL.parse(|args| {
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
+                "--seq" => seq_only = true,
+                "--threads" => {
+                    threads = args.parse()?;
+                    if threads == 0 {
+                        return Err("--threads must be >= 1".into());
+                    }
+                }
+                "--json" => json = Some(args.value()?),
+                _ => return Err(args.unknown()),
+            }
+        }
+        Ok(())
+    });
     println!("Exhaustive verification (ALL central-daemon schedules)");
-    if opts.seq_only {
+    if seq_only {
         println!("packed sequential + unpacked cross-check, then footprint-driven POR\n");
     } else {
         println!(
             "each instance: packed sequential, parallel x{}, unpacked (PR-2 \
              representation) — bit-identical reports enforced — then POR\n",
-            opts.threads
+            threads
         );
     }
     println!(
@@ -190,11 +162,11 @@ fn main() {
         let pack_ratio = unp_stats.bytes_per_state() / stats.bytes_per_state().max(1e-9);
 
         // Parallel cross-check: the report must be bit-identical.
-        let (speedup, throughput_secs) = if opts.seq_only || opts.threads <= 1 {
+        let (speedup, throughput_secs) = if seq_only || threads <= 1 {
             (1.0, seq_secs)
         } else {
             let mut par =
-                Explorer::new(graph.clone(), proto.clone(), exp.clone()).with_threads(opts.threads);
+                Explorer::new(graph.clone(), proto.clone(), exp.clone()).with_threads(threads);
             par.trace_counterexamples = literal_r5;
             let t0 = Instant::now();
             let par_report = par.explore(states.clone());
@@ -243,16 +215,16 @@ fn main() {
             unexpected.push(format!("{name}: {}", verdict_of(&report)));
         }
         json_rows.push(format!(
-            "{{\"instance\": \"{}\", \"states\": {}, \"terminals\": {}, \"max_depth\": {}, \
-             \"por_states\": {}, \"bytes_per_state\": {:.1}, \"verdict\": \"{}\", \
+            "{{\"instance\": {}, \"states\": {}, \"terminals\": {}, \"max_depth\": {}, \
+             \"por_states\": {}, \"bytes_per_state\": {:.1}, \"verdict\": {}, \
              \"expected_loss\": {}}}",
-            name,
+            json_string(name),
             report.states,
             report.terminals,
             report.max_depth,
             por_report.states,
             stats.bytes_per_state(),
-            verdict_of(&report),
+            json_string(&verdict_of(&report)),
             literal_r5
         ));
     };
@@ -354,7 +326,7 @@ fn main() {
     println!("B/st = packed bytes/state, interning tables amortized; pack = unpacked (Arc-");
     println!("based, sharing-aware) bytes/state over packed — both reports cross-checked.");
     println!("kst/s = thousand distinct states/second; spdup = sequential/parallel wall time.");
-    if let Some(path) = &opts.json {
+    if let Some(path) = &json {
         let body = format!(
             "{{\n  \"instances\": [\n    {}\n  ],\n  \"mismatches\": {},\n  \"unexpected\": {}\n}}\n",
             json_rows.join(",\n    "),

@@ -57,7 +57,7 @@
 //! independence relation derived from the rules' declared footprints
 //! (`ssmfp_core::footprint`, the same declarations `ssmfp-lint` checks
 //! statically) to skip redundant interleavings of commuting moves — see
-//! [`Explorer::successors_reduced`] for the exact conditions and the
+//! `Explorer::successors_reduced` for the exact conditions and the
 //! approximation involved. POR's cycle proviso consults the visited set
 //! *mid-level*, which makes its exploration order-dependent, so POR runs
 //! always stay sequential. The `ssmfp-check` binary runs every instance
@@ -555,7 +555,7 @@ pub struct Explorer {
     /// actions are independent — per the rules' declared footprints — of
     /// every action currently enabled elsewhere, explore only that
     /// processor's moves and defer the rest, instead of branching on every
-    /// interleaving. See [`Explorer::successors_reduced`]'s notes for the
+    /// interleaving. See `Explorer::successors_reduced`'s notes for the
     /// approximation this makes; `ssmfp-check` runs every instance in both
     /// modes and cross-checks the verdicts. POR exploration is always
     /// sequential (its cycle proviso is order-dependent), regardless of

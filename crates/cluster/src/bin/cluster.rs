@@ -13,25 +13,20 @@
 //! run, `2` usage error. The hidden `--node-worker` mode is how the
 //! orchestrator spawns per-node processes.
 
+use ssmfp_cluster::codec::parse_client_mutation;
 use ssmfp_cluster::{
     node_main, parse_chaos, parse_node_args, parse_workload, pick_partition, run_cluster,
-    ChaosSpec, ClientMutation, ClientSpec, ClusterSpec, CtrlPipe, ListenSpec, RunMode,
-    WorkloadKind, WorkloadSpec,
+    ChaosSpec, ClientSpec, ClusterSpec, CtrlPipe, ListenSpec, RunMode, WorkloadKind, WorkloadSpec,
 };
+use ssmfp_core::cli::{self, Tool};
 use ssmfp_topology::{gen, Graph};
 use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
-fn die(msg: &str) -> ! {
-    eprintln!("ssmfp-cluster: {msg}");
-    eprintln!("run with --help for usage");
-    std::process::exit(2);
-}
-
-fn help() {
-    println!(
-        "\
+const TOOL: Tool = Tool {
+    name: "ssmfp-cluster",
+    usage: "\
 ssmfp-cluster — SSMFP nodes over real sockets
 
 USAGE:
@@ -64,9 +59,8 @@ OPTIONS:
     --json FILE        write the JSON run report to FILE ('-' = stdout)
     --quiet            suppress the human summary
     --version          print version and exit
-    -h, --help         this text"
-    );
-}
+    -h, --help         this text",
+};
 
 /// Seed-aware topology parsing: `random:N,p` draws a seeded connected
 /// Erdős–Rényi sample, so the graph cannot be built until the run seed
@@ -126,24 +120,7 @@ fn parse_topology(s: &str, seed: u64) -> Result<(String, Graph), String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-
-    // Hidden per-node worker mode (spawned by a shard supervisor).
-    if args.first().map(String::as_str) == Some("--node-worker") {
-        let cfg = match parse_node_args(&args[1..]) {
-            Ok(c) => c,
-            Err(e) => die(&e),
-        };
-        return match node_main(&cfg, CtrlPipe::Stdio) {
-            Ok(_) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("ssmfp-cluster node {}: {e}", cfg.node);
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let mut topology: Option<String> = None;
+    let mut topology = "line:5".to_string();
     let mut workload = WorkloadSpec {
         kind: WorkloadKind::Closed { outstanding: 4 },
         messages: 50,
@@ -153,7 +130,7 @@ fn main() -> ExitCode {
         kind: WorkloadKind::Closed { outstanding: 1 },
         messages: 2,
     };
-    let mut client_mutation: Option<ClientMutation> = None;
+    let mut client_mutation = None;
     let mut seed: u64 = 1;
     let mut faults: u32 = 0;
     let mut partition: Option<(u64, u64)> = None;
@@ -164,99 +141,71 @@ fn main() -> ExitCode {
     let mut json: Option<String> = None;
     let mut quiet = false;
 
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || -> &str {
-            it.next()
-                .map(String::as_str)
-                .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-        };
-        match flag.as_str() {
-            "--topology" => topology = Some(val().to_string()),
-            "--workload" => match parse_workload(val()) {
-                Ok(w) => workload = w,
-                Err(e) => die(&e),
-            },
-            "--clients" => {
-                let k: u64 = val()
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("--clients: {e}")));
-                clients = Some(k);
-            }
-            "--client-load" => match parse_workload(val()) {
-                Ok(w) => client_load = w,
-                Err(e) => die(&e),
-            },
-            // Hidden: seeded client-layer bug injection, for red-testing
-            // the per-client audit (a clean run must turn dirty).
-            "--client-mutation" => match val() {
-                "dup-stamp" => client_mutation = Some(ClientMutation::DuplicateStamp),
-                other => die(&format!("unknown --client-mutation {other:?}")),
-            },
-            "--seed" => {
-                seed = val()
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("--seed: {e}")))
-            }
-            "--faults" => {
-                faults = val()
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("--faults: {e}")))
-            }
-            "--partition" => {
-                let v = val();
-                let Some((f, l)) = v.split_once(':') else {
-                    die(&format!("bad --partition {v:?} (want FROM:LEN)"));
-                };
-                let f = f
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("--partition: {e}")));
-                let l = l
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("--partition: {e}")));
-                partition = Some((f, l));
-            }
-            "--transport" => {
-                transport = val().to_string();
-                if transport != "uds" && transport != "tcp" {
-                    die(&format!("bad --transport {transport:?} (want uds|tcp)"));
-                }
-            }
-            "--shards" => {
-                let v = val();
-                let k: usize = v.parse().unwrap_or_else(|e| die(&format!("--shards: {e}")));
-                if k == 0 {
-                    die("--shards must be at least 1");
-                }
-                shards = Some(k);
-            }
-            "--inproc" => inproc = true,
-            "--timeout-s" => {
-                timeout_s = val()
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("--timeout-s: {e}")))
-            }
-            "--json" => json = Some(val().to_string()),
-            "--quiet" => quiet = true,
-            "--version" => {
-                println!("ssmfp-cluster {}", env!("CARGO_PKG_VERSION"));
-                return ExitCode::SUCCESS;
-            }
-            "-h" | "--help" => {
-                help();
-                return ExitCode::SUCCESS;
-            }
-            other => die(&format!("unknown flag {other:?}")),
+    let node_worker = TOOL.parse(|args| {
+        // Hidden per-node worker mode (spawned by a shard supervisor).
+        if args.mode("--node-worker") {
+            return parse_node_args(&args.rest()).map(Some);
         }
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
+                "--topology" => topology = args.value()?,
+                "--workload" => workload = parse_workload(&args.value()?)?,
+                "--clients" => clients = Some(args.parse()?),
+                "--client-load" => client_load = parse_workload(&args.value()?)?,
+                // Hidden: seeded client-layer bug injection, for red-testing
+                // the per-client audit (a clean run must turn dirty).
+                "--client-mutation" => {
+                    client_mutation = Some(parse_client_mutation(&args.value()?)?)
+                }
+                "--seed" => seed = args.parse()?,
+                "--faults" => faults = args.parse()?,
+                "--partition" => {
+                    let v = args.value()?;
+                    let (f, l) = v
+                        .split_once(':')
+                        .ok_or_else(|| format!("bad --partition {v:?} (want FROM:LEN)"))?;
+                    partition =
+                        Some((cli::parse("--partition", f)?, cli::parse("--partition", l)?));
+                }
+                "--transport" => {
+                    transport = args.value()?;
+                    if transport != "uds" && transport != "tcp" {
+                        return Err(format!("bad --transport {transport:?} (want uds|tcp)"));
+                    }
+                }
+                "--shards" => {
+                    let k = args.parse()?;
+                    if k == 0 {
+                        return Err("--shards must be at least 1".into());
+                    }
+                    shards = Some(k);
+                }
+                "--inproc" => inproc = true,
+                "--timeout-s" => timeout_s = args.parse()?,
+                "--json" => json = Some(args.value()?),
+                "--quiet" => quiet = true,
+                _ => return Err(args.unknown()),
+            }
+        }
+        Ok(None)
+    });
+    if let Some(cfg) = node_worker {
+        return match node_main(&cfg, CtrlPipe::Stdio) {
+            Ok(_) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("ssmfp-cluster node {}: {e}", cfg.node);
+                ExitCode::FAILURE
+            }
+        };
     }
 
     // Resolve the topology only now: `random:N,p` needs the seed.
-    let (name, graph) = match parse_topology(topology.as_deref().unwrap_or("line:5"), seed) {
+    let (name, graph) = match parse_topology(&topology, seed) {
         Ok(t) => t,
-        Err(e) => die(&e),
+        Err(e) => TOOL.die(&e),
     };
     if graph.n() < 2 {
-        die("topology needs at least 2 nodes");
+        TOOL.die("topology needs at least 2 nodes");
     }
     let client_spec = clients.map(|k| ClientSpec {
         clients: k,
@@ -265,10 +214,10 @@ fn main() -> ExitCode {
     });
     if let Some(c) = &client_spec {
         if let Err(e) = c.validate(graph.n()) {
-            die(&e);
+            TOOL.die(&e);
         }
     } else if client_mutation.is_some() {
-        die("--client-mutation needs --clients");
+        TOOL.die("--client-mutation needs --clients");
     }
     // An inproc shard is a data thread: by default use the CPUs there are.
     let shards = shards.unwrap_or_else(|| {
@@ -289,7 +238,7 @@ fn main() -> ExitCode {
     let uds_dir = std::env::temp_dir().join(format!("ssmfp-cluster-{}", std::process::id()));
     let listen = if transport == "uds" {
         if let Err(e) = std::fs::create_dir_all(&uds_dir) {
-            die(&format!("cannot create {}: {e}", uds_dir.display()));
+            TOOL.die(&format!("cannot create {}: {e}", uds_dir.display()));
         }
         ListenSpec::Uds {
             dir: uds_dir.clone(),
@@ -302,7 +251,7 @@ fn main() -> ExitCode {
     } else {
         match std::env::current_exe() {
             Ok(exe) => RunMode::Proc { exe },
-            Err(e) => die(&format!("cannot locate own binary: {e}")),
+            Err(e) => TOOL.die(&format!("cannot locate own binary: {e}")),
         }
     };
 

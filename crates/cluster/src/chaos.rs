@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosSpec {
     /// Seed deriving every per-link clerk (and the partition edge choice
-    /// when callers use [`ChaosSpec::pick_partition`]).
+    /// when callers use [`crate::orchestrator::pick_partition`]).
     pub seed: u64,
     /// Per-inbound-link budget for each fault kind (0 = no chaos).
     pub faults_per_link: u32,

@@ -1,17 +1,27 @@
 //! The lines a node writes up its control pipe (the protocol is
 //! [`crate::node`]'s): its group's `status` ([`Status`]), the `gen` /
-//! `del` ledger delta it writes behind every status line ([`push_delta`]),
+//! `del` ledger delta it writes behind every status line (`push_delta`),
 //! and the `report … end` block at `stop`, whose `gen` / `del` carry only
 //! the tail ([`write_report`]). Numbers are ASCII decimal, written with a
 //! digit-pair table and read as bytes in place: no `fmt`, no allocation
-//! per token. [`fold_line`] is the one reader: the shard folds each line
+//! per token. `fold_line` is the one reader: the shard folds each line
 //! into the node's [`NodeReport`] as it completes, and
 //! [`parse_report_body`] folds a whole block the same way.
+//!
+//! The other way down, a shard hands a node process its [`NodeConfig`] as
+//! the `--node-worker` arguments [`node_args`] writes and
+//! [`parse_node_args`] reads.
 
+use crate::chaos::{ChaosSpec, PartitionSpec};
+use crate::clients::{ClientMutation, ClientSpec};
+use crate::node::{ListenSpec, NodeConfig};
 use crate::telemetry::{LogHistogram, NodeCounters};
+use crate::workload::{WorkloadKind, WorkloadSpec};
+use ssmfp_core::cli::{self, Args};
 use ssmfp_mp::MpGhost;
 use ssmfp_topology::NodeId;
 use std::io::{self, Write};
+use std::path::PathBuf;
 
 /// One node's report, as folded from its lines by its shard.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -109,7 +119,7 @@ impl Status {
     }
 
     /// Parses what follows `status ` on a line written by
-    /// [`Status::push_line`].
+    /// `Status::push_line`.
     pub fn parse(rest: &[u8]) -> Option<Status> {
         let mut f = Fields(rest);
         let wave = f.num()?;
@@ -377,7 +387,7 @@ pub(crate) fn fold_line(r: &mut NodeReport, line: &[u8]) -> Option<bool> {
 
 /// Parses the block written by [`write_report`]; the `report <node>` line
 /// has already been consumed by the caller (who saw it arrive). Each line
-/// goes through [`fold_line`], the shard's reader.
+/// goes through `fold_line`, the shard's reader.
 pub fn parse_report_body(
     node: NodeId,
     lines: &mut impl Iterator<Item = String>,
@@ -392,6 +402,181 @@ pub fn parse_report_body(
         }
     }
     None
+}
+
+/// Serializes a node config into `--node-worker` CLI arguments (the
+/// inverse of [`parse_node_args`]).
+pub fn node_args(cfg: &NodeConfig) -> Vec<String> {
+    let edges = cfg
+        .edges
+        .iter()
+        .map(|(a, b)| format!("{a}-{b}"))
+        .collect::<Vec<_>>()
+        .join(",");
+    let listen = match &cfg.listen {
+        ListenSpec::Uds { dir } => format!("uds:{}", dir.display()),
+        ListenSpec::Tcp => "tcp".to_string(),
+    };
+    let mut chaos = format!("{}:{}", cfg.chaos.seed, cfg.chaos.faults_per_link);
+    if let Some(p) = cfg.chaos.partition {
+        chaos.push_str(&format!(":{}-{}:{}:{}", p.a, p.b, p.from_arrival, p.len));
+    }
+    let mut args = vec![
+        "--id".into(),
+        cfg.node.to_string(),
+        "--n".into(),
+        cfg.n.to_string(),
+        "--edges".into(),
+        edges,
+        "--seed".into(),
+        cfg.seed.to_string(),
+        "--listen".into(),
+        listen,
+        "--workload".into(),
+        workload_arg(&cfg.workload),
+        "--chaos".into(),
+        chaos,
+    ];
+    if let Some(c) = &cfg.clients {
+        args.push("--clients".into());
+        args.push(c.clients.to_string());
+        args.push("--client-load".into());
+        args.push(workload_arg(&c.load));
+        if let Some(ClientMutation::DuplicateStamp) = c.mutation {
+            args.push("--client-mutation".into());
+            args.push("dup-stamp".into());
+        }
+    }
+    args
+}
+
+/// `open:<rate>:<msgs>` / `closed:<k>:<msgs>`, as [`parse_workload`] reads it.
+fn workload_arg(w: &WorkloadSpec) -> String {
+    match w.kind {
+        WorkloadKind::Open { rate_per_sec } => format!("open:{rate_per_sec}:{}", w.messages),
+        WorkloadKind::Closed { outstanding } => format!("closed:{outstanding}:{}", w.messages),
+    }
+}
+
+/// Parses the arguments produced by [`node_args`]. `Err` carries a usage
+/// message.
+pub fn parse_node_args(args: &[String]) -> Result<NodeConfig, String> {
+    let mut cfg = NodeConfig {
+        node: usize::MAX,
+        n: 0,
+        edges: Vec::new(),
+        seed: 0,
+        listen: ListenSpec::Tcp,
+        workload: WorkloadSpec {
+            kind: WorkloadKind::Closed { outstanding: 1 },
+            messages: 0,
+        },
+        chaos: ChaosSpec::none(),
+        clients: None,
+    };
+    let mut client_count: Option<u64> = None;
+    let mut client_load: Option<WorkloadSpec> = None;
+    let mut client_mutation: Option<ClientMutation> = None;
+    let mut args = Args::new(args.iter().cloned());
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--id" => cfg.node = args.parse()?,
+            "--n" => cfg.n = args.parse()?,
+            "--edges" => {
+                for pair in args.value()?.split(',') {
+                    let (a, b) = pair
+                        .split_once('-')
+                        .ok_or_else(|| format!("bad edge {pair:?}"))?;
+                    cfg.edges
+                        .push((cli::parse("edge", a)?, cli::parse("edge", b)?));
+                }
+            }
+            "--seed" => cfg.seed = args.parse()?,
+            "--listen" => {
+                let v = args.value()?;
+                cfg.listen = if v == "tcp" {
+                    ListenSpec::Tcp
+                } else if let Some(dir) = v.strip_prefix("uds:") {
+                    ListenSpec::Uds {
+                        dir: PathBuf::from(dir),
+                    }
+                } else {
+                    return Err(format!("bad --listen {v:?}"));
+                };
+            }
+            "--workload" => cfg.workload = parse_workload(&args.value()?)?,
+            "--chaos" => cfg.chaos = parse_chaos(&args.value()?)?,
+            "--clients" => client_count = Some(args.parse()?),
+            "--client-load" => client_load = Some(parse_workload(&args.value()?)?),
+            "--client-mutation" => client_mutation = Some(parse_client_mutation(&args.value()?)?),
+            _ => return Err(args.unknown()),
+        }
+    }
+    if cfg.node == usize::MAX || cfg.n == 0 || cfg.edges.is_empty() {
+        return Err("--id, --n and --edges are required".into());
+    }
+    if let Some(clients) = client_count {
+        cfg.clients = Some(ClientSpec {
+            clients,
+            load: client_load.ok_or("--clients needs --client-load")?,
+            mutation: client_mutation,
+        });
+    } else if client_load.is_some() || client_mutation.is_some() {
+        return Err("--client-load/--client-mutation need --clients".into());
+    }
+    Ok(cfg)
+}
+
+/// Parses `open:<rate>:<msgs>` / `closed:<k>:<msgs>`.
+pub fn parse_workload(s: &str) -> Result<WorkloadSpec, String> {
+    let parts: Vec<&str> = s.split(':').collect();
+    let bad = || format!("bad workload {s:?} (want open:<rate>:<msgs> or closed:<k>:<msgs>)");
+    if parts.len() != 3 {
+        return Err(bad());
+    }
+    let messages: u64 = parts[2].parse().map_err(|_| bad())?;
+    let kind = match parts[0] {
+        "open" => WorkloadKind::Open {
+            rate_per_sec: parts[1].parse().map_err(|_| bad())?,
+        },
+        "closed" => WorkloadKind::Closed {
+            outstanding: parts[1].parse().map_err(|_| bad())?,
+        },
+        _ => return Err(bad()),
+    };
+    Ok(WorkloadSpec { kind, messages })
+}
+
+/// Parses `<seed>:<faults>[:<a>-<b>:<from>:<len>]`.
+pub fn parse_chaos(s: &str) -> Result<ChaosSpec, String> {
+    let parts: Vec<&str> = s.split(':').collect();
+    let bad = || format!("bad chaos {s:?} (want <seed>:<faults>[:<a>-<b>:<from>:<len>])");
+    if parts.len() != 2 && parts.len() != 5 {
+        return Err(bad());
+    }
+    let mut spec = ChaosSpec {
+        seed: parts[0].parse().map_err(|_| bad())?,
+        faults_per_link: parts[1].parse().map_err(|_| bad())?,
+        partition: None,
+    };
+    if parts.len() == 5 {
+        let (a, b) = parts[2].split_once('-').ok_or_else(bad)?;
+        spec.partition = Some(PartitionSpec {
+            a: a.parse().map_err(|_| bad())?,
+            b: b.parse().map_err(|_| bad())?,
+            from_arrival: parts[3].parse().map_err(|_| bad())?,
+            len: parts[4].parse().map_err(|_| bad())?,
+        });
+    }
+    Ok(spec)
+}
+
+/// Parses a `--client-mutation` name: `dup-stamp`.
+pub fn parse_client_mutation(s: &str) -> Result<ClientMutation, String> {
+    match s {
+        "dup-stamp" => Ok(ClientMutation::DuplicateStamp),
+        other => Err(format!("unknown client mutation {other:?}")),
+    }
 }
 
 #[cfg(test)]
@@ -467,6 +652,81 @@ mod tests {
         )
     }
 
+    fn arb_workload() -> impl Strategy<Value = WorkloadSpec> {
+        let kind = prop_oneof![
+            any::<u64>()
+                .prop_map(f64::from_bits)
+                .prop_filter("a finite rate", |r| r.is_finite())
+                .prop_map(|rate_per_sec| WorkloadKind::Open { rate_per_sec }),
+            any::<u32>().prop_map(|outstanding| WorkloadKind::Closed { outstanding }),
+        ];
+        (kind, any::<u64>()).prop_map(|(kind, messages)| WorkloadSpec { kind, messages })
+    }
+
+    /// Random edges, a UDS directory or TCP, open or closed load, chaos
+    /// with or without a partition, clients with or without `dup-stamp`.
+    fn arb_node_config() -> impl Strategy<Value = NodeConfig> {
+        let listen = prop_oneof![
+            Just(ListenSpec::Tcp),
+            any::<u32>().prop_map(|k| ListenSpec::Uds {
+                dir: PathBuf::from(format!("/tmp/ssmfp-cluster-{k}")),
+            }),
+            Just(ListenSpec::Uds {
+                dir: PathBuf::from("/tmp/a b:c,d-e"),
+            }),
+        ];
+        let partition = prop_oneof![
+            Just(None),
+            (any::<usize>(), any::<usize>(), any::<u64>(), any::<u64>()).prop_map(
+                |(a, b, from_arrival, len)| Some(PartitionSpec {
+                    a,
+                    b,
+                    from_arrival,
+                    len,
+                })
+            ),
+        ];
+        let chaos = (any::<u64>(), any::<u32>(), partition).prop_map(
+            |(seed, faults_per_link, partition)| ChaosSpec {
+                seed,
+                faults_per_link,
+                partition,
+            },
+        );
+        let mutation = prop_oneof![Just(None), Just(Some(ClientMutation::DuplicateStamp))];
+        let clients = prop_oneof![
+            Just(None),
+            (any::<u64>(), arb_workload(), mutation).prop_map(|(clients, load, mutation)| {
+                Some(ClientSpec {
+                    clients,
+                    load,
+                    mutation,
+                })
+            }),
+        ];
+        (
+            // `usize::MAX` is the parser's "no --id yet".
+            (0..usize::MAX, 1..=usize::MAX, any::<u64>()),
+            proptest::collection::vec((any::<usize>(), any::<usize>()), 1..12),
+            listen,
+            arb_workload(),
+            chaos,
+            clients,
+        )
+            .prop_map(
+                |((node, n, seed), edges, listen, workload, chaos, clients)| NodeConfig {
+                    node,
+                    n,
+                    edges,
+                    seed,
+                    listen,
+                    workload,
+                    chaos,
+                    clients,
+                },
+            )
+    }
+
     /// Feeds a written block back through the parser, after its
     /// `report <node>` line as the supervisor does.
     fn parse_block(text: &str) -> Option<NodeReport> {
@@ -530,6 +790,44 @@ mod tests {
             let stream = String::from_utf8(stream).expect("deltas are ASCII");
             prop_assert_eq!(fold_stream(r.node, &stream), Some(r));
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+        /// Every node config survives its `--node-worker` arguments whole.
+        /// The same arguments plus a flag the codec never writes (the gone
+        /// blocking plane's `--io`), or plus a client flag without
+        /// `--clients`, are refused, not ignored.
+        #[test]
+        fn any_node_config_roundtrips_through_its_args(cfg in arb_node_config()) {
+            let args = node_args(&cfg);
+            prop_assert_eq!(parse_node_args(&args), Ok(cfg.clone()));
+            let with = |extra: [&str; 2]| {
+                let mut a = args.clone();
+                a.extend(extra.map(String::from));
+                parse_node_args(&a)
+            };
+            prop_assert!(with(["--io", "event"]).is_err());
+            if cfg.clients.is_none() {
+                prop_assert!(with(["--client-load", "closed:1:2"]).is_err());
+                prop_assert!(with(["--client-mutation", "dup-stamp"]).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn workload_and_chaos_parsers_reject_garbage() {
+        assert!(parse_workload("open:fast:10").is_err());
+        assert!(parse_workload("poisson:1:10").is_err());
+        assert!(parse_chaos("1").is_err());
+        assert!(parse_chaos("1:2:0-1:5").is_err());
+        assert!(parse_workload("closed:4:100").is_ok());
+        assert!(parse_chaos("3:2:0-4:10:40").is_ok());
+        assert!(
+            parse_node_args(&[]).is_err(),
+            "--id, --n and --edges are required"
+        );
     }
 
     /// Malformed tokens and a block cut before its `end` are refused with

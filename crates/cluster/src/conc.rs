@@ -19,7 +19,7 @@
 //!   POLLOUT-gated nonblocking writes.
 //! * `node.main` — the data plane: one per shard inproc, carrying every
 //!   node of the shard (one per process in proc mode, carrying its one
-//!   node). [`crate::node::run_nodes`] keeps every member's control pipe
+//!   node). `crate::node::run_nodes` keeps every member's control pipe
 //!   and the group's sockets — one listener, one stream per destination
 //!   address, the streams dialled in — in one persistent `epoll` set,
 //!   waits on it to the nearest deadline of any node or stream, and runs

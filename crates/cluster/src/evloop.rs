@@ -1,18 +1,18 @@
 //! The readiness-based I/O machinery of a data thread.
 //!
 //! The links belong to the *group* — the nodes that share a thread —
-//! not to the node. A [`Hub`] owns them: one between two members is a
+//! not to the node. A `Hub` owns them: one between two members is a
 //! bounded queue in memory, the rest ride a listener (if anyone outside
 //! can dial it), one simplex out-stream per distinct listener address
-//! and the streams dialled in; each member keeps only its [`Control`]
+//! and the streams dialled in; each member keeps only its `Control`
 //! pipe. None of them owns the thread, the readiness set or the clock:
-//! the `node.main` thread ([`crate::node::run_nodes`]) owns one
+//! the `node.main` thread (`crate::node::run_nodes`) owns one
 //! [`Poller`] — a persistent, level-triggered `epoll` set — for the whole
 //! group, reads the monotonic clock twice a turn and hands the reading
 //! down.
 //!
 //! A link is the paper's logical FIFO channel, not a kernel connection:
-//! to a member, [`Hub::send`] pushes the frame into its inbox — no
+//! to a member, `Hub::send` pushes the frame into its inbox — no
 //! encode, no syscall — and every link whose far end listens at one
 //! address rides the one stream to that address, where a
 //! `WireFrame::Route { src, dst }` says which link the frames after it
@@ -25,12 +25,12 @@
 //! connection when `accept` returns it; an out-stream, for writability,
 //! only from the `WouldBlock` that left bytes in its [`WriteBuf`] until
 //! the flush that empties it; and nothing on close — closing the only
-//! descriptor removes it (see [`Poller`]). [`Hub::prepare`] flushes each
+//! descriptor removes it (see [`Poller`]). `Hub::prepare` flushes each
 //! stream once, fires due heartbeats and dials and returns the nearest
 //! socket deadline; the thread sleeps exactly (`epoll_pwait2`, ns
 //! resolution) until that or the nearest deadline of any member — a status
 //! push, a workload arrival, or the protocol tick while a retransmission
-//! timer runs — and [`Hub::dispatch`] reads the fds the wait named,
+//! timer runs — and `Hub::dispatch` reads the fds the wait named,
 //! nothing else. No frame crosses a thread boundary: outbound ones append
 //! to a stream's buffer or a member's inbox, and inbound ones surface in
 //! one plain vector per member, which the member drains when stepped.
@@ -276,7 +276,7 @@ impl Poller {
     }
 
     /// The token of `fd` as owned by member `owner` of the thread's group
-    /// — or by the group's [`Hub`], as [`HUB`].
+    /// — or by the group's `Hub`, as `HUB`.
     pub fn token(owner: usize, fd: RawFd) -> u64 {
         (owner as u64) << 32 | fd as u32 as u64
     }
@@ -320,7 +320,7 @@ impl Poller {
 
     /// Blocks until a registered fd is ready or `timeout` elapses (`None`
     /// = wait forever) and returns `(token, events)` of up to
-    /// [`POLLER_EVENTS`] ready fds — empty on a timeout. `EINTR` retries;
+    /// `POLLER_EVENTS` ready fds — empty on a timeout. `EINTR` retries;
     /// any other error is the caller's to end on, not to retry.
     pub fn wait(&mut self, timeout: Option<Duration>) -> io::Result<&[(u64, i16)]> {
         let ts = timeout.map(timespec_of);
@@ -472,7 +472,7 @@ impl NetListener {
 
 /// Dials a `uds:<path>` / `tcp:<addr>` address string. A dial must never
 /// wait on an accept only a thread busy dialling can perform — every
-/// group dials from the [`crate::node::run_nodes`] loop that also accepts.
+/// group dials from the `crate::node::run_nodes` loop that also accepts.
 /// A Unix-domain connect completes while the listener's backlog has room,
 /// and std listens with `somaxconn` (4096 here). std's TCP backlog is 128
 /// (a 200-leaf star of `--node-worker` processes dials its hub past it);
@@ -587,7 +587,7 @@ impl WriteBuf {
     }
 }
 
-/// Counters and the frames-per-write histogram a group's [`Hub`]
+/// Counters and the frames-per-write histogram a group's `Hub`
 /// accumulates over all its streams, folded into the
 /// [`crate::telemetry::NodeCounters`] of the member that retires last.
 #[derive(Debug, Default)]

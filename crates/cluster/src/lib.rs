@@ -63,12 +63,12 @@ pub mod workload;
 
 pub use chaos::{ChaosSpec, PartitionSpec};
 pub use clients::{ClientMutation, ClientMux, ClientSpec};
+pub use codec::{node_args, parse_chaos, parse_node_args, parse_workload};
 pub use evloop::CtrlPipe;
 pub use node::{node_main, ListenSpec, NodeConfig, NodeReport, Status};
 pub use orchestrator::{
-    node_args, parse_chaos, parse_node_args, parse_workload, pick_partition, run_cluster,
-    shard_ranges, ClusterSpec, Detection, LedgerFlow, Phases, RunMode, RunReport, ShardReport,
-    ShardSummary,
+    pick_partition, run_cluster, shard_ranges, ClusterSpec, Detection, LedgerFlow, Phases, RunMode,
+    RunReport, ShardReport, ShardSummary,
 };
 pub use telemetry::{LogHistogram, NodeCounters};
 pub use transport::PolledTransport;

@@ -6,7 +6,7 @@
 //!
 //! A link is a logical FIFO channel, not a kernel connection, and the
 //! links belong to the *group* — the nodes that share a thread
-//! ([`crate::evloop::Hub`]). One between two members is in memory: a send
+//! (`crate::evloop::Hub`). One between two members is in memory: a send
 //! pushes the frame into the receiver's inbox, bounded per link. Only the
 //! links that leave the group touch a socket, by one rule: **same
 //! address, same stream**. A group with a neighbour outside binds one
@@ -48,7 +48,7 @@
 //! bytes belong to, and what is registered costs nothing: control pipes
 //! and the listener go into the set when the group comes up, a connection
 //! when `accept` returns it, an out-stream only while a full socket holds
-//! its bytes back. [`run_nodes`] loops on `turn`; `RunMode::Inproc` runs
+//! its bytes back. `run_nodes` loops on `turn`; `RunMode::Inproc` runs
 //! it once per shard, on the shard's one `node.main` thread; [`node_main`]
 //! — a `--node-worker` process — runs it with a group of one. A frame
 //! between two nodes of a group never touches the kernel: a receiver
@@ -90,7 +90,7 @@
 //!   once per probe wave, and otherwise once per `status_every`
 //! * node → shard, after every status line of its group: its ledger
 //!   entries since the last one, as a `gen …` and a `del …` line
-//!   ([`crate::codec::push_delta`]) — nothing if it has none — after which
+//!   (`crate::codec::push_delta`) — nothing if it has none — after which
 //!   the node lets them go: the ledger leaves while the run runs
 //! * shard → node: `probe <wave>` — the root's second wave; the group
 //!   answers it once, with a cut taken after a member read it
@@ -135,7 +135,7 @@ pub enum ListenSpec {
 }
 
 /// Everything one node needs to run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeConfig {
     /// This node's id.
     pub node: NodeId,
@@ -902,7 +902,7 @@ pub(crate) fn run_nodes(nodes: Vec<(NodeConfig, CtrlPipe)>) -> Vec<io::Result<()
 }
 
 /// Runs one node to completion over the given control pipe — a
-/// [`run_nodes`] group of one.
+/// `run_nodes` group of one.
 pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<()> {
     run_nodes(vec![(cfg.clone(), ctrl)])
         .pop()

@@ -37,7 +37,7 @@
 //! sink read before it delivered a primary and generated its ack, and the
 //! source read after it delivered that ack, add up to Σgenerated ==
 //! Σdelivered while the two were in flight between the reads. So the root
-//! ([`Detector`]) runs Mattern's four-counter rule ("Algorithms for
+//! (`Detector`) runs Mattern's four-counter rule ("Algorithms for
 //! distributed termination detection", 1987). A quiet merged snapshot with
 //! Σgenerated == Σdelivered is wave 1; the root then writes `probe <w>`,
 //! which every shard forwards to every node, and each group answers once
@@ -54,8 +54,8 @@
 //! processes.
 
 use crate::chaos::{ChaosSpec, PartitionSpec};
-use crate::clients::{ClientMutation, ClientSpec};
-use crate::codec::{fold_line, NodeReport, Status};
+use crate::clients::ClientSpec;
+use crate::codec::{fold_line, node_args, NodeReport, Status};
 use crate::conc::COMPONENT;
 use crate::evloop::{
     raise_nofile_limit, set_nonblocking_fd, take_lines, CtrlPipe, Poller, POLLERR, POLLHUP, POLLIN,
@@ -64,9 +64,10 @@ use crate::evloop::{
 use crate::node::{run_nodes, ListenSpec, NodeConfig};
 use crate::telemetry::{LogHistogram, NodeCounters};
 use crate::tuning::TUNING;
-use crate::workload::{WorkloadKind, WorkloadSpec};
+use crate::workload::WorkloadSpec;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use ssmfp_core::cli::json_string;
 use ssmfp_core::conc::{register_thread, spawn_registered, tracked_channel, TrackedSender};
 use ssmfp_core::{reconcile_clients, reconcile_ledgers, ClientVerdict, ClusterVerdict, NodeLedger};
 use ssmfp_topology::{Graph, NodeId};
@@ -263,52 +264,50 @@ impl RunReport {
 
     /// Hand-rolled JSON (the workspace carries no serde).
     pub fn to_json(&self) -> String {
+        fn debug_list<T: std::fmt::Debug>(list: &[T]) -> String {
+            list.iter()
+                .map(|x| json_string(&format!("{x:?}")))
+                .collect::<Vec<_>>()
+                .join(", ")
+        }
         let v = &self.verdict;
-        let violations: Vec<String> = v.violations.iter().map(|x| format!("{:?}", x)).collect();
         let c = &self.counters;
         let last = &self.detect.last;
         let clients_json = match &self.client_verdict {
             None => String::new(),
-            Some(cv) => {
-                let cviol: Vec<String> = cv
-                    .violations
-                    .iter()
-                    .map(|x| format!("\"{}\"", format!("{x:?}").replace('"', "'")))
-                    .collect();
-                format!(
-                    concat!(
-                        ",\n  \"clients\": {{\"hosted\": {}, \"completed\": {}, ",
-                        "\"distinct\": {}, \"stamped\": {}, \"exactly_once\": {}, ",
-                        "\"in_flight\": {}, \"violations\": {}, \"violation_list\": [{}], ",
-                        "\"rtt_us\": {{\"count\": {}, \"mean\": {:.1}, \"p50\": {}, ",
-                        "\"p99\": {}, \"max\": {}}}, ",
-                        "\"fairness_us\": {{\"count\": {}, \"p50\": {}, \"p99\": {}, ",
-                        "\"max\": {}}}}}"
-                    ),
-                    self.clients,
-                    self.clients_completed,
-                    cv.clients,
-                    cv.stamped,
-                    cv.exactly_once,
-                    cv.in_flight,
-                    cv.violations.len(),
-                    cviol.join(", "),
-                    self.client_rtt.count(),
-                    self.client_rtt.mean(),
-                    self.client_rtt.quantile(0.50),
-                    self.client_rtt.quantile(0.99),
-                    self.client_rtt.max(),
-                    self.client_fair.count(),
-                    self.client_fair.quantile(0.50),
-                    self.client_fair.quantile(0.99),
-                    self.client_fair.max(),
-                )
-            }
+            Some(cv) => format!(
+                concat!(
+                    ",\n  \"clients\": {{\"hosted\": {}, \"completed\": {}, ",
+                    "\"distinct\": {}, \"stamped\": {}, \"exactly_once\": {}, ",
+                    "\"in_flight\": {}, \"violations\": {}, \"violation_list\": [{}], ",
+                    "\"rtt_us\": {{\"count\": {}, \"mean\": {:.1}, \"p50\": {}, ",
+                    "\"p99\": {}, \"max\": {}}}, ",
+                    "\"fairness_us\": {{\"count\": {}, \"p50\": {}, \"p99\": {}, ",
+                    "\"max\": {}}}}}"
+                ),
+                self.clients,
+                self.clients_completed,
+                cv.clients,
+                cv.stamped,
+                cv.exactly_once,
+                cv.in_flight,
+                cv.violations.len(),
+                debug_list(&cv.violations),
+                self.client_rtt.count(),
+                self.client_rtt.mean(),
+                self.client_rtt.quantile(0.50),
+                self.client_rtt.quantile(0.99),
+                self.client_rtt.max(),
+                self.client_fair.count(),
+                self.client_fair.quantile(0.50),
+                self.client_fair.quantile(0.99),
+                self.client_fair.max(),
+            ),
         };
         format!(
             concat!(
                 "{{\n",
-                "  \"topology\": \"{}\",\n",
+                "  \"topology\": {},\n",
                 "  \"n\": {},\n",
                 "  \"seed\": {},\n",
                 "  \"shards\": {},\n",
@@ -332,7 +331,7 @@ impl RunReport {
                 "  \"ledger\": {{\"streamed\": {}, \"tail\": {}}}{}\n",
                 "}}"
             ),
-            self.topology,
+            json_string(&self.topology),
             self.n,
             self.seed,
             self.shards,
@@ -343,11 +342,7 @@ impl RunReport {
             v.in_flight,
             v.invalid_delivered,
             v.violations.len(),
-            violations
-                .iter()
-                .map(|s| format!("\"{}\"", s.replace('"', "'")))
-                .collect::<Vec<_>>()
-                .join(", "),
+            debug_list(&v.violations),
             self.primaries_delivered,
             self.throughput,
             self.latency.count(),
@@ -453,194 +448,6 @@ fn fold_client_totals(summaries: &[ShardSummary]) -> (LogHistogram, LogHistogram
         completed += s.clients_completed;
     }
     (rtt, fair, clients, completed)
-}
-
-/// Serializes a node config into `--node-worker` CLI arguments (the
-/// inverse of [`parse_node_args`]).
-pub fn node_args(cfg: &NodeConfig) -> Vec<String> {
-    let edges = cfg
-        .edges
-        .iter()
-        .map(|(a, b)| format!("{a}-{b}"))
-        .collect::<Vec<_>>()
-        .join(",");
-    let listen = match &cfg.listen {
-        ListenSpec::Uds { dir } => format!("uds:{}", dir.display()),
-        ListenSpec::Tcp => "tcp".to_string(),
-    };
-    let workload = match cfg.workload.kind {
-        WorkloadKind::Open { rate_per_sec } => {
-            format!("open:{rate_per_sec}:{}", cfg.workload.messages)
-        }
-        WorkloadKind::Closed { outstanding } => {
-            format!("closed:{outstanding}:{}", cfg.workload.messages)
-        }
-    };
-    let mut chaos = format!("{}:{}", cfg.chaos.seed, cfg.chaos.faults_per_link);
-    if let Some(p) = cfg.chaos.partition {
-        chaos.push_str(&format!(":{}-{}:{}:{}", p.a, p.b, p.from_arrival, p.len));
-    }
-    let mut args = vec![
-        "--id".into(),
-        cfg.node.to_string(),
-        "--n".into(),
-        cfg.n.to_string(),
-        "--edges".into(),
-        edges,
-        "--seed".into(),
-        cfg.seed.to_string(),
-        "--listen".into(),
-        listen,
-        "--workload".into(),
-        workload,
-        "--chaos".into(),
-        chaos,
-    ];
-    if let Some(c) = &cfg.clients {
-        args.push("--clients".into());
-        args.push(c.clients.to_string());
-        args.push("--client-load".into());
-        args.push(match c.load.kind {
-            WorkloadKind::Open { rate_per_sec } => {
-                format!("open:{rate_per_sec}:{}", c.load.messages)
-            }
-            WorkloadKind::Closed { outstanding } => {
-                format!("closed:{outstanding}:{}", c.load.messages)
-            }
-        });
-        if let Some(ClientMutation::DuplicateStamp) = c.mutation {
-            args.push("--client-mutation".into());
-            args.push("dup-stamp".into());
-        }
-    }
-    args
-}
-
-/// Parses the arguments produced by [`node_args`]. `Err` carries a usage
-/// message.
-pub fn parse_node_args(args: &[String]) -> Result<NodeConfig, String> {
-    let mut cfg = NodeConfig {
-        node: usize::MAX,
-        n: 0,
-        edges: Vec::new(),
-        seed: 0,
-        listen: ListenSpec::Tcp,
-        workload: WorkloadSpec {
-            kind: WorkloadKind::Closed { outstanding: 1 },
-            messages: 0,
-        },
-        chaos: ChaosSpec::none(),
-        clients: None,
-    };
-    let mut client_count: Option<u64> = None;
-    let mut client_load: Option<WorkloadSpec> = None;
-    let mut client_mutation: Option<ClientMutation> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--id" => cfg.node = val()?.parse().map_err(|e| format!("--id: {e}"))?,
-            "--n" => cfg.n = val()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--edges" => {
-                for pair in val()?.split(',') {
-                    let (a, b) = pair
-                        .split_once('-')
-                        .ok_or_else(|| format!("bad edge {pair:?}"))?;
-                    cfg.edges.push((
-                        a.parse().map_err(|e| format!("edge: {e}"))?,
-                        b.parse().map_err(|e| format!("edge: {e}"))?,
-                    ));
-                }
-            }
-            "--seed" => cfg.seed = val()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--listen" => {
-                let v = val()?;
-                cfg.listen = if v == "tcp" {
-                    ListenSpec::Tcp
-                } else if let Some(dir) = v.strip_prefix("uds:") {
-                    ListenSpec::Uds {
-                        dir: PathBuf::from(dir),
-                    }
-                } else {
-                    return Err(format!("bad --listen {v:?}"));
-                };
-            }
-            "--workload" => cfg.workload = parse_workload(val()?)?,
-            "--chaos" => cfg.chaos = parse_chaos(val()?)?,
-            "--clients" => {
-                client_count = Some(val()?.parse().map_err(|e| format!("--clients: {e}"))?)
-            }
-            "--client-load" => client_load = Some(parse_workload(val()?)?),
-            "--client-mutation" => {
-                client_mutation = Some(match val()? {
-                    "dup-stamp" => ClientMutation::DuplicateStamp,
-                    other => return Err(format!("unknown client mutation {other:?}")),
-                })
-            }
-            other => return Err(format!("unknown node-worker flag {other:?}")),
-        }
-    }
-    if cfg.node == usize::MAX || cfg.n == 0 || cfg.edges.is_empty() {
-        return Err("--id, --n and --edges are required".into());
-    }
-    if let Some(clients) = client_count {
-        cfg.clients = Some(ClientSpec {
-            clients,
-            load: client_load.ok_or("--clients needs --client-load")?,
-            mutation: client_mutation,
-        });
-    } else if client_load.is_some() || client_mutation.is_some() {
-        return Err("--client-load/--client-mutation need --clients".into());
-    }
-    Ok(cfg)
-}
-
-/// Parses `open:<rate>:<msgs>` / `closed:<k>:<msgs>`.
-pub fn parse_workload(s: &str) -> Result<WorkloadSpec, String> {
-    let parts: Vec<&str> = s.split(':').collect();
-    let bad = || format!("bad workload {s:?} (want open:<rate>:<msgs> or closed:<k>:<msgs>)");
-    if parts.len() != 3 {
-        return Err(bad());
-    }
-    let messages: u64 = parts[2].parse().map_err(|_| bad())?;
-    let kind = match parts[0] {
-        "open" => WorkloadKind::Open {
-            rate_per_sec: parts[1].parse().map_err(|_| bad())?,
-        },
-        "closed" => WorkloadKind::Closed {
-            outstanding: parts[1].parse().map_err(|_| bad())?,
-        },
-        _ => return Err(bad()),
-    };
-    Ok(WorkloadSpec { kind, messages })
-}
-
-/// Parses `<seed>:<faults>[:<a>-<b>:<from>:<len>]`.
-pub fn parse_chaos(s: &str) -> Result<ChaosSpec, String> {
-    let parts: Vec<&str> = s.split(':').collect();
-    let bad = || format!("bad chaos {s:?} (want <seed>:<faults>[:<a>-<b>:<from>:<len>])");
-    if parts.len() != 2 && parts.len() != 5 {
-        return Err(bad());
-    }
-    let mut spec = ChaosSpec {
-        seed: parts[0].parse().map_err(|_| bad())?,
-        faults_per_link: parts[1].parse().map_err(|_| bad())?,
-        partition: None,
-    };
-    if parts.len() == 5 {
-        let (a, b) = parts[2].split_once('-').ok_or_else(bad)?;
-        spec.partition = Some(PartitionSpec {
-            a: a.parse().map_err(|_| bad())?,
-            b: b.parse().map_err(|_| bad())?,
-            from_arrival: parts[3].parse().map_err(|_| bad())?,
-            len: parts[4].parse().map_err(|_| bad())?,
-        });
-    }
-    Ok(spec)
 }
 
 /// The descriptors a run holds at once, from the shape of its streams. A
@@ -1536,67 +1343,6 @@ mod tests {
     use ssmfp_mp::MpGhost;
 
     #[test]
-    fn node_args_roundtrip() {
-        let cfg = NodeConfig {
-            node: 2,
-            n: 5,
-            edges: vec![(0, 1), (1, 2), (2, 3), (3, 4)],
-            seed: 99,
-            listen: ListenSpec::Uds {
-                dir: PathBuf::from("/tmp/x"),
-            },
-            workload: WorkloadSpec {
-                kind: WorkloadKind::Open {
-                    rate_per_sec: 250.0,
-                },
-                messages: 40,
-            },
-            chaos: ChaosSpec {
-                seed: 7,
-                faults_per_link: 3,
-                partition: Some(PartitionSpec {
-                    a: 1,
-                    b: 2,
-                    from_arrival: 10,
-                    len: 25,
-                }),
-            },
-            clients: Some(ClientSpec {
-                clients: 100_000,
-                load: WorkloadSpec {
-                    kind: WorkloadKind::Closed { outstanding: 1 },
-                    messages: 2,
-                },
-                mutation: Some(ClientMutation::DuplicateStamp),
-            }),
-        };
-        let args = node_args(&cfg);
-        let back = parse_node_args(&args).unwrap();
-        assert_eq!(back.node, cfg.node);
-        assert_eq!(back.n, cfg.n);
-        assert_eq!(back.edges, cfg.edges);
-        assert_eq!(back.seed, cfg.seed);
-        assert_eq!(back.listen, cfg.listen);
-        assert_eq!(back.workload, cfg.workload);
-        assert_eq!(back.chaos, cfg.chaos);
-        assert_eq!(back.clients, cfg.clients);
-        // Node mode stays the default: no client flags, no client spec.
-        let plain = NodeConfig {
-            clients: None,
-            ..cfg.clone()
-        };
-        let back = parse_node_args(&node_args(&plain)).unwrap();
-        assert_eq!(back.clients, None);
-        // The blocking plane is gone: its flag is rejected, not ignored.
-        assert!(parse_node_args(&["--io".to_string(), "event".to_string()]).is_err());
-        // Client flags are load-bearing together only.
-        let mut orphan = node_args(&plain);
-        orphan.push("--client-load".into());
-        orphan.push("closed:1:2".into());
-        assert!(parse_node_args(&orphan).is_err());
-    }
-
-    #[test]
     fn shard_ranges_partition_the_nodes() {
         for n in [1usize, 2, 5, 10, 64, 100] {
             for shards in [0usize, 1, 2, 3, 4, 7, 100, 1000] {
@@ -1869,16 +1615,6 @@ mod tests {
                 last: quiet(1, 0, 0)
             }
         );
-    }
-
-    #[test]
-    fn workload_and_chaos_parsers_reject_garbage() {
-        assert!(parse_workload("open:fast:10").is_err());
-        assert!(parse_workload("poisson:1:10").is_err());
-        assert!(parse_chaos("1").is_err());
-        assert!(parse_chaos("1:2:0-1:5").is_err());
-        assert!(parse_workload("closed:4:100").is_ok());
-        assert!(parse_chaos("3:2:0-4:10:40").is_ok());
     }
 
     #[test]

@@ -18,15 +18,15 @@ use std::time::{Duration, Instant};
 const PATIENCE: Duration = Duration::from_secs(10);
 
 /// The nodes of a topology in groups, as data threads hold them: one
-/// [`Hub`] per group, all on the calling thread and in one [`Poller`] (a
+/// `Hub` per group, all on the calling thread and in one [`Poller`] (a
 /// token names its fd; a hub's dispatch skips fds it does not own). So the
 /// suite checks `Route` multiplexing, the per-stream shed, the redial that
 /// resets the route and the in-memory link, and a framing or demultiplexing
 /// bug is a protocol-level failure.
 ///
-/// `send` is [`Hub::send`]. [`Transport::drive`] is a data thread's turn
-/// without its members — [`Hub::prepare`], a zero-timeout wait,
-/// [`Hub::dispatch`] — and then every inbox drained by local port into
+/// `send` is `Hub::send`. [`Transport::drive`] is a data thread's turn
+/// without its members — `Hub::prepare`, a zero-timeout wait,
+/// `Hub::dispatch` — and then every inbox drained by local port into
 /// per-link queues, behind which the [`FaultClerk`] sits: the adversarial
 /// scheduler meets frames buffered, in the kernel and undrained.
 pub struct PolledTransport {

@@ -49,11 +49,14 @@
 //!   channel bounds, blocking edges) for the runtime layers, with the
 //!   debug-build `TrackedMutex`/`TrackedChannel` instrumentation and the
 //!   thread registry backing `ssmfp-lint`'s `conc-*` passes.
+//! * [`cli`] — what the workspace's binaries share at their edges: one
+//!   argv parser and one JSON string encoder.
 
 pub mod api;
 pub mod baseline;
 pub mod caterpillar;
 pub mod choice;
+pub mod cli;
 pub mod codec;
 pub mod color;
 pub mod conc;

@@ -129,7 +129,7 @@ impl ClientStamp {
 }
 
 /// The per-client audit's identity fields, declared once. Every field
-/// here must be carried by the message codec ([`put_msg`] and its
+/// here must be carried by the message codec (`put_msg` and its
 /// decoder) or the stamp would be dropped on the wire and the
 /// per-client exactly-once verdict could not be reconstructed. The
 /// `wire-coverage` lint checks this list against
@@ -292,8 +292,8 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// The client-stamp fields [`put_msg`] actually writes (and
-/// [`Cursor::msg`] reads back), declared adjacent to the codec so a
+/// The client-stamp fields `put_msg` actually writes (and
+/// `Cursor::msg` reads back), declared adjacent to the codec so a
 /// dropped field is a one-line diff away from this list. The
 /// `wire-coverage` lint checks it against [`CLIENT_STAMP_FIELDS`].
 pub const ENCODED_CLIENT_STAMP_FIELDS: [&str; 2] = ["stamp.client_id", "stamp.client_seq"];

@@ -63,6 +63,7 @@
 
 pub mod conc;
 
+use ssmfp_core::cli::json_string;
 use ssmfp_core::conc::ConcModel;
 use ssmfp_core::footprint::{composed_fwd_footprint, guards_can_overlap, LAYER_SSMFP};
 use ssmfp_core::wire::{
@@ -747,17 +748,14 @@ fn lint_wire_coverage(surface: &WireSurface, report: &mut LintReport) {
 /// Serializes a report as JSON (hand-rolled: the workspace builds without
 /// a registry, so no serde).
 pub fn to_json(report: &LintReport) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
     fn findings(list: Vec<&Finding>) -> String {
         let items: Vec<String> = list
             .iter()
             .map(|f| {
                 format!(
-                    "{{\"code\":\"{}\",\"message\":\"{}\"}}",
-                    esc(f.code),
-                    esc(&f.message)
+                    "{{\"code\":{},\"message\":{}}}",
+                    json_string(f.code),
+                    json_string(&f.message)
                 )
             })
             .collect();
@@ -766,12 +764,12 @@ pub fn to_json(report: &LintReport) -> String {
     fn pairs(list: &[(String, String)]) -> String {
         let items: Vec<String> = list
             .iter()
-            .map(|(a, b)| format!("[\"{}\",\"{}\"]", esc(a), esc(b)))
+            .map(|(a, b)| format!("[{},{}]", json_string(a), json_string(b)))
             .collect();
         format!("[{}]", items.join(","))
     }
     let strings = |list: &[String]| -> String {
-        let items: Vec<String> = list.iter().map(|v| format!("\"{}\"", esc(v))).collect();
+        let items: Vec<String> = list.iter().map(|v| json_string(v)).collect();
         items.join(",")
     };
     let conc_items: Vec<String> = report
@@ -779,9 +777,9 @@ pub fn to_json(report: &LintReport) -> String {
         .iter()
         .map(|c| {
             format!(
-                "{{\"component\":\"{}\",\"threads\":{},\"locks\":{},\"channels\":{},\
+                "{{\"component\":{},\"threads\":{},\"locks\":{},\"channels\":{},\
                  \"edges\":{},\"untimed_edges\":{}}}",
-                esc(&c.component),
+                json_string(&c.component),
                 c.threads,
                 c.locks,
                 c.channels,
@@ -1094,5 +1092,20 @@ mod tests {
                 == json.chars().filter(|&c| c == close).count()
         };
         assert!(balance('{', '}') && balance('[', ']'));
+    }
+
+    #[test]
+    fn a_finding_message_is_escaped() {
+        let mut report = LintReport::default();
+        report.findings.push(Finding {
+            severity: Severity::Warning,
+            code: "non-local-write",
+            message: "say \"hi\" to C:\\dir\nnext".into(),
+        });
+        let json = to_json(&report);
+        assert!(
+            json.contains(r#"{"code":"non-local-write","message":"say \"hi\" to C:\\dir\nnext"}"#)
+        );
+        assert!(!json.contains("dir\nnext"), "a raw newline in a string");
     }
 }

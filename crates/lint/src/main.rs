@@ -13,21 +13,21 @@
 //! analysis, 1 when any violation (or, under `-D`, any finding) exists,
 //! 2 on usage errors.
 
+use ssmfp_core::cli::{Args, Tool};
 use ssmfp_lint::{analyze_default, known_pass, to_json, Severity, PASSES};
 
-fn die(msg: &str) -> ! {
-    eprintln!("ssmfp-lint: {msg}");
-    std::process::exit(2);
-}
+const TOOL: Tool = Tool {
+    name: "ssmfp-lint",
+    usage: "usage: ssmfp-lint [-D|--deny-warnings] [--json FILE] [--only PASS]... \
+            [--skip PASS]... [--list] [--version]",
+};
 
-fn pass_arg(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    let name = args
-        .next()
-        .unwrap_or_else(|| die(&format!("{flag} needs a pass name (see --list)")));
+fn pass_arg(args: &mut Args) -> Result<String, String> {
+    let name = args.value()?;
     if !known_pass(&name) {
-        die(&format!("unknown pass `{name}` (see --list)"));
+        return Err(format!("unknown pass `{name}` (see --list)"));
     }
-    name
+    Ok(name)
 }
 
 fn main() {
@@ -35,38 +35,26 @@ fn main() {
     let mut json_path: Option<String> = None;
     let mut only: Vec<String> = Vec::new();
     let mut skip: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-D" | "--deny-warnings" => deny_warnings = true,
-            "--json" => {
-                json_path = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--json needs a file ('-' = stdout)")),
-                );
+    let mut list = false;
+    TOOL.parse(|args| {
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
+                "-D" | "--deny-warnings" => deny_warnings = true,
+                "--json" => json_path = Some(args.value()?),
+                "--only" => only.push(pass_arg(args)?),
+                "--skip" => skip.push(pass_arg(args)?),
+                "--list" => list = true,
+                _ => return Err(args.unknown()),
             }
-            "--only" => only.push(pass_arg(&mut args, "--only")),
-            "--skip" => skip.push(pass_arg(&mut args, "--skip")),
-            "--list" => {
-                let width = PASSES.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-                for (name, doc) in PASSES {
-                    println!("{name:width$}  {doc}");
-                }
-                return;
-            }
-            "--version" => {
-                println!("ssmfp-lint {}", env!("CARGO_PKG_VERSION"));
-                return;
-            }
-            "-h" | "--help" => {
-                eprintln!(
-                    "usage: ssmfp-lint [-D|--deny-warnings] [--json FILE] [--only PASS]... \
-                     [--skip PASS]... [--list] [--version]"
-                );
-                return;
-            }
-            other => die(&format!("unknown argument `{other}` (try --help)")),
         }
+        Ok(())
+    });
+    if list {
+        let width = PASSES.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
+        for (name, doc) in PASSES {
+            println!("{name:width$}  {doc}");
+        }
+        return;
     }
 
     let mut report = analyze_default();
@@ -76,7 +64,7 @@ fn main() {
         None | Some("-") => println!("{json}"),
         Some(path) => {
             if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                die(&format!("cannot write {path}: {e}"));
+                TOOL.die(&format!("cannot write {path}: {e}"));
             }
             eprintln!("ssmfp-lint: report written to {path}");
         }

@@ -17,83 +17,23 @@
 //!   the oracle verdict and exits 0 iff the run satisfies `SP` (so a
 //!   true failure artifact exits 1, deterministically).
 
+use ssmfp_core::cli::Tool;
 use ssmfp_core::faults::SeededBug;
 use ssmfp_core::replay::{run_fault_scenario, FaultScenario};
 use ssmfp_soak::{mutation_self_test, run_campaign, summary_json, CampaignConfig};
 
-struct Options {
-    config: CampaignConfig,
-    out: String,
-    artifact_dir: String,
-    replay: Option<String>,
-    mutation_check: bool,
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        config: CampaignConfig::quick(),
-        out: "SOAK_summary.json".to_string(),
-        artifact_dir: ".".to_string(),
-        replay: None,
-        mutation_check: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| die(&format!("{what} needs a value")))
-        };
-        match arg.as_str() {
-            "--quick" => opts.config = CampaignConfig::quick(),
-            "--seeds" => {
-                opts.config.scenarios = parse(&value("--seeds"), "--seeds");
-            }
-            "--faults" => {
-                opts.config.faults_per_plan = parse(&value("--faults"), "--faults") as usize;
-            }
-            "--budget" => {
-                opts.config.budget = parse(&value("--budget"), "--budget");
-            }
-            "--threads" => {
-                opts.config.threads = parse(&value("--threads"), "--threads").max(1) as usize;
-            }
-            "--out" => opts.out = value("--out"),
-            "--artifact-dir" => opts.artifact_dir = value("--artifact-dir"),
-            "--replay" => opts.replay = Some(value("--replay")),
-            "--mutation-check" => opts.mutation_check = true,
-            "--version" => {
-                println!("ssmfp-soak {}", env!("CARGO_PKG_VERSION"));
-                std::process::exit(0);
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: ssmfp-soak [--quick] [--seeds N] [--faults N] [--budget N] \
-                     [--threads N] [--out FILE] [--artifact-dir DIR] \
-                     [--mutation-check] [--replay FILE]"
-                );
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown argument: {other}")),
-        }
-    }
-    opts
-}
-
-fn parse(v: &str, flag: &str) -> u64 {
-    v.parse()
-        .unwrap_or_else(|_| die(&format!("bad {flag} value: {v}")))
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("ssmfp-soak: {msg}");
-    std::process::exit(2);
-}
+const TOOL: Tool = Tool {
+    name: "ssmfp-soak",
+    usage: "usage: ssmfp-soak [--quick] [--seeds N] [--faults N] [--budget N] \
+            [--threads N] [--out FILE] [--artifact-dir DIR] \
+            [--mutation-check] [--replay FILE]",
+};
 
 fn replay(path: &str) -> i32 {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| die(&format!("cannot read artifact '{path}': {e}")));
+        .unwrap_or_else(|e| TOOL.die(&format!("cannot read artifact '{path}': {e}")));
     let scenario = FaultScenario::from_text(&text)
-        .unwrap_or_else(|e| die(&format!("bad artifact '{path}': {e}")));
+        .unwrap_or_else(|e| TOOL.die(&format!("bad artifact '{path}': {e}")));
     let outcome = run_fault_scenario(&scenario);
     println!("replay of {path}:");
     println!(
@@ -173,14 +113,35 @@ fn mutation_check(config: &CampaignConfig, artifact_dir: &str) -> i32 {
 }
 
 fn main() {
-    let opts = parse_args();
-    if let Some(path) = &opts.replay {
+    let mut config = CampaignConfig::quick();
+    let mut out = "SOAK_summary.json".to_string();
+    let mut artifact_dir = ".".to_string();
+    let mut replay_path: Option<String> = None;
+    let mut mutation = false;
+    TOOL.parse(|args| {
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
+                "--quick" => config = CampaignConfig::quick(),
+                "--seeds" => config.scenarios = args.parse()?,
+                "--faults" => config.faults_per_plan = args.parse()?,
+                "--budget" => config.budget = args.parse()?,
+                "--threads" => config.threads = args.parse::<usize>()?.max(1),
+                "--out" => out = args.value()?,
+                "--artifact-dir" => artifact_dir = args.value()?,
+                "--replay" => replay_path = Some(args.value()?),
+                "--mutation-check" => mutation = true,
+                _ => return Err(args.unknown()),
+            }
+        }
+        Ok(())
+    });
+    if let Some(path) = &replay_path {
         std::process::exit(replay(path));
     }
-    if opts.mutation_check {
-        std::process::exit(mutation_check(&opts.config, &opts.artifact_dir));
+    if mutation {
+        std::process::exit(mutation_check(&config, &artifact_dir));
     }
-    let summary = run_campaign(&opts.config);
+    let summary = run_campaign(&config);
     println!(
         "soak campaign: {} scenarios, {} faults applied, {} non-converged, \
          mean post-fault convergence {:.1} steps",
@@ -190,17 +151,17 @@ fn main() {
         summary.mean_post_fault_steps
     );
     let json = summary_json(&summary);
-    if let Err(e) = std::fs::write(&opts.out, &json) {
-        die(&format!("cannot write summary '{}': {e}", opts.out));
+    if let Err(e) = std::fs::write(&out, &json) {
+        TOOL.die(&format!("cannot write summary '{}': {e}", out));
     }
-    println!("summary written to {}", opts.out);
+    println!("summary written to {}", out);
     if summary.clean() {
         println!("no spec violation: SP held on every post-fault epoch");
         std::process::exit(0);
     }
     eprintln!("{} SPEC VIOLATION(S):", summary.failures.len());
     for f in &summary.failures {
-        let path = format!("{}/soak-failure-seed{}.txt", opts.artifact_dir, f.seed);
+        let path = format!("{}/soak-failure-seed{}.txt", artifact_dir, f.seed);
         eprintln!(
             "  seed {}: {} (plan {} -> shrunk {} faults) -> {}",
             f.seed,

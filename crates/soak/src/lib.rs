@@ -4,7 +4,7 @@
 //!
 //! A campaign is a seeded sweep: seed `k` deterministically derives a
 //! scenario (topology, daemon, initial corruption, higher-layer sends,
-//! and a mid-execution [`FaultPlan`](ssmfp_core::FaultPlan)), runs it to
+//! and a mid-execution [`FaultPlan`]), runs it to
 //! quiescence, and asks the oracle whether Specification `SP` held for
 //! the post-fault epoch. Any failing scenario is **shrunk** — faults are
 //! dropped greedily to a fixpoint, then each survivor is narrowed to a
@@ -18,6 +18,7 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use ssmfp_core::cli::json_string;
 use ssmfp_core::faults::{FaultPlan, FaultPlanConfig, SeededBug};
 use ssmfp_core::replay::{run_fault_scenario, FaultScenario, ScenarioOutcome, SendSpec};
 use ssmfp_core::DaemonKind;
@@ -313,8 +314,12 @@ pub fn mutation_self_test(bug: SeededBug, config: &CampaignConfig) -> CampaignSu
     run_campaign(&mutated)
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// One failure's entry in [`summary_json`].
+fn failure_json(seed: u64, summary: &str, plan_faults: usize, shrunk_faults: usize) -> String {
+    format!(
+        "{{\"seed\": {seed}, \"summary\": {}, \"plan_faults\": {plan_faults}, \"shrunk_faults\": {shrunk_faults}}}",
+        json_string(summary)
+    )
 }
 
 /// Hand-rolled JSON rendering of a campaign summary (the artifact the CI
@@ -341,12 +346,12 @@ pub fn summary_json(summary: &CampaignSummary) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "\n    {{\"seed\": {}, \"summary\": \"{}\", \"plan_faults\": {}, \"shrunk_faults\": {}}}",
+        out.push_str("\n    ");
+        out.push_str(&failure_json(
             f.seed,
-            json_escape(&f.outcome.summary()),
+            &f.outcome.summary(),
             f.scenario.plan.len(),
-            f.shrunk.plan.len()
+            f.shrunk.plan.len(),
         ));
     }
     if !summary.failures.is_empty() {
@@ -471,6 +476,14 @@ mod tests {
         assert!(json.contains("\"scenarios\": 4"));
         assert!(json.contains("\"violations\": 0"));
         assert!(json.ends_with("}\n"));
+    }
+
+    #[test]
+    fn a_failure_summary_is_escaped() {
+        assert_eq!(
+            failure_json(3, "say \"hi\" to C:\\dir\nnext", 4, 2),
+            r#"{"seed": 3, "summary": "say \"hi\" to C:\\dir\nnext", "plan_faults": 4, "shrunk_faults": 2}"#
+        );
     }
 
     /// Satellite: `AdversarialDaemon` and `LocallyCentralDaemon` under
