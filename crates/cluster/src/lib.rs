@@ -44,8 +44,8 @@
 //! * [`telemetry`] — log-bucketed latency histograms and counters.
 //! * [`tuning`] — every runtime knob in one documented [`ClusterTuning`]
 //!   struct, consumed by both the running code and the declared model.
-//! * [`conc`] — the declared concurrency model (thread roles, lock ranks,
-//!   channel bounds, blocking edges) feeding `ssmfp-lint`'s `conc-*`
+//! * [`conc`] — the declared concurrency model (three thread roles, one
+//!   bounded channel, the blocking edges) feeding `ssmfp-lint`'s `conc-*`
 //!   passes and the debug-build runtime assertions.
 
 pub mod chaos;

@@ -1232,7 +1232,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     let k = ranges.len();
     raise_nofile_limit(nofile_budget(&spec.graph, &ranges, &spec.mode));
 
-    let (up_tx, up_rx, _up_stats) =
+    let (up_tx, up_rx) =
         tracked_channel::<(usize, ShardUp)>(COMPONENT, model.channel_decl("orch.shard"));
     let mut pipes: Vec<UnixStream> = Vec::with_capacity(k);
     let mut joins: Vec<JoinHandle<()>> = Vec::with_capacity(k);

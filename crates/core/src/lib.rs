@@ -45,10 +45,10 @@
 //!   for the link-crossing traffic (handshake, routing advertisements,
 //!   supervision), with a total decoder and the tag/event-kind surface
 //!   `ssmfp-lint`'s `wire-coverage` lint audits.
-//! * [`conc`] — declared concurrency footprints (thread roles, lock ranks,
-//!   channel bounds, blocking edges) for the runtime layers, with the
-//!   debug-build `TrackedMutex`/`TrackedChannel` instrumentation and the
-//!   thread registry backing `ssmfp-lint`'s `conc-*` passes.
+//! * [`conc`] — declared concurrency footprints (thread roles, channel
+//!   bounds, blocking edges) for the runtime layers, with the bounded
+//!   [`conc::tracked_channel`] and the debug-build thread registry backing
+//!   `ssmfp-lint`'s `conc-*` passes.
 //! * [`cli`] — what the workspace's binaries share at their edges: one
 //!   argv parser and one JSON string encoder.
 
@@ -80,8 +80,7 @@ pub use codec::{
 };
 pub use conc::{
     observed_threads, register_thread, registered_thread_count, spawn_registered, tracked_channel,
-    BlockingEdge, ChannelDecl, ChannelStats, ConcModel, FullPolicy, LockDecl, Multiplicity,
-    SendOutcome, ThreadDecl, TrackedMutex, TrackedSender, WaitPoint, EXTERN_ROLE,
+    BlockingEdge, ChannelDecl, ConcModel, ThreadDecl, TrackedSender, WaitPoint, EXTERN_ROLE,
 };
 pub use faults::{
     BufSel, Fault, FaultCursor, FaultInjector, FaultKind, FaultPlan, FaultPlanConfig, SeededBug,

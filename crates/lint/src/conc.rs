@@ -2,40 +2,31 @@
 //! models ([`ssmfp_core::conc::ConcModel`]).
 //!
 //! The runtime layers (`crates/cluster`, `crates/mp`) declare their
-//! thread roles, lock ranks, channel bounds and blocking edges; these
-//! passes check the declarations the same way the footprint passes check
-//! the protocol rules:
+//! thread roles, channel bounds and blocking edges; these passes check
+//! the declarations the same way the footprint passes check the protocol
+//! rules:
 //!
 //! * **`conc-coverage`** — referential integrity: every name an edge or
 //!   channel mentions is declared, no duplicates, every spawner is a
-//!   declared role (or `extern`). The *runtime* half — every observed
-//!   thread appears in the model — runs in the debug-build test suites
-//!   via [`ssmfp_core::conc::ConcModel::undeclared_observed`].
-//! * **`conc-unbounded`** — every cross-thread channel declares a bound
-//!   and a full-queue policy. An unbounded queue is an unbounded memory
-//!   and latency liability that also hides from the deadlock analysis.
-//! * **`conc-hold-across-block`** — no declared edge blocks on a
-//!   socket/queue/accept while holding a lock. Lock acquisitions
-//!   themselves are governed by rank order instead.
-//! * **`conc-deadlock`** — two checks over the declared graph. First,
-//!   lock-rank inversions: an edge acquiring a lock whose rank is not
-//!   strictly above every lock it holds. Second, circular waits: a
-//!   wait-for graph is built from the *untimed* edges (a timed wait
-//!   cannot wedge), resolving each wait to the roles that can unblock it
-//!   — a full-channel send waits for the receiver, an empty-channel
-//!   receive waits for the senders, a socket operation waits for the
-//!   peer role, a lock waits for every role that blocks while holding
-//!   it. Elementary cycles are reported as violations, except cycles
-//!   that wait on both the *full* and the *empty* side of one FIFO
-//!   resource: a queue (or socket buffer) cannot be simultaneously full
-//!   and empty, so such a cycle is infeasible. (The prune reasons about
-//!   one resource instance; it is sound for this model because full- and
-//!   empty-waits of each resource pair off per connection/queue
-//!   instance.)
+//!   declared role (or `extern`), and every `spawned_by` chain reaches
+//!   `extern`, so the spawn relation is a tree. The *runtime* half —
+//!   every observed thread appears in the model — runs in the debug-build
+//!   test suites via [`ssmfp_core::conc::ConcModel::undeclared_observed`].
+//! * **`conc-unbounded`** — every cross-thread channel declares a bound.
+//!   An unbounded queue is an unbounded memory and latency liability.
+//! * **`conc-deadlock`** — every *untimed* wait of a role can be ended
+//!   only by the role that spawned it: a full-channel send by the
+//!   channel's receiver, an empty-channel receive by every sender, a
+//!   socket operation or an accept by the named peer. A timed wait ends
+//!   by its deadline. So every chain of untimed waits climbs the spawn
+//!   tree, and a chain that climbs a tree cannot close into a cycle: no
+//!   set of threads can all be stuck waiting on one another. The
+//!   argument holds per instance too — a cycle among thread instances
+//!   maps onto a cycle among their roles.
 
 use crate::{push, LintReport, Severity};
-use ssmfp_core::conc::{ConcModel, FullPolicy, WaitPoint, EXTERN_ROLE};
-use std::collections::{BTreeMap, BTreeSet};
+use ssmfp_core::conc::{BlockingEdge, ConcModel, WaitPoint, EXTERN_ROLE};
+use std::collections::BTreeSet;
 
 /// Summary of one analyzed component, carried in the JSON report.
 #[derive(Debug, Clone)]
@@ -44,8 +35,6 @@ pub struct ConcComponentSummary {
     pub component: String,
     /// Declared thread roles.
     pub threads: usize,
-    /// Declared locks.
-    pub locks: usize,
     /// Declared channels.
     pub channels: usize,
     /// Declared blocking edges.
@@ -59,18 +48,17 @@ pub fn lint_conc_model(model: &ConcModel, report: &mut LintReport) {
     report.conc.push(ConcComponentSummary {
         component: model.component.to_string(),
         threads: model.threads.len(),
-        locks: model.locks.len(),
         channels: model.channels.len(),
         edges: model.edges.len(),
         untimed_edges: model.edges.iter().filter(|e| !e.timed).count(),
     });
     lint_conc_coverage(model, report);
     lint_conc_unbounded(model, report);
-    lint_conc_hold_across_block(model, report);
     lint_conc_deadlock(model, report);
 }
 
-/// `conc-coverage`: the declaration is internally closed.
+/// `conc-coverage`: the declaration is internally closed and its spawn
+/// relation is a tree rooted at `extern`.
 pub fn lint_conc_coverage(model: &ConcModel, report: &mut LintReport) {
     let comp = model.component;
     let mut seen = BTreeSet::new();
@@ -94,16 +82,16 @@ pub fn lint_conc_coverage(model: &ConcModel, report: &mut LintReport) {
                     t.role, t.spawned_by
                 ),
             );
-        }
-    }
-    let mut seen = BTreeSet::new();
-    for l in &model.locks {
-        if !seen.insert(l.name) {
+        } else if !spawn_chain_ends(model, t.role) {
             push(
                 report,
                 Severity::Violation,
                 "conc-coverage",
-                format!("{comp}: lock `{}` is declared twice", l.name),
+                format!(
+                    "{comp}: thread role `{}` has a `spawned_by` chain that never reaches \
+                     `{EXTERN_ROLE}` — the spawn relation must be a tree",
+                    t.role
+                ),
             );
         }
     }
@@ -143,19 +131,6 @@ pub fn lint_conc_coverage(model: &ConcModel, report: &mut LintReport) {
                 ),
             );
         }
-        for h in &e.holding {
-            if model.lock(h).is_none() {
-                push(
-                    report,
-                    Severity::Violation,
-                    "conc-coverage",
-                    format!(
-                        "{comp}: `{}` holds undeclared lock `{h}` across a blocking edge",
-                        e.thread
-                    ),
-                );
-            }
-        }
         match e.waits {
             WaitPoint::ChanSend(c) | WaitPoint::ChanRecv(c) => {
                 if model.channel(c).is_none() {
@@ -164,29 +139,6 @@ pub fn lint_conc_coverage(model: &ConcModel, report: &mut LintReport) {
                         Severity::Violation,
                         "conc-coverage",
                         format!("{comp}: `{}` blocks on undeclared channel `{c}`", e.thread),
-                    );
-                } else if matches!(e.waits, WaitPoint::ChanSend(_))
-                    && model.channel(c).and_then(|d| d.policy) == Some(FullPolicy::Shed)
-                {
-                    push(
-                        report,
-                        Severity::Warning,
-                        "conc-coverage",
-                        format!(
-                            "{comp}: `{}` declares a blocking send on `{c}`, but that channel \
-                             sheds when full and can never block a sender — stale edge",
-                            e.thread
-                        ),
-                    );
-                }
-            }
-            WaitPoint::LockAcquire(l) => {
-                if model.lock(l).is_none() {
-                    push(
-                        report,
-                        Severity::Violation,
-                        "conc-coverage",
-                        format!("{comp}: `{}` blocks on undeclared lock `{l}`", e.thread),
                     );
                 }
             }
@@ -207,308 +159,117 @@ pub fn lint_conc_coverage(model: &ConcModel, report: &mut LintReport) {
     }
 }
 
-/// `conc-unbounded`: every channel declares a bound and a policy.
-pub fn lint_conc_unbounded(model: &ConcModel, report: &mut LintReport) {
-    for c in &model.channels {
-        if c.bound.is_none() {
-            push(
-                report,
-                Severity::Violation,
-                "conc-unbounded",
-                format!(
-                    "{}: channel `{}` declares no bound — every cross-thread channel must be \
-                     bounded (unbounded queues hide from the deadlock analysis and are an \
-                     unbounded memory/latency liability)",
-                    model.component, c.name
-                ),
-            );
-        }
-        if c.policy.is_none() {
-            push(
-                report,
-                Severity::Violation,
-                "conc-unbounded",
-                format!(
-                    "{}: channel `{}` declares no full-queue policy — say whether a full queue \
-                     blocks the sender (counted backpressure) or sheds the message",
-                    model.component, c.name
-                ),
-            );
+/// Whether `role`'s `spawned_by` chain leaves the declared roles (at
+/// `extern`, or at an undeclared spawner reported on its own) instead of
+/// looping among them.
+fn spawn_chain_ends(model: &ConcModel, role: &str) -> bool {
+    let mut at = role;
+    for _ in 0..=model.threads.len() {
+        match model.thread(at) {
+            Some(t) => at = t.spawned_by,
+            None => return true,
         }
     }
+    false
 }
 
-/// `conc-hold-across-block`: no lock held across a socket/queue wait.
-pub fn lint_conc_hold_across_block(model: &ConcModel, report: &mut LintReport) {
-    for e in &model.edges {
-        if e.holding.is_empty() || matches!(e.waits, WaitPoint::LockAcquire(_)) {
-            continue;
-        }
+/// `conc-unbounded`: every channel declares a bound.
+pub fn lint_conc_unbounded(model: &ConcModel, report: &mut LintReport) {
+    for c in model.channels.iter().filter(|c| c.bound.is_none()) {
         push(
             report,
             Severity::Violation,
-            "conc-hold-across-block",
+            "conc-unbounded",
             format!(
-                "{}: `{}` holds {:?} across a {} — a lock held across a blocking I/O or queue \
-                 wait stalls every contender for as long as the peer takes",
-                model.component,
-                e.thread,
-                e.holding,
-                e.waits.describe()
+                "{}: channel `{}` declares no bound — every cross-thread channel must be \
+                 bounded (an unbounded queue is an unbounded memory/latency liability)",
+                model.component, c.name
             ),
         );
     }
 }
 
-/// Polarity of a wait on a FIFO resource, for the full+empty prune rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Polarity {
-    /// Waiting for space (send on full queue, write to full buffer).
-    Full,
-    /// Waiting for data (receive on empty queue, read from empty buffer).
-    Empty,
-    /// Lock waits have no pairing polarity.
-    Lock,
-}
-
-#[derive(Debug, Clone)]
-struct WaitArc {
-    from: &'static str,
-    to: &'static str,
-    resource: String,
-    polarity: Polarity,
-    label: String,
-}
-
-fn sock_resource(a: &str, b: &str) -> String {
-    if a <= b {
-        format!("sock:{a}<->{b}")
-    } else {
-        format!("sock:{b}<->{a}")
+/// The roles whose progress can end the wait of `e`.
+fn unblockers(model: &ConcModel, e: &BlockingEdge) -> Vec<&'static str> {
+    match e.waits {
+        WaitPoint::ChanSend(c) => model.channel(c).map(|d| vec![d.receiver]),
+        WaitPoint::ChanRecv(c) => model.channel(c).map(|d| d.senders.clone()),
+        WaitPoint::SockRead(p) | WaitPoint::SockWrite(p) | WaitPoint::Accept(p) => Some(vec![p]),
     }
+    .unwrap_or_default()
 }
 
-/// `conc-deadlock`: rank inversions + circular waits.
+/// `conc-deadlock`: every untimed wait points at the waiter's spawner.
 pub fn lint_conc_deadlock(model: &ConcModel, report: &mut LintReport) {
-    // Lock-rank inversions (checked on every edge, timed or not: an
-    // out-of-order acquisition is wrong even under a deadline).
-    for e in &model.edges {
-        if let WaitPoint::LockAcquire(l) = e.waits {
-            let Some(target) = model.lock(l) else {
-                continue;
-            };
-            if e.holding.contains(&l) {
+    for e in model.edges.iter().filter(|e| !e.timed) {
+        let Some(decl) = model.thread(e.thread) else {
+            continue;
+        };
+        for on in unblockers(model, e) {
+            if on != decl.spawned_by {
                 push(
                     report,
                     Severity::Violation,
                     "conc-deadlock",
                     format!(
-                        "{}: `{}` acquires lock `{l}` while already holding it — self-deadlock",
-                        model.component, e.thread
+                        "{}: `{}` waits untimed on `{on}` ({}), but only its spawner `{}` may \
+                         end an untimed wait — untimed waits must climb the spawn tree; give \
+                         this one a deadline or re-layer it",
+                        model.component,
+                        e.thread,
+                        e.waits.describe(),
+                        decl.spawned_by
                     ),
                 );
-                continue;
-            }
-            for h in &e.holding {
-                let Some(held) = model.lock(h) else { continue };
-                if held.rank >= target.rank {
-                    push(
-                        report,
-                        Severity::Violation,
-                        "conc-deadlock",
-                        format!(
-                            "{}: `{}` acquires lock `{l}` (rank {}) while holding `{h}` (rank \
-                             {}) — the declared acquisition order is strictly increasing rank",
-                            model.component, e.thread, target.rank, held.rank
-                        ),
-                    );
-                }
             }
         }
     }
-
-    // Wait-for graph over the untimed edges.
-    let mut arcs: Vec<WaitArc> = Vec::new();
-    for e in model.edges.iter().filter(|e| !e.timed) {
-        let label = format!("{} {}", e.thread, e.waits.describe());
-        match e.waits {
-            WaitPoint::ChanSend(c) => {
-                let Some(decl) = model.channel(c) else {
-                    continue;
-                };
-                // A shedding channel never blocks its senders.
-                if decl.policy == Some(FullPolicy::Shed) {
-                    continue;
-                }
-                arcs.push(WaitArc {
-                    from: e.thread,
-                    to: decl.receiver,
-                    resource: format!("chan:{c}"),
-                    polarity: Polarity::Full,
-                    label: label.clone(),
-                });
-            }
-            WaitPoint::ChanRecv(c) => {
-                let Some(decl) = model.channel(c) else {
-                    continue;
-                };
-                for &s in &decl.senders {
-                    arcs.push(WaitArc {
-                        from: e.thread,
-                        to: s,
-                        resource: format!("chan:{c}"),
-                        polarity: Polarity::Empty,
-                        label: label.clone(),
-                    });
-                }
-            }
-            WaitPoint::LockAcquire(l) => {
-                // Unblocked by whoever can be blocked while holding it; a
-                // holder that only blocks under a deadline releases in
-                // bounded time and creates no wait-for edge.
-                let holders: BTreeSet<&'static str> = model
-                    .edges
-                    .iter()
-                    .filter(|h| !h.timed && h.holding.contains(&l) && h.thread != e.thread)
-                    .map(|h| h.thread)
-                    .collect();
-                for to in holders {
-                    arcs.push(WaitArc {
-                        from: e.thread,
-                        to,
-                        resource: format!("lock:{l}"),
-                        polarity: Polarity::Lock,
-                        label: label.clone(),
-                    });
-                }
-            }
-            WaitPoint::SockRead(p) => arcs.push(WaitArc {
-                from: e.thread,
-                to: p,
-                resource: sock_resource(e.thread, p),
-                polarity: Polarity::Empty,
-                label: label.clone(),
-            }),
-            WaitPoint::SockWrite(p) => arcs.push(WaitArc {
-                from: e.thread,
-                to: p,
-                resource: sock_resource(e.thread, p),
-                polarity: Polarity::Full,
-                label: label.clone(),
-            }),
-            WaitPoint::Accept(p) => arcs.push(WaitArc {
-                from: e.thread,
-                to: p,
-                resource: format!("accept:{}<-{p}", e.thread),
-                polarity: Polarity::Empty,
-                label: label.clone(),
-            }),
-        }
-    }
-
-    // Enumerate elementary cycles (tiny role graphs: DFS with the
-    // smallest-role-starts-the-cycle convention to dedupe rotations).
-    let mut by_from: BTreeMap<&str, Vec<&WaitArc>> = BTreeMap::new();
-    for a in &arcs {
-        by_from.entry(a.from).or_default().push(a);
-    }
-    let roles: Vec<&str> = by_from.keys().copied().collect();
-    let mut reported: BTreeSet<String> = BTreeSet::new();
-    for &start in &roles {
-        let mut path: Vec<&WaitArc> = Vec::new();
-        let mut on_path: BTreeSet<&str> = BTreeSet::new();
-        dfs_cycles(
-            start,
-            start,
-            &by_from,
-            &mut path,
-            &mut on_path,
-            &mut |cycle: &[&WaitArc]| {
-                if !feasible(cycle) {
-                    return;
-                }
-                let desc = cycle
-                    .iter()
-                    .map(|a| a.label.as_str())
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                if reported.insert(desc.clone()) {
-                    push(
-                        report,
-                        Severity::Violation,
-                        "conc-deadlock",
-                        format!(
-                            "{}: circular wait — {desc} — every thread in the cycle waits on \
-                             the next with no deadline; break the cycle with a bound policy, a \
-                             timeout, or a re-layered resource",
-                            model.component
-                        ),
-                    );
-                }
-            },
-        );
-    }
-}
-
-/// The full+empty prune: a cycle needing one FIFO resource to be both
-/// full and empty at once cannot happen.
-fn feasible(cycle: &[&WaitArc]) -> bool {
-    for a in cycle {
-        if a.polarity == Polarity::Full
-            && cycle
-                .iter()
-                .any(|b| b.resource == a.resource && b.polarity == Polarity::Empty)
-        {
-            return false;
-        }
-    }
-    true
-}
-
-fn dfs_cycles<'a>(
-    start: &'a str,
-    at: &'a str,
-    by_from: &BTreeMap<&str, Vec<&'a WaitArc>>,
-    path: &mut Vec<&'a WaitArc>,
-    on_path: &mut BTreeSet<&'a str>,
-    found: &mut impl FnMut(&[&'a WaitArc]),
-) {
-    on_path.insert(at);
-    for &arc in by_from.get(at).into_iter().flatten() {
-        if arc.to == start {
-            path.push(arc);
-            found(path);
-            path.pop();
-        } else if arc.to > start && !on_path.contains(arc.to) {
-            // Only roles lexicographically above the start extend the
-            // path: every cycle is found exactly once, rooted at its
-            // smallest role.
-            path.push(arc);
-            dfs_cycles(start, arc.to, by_from, path, on_path, found);
-            path.pop();
-        }
-    }
-    on_path.remove(at);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssmfp_core::conc::{
-        BlockingEdge, ChannelDecl, ConcModel, LockDecl, Multiplicity, ThreadDecl,
-    };
+    use ssmfp_core::conc::{ChannelDecl, ThreadDecl};
 
-    fn thread(role: &'static str) -> ThreadDecl {
+    fn spawned(role: &'static str, spawned_by: &'static str) -> ThreadDecl {
         ThreadDecl {
             role,
-            multiplicity: Multiplicity::One,
-            spawned_by: EXTERN_ROLE,
+            spawned_by,
             doc: "test",
+        }
+    }
+
+    fn thread(role: &'static str) -> ThreadDecl {
+        spawned(role, EXTERN_ROLE)
+    }
+
+    fn chan(name: &'static str, from: &'static str, to: &'static str) -> ChannelDecl {
+        ChannelDecl {
+            name,
+            senders: vec![from],
+            receiver: to,
+            bound: Some(8),
+            doc: "test",
+        }
+    }
+
+    fn untimed(thread: &'static str, waits: WaitPoint) -> BlockingEdge {
+        BlockingEdge {
+            thread,
+            waits,
+            timed: false,
         }
     }
 
     fn codes(report: &LintReport) -> Vec<&'static str> {
         report.findings.iter().map(|f| f.code).collect()
+    }
+
+    /// True iff some `conc-deadlock` violation names every role in `roles`.
+    fn deadlock_names(report: &LintReport, roles: &[&str]) -> bool {
+        report
+            .violations()
+            .any(|f| f.code == "conc-deadlock" && roles.iter().all(|r| f.message.contains(r)))
     }
 
     #[test]
@@ -526,236 +287,89 @@ mod tests {
     }
 
     #[test]
-    fn planted_lock_cycle_is_caught() {
-        // Classic AB/BA: t1 takes `a` then `b`, t2 takes `b` then `a`.
-        let model = ConcModel {
-            component: "red",
-            threads: vec![thread("t1"), thread("t2")],
-            locks: vec![
-                LockDecl {
-                    name: "a",
-                    rank: 1,
-                    doc: "test",
-                },
-                LockDecl {
-                    name: "b",
-                    rank: 2,
-                    doc: "test",
-                },
-            ],
-            channels: vec![],
-            edges: vec![
-                BlockingEdge {
-                    thread: "t1",
-                    waits: WaitPoint::LockAcquire("b"),
-                    holding: vec!["a"],
-                    timed: false,
-                },
-                BlockingEdge {
-                    thread: "t2",
-                    waits: WaitPoint::LockAcquire("a"),
-                    holding: vec!["b"],
-                    timed: false,
-                },
-            ],
-        };
-        let mut report = LintReport::default();
-        lint_conc_deadlock(&model, &mut report);
-        // t2's acquisition inverts the rank order…
-        assert!(
-            report
-                .violations()
-                .any(|f| f.code == "conc-deadlock" && f.message.contains("rank")),
-            "{:?}",
-            report.findings
-        );
-        // …and the wait-for graph has the t1 ⇄ t2 cycle.
-        assert!(
-            report
-                .violations()
-                .any(|f| f.code == "conc-deadlock" && f.message.contains("circular wait")),
-            "{:?}",
-            report.findings
-        );
-    }
-
-    #[test]
     fn planted_channel_send_cycle_is_caught() {
-        // Two bounded Block channels in a ring: both senders can be stuck
-        // on a full queue whose receiver is the other stuck sender.
+        // Two bounded channels in a ring: both senders can be stuck on a
+        // full queue whose receiver is the other stuck sender.
         let model = ConcModel {
             component: "red",
             threads: vec![thread("t1"), thread("t2")],
-            locks: vec![],
-            channels: vec![
-                ChannelDecl {
-                    name: "x",
-                    senders: vec!["t1"],
-                    receiver: "t2",
-                    bound: Some(8),
-                    policy: Some(FullPolicy::Block),
-                    doc: "test",
-                },
-                ChannelDecl {
-                    name: "y",
-                    senders: vec!["t2"],
-                    receiver: "t1",
-                    bound: Some(8),
-                    policy: Some(FullPolicy::Block),
-                    doc: "test",
-                },
-            ],
+            channels: vec![chan("x", "t1", "t2"), chan("y", "t2", "t1")],
             edges: vec![
-                BlockingEdge {
-                    thread: "t1",
-                    waits: WaitPoint::ChanSend("x"),
-                    holding: vec![],
-                    timed: false,
-                },
-                BlockingEdge {
-                    thread: "t2",
-                    waits: WaitPoint::ChanSend("y"),
-                    holding: vec![],
-                    timed: false,
-                },
+                untimed("t1", WaitPoint::ChanSend("x")),
+                untimed("t2", WaitPoint::ChanSend("y")),
             ],
         };
         let mut report = LintReport::default();
         lint_conc_deadlock(&model, &mut report);
         assert!(
-            report
-                .violations()
-                .any(|f| f.code == "conc-deadlock" && f.message.contains("circular wait")),
+            deadlock_names(&report, &["`t1` waits untimed on `t2`"]),
+            "{:?}",
+            report.findings
+        );
+        assert!(
+            deadlock_names(&report, &["`t2` waits untimed on `t1`"]),
             "{:?}",
             report.findings
         );
     }
 
     #[test]
-    fn full_empty_prune_discards_infeasible_cycles() {
-        // Producer blocked sending (queue full) + consumer blocked
-        // receiving (queue empty) on the SAME channel is a 2-cycle in the
-        // raw graph but cannot happen: one queue is not both full and
-        // empty.
+    fn sibling_producer_consumer_waits_are_a_violation() {
+        // A producer blocked on a full queue and its consumer blocked on
+        // the same queue empty cannot both hold at once, but neither is
+        // the other's spawner: the structural rule refuses the pair
+        // rather than reasoning about which states of the queue can
+        // coexist.
         let model = ConcModel {
-            component: "ok",
+            component: "red",
             threads: vec![thread("prod"), thread("cons")],
-            locks: vec![],
-            channels: vec![ChannelDecl {
-                name: "q",
-                senders: vec!["prod"],
-                receiver: "cons",
-                bound: Some(8),
-                policy: Some(FullPolicy::Block),
-                doc: "test",
-            }],
+            channels: vec![chan("q", "prod", "cons")],
             edges: vec![
-                BlockingEdge {
-                    thread: "prod",
-                    waits: WaitPoint::ChanSend("q"),
-                    holding: vec![],
-                    timed: false,
-                },
-                BlockingEdge {
-                    thread: "cons",
-                    waits: WaitPoint::ChanRecv("q"),
-                    holding: vec![],
-                    timed: false,
-                },
+                untimed("prod", WaitPoint::ChanSend("q")),
+                untimed("cons", WaitPoint::ChanRecv("q")),
             ],
         };
         let mut report = LintReport::default();
         lint_conc_deadlock(&model, &mut report);
+        assert_eq!(codes(&report), vec!["conc-deadlock", "conc-deadlock"]);
+        assert!(deadlock_names(&report, &["`prod` waits untimed on `cons`"]));
+        assert!(deadlock_names(&report, &["`cons` waits untimed on `prod`"]));
+
+        // The same pair as parent and child is a chain up the tree.
+        let mut tree = model.clone();
+        tree.threads = vec![thread("cons"), spawned("prod", "cons")];
+        tree.edges.truncate(1);
+        let mut report = LintReport::default();
+        lint_conc_model(&tree, &mut report);
         assert!(report.findings.is_empty(), "{:?}", report.findings);
     }
 
     #[test]
-    fn unbounded_or_policyless_channel_is_caught() {
+    fn unbounded_channel_is_caught() {
+        let mut nobound = chan("nobound", "t1", "t2");
+        nobound.bound = None;
         let model = ConcModel {
             component: "red",
             threads: vec![thread("t1"), thread("t2")],
-            locks: vec![],
-            channels: vec![
-                ChannelDecl {
-                    name: "nobound",
-                    senders: vec!["t1"],
-                    receiver: "t2",
-                    bound: None,
-                    policy: Some(FullPolicy::Block),
-                    doc: "test",
-                },
-                ChannelDecl {
-                    name: "nopolicy",
-                    senders: vec!["t1"],
-                    receiver: "t2",
-                    bound: Some(4),
-                    policy: None,
-                    doc: "test",
-                },
-            ],
+            channels: vec![nobound, chan("bounded", "t1", "t2")],
             edges: vec![],
         };
         let mut report = LintReport::default();
         lint_conc_unbounded(&model, &mut report);
-        assert_eq!(codes(&report), vec!["conc-unbounded", "conc-unbounded"]);
-        assert!(report
-            .findings
-            .iter()
-            .any(|f| f.message.contains("nobound")));
-        assert!(report
-            .findings
-            .iter()
-            .any(|f| f.message.contains("nopolicy")));
-    }
-
-    #[test]
-    fn hold_across_block_is_caught() {
-        let model = ConcModel {
-            component: "red",
-            threads: vec![thread("t1"), thread("t2")],
-            locks: vec![LockDecl {
-                name: "stats",
-                rank: 1,
-                doc: "test",
-            }],
-            channels: vec![],
-            edges: vec![BlockingEdge {
-                thread: "t1",
-                waits: WaitPoint::SockRead("t2"),
-                holding: vec!["stats"],
-                timed: false,
-            }],
-        };
-        let mut report = LintReport::default();
-        lint_conc_hold_across_block(&model, &mut report);
-        assert_eq!(codes(&report), vec!["conc-hold-across-block"]);
+        assert_eq!(codes(&report), vec!["conc-unbounded"]);
+        assert!(report.findings[0].message.contains("nobound"));
     }
 
     #[test]
     fn dangling_names_are_caught_by_coverage() {
         let model = ConcModel {
             component: "red",
-            threads: vec![ThreadDecl {
-                role: "t1",
-                multiplicity: Multiplicity::One,
-                spawned_by: "ghost-spawner",
-                doc: "test",
-            }],
-            locks: vec![],
-            channels: vec![ChannelDecl {
-                name: "c",
-                senders: vec!["nobody"],
-                receiver: "t1",
-                bound: Some(4),
-                policy: Some(FullPolicy::Block),
-                doc: "test",
-            }],
-            edges: vec![BlockingEdge {
-                thread: "phantom",
-                waits: WaitPoint::LockAcquire("missing-lock"),
-                holding: vec![],
-                timed: false,
-            }],
+            threads: vec![spawned("t1", "ghost-spawner")],
+            channels: vec![chan("c", "nobody", "t1")],
+            edges: vec![
+                untimed("phantom", WaitPoint::SockRead("t1")),
+                untimed("t1", WaitPoint::ChanRecv("missing-chan")),
+            ],
         };
         let mut report = LintReport::default();
         lint_conc_coverage(&model, &mut report);
@@ -764,40 +378,48 @@ mod tests {
         assert!(msgs.iter().any(|m| m.contains("ghost-spawner")), "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("nobody")), "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("phantom")), "{msgs:?}");
-        assert!(msgs.iter().any(|m| m.contains("missing-lock")), "{msgs:?}");
+        assert!(msgs.iter().any(|m| m.contains("missing-chan")), "{msgs:?}");
     }
 
     #[test]
-    fn stale_blocking_edge_on_shed_channel_is_a_warning() {
+    fn spawn_cycles_fail_conc_coverage() {
+        // `conc-deadlock` is sound only over a spawn *tree*: with a and b
+        // spawning each other, "a waits on its spawner b, b on its
+        // spawner a" would pass it while closing a cycle.
         let model = ConcModel {
-            component: "warn",
-            threads: vec![thread("t1"), thread("t2")],
-            locks: vec![],
-            channels: vec![ChannelDecl {
-                name: "c",
-                senders: vec!["t1"],
-                receiver: "t2",
-                bound: Some(4),
-                policy: Some(FullPolicy::Shed),
-                doc: "test",
-            }],
-            edges: vec![BlockingEdge {
-                thread: "t1",
-                waits: WaitPoint::ChanSend("c"),
-                holding: vec![],
-                timed: false,
-            }],
+            component: "red",
+            threads: vec![
+                spawned("a", "b"),
+                spawned("b", "a"),
+                spawned("self", "self"),
+                spawned("leaf", "a"),
+            ],
+            channels: vec![],
+            edges: vec![
+                untimed("a", WaitPoint::SockWrite("b")),
+                untimed("b", WaitPoint::SockWrite("a")),
+            ],
         };
         let mut report = LintReport::default();
         lint_conc_coverage(&model, &mut report);
-        assert!(
-            report.violations().next().is_none(),
-            "{:?}",
-            report.findings
-        );
-        assert!(report
-            .warnings()
-            .any(|f| f.code == "conc-coverage" && f.message.contains("stale edge")));
+        let cyclic: BTreeSet<&str> = ["a", "b", "self", "leaf"]
+            .into_iter()
+            .filter(|r| {
+                report.violations().any(|f| {
+                    f.code == "conc-coverage"
+                        && f.message
+                            .contains(&format!("`{r}` has a `spawned_by` chain"))
+                })
+            })
+            .collect();
+        assert_eq!(cyclic.len(), 4, "{:?}", report.findings);
+
+        let mut tree = model.clone();
+        tree.threads[0].spawned_by = EXTERN_ROLE;
+        tree.threads[2].spawned_by = "leaf";
+        let mut report = LintReport::default();
+        lint_conc_coverage(&tree, &mut report);
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
     }
 
     #[test]
@@ -809,9 +431,8 @@ mod tests {
         // e.g. a naive `write_all` of `peers`/`stop` while that node is
         // itself stuck pushing status into a full pipe — both sides wait
         // for buffer space on the same socketpair and the control tree
-        // wedges. The lint must refuse that flip: both waits are
-        // full-polarity on one resource, so the full+empty prune cannot
-        // discard the cycle.
+        // wedges. The lint must refuse that flip: the shard would wait
+        // untimed on its child, not on its spawner `orch.main`.
         let mut model = ssmfp_cluster::conc::default_model();
         let edge = model
             .edges
@@ -823,12 +444,7 @@ mod tests {
         let mut report = LintReport::default();
         lint_conc_deadlock(&model, &mut report);
         assert!(
-            report.violations().any(|f| {
-                f.code == "conc-deadlock"
-                    && f.message.contains("circular wait")
-                    && f.message.contains("shard.super")
-                    && f.message.contains("node.main")
-            }),
+            deadlock_names(&report, &["shard.super", "node.main", "orch.main"]),
             "{:?}",
             report.findings
         );
@@ -849,15 +465,11 @@ mod tests {
         stale.edges.push(BlockingEdge {
             thread: "node.io",
             waits: WaitPoint::SockRead("node.main"),
-            holding: vec![],
             timed: true,
         });
-        stale.edges.push(BlockingEdge {
-            thread: "node.main",
-            waits: WaitPoint::ChanSend("node.ioq"),
-            holding: vec![],
-            timed: false,
-        });
+        stale
+            .edges
+            .push(untimed("node.main", WaitPoint::ChanSend("node.ioq")));
         let mut report = LintReport::default();
         lint_conc_coverage(&stale, &mut report);
         let msgs: Vec<&str> = report.violations().map(|f| f.message.as_str()).collect();
@@ -874,22 +486,19 @@ mod tests {
     #[test]
     fn undeclared_client_mux_channel_fails_conc_coverage() {
         // The client layer's design claim: `ClientMux` lives *inside*
-        // `node.main` — no new threads, locks, or channels. If a future
-        // refactor gave it a queue (say a `client.mux` channel feeding
-        // sessions from another thread) without declaring it, the edge
-        // must fail conc-coverage rather than ship silently.
+        // `node.main` — no new threads or channels. If a future refactor
+        // gave it a queue (say a `client.mux` channel feeding sessions
+        // from another thread) without declaring it, the edge must fail
+        // conc-coverage rather than ship silently.
         let model = ssmfp_cluster::conc::default_model();
         assert!(
             model.channel("client.mux").is_none(),
             "the mux is declared queue-free; a client.mux channel would be a new design"
         );
         let mut stale = model.clone();
-        stale.edges.push(BlockingEdge {
-            thread: "node.main",
-            waits: WaitPoint::ChanSend("client.mux"),
-            holding: vec![],
-            timed: false,
-        });
+        stale
+            .edges
+            .push(untimed("node.main", WaitPoint::ChanSend("client.mux")));
         let mut report = LintReport::default();
         lint_conc_coverage(&stale, &mut report);
         assert!(

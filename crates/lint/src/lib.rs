@@ -47,14 +47,14 @@
 //!
 //! * **`conc-*`** (module [`conc`]) — the runtime crates declare their
 //!   concurrency footprint ([`ssmfp_core::conc::ConcModel`]: thread
-//!   roles, lock ranks, channel bounds/policies, blocking edges) the
-//!   same way the rules declare state footprints. `conc-deadlock`
-//!   detects lock-rank inversions and feasible circular waits,
-//!   `conc-unbounded` requires a bound and a full-queue policy on every
-//!   cross-thread channel, `conc-hold-across-block` forbids holding a
-//!   lock across blocking I/O, and `conc-coverage` keeps the
-//!   declarations referentially closed (its runtime half — observed
-//!   threads ⊆ declared roles — runs in the debug-build suites).
+//!   roles and their spawners, channel bounds, blocking edges) the same
+//!   way the rules declare state footprints. `conc-deadlock` requires
+//!   every untimed wait to point at the waiter's spawner, so untimed
+//!   waits climb the spawn tree and cannot close a cycle;
+//!   `conc-unbounded` requires a bound on every cross-thread channel; and
+//!   `conc-coverage` keeps the declarations referentially closed and the
+//!   spawn relation a tree (its runtime half — observed threads ⊆
+//!   declared roles — runs in the debug-build suites).
 //!
 //! Findings are emitted as a machine-readable JSON report by the
 //! `ssmfp-lint` binary, which exits nonzero on violations (and, under
@@ -273,19 +273,16 @@ pub const PASSES: &[(&str, &str)] = &[
     ),
     (
         "conc-deadlock",
-        "no lock-rank inversions and no feasible circular wait in the declared blocking graph",
+        "every untimed wait can be ended only by the waiting role's spawner",
     ),
     (
         "conc-unbounded",
-        "every cross-thread channel declares a bound and a full-queue policy",
-    ),
-    (
-        "conc-hold-across-block",
-        "no lock is held across a declared socket/queue blocking edge",
+        "every cross-thread channel declares a bound",
     ),
     (
         "conc-coverage",
-        "concurrency declarations are referentially closed (runtime half: observed ⊆ declared)",
+        "concurrency declarations are referentially closed, spawns form a tree \
+         (runtime half: observed ⊆ declared)",
     ),
 ];
 
@@ -777,11 +774,10 @@ pub fn to_json(report: &LintReport) -> String {
         .iter()
         .map(|c| {
             format!(
-                "{{\"component\":{},\"threads\":{},\"locks\":{},\"channels\":{},\
+                "{{\"component\":{},\"threads\":{},\"channels\":{},\
                  \"edges\":{},\"untimed_edges\":{}}}",
                 json_string(&c.component),
                 c.threads,
-                c.locks,
                 c.channels,
                 c.edges,
                 c.untimed_edges

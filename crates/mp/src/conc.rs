@@ -2,13 +2,12 @@
 //!
 //! Deliberately boring: `crates/mp` is a *single-threaded* simulation —
 //! the scheduler interleaves deliveries and timeouts inside one driver
-//! thread, with no locks and no cross-thread channels. Declaring that
-//! emptiness is the point: the `conc-coverage` pass confronts the
-//! debug-build thread registry with this model, so the moment anyone
-//! threads the simulator the declaration (and the lint gate) must move
-//! with it.
+//! thread, with no cross-thread channels. Declaring that emptiness is the
+//! point: the `conc-coverage` pass confronts the debug-build thread
+//! registry with this model, so the moment anyone threads the simulator
+//! the declaration (and the lint gate) must move with it.
 
-use ssmfp_core::conc::{ConcModel, Multiplicity, ThreadDecl, EXTERN_ROLE};
+use ssmfp_core::conc::{ConcModel, ThreadDecl, EXTERN_ROLE};
 
 /// Component name under which mp threads register.
 pub const COMPONENT: &str = "mp";
@@ -22,11 +21,9 @@ pub fn model() -> ConcModel {
         component: COMPONENT,
         threads: vec![ThreadDecl {
             role: DRIVER_ROLE,
-            multiplicity: Multiplicity::One,
             spawned_by: EXTERN_ROLE,
             doc: "the single thread driving the simulated network (tests, suite callers)",
         }],
-        locks: vec![],
         channels: vec![],
         edges: vec![],
     }
@@ -41,6 +38,6 @@ mod tests {
         let m = model();
         assert_eq!(m.component, COMPONENT);
         assert!(m.thread(DRIVER_ROLE).is_some());
-        assert!(m.locks.is_empty() && m.channels.is_empty() && m.edges.is_empty());
+        assert!(m.channels.is_empty() && m.edges.is_empty());
     }
 }
