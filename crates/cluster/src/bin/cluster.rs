@@ -299,14 +299,18 @@ fn main() -> ExitCode {
             report.counters.chaos_reordered,
             report.counters.partition_dropped,
         );
-        let ph = &report.phases;
+        let (ph, l) = (&report.phases, &report.ledger);
         eprintln!(
-            "phases: ready={:.1}ms report={:.1}ms audit={:.1}ms | ledger: streamed={} tail={}",
+            "phases: ready={:.1}ms report={:.1}ms audit={:.0}µs | ledger: streamed={} tail={} \
+             join={:.0}µs pending_peak={} reference={}",
             ph.ready_s * 1e3,
             ph.report_s * 1e3,
-            ph.audit_s * 1e3,
-            report.ledger.streamed,
-            report.ledger.tail,
+            ph.audit_s * 1e6,
+            l.streamed,
+            l.tail,
+            l.join_s * 1e6,
+            l.pending_peak,
+            l.reference,
         );
         if !report.converged {
             let d = &report.detect;

@@ -20,13 +20,17 @@
 //! the run runs — each member's new entries ride behind every status line
 //! of its group, and the shard folds each line into the node's report as
 //! it completes ([`crate::codec`]) — so `stop` draws only the tail
-//! ([`RunReport::ledger`]). The orchestrator then works O(K) per
-//! status and, at reconciliation, one visit per merged ledger entry plus
-//! one sort per list — it concatenates the shard ledger lists and calls
-//! `reconcile_ledgers` exactly once, a sort-merge join (the SP verdict is
-//! a global join; only the *assembly* shards, never the verdict).
-//! [`RunReport::phases`] says where the time outside the measured window
-//! went: bring-up, report upload, and these joins.
+//! ([`RunReport::ledger`]). Each turn, after its status went up, the shard
+//! feeds what it folded to its [`RunningAudit`], the SP join run on the
+//! stream: it pairs each ghost's generation with its delivery and keeps
+//! only what is unpaired. The orchestrator works O(K) per status and, at
+//! the end, merges the K audits — pairing what crossed shards — and takes
+//! their verdict. Only when a stream was irregular or left entries
+//! unpaired does it lend the whole reports to `reconcile_ledgers`, which
+//! stays the one definition of the verdict (the running join returns
+//! exactly that verdict or none). [`RunReport::phases`] says where the
+//! time outside the measured window went: bring-up, report upload, and
+//! the root's part of the audit.
 //!
 //! ## When a run is over: four counters
 //!
@@ -69,7 +73,9 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use ssmfp_core::cli::json_string;
 use ssmfp_core::conc::{register_thread, spawn_registered, tracked_channel, TrackedSender};
-use ssmfp_core::{reconcile_clients, reconcile_ledgers, ClientVerdict, ClusterVerdict, NodeLedger};
+use ssmfp_core::{
+    reconcile_clients, reconcile_ledgers, ClientVerdict, ClusterVerdict, NodeLedger, RunningAudit,
+};
 use ssmfp_topology::{Graph, NodeId};
 use std::io::{self, Read, Write};
 use std::ops::Range;
@@ -157,9 +163,10 @@ pub struct ShardReport {
     pub shard: usize,
     /// The pre-merged totals.
     pub summary: ShardSummary,
-    /// The raw per-node reports (ledgers ride here to the single global
-    /// reconciliation).
+    /// The raw per-node reports.
     pub reports: Vec<NodeReport>,
+    /// The shard's running SP join over those reports' ledgers, settled.
+    pub audit: RunningAudit,
 }
 
 /// Shard → orchestrator upstream messages (the `orch.shard` channel).
@@ -183,20 +190,31 @@ pub struct Phases {
     /// From `stop` until the last shard report arrived: every node's
     /// report written, read and parsed.
     pub report_s: f64,
-    /// The ledger joins.
+    /// The root's share of the SP verdict: merging the shards' running
+    /// joins, and the reference join and the client audit when they run.
     pub audit_s: f64,
 }
 
-/// When the ledger reached the shards: entries — generated plus delivered
-/// — folded before the shard read `stop`, and after it. A node ships its
-/// new entries behind every status line of its group, so after a quiet
-/// probe answer, in a converged run, nothing is left for `stop`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// When the ledger reached the shards, and how it was joined: entries —
+/// generated plus delivered — folded before the shard read `stop`, and
+/// after it. A node ships its new entries behind every status line of its
+/// group, so after a quiet probe answer, in a converged run, nothing is
+/// left for `stop`; and each shard joins what it folds as it folds it
+/// ([`RunningAudit`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LedgerFlow {
     /// Entries shipped while the run ran.
     pub streamed: u64,
     /// Entries in the blocks written at `stop`.
     pub tail: u64,
+    /// Shard seconds spent in the running join, summed over shards.
+    pub join_s: f64,
+    /// The most entries any shard's join held unpaired.
+    pub pending_peak: u64,
+    /// The verdict came from `reconcile_ledgers` over the whole reports:
+    /// the running join met an entry only the reference join can judge,
+    /// or ended with entries unpaired.
+    pub reference: bool,
 }
 
 /// Outcome of one cluster run.
@@ -328,7 +346,8 @@ impl RunReport {
                 "  \"detect\": {{\"probes\": {}, \"last\": {{\"nodes\": {}, \"done\": {}, ",
                 "\"generated\": {}, \"delivered\": {}, \"held\": {}}}}},\n",
                 "  \"phases\": {{\"ready_s\": {:.6}, \"report_s\": {:.6}, \"audit_s\": {:.6}}},\n",
-                "  \"ledger\": {{\"streamed\": {}, \"tail\": {}}}{}\n",
+                "  \"ledger\": {{\"streamed\": {}, \"tail\": {}, \"join_s\": {:.6}, ",
+                "\"pending_peak\": {}, \"reference\": {}}}{}\n",
                 "}}"
             ),
             json_string(&self.topology),
@@ -379,6 +398,9 @@ impl RunReport {
             self.phases.audit_s,
             self.ledger.streamed,
             self.ledger.tail,
+            self.ledger.join_s,
+            self.ledger.pending_peak,
+            self.ledger.reference,
             clients_json,
         )
     }
@@ -583,9 +605,11 @@ struct NodeSlot {
     /// The latest `status` line on this pipe: its group's, if the node is
     /// the group's first live member.
     status: Option<Status>,
-    /// The node's report as its lines arrive ([`NodeSlot::hear`]); `None`
-    /// once a line was refused.
-    report: Option<NodeReport>,
+    /// The node's report as its lines arrive ([`NodeSlot::hear`]).
+    report: NodeReport,
+    /// How much of the report's generated and delivered lists the shard's
+    /// running join has been fed.
+    audited: (usize, usize),
     /// Its block's `end` arrived.
     ended: bool,
     /// Its ledger entries folded before and after `stop`.
@@ -605,10 +629,11 @@ impl NodeSlot {
             eof: false,
             ready: None,
             status: None,
-            report: Some(NodeReport {
+            report: NodeReport {
                 node: id,
                 ..NodeReport::default()
-            }),
+            },
+            audited: (0, 0),
             ended: false,
             ledger: LedgerFlow::default(),
             watched: [0; 2],
@@ -623,29 +648,40 @@ impl NodeSlot {
     /// One line from the node, read where it lies: `ready` and `status`
     /// are the shard's; every other line folds into the node's report the
     /// moment it completes — ledger deltas whenever they come, counted
-    /// as streamed or, once the shard read `stop`, as tail.
-    fn hear(&mut self, line: &[u8], stopped: bool) {
+    /// as streamed or, once the shard read `stop`, as tail. A line neither
+    /// reader takes is an error: the node's status or ledger past it
+    /// would be a guess.
+    fn hear(&mut self, line: &[u8], stopped: bool) -> Result<(), String> {
         if let Some(addr) = line.strip_prefix(b"ready ") {
             self.ready = Some(String::from_utf8_lossy(addr).into_owned());
         } else if let Some(rest) = line.strip_prefix(b"status ") {
-            self.status = Status::parse(rest).or(self.status);
-        } else if line.starts_with(b"report ") {
-            // The block's head: its lines follow.
-        } else if let Some(r) = &mut self.report {
+            self.status = Some(Status::parse(rest).ok_or_else(|| self.refused(line))?);
+        } else if !line.starts_with(b"report ") {
+            // (A `report` line is its block's head: its lines follow.)
+            let r = &mut self.report;
             let before = r.generated.len() + r.delivered.len();
-            match fold_line(r, line) {
-                Some(end) => {
-                    self.ended |= end;
-                    let entries = (r.generated.len() + r.delivered.len() - before) as u64;
-                    if stopped {
-                        self.ledger.tail += entries;
-                    } else {
-                        self.ledger.streamed += entries;
-                    }
-                }
-                None => self.report = None,
+            let end = fold_line(r, line).ok_or_else(|| self.refused(line))?;
+            let r = &self.report;
+            let entries = (r.generated.len() + r.delivered.len() - before) as u64;
+            self.ended |= end;
+            if stopped {
+                self.ledger.tail += entries;
+            } else {
+                self.ledger.streamed += entries;
             }
         }
+        Ok(())
+    }
+
+    /// The error that ends the shard on a line it cannot read.
+    fn refused(&self, line: &[u8]) -> String {
+        const SHOWN: usize = 64;
+        let more = if line.len() > SHOWN { "…" } else { "" };
+        let shown = String::from_utf8_lossy(&line[..line.len().min(SHOWN)]);
+        format!(
+            "node {} wrote a line the shard refuses: {shown:?}{more}",
+            self.id
+        )
     }
 
     /// Keeps slot `i`'s registrations at what the shard still waits for:
@@ -676,6 +712,48 @@ impl NodeSlot {
             *had = want;
         }
         Ok(())
+    }
+}
+
+/// Ledger entries a shard joins per loop turn. A turn that leaves more
+/// runs the next one at once, so a line from the orchestrator — a probe
+/// at the end of a run — waits on at most this many.
+const JOIN_PER_TURN: usize = 1024;
+
+/// A shard's running SP join over its nodes' ledgers, and the time it
+/// took.
+#[derive(Default)]
+struct ShardAudit {
+    audit: RunningAudit,
+    spent: Duration,
+}
+
+impl ShardAudit {
+    /// Feeds the join about [`JOIN_PER_TURN`] of the entries folded since
+    /// it was last fed, and settles it. Each list gives its share of the
+    /// turn's entries, oldest first, so the two ends of a ghost tend to
+    /// meet in one settle. True while entries are left.
+    fn catch_up(&mut self, slots: &mut [NodeSlot]) -> bool {
+        let behind = |s: &NodeSlot| {
+            s.report.generated.len() + s.report.delivered.len() - s.audited.0 - s.audited.1
+        };
+        let backlog: usize = slots.iter().map(behind).sum();
+        if backlog == 0 {
+            return false;
+        }
+        let t = Instant::now();
+        let share = |len: usize, at: usize| {
+            at + (len - at).min(((len - at) * JOIN_PER_TURN).div_ceil(backlog))
+        };
+        for s in slots.iter_mut() {
+            let (r, (g, d)) = (&s.report, s.audited);
+            s.audited = (share(r.generated.len(), g), share(r.delivered.len(), d));
+            self.audit.generated(&r.generated[g..s.audited.0]);
+            self.audit.delivered(r.node, &r.delivered[d..s.audited.1]);
+        }
+        self.audit.settle();
+        self.spent += t.elapsed();
+        backlog > JOIN_PER_TURN
     }
 }
 
@@ -788,8 +866,9 @@ fn shard_main(
         .map_err(|e| format!("spawn {e}"))
         .and_then(|_| {
             let mut poll = watch(&orch, &mut slots).map_err(shard_wait)?;
-            supervise(&mut poll, &orch, &mut slots, &send_up)?;
-            shard_report(shard, &mut slots)
+            let mut audit = ShardAudit::default();
+            supervise(&mut poll, &orch, &mut slots, &mut audit, &send_up)?;
+            shard_report(shard, &mut slots, audit)
         });
     send_up(match outcome {
         Ok(report) => ShardUp::Done(Box::new(report)),
@@ -814,13 +893,17 @@ fn watch(orch: &UnixStream, slots: &mut [NodeSlot]) -> io::Result<Poller> {
 }
 
 /// The supervision loop, on the set [`watch`] built, until every node has
-/// reported or hung up. A wait that fails — anything but `EINTR` — or a
-/// registration the set refuses cannot be retried into working: it ends
-/// the shard with the error instead of spinning it.
+/// reported or hung up. A wait that fails — anything but `EINTR` — a
+/// registration the set refuses, or a line a node wrote that the shard
+/// cannot read cannot be retried into working: it ends the shard with the
+/// error instead of spinning or stalling it. Each turn ends with the
+/// running join of what the turns folded, after the turn's status went up
+/// ([`ShardAudit::catch_up`]).
 fn supervise(
     poll: &mut Poller,
     orch: &UnixStream,
     slots: &mut [NodeSlot],
+    audit: &mut ShardAudit,
     send_up: &dyn Fn(ShardUp),
 ) -> Result<(), String> {
     let mut events: Vec<(u64, i16)> = Vec::new();
@@ -831,9 +914,11 @@ fn supervise(
     let mut last_status = Instant::now();
     let mut forwarded: Option<Status> = None;
     let mut report_deadline = Instant::now();
+    let mut backlog = false;
     loop {
         let cap = Duration::from_millis(50);
         let timeout = match phase {
+            _ if backlog => Duration::ZERO,
             Phase::Ready => cap,
             Phase::Running => TUNING
                 .status_every()
@@ -897,8 +982,14 @@ fn supervise(
                     Ok(0) => s.eof = true,
                     Ok(k) => {
                         let mut acc = std::mem::take(&mut s.acc);
-                        take_lines(&mut acc, &scratch[..k], |line| s.hear(line, stopped));
+                        let mut refused = Ok(());
+                        take_lines(&mut acc, &scratch[..k], |line| {
+                            if refused.is_ok() {
+                                refused = s.hear(line, stopped);
+                            }
+                        });
                         s.acc = acc;
+                        refused?;
                         if k < scratch.len() {
                             break;
                         }
@@ -971,22 +1062,30 @@ fn supervise(
                 }
             }
         }
+        backlog = audit.catch_up(slots);
     }
 }
 
-/// Takes every node's folded report into the pre-merged shard report.
-fn shard_report(shard: usize, slots: &mut [NodeSlot]) -> Result<ShardReport, String> {
+/// Takes every node's folded report, and the running join over them, into
+/// the pre-merged shard report.
+fn shard_report(
+    shard: usize,
+    slots: &mut [NodeSlot],
+    mut audit: ShardAudit,
+) -> Result<ShardReport, String> {
+    while audit.catch_up(slots) {}
+    audit.audit.close();
     let mut reports: Vec<NodeReport> = Vec::with_capacity(slots.len());
-    let mut ledger = LedgerFlow::default();
+    let mut ledger = LedgerFlow {
+        join_s: audit.spent.as_secs_f64(),
+        pending_peak: audit.audit.pending_peak(),
+        ..LedgerFlow::default()
+    };
     for s in slots.iter_mut() {
-        let report = s
-            .report
-            .take()
-            .ok_or_else(|| format!("node {} report unparsable", s.id))?;
         if !s.ended {
             return Err(format!("node {} hung up before its report", s.id));
         }
-        reports.push(report);
+        reports.push(std::mem::take(&mut s.report));
         ledger.streamed += s.ledger.streamed;
         ledger.tail += s.ledger.tail;
     }
@@ -997,6 +1096,7 @@ fn shard_report(shard: usize, slots: &mut [NodeSlot]) -> Result<ShardReport, Str
             ..summarize(shard, &reports)
         },
         reports,
+        audit: audit.audit,
     })
 }
 
@@ -1265,28 +1365,45 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
         nodes.append(&mut sr.reports);
     }
     nodes.sort_by_key(|r| r.node);
-    // A report's three lists *are* its ledger: lend them to the two joins
-    // and hand them back, so `RunReport::nodes` stays whole.
+    // The shards joined their ledgers as they streamed in; the root merges
+    // the K joins, whose verdict stands when they paired every entry.
     let audit = Instant::now();
-    let ledgers: Vec<NodeLedger> = nodes
-        .iter_mut()
-        .map(|r| NodeLedger {
-            node: r.node,
-            generated: std::mem::take(&mut r.generated),
-            delivered: std::mem::take(&mut r.delivered),
-            held: std::mem::take(&mut r.held),
-        })
-        .collect();
-    let verdict = reconcile_ledgers(&ledgers);
-    // Client mode: the per-client audit is a second sort-merge join over
-    // the same merged ledgers, with `stamp_decode` reading the ghost
-    // packing as `(client, seq)` stamps (acks decode to None).
-    let client_verdict = spec
-        .clients
-        .as_ref()
-        .map(|_| reconcile_clients(&ledgers, crate::clients::stamp_decode));
-    for (r, l) in nodes.iter_mut().zip(ledgers) {
-        (r.generated, r.delivered, r.held) = (l.generated, l.delivered, l.held);
+    let mut running = RunningAudit::default();
+    for sr in &mut shard_reports {
+        running.merge(std::mem::take(&mut sr.audit));
+    }
+    let running = running.finish();
+    let mut ledger = LedgerFlow {
+        reference: running.is_none(),
+        ..LedgerFlow::default()
+    };
+    let mut verdict = running.unwrap_or_default();
+    let mut client_verdict = None;
+    if ledger.reference || spec.clients.is_some() {
+        // A report's three lists *are* its ledger: lend them to the joins
+        // and hand them back, so `RunReport::nodes` stays whole.
+        let ledgers: Vec<NodeLedger> = nodes
+            .iter_mut()
+            .map(|r| NodeLedger {
+                node: r.node,
+                generated: std::mem::take(&mut r.generated),
+                delivered: std::mem::take(&mut r.delivered),
+                held: std::mem::take(&mut r.held),
+            })
+            .collect();
+        if ledger.reference {
+            verdict = reconcile_ledgers(&ledgers);
+        }
+        // Client mode: the per-client audit is a sort-merge join over the
+        // same merged ledgers, with `stamp_decode` reading the ghost
+        // packing as `(client, seq)` stamps (acks decode to None).
+        client_verdict = spec
+            .clients
+            .as_ref()
+            .map(|_| reconcile_clients(&ledgers, crate::clients::stamp_decode));
+        for (r, l) in nodes.iter_mut().zip(ledgers) {
+            (r.generated, r.delivered, r.held) = (l.generated, l.delivered, l.held);
+        }
     }
     phases.audit_s = audit.elapsed().as_secs_f64();
 
@@ -1295,7 +1412,6 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     let mut batch = LogHistogram::new();
     let mut counters = NodeCounters::default();
     let mut primaries_delivered = 0u64;
-    let mut ledger = LedgerFlow::default();
     for s in &shard_summaries {
         latency.merge(&s.latency);
         batch.merge(&s.batch);
@@ -1303,6 +1419,8 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
         primaries_delivered += s.primaries_delivered;
         ledger.streamed += s.ledger.streamed;
         ledger.tail += s.ledger.tail;
+        ledger.join_s += s.ledger.join_s;
+        ledger.pending_peak = ledger.pending_peak.max(s.ledger.pending_peak);
     }
     let (client_rtt, client_fair, clients, clients_completed) =
         fold_client_totals(&shard_summaries);
@@ -1519,14 +1637,46 @@ mod tests {
         let mut slots = vec![NodeSlot::new(0, NodeCtrl::Thread(sup_side))];
         let mut poll = watch(&orch, &mut slots).unwrap();
         poll.break_for_test();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let shard = thread::spawn(move || {
-            let _ = tx.send(supervise(&mut poll, &orch, &mut slots, &|_| {}));
-        });
-        let outcome = rx.recv_timeout(Duration::from_secs(5));
+        let outcome = supervise_briefly(poll, orch, slots);
         let err = outcome.expect("the shard spun").unwrap_err();
         assert!(err.starts_with("shard wait:"), "{err}");
-        shard.join().unwrap();
+    }
+
+    /// What `supervise` returns within five seconds, run on a thread of its
+    /// own.
+    fn supervise_briefly(
+        mut poll: Poller,
+        orch: UnixStream,
+        mut slots: Vec<NodeSlot>,
+    ) -> Result<Result<(), String>, RecvTimeoutError> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let mut audit = ShardAudit::default();
+            let _ = tx.send(supervise(&mut poll, &orch, &mut slots, &mut audit, &|_| {}));
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+    }
+
+    /// A node that writes a `status` line the codec refuses ends its shard
+    /// at once, with an error naming the node and the line, instead of
+    /// leaving the shard on the node's last good status until the run
+    /// times out.
+    #[test]
+    fn a_refused_status_line_ends_the_shard_with_an_error() {
+        let (_orch_side, orch) = UnixStream::pair().unwrap();
+        let (sup_side, mut node_side) = UnixStream::pair().unwrap();
+        sup_side.set_nonblocking(true).unwrap();
+        let mut slots = vec![NodeSlot::new(7, NodeCtrl::Thread(sup_side))];
+        let poll = watch(&orch, &mut slots).unwrap();
+        node_side
+            .write_all(b"ready here\nstatus 0 1 1 2 2 0 0\nstatus 0 1 x 2 2 0 0\n")
+            .unwrap();
+        let outcome = supervise_briefly(poll, orch, slots);
+        let err = outcome.expect("the shard kept running").unwrap_err();
+        assert_eq!(
+            err,
+            "node 7 wrote a line the shard refuses: \"status 0 1 x 2 2 0 0\""
+        );
     }
 
     /// A merged status of two nodes, both done, nothing held or buffered,

@@ -91,6 +91,10 @@ fn grid_5x5_chaos_thousands_of_clients_clean_per_client_verdict() {
     let cv = report.client_verdict.as_ref().expect("client mode verdict");
     assert!(cv.clean(), "per-client violations: {:?}", cv.violations);
     assert!(report.clean(), "report not clean");
+    assert!(
+        !report.ledger.reference,
+        "the shards' running join left a clean run to the reference join"
+    );
 
     // Every stamp accounted for, exactly once, none stuck in flight.
     assert_eq!(cv.clients, clients, "distinct clients seen by the audit");
@@ -139,4 +143,8 @@ fn dup_stamp_mutation_turns_the_client_verdict_red() {
         &cv.violations[..cv.violations.len().min(5)]
     );
     assert!(!report.clean(), "a red client verdict must dirty the run");
+    // A reused stamp is a ghost generated twice: the running join leaves
+    // it to the reference join, which reports it.
+    assert!(report.ledger.reference, "{:?}", report.ledger);
+    assert!(!report.verdict.clean(), "the SP join saw nothing");
 }

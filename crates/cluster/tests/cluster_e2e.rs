@@ -95,6 +95,26 @@ fn assert_clean(report: &ssmfp_cluster::RunReport) {
     );
     assert!(report.primaries_delivered > 0);
     assert_eq!(report.latency.count(), report.primaries_delivered);
+    assert_eq!(
+        report.verdict,
+        reconcile_ledgers(&ledgers(report)),
+        "{}: the verdict is not the reference join's",
+        report.topology
+    );
+}
+
+/// A report's per-node lists as the ledgers `reconcile_ledgers` reads.
+fn ledgers(report: &ssmfp_cluster::RunReport) -> Vec<NodeLedger> {
+    report
+        .nodes
+        .iter()
+        .map(|r| NodeLedger {
+            node: r.node,
+            generated: r.generated.clone(),
+            delivered: r.delivered.clone(),
+            held: r.held.clone(),
+        })
+        .collect()
 }
 
 #[test]
@@ -430,21 +450,28 @@ fn a_report_prices_its_phases() {
     }
 }
 
-/// The ledger rides the status lines: a converged run, with its nodes on
-/// a thread or in processes, uploads nothing at `stop` — every entry of
-/// every node's report streamed in while the run ran — and the verdict
-/// is the one the whole reports reconcile to.
+/// The ledger rides the status lines and is joined as it streams: a
+/// converged run, with its nodes on a thread or in processes, on a line or
+/// a grid split over two shards, uploads nothing at `stop` — every entry
+/// of every node's report streamed in while the run ran — and its verdict
+/// is the shards' running join, which is the one the whole reports
+/// reconcile to.
 #[test]
 fn a_converged_run_streams_its_whole_ledger() {
-    for mode in [
-        RunMode::Inproc,
-        RunMode::Proc {
-            exe: PathBuf::from(env!("CARGO_BIN_EXE_ssmfp-cluster")),
-        },
+    let proc = RunMode::Proc {
+        exe: PathBuf::from(env!("CARGO_BIN_EXE_ssmfp-cluster")),
+    };
+    let line = (gen::line(5), 4 * 5 * 40);
+    let grid = (gen::grid(3, 3), 4 * 9 * 40);
+    for (mode, (graph, want)) in [
+        (RunMode::Inproc, line.clone()),
+        (proc, line),
+        (RunMode::Inproc, grid),
     ] {
+        let topology = format!("{} nodes, {mode:?}", graph.n());
         let spec = ClusterSpec {
-            topology: "line:5".into(),
-            graph: gen::line(5),
+            topology: topology.clone(),
+            graph,
             seed: 4,
             workload: WorkloadSpec {
                 kind: WorkloadKind::Closed { outstanding: 2 },
@@ -454,38 +481,42 @@ fn a_converged_run_streams_its_whole_ledger() {
             listen: ListenSpec::Uds { dir: uds_dir() },
             clients: None,
             shards: 2,
-            mode: mode.clone(),
+            mode,
             timeout: Duration::from_secs(60),
         };
         let report = run_cluster(&spec).expect("run");
-        assert!(report.clean(), "{mode:?}");
+        assert!(report.clean(), "{topology}");
+        assert_eq!(report.shards, 2, "{topology}");
         let entries: usize = report
             .nodes
             .iter()
             .map(|r| r.generated.len() + r.delivered.len())
             .sum();
-        assert_eq!(report.ledger.tail, 0, "{mode:?}");
-        assert_eq!(report.ledger.streamed, entries as u64, "{mode:?}");
-        assert_eq!(
-            entries,
-            4 * 5 * 40,
-            "{mode:?}: primaries and acks, each twice"
+        assert_eq!(report.ledger.tail, 0, "{topology}");
+        assert_eq!(report.ledger.streamed, entries as u64, "{topology}");
+        assert_eq!(entries, want, "{topology}: primaries and acks, each twice");
+        assert!(!report.ledger.reference, "{topology}: {:?}", report.ledger);
+        assert!(
+            report.ledger.join_s > 0.0,
+            "{topology}: {:?}",
+            report.ledger
         );
-        let ledgers: Vec<NodeLedger> = report
-            .nodes
-            .iter()
-            .map(|r| NodeLedger {
-                node: r.node,
-                generated: r.generated.clone(),
-                delivered: r.delivered.clone(),
-                held: r.held.clone(),
-            })
-            .collect();
-        assert_eq!(reconcile_ledgers(&ledgers), report.verdict, "{mode:?}");
+        assert_eq!(
+            reconcile_ledgers(&ledgers(&report)),
+            report.verdict,
+            "{topology}"
+        );
         let json = report.to_json();
         assert!(
             json.contains(&format!(
-                "\"ledger\": {{\"streamed\": {entries}, \"tail\": 0}}"
+                "\"ledger\": {{\"streamed\": {entries}, \"tail\": 0, \"join_s\": "
+            )),
+            "{json}"
+        );
+        assert!(
+            json.contains(&format!(
+                "\"pending_peak\": {}, \"reference\": false}}",
+                report.ledger.pending_peak
             )),
             "{json}"
         );

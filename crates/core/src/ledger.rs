@@ -503,6 +503,242 @@ pub fn reconcile_ledgers_counted(ledgers: &[NodeLedger]) -> (ClusterVerdict, Rec
     (verdict, work)
 }
 
+/// The tag bit of a [`RunningAudit`] key that marks a delivery; below
+/// it, a generation's destination or a delivery's node.
+const DEL: u64 = 1 << 63;
+
+/// Entries a [`RunningAudit`] buffers before it settles on its own.
+const BATCH_CAP: usize = 1 << 12;
+
+/// [`reconcile_ledgers`] run on the ledger stream while it streams, for
+/// the one verdict a clean run has: every valid ghost generated once and
+/// delivered once, at its destination.
+///
+/// Feed it a ledger's entries in any order and in any slices
+/// ([`RunningAudit::generated`], [`RunningAudit::delivered`]). A join —
+/// [`RunningAudit::settle`], once the batch is worth it — sorts the batch
+/// fed since the last one and merges it with the sorted remainder of
+/// unpaired entries. A ghost met once as generated and once as delivered
+/// at that generation's destination retires into a sorted list of ghost
+/// ranges, so what stays resident is the unpaired entries and one range
+/// per run of consecutive retired ghosts — a stream of sequence numbers
+/// from one source is one range. Anything else the reference join would
+/// have to judge — a repeat, a wrong-node delivery, a generated invalid
+/// ghost — makes the audit *irregular*, and it stops joining. Audits of
+/// disjoint ledger sets [`RunningAudit::merge`]; [`RunningAudit::finish`]
+/// returns the verdict only when nothing is unpaired and nothing was
+/// irregular, and that verdict is then exactly what [`reconcile_ledgers`]
+/// returns on the same entries. `None` sends the caller to the reference
+/// join.
+#[derive(Debug, Clone, Default)]
+pub struct RunningAudit {
+    /// Entries fed since the last join, as keys `k << 64 | tag`: a
+    /// valid ghost's number over [`DEL`] (deliveries) and a node.
+    batch: Vec<u128>,
+    /// Unpaired entries, sorted.
+    pending: Vec<u128>,
+    /// Retired ghosts as sorted, disjoint, non-adjacent inclusive ranges,
+    /// and the buffer the next join writes them into.
+    retired: [Vec<(u64, u64)>; 2],
+    /// Ghosts retired.
+    exactly_once: u64,
+    /// Invalid ghosts delivered.
+    invalid_delivered: u64,
+    /// The most entries left unpaired after any join.
+    pending_peak: u64,
+    /// An entry only the reference join can judge was seen.
+    irregular: bool,
+}
+
+impl RunningAudit {
+    /// Feeds generated entries, `(ghost, destination)`.
+    pub fn generated(&mut self, entries: &[(GhostId, NodeId)]) {
+        for &(ghost, dest) in entries {
+            match ghost {
+                GhostId::Valid(k) => self.push(k, dest as u64),
+                GhostId::Invalid(_) => self.irregular = true,
+            }
+        }
+    }
+
+    /// Feeds the ghosts delivered at `node`.
+    pub fn delivered(&mut self, node: NodeId, ghosts: &[GhostId]) {
+        for &ghost in ghosts {
+            match ghost {
+                GhostId::Valid(k) => self.push(k, DEL | node as u64),
+                GhostId::Invalid(_) => self.invalid_delivered += 1,
+            }
+        }
+    }
+
+    fn push(&mut self, k: u64, tag: u64) {
+        self.batch.push((k as u128) << 64 | tag as u128);
+        if self.batch.len() >= BATCH_CAP {
+            self.settle();
+        }
+    }
+
+    /// Joins the batch fed since the last join, once it is at least a
+    /// quarter the size of the unpaired remainder: a join walks the whole
+    /// remainder, and entries whose other end another audit holds stay in
+    /// it until a merge, so a join per small batch would cost
+    /// O(remainder) each — quadratic over a run.
+    pub fn settle(&mut self) {
+        if self.batch.len() * 4 >= self.pending.len() {
+            self.join();
+        }
+    }
+
+    /// One sort of the batch, one merge of it into the unpaired remainder
+    /// — from the back, in place — then one walk over the merged entries
+    /// and the retired ranges, which keeps the still-unpaired ones at the
+    /// front.
+    fn join(&mut self) {
+        if self.irregular {
+            self.batch.clear();
+            self.pending.clear();
+            return;
+        }
+        if self.batch.is_empty() {
+            return;
+        }
+        self.batch.sort_unstable();
+        let (keys, batch) = (&mut self.pending, &self.batch);
+        let (mut i, mut j) = (keys.len(), batch.len());
+        keys.resize(i + j, 0);
+        while j > 0 {
+            if i > 0 && keys[i - 1] > batch[j - 1] {
+                i -= 1;
+                keys[i + j] = keys[i];
+            } else {
+                j -= 1;
+                keys[i + j] = batch[j];
+            }
+        }
+        let [ranges, out] = &mut self.retired;
+        out.clear();
+        let (mut read, mut kept, mut r) = (0, 0, 0);
+        let irregular = loop {
+            let Some(&first) = keys.get(read) else {
+                break false;
+            };
+            let k = (first >> 64) as u64;
+            let (mut gen, mut del, mut repeat) = (None, None, false);
+            while let Some(&key) = keys.get(read).filter(|&&key| (key >> 64) as u64 == k) {
+                read += 1;
+                let slot = if key as u64 & DEL == 0 {
+                    &mut gen
+                } else {
+                    &mut del
+                };
+                repeat |= slot.replace(key).is_some();
+            }
+            // The ranges below `k` carry over; one holding it is a repeat.
+            while let Some(&range) = ranges.get(r).filter(|range| range.1 < k) {
+                extend(out, range);
+                r += 1;
+            }
+            if repeat || ranges.get(r).is_some_and(|range| range.0 <= k) {
+                break true;
+            }
+            match (gen, del) {
+                (Some(g), Some(d)) if g as u64 == d as u64 & !DEL => {
+                    extend(out, (k, k));
+                    self.exactly_once += 1;
+                }
+                (Some(_), Some(_)) => break true,
+                (Some(key), None) | (None, Some(key)) => {
+                    keys[kept] = key;
+                    kept += 1;
+                }
+                (None, None) => unreachable!("a ghost is met through one of its entries"),
+            }
+        };
+        for &range in &ranges[r..] {
+            extend(out, range);
+        }
+        keys.truncate(kept);
+        self.batch.clear();
+        self.retired.swap(0, 1);
+        self.irregular = irregular;
+        if irregular {
+            self.pending.clear();
+        }
+        self.pending_peak = self.pending_peak.max(self.pending.len() as u64);
+    }
+
+    /// Folds in the audit of a disjoint set of ledgers — another shard's:
+    /// its retired ranges must not meet these, and its unpaired entries
+    /// join these.
+    pub fn merge(&mut self, mut other: RunningAudit) {
+        self.join();
+        other.join();
+        self.exactly_once += other.exactly_once;
+        self.invalid_delivered += other.invalid_delivered;
+        self.pending_peak = self.pending_peak.max(other.pending_peak);
+        self.irregular |= other.irregular;
+        let ([ours, out], theirs) = (&mut self.retired, &other.retired[0]);
+        out.clear();
+        let (mut i, mut j) = (0, 0);
+        while i < ours.len() || j < theirs.len() {
+            let range = if j == theirs.len() || i < ours.len() && ours[i].0 <= theirs[j].0 {
+                i += 1;
+                ours[i - 1]
+            } else {
+                j += 1;
+                theirs[j - 1]
+            };
+            self.irregular |= out.last().is_some_and(|last| last.1 >= range.0);
+            extend(out, range);
+        }
+        self.retired.swap(0, 1);
+        // Joined, the batch is empty: the other side's sorted remainder
+        // becomes it.
+        self.batch = other.pending;
+        self.join();
+    }
+
+    /// The verdict, when the fed entries show every generated ghost valid,
+    /// generated once and delivered once at its destination — exactly
+    /// [`reconcile_ledgers`] on the same entries. `None` when anything is
+    /// unpaired or was irregular.
+    pub fn finish(mut self) -> Option<ClusterVerdict> {
+        self.join();
+        (!self.irregular && self.pending.is_empty()).then(|| ClusterVerdict {
+            generated: self.exactly_once,
+            exactly_once: self.exactly_once,
+            in_flight: 0,
+            invalid_delivered: self.invalid_delivered,
+            violations: Vec::new(),
+        })
+    }
+
+    /// Joins what is fed and gives back the scratch: what stays is the
+    /// state a merge reads.
+    pub fn close(&mut self) {
+        self.join();
+        self.batch = Vec::new();
+        self.retired[1] = Vec::new();
+    }
+
+    /// The most entries left unpaired after any join, over the audits
+    /// merged in.
+    pub fn pending_peak(&self) -> u64 {
+        self.pending_peak
+    }
+}
+
+/// Appends `range` to a sorted range list, coalescing it with the last
+/// range when they meet or touch.
+fn extend(out: &mut Vec<(u64, u64)>, range: (u64, u64)) {
+    match out.last_mut() {
+        Some(last) if last.1.checked_add(1).is_none_or(|next| next >= range.0) => {
+            last.1 = last.1.max(range.1)
+        }
+        _ => out.push(range),
+    }
+}
+
 /// A violation of the per-client exactly-once/FIFO specification.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientViolation {
@@ -1363,6 +1599,224 @@ mod tests {
             prop_assert_eq!(v, o, "{:?}", ledgers);
             prop_assert_eq!(calls, oracle_calls);
         }
+
+        /// The running audit, fed the way shards feed it — the ledgers
+        /// dealt to random shards, each list cut into random deltas,
+        /// settles at random points, the shard audits merged — returns
+        /// `None` or exactly the reference verdict, and returns it
+        /// whenever every ghost is generated once and delivered once at
+        /// its destination. The regular sets are built from the
+        /// adversarial ones; a replayed ledger on top of one repeats every
+        /// entry in it, in the same settle, a later one or another shard.
+        #[test]
+        fn the_running_audit_is_the_reference_join_or_nothing(
+            ledgers in arb_ledgers(),
+            seed in any::<u64>(),
+            replay in any::<usize>(),
+        ) {
+            let mut rng = Rng(seed | 1);
+            let reference = reconcile_ledgers(&ledgers);
+            let running = run_audit(&ledgers, &mut rng);
+            prop_assert!(running.is_none() || running.as_ref() == Some(&reference));
+            prop_assert_eq!(running.is_some(), regular(&ledgers), "{:?}", ledgers);
+
+            let mut ledgers = regularize(ledgers, &mut rng);
+            prop_assert_eq!(run_audit(&ledgers, &mut rng), Some(reconcile_ledgers(&ledgers)));
+            if !ledgers.is_empty() {
+                ledgers.push(ledgers[replay % ledgers.len()].clone());
+                let running = run_audit(&ledgers, &mut rng);
+                prop_assert!(running.is_none() || running == Some(reconcile_ledgers(&ledgers)));
+            }
+        }
+    }
+
+    /// xorshift64: the random cuts of one proptest case.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % bound as u64) as usize
+        }
+    }
+
+    /// Deals `ledgers` to one to three shard audits, feeds each list in
+    /// random slices with random settles between them, and merges.
+    fn run_audit(ledgers: &[NodeLedger], rng: &mut Rng) -> Option<ClusterVerdict> {
+        let mut shards = vec![RunningAudit::default(); 1 + rng.below(3)];
+        let mut cursors: Vec<(usize, usize, usize)> = ledgers
+            .iter()
+            .map(|_| (rng.below(shards.len()), 0, 0))
+            .collect();
+        loop {
+            let open: Vec<usize> = (0..ledgers.len())
+                .filter(|&i| {
+                    let (_, g, d) = cursors[i];
+                    g < ledgers[i].generated.len() || d < ledgers[i].delivered.len()
+                })
+                .collect();
+            let Some(&i) = open.get(rng.below(open.len().max(1))) else {
+                break;
+            };
+            let (l, (s, g, d)) = (&ledgers[i], &mut cursors[i]);
+            let audit = &mut shards[*s];
+            if *d == l.delivered.len() || *g < l.generated.len() && rng.below(2) == 0 {
+                let end = *g + 1 + rng.below(l.generated.len() - *g);
+                audit.generated(&l.generated[*g..end]);
+                *g = end;
+            } else {
+                let end = *d + 1 + rng.below(l.delivered.len() - *d);
+                audit.delivered(l.node, &l.delivered[*d..end]);
+                *d = end;
+            }
+            if rng.below(3) == 0 {
+                audit.settle();
+            }
+        }
+        let mut root = RunningAudit::default();
+        for mut shard in shards {
+            if rng.below(2) == 0 {
+                shard.close();
+            }
+            root.merge(shard);
+        }
+        root.finish()
+    }
+
+    /// Every generated ghost valid, generated once and delivered once, at
+    /// its destination, and no valid ghost delivered that was not
+    /// generated.
+    fn regular(ledgers: &[NodeLedger]) -> bool {
+        let generated: Vec<(GhostId, NodeId)> = ledgers
+            .iter()
+            .flat_map(|l| l.generated.iter().copied())
+            .collect();
+        let mut delivered: Vec<(GhostId, NodeId)> = ledgers
+            .iter()
+            .flat_map(|l| l.delivered.iter().map(|&g| (g, l.node)))
+            .filter(|(g, _)| g.is_valid())
+            .collect();
+        let mut ghosts: Vec<GhostId> = generated.iter().map(|&(g, _)| g).collect();
+        ghosts.sort_unstable();
+        ghosts.dedup();
+        delivered.sort_unstable();
+        let mut want = generated.clone();
+        want.sort_unstable();
+        ghosts.len() == generated.len() && ghosts.iter().all(|g| g.is_valid()) && delivered == want
+    }
+
+    /// `ledgers` made regular: the first generation of each valid ghost
+    /// kept, the valid deliveries replaced by one of each kept ghost at a
+    /// random place in a ledger of its destination (a new one if none is).
+    fn regularize(mut ledgers: Vec<NodeLedger>, rng: &mut Rng) -> Vec<NodeLedger> {
+        let mut seen: Vec<GhostId> = Vec::new();
+        for l in &mut ledgers {
+            l.generated.retain(|&(g, _)| {
+                let fresh = g.is_valid() && !seen.contains(&g);
+                seen.extend(fresh.then_some(g));
+                fresh
+            });
+            l.delivered.retain(|g| !g.is_valid());
+        }
+        let generated: Vec<(GhostId, NodeId)> = ledgers
+            .iter()
+            .flat_map(|l| l.generated.iter().copied())
+            .collect();
+        for (g, dest) in generated {
+            let at: Vec<usize> = (0..ledgers.len())
+                .filter(|&i| ledgers[i].node == dest)
+                .collect();
+            let i = match at.get(rng.below(at.len().max(1))) {
+                Some(&i) => i,
+                None => {
+                    ledgers.push(NodeLedger {
+                        node: dest,
+                        ..NodeLedger::default()
+                    });
+                    ledgers.len() - 1
+                }
+            };
+            let list = &mut ledgers[i].delivered;
+            list.insert(rng.below(list.len() + 1), g);
+        }
+        ledgers
+    }
+
+    /// A shard whose entries all pair in another shard holds every one
+    /// until the merge, and a join walks the whole remainder; settled after
+    /// every entry, it still walks each entry about five times in all, not
+    /// once per settle.
+    #[test]
+    fn a_remainder_that_never_pairs_is_walked_a_bounded_number_of_times() {
+        const ENTRIES: usize = 10_000;
+        let mut audit = RunningAudit::default();
+        let mut walked = 0;
+        for k in 0..ENTRIES as u64 {
+            audit.generated(&[(GhostId::Valid(k), 1)]);
+            let fed = audit.pending.len() + audit.batch.len();
+            audit.settle();
+            if audit.batch.is_empty() {
+                walked += fed;
+            }
+        }
+        audit.join();
+        assert_eq!(audit.pending.len(), ENTRIES);
+        assert!(walked <= 6 * ENTRIES, "{walked} entries walked");
+    }
+
+    /// Resident state is O(in-flight): ten stop-and-wait streams — five
+    /// sources, a primary and an ack stream each — of 10⁵ entries in all,
+    /// settled once a round as a shard settles once a turn, hold at most
+    /// one unpaired entry per stream and at most one retired range per
+    /// stream plus one per ghost in flight.
+    #[test]
+    fn a_stop_and_wait_stream_keeps_its_audit_state_in_flight_sized() {
+        const STREAMS: u64 = 10;
+        const ROUNDS: u64 = 5_000;
+        let ghost =
+            |stream: u64, seq: u64| GhostId::Valid((stream / 2) << 40 | (stream % 2) << 39 | seq);
+        let dest = |stream: u64| ((stream / 2 + 1) % 5) as NodeId;
+        let mut ledgers: Vec<NodeLedger> = (0..5)
+            .map(|node| NodeLedger {
+                node,
+                ..NodeLedger::default()
+            })
+            .collect();
+        let mut audit = RunningAudit::default();
+        for round in 0..=ROUNDS {
+            for stream in 0..STREAMS {
+                let source = (stream / 2) as NodeId;
+                // The window of one: this round delivers the last round's
+                // ghost and generates the next.
+                if round > 0 {
+                    let g = ghost(stream, round - 1);
+                    audit.delivered(dest(stream), &[g]);
+                    ledgers[dest(stream)].delivered.push(g);
+                }
+                if round < ROUNDS {
+                    let g = (ghost(stream, round), dest(stream));
+                    audit.generated(&[g]);
+                    ledgers[source].generated.push(g);
+                }
+            }
+            audit.settle();
+            assert!(audit.pending_peak() <= STREAMS, "round {round}");
+            assert!(
+                audit.retired[0].len() as u64 <= 2 * STREAMS,
+                "round {round}"
+            );
+        }
+        let entries: usize = ledgers
+            .iter()
+            .map(|l| l.generated.len() + l.delivered.len())
+            .sum();
+        assert_eq!(entries as u64, 2 * STREAMS * ROUNDS);
+        assert_eq!(audit.retired[0].len() as u64, STREAMS);
+        let verdict = audit.finish().expect("a regular stream");
+        assert_eq!(verdict, reconcile_ledgers(&ledgers));
+        assert_eq!(verdict.exactly_once, STREAMS * ROUNDS);
     }
 
     #[test]

@@ -88,7 +88,8 @@ pub use faults::{
 pub use footprint::{action_footprint, guards_can_overlap, rule_footprint};
 pub use ledger::{
     reconcile_clients, reconcile_ledgers, reconcile_ledgers_counted, ClientVerdict,
-    ClientViolation, ClusterVerdict, DeliveryLedger, NodeLedger, ReconcileWork, SpViolation,
+    ClientViolation, ClusterVerdict, DeliveryLedger, NodeLedger, ReconcileWork, RunningAudit,
+    SpViolation,
 };
 pub use message::{Color, GhostId, Message, Payload};
 pub use protocol::{Event, FwdAction, SsmfpAction, SsmfpProtocol};
