@@ -16,7 +16,7 @@
 use ssmfp_cluster::codec::parse_client_mutation;
 use ssmfp_cluster::{
     node_main, parse_chaos, parse_node_args, parse_workload, pick_partition, run_cluster,
-    ChaosSpec, ClientSpec, ClusterSpec, CtrlPipe, ListenSpec, RunMode, WorkloadKind, WorkloadSpec,
+    ChaosSpec, ClientSpec, ClusterSpec, ListenSpec, RunMode, WorkloadKind, WorkloadSpec,
 };
 use ssmfp_core::cli::{self, Tool};
 use ssmfp_topology::{gen, Graph};
@@ -190,7 +190,7 @@ fn main() -> ExitCode {
         Ok(None)
     });
     if let Some(cfg) = node_worker {
-        return match node_main(&cfg, CtrlPipe::Stdio) {
+        return match node_main(&cfg) {
             Ok(_) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("ssmfp-cluster node {}: {e}", cfg.node);

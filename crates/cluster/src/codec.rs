@@ -1,11 +1,12 @@
-//! The lines a node writes up its control pipe (the protocol is
-//! [`crate::node`]'s): its group's `status` ([`Status`]), the `gen` /
-//! `del` ledger delta it writes behind every status line (`push_delta`),
-//! and the `report … end` block at `stop`, whose `gen` / `del` carry only
-//! the tail ([`write_report`]). Numbers are ASCII decimal, written with a
-//! digit-pair table and read as bytes in place: no `fmt`, no allocation
-//! per token. `fold_line` is the one reader: the shard folds each line
-//! into the node's [`NodeReport`] as it completes, and
+//! The lines a node group writes up its control pipe (the protocol is
+//! [`crate::node`]'s): its `status` ([`Status`]), behind every status
+//! line each member's `gen` / `del` ledger delta after a `node <id>` head
+//! (`push_delta`), and at `stop` each member's `report <id> … end` block,
+//! whose `gen` / `del` carry only the tail ([`write_report`]). Numbers are
+//! ASCII decimal, written with a digit-pair table and read as bytes in
+//! place: no `fmt`, no allocation per token. `fold_line` is the one
+//! reader: the shard folds each line into the [`NodeReport`] of the member
+//! the last head named as it completes (`ReportFold`), and
 //! [`parse_report_body`] folds a whole block the same way.
 //!
 //! The other way down, a shard hands a node process its [`NodeConfig`] as
@@ -194,12 +195,22 @@ fn push_histogram(out: &mut Vec<u8>, tag: &str, h: &LogHistogram) {
     out.push(b'\n');
 }
 
-/// Appends ledger entries as one `gen` line and one `del` line.
+/// Appends member `node`'s ledger delta: its `node <id>` head, then the
+/// entries as one `gen` line and one `del` line.
 pub(crate) fn push_delta(
     out: &mut Vec<u8>,
+    node: NodeId,
     generated: &[(MpGhost, NodeId)],
     delivered: &[MpGhost],
 ) {
+    out.extend_from_slice(b"node ");
+    push_u64(out, node as u64);
+    out.push(b'\n');
+    push_entries(out, generated, delivered);
+}
+
+/// Appends ledger entries as one `gen` line and one `del` line.
+fn push_entries(out: &mut Vec<u8>, generated: &[(MpGhost, NodeId)], delivered: &[MpGhost]) {
     // A cluster ghost is ~13 digits: room for that and a destination.
     out.reserve(8 + 20 * (generated.len() + delivered.len()));
     out.extend_from_slice(b"gen");
@@ -223,7 +234,7 @@ pub(crate) fn report_block(r: &NodeReport) -> Vec<u8> {
     out.extend_from_slice(b"report ");
     push_u64(&mut out, r.node as u64);
     out.push(b'\n');
-    push_delta(&mut out, &r.generated, &r.delivered);
+    push_entries(&mut out, &r.generated, &r.delivered);
     out.extend_from_slice(b"held");
     for &g in &r.held {
         push_ghost(&mut out, g);
@@ -337,10 +348,9 @@ impl Fields<'_> {
     }
 }
 
-/// Folds one line a node wrote after its `ready` line, other than `status`
-/// and its block's `report <node>` head, into `r`: `gen` and `del` append
-/// their entries wherever they come, the block's other lines set their
-/// field. `Some(true)` for the block's `end`; `None` for a line that is not
+/// Folds one line of a member's ledger delta or report block, its head
+/// aside, into `r`: `gen` and `del` append their entries wherever they
+/// come, the block's other lines set their field. `Some(true)` for the block's `end`; `None` for a line that is not
 /// exactly as [`push_delta`] or [`write_report`] writes it.
 pub(crate) fn fold_line(r: &mut NodeReport, line: &[u8]) -> Option<bool> {
     let (tag, rest) = line.split_at(line.iter().position(|&b| b == b' ').unwrap_or(line.len()));
@@ -383,6 +393,74 @@ pub(crate) fn fold_line(r: &mut NodeReport, line: &[u8]) -> Option<bool> {
         _ => return None,
     }
     f.0.is_empty().then_some(tag == b"end")
+}
+
+/// What a shard folds off one group's pipe: each member's report, as its
+/// lines complete. A head — `node <id>` before a member's ledger delta,
+/// `report <id>` before its block — names the member whose lines follow,
+/// and [`fold_line`] folds each of them into that member's report.
+pub(crate) struct ReportFold {
+    /// By member, in the group's order.
+    pub reports: Vec<NodeReport>,
+    /// By member: its block's `end` arrived.
+    pub ended: Vec<bool>,
+    /// The member the last head named, until its block ends.
+    current: Option<usize>,
+}
+
+impl ReportFold {
+    /// Empty reports for the group's members, in its order.
+    pub fn new(nodes: impl IntoIterator<Item = NodeId>) -> Self {
+        let reports: Vec<NodeReport> = nodes
+            .into_iter()
+            .map(|node| NodeReport {
+                node,
+                ..NodeReport::default()
+            })
+            .collect();
+        ReportFold {
+            ended: vec![false; reports.len()],
+            reports,
+            current: None,
+        }
+    }
+
+    /// Folds one line other than `ready`, `status` and `error`. Returns
+    /// the ledger entries it added, or `None` for a line that is neither a
+    /// head naming a member nor, after one, a line [`fold_line`] takes.
+    pub fn fold(&mut self, line: &[u8]) -> Option<u64> {
+        if let Some(rest) = line
+            .strip_prefix(b"node ")
+            .or_else(|| line.strip_prefix(b"report "))
+        {
+            let mut f = Fields(rest);
+            let id = f.num().filter(|_| f.0.is_empty())?;
+            self.current = Some(self.reports.iter().position(|r| r.node as u64 == id)?);
+            return Some(0);
+        }
+        let i = self.current?;
+        let r = &mut self.reports[i];
+        let before = r.generated.len() + r.delivered.len();
+        if fold_line(r, line)? {
+            self.ended[i] = true;
+            self.current = None;
+        }
+        Some((r.generated.len() + r.delivered.len() - before) as u64)
+    }
+
+    /// The first member whose block has not ended.
+    pub fn unended(&self) -> Option<NodeId> {
+        let i = self.ended.iter().position(|&ended| !ended)?;
+        Some(self.reports[i].node)
+    }
+}
+
+/// `line` as an error message shows it: quoted, cut at 64 bytes.
+pub(crate) fn shown(line: &[u8]) -> String {
+    const SHOWN: usize = 64;
+    let more = if line.len() > SHOWN { "…" } else { "" };
+    let head = String::from_utf8_lossy(&line[..line.len().min(SHOWN)]);
+    format!("{head:?}{more}")
 }
 
 /// Parses the block written by [`write_report`]; the `report <node>` line
@@ -735,19 +813,15 @@ mod tests {
         parse_report_body(node, &mut lines)
     }
 
-    /// What a shard makes of a node's stream: every line folded into one
-    /// report, the block's head skipped; `None` once a line is refused or
-    /// if no `end` came.
-    fn fold_stream(node: NodeId, text: &str) -> Option<NodeReport> {
-        let mut r = NodeReport {
-            node,
-            ..NodeReport::default()
-        };
-        let mut ended = false;
-        for line in text.lines().filter(|l| !l.starts_with("report ")) {
-            ended = fold_line(&mut r, line.as_bytes())?;
+    /// What a shard makes of a group's stream: every line folded into the
+    /// report of the member the last head named; `None` once a line is
+    /// refused or if a member's `end` did not come.
+    fn fold_stream(nodes: &[NodeId], text: &str) -> Option<Vec<NodeReport>> {
+        let mut fold = ReportFold::new(nodes.iter().copied());
+        for line in text.lines() {
+            fold.fold(line.as_bytes())?;
         }
-        ended.then_some(r)
+        fold.unended().is_none().then_some(fold.reports)
     }
 
     proptest! {
@@ -755,40 +829,65 @@ mod tests {
 
         /// Every report survives its codec whole: extreme ghosts and
         /// destinations, empty lists and histograms, every counter. And
-        /// cut into deltas — its `gen` and `del` lists split at arbitrary
-        /// points into `gen`/`del` line pairs, then the block with the
-        /// tail — it folds back to what the whole block parses to.
+        /// the reports of a group on its one pipe — each one's `gen` and
+        /// `del` lists split at arbitrary points into deltas, the deltas
+        /// of all members interleaved round by round as a group writes
+        /// them behind its status lines, then every block with its tail —
+        /// fold back, each to what its whole block parses to.
         #[test]
         fn any_report_roundtrips_through_its_codec(
-            r in arb_report(),
-            cuts in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..4),
+            group in proptest::collection::vec(
+                (arb_report(), proptest::collection::vec((any::<usize>(), any::<usize>()), 0..4)),
+                1..4,
+            ),
         ) {
-            let mut buf = Vec::new();
-            write_report(&mut buf, &r).unwrap();
-            let text = String::from_utf8(buf).expect("reports are ASCII");
-            prop_assert_eq!(parse_block(&text), Some(r.clone()));
-
-            let at = |len: usize, pick: fn(&(usize, usize)) -> usize| {
-                let mut at: Vec<usize> = cuts.iter().map(|c| pick(c) % (len + 1)).collect();
-                at.sort_unstable();
-                at
-            };
-            let gen_at = at(r.generated.len(), |c| c.0);
-            let del_at = at(r.delivered.len(), |c| c.1);
-            let (mut g0, mut d0) = (0, 0);
-            let mut stream = Vec::new();
-            for (g, d) in gen_at.into_iter().zip(del_at) {
-                push_delta(&mut stream, &r.generated[g0..g], &r.delivered[d0..d]);
-                (g0, d0) = (g, d);
+            let group: Vec<_> = group
+                .into_iter()
+                .enumerate()
+                .map(|(i, (r, cuts))| (NodeReport { node: i, ..r }, cuts))
+                .collect();
+            for (r, _) in &group {
+                let mut buf = Vec::new();
+                write_report(&mut buf, r).unwrap();
+                let text = String::from_utf8(buf).expect("reports are ASCII");
+                prop_assert_eq!(parse_block(&text), Some(r.clone()));
             }
-            let tail = NodeReport {
-                generated: r.generated[g0..].to_vec(),
-                delivered: r.delivered[d0..].to_vec(),
-                ..r.clone()
-            };
-            write_report(&mut stream, &tail).unwrap();
+
+            // By member, the ends of its deltas in its two lists.
+            let ends: Vec<Vec<(usize, usize)>> = group
+                .iter()
+                .map(|(r, cuts)| {
+                    let at = |len: usize, pick: fn(&(usize, usize)) -> usize| {
+                        let mut at: Vec<usize> = cuts.iter().map(|c| pick(c) % (len + 1)).collect();
+                        at.sort_unstable();
+                        at
+                    };
+                    let gen_at = at(r.generated.len(), |c| c.0);
+                    gen_at.into_iter().zip(at(r.delivered.len(), |c| c.1)).collect()
+                })
+                .collect();
+            let mut shipped = vec![(0, 0); group.len()];
+            let mut stream = Vec::new();
+            for round in 0..4 {
+                for (i, (r, _)) in group.iter().enumerate() {
+                    let Some(&(g, d)) = ends[i].get(round) else { continue };
+                    let (g0, d0) = shipped[i];
+                    push_delta(&mut stream, r.node, &r.generated[g0..g], &r.delivered[d0..d]);
+                    shipped[i] = (g, d);
+                }
+            }
+            for ((r, _), (g0, d0)) in group.iter().zip(shipped) {
+                let tail = NodeReport {
+                    generated: r.generated[g0..].to_vec(),
+                    delivered: r.delivered[d0..].to_vec(),
+                    ..r.clone()
+                };
+                write_report(&mut stream, &tail).unwrap();
+            }
             let stream = String::from_utf8(stream).expect("deltas are ASCII");
-            prop_assert_eq!(fold_stream(r.node, &stream), Some(r));
+            let nodes: Vec<NodeId> = (0..group.len()).collect();
+            let whole: Vec<NodeReport> = group.into_iter().map(|(r, _)| r).collect();
+            prop_assert_eq!(fold_stream(&nodes, &stream), Some(whole));
         }
     }
 
@@ -832,7 +931,8 @@ mod tests {
 
     /// Malformed tokens and a block cut before its `end` are refused with
     /// `None`, never a panic — and so is a malformed delta line before a
-    /// good block: it fails the report, it is not skipped.
+    /// good block, a delta with no head and a head that names no member:
+    /// each fails the report, none is skipped.
     #[test]
     fn malformed_reports_are_refused() {
         let body = |line: &str| format!("report 1\n{line}\nend\n");
@@ -872,15 +972,20 @@ mod tests {
         let cut = text.strip_suffix("end\n").unwrap();
         assert_eq!(parse_block(cut), None, "a block with no end");
 
-        assert!(fold_stream(0, &format!("gen v1:2\ndel v3\n{text}")).is_some());
+        let folded = fold_stream(&[0], &format!("node 0\ngen v1:2\ndel v3\n{text}"));
+        assert!(folded.is_some());
         for bad in [
-            "gen v1:2 ",
-            "gen v1",
-            "del v1 x2",
-            "del  v1",
-            "gen v1:2\ndel v",
+            "node 0\ngen v1:2 ",
+            "node 0\ngen v1",
+            "node 0\ndel v1 x2",
+            "node 0\ndel  v1",
+            "node 0\ngen v1:2\ndel v",
+            "gen v1:2\ndel v3",
+            "node 1\ngen v1:2\ndel v3",
+            "node x\ngen v1:2\ndel v3",
+            "node 0 \ngen v1:2\ndel v3",
         ] {
-            assert_eq!(fold_stream(0, &format!("{bad}\n{text}")), None, "{bad}");
+            assert_eq!(fold_stream(&[0], &format!("{bad}\n{text}")), None, "{bad}");
         }
     }
 

@@ -13,14 +13,15 @@
 //! * `orch.main` — the run driver. Spawns shard supervisors, distributes
 //!   `peers`/`start`/`stop` over per-shard socketpairs, and drains the
 //!   one channel (`orch.shard`) everything flows up through.
-//! * `shard.super` — one per shard: supervises a group of nodes (spawns
-//!   threads inproc, processes in proc mode), polls their control pipes,
-//!   pre-merges status/telemetry, forwards control lines downward with
-//!   POLLOUT-gated nonblocking writes.
+//! * `shard.super` — one per shard: supervises its node groups (one data
+//!   thread inproc, a process per node in proc mode), polls the one
+//!   control socketpair each group has, pre-merges status/telemetry,
+//!   forwards control lines downward with POLLOUT-gated nonblocking
+//!   writes.
 //! * `node.main` — the data plane: one per shard inproc, carrying every
 //!   node of the shard (one per process in proc mode, carrying its one
-//!   node). `crate::node::run_nodes` keeps every member's control pipe
-//!   and the group's sockets in one persistent `epoll` set, waits on it
+//!   node). `crate::node::run_group` keeps the group's one control pipe
+//!   and its sockets in one persistent `epoll` set, waits on it
 //!   to the nearest deadline of any node or stream, and runs the protocol
 //!   engine of each node that has frames or is due. Links between members
 //!   of one thread are in memory, with no socket and no wait; the
@@ -30,7 +31,7 @@
 //!
 //! Exactly two edges are untimed, and each waits on the waiter's spawner:
 //! `node.main` blocking-writes status/report lines to its shard (which
-//! polls node pipes unconditionally), and `shard.super` blocking-sends on
+//! polls group pipes unconditionally), and `shard.super` blocking-sends on
 //! `orch.shard` (which `orch.main` drains with a timeout). Leaf → shard →
 //! root cannot close a cycle; `conc-deadlock` checks exactly that, and a
 //! red test flips a downward control write to untimed to keep it honest.
@@ -59,13 +60,14 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
             ThreadDecl {
                 role: "shard.super",
                 spawned_by: "orch.main",
-                doc: "supervises one node group: polls ctrl pipes, pre-merges status/telemetry",
+                doc: "supervises a shard's node groups: polls one ctrl pipe a group, pre-merges \
+                      status/telemetry",
             },
             ThreadDecl {
                 role: "node.main",
                 spawned_by: "shard.super",
-                doc: "every node of one shard: their ctrl pipes and the group's listener and \
-                      streams in one epoll set plus their protocol engines, one thread total",
+                doc: "every node of one shard: the group's ctrl pipe, listener and streams in \
+                      one epoll set plus their protocol engines, one thread total",
             },
         ],
         channels: vec![ChannelDecl {
@@ -80,7 +82,7 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
             // nowhere else on the data plane, between nodes of one thread
             // as between threads: reads and writes behind it are
             // nonblocking. The one untimed edge is the blocking
-            // status/report write up to the shard, which drains node pipes
+            // status/report write up to the shard, which drains group pipes
             // unconditionally.
             BlockingEdge {
                 thread: "node.main",
@@ -107,7 +109,7 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
                 waits: WaitPoint::SockWrite("shard.super"),
                 timed: false, // status/report write_all — leaf edge of the control tree
             },
-            // shard.super — polls node pipes and its orch socketpair;
+            // shard.super — polls group pipes and its orch socketpair;
             // downward control writes are POLLOUT-gated and nonblocking.
             BlockingEdge {
                 thread: "shard.super",

@@ -26,18 +26,20 @@
 //!   `Route` frames saying which link a run crossed — with heartbeat and
 //!   reconnect deadlines per stream.
 //! * [`node`] — one node = **one resumable task**, one shard = one
-//!   thread: a turn of `run_nodes` flushes each of the group's streams
-//!   once, waits once, reads each ready stream once and steps only the
-//!   nodes with frames, a ready control pipe or a passed deadline —
-//!   forwarder, workload and control state machine — and [`node_main`] (a
-//!   node process) is that loop with a group of one.
-//! * [`codec`] — the lines a node writes up its control pipe: its group's
-//!   `status`, the ledger deltas that ride behind every status line, and
-//!   the `report … end` block at `stop` — written and read as bytes, by
-//!   one line folder.
+//!   thread, one group = one control endpoint: a turn of `run_group`
+//!   flushes each of the group's streams once, waits once, reads each
+//!   ready stream and the group's one control pipe once and steps only
+//!   the nodes with frames or a passed deadline — forwarder and workload;
+//!   the control state, graph and routing trees are the group's — and
+//!   [`node_main`] (a node process) is that loop with a group of one.
+//! * [`codec`] — the lines a group writes up its control pipe: its
+//!   `status`, its members' ledger deltas that ride behind every status
+//!   line, and their `report … end` blocks at `stop` — written and read as
+//!   bytes, by one line folder.
 //! * [`orchestrator`] — the sharded control tree: K `shard.super`
-//!   threads each supervise a node group (one data thread or a process
-//!   per node), folding each node's ledger as it streams in and
+//!   threads each supervise their node groups (one data thread, or a
+//!   process per node) over one socketpair a group, folding each node's
+//!   ledger as it streams in and
 //!   pre-merging status and telemetry so the root works O(shards) per
 //!   tick, then one global ledger reconciliation renders the SP verdict
 //!   and the JSON run report.
@@ -64,7 +66,6 @@ pub mod workload;
 pub use chaos::{ChaosSpec, PartitionSpec};
 pub use clients::{ClientMutation, ClientMux, ClientSpec};
 pub use codec::{node_args, parse_chaos, parse_node_args, parse_workload};
-pub use evloop::CtrlPipe;
 pub use node::{node_main, ListenSpec, NodeConfig, NodeReport, Status};
 pub use orchestrator::{
     pick_partition, run_cluster, shard_ranges, ClusterSpec, Detection, LedgerFlow, Phases, RunMode,

@@ -10,8 +10,8 @@
 //! pushes the frame into the receiver's inbox, bounded per link. Only the
 //! links that leave the group touch a socket, by one rule: **same
 //! address, same stream**. A group with a neighbour outside binds one
-//! listener, every member reports that address in its `ready` line, and
-//! the group keeps one simplex stream per distinct address among its
+//! listener, reports that address as every member's in its `ready` line,
+//! and keeps one simplex stream per distinct address among its
 //! members' outside neighbours. The dialling side only writes, the
 //! accepting side only reads, and a `WireFrame::Route { src, dst }` in the
 //! byte stream says which directed edge the frames after it crossed; a
@@ -30,33 +30,36 @@
 //! The paper's model is guarded commands under a daemon: which *enabled*
 //! processor moves next is the scheduler's choice, and SP holds under
 //! every choice. So a node is not a thread but a `Node` — engine, chaos
-//! shim, control pipe, counters, control state — with `prepare` (its
-//! nearest deadline), `step` (control lines, the frames in its inbox →
-//! chaos → `on_message`, one engine turn, outbox → the group's links)
-//! and `finish` (report). A `Group` is the daemon, and its one `turn` the
-//! only copy of the iteration: read the clock, flush each stream
-//! **once**, take the group's status cut if a member moved, prepare the
-//! nodes that stepped last turn, one wait on the thread's persistent
-//! `epoll` set ([`crate::evloop::Poller`]) to the nearest deadline of any
-//! node or stream or the status keep-alive — zero while an inbox holds
-//! frames — read the clock again, one dispatch for the group (accept, read
-//! each ready stream, demultiplex by `Route` into the members' inboxes by
-//! local port, retry blocked writes), then step, in slot order, the nodes
-//! that have frames, a ready control pipe or a passed deadline — the
-//! enabled ones — and nobody else. A turn costs one `write` and one `read`
-//! per stream that has something, however many links and members its
-//! bytes belong to, and what is registered costs nothing: control pipes
-//! and the listener go into the set when the group comes up, a connection
-//! when `accept` returns it, an out-stream only while a full socket holds
-//! its bytes back. `run_nodes` loops on `turn`; `RunMode::Inproc` runs
-//! it once per shard, on the shard's one `node.main` thread; [`node_main`]
-//! — a `--node-worker` process — runs it with a group of one. A frame
-//! between two nodes of a group never touches the kernel: a receiver
-//! later in the slot order steps in the same turn, an earlier one in the
-//! next. There is no writer thread, no control-reader thread — frames and
-//! control lines surface in plain vectors the node drains, and outbound
-//! frames go to a stream's coalescing buffer or a thread-mate's inbox in
-//! the same stack frame that produced them.
+//! shim, counters — with `prepare` (its nearest deadline), `step` (the
+//! frames in its inbox → chaos → `on_message`, one engine turn, outbox →
+//! the group's links) and `finish` (report). A `Group` is the daemon: it
+//! holds what its members share — the graph and one BFS tree per
+//! destination, built once at bring-up, the links, the one control pipe
+//! to the shard and the one copy of the control state — and its one
+//! `turn` is the only copy of the iteration: read the clock, flush each
+//! stream **once**, take the group's status cut if a member moved,
+//! prepare the nodes that stepped last turn, one wait on the thread's
+//! persistent `epoll` set ([`crate::evloop::Poller`]) to the nearest
+//! deadline of any node or stream or the status keep-alive — zero while an
+//! inbox holds frames — read the clock again, one dispatch for the group
+//! (accept, read each ready stream, demultiplex by `Route` into the
+//! members' inboxes by local port, retry blocked writes), the control
+//! lines if the pipe is ready, then step, in slot order, the nodes that
+//! have frames or a passed deadline — the enabled ones — and nobody else.
+//! A turn costs one `write` and one `read` per stream that has something,
+//! however many links and members its bytes belong to, and what is
+//! registered costs nothing: the control pipe and the listener go into
+//! the set when the group comes up, a connection when `accept` returns
+//! it, an out-stream only while a full socket holds its bytes back.
+//! `run_group` loops on `turn`; `RunMode::Inproc` runs it once per shard,
+//! on the shard's one `node.main` thread; [`node_main`] — a
+//! `--node-worker` process — runs it with a group of one. A frame between
+//! two nodes of a group never touches the kernel: a receiver later in the
+//! slot order steps in the same turn, an earlier one in the next. There is
+//! no writer thread, no control-reader thread — frames and control lines
+//! surface in plain vectors the group drains, and outbound frames go to a
+//! stream's coalescing buffer or a thread-mate's inbox in the same stack
+//! frame that produced them.
 //!
 //! The protocol iteration itself is *event-driven*, and a node is never
 //! left waiting while one of its own rules is enabled
@@ -80,31 +83,36 @@
 //!
 //! ## Control protocol
 //!
-//! Line-based, over the supervising shard's pipe:
-//! * node → shard: `ready <addr>`
-//! * shard → node: `peers <addr_0> … <addr_{n-1}>`, then `start`
-//! * group → shard, on its first live member's pipe: `status <wave>
-//!   <nodes> <done> <generated> <delivered> <held> <busy>` ([`Status`]) —
-//!   one line for the whole group, a cut of all its members at one
+//! Line-based, over one socketpair between the group and its shard — the
+//! data thread's end inproc, fd 0 of a `--node-worker` process:
+//! * group → shard: `ready <addr>`, once for all its members
+//! * shard → group: `peers <addr_0> … <addr_{n-1}>`, then `start`
+//! * group → shard: `status <wave> <nodes> <done> <generated> <delivered>
+//!   <held> <busy>` ([`Status`]) — a cut of all its members at one
 //!   instant, written the turn the cut goes quiet or changes while quiet,
 //!   once per probe wave, and otherwise once per `status_every`
-//! * node → shard, after every status line of its group: its ledger
-//!   entries since the last one, as a `gen …` and a `del …` line
-//!   (`crate::codec::push_delta`) — nothing if it has none — after which
-//!   the node lets them go: the ledger leaves while the run runs
-//! * shard → node: `probe <wave>` — the root's second wave; the group
-//!   answers it once, with a cut taken after a member read it
-//! * shard → node: `stop`
-//! * node → shard: a multi-line `report … end` block whose `gen` and `del`
-//!   carry only the entries no status line did, then exit.
+//! * group → shard, in the same write behind every status line: for each
+//!   member with ledger entries since the last one, a `node <id>` head,
+//!   then a `gen …` and a `del …` line (`crate::codec::push_delta`),
+//!   after which the member lets them go: the ledger leaves while the
+//!   run runs
+//! * shard → group: `probe <wave>` — the root's second wave; the group
+//!   answers it once, with a cut taken after it read the probe
+//! * shard → group: `stop`
+//! * group → shard: for each member a multi-line `report <id> … end`
+//!   block whose `gen` and `del` carry only the entries no status line
+//!   did, then the group closes the pipe
+//! * group → shard, instead, when anything fails — a member, the group's
+//!   sockets or wait, a control line it cannot read: one `error <node>
+//!   <message>` line, then the group closes the pipe.
 //!
-//! Every line a node writes is [`crate::codec`]'s.
+//! Every line a group writes but `error` is [`crate::codec`]'s.
 
 use crate::chaos::{ChaosSpec, InboundChaos};
 use crate::clients::{ClientMux, ClientSpec};
-use crate::codec::{push_delta, report_block};
+use crate::codec::{push_delta, report_block, shown};
 use crate::conc::COMPONENT;
-use crate::evloop::{Control, CtrlPipe, Hub, IoStats, Poller, HUB};
+use crate::evloop::{Control, Hub, IoStats, Poller, CTRL, HUB};
 use crate::frame::{frame_to_msg, msg_to_frame, msg_to_frame_client};
 use crate::telemetry::{LogHistogram, NodeCounters};
 use crate::tuning::TUNING;
@@ -116,7 +124,8 @@ use ssmfp_core::wire::WireFrame;
 use ssmfp_mp::{ack_ghost_of, decode_client_ghost, MpForwarder, MpGhost, MpNode, Outbox, WireMsg};
 use ssmfp_topology::{BfsTree, Graph, NodeId};
 use std::io;
-use std::os::unix::io::RawFd;
+use std::os::unix::io::{FromRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -168,21 +177,6 @@ fn now_stamp() -> u64 {
         & STAMP_MASK
 }
 
-fn routing_table(graph: &Graph, p: NodeId) -> Vec<NodeId> {
-    let n = graph.n();
-    (0..n)
-        .map(|d| {
-            if p == d {
-                p
-            } else {
-                BfsTree::new(graph, d)
-                    .parent(p)
-                    .expect("connected topology")
-            }
-        })
-        .collect()
-}
-
 /// The protocol side of a node — forwarder (its audit lists with it),
 /// traffic source, sink latency — apart from its sockets, so a test can
 /// drive the node's iteration over in-memory links.
@@ -199,7 +193,7 @@ struct Engine {
 }
 
 impl Engine {
-    fn new(cfg: &NodeConfig, graph: &Graph) -> Self {
+    fn new(cfg: &NodeConfig, graph: &Graph, next_hop: Vec<NodeId>) -> Self {
         let (p, n) = (cfg.node, cfg.n);
         Engine {
             p,
@@ -209,7 +203,7 @@ impl Engine {
                 n,
                 graph.max_degree() as u8,
                 graph.neighbors(p).to_vec(),
-                routing_table(graph, p),
+                next_hop,
                 cfg.seed,
             ),
             gen: WorkloadGen::new(cfg.workload, p, n, cfg.seed),
@@ -232,7 +226,7 @@ impl Engine {
     /// One iteration's protocol work, after its inbound frames went through
     /// `fwd.on_message`: the timeout if `fire`, then what it delivered,
     /// then new traffic. Whatever that enables leaves in `out`.
-    fn turn(&mut self, fire: bool, issuing: bool, now_us: impl Fn() -> u64) {
+    fn turn(&mut self, fire: bool, now_us: impl Fn() -> u64) {
         // `on_timeout` runs every slot's rules after its retransmission
         // timers, so what the inbound frames enabled — a confirmed copy to
         // move on, a delivery at the sink — happens here, not a tick later.
@@ -278,19 +272,17 @@ impl Engine {
         // client mux replaces the node-level generator in client mode. The
         // budget bounds time away from the socket pump; the mux's
         // round-robin ready queue keeps the cut fair.
-        if issuing {
-            let now = now_us();
-            if self.mux.is_some() {
-                for _ in 0..TUNING.client_send_budget {
-                    let Some(issue) = self.mux.as_mut().and_then(|m| m.next(now)) else {
-                        break;
-                    };
-                    self.send(issue.dest, issue.payload, issue.ghost);
-                }
-            } else {
-                while let Some(issue) = self.gen.poll(now) {
-                    self.send(issue.dest, issue.payload, issue.ghost);
-                }
+        let now = now_us();
+        if self.mux.is_some() {
+            for _ in 0..TUNING.client_send_budget {
+                let Some(issue) = self.mux.as_mut().and_then(|m| m.next(now)) else {
+                    break;
+                };
+                self.send(issue.dest, issue.payload, issue.ghost);
+            }
+        } else {
+            while let Some(issue) = self.gen.poll(now) {
+                self.send(issue.dest, issue.payload, issue.ghost);
             }
         }
         debug_assert!(!self.fwd.locally_enabled());
@@ -324,20 +316,16 @@ impl Engine {
 }
 
 /// One node as a resumable task: everything it keeps between two turns of
-/// the thread that carries it — engine, chaos shims, control pipe,
-/// counters. Its links are the group's ([`Hub`]): it is handed the frames
-/// that arrived on them and hands back the frames it sends. The [`Group`]
-/// is the daemon — it picks when each node moves; no rule here depends on
-/// that choice. Nothing in here reads the monotonic clock either:
-/// `prepare` and `step` are handed the turn's reading (the wall-clock
-/// latency stamp, [`now_stamp`], is still taken where a message is
-/// enqueued or delivered).
+/// the thread that carries it — engine, chaos shims, counters. Its links
+/// are the group's ([`Hub`]), and so are its control pipe and control
+/// state ([`Group`]): it is handed the frames that arrived on its links
+/// and hands back the frames it sends. The group is the daemon — it picks
+/// when each node moves; no rule here depends on that choice. Nothing in
+/// here reads the monotonic clock either: `prepare` and `step` are handed
+/// the turn's reading (the wall-clock latency stamp, [`now_stamp`], is
+/// still taken where a message is enqueued or delivered).
 struct Node {
-    /// The node's seat in its group: the owner half of its control
-    /// pipe's [`Poller::token`], and its name to the [`Hub`].
-    index: usize,
     eng: Engine,
-    ctrl: Control,
     /// The node's neighbours in local-port order.
     neighbors: Vec<NodeId>,
     /// Client-mode frames carry the `(client_id, client_seq)` wire stamp;
@@ -346,12 +334,6 @@ struct Node {
     /// The inbound chaos shim of every neighbour, by local port.
     chaos: Vec<InboundChaos>,
     counters: NodeCounters,
-    // Control state: `peers`, then `start` (or an early `stop`).
-    peers_wired: bool,
-    started: bool,
-    stopping: bool,
-    /// The highest `probe` wave read on the control pipe.
-    probe: u64,
     /// Whether a retransmission timer ran when `prepare` looked.
     ticking: bool,
     last_tick: Instant,
@@ -361,48 +343,27 @@ struct Node {
 }
 
 impl Node {
-    /// Registers the control pipe with `poller` as member `index` of the
-    /// group, takes the seat in `hub`, and reports `ready <addr>` — the
-    /// group's one listener — up the pipe.
-    fn new(
-        cfg: &NodeConfig,
-        ctrl: CtrlPipe,
-        index: usize,
-        hub: &mut Hub,
-        poller: &Poller,
-        now: Instant,
-    ) -> io::Result<Self> {
-        let graph = Graph::from_edges(cfg.n, &cfg.edges).map_err(io::Error::other)?;
+    fn new(cfg: &NodeConfig, graph: &Graph, next_hop: Vec<NodeId>, now: Instant) -> Self {
         let p = cfg.node;
         let neighbors: Vec<NodeId> = graph.neighbors(p).to_vec();
-        let eng = Engine::new(cfg, &graph);
-        let chaos = neighbors
-            .iter()
-            .map(|&q| InboundChaos::new(&cfg.chaos, q, p))
-            .collect();
-        let mut ctrl = Control::new(ctrl, index, poller)?;
-        hub.join(index, p, neighbors.clone());
-        ctrl.write_line(format!("ready {}\n", hub.addr()).as_bytes())?;
-        Ok(Node {
-            index,
+        let eng = Engine::new(cfg, graph, next_hop);
+        Node {
             encode: if eng.mux.is_some() {
                 msg_to_frame_client
             } else {
                 msg_to_frame
             },
             eng,
-            ctrl,
+            chaos: neighbors
+                .iter()
+                .map(|&q| InboundChaos::new(&cfg.chaos, q, p))
+                .collect(),
             neighbors,
-            chaos,
             counters: NodeCounters::default(),
-            peers_wired: false,
-            started: false,
-            stopping: false,
-            probe: 0,
             ticking: false,
             last_tick: now,
             shipped: [0; 2],
-        })
+        }
     }
 
     /// Messages generated and delivered here so far, shipped or not.
@@ -414,36 +375,31 @@ impl Node {
         ]
     }
 
-    /// After a status line of its group: writes the ledger entries recorded
-    /// since the last call as one `gen` and one `del` line (`buf` is
-    /// scratch), then lets them go, keeping the lists' capacity. A node
-    /// with nothing new writes nothing.
-    fn ship(&mut self, buf: &mut Vec<u8>) -> io::Result<()> {
+    /// Behind a status line of its group: appends the ledger entries
+    /// recorded since the last call to `out` as one delta
+    /// ([`push_delta`]), then lets them go, keeping the lists' capacity. A
+    /// node with nothing new appends nothing.
+    fn ship(&mut self, out: &mut Vec<u8>) {
         let fwd = &mut self.eng.fwd;
         if fwd.generated.is_empty() && fwd.delivered.is_empty() {
-            return Ok(());
+            return;
         }
-        buf.clear();
-        push_delta(buf, &fwd.generated, &fwd.delivered);
+        push_delta(out, self.eng.p, &fwd.generated, &fwd.delivered);
         self.shipped[0] += fwd.generated.len() as u64;
         self.shipped[1] += fwd.delivered.len() as u64;
         fwd.generated.clear();
         fwd.delivered.clear();
-        self.ctrl.write_line(buf)
     }
 
     /// Before the wait, after a turn in which the node moved: the node's
     /// deadline, if it has one — the nearer of the next open-loop arrival
     /// and, only while a retransmission timer runs, the protocol tick. A
     /// node with nothing to retransmit and nothing scheduled has no
-    /// standing wake-up, and until the deadline passes, a frame arrives or
-    /// its control pipe is ready, stepping it would change nothing. (What
-    /// it sent sits in an inbox or a stream buffer; [`Hub::prepare`]
-    /// flushes the buffers. Its status is the group's, [`Group::status`].)
+    /// standing wake-up, and until the deadline passes or a frame arrives,
+    /// stepping it would change nothing. (What it sent sits in an inbox or
+    /// a stream buffer; [`Hub::prepare`] flushes the buffers. Its status is
+    /// the group's, [`Group::status`].)
     fn prepare(&mut self, now: Instant) -> Option<Instant> {
-        if !self.started {
-            return None;
-        }
         self.ticking = self.eng.fwd.timers_pending();
         let tick = self.ticking.then(|| self.last_tick + TUNING.tick());
         // A mux that ran out of budget is due at once.
@@ -451,63 +407,23 @@ impl Node {
         tick.into_iter().chain(arrival).min()
     }
 
-    /// After the wait, for a node that has frames in its [`Hub::inbound`],
-    /// whose control pipe the wait named (`ctrl_ready`) or whose deadline
-    /// has passed at `now`: obeys the control lines and — once started —
-    /// runs one protocol iteration, leaving what it sends in inboxes or in
-    /// stream buffers for the next [`Hub::prepare`] to flush (same stack,
-    /// no queue, no wake). `Ok(true)` when the node was told to stop.
+    /// After the wait, for member `index` of a started group that has
+    /// frames in its [`Hub::inbound`] or whose deadline has passed at
+    /// `now`: one protocol iteration, leaving what it sends in inboxes or
+    /// in stream buffers for the next [`Hub::prepare`] to flush (same
+    /// stack, no queue, no wake).
     fn step(
         &mut self,
+        index: usize,
         now: Instant,
-        ctrl_ready: bool,
         hub: &mut Hub,
         poller: &Poller,
-    ) -> io::Result<bool> {
-        if ctrl_ready {
-            self.ctrl.read(poller)?;
-        }
-
-        // Control. One read can surface several lines at once (the shard
-        // writes `peers` and `start` back to back), so every line is
-        // parsed as it arrives, not awaited token by token.
-        for line in std::mem::take(&mut self.ctrl.lines) {
-            if let Some(rest) = line.strip_prefix("peers ") {
-                if !self.peers_wired {
-                    let addrs: Vec<&str> = rest.split_whitespace().collect();
-                    if addrs.len() != self.eng.n {
-                        return Err(io::Error::other("peers line has wrong arity"));
-                    }
-                    hub.connect_peers(self.index, &addrs, now);
-                    self.peers_wired = true;
-                }
-            } else if line.starts_with("start") {
-                if !self.peers_wired {
-                    return Err(io::Error::other("start before peers"));
-                }
-                self.started = true;
-                self.last_tick = now;
-            } else if let Some(wave) = line.strip_prefix("probe ") {
-                self.probe = self.probe.max(wave.trim().parse().unwrap_or(0));
-            } else if line.starts_with("stop") {
-                self.stopping = true;
-            }
-        }
-        if self.ctrl.eof() {
-            if !self.started && !self.stopping {
-                return Err(io::Error::other("control pipe closed"));
-            }
-            self.stopping = true;
-        }
-        if !self.started {
-            return Ok(self.stopping);
-        }
-
+    ) -> io::Result<()> {
         // Did anything arrive? Drives the event-driven timeout below.
         let mut worked = false;
 
         // Inbound, by local port already, through the chaos shim.
-        for (port, frame) in hub.drain_inbound(self.index) {
+        for (port, frame) in hub.drain_inbound(index) {
             self.counters.frames_received += 1;
             self.chaos[port].push(frame);
             worked = true;
@@ -533,20 +449,20 @@ impl Node {
         if fire || !self.ticking {
             self.last_tick = now;
         }
-        self.eng.turn(fire, !self.stopping, now_stamp);
+        self.eng.turn(fire, now_stamp);
 
         for (to, msg) in self.eng.out.drain() {
             self.counters.frames_sent += 1;
-            hub.send(self.index, to, &(self.encode)(&msg), now, poller)?;
+            hub.send(index, to, &(self.encode)(&msg), now, poller)?;
         }
-        Ok(self.stopping)
+        Ok(())
     }
 
-    /// Shutdown: aggregate counters, emit the report, its `gen` and `del`
-    /// only what no status line shipped. `io` is the group's socket
-    /// accounting for the one member that retires last and zeros for the
-    /// others — every cluster-wide sum over the reports stays a sum.
-    fn finish(mut self, io: IoStats) -> io::Result<()> {
+    /// Shutdown: aggregate counters, emit the report block, its `gen` and
+    /// `del` only what no status line shipped. `io` is the group's socket
+    /// accounting for its last member and zeros for the others — every
+    /// cluster-wide sum over the reports stays a sum.
+    fn finish(self, io: IoStats) -> Vec<u8> {
         let mut counters = self.counters;
         for c in &self.chaos {
             let (d, u, r) = c.fault_counts();
@@ -563,7 +479,7 @@ impl Node {
 
         let eng = self.eng;
         let mux = eng.mux.as_ref();
-        let report = NodeReport {
+        report_block(&NodeReport {
             node: eng.p,
             held: eng.fwd.held_ghosts(),
             generated: eng.fwd.generated,
@@ -575,8 +491,7 @@ impl Node {
             client_fair: mux.map(ClientMux::fairness).unwrap_or_default(),
             clients: mux.map_or(0, ClientMux::hosted),
             clients_completed: mux.map_or(0, ClientMux::completed),
-        };
-        self.ctrl.write_line(&report_block(&report))
+        })
     }
 }
 
@@ -588,15 +503,12 @@ struct Slot {
     /// Stepped last turn: its deadline is stale, so the next turn
     /// prepares it first.
     stepped: bool,
-    /// This turn's wait named the node's control pipe.
-    ctrl_ready: bool,
     #[cfg(debug_assertions)]
     audit: StepAudit,
 }
 
 /// Debug builds count a member's `step` calls and what paid for them:
-/// turns that had frames for it, turns that named its control pipe, and
-/// turns that found its deadline passed.
+/// turns that had frames for it, and turns that found its deadline passed.
 #[cfg(debug_assertions)]
 #[derive(Default)]
 struct StepAudit {
@@ -605,77 +517,104 @@ struct StepAudit {
     deadlines_due: u64,
 }
 
+/// Every member's next hop to every destination, from one BFS tree per
+/// destination for the whole group: `tables[i][d]` is `ids[i]`'s parent
+/// in the tree rooted at `d`, and `ids[i]` itself at `d`.
+fn next_hops(graph: &Graph, ids: &[NodeId]) -> Vec<Vec<NodeId>> {
+    let mut tables = vec![Vec::with_capacity(graph.n()); ids.len()];
+    for d in 0..graph.n() {
+        let tree = BfsTree::new(graph, d);
+        for (table, &p) in tables.iter_mut().zip(ids) {
+            let hop = if p == d { Some(p) } else { tree.parent(p) };
+            table.push(hop.expect("connected topology"));
+        }
+    }
+    tables
+}
+
 /// The nodes that share one data thread, and the paper's daemon over
 /// them: one persistent [`Poller`], one [`Hub`] holding the links of them
-/// all, per member a control pipe and a deadline, and one status line for
-/// them all. [`Group::turn`] is the only copy of the iteration —
-/// [`run_nodes`] loops on it.
+/// all, one control pipe to the shard and one copy of the control state,
+/// one status line for them all, and per member a deadline. [`Group::turn`]
+/// is the only copy of the iteration — [`run_group`] loops on it.
 struct Group {
     poller: Poller,
     hub: Hub,
-    /// By group index, the owner half of a control pipe's token: a member
-    /// that finished leaves a hole, not a shift.
-    slots: Vec<Option<Slot>>,
-    results: Vec<Option<io::Result<()>>>,
+    ctrl: Control,
+    /// The member an error of the whole group is charged to: the first.
+    lead: NodeId,
+    /// Cluster size: the arity of the `peers` line.
+    n: usize,
+    slots: Vec<Slot>,
     /// This turn's `(fd, events)` of the hub's fds (recycled).
     hub_events: Vec<(RawFd, i16)>,
+    // Control state: `peers`, then `start`; a `probe` any time after.
+    peers_wired: bool,
+    started: bool,
+    /// The highest `probe` wave read.
+    probe: u64,
     /// A member stepped since the group last looked at its cut.
     moved: bool,
     /// The last status line the group wrote.
     pushed: Option<Status>,
     /// When the next keep-alive line is due.
     keepalive: Instant,
-    /// The bytes of the next control line or ledger delta (recycled).
+    /// The bytes of the next status line and its ledger deltas (recycled).
     line: Vec<u8>,
 }
 
-/// `io::Error` is not `Clone`; every member of a group that one failure
-/// ends gets its own copy.
-fn same_error(e: &io::Error) -> io::Error {
-    io::Error::new(e.kind(), e.to_string())
-}
-
 impl Group {
-    /// Creates the thread's `Poller`, binds the group's one listener — per
-    /// the first member's `listen`, named after it, if a member has a
-    /// neighbour outside to dial it — and seats every node. A node that
-    /// fails to come up has its outcome already; the others go on.
-    fn new(nodes: Vec<(NodeConfig, CtrlPipe)>) -> io::Result<Self> {
+    /// Creates the thread's `Poller`, registers the control pipe, builds
+    /// the graph and one BFS tree per destination, binds the group's one
+    /// listener — per the first member's `listen`, named after it, if a
+    /// member has a neighbour outside to dial it — seats every node, and
+    /// writes `ready <addr>` up the pipe. A failure after the pipe is
+    /// registered goes up it as an `error` line.
+    fn new(cfgs: Vec<NodeConfig>, pipe: UnixStream) -> io::Result<Self> {
+        let lead = cfgs.first().ok_or_else(|| io::Error::other("no nodes"))?;
         let poller = Poller::new()?;
+        let mut ctrl = Control::new(pipe, &poller)?;
+        let ids: Vec<NodeId> = cfgs.iter().map(|cfg| cfg.node).collect();
+        let bring_up = || {
+            let graph = Graph::from_edges(lead.n, &lead.edges).map_err(io::Error::other)?;
+            let io_seed =
+                lead.seed ^ ((lead.node as u64) << 32).wrapping_mul(0xDEAD_BEEF_1234_5677);
+            let crosses = |(a, b): &(NodeId, NodeId)| ids.contains(a) != ids.contains(b);
+            let listen = lead.edges.iter().any(crosses).then_some(&lead.listen);
+            let hub = Hub::new(listen, lead.node, ids.len(), io_seed, &poller)?;
+            Ok((graph, hub))
+        };
+        let (graph, mut hub) = bring_up().map_err(|e| ctrl.fail(lead.node, e))?;
         let now = Instant::now();
-        let (lead, _) = nodes.first().ok_or_else(|| io::Error::other("no nodes"))?;
-        let io_seed = lead.seed ^ ((lead.node as u64) << 32).wrapping_mul(0xDEAD_BEEF_1234_5677);
-        let ids: Vec<NodeId> = nodes.iter().map(|(cfg, _)| cfg.node).collect();
-        let crosses = |(a, b): &(NodeId, NodeId)| ids.contains(a) != ids.contains(b);
-        let listen = lead.edges.iter().any(crosses).then_some(&lead.listen);
-        let mut hub = Hub::new(listen, lead.node, nodes.len(), io_seed, &poller)?;
-        let mut slots = Vec::with_capacity(nodes.len());
-        let mut results = Vec::with_capacity(nodes.len());
-        for (i, (cfg, ctrl)) in nodes.into_iter().enumerate() {
-            match Node::new(&cfg, ctrl, i, &mut hub, &poller, now) {
-                Ok(node) => {
-                    slots.push(Some(Slot {
-                        node,
-                        deadline: None,
-                        stepped: true,
-                        ctrl_ready: false,
-                        #[cfg(debug_assertions)]
-                        audit: StepAudit::default(),
-                    }));
-                    results.push(None);
+        let tables = next_hops(&graph, &ids);
+        let slots: Vec<Slot> = cfgs
+            .iter()
+            .zip(tables)
+            .enumerate()
+            .map(|(i, (cfg, table))| {
+                let node = Node::new(cfg, &graph, table, now);
+                hub.join(i, cfg.node, node.neighbors.clone());
+                Slot {
+                    node,
+                    deadline: None,
+                    stepped: true,
+                    #[cfg(debug_assertions)]
+                    audit: StepAudit::default(),
                 }
-                Err(e) => {
-                    slots.push(None);
-                    results.push(Some(Err(e)));
-                }
-            }
-        }
+            })
+            .collect();
+        ctrl.write_line(format!("ready {}\n", hub.addr()).as_bytes())?;
         Ok(Group {
             poller,
             hub,
+            ctrl,
+            lead: lead.node,
+            n: lead.n,
             slots,
-            results,
             hub_events: Vec::new(),
+            peers_wired: false,
+            started: false,
+            probe: 0,
             moved: false,
             pushed: None,
             keepalive: now,
@@ -683,179 +622,197 @@ impl Group {
         })
     }
 
-    fn live(&self) -> bool {
-        self.slots.iter().any(Option::is_some)
-    }
-
-    /// Member `i` leaves the group: stopped (`Ok`: report) or failed.
-    /// Either way the node is dropped here, its `CtrlPipe` with it —
-    /// closing it is what takes it out of the `Poller`, and EOF is what
-    /// tells its supervisor. What it sent is still the hub's to flush; the
-    /// member that leaves last shuts the hub down and carries the group's
-    /// socket accounting in its report.
-    fn retire(&mut self, i: usize, outcome: io::Result<()>) {
-        if let Some(slot) = self.slots[i].take() {
-            self.hub.leave(i);
-            let io = if self.live() {
-                IoStats::default()
-            } else {
-                self.hub.shutdown()
-            };
-            self.results[i] = Some(outcome.and_then(|()| slot.node.finish(io)));
-        }
-    }
-
-    /// The wait or the group's sockets failed in a way no retry mends:
-    /// every member's outcome is that error.
-    fn fail(&mut self, e: &io::Error) {
-        for i in 0..self.slots.len() {
-            self.retire(i, Err(same_error(e)));
-        }
-    }
-
-    /// The group's status, looked at before every wait. Once every member
-    /// has started and none is stopping, the group takes its cut — done,
-    /// generated, delivered and held summed over the members, and whether
-    /// an inbox or a stream buffer still holds a frame, all at this one
-    /// instant between two turns — and writes it as one line on its first
-    /// live member's pipe: when the cut is quiet and differs from the last
-    /// line (the quiet edge, or a change while quiet), when a member has
-    /// read a probe the group has not answered, and otherwise once per
-    /// `status_every`. Behind the line — never ahead of it, so a probe's
-    /// answer waits for nobody's ledger — every member ships the entries
-    /// the cut counted and it had not shipped ([`Node::ship`]): after a
-    /// status line the thread holds no ledger entry older than the line. A
-    /// cut with a member still issuing cannot be quiet, so a turn takes
-    /// none — and scans no `held_count` — unless a probe or the keep-alive
-    /// asks for one. Returns the keep-alive deadline while the group runs.
-    fn status(&mut self, now: Instant) -> Option<Instant> {
-        let (mut nodes, mut done, mut probe, mut first) = (0, 0, 0, None);
-        for (i, slot) in self.slots.iter().enumerate() {
-            let Some(Slot { node, .. }) = slot else {
-                continue;
-            };
-            if !node.started || node.stopping {
-                return None;
+    /// Obeys the control lines the last read completed, each as it comes
+    /// — one read can surface several (the shard writes `peers` and
+    /// `start` back to back). `Ok(true)` once the group is told to stop:
+    /// `stop`, or the pipe closed after `start`. A line that is not
+    /// exactly one the shard writes, or comes out of order, ends the
+    /// group: a probe it cannot read would go unanswered.
+    fn obey(&mut self, now: Instant) -> io::Result<bool> {
+        for line in std::mem::take(&mut self.ctrl.lines) {
+            let (verb, rest) = line.split_once(' ').unwrap_or((&line, ""));
+            match verb {
+                "peers" if !self.peers_wired => {
+                    let addrs: Vec<&str> = rest.split(' ').collect();
+                    if addrs.len() != self.n {
+                        return Err(refused(&line));
+                    }
+                    for i in 0..self.slots.len() {
+                        self.hub.connect_peers(i, &addrs, now);
+                    }
+                    self.peers_wired = true;
+                }
+                "start" if self.peers_wired && !self.started && rest.is_empty() => {
+                    // Every member moves once: a closed loop's first sends
+                    // wait on no deadline.
+                    self.started = true;
+                    for slot in &mut self.slots {
+                        slot.node.last_tick = now;
+                        slot.deadline = Some(now);
+                    }
+                }
+                "probe" => {
+                    let wave: u64 = rest.parse().map_err(|_| refused(&line))?;
+                    self.probe = self.probe.max(wave);
+                }
+                "stop" if rest.is_empty() => return Ok(true),
+                _ => return Err(refused(&line)),
             }
-            first.get_or_insert(i);
-            nodes += 1;
-            done += node.eng.done_issuing() as u64;
-            probe = probe.max(node.probe);
         }
-        let first = first?;
+        if self.ctrl.eof() && !self.started {
+            return Err(io::Error::other("control pipe closed"));
+        }
+        Ok(self.ctrl.eof())
+    }
+
+    /// `stop`: every member's report block goes up, the group's socket
+    /// accounting in the last one's.
+    fn stop(&mut self) -> io::Result<()> {
+        let mut io = self.hub.shutdown();
+        let last = self.slots.len() - 1;
+        for (i, slot) in self.slots.drain(..).enumerate() {
+            let io = if i == last {
+                std::mem::take(&mut io)
+            } else {
+                IoStats::default()
+            };
+            self.ctrl.write_line(&slot.node.finish(io))?;
+        }
+        Ok(())
+    }
+
+    /// The group's status, looked at before every wait. Once started, the
+    /// group takes its cut — done, generated, delivered and held summed
+    /// over the members, and whether an inbox or a stream buffer still
+    /// holds a frame, all at this one instant between two turns — and
+    /// writes it as one line: when the cut is quiet and differs from the
+    /// last line (the quiet edge, or a change while quiet), when the group
+    /// read a probe it has not answered, and otherwise once per
+    /// `status_every`. Behind the line, in the same write — never ahead of
+    /// it, so a probe's answer waits for nobody's ledger — every member
+    /// ships the entries the cut counted and it had not shipped
+    /// ([`Node::ship`]): after a status line the thread holds no ledger
+    /// entry older than the line. A cut with a member still issuing cannot
+    /// be quiet, so a turn takes none — and scans no `held_count` — unless
+    /// a probe or the keep-alive asks for one. Returns the keep-alive
+    /// deadline while the group runs.
+    fn status(&mut self, now: Instant) -> io::Result<Option<Instant>> {
+        if !self.started {
+            return Ok(None);
+        }
+        let nodes = self.slots.len() as u64;
+        let done = self
+            .slots
+            .iter()
+            .filter(|s| s.node.eng.done_issuing())
+            .count() as u64;
         let moved = std::mem::take(&mut self.moved);
-        let answer = probe > self.pushed.map_or(0, |s| s.wave);
+        let answer = self.probe > self.pushed.map_or(0, |s| s.wave);
         let due = now >= self.keepalive;
         if !(answer || due || moved && done == nodes) {
-            return Some(self.keepalive);
+            return Ok(Some(self.keepalive));
         }
         let mut cut = Status {
-            wave: probe,
+            wave: self.probe,
             nodes,
             done,
             busy: self.hub.holds_frames() as u64,
             ..Status::default()
         };
-        for node in self.slots.iter().flatten().map(|s| &s.node) {
+        for node in self.slots.iter().map(|s| &s.node) {
             let [generated, delivered] = node.totals();
             cut.generated += generated;
             cut.delivered += delivered;
             cut.held += node.eng.fwd.held_count() as u64;
         }
         if !(answer || due || cut.quiet(nodes) && self.pushed != Some(cut)) {
-            return Some(self.keepalive);
+            return Ok(Some(self.keepalive));
         }
         self.line.clear();
         cut.push_line(&mut self.line);
-        let node = &mut self.slots[first].as_mut().expect("a live member").node;
-        if let Err(e) = node.ctrl.write_line(&self.line) {
-            // The next member's pipe carries the line, next turn.
-            self.retire(first, Err(e));
-            return Some(now);
+        for slot in &mut self.slots {
+            slot.node.ship(&mut self.line);
         }
+        self.ctrl.write_line(&self.line)?;
         self.pushed = Some(cut);
         self.keepalive = now + TUNING.status_every();
-        for i in 0..self.slots.len() {
-            if let Some(slot) = &mut self.slots[i] {
-                if let Err(e) = slot.node.ship(&mut self.line) {
-                    self.retire(i, Err(e));
-                }
-            }
-        }
-        Some(self.keepalive)
+        Ok(Some(self.keepalive))
     }
 
     /// One turn of the daemon: read the clock; flush each of the group's
     /// streams — once, whichever members and links its bytes belong to;
     /// look at the group's [`Group::status`]; `prepare` the members that
     /// stepped last turn; wait to the nearest deadline of any member or
-    /// stream or the status keep-alive (a linear min: a group is a
-    /// shard, ≤ 25 nodes), zero while an inbox holds frames; read
-    /// the clock again; one dispatch for the group — accept, read each
-    /// ready stream, demultiplex into the members' inboxes by local port,
-    /// retry blocked writes; then `step`, in slot order, exactly the
-    /// members that have frames, a ready control pipe or a passed
-    /// deadline. A frame between two members is pushed into the
+    /// stream or the status keep-alive (a linear min over the members),
+    /// zero while an inbox holds frames; read the clock again; one
+    /// dispatch for the group — accept, read each ready stream,
+    /// demultiplex into the members' inboxes by local port, retry blocked
+    /// writes; read the control pipe if the wait named it and obey it;
+    /// then `step`, in slot order, exactly the members that have frames or
+    /// a passed deadline. A frame between two members is pushed into the
     /// receiver's inbox: one later in the order steps this very turn, an
     /// earlier one the next, and nobody sleeps in between.
     ///
-    /// Skipping a member is skipping a no-op, not a move: with no frame,
-    /// no control event and no due deadline its `step` would find no
-    /// control line, no inbound frame, no tick to fire and a workload that
-    /// is not due; a chaos shim drains its queue inside the step that
-    /// filled it, and a client mux that ran out of send budget is due
-    /// *now*, a zero deadline.
+    /// Skipping a member is skipping a no-op, not a move: with no frame
+    /// and no due deadline its `step` would find no inbound frame, no tick
+    /// to fire and a workload that is not due; a chaos shim drains its
+    /// queue inside the step that filled it, and a client mux that ran out
+    /// of send budget is due *now*, a zero deadline.
     ///
-    /// A member that fails is retired without disturbing the others. A
-    /// wait that fails (anything but `EINTR`), or a socket the set
-    /// refuses, cannot be retried into working: it ends the group, every
-    /// member's outcome that error.
-    fn turn(&mut self) {
+    /// `Ok(true)` once the group has stopped and every report went up.
+    /// Anything that fails — a member's step, the wait (anything but
+    /// `EINTR`), a socket the set refuses, the control pipe — ends the
+    /// group: one `error` line goes up, charged to the member that failed
+    /// or else to the lead.
+    fn turn(&mut self) -> io::Result<bool> {
+        self.try_turn().map_err(|(node, e)| self.ctrl.fail(node, e))
+    }
+
+    fn try_turn(&mut self) -> Result<bool, (NodeId, io::Error)> {
+        let lead = self.lead;
+        let group = |e| (lead, e);
         let now = Instant::now();
-        let mut wake = match self.hub.prepare(now, &self.poller) {
-            Ok(deadline) => deadline,
-            Err(e) => return self.fail(&e),
-        };
-        if let Some(keepalive) = self.status(now) {
+        let mut wake = self.hub.prepare(now, &self.poller).map_err(group)?;
+        if let Some(keepalive) = self.status(now).map_err(group)? {
             wake = wake.min(keepalive);
         }
-        if !self.live() {
-            return;
-        }
-        for slot in self.slots.iter_mut().flatten() {
-            if slot.stepped {
-                slot.stepped = false;
-                slot.deadline = slot.node.prepare(now);
-            }
-            if let Some(deadline) = slot.deadline {
-                wake = wake.min(deadline);
-            }
-        }
-        match self.poller.wait(Some(wake.saturating_duration_since(now))) {
-            Ok(ready) => {
-                for &(token, events) in ready {
-                    let (owner, fd) = Poller::untoken(token);
-                    if owner == HUB {
-                        self.hub_events.push((fd, events));
-                    } else if let Some(Some(slot)) = self.slots.get_mut(owner) {
-                        slot.ctrl_ready = true;
-                    }
+        if self.started {
+            for slot in &mut self.slots {
+                if slot.stepped {
+                    slot.stepped = false;
+                    slot.deadline = slot.node.prepare(now);
+                }
+                if let Some(deadline) = slot.deadline {
+                    wake = wake.min(deadline);
                 }
             }
-            Err(e) => return self.fail(&e),
+        }
+        let mut ctrl_ready = false;
+        let timeout = wake.saturating_duration_since(now);
+        for &(token, events) in self.poller.wait(Some(timeout)).map_err(group)? {
+            let (owner, fd) = Poller::untoken(token);
+            if owner == HUB {
+                self.hub_events.push((fd, events));
+            } else if owner == CTRL {
+                ctrl_ready = true;
+            }
         }
         let now = Instant::now();
         let dispatched = self.hub.dispatch(now, &self.hub_events, &self.poller);
         self.hub_events.clear();
-        if let Err(e) = dispatched {
-            return self.fail(&e);
+        dispatched.map_err(group)?;
+        if ctrl_ready {
+            self.ctrl.read(&self.poller).map_err(group)?;
+            if self.obey(now).map_err(group)? {
+                self.stop().map_err(group)?;
+                return Ok(true);
+            }
         }
-        for i in 0..self.slots.len() {
-            let Some(slot) = &mut self.slots[i] else {
-                continue;
-            };
-            let ctrl_ready = std::mem::take(&mut slot.ctrl_ready);
-            let woken = ctrl_ready || !self.hub.inbound(i).is_empty();
+        if !self.started {
+            return Ok(false);
+        }
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let woken = !self.hub.inbound(i).is_empty();
             let due = slot.deadline.is_some_and(|d| d <= now);
             if !woken && !due {
                 continue;
@@ -868,54 +825,48 @@ impl Group {
             }
             slot.stepped = true;
             self.moved = true;
-            match slot.node.step(now, ctrl_ready, &mut self.hub, &self.poller) {
-                Ok(false) => {}
-                Ok(true) => self.retire(i, Ok(())),
-                Err(e) => self.retire(i, Err(e)),
-            }
+            let stepped = slot.node.step(i, now, &mut self.hub, &self.poller);
+            stepped.map_err(|e| (slot.node.eng.p, e))?;
         }
+        Ok(false)
     }
 }
 
-/// Runs a group of nodes to completion on the calling thread, each over
-/// its own control pipe: [`Group::turn`] until every node has stopped or
-/// failed. Returns every node's outcome, in argument order; what a node
-/// reports went up its pipe.
-pub(crate) fn run_nodes(nodes: Vec<(NodeConfig, CtrlPipe)>) -> Vec<io::Result<()>> {
+/// The error that ends a group on a control line it cannot read.
+fn refused(line: &str) -> io::Error {
+    let shown = shown(line.as_bytes());
+    io::Error::other(format!("the group refuses a control line: {shown}"))
+}
+
+/// Runs a group of nodes to completion on the calling thread over its one
+/// control pipe: [`Group::turn`] until the group has stopped. What the
+/// nodes report, and what ended the group if it failed, went up the pipe.
+pub(crate) fn run_group(cfgs: Vec<NodeConfig>, pipe: UnixStream) -> io::Result<()> {
     // In proc mode this is the process main thread; in inproc mode the
     // shard's spawn already registered it (re-registration is
     // idempotent). Either way the declared role holds from here on.
     register_thread(COMPONENT, "node.main");
-    let n = nodes.len();
-    let mut group = match Group::new(nodes) {
-        Ok(group) => group,
-        Err(e) => return (0..n).map(|_| Err(same_error(&e))).collect(),
-    };
-    while group.live() {
-        group.turn();
-    }
-    group
-        .results
-        .into_iter()
-        .map(|r| r.expect("every node finished or failed"))
-        .collect()
+    let mut group = Group::new(cfgs, pipe)?;
+    while !group.turn()? {}
+    Ok(())
 }
 
-/// Runs one node to completion over the given control pipe — a
-/// `run_nodes` group of one.
-pub fn node_main(cfg: &NodeConfig, ctrl: CtrlPipe) -> io::Result<()> {
-    run_nodes(vec![(cfg.clone(), ctrl)])
-        .pop()
-        .expect("one node in, one outcome out")
+/// Runs a `--node-worker` process: one node, a `run_group` group of
+/// one, over the socket its shard handed it as fd 0.
+pub fn node_main(cfg: &NodeConfig) -> io::Result<()> {
+    // SAFETY: fd 0 is the process's, and nothing else in it reads or
+    // closes stdin; the stream owns it from here to exit. (A stdin that
+    // is no socket fails at registration, or at its first read.)
+    let pipe = unsafe { UnixStream::from_raw_fd(0) };
+    run_group(vec![cfg.clone()], pipe)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::fold_line;
+    use crate::codec::ReportFold;
     use crate::evloop::take_lines;
     use std::io::Write;
-    use std::os::unix::net::UnixStream;
 
     /// The node's iteration on `line:5` over in-memory FIFO links with
     /// the tick branch off: the timeout fires only after an iteration that
@@ -941,7 +892,7 @@ mod tests {
                     chaos: ChaosSpec::none(),
                     clients: None,
                 };
-                Engine::new(&cfg, &graph)
+                Engine::new(&cfg, &graph, next_hops(&graph, &[p]).remove(0))
             })
             .collect();
         let mut inbox: Vec<Vec<(NodeId, WireMsg)>> = vec![Vec::new(); n];
@@ -955,7 +906,7 @@ mod tests {
                 for &(from, msg) in &arrived {
                     eng.fwd.on_message(from, msg, &mut eng.out);
                 }
-                eng.turn(!arrived.is_empty(), true, || 0);
+                eng.turn(!arrived.is_empty(), || 0);
                 for (to, msg) in eng.out.drain() {
                     inbox[to].push((p, msg));
                     frames += 1;
@@ -1007,17 +958,23 @@ mod tests {
     /// grow; nobody else sends anything. `pair` is the busy link
     /// [`Rig::turn_until`] watches.
     struct Rig {
-        groups: Vec<Group>,
-        /// The supervisor ends of the control pipes, by node (kept open:
+        /// By group; `None` once it ended, its pipe closed with it.
+        groups: Vec<Option<Group>>,
+        /// By group, how it ended: `Ok` once it stopped, else the error.
+        outcomes: Vec<Option<Result<(), String>>>,
+        /// By group, its members.
+        members: Vec<Vec<NodeId>>,
+        /// The supervisor end of each group's control pipe (kept open:
         /// EOF means stop).
         supervisor: Vec<UnixStream>,
-        /// By node, the bytes read off its supervisor end so far.
+        /// By group, the bytes read off its supervisor end so far.
         heard: Vec<Vec<u8>>,
         dir: PathBuf,
         pair: [NodeId; 2],
         /// Groups turned in alternation must not sleep on frames only the
         /// other's turn sends: a byte nobody reads, in every group's set
-        /// under an owner that is no member, makes every wait a poll.
+        /// under an owner that is neither the hub nor the control pipe,
+        /// makes every wait a poll.
         _nudge: Option<(UnixStream, UnixStream)>,
     }
 
@@ -1025,7 +982,7 @@ mod tests {
         fn new(tag: &str, sizes: &[usize], source: NodeId, quota: u64, pair: [NodeId; 2]) -> Self {
             use crate::evloop::POLLIN;
             use crate::workload::{WorkloadKind, WorkloadSpec};
-            use std::io::{BufRead, BufReader};
+            use std::io::Read;
             use std::os::unix::io::AsRawFd;
             let dir = std::env::temp_dir().join(format!("ssmfp-node-{tag}-{}", std::process::id()));
             std::fs::create_dir_all(&dir).unwrap();
@@ -1033,9 +990,15 @@ mod tests {
                 kind: WorkloadKind::Closed { outstanding: 1 },
                 messages,
             };
-            let (mut supervisor, nodes): (Vec<UnixStream>, Vec<_>) = (0..4usize)
-                .map(|node| {
-                    let cfg = NodeConfig {
+            let mut ids = 0..4usize;
+            let members: Vec<Vec<NodeId>> = sizes
+                .iter()
+                .map(|&k| ids.by_ref().take(k).collect())
+                .collect();
+            let (mut supervisor, groups): (Vec<UnixStream>, Vec<Group>) = members
+                .iter()
+                .map(|ids| {
+                    let cfgs = ids.iter().map(|&node| NodeConfig {
                         node,
                         n: 4,
                         edges: ssmfp_topology::gen::line(4).edges().to_vec(),
@@ -1044,30 +1007,27 @@ mod tests {
                         workload: stop_and_wait(0),
                         chaos: ChaosSpec::none(),
                         clients: None,
-                    };
-                    let (sup_side, node_side) = UnixStream::pair().unwrap();
-                    (sup_side, (cfg, CtrlPipe::Stream(node_side)))
+                    });
+                    let (sup_side, group_side) = UnixStream::pair().unwrap();
+                    (sup_side, Group::new(cfgs.collect(), group_side).unwrap())
                 })
                 .unzip();
-            let mut nodes = nodes.into_iter();
-            let mut groups: Vec<Group> = sizes
-                .iter()
-                .map(|&k| Group::new(nodes.by_ref().take(k).collect()).unwrap())
-                .collect();
-            let slots = groups.iter_mut().flat_map(|g| g.slots.iter_mut().flatten());
+            let mut groups: Vec<Option<Group>> = groups.into_iter().map(Some).collect();
+            let slots = groups.iter_mut().flatten().flat_map(|g| &mut g.slots);
             for slot in slots.filter(|s| s.node.eng.p == source) {
                 slot.node.eng.gen = WorkloadGen::new(stop_and_wait(quota), source, 2, 7);
             }
-            // Every member reports its group's address: node order is group
-            // order.
-            let addrs: Vec<&str> = groups
-                .iter()
-                .flat_map(|g| g.slots.iter().map(|_| g.hub.addr()))
-                .collect();
-            for (s, addr) in supervisor.iter().zip(&addrs) {
-                let mut line = String::new();
-                BufReader::new(s).read_line(&mut line).unwrap();
-                assert_eq!(line.trim(), format!("ready {addr}"), "one address a group");
+            // One `ready` line a group, naming its one address for every
+            // member: node order is group order.
+            let mut addrs = Vec::new();
+            for (s, g) in supervisor.iter_mut().zip(groups.iter().flatten()) {
+                let want = format!("ready {}\n", g.hub.addr());
+                let mut got = vec![0u8; want.len() + 1];
+                s.set_nonblocking(true).unwrap();
+                let k = s.read(&mut got).unwrap();
+                s.set_nonblocking(false).unwrap();
+                assert_eq!(String::from_utf8_lossy(&got[..k]), want);
+                addrs.extend(g.slots.iter().map(|_| g.hub.addr().to_string()));
             }
             for s in &mut supervisor {
                 writeln!(s, "peers {}\nstart", addrs.join(" ")).unwrap();
@@ -1076,53 +1036,65 @@ mod tests {
                 let (mut tx, rx) = UnixStream::pair().unwrap();
                 tx.write_all(&[1]).unwrap();
                 let token = Poller::token(HUB - 1, rx.as_raw_fd());
-                for g in &groups {
+                for g in groups.iter().flatten() {
                     g.poller.add(rx.as_raw_fd(), POLLIN, token).unwrap();
                 }
                 (tx, rx)
             });
             Rig {
+                outcomes: vec![None; groups.len()],
+                heard: vec![Vec::new(); groups.len()],
                 groups,
+                members,
                 supervisor,
-                heard: vec![Vec::new(); 4],
                 dir,
                 pair,
                 _nudge: nudge,
             }
         }
 
-        /// The lines node `p`'s supervisor end has read so far.
-        fn lines(&self, p: NodeId) -> Vec<Vec<u8>> {
+        fn group(&self, g: usize) -> &Group {
+            self.groups[g].as_ref().expect("a live group")
+        }
+
+        fn group_mut(&mut self, g: usize) -> &mut Group {
+            self.groups[g].as_mut().expect("a live group")
+        }
+
+        /// The lines group `g`'s supervisor end has read so far.
+        fn lines(&self, g: usize) -> Vec<Vec<u8>> {
             let mut lines = Vec::new();
-            take_lines(&mut Vec::new(), &self.heard[p], |l| lines.push(l.to_vec()));
+            take_lines(&mut Vec::new(), &self.heard[g], |l| lines.push(l.to_vec()));
             lines
         }
 
-        /// The `status` lines node `p`'s supervisor end has read so far.
-        fn statuses(&self, p: NodeId) -> Vec<Status> {
-            let lines = self.lines(p);
+        /// The `status` lines group `g`'s supervisor end has read so far.
+        fn statuses(&self, g: usize) -> Vec<Status> {
+            let lines = self.lines(g);
             let rests = lines.iter().filter_map(|l| l.strip_prefix(b"status "));
             rests.map(|rest| Status::parse(rest).unwrap()).collect()
         }
 
-        /// What a shard makes of node `p`'s lines so far: its ledger
-        /// deltas and, once it stopped, its block, folded into one report.
-        fn folded(&self, p: NodeId) -> NodeReport {
-            let mut r = NodeReport {
-                node: p,
-                ..NodeReport::default()
-            };
-            for line in self.lines(p) {
-                if !(line.starts_with(b"status ") || line.starts_with(b"report ")) {
-                    let text = String::from_utf8_lossy(&line);
-                    assert!(fold_line(&mut r, &line).is_some(), "node {p}: {text}");
+        /// What a shard makes of every group's lines so far: each member's
+        /// ledger deltas and, once it stopped, its block, folded into one
+        /// report a node, by node.
+        fn folded(&self) -> Vec<NodeReport> {
+            let mut reports = Vec::new();
+            for (g, members) in self.members.iter().enumerate() {
+                let mut fold = ReportFold::new(members.iter().copied());
+                for line in self.lines(g) {
+                    if !(line.starts_with(b"status ") || line.starts_with(b"ready ")) {
+                        let text = String::from_utf8_lossy(&line);
+                        assert!(fold.fold(&line).is_some(), "group {g}: {text}");
+                    }
                 }
+                reports.append(&mut fold.reports);
             }
-            r
+            reports
         }
 
         fn nodes(&self) -> impl Iterator<Item = &Node> {
-            let slots = self.groups.iter().flat_map(|g| g.slots.iter().flatten());
+            let slots = self.groups.iter().flatten().flat_map(|g| &g.slots);
             slots.map(|s| &s.node)
         }
 
@@ -1130,12 +1102,20 @@ mod tests {
             self.nodes().find(|n| n.eng.p == p).expect("a live node")
         }
 
-        /// One turn of every group, in order, then — as a shard would —
-        /// whatever they wrote up the control pipes, read without waiting:
-        /// a pipe nobody reads fills, and a group's next line blocks.
+        /// One turn of every live group, in order — a group that ends is
+        /// dropped, closing its pipe — then, as a shard would, whatever
+        /// they wrote up their control pipes, read without waiting: a pipe
+        /// nobody reads fills, and a group's next line blocks.
         fn turn(&mut self) {
             use std::io::Read;
-            self.groups.iter_mut().for_each(Group::turn);
+            for (group, outcome) in self.groups.iter_mut().zip(&mut self.outcomes) {
+                let ended = match group.as_mut().map(Group::turn) {
+                    None | Some(Ok(false)) => continue,
+                    Some(Ok(true)) => Ok(()),
+                    Some(Err(e)) => Err(e.to_string()),
+                };
+                (*group, *outcome) = (None, Some(ended));
+            }
             let mut buf = [0u8; 4096];
             for (s, heard) in self.supervisor.iter_mut().zip(&mut self.heard) {
                 s.set_nonblocking(true).unwrap();
@@ -1155,11 +1135,22 @@ mod tests {
                     return;
                 }
                 self.turn();
-                let results = self.groups.iter().flat_map(|g| &g.results);
-                assert!(results.into_iter().all(Option::is_none), "nobody said stop");
+                let ended = self.outcomes.iter().flatten();
+                assert!(ended.count() == 0, "nobody said stop");
                 each_turn(self);
             }
             panic!("the link went quiet before {frames} frames");
+        }
+
+        /// `stop` to every group, then turns until each has ended.
+        fn stop(&mut self) {
+            for s in &mut self.supervisor {
+                writeln!(s, "stop").unwrap();
+            }
+            while self.groups.iter().any(Option::is_some) {
+                self.turn();
+            }
+            assert!(self.outcomes.iter().all(|o| o == &Some(Ok(()))));
         }
     }
 
@@ -1177,7 +1168,7 @@ mod tests {
     }
 
     /// Four nodes of one thread, driven through the [`Group::turn`] that
-    /// [`run_nodes`] loops on, every link in memory. Once warm, a turn
+    /// [`run_group`] loops on, every link in memory. Once warm, a turn
     /// neither frees nor regrows a member's inbound vector: same
     /// allocation, same capacity, however many frames pass through it.
     #[test]
@@ -1185,7 +1176,7 @@ mod tests {
         let mut rig = Rig::new("pin", &[4], 0, 1_000_000, [0, 1]);
         rig.turn_until(300, &mut |_| {});
         let pin = |rig: &mut Rig, i| {
-            let inbound = rig.groups[0].hub.inbound(i);
+            let inbound = rig.group_mut(0).hub.inbound(i);
             (inbound.as_ptr(), inbound.capacity())
         };
         let pins = [pin(&mut rig, 0), pin(&mut rig, 1)];
@@ -1195,7 +1186,7 @@ mod tests {
                 assert_eq!(pin(rig, i), pinned, "node {i} reallocated inbound");
             }
         });
-        let hub = &rig.groups[0].hub;
+        let hub = &rig.group(0).hub;
         assert_eq!(hub.shape(), (0, 0), "no socket: every link in memory");
         assert_eq!(
             (hub.stats().write_syscalls, hub.stats().read_syscalls),
@@ -1204,20 +1195,16 @@ mod tests {
     }
 
     /// The daemon steps only what is ready or due: every `step` is paid
-    /// for by frames in that node's inbox, its control pipe, or its
-    /// deadline having passed, and a member that no data frame ever
-    /// reaches moves on its control lines alone — not once per frame of
-    /// its thread-mates, and not for the status, which is the group's.
+    /// for by frames in that node's inbox or its deadline having passed,
+    /// and a member that no data frame ever reaches moves once, at
+    /// `start` — not once per frame of its thread-mates, not once per
+    /// control line, and not for the status, which is the group's.
     #[cfg(debug_assertions)]
     #[test]
     fn a_turn_steps_only_members_that_are_ready_or_due() {
         let mut rig = Rig::new("ready-or-due", &[4], 0, 1_000_000, [0, 1]);
         rig.turn_until(3_000, &mut |_| {});
-        let slots: Vec<&StepAudit> = rig.groups[0]
-            .slots
-            .iter()
-            .map(|s| &s.as_ref().unwrap().audit)
-            .collect();
+        let slots: Vec<&StepAudit> = rig.group(0).slots.iter().map(|s| &s.audit).collect();
         for s in &slots {
             assert!(
                 s.steps <= s.events_seen + s.deadlines_due,
@@ -1229,20 +1216,19 @@ mod tests {
         }
         assert!(slots[0].steps >= 1_000, "{} steps", slots[0].steps);
         for idle in &slots[2..] {
-            // `peers` and `start`: one read or two.
-            assert!(idle.events_seen <= 2, "{} events", idle.events_seen);
-            assert_eq!(idle.deadlines_due, 0, "an idle member has no deadline");
+            let seen = (idle.steps, idle.events_seen, idle.deadlines_due);
+            assert_eq!(seen, (1, 0, 1), "an idle member moves at start only");
         }
     }
 
-    /// One status line per group, on its first member's pipe, the turn the
+    /// One status line per group, for all its members, the turn the
     /// group's cut goes quiet — not one per turn, not one per member — and
-    /// one answer per probe wave, however many members read the probe.
+    /// one answer per probe wave.
     #[test]
     fn a_group_writes_one_status_line_per_quiet_edge() {
         let began = Instant::now();
         let mut rig = Rig::new("status", &[4], 0, 20, [0, 1]);
-        let pushed = |rig: &Rig| rig.groups[0].pushed;
+        let pushed = |rig: &Rig| rig.group(0).pushed;
         let mut turns = 0u64;
         while !pushed(&rig).is_some_and(|s| s.quiet(4)) {
             assert!(turns < 100_000, "the group never went quiet");
@@ -1265,14 +1251,9 @@ mod tests {
         );
         assert_eq!(lines.last(), Some(&quiet));
         assert_eq!(lines.iter().filter(|s| s.quiet(4)).count(), 1);
-        for p in 1..4 {
-            assert!(rig.statuses(p).is_empty(), "one line a group, not a member");
-        }
+        assert!(lines.iter().all(|s| s.nodes == 4), "one line a group");
 
-        // Every member reads the probe; the group answers once.
-        for s in &mut rig.supervisor {
-            writeln!(s, "probe 7").unwrap();
-        }
+        writeln!(rig.supervisor[0], "probe 7").unwrap();
         while pushed(&rig).unwrap().wave < 7 {
             rig.turn();
         }
@@ -1299,17 +1280,17 @@ mod tests {
     }
 
     /// The ledger leaves behind the status line: once the group wrote its
-    /// quiet edge, no member holds a ledger entry; every member's pipe
-    /// holds `gen` / `del` lines with every entry it generated or
-    /// delivered, in order — each node's ghosts, of one kind, count up —
-    /// and as many as the line counted; and the block `stop` draws carries
-    /// empty `gen` and `del` lines.
+    /// quiet edge, no member holds a ledger entry; the group's pipe holds,
+    /// after `node` heads, `gen` / `del` lines with every entry each member
+    /// generated or delivered, in order — each node's ghosts, of one kind,
+    /// count up — and as many as the line counted; and the blocks `stop`
+    /// draws carry empty `gen` and `del` lines.
     #[test]
     fn a_quiet_edge_ships_every_ledger_entry() {
         let mut rig = Rig::new("ledger", &[4], 0, 20, [0, 1]);
         let mut turns = 0u64;
         let quiet = loop {
-            if let Some(s) = rig.groups[0].pushed.filter(|s| s.quiet(4)) {
+            if let Some(s) = rig.group(0).pushed.filter(|s| s.quiet(4)) {
                 break s;
             }
             assert!(turns < 100_000, "the group never went quiet");
@@ -1321,7 +1302,7 @@ mod tests {
             assert!(fwd.generated.is_empty() && fwd.delivered.is_empty());
             assert_eq!(node.totals(), node.shipped);
         }
-        let streamed: Vec<NodeReport> = (0..4).map(|p| rig.folded(p)).collect();
+        let streamed = rig.folded();
         for r in &streamed {
             let ghosts = r.generated.iter().map(|&(g, _)| g);
             for list in [ghosts.collect(), r.delivered.clone()] {
@@ -1339,32 +1320,26 @@ mod tests {
         let verdict = reconcile(streamed);
         assert!(verdict.clean(), "{:?}", verdict.violations);
         assert_eq!((verdict.generated, verdict.exactly_once), (40, 40));
-        // A delta rides behind its status line, never ahead of it: on the
-        // pipe that carries the group's lines, each `gen` follows one.
+        // A delta rides behind its status line, never ahead of it: each
+        // head follows the status line or the delta before it, and each
+        // `gen` its head.
         let lines = rig.lines(0);
-        let deltas = lines
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.starts_with(b"gen"));
-        for (i, _) in deltas {
-            assert!(i > 0 && lines[i - 1].starts_with(b"status "), "line {i}");
+        for (i, line) in lines.iter().enumerate().skip(1) {
+            let after = |tag: &[u8]| lines[i - 1].starts_with(tag);
+            if line.starts_with(b"node ") {
+                assert!(after(b"status ") || after(b"del"), "line {i}");
+            } else if line.starts_with(b"gen") {
+                assert!(after(b"node "), "line {i}");
+            }
         }
 
-        let before: Vec<usize> = rig.heard.iter().map(Vec::len).collect();
-        for s in &mut rig.supervisor {
-            writeln!(s, "stop").unwrap();
-        }
-        while rig.groups[0].live() {
-            rig.turn();
-        }
-        assert!(rig.groups[0]
-            .results
-            .iter()
-            .all(|r| matches!(r, Some(Ok(())))));
-        for (p, from) in before.into_iter().enumerate() {
-            let text = String::from_utf8_lossy(&rig.heard[p][from..]).into_owned();
-            let block = text.split_once("report ").expect("a report block").1;
-            assert!(block.contains("\ngen\ndel\nheld"), "node {p}: {block}");
+        let from = rig.heard[0].len();
+        rig.stop();
+        let text = String::from_utf8_lossy(&rig.heard[0][from..]).into_owned();
+        let blocks: Vec<&str> = text.split("report ").skip(1).collect();
+        assert_eq!(blocks.len(), 4, "{text}");
+        for block in blocks {
+            assert!(block.contains("\ngen\ndel\nheld"), "{block}");
         }
     }
 
@@ -1379,13 +1354,10 @@ mod tests {
         rig.turn_until(3_000, &mut |_| turns += 1);
         let sent: u64 = rig.nodes().map(|n| n.counters.frames_sent).sum();
         assert!(sent >= 6_000, "{sent} frames");
-        for (g, group) in rig.groups.iter().enumerate() {
-            assert_eq!(
-                group.hub.shape(),
-                (1, 1),
-                "group {g}: (out-streams, accepted)"
-            );
-            let io = group.hub.stats();
+        for g in 0..2 {
+            let hub = &rig.group(g).hub;
+            assert_eq!(hub.shape(), (1, 1), "group {g}: (out-streams, accepted)");
+            let io = hub.stats();
             assert!(
                 io.write_syscalls > 0 && io.write_syscalls <= turns && io.read_syscalls <= turns,
                 "group {g}: {} writes and {} reads in {turns} turns",
@@ -1406,12 +1378,8 @@ mod tests {
         use std::io::Read;
         let mut rig = split_rig("stranger", 1_000_000);
         rig.turn_until(30, &mut |_| {});
-        let path = rig.groups[0]
-            .hub
-            .addr()
-            .strip_prefix("uds:")
-            .unwrap()
-            .to_string();
+        let addr = rig.group(0).hub.addr();
+        let path = addr.strip_prefix("uds:").unwrap().to_string();
         let data = msg_to_frame(&WireMsg::Dv { d: 0, dist: 1 });
         let connect = |frames: &[WireFrame]| {
             let mut bytes = Vec::new();
@@ -1433,13 +1401,13 @@ mod tests {
                 matches!(stranger.read(&mut [0u8; 8]), Ok(0))
             });
             assert!(hung_up, "{why}: the connection stayed");
-            assert_eq!(rig.groups[0].hub.shape(), (1, 1), "{why}");
+            assert_eq!(rig.group(0).hub.shape(), (1, 1), "{why}");
         }
         // A link that does end here is taken, whoever dialled.
         let before = rig.node(1).counters.frames_received;
         let _neighbour = connect(&[WireFrame::Route { src: 2, dst: 1 }, data]);
         rig.turn_until(before + 30, &mut |_| {});
-        assert_eq!(rig.groups[0].hub.shape(), (1, 2));
+        assert_eq!(rig.group(0).hub.shape(), (1, 2));
     }
 
     /// The stream across the split is cut mid-run: the write that finds
@@ -1452,7 +1420,7 @@ mod tests {
     fn a_cut_stream_redials_and_the_run_stays_clean() {
         let mut rig = split_rig("cut", 400);
         rig.turn_until(300, &mut |_| {});
-        rig.groups[1].hub.cut_stream_for_test(0);
+        rig.group_mut(1).hub.cut_stream_for_test(0);
         let quiet = |rig: &Rig| {
             rig.nodes()
                 .all(|n| n.eng.done_issuing() && n.eng.fwd.is_idle())
@@ -1462,20 +1430,12 @@ mod tests {
             rig.turn();
         }
         assert!(quiet(&rig), "the run never drained");
-        assert_eq!(rig.groups[1].hub.stats().reconnects, 1);
-        for group in &rig.groups {
-            assert_eq!(group.hub.shape(), (1, 1));
+        assert_eq!(rig.group(1).hub.stats().reconnects, 1);
+        for g in 0..2 {
+            assert_eq!(rig.group(g).hub.shape(), (1, 1));
         }
-        for s in &mut rig.supervisor {
-            writeln!(s, "stop").unwrap();
-        }
-        while rig.groups.iter().any(Group::live) {
-            rig.turn();
-        }
-        for group in &rig.groups {
-            assert!(group.results.iter().all(|r| matches!(r, Some(Ok(())))));
-        }
-        let reports: Vec<NodeReport> = (0..4).map(|p| rig.folded(p)).collect();
+        rig.stop();
+        let reports = rig.folded();
         // Each group's socket accounting rides exactly one report.
         let carriers = reports.iter().filter(|r| r.counters.write_syscalls > 0);
         assert_eq!(carriers.count(), 2);
@@ -1492,25 +1452,80 @@ mod tests {
         }
     }
 
-    /// A wait that cannot work ends the group instead of spinning it:
-    /// every live member's outcome is the error, and dropping the members
-    /// closed their control pipes.
+    /// A wait that cannot work ends the group instead of spinning it: one
+    /// `error` line, charged to the lead, then the pipe closes.
     #[test]
-    fn a_broken_poller_fails_every_member() {
+    fn a_broken_poller_ends_the_group_with_an_error() {
         use std::io::Read;
         let mut rig = Rig::new("broken", &[4], 0, 1_000_000, [0, 1]);
         rig.turn_until(30, &mut |_| {});
-        let group = &mut rig.groups[0];
-        group.poller.break_for_test();
-        group.turn();
-        assert!(!group.live());
-        for r in &group.results {
-            assert!(matches!(r, Some(Err(_))), "outcome {r:?}");
+        rig.group_mut(0).poller.break_for_test();
+        rig.turn();
+        let err = rig.outcomes[0]
+            .clone()
+            .expect("the group ended")
+            .unwrap_err();
+        let last = rig.lines(0).pop().unwrap();
+        assert_eq!(String::from_utf8_lossy(&last), format!("error 0 {err}"));
+        let s = &mut rig.supervisor[0];
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut rest = Vec::new();
+        s.read_to_end(&mut rest).expect("EOF, not a timeout");
+    }
+
+    /// A control line the group cannot read ends it with an error naming
+    /// the line, cut to 64 bytes: a probe wave it read as 0 would never
+    /// be answered, and the run would stall to its timeout.
+    #[test]
+    fn a_group_refuses_a_control_line_it_cannot_read() {
+        let long = format!("probe 1{}", "0".repeat(80));
+        let shown_long = format!("\"{}\"…", &long[..64]);
+        for (line, shown) in [("probe x", "\"probe x\""), (&long, &shown_long)] {
+            let mut rig = Rig::new("refuse", &[4], 0, 20, [0, 1]);
+            writeln!(rig.supervisor[0], "{line}").unwrap();
+            while rig.outcomes[0].is_none() {
+                rig.turn();
+            }
+            let err = rig.outcomes[0].clone().unwrap().unwrap_err();
+            assert_eq!(err, format!("the group refuses a control line: {shown}"));
+            let last = rig.lines(0).pop().unwrap();
+            assert_eq!(String::from_utf8_lossy(&last), format!("error 0 {err}"));
         }
-        for s in &mut rig.supervisor {
-            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            let mut rest = Vec::new();
-            s.read_to_end(&mut rest).expect("EOF, not a timeout");
+    }
+
+    /// Each group builds one BFS tree per destination for all its
+    /// members, and every member's next hop to every other node is still
+    /// its parent in that node's tree — on a grid, a caterpillar and a
+    /// random graph, each split into two groups.
+    #[test]
+    fn every_members_next_hop_is_its_bfs_parent() {
+        use ssmfp_topology::gen;
+        let random = gen::erdos_renyi(16, 0.3, 5).expect("a connected sample");
+        for graph in [gen::grid(4, 5), gen::caterpillar(4, 2), random] {
+            let n = graph.n();
+            for ids in [0..n / 3, n / 3..n] {
+                let cfgs = ids.map(|node| NodeConfig {
+                    node,
+                    n,
+                    edges: graph.edges().to_vec(),
+                    seed: 1,
+                    listen: ListenSpec::Tcp,
+                    workload: WorkloadSpec {
+                        kind: crate::workload::WorkloadKind::Closed { outstanding: 1 },
+                        messages: 0,
+                    },
+                    chaos: ChaosSpec::none(),
+                    clients: None,
+                });
+                let (_supervisor, pipe) = UnixStream::pair().unwrap();
+                let group = Group::new(cfgs.collect(), pipe).unwrap();
+                for eng in group.slots.iter().map(|s| &s.node.eng) {
+                    for d in (0..n).filter(|&d| d != eng.p) {
+                        let parent = BfsTree::new(&graph, d).parent(eng.p);
+                        assert_eq!(Some(eng.fwd.route(d)), parent, "{} → {d}", eng.p);
+                    }
+                }
+            }
         }
     }
 }

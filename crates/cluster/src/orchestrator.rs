@@ -5,21 +5,25 @@
 //! ## The shard tree (PR 8)
 //!
 //! The control plane is a two-level tree. `orch.main` spawns K
-//! `shard.super` threads, each supervising a contiguous block of nodes
-//! (tasks of one `node.main` data thread in [`RunMode::Inproc`], OS
-//! processes in [`RunMode::Proc`]). A shard polls its nodes' control
-//! pipes directly — no per-node reader threads — so a whole inproc run
-//! costs `2 · shards + 1` threads: [`ClusterSpec::shards`] says how many
-//! groups the nodes run in and thereby how many threads carry them
-//! (`shards = n` is one thread per node).
+//! `shard.super` threads, each supervising a contiguous block of nodes in
+//! node groups: one group, the tasks of one `node.main` data thread, in
+//! [`RunMode::Inproc`]; a group of one per OS process in
+//! [`RunMode::Proc`]. A group is one control endpoint — one socketpair to
+//! its shard in both modes, a worker's end as its fd 0 — and a shard
+//! polls those directly, no reader threads, so a whole inproc run costs
+//! `2 · shards + 1` threads: [`ClusterSpec::shards`] says how many groups
+//! the nodes run in and thereby how many threads carry them (`shards = n`
+//! is one thread per node).
 //!
 //! Shards pre-merge what flows upward: the `status` lines of their node
 //! groups (one per group, [`Status`]) become one sum, and per-node reports
 //! become one [`ShardReport`] whose [`ShardSummary`] already carries the
-//! merged histograms and counters. A node's ledger reaches its shard while
-//! the run runs — each member's new entries ride behind every status line
-//! of its group, and the shard folds each line into the node's report as
-//! it completes ([`crate::codec`]) — so `stop` draws only the tail
+//! merged histograms and counters ([`ShardSummary::merge`], the one fold
+//! from node reports to run totals). A node's ledger reaches its shard
+//! while the run runs — each member's new entries ride behind every status
+//! line of its group after a `node <id>` head, and the shard folds each
+//! line into that node's report as it completes ([`crate::codec`]) — so
+//! `stop` draws only the tail
 //! ([`RunReport::ledger`]). Each turn, after its status went up, the shard
 //! feeds what it folded to its [`RunningAudit`], the SP join run on the
 //! stream: it pairs each ghost's generation with its delivery and keeps
@@ -59,13 +63,10 @@
 
 use crate::chaos::{ChaosSpec, PartitionSpec};
 use crate::clients::ClientSpec;
-use crate::codec::{fold_line, node_args, NodeReport, Status};
+use crate::codec::{node_args, shown, NodeReport, ReportFold, Status};
 use crate::conc::COMPONENT;
-use crate::evloop::{
-    raise_nofile_limit, set_nonblocking_fd, take_lines, CtrlPipe, Poller, POLLERR, POLLHUP, POLLIN,
-    POLLOUT,
-};
-use crate::node::{run_nodes, ListenSpec, NodeConfig};
+use crate::evloop::{raise_nofile_limit, take_lines, Poller, POLLERR, POLLHUP, POLLIN, POLLOUT};
+use crate::node::{run_group, ListenSpec, NodeConfig};
 use crate::telemetry::{LogHistogram, NodeCounters};
 use crate::tuning::TUNING;
 use crate::workload::WorkloadSpec;
@@ -79,10 +80,10 @@ use ssmfp_core::{
 use ssmfp_topology::{Graph, NodeId};
 use std::io::{self, Read, Write};
 use std::ops::Range;
-use std::os::unix::io::AsRawFd;
+use std::os::unix::io::{AsRawFd, OwnedFd};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -154,6 +155,53 @@ pub struct ShardSummary {
     pub clients_completed: u64,
     /// When the shard's ledger entries reached it.
     pub ledger: LedgerFlow,
+}
+
+impl ShardSummary {
+    /// The totals of node reports: each one's, merged.
+    fn of(reports: &[NodeReport]) -> Self {
+        let mut sum = ShardSummary::default();
+        for r in reports {
+            sum.merge(&ShardSummary {
+                nodes: 1,
+                // The sink records one latency sample per primary it
+                // answers, in both modes — their ghost packings differ, so
+                // no ghost bit says "ack" in both.
+                primaries_delivered: r.latency.count(),
+                latency: r.latency.clone(),
+                batch: r.batch.clone(),
+                counters: r.counters,
+                client_rtt: r.client_rtt.clone(),
+                client_fair: r.client_fair.clone(),
+                clients: r.clients,
+                clients_completed: r.clients_completed,
+                ..ShardSummary::default()
+            });
+        }
+        sum
+    }
+
+    /// Adds `other`'s totals to these: the one fold from node reports to
+    /// shard summaries (`ShardSummary::of`) to run totals. Histograms
+    /// merge bucket-wise and everything else adds — the pending peak is
+    /// the larger — so the root's work is O(shards · buckets), however many
+    /// nodes and clients the run hosted (pinned by a unit test).
+    pub fn merge(&mut self, other: &ShardSummary) {
+        self.nodes += other.nodes;
+        self.primaries_delivered += other.primaries_delivered;
+        self.latency.merge(&other.latency);
+        self.batch.merge(&other.batch);
+        self.counters.add(&other.counters);
+        self.client_rtt.merge(&other.client_rtt);
+        self.client_fair.merge(&other.client_fair);
+        self.clients += other.clients;
+        self.clients_completed += other.clients_completed;
+        let (l, o) = (&mut self.ledger, &other.ledger);
+        l.streamed += o.streamed;
+        l.tail += o.tail;
+        l.join_s += o.join_s;
+        l.pending_peak = l.pending_peak.max(o.pending_peak);
+    }
 }
 
 /// Everything a shard sends upward at the end of a run.
@@ -431,59 +479,22 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Folds a node group's reports into its pre-merged [`ShardSummary`].
-fn summarize(shard: usize, reports: &[NodeReport]) -> ShardSummary {
-    let mut s = ShardSummary {
-        shard,
-        nodes: reports.len(),
-        ..ShardSummary::default()
-    };
-    for r in reports {
-        s.latency.merge(&r.latency);
-        s.batch.merge(&r.batch);
-        // The sink records one latency sample per primary it answers, in
-        // both modes — their ghost packings differ, so no ghost bit says
-        // "ack" in both.
-        s.primaries_delivered += r.latency.count();
-        s.counters.add(&r.counters);
-        s.client_rtt.merge(&r.client_rtt);
-        s.client_fair.merge(&r.client_fair);
-        s.clients += r.clients;
-        s.clients_completed += r.clients_completed;
-    }
-    s
-}
-
-/// Folds shard summaries into the run-level client totals. This is the
-/// *only* client aggregation the root does: K bucket-wise histogram
-/// merges plus K additions — O(shards · buckets), independent of how
-/// many clients the run hosted (pinned by a unit test).
-fn fold_client_totals(summaries: &[ShardSummary]) -> (LogHistogram, LogHistogram, u64, u64) {
-    let mut rtt = LogHistogram::new();
-    let mut fair = LogHistogram::new();
-    let mut clients = 0u64;
-    let mut completed = 0u64;
-    for s in summaries {
-        rtt.merge(&s.client_rtt);
-        fair.merge(&s.client_fair);
-        clients += s.clients;
-        completed += s.clients_completed;
-    }
-    (rtt, fair, clients, completed)
-}
-
 /// The descriptors a run holds at once, from the shape of its streams. A
 /// data stream joins an ordered pair of *distinct* groups that share an
 /// edge — an edge inside a group is in memory and holds none — and is two
 /// descriptors, the dialling end and the accepted end; a group also holds
-/// at most a listener and its `epoll` set, every node a control pipe of
-/// two ends, every shard a socketpair to the orchestrator. Inproc a group
-/// is a shard and all of it is in this process. In process mode a group is
-/// one node in a process of its own, which inherits the limit set here:
-/// the parent holds the control tree only, and no child's two streams per
+/// at most a listener and its `epoll` set, and a control socketpair of two
+/// ends, every shard a socketpair to the orchestrator. Inproc a group is a
+/// shard and all of it is in this process. In process mode a group is one
+/// node in a process of its own, which inherits the limit set here: the
+/// parent holds the control tree only, and no child's two streams per
 /// neighbour come to more than that.
 fn nofile_budget(graph: &Graph, ranges: &[Range<usize>], mode: &RunMode) -> u64 {
-    let control = 2 * graph.n() + 2 * ranges.len();
+    let groups = match mode {
+        RunMode::Inproc => ranges.len(),
+        RunMode::Proc { .. } => graph.n(),
+    };
+    let control = 2 * groups + 2 * ranges.len();
     let held = match mode {
         RunMode::Inproc => {
             let group = |p: NodeId| ranges.iter().position(|r| r.contains(&p));
@@ -519,82 +530,14 @@ fn node_config(spec: &ClusterSpec, p: usize) -> NodeConfig {
 // Shard supervisor
 // ---------------------------------------------------------------------------
 
-/// A shard's handle on one node's control pipe — and, for a process, its
-/// lifetime (an inproc shard's nodes share one thread, joined once for
-/// the shard).
-enum NodeCtrl {
-    /// The supervisor's end of the socketpair (nonblocking).
-    Thread(UnixStream),
-    Proc {
-        child: Child,
-        /// Parent's write end of the child's stdin pipe (nonblocking).
-        stdin: Option<ChildStdin>,
-        /// Parent's read end of the child's stdout pipe (nonblocking).
-        stdout: ChildStdout,
-    },
-}
-
-impl NodeCtrl {
-    fn read_fd(&self) -> i32 {
-        match self {
-            NodeCtrl::Thread(pipe) => pipe.as_raw_fd(),
-            NodeCtrl::Proc { stdout, .. } => stdout.as_raw_fd(),
-        }
-    }
-
-    fn write_fd(&self) -> i32 {
-        match self {
-            NodeCtrl::Thread(pipe) => pipe.as_raw_fd(),
-            NodeCtrl::Proc { stdin, .. } => stdin.as_ref().expect("stdin open").as_raw_fd(),
-        }
-    }
-
-    fn read_once(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            NodeCtrl::Thread(pipe) => (&*pipe).read(buf),
-            NodeCtrl::Proc { stdout, .. } => stdout.read(buf),
-        }
-    }
-
-    fn write_some(&mut self, bytes: &[u8]) -> io::Result<usize> {
-        match self {
-            NodeCtrl::Thread(pipe) => (&*pipe).write(bytes),
-            NodeCtrl::Proc { stdin, .. } => stdin.as_mut().expect("stdin open").write(bytes),
-        }
-    }
-
-    /// Closes the control pipe (a node still running reads EOF and winds
-    /// down) and reaps the process, if it is one.
-    fn finish(self) {
-        match self {
-            NodeCtrl::Thread(pipe) => drop(pipe),
-            NodeCtrl::Proc {
-                mut child, stdin, ..
-            } => {
-                drop(stdin);
-                let deadline = Instant::now() + TUNING.proc_exit_grace();
-                loop {
-                    match child.try_wait() {
-                        Ok(Some(_)) => break,
-                        Ok(None) if Instant::now() < deadline => {
-                            thread::sleep(TUNING.proc_wait_poll());
-                        }
-                        _ => {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// A shard's per-node supervision state.
-struct NodeSlot {
-    id: NodeId,
-    ctrl: NodeCtrl,
+/// A shard's handle on one node group — the shard's data thread inproc,
+/// one `--node-worker` process otherwise: its end of the group's control
+/// socketpair, the process if it is one (an inproc shard's data thread is
+/// joined once for the shard), and what the shard has read of it.
+struct GroupSlot {
+    /// The supervisor's end (nonblocking).
+    pipe: UnixStream,
+    child: Option<Child>,
     /// Read accumulator (partial control lines).
     acc: Vec<u8>,
     /// Staged downward control bytes, written on `POLLOUT` only.
@@ -602,42 +545,40 @@ struct NodeSlot {
     staged_at: usize,
     eof: bool,
     ready: Option<String>,
-    /// The latest `status` line on this pipe: its group's, if the node is
-    /// the group's first live member.
+    /// The group's latest `status` line.
     status: Option<Status>,
-    /// The node's report as its lines arrive ([`NodeSlot::hear`]).
-    report: NodeReport,
-    /// How much of the report's generated and delivered lists the shard's
-    /// running join has been fed.
-    audited: (usize, usize),
-    /// Its block's `end` arrived.
-    ended: bool,
-    /// Its ledger entries folded before and after `stop`.
+    /// Its members' reports as their lines arrive ([`GroupSlot::hear`]).
+    fold: ReportFold,
+    /// By member, how much of its report's generated and delivered lists
+    /// the shard's running join has been fed.
+    audited: Vec<(usize, usize)>,
+    /// Its members' ledger entries folded before and after `stop`.
     ledger: LedgerFlow,
-    /// The interest registered for the read fd and for the write fd.
-    watched: [i16; 2],
+    /// The interest registered for the pipe.
+    watched: i16,
 }
 
-impl NodeSlot {
-    fn new(id: NodeId, ctrl: NodeCtrl) -> Self {
-        NodeSlot {
-            id,
-            ctrl,
+impl GroupSlot {
+    fn new(members: &[NodeId], pipe: UnixStream, child: Option<Child>) -> Self {
+        GroupSlot {
+            pipe,
+            child,
             acc: Vec::new(),
             staged: Vec::new(),
             staged_at: 0,
             eof: false,
             ready: None,
             status: None,
-            report: NodeReport {
-                node: id,
-                ..NodeReport::default()
-            },
-            audited: (0, 0),
-            ended: false,
+            fold: ReportFold::new(members.iter().copied()),
+            audited: vec![(0, 0); members.len()],
             ledger: LedgerFlow::default(),
-            watched: [0; 2],
+            watched: 0,
         }
+    }
+
+    /// The member a failure of the whole group is charged to: the first.
+    fn lead(&self) -> NodeId {
+        self.fold.reports[0].node
     }
 
     fn stage(&mut self, line: &[u8]) {
@@ -645,25 +586,26 @@ impl NodeSlot {
         self.staged.push(b'\n');
     }
 
-    /// One line from the node, read where it lies: `ready` and `status`
-    /// are the shard's; every other line folds into the node's report the
-    /// moment it completes — ledger deltas whenever they come, counted
-    /// as streamed or, once the shard read `stop`, as tail. A line neither
-    /// reader takes is an error: the node's status or ledger past it
-    /// would be a guess.
+    /// One line from the group, read where it lies: `ready` and `status`
+    /// are the shard's; an `error` line ends the shard with it; every other
+    /// line folds into the report of the member the last head named the
+    /// moment it completes — ledger deltas whenever they come, counted as
+    /// streamed or, once the shard read `stop`, as tail. A line no reader
+    /// takes is an error: the group's status or ledger past it would be a
+    /// guess.
     fn hear(&mut self, line: &[u8], stopped: bool) -> Result<(), String> {
         if let Some(addr) = line.strip_prefix(b"ready ") {
             self.ready = Some(String::from_utf8_lossy(addr).into_owned());
         } else if let Some(rest) = line.strip_prefix(b"status ") {
             self.status = Some(Status::parse(rest).ok_or_else(|| self.refused(line))?);
-        } else if !line.starts_with(b"report ") {
-            // (A `report` line is its block's head: its lines follow.)
-            let r = &mut self.report;
-            let before = r.generated.len() + r.delivered.len();
-            let end = fold_line(r, line).ok_or_else(|| self.refused(line))?;
-            let r = &self.report;
-            let entries = (r.generated.len() + r.delivered.len() - before) as u64;
-            self.ended |= end;
+        } else if line.starts_with(b"error ") {
+            let said = String::from_utf8_lossy(line);
+            return Err(match self.ready {
+                None => format!("node {} exited before ready: {said}", self.lead()),
+                Some(_) => said.into_owned(),
+            });
+        } else {
+            let entries = self.fold.fold(line).ok_or_else(|| self.refused(line))?;
             if stopped {
                 self.ledger.tail += entries;
             } else {
@@ -673,22 +615,20 @@ impl NodeSlot {
         Ok(())
     }
 
-    /// The error that ends the shard on a line it cannot read.
+    /// The error that ends the shard on a line it cannot read, charged to
+    /// the group's lead.
     fn refused(&self, line: &[u8]) -> String {
-        const SHOWN: usize = 64;
-        let more = if line.len() > SHOWN { "…" } else { "" };
-        let shown = String::from_utf8_lossy(&line[..line.len().min(SHOWN)]);
+        let shown = shown(line);
         format!(
-            "node {} wrote a line the shard refuses: {shown:?}{more}",
-            self.id
+            "node {} wrote a line the shard refuses: {shown}",
+            self.lead()
         )
     }
 
-    /// Keeps slot `i`'s registrations at what the shard still waits for:
-    /// the node's lines until EOF — a pipe whose writer closed stays open,
-    /// and level-triggered `POLLHUP` would spin the loop — and writability
-    /// while bytes are staged. An inproc pipe is one fd both ways, so
-    /// `POLLOUT` toggles on it; a process has two.
+    /// Keeps slot `i`'s registration at what the shard still waits for:
+    /// the group's lines until EOF — a socket whose writer closed stays
+    /// open, and level-triggered `POLLHUP` would spin the loop — and
+    /// writability while bytes are staged.
     fn watch(&mut self, i: usize, poll: &Poller) -> io::Result<()> {
         let read = if self.eof { 0 } else { POLLIN };
         let write = if self.staged_at < self.staged.len() {
@@ -696,22 +636,34 @@ impl NodeSlot {
         } else {
             0
         };
-        let (r, w) = (self.ctrl.read_fd(), self.ctrl.write_fd());
-        let want = if r == w {
-            [(r, read | write), (w, 0)]
-        } else {
-            [(r, read), (w, write)]
-        };
-        for (had, (fd, want)) in self.watched.iter_mut().zip(want) {
-            match (*had, want) {
-                (had, want) if had == want => {}
-                (0, _) => poll.add(fd, want, Poller::token(i, fd))?,
-                (_, 0) => poll.del(fd)?,
-                _ => poll.modify(fd, want, Poller::token(i, fd))?,
-            }
-            *had = want;
+        let (fd, want) = (self.pipe.as_raw_fd(), read | write);
+        match (self.watched, want) {
+            (had, want) if had == want => {}
+            (0, _) => poll.add(fd, want, Poller::token(i, fd))?,
+            (_, 0) => poll.del(fd)?,
+            _ => poll.modify(fd, want, Poller::token(i, fd))?,
         }
+        self.watched = want;
         Ok(())
+    }
+
+    /// Closes the control pipe (a group still running reads EOF and winds
+    /// down) and reaps the process, if it is one.
+    fn finish(self) {
+        drop(self.pipe);
+        let Some(mut child) = self.child else { return };
+        let deadline = Instant::now() + TUNING.proc_exit_grace();
+        loop {
+            match child.try_wait() {
+                Ok(Some(_)) => break,
+                Ok(None) if Instant::now() < deadline => thread::sleep(TUNING.proc_wait_poll()),
+                _ => {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                    break;
+                }
+            }
+        }
     }
 }
 
@@ -733,9 +685,13 @@ impl ShardAudit {
     /// it was last fed, and settles it. Each list gives its share of the
     /// turn's entries, oldest first, so the two ends of a ghost tend to
     /// meet in one settle. True while entries are left.
-    fn catch_up(&mut self, slots: &mut [NodeSlot]) -> bool {
-        let behind = |s: &NodeSlot| {
-            s.report.generated.len() + s.report.delivered.len() - s.audited.0 - s.audited.1
+    fn catch_up(&mut self, slots: &mut [GroupSlot]) -> bool {
+        let behind = |s: &GroupSlot| -> usize {
+            let members = s.fold.reports.iter().zip(&s.audited);
+            let each = |(r, (g, d)): (&NodeReport, &(usize, usize))| {
+                r.generated.len() + r.delivered.len() - g - d
+            };
+            members.map(each).sum()
         };
         let backlog: usize = slots.iter().map(behind).sum();
         if backlog == 0 {
@@ -746,10 +702,12 @@ impl ShardAudit {
             at + (len - at).min(((len - at) * JOIN_PER_TURN).div_ceil(backlog))
         };
         for s in slots.iter_mut() {
-            let (r, (g, d)) = (&s.report, s.audited);
-            s.audited = (share(r.generated.len(), g), share(r.delivered.len(), d));
-            self.audit.generated(&r.generated[g..s.audited.0]);
-            self.audit.delivered(r.node, &r.delivered[d..s.audited.1]);
+            for (r, audited) in s.fold.reports.iter().zip(&mut s.audited) {
+                let (g, d) = *audited;
+                *audited = (share(r.generated.len(), g), share(r.delivered.len(), d));
+                self.audit.generated(&r.generated[g..audited.0]);
+                self.audit.delivered(r.node, &r.delivered[d..audited.1]);
+            }
         }
         self.audit.settle();
         self.spent += t.elapsed();
@@ -764,56 +722,44 @@ enum Phase {
     Reporting,
 }
 
-fn spawn_proc_node(exe: &PathBuf, cfg: &NodeConfig) -> io::Result<NodeCtrl> {
-    let mut child = Command::new(exe)
-        .arg("--node-worker")
-        .args(node_args(cfg))
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()?;
-    let stdin = child.stdin.take().expect("piped stdin");
-    let stdout = child.stdout.take().expect("piped stdout");
-    // Only the parent's pipe ends go nonblocking: the child's stdio fds
-    // are separate file descriptions, so the node's blocking ctrl writes
-    // are untouched.
-    set_nonblocking_fd(stdin.as_raw_fd(), true)?;
-    set_nonblocking_fd(stdout.as_raw_fd(), true)?;
-    Ok(NodeCtrl::Proc {
-        child,
-        stdin: Some(stdin),
-        stdout,
-    })
-}
-
-/// Launches a shard's node group: one `node.main` thread running all of
-/// them inproc (`Some` handle to join once every pipe is closed), one
-/// process each in proc mode. On error `slots` holds what was launched
-/// before it.
-fn spawn_nodes(
+/// Launches a shard's node groups, one control socketpair each: one
+/// `node.main` thread running all of the shard's nodes inproc (`Some`
+/// handle to join once its pipe is closed), a process per node in proc
+/// mode, its end of the pair as fd 0. On error `slots` holds what was
+/// launched before it.
+fn spawn_groups(
     cfgs: Vec<NodeConfig>,
     mode: &RunMode,
-    slots: &mut Vec<NodeSlot>,
+    slots: &mut Vec<GroupSlot>,
 ) -> io::Result<Option<JoinHandle<()>>> {
-    let named = |id: NodeId| move |e: io::Error| io::Error::other(format!("node {id}: {e}"));
+    let pair = || {
+        let (sup_side, group_side) = UnixStream::pair()?;
+        sup_side.set_nonblocking(true)?;
+        Ok::<_, io::Error>((sup_side, group_side))
+    };
     match mode {
         RunMode::Inproc => {
-            let mut nodes = Vec::with_capacity(cfgs.len());
-            for cfg in cfgs {
-                let (sup_side, node_side) = UnixStream::pair().map_err(named(cfg.node))?;
-                sup_side.set_nonblocking(true).map_err(named(cfg.node))?;
-                slots.push(NodeSlot::new(cfg.node, NodeCtrl::Thread(sup_side)));
-                nodes.push((cfg, CtrlPipe::Stream(node_side)));
-            }
-            // The reports come up the pipes; the thread's own copies go.
+            let ids: Vec<NodeId> = cfgs.iter().map(|cfg| cfg.node).collect();
+            let (sup_side, group_side) = pair()?;
+            slots.push(GroupSlot::new(&ids, sup_side, None));
+            // What the group reports, and what ended it, went up the pipe.
             Ok(Some(spawn_registered(COMPONENT, "node.main", move || {
-                drop(run_nodes(nodes))
+                let _ = run_group(cfgs, group_side);
             })))
         }
         RunMode::Proc { exe } => {
             for cfg in &cfgs {
-                let ctrl = spawn_proc_node(exe, cfg).map_err(named(cfg.node))?;
-                slots.push(NodeSlot::new(cfg.node, ctrl));
+                let named = |e: io::Error| io::Error::other(format!("node {}: {e}", cfg.node));
+                let (sup_side, group_side) = pair().map_err(named)?;
+                let child = Command::new(exe)
+                    .arg("--node-worker")
+                    .args(node_args(cfg))
+                    .stdin(OwnedFd::from(group_side))
+                    .stdout(Stdio::null())
+                    .stderr(Stdio::inherit())
+                    .spawn()
+                    .map_err(named)?;
+                slots.push(GroupSlot::new(&[cfg.node], sup_side, Some(child)));
             }
             Ok(None)
         }
@@ -821,28 +767,26 @@ fn spawn_nodes(
 }
 
 /// Closes **every** control pipe of the shard, and only then joins the
-/// thread its nodes share: a node leaves that thread when it reads EOF,
-/// so a join behind a single closed pipe would wait forever on the
-/// nodes still holding theirs.
-fn wind_down(slots: Vec<NodeSlot>, data: Option<JoinHandle<()>>) {
+/// data thread: its group leaves the thread when it reads EOF.
+fn wind_down(slots: Vec<GroupSlot>, data: Option<JoinHandle<()>>) {
     for s in slots {
-        s.ctrl.finish();
+        s.finish();
     }
     if let Some(join) = data {
-        // Whatever ended a node — error or panic — already reached the
-        // supervisor as EOF on its pipe.
+        // Whatever ended the group — error or panic — already reached the
+        // supervisor, as an `error` line or as EOF.
         let _ = join.join();
     }
 }
 
 /// The owner half of the orchestrator socketpair's [`Poller::token`] in a
-/// shard's set; a node's control fds carry its slot index.
+/// shard's set; a group's control pipe carries its slot index.
 const ORCH: usize = u32::MAX as usize;
 
-/// One shard supervisor: spawns its node group, waits on every control
-/// pipe plus the orchestrator socketpair in one [`Poller`], forwards
-/// control lines downward (staged, `POLLOUT`-gated — the declared timed
-/// write), and pre-merges status and reports upward: the sum of its
+/// One shard supervisor: spawns its node groups, waits on every group's
+/// control pipe plus the orchestrator socketpair in one [`Poller`],
+/// forwards control lines downward (staged, `POLLOUT`-gated — the declared
+/// timed write), and pre-merges status and reports upward: the sum of its
 /// groups' latest lines goes up at once when it is quiet and new or
 /// completes a probe wave, and otherwise once per `status_every`.
 fn shard_main(
@@ -856,11 +800,11 @@ fn shard_main(
     let send_up = |msg: ShardUp| {
         // Untimed `ChanSend(orch.shard)` — the declared upstream edge.
         // A disconnected receiver means the orchestrator already gave
-        // up; keep going so the node handles still get finished.
+        // up; keep going so the group handles still get finished.
         let _ = up.send((shard, msg));
     };
-    let mut slots: Vec<NodeSlot> = Vec::with_capacity(cfgs.len());
-    let data = spawn_nodes(cfgs, &mode, &mut slots);
+    let mut slots: Vec<GroupSlot> = Vec::new();
+    let data = spawn_groups(cfgs, &mode, &mut slots);
     let outcome = data
         .as_ref()
         .map_err(|e| format!("spawn {e}"))
@@ -868,7 +812,7 @@ fn shard_main(
             let mut poll = watch(&orch, &mut slots).map_err(shard_wait)?;
             let mut audit = ShardAudit::default();
             supervise(&mut poll, &orch, &mut slots, &mut audit, &send_up)?;
-            shard_report(shard, &mut slots, audit)
+            Ok(shard_report(shard, &mut slots, audit))
         });
     send_up(match outcome {
         Ok(report) => ShardUp::Done(Box::new(report)),
@@ -881,9 +825,9 @@ fn shard_wait(e: io::Error) -> String {
     format!("shard wait: {e}")
 }
 
-/// A shard's readiness set: the orchestrator socketpair and every node's
+/// A shard's readiness set: the orchestrator socketpair and every group's
 /// control pipe, each registered for as long as the shard waits on it.
-fn watch(orch: &UnixStream, slots: &mut [NodeSlot]) -> io::Result<Poller> {
+fn watch(orch: &UnixStream, slots: &mut [GroupSlot]) -> io::Result<Poller> {
     let (poll, fd) = (Poller::new()?, orch.as_raw_fd());
     poll.add(fd, POLLIN, Poller::token(ORCH, fd))?;
     for (i, s) in slots.iter_mut().enumerate() {
@@ -893,19 +837,21 @@ fn watch(orch: &UnixStream, slots: &mut [NodeSlot]) -> io::Result<Poller> {
 }
 
 /// The supervision loop, on the set [`watch`] built, until every node has
-/// reported or hung up. A wait that fails — anything but `EINTR` — a
-/// registration the set refuses, or a line a node wrote that the shard
-/// cannot read cannot be retried into working: it ends the shard with the
-/// error instead of spinning or stalling it. Each turn ends with the
-/// running join of what the turns folded, after the turn's status went up
-/// ([`ShardAudit::catch_up`]).
+/// reported. A wait that fails — anything but `EINTR` — a registration
+/// the set refuses, a line a group wrote that the shard cannot read, a
+/// group's `error` line, and a pipe that closes before every node on it
+/// sent its report cannot be retried into working: each ends the shard at
+/// once with the error instead of spinning or stalling it. Each turn ends
+/// with the running join of what the turns folded, after the turn's
+/// status went up ([`ShardAudit::catch_up`]).
 fn supervise(
     poll: &mut Poller,
     orch: &UnixStream,
-    slots: &mut [NodeSlot],
+    slots: &mut [GroupSlot],
     audit: &mut ShardAudit,
     send_up: &dyn Fn(ShardUp),
 ) -> Result<(), String> {
+    let nodes: u64 = slots.iter().map(|s| s.fold.reports.len() as u64).sum();
     let mut events: Vec<(u64, i16)> = Vec::new();
     let mut scratch = vec![0u8; 16 * 1024];
     let mut orch_acc: Vec<u8> = Vec::new();
@@ -932,7 +878,7 @@ fn supervise(
         events.extend_from_slice(poll.wait(Some(timeout)).map_err(shard_wait)?);
 
         // Orchestrator lines first: interpret, then forward verbatim to
-        // every node. (The shard's end of the socketpair is blocking: one
+        // every group. (The shard's end of the socketpair is blocking: one
         // single-shot read per POLLIN readiness never blocks.)
         if events.iter().any(|&(t, _)| Poller::untoken(t).0 == ORCH) {
             let orch_eof = match (&*orch).read(&mut scratch) {
@@ -972,13 +918,13 @@ fn supervise(
         }
 
         for &(token, ev) in &events {
-            let (i, fd) = Poller::untoken(token);
+            let (i, _) = Poller::untoken(token);
             let Some(s) = slots.get_mut(i) else { continue };
-            // Node lines (nonblocking fds: drain to WouldBlock).
-            let readable = ev & (POLLIN | POLLERR | POLLHUP) != 0 && fd == s.ctrl.read_fd();
+            // Group lines (nonblocking fds: drain to WouldBlock).
+            let readable = ev & (POLLIN | POLLERR | POLLHUP) != 0;
             let stopped = phase == Phase::Reporting;
             while readable && !s.eof {
-                match s.ctrl.read_once(&mut scratch) {
+                match (&s.pipe).read(&mut scratch) {
                     Ok(0) => s.eof = true,
                     Ok(k) => {
                         let mut acc = std::mem::take(&mut s.acc);
@@ -999,22 +945,23 @@ fn supervise(
                     Err(_) => s.eof = true,
                 }
             }
-            if s.eof {
-                // A node gone: its group's line, if it carried one, moves
-                // to the next live member's pipe.
-                s.status = None;
+            if let Some(node) = s.fold.unended().filter(|_| s.eof) {
+                return Err(match s.ready {
+                    None => format!("node {node} exited before ready"),
+                    Some(_) => format!("node {node} hung up before its report"),
+                });
             }
             // Staged downward writes, POLLOUT-gated (the declared timed
             // `SockWrite(node.main)` edge — the shard never blocks on a
-            // node).
-            let writable = ev & (POLLOUT | POLLERR | POLLHUP) != 0 && fd == s.ctrl.write_fd();
+            // group).
+            let writable = ev & (POLLOUT | POLLERR | POLLHUP) != 0;
             while writable && s.staged_at < s.staged.len() {
-                match s.ctrl.write_some(&s.staged[s.staged_at..]) {
+                match (&s.pipe).write(&s.staged[s.staged_at..]) {
                     Ok(0) => break,
                     Ok(k) => s.staged_at += k,
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    // Node died; the read side will surface EOF.
+                    // Group gone; the read side will surface EOF.
                     Err(_) => s.staged_at = s.staged.len(),
                 }
             }
@@ -1033,18 +980,18 @@ fn supervise(
                 if !ready_sent && slots.iter().all(|s| s.ready.is_some()) {
                     let list: Vec<(NodeId, String)> = slots
                         .iter()
-                        .map(|s| (s.id, s.ready.clone().expect("all ready")))
+                        .flat_map(|s| {
+                            let addr = s.ready.as_ref().expect("all ready");
+                            s.fold.reports.iter().map(|r| (r.node, addr.clone()))
+                        })
                         .collect();
                     send_up(ShardUp::Ready(list));
                     ready_sent = true;
                 }
-                if let Some(dead) = slots.iter().find(|s| s.eof && s.ready.is_none()) {
-                    return Err(format!("node {} exited before ready", dead.id));
-                }
             }
             Phase::Running => {
                 let sum = Status::sum(slots.iter().filter_map(|s| s.status.as_ref()));
-                let quiet_news = sum.quiet(slots.len() as u64) && forwarded != Some(sum);
+                let quiet_news = sum.quiet(nodes) && forwarded != Some(sum);
                 let answered = sum.wave > forwarded.map_or(0, |f| f.wave);
                 if quiet_news || answered || last_status.elapsed() >= TUNING.status_every() {
                     last_status = Instant::now();
@@ -1053,11 +1000,11 @@ fn supervise(
                 }
             }
             Phase::Reporting => {
-                if slots.iter().all(|s| s.ended || s.eof) {
+                let missing = slots.iter().find_map(|s| s.fold.unended());
+                let Some(missing) = missing else {
                     return Ok(());
-                }
+                };
                 if Instant::now() >= report_deadline {
-                    let missing = slots.iter().find(|s| !s.ended).map(|s| s.id).unwrap_or(0);
                     return Err(format!("node {missing} sent no report in time"));
                 }
             }
@@ -1068,36 +1015,30 @@ fn supervise(
 
 /// Takes every node's folded report, and the running join over them, into
 /// the pre-merged shard report.
-fn shard_report(
-    shard: usize,
-    slots: &mut [NodeSlot],
-    mut audit: ShardAudit,
-) -> Result<ShardReport, String> {
+fn shard_report(shard: usize, slots: &mut [GroupSlot], mut audit: ShardAudit) -> ShardReport {
     while audit.catch_up(slots) {}
     audit.audit.close();
-    let mut reports: Vec<NodeReport> = Vec::with_capacity(slots.len());
     let mut ledger = LedgerFlow {
         join_s: audit.spent.as_secs_f64(),
         pending_peak: audit.audit.pending_peak(),
         ..LedgerFlow::default()
     };
+    let mut reports: Vec<NodeReport> = Vec::new();
     for s in slots.iter_mut() {
-        if !s.ended {
-            return Err(format!("node {} hung up before its report", s.id));
-        }
-        reports.push(std::mem::take(&mut s.report));
         ledger.streamed += s.ledger.streamed;
         ledger.tail += s.ledger.tail;
+        reports.append(&mut s.fold.reports);
     }
-    Ok(ShardReport {
+    ShardReport {
         shard,
         summary: ShardSummary {
+            shard,
             ledger,
-            ..summarize(shard, &reports)
+            ..ShardSummary::of(&reports)
         },
         reports,
         audit: audit.audit,
-    })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1373,13 +1314,10 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
         running.merge(std::mem::take(&mut sr.audit));
     }
     let running = running.finish();
-    let mut ledger = LedgerFlow {
-        reference: running.is_none(),
-        ..LedgerFlow::default()
-    };
+    let reference = running.is_none();
     let mut verdict = running.unwrap_or_default();
     let mut client_verdict = None;
-    if ledger.reference || spec.clients.is_some() {
+    if reference || spec.clients.is_some() {
         // A report's three lists *are* its ledger: lend them to the joins
         // and hand them back, so `RunReport::nodes` stays whole.
         let ledgers: Vec<NodeLedger> = nodes
@@ -1391,7 +1329,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
                 held: std::mem::take(&mut r.held),
             })
             .collect();
-        if ledger.reference {
+        if reference {
             verdict = reconcile_ledgers(&ledgers);
         }
         // Client mode: the per-client audit is a sort-merge join over the
@@ -1408,24 +1346,16 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     phases.audit_s = audit.elapsed().as_secs_f64();
 
     let shard_summaries: Vec<ShardSummary> = shard_reports.into_iter().map(|r| r.summary).collect();
-    let mut latency = LogHistogram::new();
-    let mut batch = LogHistogram::new();
-    let mut counters = NodeCounters::default();
-    let mut primaries_delivered = 0u64;
+    let mut total = ShardSummary::default();
     for s in &shard_summaries {
-        latency.merge(&s.latency);
-        batch.merge(&s.batch);
-        counters.add(&s.counters);
-        primaries_delivered += s.primaries_delivered;
-        ledger.streamed += s.ledger.streamed;
-        ledger.tail += s.ledger.tail;
-        ledger.join_s += s.ledger.join_s;
-        ledger.pending_peak = ledger.pending_peak.max(s.ledger.pending_peak);
+        total.merge(s);
     }
-    let (client_rtt, client_fair, clients, clients_completed) =
-        fold_client_totals(&shard_summaries);
+    let ledger = LedgerFlow {
+        reference,
+        ..total.ledger
+    };
     let throughput = if wall_s > 0.0 {
-        primaries_delivered as f64 / wall_s
+        total.primaries_delivered as f64 / wall_s
     } else {
         0.0
     };
@@ -1440,16 +1370,16 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
         phases,
         ledger,
         verdict,
-        primaries_delivered,
+        primaries_delivered: total.primaries_delivered,
         throughput,
-        latency,
-        batch,
-        counters,
+        latency: total.latency,
+        batch: total.batch,
+        counters: total.counters,
         client_verdict,
-        client_rtt,
-        client_fair,
-        clients,
-        clients_completed,
+        client_rtt: total.client_rtt,
+        client_fair: total.client_fair,
+        clients: total.clients,
+        clients_completed: total.clients_completed,
         shard_summaries,
         nodes,
     })
@@ -1527,33 +1457,34 @@ mod tests {
                 }
             })
             .collect();
-        let flat = summarize(0, &reports);
+        // The flat sum, by hand.
+        let mut flat = ShardSummary::default();
+        for r in &reports {
+            flat.latency.merge(&r.latency);
+            flat.batch.merge(&r.batch);
+            flat.counters.add(&r.counters);
+            flat.primaries_delivered += r.latency.count();
+            flat.client_rtt.merge(&r.client_rtt);
+            flat.client_fair.merge(&r.client_fair);
+            flat.clients += r.clients;
+            flat.clients_completed += r.clients_completed;
+        }
         for shards in [1usize, 2, 3, 4, 10] {
-            let mut top_lat = LogHistogram::new();
-            let mut top_bat = LogHistogram::new();
-            let mut top_ctr = NodeCounters::default();
-            let mut top_prim = 0u64;
-            let summaries: Vec<ShardSummary> = shard_ranges(reports.len(), shards)
-                .iter()
-                .enumerate()
-                .map(|(s, range)| summarize(s, &reports[range.clone()]))
-                .collect();
-            for sum in &summaries {
-                top_lat.merge(&sum.latency);
-                top_bat.merge(&sum.batch);
-                top_ctr.add(&sum.counters);
-                top_prim += sum.primaries_delivered;
+            let mut top = ShardSummary::default();
+            for range in shard_ranges(reports.len(), shards) {
+                top.merge(&ShardSummary::of(&reports[range]));
             }
-            assert_eq!(top_ctr, flat.counters, "counters diverged at {shards}");
-            assert_eq!(top_lat, flat.latency, "latency diverged at {shards}");
-            assert_eq!(top_bat, flat.batch, "batch diverged at {shards}");
-            assert_eq!(top_prim, flat.primaries_delivered);
+            assert_eq!(top.nodes, reports.len());
+            assert_eq!(top.counters, flat.counters, "counters diverged at {shards}");
+            assert_eq!(top.latency, flat.latency, "latency diverged at {shards}");
+            assert_eq!(top.batch, flat.batch, "batch diverged at {shards}");
+            assert_eq!(top.primaries_delivered, flat.primaries_delivered);
             // Client totals fold the same way through the same tree.
-            let (rtt, fair, clients, completed) = fold_client_totals(&summaries);
-            assert_eq!(rtt, flat.client_rtt, "client rtt diverged at {shards}");
-            assert_eq!(fair, flat.client_fair, "client fair diverged at {shards}");
-            assert_eq!(clients, flat.clients);
-            assert_eq!(completed, flat.clients_completed);
+            let (rtt, fair) = (&top.client_rtt, &top.client_fair);
+            assert_eq!(rtt, &flat.client_rtt, "client rtt diverged at {shards}");
+            assert_eq!(fair, &flat.client_fair, "client fair diverged at {shards}");
+            assert_eq!(top.clients, flat.clients);
+            assert_eq!(top.clients_completed, flat.clients_completed);
         }
     }
 
@@ -1596,28 +1527,33 @@ mod tests {
         }
         // The root fold sees K such objects; its work is K bucket-wise
         // merges over fixed-capacity arrays. Totals still come out exact.
-        let (rtt, fair, clients, completed) = fold_client_totals(&summaries);
-        assert_eq!(clients, k as u64 * clients_per_shard);
-        assert_eq!(completed, k as u64 * clients_per_shard);
-        assert_eq!(rtt.count(), k as u64 * clients_per_shard);
-        assert_eq!(fair.count(), k as u64 * clients_per_shard);
-        assert!(rtt.nonzero_buckets().len() <= BUCKET_CAPACITY);
+        let mut total = ShardSummary::default();
+        for s in &summaries {
+            total.merge(s);
+        }
+        assert_eq!(total.clients, k as u64 * clients_per_shard);
+        assert_eq!(total.clients_completed, k as u64 * clients_per_shard);
+        assert_eq!(total.client_rtt.count(), k as u64 * clients_per_shard);
+        assert_eq!(total.client_fair.count(), k as u64 * clients_per_shard);
+        assert!(total.client_rtt.nonzero_buckets().len() <= BUCKET_CAPACITY);
     }
 
     /// The fd budget counts streams, not edges: a 100-node grid on four
     /// data threads holds 6 ordered pairs of distinct groups, whatever its
     /// 180 edges; one thread holds no stream at all; a process per node
-    /// leaves the parent the control tree.
+    /// leaves the parent the control tree. Control costs 2 fds per group
+    /// and 2 per shard, not 2 per node.
     #[test]
     fn nofile_budget_counts_streams_between_groups() {
         let grid = ssmfp_topology::gen::grid(10, 10);
         let slack = 64;
+        // Streams, listeners and `epoll` sets, then control.
         let four = nofile_budget(&grid, &shard_ranges(100, 4), &RunMode::Inproc);
-        assert_eq!(four, 2 * 6 + 2 * 4 + 2 * 100 + 2 * 4 + slack);
+        assert_eq!(four, 2 * 6 + 2 * 4 + (2 * 4 + 2 * 4) + slack);
         let one = nofile_budget(&grid, &shard_ranges(100, 1), &RunMode::Inproc);
-        assert_eq!(one, 2 + 2 * 100 + 2 + slack);
+        assert_eq!(one, 2 + (2 + 2) + slack);
         let each = nofile_budget(&grid, &shard_ranges(100, 100), &RunMode::Inproc);
-        assert_eq!(each, 2 * 2 * 180 + 2 * 100 + 2 * 100 + 2 * 100 + slack);
+        assert_eq!(each, 2 * 2 * 180 + 2 * 100 + (2 * 100 + 2 * 100) + slack);
         let proc = RunMode::Proc {
             exe: PathBuf::from("ssmfp-cluster"),
         };
@@ -1627,14 +1563,22 @@ mod tests {
         );
     }
 
+    /// A shard of one inproc group, node `id`: the orchestrator's end of
+    /// the shard's socketpair, the shard's end, the group's end of its
+    /// control pipe, and the shard's slot for it.
+    fn shard_of_one(id: NodeId) -> (UnixStream, UnixStream, UnixStream, Vec<GroupSlot>) {
+        let (orch_side, orch) = UnixStream::pair().unwrap();
+        let (sup_side, group_side) = UnixStream::pair().unwrap();
+        sup_side.set_nonblocking(true).unwrap();
+        let slots = vec![GroupSlot::new(&[id], sup_side, None)];
+        (orch_side, orch, group_side, slots)
+    }
+
     /// A wait that cannot work ends the shard with the error instead of
     /// spinning it at full CPU with the error dropped.
     #[test]
     fn a_broken_poller_ends_the_shard_with_an_error() {
-        let (_orch_side, orch) = UnixStream::pair().unwrap();
-        let (sup_side, _node_side) = UnixStream::pair().unwrap();
-        sup_side.set_nonblocking(true).unwrap();
-        let mut slots = vec![NodeSlot::new(0, NodeCtrl::Thread(sup_side))];
+        let (_orch_side, orch, _group_side, mut slots) = shard_of_one(0);
         let mut poll = watch(&orch, &mut slots).unwrap();
         poll.break_for_test();
         let outcome = supervise_briefly(poll, orch, slots);
@@ -1647,7 +1591,7 @@ mod tests {
     fn supervise_briefly(
         mut poll: Poller,
         orch: UnixStream,
-        mut slots: Vec<NodeSlot>,
+        mut slots: Vec<GroupSlot>,
     ) -> Result<Result<(), String>, RecvTimeoutError> {
         let (tx, rx) = std::sync::mpsc::channel();
         thread::spawn(move || {
@@ -1657,18 +1601,15 @@ mod tests {
         rx.recv_timeout(Duration::from_secs(5))
     }
 
-    /// A node that writes a `status` line the codec refuses ends its shard
+    /// A group that writes a `status` line the codec refuses ends its shard
     /// at once, with an error naming the node and the line, instead of
-    /// leaving the shard on the node's last good status until the run
+    /// leaving the shard on the group's last good status until the run
     /// times out.
     #[test]
     fn a_refused_status_line_ends_the_shard_with_an_error() {
-        let (_orch_side, orch) = UnixStream::pair().unwrap();
-        let (sup_side, mut node_side) = UnixStream::pair().unwrap();
-        sup_side.set_nonblocking(true).unwrap();
-        let mut slots = vec![NodeSlot::new(7, NodeCtrl::Thread(sup_side))];
+        let (_orch_side, orch, mut group_side, mut slots) = shard_of_one(7);
         let poll = watch(&orch, &mut slots).unwrap();
-        node_side
+        group_side
             .write_all(b"ready here\nstatus 0 1 1 2 2 0 0\nstatus 0 1 x 2 2 0 0\n")
             .unwrap();
         let outcome = supervise_briefly(poll, orch, slots);
@@ -1677,6 +1618,44 @@ mod tests {
             err,
             "node 7 wrote a line the shard refuses: \"status 0 1 x 2 2 0 0\""
         );
+    }
+
+    /// A group whose pipe closes mid-run — a killed worker, a panicked
+    /// data thread — ends its shard at once, naming the node that sent no
+    /// report, instead of leaving the root to wait out its timeout for a
+    /// quiet cut that never comes.
+    #[test]
+    fn a_pipe_that_closes_mid_run_ends_the_shard_at_once() {
+        let (mut orch_side, orch, mut group_side, mut slots) = shard_of_one(3);
+        let poll = watch(&orch, &mut slots).unwrap();
+        // The shard reads the orchestrator's lines before a group's, so it
+        // is running by the time it reads `ready` and then EOF.
+        group_side.write_all(b"ready here\n").unwrap();
+        orch_side.write_all(b"start\n").unwrap();
+        drop(group_side);
+        let outcome = supervise_briefly(poll, orch, slots);
+        let err = outcome
+            .expect("the shard waited for its timeout")
+            .unwrap_err();
+        assert_eq!(err, "node 3 hung up before its report");
+    }
+
+    /// A group's `error` line ends its shard at once, and the shard's
+    /// error carries the line — behind the node that never got ready, if
+    /// it failed on the way up.
+    #[test]
+    fn a_group_error_line_ends_the_shard_with_it() {
+        for (said, want) in [
+            ("ready here\nerror 3 boom\n", "error 3 boom"),
+            ("error 3 boom\n", "node 3 exited before ready: error 3 boom"),
+        ] {
+            let (_orch_side, orch, mut group_side, mut slots) = shard_of_one(3);
+            let poll = watch(&orch, &mut slots).unwrap();
+            group_side.write_all(said.as_bytes()).unwrap();
+            let outcome = supervise_briefly(poll, orch, slots);
+            let err = outcome.expect("the shard kept running").unwrap_err();
+            assert_eq!(err, want);
+        }
     }
 
     /// A merged status of two nodes, both done, nothing held or buffered,
