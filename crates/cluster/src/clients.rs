@@ -165,8 +165,8 @@ pub struct ClientMux {
     /// Open-loop arrival schedule: `(due_us, session)` min-heap, in µs
     /// from `origin_us`.
     arrivals: BinaryHeap<Reverse<(u64, u32)>>,
-    /// The clock reading of the first `next` call: callers pass epoch
-    /// stamps, the schedule counts from zero.
+    /// The clock reading of the first `next` call: callers pass their
+    /// clock's µs, the schedule counts from zero.
     origin_us: Option<u64>,
     /// Issues still owed across all sessions (drives `done_issuing`).
     remaining_issues: u64,
@@ -529,8 +529,8 @@ mod tests {
 
     #[test]
     fn open_loop_paces_from_the_first_call_not_from_zero() {
-        // `node_main` passes epoch stamps: the schedule must count from
-        // the first one, or every arrival is due at once.
+        // A node passes its group's clock, µs far from zero: the schedule
+        // must count from the first one, or every arrival is due at once.
         let s = spec(
             WorkloadKind::Open {
                 rate_per_sec: 100.0,

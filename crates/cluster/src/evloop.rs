@@ -8,8 +8,9 @@
 //! shard is the group's too, not a member's. None of them owns the
 //! thread, the readiness set or the clock: the `node.main` thread
 //! (`crate::node::run_group`) owns one [`Poller`] — a persistent,
-//! level-triggered `epoll` set — for the whole group, reads the monotonic
-//! clock twice a turn and hands the reading down.
+//! level-triggered `epoll` set — for the whole group, and the group reads
+//! its clock — `monotonic_us` in a run — twice a turn and hands the
+//! reading down.
 //!
 //! A link is the paper's logical FIFO channel, not a kernel connection:
 //! to a member, `Hub::send` pushes the frame into its inbox — no
@@ -47,7 +48,7 @@
 //! (length-prefixed wire bytes, no intermediate `Vec` per frame) and one
 //! `write()` a turn ships everything pending, whichever links it belongs
 //! to. Under load the members' outboxes drain in bursts and frames
-//! coalesce further, bounded by the [`ClusterTuning`] byte/frame budgets
+//! coalesce further, bounded by the [`TUNING`] byte/frame budgets
 //! (`batch_max_bytes`, `batch_max_frames`), at which a stream is flushed
 //! mid-turn. The buffer never reallocates in steady state: it is
 //! pre-sized to the batch budget and `consume` recycles capacity.
@@ -89,7 +90,7 @@
 
 use crate::node::ListenSpec;
 use crate::telemetry::LogHistogram;
-use crate::tuning::{ClusterTuning, TUNING};
+use crate::tuning::TUNING;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use ssmfp_core::wire::{encode_frame, FrameReader, WireFrame, MAX_FRAME_LEN};
@@ -98,7 +99,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Raw syscall bindings. The workspace vendors no `libc`, and the only
 /// system interfaces the event loop needs are a handful of calls with a
@@ -146,6 +147,9 @@ mod sys {
     /// `RLIMIT_NOFILE` on Linux.
     pub const RLIMIT_NOFILE: i32 = 7;
 
+    /// `CLOCK_MONOTONIC` on Linux.
+    pub const CLOCK_MONOTONIC: i32 = 1;
+
     extern "C" {
         pub fn epoll_create1(flags: i32) -> i32;
         pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut epoll_event) -> i32;
@@ -159,6 +163,7 @@ mod sys {
             timeout: *const timespec,
             sigmask: *const u8,
         ) -> i32;
+        pub fn clock_gettime(clockid: i32, tp: *mut timespec) -> i32;
         pub fn getrlimit(resource: i32, rlim: *mut rlimit) -> i32;
         pub fn setrlimit(resource: i32, rlim: *const rlimit) -> i32;
     }
@@ -201,6 +206,18 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
             cur.rlim_cur
         }
     }
+}
+
+/// µs of `CLOCK_MONOTONIC`: the one time base of a data thread, for
+/// every deadline and every payload stamp. The clock never steps, and on
+/// Linux every process of a host reads the same one, so a stamp one node
+/// process took compares with a reading of another's.
+pub(crate) fn monotonic_us() -> u64 {
+    let mut ts = timespec_of(Duration::ZERO);
+    // SAFETY: `ts` is a live `timespec` the call only writes.
+    let rc = unsafe { sys::clock_gettime(sys::CLOCK_MONOTONIC, &mut ts) };
+    assert_eq!(rc, 0, "CLOCK_MONOTONIC is always readable");
+    ts.tv_sec as u64 * 1_000_000 + ts.tv_nsec as u64 / 1_000
 }
 
 fn timespec_of(d: Duration) -> sys::timespec {
@@ -704,6 +721,9 @@ const NOBODY: u32 = u32::MAX;
 /// Encoded size of a `Route` (length prefix, tag, two ids).
 const ROUTE_LEN: usize = 4 + 1 + 2 + 2;
 
+/// An idle stream's heartbeat period, µs.
+const HEARTBEAT_US: u64 = TUNING.heartbeat_ms * 1_000;
+
 /// The address a group with no neighbour outside it reports; none dials it.
 const UNLISTENED: &str = "unlistened";
 
@@ -720,12 +740,12 @@ struct OutStream {
     attempt: u32,
     /// A dial has succeeded before: the next one that does is a reconnect.
     connected: bool,
-    /// Next dial deadline while disconnected.
-    next_dial: Instant,
+    /// Next dial deadline (µs) while disconnected.
+    next_dial: u64,
     /// The stream gave up redialing (peer gone for good / shutdown race).
     dead: bool,
-    /// The last write, or the last heartbeat queued behind a full socket.
-    last_write: Instant,
+    /// When (µs) it last wrote, or queued a heartbeat behind a full socket.
+    last_write: u64,
     hb_clock: u64,
     /// The stream sits in the thread's [`Poller`] for writability: a
     /// `WouldBlock` left bytes in `out` and no flush has emptied it since.
@@ -785,11 +805,10 @@ struct Member {
 /// [`crate::node::run_group`] calls [`Hub::prepare`] once a turn — every
 /// stream flushed **once** — waits, hands [`Hub::dispatch`] the events
 /// under the [`HUB`] token, and steps the members whose
-/// [`Hub::inbound`] filled. No method here reads the monotonic clock:
-/// `now` comes down from the thread's loop (the shutdown flush, which
-/// waits on its own, is the exception).
+/// [`Hub::inbound`] filled. Every deadline and `now` is µs on the group's
+/// clock, handed down by the thread's loop: only [`Hub::shutdown`], whose
+/// flush really waits, reads [`monotonic_us`] itself.
 pub(crate) struct Hub {
-    t: &'static ClusterTuning,
     /// The listener and its dialable address (`uds:<path>` / `tcp:<addr>`).
     listener: Option<(NetListener, String)>,
     /// The id heartbeats carry: the group's first member.
@@ -817,13 +836,11 @@ impl Hub {
         seed: u64,
         poller: &Poller,
     ) -> io::Result<Self> {
-        let t = &TUNING;
         let listener = listen.map(|l| NetListener::bind(l, lead)).transpose()?;
         if let Some((l, _)) = &listener {
             poller.add(l.fd(), POLLIN, Poller::token(HUB, l.fd()))?;
         }
         Ok(Hub {
-            t,
             listener,
             lead,
             members: (0..members)
@@ -839,7 +856,7 @@ impl Hub {
             streams: Vec::new(),
             conns: Vec::new(),
             rng: ChaCha8Rng::seed_from_u64(seed),
-            scratch: vec![0u8; t.io_read_chunk],
+            scratch: vec![0u8; TUNING.io_read_chunk],
             stats: IoStats::default(),
         })
     }
@@ -871,7 +888,7 @@ impl Hub {
     /// no socket; every other neighbour's link rides the stream to that
     /// neighbour's address, opened here if it is the first. Dialing starts
     /// on the next `prepare`.
-    pub fn connect_peers(&mut self, index: usize, addrs: &[&str], now: Instant) {
+    pub fn connect_peers(&mut self, index: usize, addrs: &[&str]) {
         let p = self.members[index].id;
         let mut links = Vec::with_capacity(self.members[index].neighbors.len());
         for &q in &self.members[index].neighbors {
@@ -886,13 +903,13 @@ impl Hub {
                 self.streams.push(OutStream {
                     addr: addrs[q].to_string(),
                     stream: None,
-                    out: WriteBuf::with_capacity(self.t.batch_max_bytes + ROUTE_LEN + FRAME_MAX),
+                    out: WriteBuf::with_capacity(TUNING.batch_max_bytes + ROUTE_LEN + FRAME_MAX),
                     route: None,
                     attempt: 0,
                     connected: false,
-                    next_dial: now,
+                    next_dial: 0,
                     dead: false,
-                    last_write: now,
+                    last_write: 0,
                     hb_clock: 0,
                     blocked: false,
                 });
@@ -932,7 +949,7 @@ impl Hub {
         index: usize,
         to: NodeId,
         frame: &WireFrame,
-        now: Instant,
+        now: u64,
         poller: &Poller,
     ) -> io::Result<()> {
         let m = &self.members[index];
@@ -946,7 +963,7 @@ impl Hub {
             Link::Stream(i) => i,
             Link::Local(j, port) => {
                 let r = &mut self.members[j];
-                if r.queued[port] >= self.t.out_buf_cap_bytes / FRAME_MAX {
+                if r.queued[port] >= TUNING.out_buf_cap_bytes / FRAME_MAX {
                     self.stats.conn_frames_dropped += 1;
                 } else {
                     r.queued[port] += 1;
@@ -960,11 +977,11 @@ impl Hub {
             self.stats.conn_frames_dropped += 1;
             return Ok(());
         }
-        if s.out.pending() >= self.t.batch_max_bytes || s.out.frames() >= self.t.batch_max_frames {
+        if s.out.pending() >= TUNING.batch_max_bytes || s.out.frames() >= TUNING.batch_max_frames {
             self.flush_stream(i, now, poller)?;
         }
         let s = &mut self.streams[i];
-        if s.out.pending() + ROUTE_LEN + FRAME_MAX > self.t.out_buf_cap_bytes {
+        if s.out.pending() + ROUTE_LEN + FRAME_MAX > TUNING.out_buf_cap_bytes {
             // Congested or disconnected peer: bounded buffer, counted
             // wire drop, retransmission recovers.
             self.stats.conn_frames_dropped += 1;
@@ -985,9 +1002,9 @@ impl Hub {
     /// is flushed — once — and due heartbeats and dials fire. Returns the
     /// latest the group's links let the thread sleep: the nearest heartbeat
     /// or dial, at most a heartbeat period, `now` while an inbox holds frames.
-    pub fn prepare(&mut self, now: Instant, poller: &Poller) -> io::Result<Instant> {
+    pub fn prepare(&mut self, now: u64, poller: &Poller) -> io::Result<u64> {
         let idle = self.members.iter().all(|m| m.inbound.is_empty());
-        let mut deadline = if idle { now + self.t.heartbeat() } else { now };
+        let mut deadline = if idle { now + HEARTBEAT_US } else { now };
         for i in 0..self.streams.len() {
             if !self.streams[i].out.is_empty() {
                 self.flush_stream(i, now, poller)?;
@@ -996,7 +1013,7 @@ impl Hub {
             let s = &self.streams[i];
             if !s.dead {
                 deadline = deadline.min(match &s.stream {
-                    Some(_) => s.last_write + self.t.heartbeat(),
+                    Some(_) => s.last_write + HEARTBEAT_US,
                     None => s.next_dial,
                 });
             }
@@ -1013,7 +1030,7 @@ impl Hub {
     /// `WouldBlock`: every data socket is nonblocking.
     pub fn dispatch(
         &mut self,
-        now: Instant,
+        now: u64,
         events: &[(RawFd, i16)],
         poller: &Poller,
     ) -> io::Result<()> {
@@ -1057,27 +1074,28 @@ impl Hub {
     }
 
     /// The group stops: keeps writing blocked buffers until everything
-    /// pending drains or `io_flush_grace` expires — undelivered frames,
+    /// pending drains or `io_flush_grace_ms` expires — undelivered frames,
     /// and frames no member drained, become counted wire drops — unlinks a
     /// Unix-domain listener, and hands over the group's I/O stats. A cold
-    /// wait of its own clock, after the group has left its thread's loop,
-    /// on a set of its own that holds only the blocked streams: the
-    /// group's would wake on every readable connection and its control
-    /// pipe.
+    /// wait after the group has left its thread's loop, timed on
+    /// [`monotonic_us`] because it really waits, on a set of its own that
+    /// holds only the blocked streams: the group's would wake on every
+    /// readable connection and its control pipe.
     pub fn shutdown(&mut self) -> IoStats {
-        let deadline = Instant::now() + self.t.io_flush_grace();
+        let deadline = monotonic_us() + TUNING.io_flush_grace_ms * 1_000;
         if let Ok(mut set) = Poller::new() {
             // Their writability registrations were in the group's set.
             self.streams.iter_mut().for_each(|s| s.blocked = false);
             loop {
-                let now = Instant::now();
+                let now = monotonic_us();
                 let flushed =
                     (0..self.streams.len()).try_for_each(|i| self.flush_stream(i, now, &set));
                 let blocked = self.streams.iter().any(|s| s.blocked);
                 if flushed.is_err() || !blocked || now >= deadline {
                     break;
                 }
-                if set.wait(Some(deadline - now)).is_err() {
+                let wait = Duration::from_micros(deadline - now);
+                if set.wait(Some(wait)).is_err() {
                     break;
                 }
             }
@@ -1099,7 +1117,7 @@ impl Hub {
     /// from the `WouldBlock` that left bytes behind to the flush that
     /// empties the buffer. A stream that died took its registration with
     /// it (close removes).
-    fn flush_stream(&mut self, i: usize, now: Instant, poller: &Poller) -> io::Result<()> {
+    fn flush_stream(&mut self, i: usize, now: u64, poller: &Poller) -> io::Result<()> {
         let s = &mut self.streams[i];
         Self::write_pending(s, &mut self.stats, now);
         let want = s.stream.is_some() && !s.out.is_empty();
@@ -1121,7 +1139,7 @@ impl Hub {
     /// partially written frame cannot be resumed on a new connection) and
     /// the stream redials immediately; whatever it carries next starts
     /// with a `Route`.
-    fn write_pending(s: &mut OutStream, stats: &mut IoStats, now: Instant) {
+    fn write_pending(s: &mut OutStream, stats: &mut IoStats, now: u64) {
         let Some(stream) = &mut s.stream else { return };
         while !s.out.is_empty() {
             match stream.write(s.out.pending_bytes()) {
@@ -1141,7 +1159,7 @@ impl Hub {
         }
     }
 
-    fn disconnect(s: &mut OutStream, stats: &mut IoStats, now: Instant) {
+    fn disconnect(s: &mut OutStream, stats: &mut IoStats, now: u64) {
         s.stream = None;
         stats.conn_frames_dropped += s.out.reset() as u64;
         s.route = None;
@@ -1150,7 +1168,7 @@ impl Hub {
     }
 
     /// Fires stream `i`'s due dial or heartbeat.
-    fn run_timer(&mut self, i: usize, now: Instant, poller: &Poller) -> io::Result<()> {
+    fn run_timer(&mut self, i: usize, now: u64, poller: &Poller) -> io::Result<()> {
         let s = &mut self.streams[i];
         if s.dead {
             return Ok(());
@@ -1168,18 +1186,18 @@ impl Hub {
                 }
                 Err(_) => {
                     s.attempt += 1;
-                    if s.attempt > self.t.max_dial_attempts {
+                    if s.attempt > TUNING.max_dial_attempts {
                         s.dead = true;
                         self.stats.conn_frames_dropped += s.out.reset() as u64;
                         return Ok(());
                     }
-                    let backoff = self.t.backoff_ms(s.attempt);
+                    let backoff = TUNING.backoff_ms(s.attempt);
                     let jitter = self.rng.gen_range(0..=backoff / 2);
-                    s.next_dial = now + Duration::from_millis(backoff + jitter);
+                    s.next_dial = now + (backoff + jitter) * 1_000;
                     return Ok(());
                 }
             }
-        } else if now.duration_since(s.last_write) >= self.t.heartbeat() {
+        } else if now.saturating_sub(s.last_write) >= HEARTBEAT_US {
             s.hb_clock += 1;
             s.out.push_mark(&WireFrame::Heartbeat {
                 node: self.lead as u16,
@@ -1281,6 +1299,7 @@ mod tests {
     use ssmfp_core::message::GhostId;
     use ssmfp_core::wire::{ClientStamp, WireMessage};
     use std::fs::File;
+    use std::time::Instant;
 
     fn data_frame(seq: u64) -> WireFrame {
         WireFrame::Offer {
@@ -1426,8 +1445,8 @@ mod tests {
         let listen = ListenSpec::Uds { dir: dir.clone() };
         let mut hub = Hub::new(Some(&listen), 0, 1, 7, &poller).unwrap();
         hub.join(0, 0, vec![1, 2]);
-        let now = Instant::now();
-        hub.connect_peers(0, &["", &far_addr, &far_addr], now);
+        let now = monotonic_us();
+        hub.connect_peers(0, &["", &far_addr, &far_addr]);
         assert_eq!(hub.shape(), (1, 0), "two neighbours, one address");
         let (to_1, to_2) = (
             WireFrame::Route { src: 0, dst: 1 },
@@ -1456,7 +1475,7 @@ mod tests {
         let (mut conn, _) = far.accept().unwrap();
         assert_eq!(read_frames(&mut conn, 2), [to_1, d6]);
         // An idle stream's heartbeat is supervision: no batch of its own.
-        hub.prepare(now + TUNING.heartbeat(), &poller).unwrap();
+        hub.prepare(now + HEARTBEAT_US, &poller).unwrap();
         let beat = WireFrame::Heartbeat { node: 0, clock: 1 };
         assert_eq!(read_frames(&mut conn, 1), [beat]);
         let io = hub.shutdown();
@@ -1475,7 +1494,7 @@ mod tests {
             hub.join(p, p, neighbors.into_iter().flatten().collect());
         }
         for p in 0..4 {
-            hub.connect_peers(p, &[UNLISTENED; 4], Instant::now());
+            hub.connect_peers(p, &[UNLISTENED; 4]);
         }
         hub
     }
@@ -1488,7 +1507,7 @@ mod tests {
         let poller = Poller::new().unwrap();
         let mut hub = line4_group(&poller);
         assert_eq!(hub.addr(), UNLISTENED);
-        let now = Instant::now();
+        let now = monotonic_us();
         // By `[from][to]`, the next sequence number a link sends and the
         // next its receiver expects.
         let (mut next_out, mut next_in) = ([[0u64; 4]; 4], [[0u64; 4]; 4]);
@@ -1529,7 +1548,7 @@ mod tests {
     fn a_same_group_link_is_bounded_in_frames() {
         let poller = Poller::new().unwrap();
         let mut hub = line4_group(&poller);
-        let (now, bound, k) = (Instant::now(), TUNING.out_buf_cap_bytes / FRAME_MAX, 7);
+        let (now, bound, k) = (monotonic_us(), TUNING.out_buf_cap_bytes / FRAME_MAX, 7);
         assert!(bound >= 1_000, "{bound}");
         for seq in 0..(bound + k) as u64 {
             hub.send(1, 2, &data_frame(seq), now, &poller).unwrap();
@@ -1560,7 +1579,7 @@ mod tests {
     fn frames_no_member_drained_are_counted_drops_at_shutdown() {
         let poller = Poller::new().unwrap();
         let mut hub = line4_group(&poller);
-        let now = Instant::now();
+        let now = monotonic_us();
         for seq in 0..10 {
             hub.send(0, 1, &data_frame(seq), now, &poller).unwrap();
             hub.send(2, 1, &data_frame(seq), now, &poller).unwrap();

@@ -36,13 +36,14 @@
 //! holds what its members share — the graph and one BFS tree per
 //! destination, built once at bring-up, the links, the one control pipe
 //! to the shard and the one copy of the control state — and its one
-//! `turn` is the only copy of the iteration: read the clock, flush each
+//! `turn` is the only copy of the iteration: read the group's clock (µs
+//! of `CLOCK_MONOTONIC` in a run, a hand-set value in a test), flush each
 //! stream **once**, take the group's status cut if a member moved,
 //! prepare the nodes that stepped last turn, one wait on the thread's
 //! persistent `epoll` set ([`crate::evloop::Poller`]) to the nearest
-//! deadline of any node or stream or the status keep-alive — zero while an
-//! inbox holds frames — read the clock again, one dispatch for the group
-//! (accept, read each ready stream, demultiplex by `Route` into the
+//! deadline of any node or stream or the status keep-alive — zero while
+//! an inbox holds frames — read the clock again, one dispatch for the
+//! group (accept, read each ready stream, demultiplex by `Route` into the
 //! members' inboxes by local port, retry blocked writes), the control
 //! lines if the pipe is ready, then step, in slot order, the nodes that
 //! have frames or a passed deadline — the enabled ones — and nobody else.
@@ -112,7 +113,7 @@ use crate::chaos::{ChaosSpec, InboundChaos};
 use crate::clients::{ClientMux, ClientSpec};
 use crate::codec::{push_delta, report_block, shown};
 use crate::conc::COMPONENT;
-use crate::evloop::{Control, Hub, IoStats, Poller, CTRL, HUB};
+use crate::evloop::{monotonic_us, Control, Hub, IoStats, Poller, CTRL, HUB};
 use crate::frame::{frame_to_msg, msg_to_frame, msg_to_frame_client};
 use crate::telemetry::{LogHistogram, NodeCounters};
 use crate::tuning::TUNING;
@@ -127,7 +128,7 @@ use std::io;
 use std::os::unix::io::{FromRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::Duration;
 
 pub use crate::codec::{parse_report_body, write_report, NodeReport, Status};
 
@@ -167,15 +168,9 @@ pub struct NodeConfig {
     pub clients: Option<ClientSpec>,
 }
 
-/// Wall clock in µs, truncated to the payload stamp width. Latency is the
-/// wrapping difference, so absolute truncation is harmless.
-fn now_stamp() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap_or(Duration::ZERO)
-        .as_micros() as u64
-        & STAMP_MASK
-}
+/// The protocol tick, µs: how often a retransmission timer that runs is
+/// looked at.
+const TICK_US: u64 = TUNING.tick_ms * 1_000;
 
 /// The protocol side of a node — forwarder (its audit lists with it),
 /// traffic source, sink latency — apart from its sockets, so a test can
@@ -291,21 +286,15 @@ impl Engine {
         debug_assert!(self.fwd.timers_pending() || self.fwd.is_idle());
     }
 
-    /// How long until the traffic source next has something to send with
-    /// no ack arriving first (see the two `next_due_us`). Only a source
-    /// with an arrival schedule — an open loop still issuing, a client mux
-    /// — reads the wall clock for it: a closed loop's window opens on an
-    /// ack, an event, not a deadline.
-    fn until_due(&self) -> Option<Duration> {
-        if self.mux.is_none() && !self.gen.scheduled() {
-            return None;
+    /// When the traffic source next has something to send with no ack
+    /// arriving first, µs. Only a source with an arrival schedule — an
+    /// open loop still issuing, a client mux — has a deadline: a closed
+    /// loop's window opens on an ack, an event.
+    fn next_due_us(&self, now: u64) -> Option<u64> {
+        match &self.mux {
+            Some(mux) => mux.next_due_us(now),
+            None => self.gen.next_due_us(now),
         }
-        let stamp = now_stamp();
-        let due = match &self.mux {
-            Some(mux) => mux.next_due_us(stamp),
-            None => self.gen.next_due_us(stamp),
-        };
-        due.map(|due| Duration::from_micros(due.saturating_sub(stamp)))
     }
 
     fn done_issuing(&self) -> bool {
@@ -321,9 +310,10 @@ impl Engine {
 /// state ([`Group`]): it is handed the frames that arrived on its links
 /// and hands back the frames it sends. The group is the daemon — it picks
 /// when each node moves; no rule here depends on that choice. Nothing in
-/// here reads the monotonic clock either: `prepare` and `step` are handed
-/// the turn's reading (the wall-clock latency stamp, [`now_stamp`], is
-/// still taken where a message is enqueued or delivered).
+/// here reads a clock either: `prepare` and `step` are handed the turn's
+/// reading, µs on the group's clock, and `step` the clock itself, which
+/// [`Engine::turn`] reads for the payload stamps where a message is
+/// enqueued or delivered.
 struct Node {
     eng: Engine,
     /// The node's neighbours in local-port order.
@@ -336,14 +326,16 @@ struct Node {
     counters: NodeCounters,
     /// Whether a retransmission timer ran when `prepare` looked.
     ticking: bool,
-    last_tick: Instant,
+    /// The last timeout, or the last moment there was nothing to time
+    /// (`start` is the first), µs.
+    last_tick: u64,
     /// Ledger entries generated and delivered that [`Node::ship`] wrote
     /// and let go.
     shipped: [u64; 2],
 }
 
 impl Node {
-    fn new(cfg: &NodeConfig, graph: &Graph, next_hop: Vec<NodeId>, now: Instant) -> Self {
+    fn new(cfg: &NodeConfig, graph: &Graph, next_hop: Vec<NodeId>) -> Self {
         let p = cfg.node;
         let neighbors: Vec<NodeId> = graph.neighbors(p).to_vec();
         let eng = Engine::new(cfg, graph, next_hop);
@@ -361,7 +353,7 @@ impl Node {
             neighbors,
             counters: NodeCounters::default(),
             ticking: false,
-            last_tick: now,
+            last_tick: 0,
             shipped: [0; 2],
         }
     }
@@ -399,23 +391,24 @@ impl Node {
     /// stepping it would change nothing. (What it sent sits in an inbox or
     /// a stream buffer; [`Hub::prepare`] flushes the buffers. Its status is
     /// the group's, [`Group::status`].)
-    fn prepare(&mut self, now: Instant) -> Option<Instant> {
+    fn prepare(&mut self, now: u64) -> Option<u64> {
         self.ticking = self.eng.fwd.timers_pending();
-        let tick = self.ticking.then(|| self.last_tick + TUNING.tick());
+        let tick = self.ticking.then(|| self.last_tick + TICK_US);
         // A mux that ran out of budget is due at once.
-        let arrival = self.eng.until_due().map(|wait| now + wait);
-        tick.into_iter().chain(arrival).min()
+        tick.into_iter().chain(self.eng.next_due_us(now)).min()
     }
 
     /// After the wait, for member `index` of a started group that has
     /// frames in its [`Hub::inbound`] or whose deadline has passed at
     /// `now`: one protocol iteration, leaving what it sends in inboxes or
     /// in stream buffers for the next [`Hub::prepare`] to flush (same
-    /// stack, no queue, no wake).
+    /// stack, no queue, no wake). `clock` is the group's, read for the
+    /// payload stamps.
     fn step(
         &mut self,
         index: usize,
-        now: Instant,
+        now: u64,
+        clock: fn() -> u64,
         hub: &mut Hub,
         poller: &Poller,
     ) -> io::Result<()> {
@@ -445,11 +438,11 @@ impl Node {
         // then the workload. The tick counts from the last timeout or the
         // last moment there was nothing to time. The adversarial-scheduler
         // suite proves correctness at any firing schedule.
-        let fire = worked || (self.ticking && now.duration_since(self.last_tick) >= TUNING.tick());
+        let fire = worked || (self.ticking && now.saturating_sub(self.last_tick) >= TICK_US);
         if fire || !self.ticking {
             self.last_tick = now;
         }
-        self.eng.turn(fire, now_stamp);
+        self.eng.turn(fire, clock);
 
         for (to, msg) in self.eng.out.drain() {
             self.counters.frames_sent += 1;
@@ -498,8 +491,8 @@ impl Node {
 /// One member of a [`Group`].
 struct Slot {
     node: Node,
-    /// The node's nearest deadline, as its last `prepare` computed it.
-    deadline: Option<Instant>,
+    /// The node's nearest deadline, µs, as its last `prepare` computed it.
+    deadline: Option<u64>,
     /// Stepped last turn: its deadline is stale, so the next turn
     /// prepares it first.
     stepped: bool,
@@ -538,6 +531,9 @@ fn next_hops(graph: &Graph, ids: &[NodeId]) -> Vec<Vec<NodeId>> {
 /// one status line for them all, and per member a deadline. [`Group::turn`]
 /// is the only copy of the iteration — [`run_group`] loops on it.
 struct Group {
+    /// µs on the group's one time base: every deadline, every `now` and
+    /// every payload stamp of its members.
+    clock: fn() -> u64,
     poller: Poller,
     hub: Hub,
     ctrl: Control,
@@ -557,8 +553,8 @@ struct Group {
     moved: bool,
     /// The last status line the group wrote.
     pushed: Option<Status>,
-    /// When the next keep-alive line is due.
-    keepalive: Instant,
+    /// When the next keep-alive line is due, µs: the first at `start`.
+    keepalive: u64,
     /// The bytes of the next status line and its ledger deltas (recycled).
     line: Vec<u8>,
 }
@@ -569,8 +565,9 @@ impl Group {
     /// listener — per the first member's `listen`, named after it, if a
     /// member has a neighbour outside to dial it — seats every node, and
     /// writes `ready <addr>` up the pipe. A failure after the pipe is
-    /// registered goes up it as an `error` line.
-    fn new(cfgs: Vec<NodeConfig>, pipe: UnixStream) -> io::Result<Self> {
+    /// registered goes up it as an `error` line. `clock` is the group's
+    /// time base, [`monotonic_us`] in a run.
+    fn new(cfgs: Vec<NodeConfig>, pipe: UnixStream, clock: fn() -> u64) -> io::Result<Self> {
         let lead = cfgs.first().ok_or_else(|| io::Error::other("no nodes"))?;
         let poller = Poller::new()?;
         let mut ctrl = Control::new(pipe, &poller)?;
@@ -585,14 +582,13 @@ impl Group {
             Ok((graph, hub))
         };
         let (graph, mut hub) = bring_up().map_err(|e| ctrl.fail(lead.node, e))?;
-        let now = Instant::now();
         let tables = next_hops(&graph, &ids);
         let slots: Vec<Slot> = cfgs
             .iter()
             .zip(tables)
             .enumerate()
             .map(|(i, (cfg, table))| {
-                let node = Node::new(cfg, &graph, table, now);
+                let node = Node::new(cfg, &graph, table);
                 hub.join(i, cfg.node, node.neighbors.clone());
                 Slot {
                     node,
@@ -605,6 +601,7 @@ impl Group {
             .collect();
         ctrl.write_line(format!("ready {}\n", hub.addr()).as_bytes())?;
         Ok(Group {
+            clock,
             poller,
             hub,
             ctrl,
@@ -617,7 +614,7 @@ impl Group {
             probe: 0,
             moved: false,
             pushed: None,
-            keepalive: now,
+            keepalive: 0,
             line: Vec::new(),
         })
     }
@@ -628,7 +625,7 @@ impl Group {
     /// `stop`, or the pipe closed after `start`. A line that is not
     /// exactly one the shard writes, or comes out of order, ends the
     /// group: a probe it cannot read would go unanswered.
-    fn obey(&mut self, now: Instant) -> io::Result<bool> {
+    fn obey(&mut self, now: u64) -> io::Result<bool> {
         for line in std::mem::take(&mut self.ctrl.lines) {
             let (verb, rest) = line.split_once(' ').unwrap_or((&line, ""));
             match verb {
@@ -638,7 +635,7 @@ impl Group {
                         return Err(refused(&line));
                     }
                     for i in 0..self.slots.len() {
-                        self.hub.connect_peers(i, &addrs, now);
+                        self.hub.connect_peers(i, &addrs);
                     }
                     self.peers_wired = true;
                 }
@@ -696,7 +693,7 @@ impl Group {
     /// be quiet, so a turn takes none — and scans no `held_count` — unless
     /// a probe or the keep-alive asks for one. Returns the keep-alive
     /// deadline while the group runs.
-    fn status(&mut self, now: Instant) -> io::Result<Option<Instant>> {
+    fn status(&mut self, now: u64) -> io::Result<Option<u64>> {
         if !self.started {
             return Ok(None);
         }
@@ -735,7 +732,7 @@ impl Group {
         }
         self.ctrl.write_line(&self.line)?;
         self.pushed = Some(cut);
-        self.keepalive = now + TUNING.status_every();
+        self.keepalive = now + TUNING.status_every_ms * 1_000;
         Ok(Some(self.keepalive))
     }
 
@@ -771,7 +768,7 @@ impl Group {
     fn try_turn(&mut self) -> Result<bool, (NodeId, io::Error)> {
         let lead = self.lead;
         let group = |e| (lead, e);
-        let now = Instant::now();
+        let now = (self.clock)();
         let mut wake = self.hub.prepare(now, &self.poller).map_err(group)?;
         if let Some(keepalive) = self.status(now).map_err(group)? {
             wake = wake.min(keepalive);
@@ -788,7 +785,7 @@ impl Group {
             }
         }
         let mut ctrl_ready = false;
-        let timeout = wake.saturating_duration_since(now);
+        let timeout = Duration::from_micros(wake.saturating_sub(now));
         for &(token, events) in self.poller.wait(Some(timeout)).map_err(group)? {
             let (owner, fd) = Poller::untoken(token);
             if owner == HUB {
@@ -797,7 +794,7 @@ impl Group {
                 ctrl_ready = true;
             }
         }
-        let now = Instant::now();
+        let now = (self.clock)();
         let dispatched = self.hub.dispatch(now, &self.hub_events, &self.poller);
         self.hub_events.clear();
         dispatched.map_err(group)?;
@@ -825,7 +822,8 @@ impl Group {
             }
             slot.stepped = true;
             self.moved = true;
-            let stepped = slot.node.step(i, now, &mut self.hub, &self.poller);
+            let (clock, hub, poller) = (self.clock, &mut self.hub, &self.poller);
+            let stepped = slot.node.step(i, now, clock, hub, poller);
             stepped.map_err(|e| (slot.node.eng.p, e))?;
         }
         Ok(false)
@@ -846,7 +844,7 @@ pub(crate) fn run_group(cfgs: Vec<NodeConfig>, pipe: UnixStream) -> io::Result<(
     // shard's spawn already registered it (re-registration is
     // idempotent). Either way the declared role holds from here on.
     register_thread(COMPONENT, "node.main");
-    let mut group = Group::new(cfgs, pipe)?;
+    let mut group = Group::new(cfgs, pipe, monotonic_us)?;
     while !group.turn()? {}
     Ok(())
 }
@@ -866,7 +864,25 @@ mod tests {
     use super::*;
     use crate::codec::ReportFold;
     use crate::evloop::take_lines;
+    use std::cell::Cell;
     use std::io::Write;
+    use std::time::Instant;
+
+    thread_local! {
+        /// A test's hand-set clock, µs: it moves only when the test moves
+        /// it. Each test runs on a thread of its own.
+        static HAND_US: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The hand-set clock, as a group's `clock`.
+    fn hand_clock() -> u64 {
+        HAND_US.with(Cell::get)
+    }
+
+    /// Moves the hand-set clock `us` µs on.
+    fn advance(us: u64) {
+        HAND_US.with(|c| c.set(c.get() + us));
+    }
 
     /// The node's iteration on `line:5` over in-memory FIFO links with
     /// the tick branch off: the timeout fires only after an iteration that
@@ -956,7 +972,7 @@ mod tests {
     /// every destination is node 0, or node 1 for node 0 — so one
     /// handshake is in flight at a time and a warm vector never needs to
     /// grow; nobody else sends anything. `pair` is the busy link
-    /// [`Rig::turn_until`] watches.
+    /// [`Rig::turn_until`] watches, and every group runs on `clock`.
     struct Rig {
         /// By group; `None` once it ended, its pipe closed with it.
         groups: Vec<Option<Group>>,
@@ -979,7 +995,14 @@ mod tests {
     }
 
     impl Rig {
-        fn new(tag: &str, sizes: &[usize], source: NodeId, quota: u64, pair: [NodeId; 2]) -> Self {
+        fn new(
+            tag: &str,
+            sizes: &[usize],
+            source: NodeId,
+            quota: u64,
+            pair: [NodeId; 2],
+            clock: fn() -> u64,
+        ) -> Self {
             use crate::evloop::POLLIN;
             use crate::workload::{WorkloadKind, WorkloadSpec};
             use std::io::Read;
@@ -1009,7 +1032,10 @@ mod tests {
                         clients: None,
                     });
                     let (sup_side, group_side) = UnixStream::pair().unwrap();
-                    (sup_side, Group::new(cfgs.collect(), group_side).unwrap())
+                    (
+                        sup_side,
+                        Group::new(cfgs.collect(), group_side, clock).unwrap(),
+                    )
                 })
                 .unzip();
             let mut groups: Vec<Option<Group>> = groups.into_iter().map(Some).collect();
@@ -1102,28 +1128,33 @@ mod tests {
             self.nodes().find(|n| n.eng.p == p).expect("a live node")
         }
 
-        /// One turn of every live group, in order — a group that ends is
-        /// dropped, closing its pipe — then, as a shard would, whatever
-        /// they wrote up their control pipes, read without waiting: a pipe
-        /// nobody reads fills, and a group's next line blocks.
+        /// One turn of every live group, in order.
         fn turn(&mut self) {
+            for g in 0..self.groups.len() {
+                self.turn_group(g);
+            }
+        }
+
+        /// One turn of group `g` if it is live — a group that ends is
+        /// dropped, closing its pipe — then, as a shard would, whatever it
+        /// wrote up its control pipe, read without waiting: a pipe nobody
+        /// reads fills, and a group's next line blocks.
+        fn turn_group(&mut self, g: usize) {
             use std::io::Read;
-            for (group, outcome) in self.groups.iter_mut().zip(&mut self.outcomes) {
-                let ended = match group.as_mut().map(Group::turn) {
-                    None | Some(Ok(false)) => continue,
-                    Some(Ok(true)) => Ok(()),
-                    Some(Err(e)) => Err(e.to_string()),
-                };
-                (*group, *outcome) = (None, Some(ended));
+            let ended = match self.groups[g].as_mut().map(Group::turn) {
+                None | Some(Ok(false)) => None,
+                Some(Ok(true)) => Some(Ok(())),
+                Some(Err(e)) => Some(Err(e.to_string())),
+            };
+            if ended.is_some() {
+                (self.groups[g], self.outcomes[g]) = (None, ended);
             }
-            let mut buf = [0u8; 4096];
-            for (s, heard) in self.supervisor.iter_mut().zip(&mut self.heard) {
-                s.set_nonblocking(true).unwrap();
-                while let Ok(k @ 1..) = s.read(&mut buf) {
-                    heard.extend_from_slice(&buf[..k]);
-                }
-                s.set_nonblocking(false).unwrap();
+            let (s, mut buf) = (&mut self.supervisor[g], [0u8; 4096]);
+            s.set_nonblocking(true).unwrap();
+            while let Ok(k @ 1..) = s.read(&mut buf) {
+                self.heard[g].extend_from_slice(&buf[..k]);
             }
+            s.set_nonblocking(false).unwrap();
         }
 
         /// Turns, `each_turn` after every round, until both nodes of the
@@ -1163,8 +1194,8 @@ mod tests {
     /// The split, node 2 a stop-and-wait source to node 0: every frame
     /// of the run crosses the `1 ↔ 2` edge, the one link between the
     /// groups.
-    fn split_rig(tag: &str, quota: u64) -> Rig {
-        Rig::new(tag, &[2, 2], 2, quota, [1, 2])
+    fn split_rig(tag: &str, quota: u64, clock: fn() -> u64) -> Rig {
+        Rig::new(tag, &[2, 2], 2, quota, [1, 2], clock)
     }
 
     /// Four nodes of one thread, driven through the [`Group::turn`] that
@@ -1173,7 +1204,7 @@ mod tests {
     /// allocation, same capacity, however many frames pass through it.
     #[test]
     fn steady_state_iterations_never_realloc_inbound() {
-        let mut rig = Rig::new("pin", &[4], 0, 1_000_000, [0, 1]);
+        let mut rig = Rig::new("pin", &[4], 0, 1_000_000, [0, 1], monotonic_us);
         rig.turn_until(300, &mut |_| {});
         let pin = |rig: &mut Rig, i| {
             let inbound = rig.group_mut(0).hub.inbound(i);
@@ -1202,7 +1233,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn a_turn_steps_only_members_that_are_ready_or_due() {
-        let mut rig = Rig::new("ready-or-due", &[4], 0, 1_000_000, [0, 1]);
+        let mut rig = Rig::new("ready-or-due", &[4], 0, 1_000_000, [0, 1], monotonic_us);
         rig.turn_until(3_000, &mut |_| {});
         let slots: Vec<&StepAudit> = rig.group(0).slots.iter().map(|s| &s.audit).collect();
         for s in &slots {
@@ -1221,13 +1252,43 @@ mod tests {
         }
     }
 
+    /// The tick runs on the group's clock. Only the source's group turns,
+    /// so node 2's `Offer` across `1 ↔ 2` goes unanswered and its
+    /// retransmission timer runs: its tick is all that can step it. On a
+    /// clock that stands still the tick never comes, however many turns;
+    /// `tick_ms` less 1 µs on, still not; 1 µs more, exactly once.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn the_tick_waits_for_the_groups_clock() {
+        let mut rig = split_rig("tick", 1, hand_clock);
+        let ticks = |rig: &Rig| rig.group(1).slots[0].audit.deadlines_due;
+        rig.turn_group(1);
+        let started = ticks(&rig);
+        for _ in 0..300 {
+            rig.turn_group(1);
+        }
+        let source = rig.node(2);
+        assert!(source.ticking && source.counters.frames_received == 0);
+        assert_eq!(ticks(&rig), started, "a clock that stands still");
+        advance(TICK_US - 1);
+        for _ in 0..30 {
+            rig.turn_group(1);
+        }
+        assert_eq!(ticks(&rig), started, "1 µs short of the tick");
+        advance(1);
+        for _ in 0..30 {
+            rig.turn_group(1);
+        }
+        assert_eq!(ticks(&rig), started + 1);
+    }
+
     /// One status line per group, for all its members, the turn the
-    /// group's cut goes quiet — not one per turn, not one per member — and
-    /// one answer per probe wave.
+    /// group's cut goes quiet — not one per turn, not one per member — one
+    /// keep-alive per `status_every` of the group's clock, and one answer
+    /// per probe wave.
     #[test]
     fn a_group_writes_one_status_line_per_quiet_edge() {
-        let began = Instant::now();
-        let mut rig = Rig::new("status", &[4], 0, 20, [0, 1]);
+        let mut rig = Rig::new("status", &[4], 0, 20, [0, 1], hand_clock);
         let pushed = |rig: &Rig| rig.group(0).pushed;
         let mut turns = 0u64;
         while !pushed(&rig).is_some_and(|s| s.quiet(4)) {
@@ -1241,17 +1302,22 @@ mod tests {
             (40, 40),
             "20 primaries, 20 acks"
         );
-        // The first line after `start`, the quiet edge, and keep-alives.
+        // The clock stood still: the first line after `start` and the
+        // quiet edge, however many turns that took.
         let lines = rig.statuses(0);
-        let periods = began.elapsed().as_micros() / TUNING.status_every().as_micros();
-        assert!(
-            lines.len() as u128 <= periods + 2 && lines.len() as u64 * 4 < turns,
-            "{} lines in {turns} turns over {periods} status periods",
-            lines.len()
-        );
-        assert_eq!(lines.last(), Some(&quiet));
-        assert_eq!(lines.iter().filter(|s| s.quiet(4)).count(), 1);
+        assert_eq!(lines.len(), 2, "{lines:?} in {turns} turns");
+        assert!(!lines[0].quiet(4) && lines[1] == quiet, "{lines:?}");
         assert!(lines.iter().all(|s| s.nodes == 4), "one line a group");
+        // Then a keep-alive each `status_every`, and none a µs sooner.
+        let every = TUNING.status_every_ms * 1_000;
+        for k in 1..=3 {
+            advance(every - 1);
+            (0..3).for_each(|_| rig.turn());
+            assert_eq!(rig.statuses(0).len(), 1 + k, "1 µs short");
+            advance(1);
+            (0..3).for_each(|_| rig.turn());
+            assert_eq!(rig.statuses(0).len(), 2 + k);
+        }
 
         writeln!(rig.supervisor[0], "probe 7").unwrap();
         while pushed(&rig).unwrap().wave < 7 {
@@ -1287,7 +1353,7 @@ mod tests {
     /// draws carry empty `gen` and `del` lines.
     #[test]
     fn a_quiet_edge_ships_every_ledger_entry() {
-        let mut rig = Rig::new("ledger", &[4], 0, 20, [0, 1]);
+        let mut rig = Rig::new("ledger", &[4], 0, 20, [0, 1], monotonic_us);
         let mut turns = 0u64;
         let quiet = loop {
             if let Some(s) = rig.group(0).pushed.filter(|s| s.quiet(4)) {
@@ -1349,7 +1415,7 @@ mod tests {
     /// most once, whatever the frames it carries.
     #[test]
     fn a_turn_flushes_each_stream_once() {
-        let mut rig = split_rig("once", 1_000_000);
+        let mut rig = split_rig("once", 1_000_000, monotonic_us);
         let mut turns = 0u64;
         rig.turn_until(3_000, &mut |_| turns += 1);
         let sent: u64 = rig.nodes().map(|n| n.counters.frames_sent).sum();
@@ -1376,7 +1442,7 @@ mod tests {
     fn a_route_to_a_stranger_drops_the_connection() {
         use ssmfp_core::wire::encode_frame;
         use std::io::Read;
-        let mut rig = split_rig("stranger", 1_000_000);
+        let mut rig = split_rig("stranger", 1_000_000, monotonic_us);
         rig.turn_until(30, &mut |_| {});
         let addr = rig.group(0).hub.addr();
         let path = addr.strip_prefix("uds:").unwrap().to_string();
@@ -1418,7 +1484,7 @@ mod tests {
     /// once.
     #[test]
     fn a_cut_stream_redials_and_the_run_stays_clean() {
-        let mut rig = split_rig("cut", 400);
+        let mut rig = split_rig("cut", 400, monotonic_us);
         rig.turn_until(300, &mut |_| {});
         rig.group_mut(1).hub.cut_stream_for_test(0);
         let quiet = |rig: &Rig| {
@@ -1457,7 +1523,7 @@ mod tests {
     #[test]
     fn a_broken_poller_ends_the_group_with_an_error() {
         use std::io::Read;
-        let mut rig = Rig::new("broken", &[4], 0, 1_000_000, [0, 1]);
+        let mut rig = Rig::new("broken", &[4], 0, 1_000_000, [0, 1], monotonic_us);
         rig.turn_until(30, &mut |_| {});
         rig.group_mut(0).poller.break_for_test();
         rig.turn();
@@ -1481,7 +1547,7 @@ mod tests {
         let long = format!("probe 1{}", "0".repeat(80));
         let shown_long = format!("\"{}\"…", &long[..64]);
         for (line, shown) in [("probe x", "\"probe x\""), (&long, &shown_long)] {
-            let mut rig = Rig::new("refuse", &[4], 0, 20, [0, 1]);
+            let mut rig = Rig::new("refuse", &[4], 0, 20, [0, 1], monotonic_us);
             writeln!(rig.supervisor[0], "{line}").unwrap();
             while rig.outcomes[0].is_none() {
                 rig.turn();
@@ -1518,7 +1584,7 @@ mod tests {
                     clients: None,
                 });
                 let (_supervisor, pipe) = UnixStream::pair().unwrap();
-                let group = Group::new(cfgs.collect(), pipe).unwrap();
+                let group = Group::new(cfgs.collect(), pipe, monotonic_us).unwrap();
                 for eng in group.slots.iter().map(|s| &s.node.eng) {
                     for d in (0..n).filter(|&d| d != eng.p) {
                         let parent = BfsTree::new(&graph, d).parent(eng.p);

@@ -2,7 +2,7 @@
 //! [`Transport`] trait, so the shared exactly-once suite
 //! (`ssmfp_mp::suite`) runs over the socket path that ships.
 
-use crate::evloop::{raise_nofile_limit, Hub, Poller};
+use crate::evloop::{monotonic_us, raise_nofile_limit, Hub, Poller};
 use crate::frame::{frame_to_msg, msg_to_frame};
 use crate::node::ListenSpec;
 use crate::orchestrator::shard_ranges;
@@ -11,11 +11,11 @@ use ssmfp_topology::Graph;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long [`Transport::busy_links`] waits for frames that have neither
 /// arrived nor been dropped before it calls the links broken.
-const PATIENCE: Duration = Duration::from_secs(10);
+const PATIENCE_US: u64 = 10_000_000;
 
 /// The nodes of a topology in groups, as data threads hold them: one
 /// `Hub` per group, all on the calling thread and in one [`Poller`] (a
@@ -90,7 +90,7 @@ impl PolledTransport {
         let addrs: Vec<String> = seat.iter().map(|&(g, _)| hubs[g].addr().into()).collect();
         let addrs: Vec<&str> = addrs.iter().map(String::as_str).collect();
         for &(g, i) in &seat {
-            hubs[g].connect_peers(i, &addrs, Instant::now());
+            hubs[g].connect_peers(i, &addrs);
         }
         PolledTransport {
             queues: (0..graph.n())
@@ -129,19 +129,19 @@ impl PolledTransport {
     /// One turn of every group's links, waiting at most `timeout` — less
     /// if a stream's dial or heartbeat is due sooner — then every inbox
     /// into the link queues.
-    fn pump(&mut self, timeout: Duration) {
-        let now = Instant::now();
-        let mut wake = now + timeout;
+    fn pump(&mut self, timeout_us: u64) {
+        let now = monotonic_us();
+        let mut wake = now + timeout_us;
         for hub in &mut self.hubs {
             wake = wake.min(hub.prepare(now, &self.poller).expect("hub flush"));
         }
-        let ready = self.poller.wait(Some(wake.saturating_duration_since(now)));
-        let ready = ready.expect("transport wait").iter();
+        let wait = Duration::from_micros(wake.saturating_sub(now));
+        let ready = self.poller.wait(Some(wait)).expect("transport wait").iter();
         let events: Vec<_> = ready
             .map(|&(token, ev)| (Poller::untoken(token).1, ev))
             .collect();
         for hub in &mut self.hubs {
-            hub.dispatch(Instant::now(), &events, &self.poller)
+            hub.dispatch(monotonic_us(), &events, &self.poller)
                 .expect("hub read");
         }
         for (p, &(g, i)) in self.seat.iter().enumerate() {
@@ -162,23 +162,23 @@ impl Transport<WireMsg> for PolledTransport {
         );
         self.sent += 1;
         let frame = msg_to_frame(&msg);
-        (self.hubs[g].send(i, link.to, &frame, Instant::now(), &self.poller)).expect("hub send");
+        (self.hubs[g].send(i, link.to, &frame, monotonic_us(), &self.poller)).expect("hub send");
     }
 
     fn drive(&mut self) {
-        self.pump(Duration::ZERO);
+        self.pump(0);
     }
 
     /// With nothing to deliver but frames on their way, waits for them:
     /// no busy link means nothing in flight.
     fn busy_links(&mut self, out: &mut Vec<LinkId>) {
-        let give_up = Instant::now() + PATIENCE;
+        let give_up = monotonic_us() + PATIENCE_US;
         while self.unheard() > 0 && self.queues.iter().flatten().all(VecDeque::is_empty) {
             assert!(
-                Instant::now() < give_up,
+                monotonic_us() < give_up,
                 "frames neither arrived nor dropped"
             );
-            self.pump(PATIENCE);
+            self.pump(PATIENCE_US);
         }
         for (to, ports) in self.queues.iter().enumerate() {
             for (&from, q) in self.graph.neighbors(to).iter().zip(ports) {

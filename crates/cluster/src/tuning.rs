@@ -1,10 +1,9 @@
 //! Every tunable constant of the cluster runtime in one documented place.
 //!
-//! PR 5 scattered these across `node.rs` and `orchestrator.rs` as bare
-//! `const`s; now that the channel bounds are *declared* in the concurrency
-//! model ([`crate::conc::model`]) and lint-gated, the declaration and the
-//! running code must come from the same struct so they cannot drift. The
-//! runtime consumes [`TUNING`]; so does the model builder.
+//! The channel bounds are *declared* in the concurrency model
+//! ([`crate::conc::model`]) and lint-gated, so the declaration and the
+//! running code come from the same struct and cannot drift. The runtime
+//! consumes [`TUNING`]; so does the model builder.
 
 use std::time::Duration;
 
@@ -96,16 +95,6 @@ impl Default for ClusterTuning {
 }
 
 impl ClusterTuning {
-    /// [`ClusterTuning::tick_ms`] as a `Duration`.
-    pub fn tick(&self) -> Duration {
-        Duration::from_millis(self.tick_ms)
-    }
-
-    /// [`ClusterTuning::heartbeat_ms`] as a `Duration`.
-    pub fn heartbeat(&self) -> Duration {
-        Duration::from_millis(self.heartbeat_ms)
-    }
-
     /// [`ClusterTuning::status_every_ms`] as a `Duration`.
     pub fn status_every(&self) -> Duration {
         Duration::from_millis(self.status_every_ms)
@@ -124,11 +113,6 @@ impl ClusterTuning {
     /// [`ClusterTuning::proc_wait_poll_ms`] as a `Duration`.
     pub fn proc_wait_poll(&self) -> Duration {
         Duration::from_millis(self.proc_wait_poll_ms)
-    }
-
-    /// [`ClusterTuning::io_flush_grace_ms`] as a `Duration`.
-    pub fn io_flush_grace(&self) -> Duration {
-        Duration::from_millis(self.io_flush_grace_ms)
     }
 
     /// Reconnect backoff for the given in-session attempt number, in ms
