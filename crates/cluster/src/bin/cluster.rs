@@ -1,26 +1,12 @@
 //! `ssmfp-cluster`: run an SSMFP topology as real nodes over sockets.
-//!
-//! ```text
-//! ssmfp-cluster [--topology grid:10x10] [--workload closed:4:200] [--seed 1]
-//!               [--clients N] [--client-load closed:1:2]
-//!               [--faults 2] [--partition 20:40] [--transport uds|tcp]
-//!               [--shards K] [--inproc] [--timeout-s 60]
-//!               [--json FILE] [--quiet]
-//! ```
-//!
-//! Exit codes: `0` clean run (converged, zero SP violations — and, with
-//! `--clients`, a clean per-client verdict), `1` dirty or non-converged
-//! run, `2` usage error. The hidden `--node-worker` mode is how the
-//! orchestrator spawns per-node processes.
+//! Flags and exit codes are in `TOOL.usage`; the run flags go to a
+//! [`Scenario`], the rest say how to launch it and what to print. The
+//! hidden `--node-worker` mode is how the orchestrator spawns per-node
+//! processes.
 
-use ssmfp_cluster::codec::parse_client_mutation;
-use ssmfp_cluster::{
-    node_main, parse_chaos, parse_node_args, parse_workload, pick_partition, run_cluster,
-    ChaosSpec, ClientSpec, ClusterSpec, ListenSpec, RunMode, WorkloadKind, WorkloadSpec,
-};
-use ssmfp_core::cli::{self, Tool};
-use ssmfp_topology::{gen, Graph};
-use std::io::Write;
+use ssmfp_cluster::{node_main, parse_node_args, run_cluster, ListenSpec, RunMode, Scenario};
+use ssmfp_core::cli::Tool;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -59,85 +45,24 @@ OPTIONS:
     --json FILE        write the JSON run report to FILE ('-' = stdout)
     --quiet            suppress the human summary
     --version          print version and exit
-    -h, --help         this text",
+    -h, --help         this text
+
+The flags from --topology to --partition are the run's scenario: the JSON
+report's \"scenario\" line, printed too when a run is not clean, replays it.
+
+EXIT: 0 clean run, 1 dirty or unconverged run, 2 usage error — a malformed
+run description included: a topology its family cannot be built at or
+under 2 nodes, a workload that cannot pace (an open rate not finite and
+> 0, a closed window of 0), a client flag without --clients.",
 };
 
-/// Seed-aware topology parsing: `random:N,p` draws a seeded connected
-/// Erdős–Rényi sample, so the graph cannot be built until the run seed
-/// is known — the CLI stashes the spec string and resolves it after the
-/// argument loop.
-fn parse_topology(s: &str, seed: u64) -> Result<(String, Graph), String> {
-    let parts: Vec<&str> = s.split(':').collect();
-    let num = |t: Option<&&str>| -> Result<usize, String> {
-        t.and_then(|t| t.parse().ok())
-            .ok_or_else(|| format!("bad topology {s:?}"))
-    };
-    // grid:10x10 / torus:4x8 are the compact forms; grid:R:C still works.
-    let dims = |spec: &str| -> Result<(usize, usize), String> {
-        let (r, c) = spec
-            .split_once('x')
-            .ok_or_else(|| format!("bad topology {s:?} (want RxC)"))?;
-        Ok((num(Some(&r))?, num(Some(&c))?))
-    };
-    let g = match (parts[0], parts.len()) {
-        ("line", 2) => gen::line(num(parts.get(1))?),
-        ("ring", 2) => gen::ring(num(parts.get(1))?),
-        ("star", 2) => gen::star(num(parts.get(1))?),
-        ("caterpillar", 3) => gen::caterpillar(num(parts.get(1))?, num(parts.get(2))?),
-        ("grid", 2) => {
-            let (r, c) = dims(parts[1])?;
-            gen::grid(r, c)
-        }
-        ("grid", 3) => gen::grid(num(parts.get(1))?, num(parts.get(2))?),
-        ("torus", 2) => {
-            let (r, c) = dims(parts[1])?;
-            gen::torus(r, c)
-        }
-        ("torus", 3) => gen::torus(num(parts.get(1))?, num(parts.get(2))?),
-        ("hypercube", 2) => {
-            let d = num(parts.get(1))?;
-            if d == 0 || d > 16 {
-                return Err(format!("bad topology {s:?} (want 1 <= D <= 16)"));
-            }
-            gen::hypercube(d as u32)
-        }
-        ("random", 2) => {
-            let (n, p) = parts[1]
-                .split_once(',')
-                .ok_or_else(|| format!("bad topology {s:?} (want random:N,p)"))?;
-            let n: usize = n.parse().map_err(|_| format!("bad topology {s:?}"))?;
-            let p: f64 = p.parse().map_err(|_| format!("bad topology {s:?}"))?;
-            if !(0.0..=1.0).contains(&p) || n == 0 {
-                return Err(format!("bad topology {s:?} (want N >= 1, p in [0, 1])"));
-            }
-            gen::erdos_renyi(n, p, seed).ok_or_else(|| {
-                format!("random:{n},{p} found no connected sample at seed {seed}; raise p")
-            })?
-        }
-        _ => return Err(format!("unknown topology {s:?}")),
-    };
-    Ok((s.to_string(), g))
-}
-
 fn main() -> ExitCode {
-    let mut topology = "line:5".to_string();
-    let mut workload = WorkloadSpec {
-        kind: WorkloadKind::Closed { outstanding: 4 },
-        messages: 50,
-    };
-    let mut clients: Option<u64> = None;
-    let mut client_load = WorkloadSpec {
-        kind: WorkloadKind::Closed { outstanding: 1 },
-        messages: 2,
-    };
-    let mut client_mutation = None;
-    let mut seed: u64 = 1;
-    let mut faults: u32 = 0;
-    let mut partition: Option<(u64, u64)> = None;
-    let mut transport = "uds".to_string();
+    let mut scenario = Scenario::default();
+    let dir = std::env::temp_dir().join(format!("ssmfp-cluster-{}", std::process::id()));
+    let mut listen = ListenSpec::Uds { dir: dir.clone() };
     let mut shards: Option<usize> = None;
     let mut inproc = false;
-    let mut timeout_s: u64 = 60;
+    let mut timeout = Duration::from_secs(60);
     let mut json: Option<String> = None;
     let mut quiet = false;
 
@@ -148,134 +73,55 @@ fn main() -> ExitCode {
         }
         while let Some(flag) = args.next_flag() {
             match flag.as_str() {
-                "--topology" => topology = args.value()?,
-                "--workload" => workload = parse_workload(&args.value()?)?,
-                "--clients" => clients = Some(args.parse()?),
-                "--client-load" => client_load = parse_workload(&args.value()?)?,
-                // Hidden: seeded client-layer bug injection, for red-testing
-                // the per-client audit (a clean run must turn dirty).
-                "--client-mutation" => {
-                    client_mutation = Some(parse_client_mutation(&args.value()?)?)
-                }
-                "--seed" => seed = args.parse()?,
-                "--faults" => faults = args.parse()?,
-                "--partition" => {
-                    let v = args.value()?;
-                    let (f, l) = v
-                        .split_once(':')
-                        .ok_or_else(|| format!("bad --partition {v:?} (want FROM:LEN)"))?;
-                    partition =
-                        Some((cli::parse("--partition", f)?, cli::parse("--partition", l)?));
-                }
-                "--transport" => {
-                    transport = args.value()?;
-                    if transport != "uds" && transport != "tcp" {
-                        return Err(format!("bad --transport {transport:?} (want uds|tcp)"));
-                    }
-                }
-                "--shards" => {
-                    let k = args.parse()?;
-                    if k == 0 {
-                        return Err("--shards must be at least 1".into());
-                    }
-                    shards = Some(k);
-                }
+                "--transport" => match args.value()?.as_str() {
+                    "uds" => listen = ListenSpec::Uds { dir: dir.clone() },
+                    "tcp" => listen = ListenSpec::Tcp,
+                    t => return Err(format!("bad --transport {t:?} (want uds|tcp)")),
+                },
+                "--shards" => shards = Some(args.parse::<NonZeroUsize>()?.get()),
                 "--inproc" => inproc = true,
-                "--timeout-s" => timeout_s = args.parse()?,
+                "--timeout-s" => timeout = Duration::from_secs(args.parse()?),
                 "--json" => json = Some(args.value()?),
                 "--quiet" => quiet = true,
+                _ if scenario.flag(&flag, args)? => {}
                 _ => return Err(args.unknown()),
             }
         }
         Ok(None)
     });
-    if let Some(cfg) = node_worker {
-        return match node_main(&cfg) {
+    if let Some((node, run)) = node_worker {
+        return match node_main(node, &run) {
             Ok(_) => ExitCode::SUCCESS,
             Err(e) => {
-                eprintln!("ssmfp-cluster node {}: {e}", cfg.node);
+                eprintln!("ssmfp-cluster node {node}: {e}");
                 ExitCode::FAILURE
             }
         };
     }
 
-    // Resolve the topology only now: `random:N,p` needs the seed.
-    let (name, graph) = match parse_topology(&topology, seed) {
-        Ok(t) => t,
-        Err(e) => TOOL.die(&e),
+    let mode = match std::env::current_exe() {
+        _ if inproc => RunMode::Inproc,
+        Ok(exe) => RunMode::Proc { exe },
+        Err(e) => TOOL.die(&format!("cannot locate own binary: {e}")),
     };
-    if graph.n() < 2 {
-        TOOL.die("topology needs at least 2 nodes");
+    let spec = scenario.spec(listen, shards, mode, timeout);
+    let spec = spec.unwrap_or_else(|e| TOOL.die(&e));
+    if let ListenSpec::Uds { dir } = &spec.listen {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            TOOL.die(&format!("cannot create {}: {e}", dir.display()));
+        }
     }
-    let client_spec = clients.map(|k| ClientSpec {
-        clients: k,
-        load: client_load,
-        mutation: client_mutation,
-    });
-    if let Some(c) = &client_spec {
-        if let Err(e) = c.validate(graph.n()) {
-            TOOL.die(&e);
-        }
-    } else if client_mutation.is_some() {
-        TOOL.die("--client-mutation needs --clients");
-    }
-    // An inproc shard is a data thread: by default use the CPUs there are.
-    let shards = shards.unwrap_or_else(|| {
-        let n = graph.n();
-        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-        let threads = if inproc { cpus.min(n) } else { 1 };
-        n.div_ceil(25).max(threads)
-    });
-    // An ignored side effect of `--chaos` syntax reuse: validate early so
-    // the worker round-trip can't fail later.
-    let chaos = ChaosSpec {
-        seed: seed ^ 0xC4A0_5C4A_05C4_A05C,
-        faults_per_link: faults,
-        partition: partition.map(|(f, l)| pick_partition(&graph, seed, f, l)),
-    };
-    debug_assert!(parse_chaos(&format!("{}:{}", chaos.seed, chaos.faults_per_link)).is_ok());
-
-    let uds_dir = std::env::temp_dir().join(format!("ssmfp-cluster-{}", std::process::id()));
-    let listen = if transport == "uds" {
-        if let Err(e) = std::fs::create_dir_all(&uds_dir) {
-            TOOL.die(&format!("cannot create {}: {e}", uds_dir.display()));
-        }
-        ListenSpec::Uds {
-            dir: uds_dir.clone(),
-        }
-    } else {
-        ListenSpec::Tcp
-    };
-    let mode = if inproc {
-        RunMode::Inproc
-    } else {
-        match std::env::current_exe() {
-            Ok(exe) => RunMode::Proc { exe },
-            Err(e) => TOOL.die(&format!("cannot locate own binary: {e}")),
-        }
-    };
-
-    let spec = ClusterSpec {
-        topology: name,
-        graph,
-        seed,
-        workload,
-        chaos,
-        listen,
-        clients: client_spec,
-        shards,
-        mode,
-        timeout: Duration::from_secs(timeout_s),
-    };
-    let report = match run_cluster(&spec) {
+    let outcome = run_cluster(&spec);
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut report = match outcome {
         Ok(r) => r,
         Err(e) => {
-            let _ = std::fs::remove_dir_all(&uds_dir);
             eprintln!("ssmfp-cluster: run failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let _ = std::fs::remove_dir_all(&uds_dir);
+    let line = scenario.args().join(" ");
+    report.scenario = Some(line.clone());
 
     if !quiet {
         let v = &report.verdict;
@@ -345,11 +191,7 @@ fn main() -> ExitCode {
     match json.as_deref() {
         Some("-") => println!("{}", report.to_json()),
         Some(path) => {
-            let out = report.to_json();
-            if let Err(e) = std::fs::File::create(path).and_then(|mut f| {
-                f.write_all(out.as_bytes())?;
-                f.write_all(b"\n")
-            }) {
+            if let Err(e) = std::fs::write(path, report.to_json() + "\n") {
                 eprintln!("ssmfp-cluster: cannot write {path}: {e}");
                 return ExitCode::FAILURE;
             }
@@ -359,7 +201,7 @@ fn main() -> ExitCode {
     if report.clean() {
         ExitCode::SUCCESS
     } else {
-        eprintln!("ssmfp-cluster: run was NOT clean");
+        eprintln!("ssmfp-cluster: run was NOT clean; it replays with:\n{line}");
         ExitCode::FAILURE
     }
 }

@@ -85,7 +85,7 @@ impl ClientSpec {
             ));
         }
         if self.clients == 0 {
-            return Err("--clients must be >= 1".into());
+            return Err("client mode needs --clients N, N >= 1".into());
         }
         let per_node = self.sessions_on(0, n);
         if per_node > MAX_SESSIONS_PER_NODE {

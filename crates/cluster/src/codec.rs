@@ -9,20 +9,18 @@
 //! the last head named as it completes (`ReportFold`), and
 //! [`parse_report_body`] folds a whole block the same way.
 //!
-//! The other way down, a shard hands a node process its [`NodeConfig`] as
+//! The other way down, a shard hands a node process its id and [`Run`] as
 //! the `--node-worker` arguments [`node_args`] writes and
-//! [`parse_node_args`] reads.
+//! [`parse_node_args`] reads, seed, workload and clients a [`Scenario`]'s.
 
 use crate::chaos::{ChaosSpec, PartitionSpec};
-use crate::clients::{ClientMutation, ClientSpec};
-use crate::node::{ListenSpec, NodeConfig};
+use crate::node::{ListenSpec, Run};
+use crate::scenario::{load_words, Scenario};
 use crate::telemetry::{LogHistogram, NodeCounters};
-use crate::workload::{WorkloadKind, WorkloadSpec};
 use ssmfp_core::cli::{self, Args};
 use ssmfp_mp::MpGhost;
-use ssmfp_topology::NodeId;
+use ssmfp_topology::{Graph, NodeId};
 use std::io::{self, Write};
-use std::path::PathBuf;
 
 /// One node's report, as folded from its lines by its shard.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -482,147 +480,86 @@ pub fn parse_report_body(
     None
 }
 
-/// Serializes a node config into `--node-worker` CLI arguments (the
-/// inverse of [`parse_node_args`]).
-pub fn node_args(cfg: &NodeConfig) -> Vec<String> {
-    let edges = cfg
-        .edges
-        .iter()
-        .map(|(a, b)| format!("{a}-{b}"))
-        .collect::<Vec<_>>()
-        .join(",");
-    let listen = match &cfg.listen {
+/// The `--node-worker` arguments of node `node` of `run` (the inverse of
+/// [`parse_node_args`]): `--id`, then the run's text form — `--n` and
+/// `--edges` for its graph, `--listen`, `--chaos`, and its seed, workload
+/// and clients in a [`Scenario`]'s words.
+pub fn node_args(node: NodeId, run: &Run) -> Vec<String> {
+    let edges = run.graph.edges().iter().map(|(a, b)| format!("{a}-{b}"));
+    let listen = match &run.listen {
         ListenSpec::Uds { dir } => format!("uds:{}", dir.display()),
         ListenSpec::Tcp => "tcp".to_string(),
     };
-    let mut chaos = format!("{}:{}", cfg.chaos.seed, cfg.chaos.faults_per_link);
-    if let Some(p) = cfg.chaos.partition {
+    let mut chaos = format!("{}:{}", run.chaos.seed, run.chaos.faults_per_link);
+    if let Some(p) = run.chaos.partition {
         chaos.push_str(&format!(":{}-{}:{}:{}", p.a, p.b, p.from_arrival, p.len));
     }
     let mut args = vec![
         "--id".into(),
-        cfg.node.to_string(),
+        node.to_string(),
         "--n".into(),
-        cfg.n.to_string(),
+        run.graph.n().to_string(),
         "--edges".into(),
-        edges,
-        "--seed".into(),
-        cfg.seed.to_string(),
+        edges.collect::<Vec<_>>().join(","),
         "--listen".into(),
         listen,
-        "--workload".into(),
-        workload_arg(&cfg.workload),
         "--chaos".into(),
         chaos,
     ];
-    if let Some(c) = &cfg.clients {
-        args.push("--clients".into());
-        args.push(c.clients.to_string());
-        args.push("--client-load".into());
-        args.push(workload_arg(&c.load));
-        if let Some(ClientMutation::DuplicateStamp) = c.mutation {
-            args.push("--client-mutation".into());
-            args.push("dup-stamp".into());
-        }
-    }
+    args.extend(load_words(run.seed, &run.workload, &run.clients));
     args
 }
 
-/// `open:<rate>:<msgs>` / `closed:<k>:<msgs>`, as [`parse_workload`] reads it.
-fn workload_arg(w: &WorkloadSpec) -> String {
-    match w.kind {
-        WorkloadKind::Open { rate_per_sec } => format!("open:{rate_per_sec}:{}", w.messages),
-        WorkloadKind::Closed { outstanding } => format!("closed:{outstanding}:{}", w.messages),
-    }
-}
-
-/// Parses the arguments produced by [`node_args`]. `Err` carries a usage
-/// message.
-pub fn parse_node_args(args: &[String]) -> Result<NodeConfig, String> {
-    let mut cfg = NodeConfig {
-        node: usize::MAX,
-        n: 0,
-        edges: Vec::new(),
-        seed: 0,
-        listen: ListenSpec::Tcp,
-        workload: WorkloadSpec {
-            kind: WorkloadKind::Closed { outstanding: 1 },
-            messages: 0,
-        },
-        chaos: ChaosSpec::none(),
-        clients: None,
-    };
-    let mut client_count: Option<u64> = None;
-    let mut client_load: Option<WorkloadSpec> = None;
-    let mut client_mutation: Option<ClientMutation> = None;
+/// Parses the arguments produced by [`node_args`]: the node's id and its
+/// run. The seed, workload and client flags go through
+/// `Scenario::load_flag`, the CLI's parser, and the clients through the
+/// CLI's check. `Err` carries a usage message.
+pub fn parse_node_args(args: &[String]) -> Result<(NodeId, Run), String> {
+    let mut node: Option<NodeId> = None;
+    let (mut n, mut edges) = (0usize, Vec::new());
+    let mut listen = ListenSpec::Tcp;
+    let mut chaos = ChaosSpec::none();
+    let mut load = Scenario::default();
     let mut args = Args::new(args.iter().cloned());
     while let Some(flag) = args.next_flag() {
         match flag.as_str() {
-            "--id" => cfg.node = args.parse()?,
-            "--n" => cfg.n = args.parse()?,
+            "--id" => node = Some(args.parse()?),
+            "--n" => n = args.parse()?,
             "--edges" => {
                 for pair in args.value()?.split(',') {
                     let (a, b) = pair
                         .split_once('-')
                         .ok_or_else(|| format!("bad edge {pair:?}"))?;
-                    cfg.edges
-                        .push((cli::parse("edge", a)?, cli::parse("edge", b)?));
+                    edges.push((cli::parse("edge", a)?, cli::parse("edge", b)?));
                 }
             }
-            "--seed" => cfg.seed = args.parse()?,
             "--listen" => {
                 let v = args.value()?;
-                cfg.listen = if v == "tcp" {
-                    ListenSpec::Tcp
-                } else if let Some(dir) = v.strip_prefix("uds:") {
-                    ListenSpec::Uds {
-                        dir: PathBuf::from(dir),
-                    }
-                } else {
-                    return Err(format!("bad --listen {v:?}"));
+                listen = match v.strip_prefix("uds:") {
+                    Some(dir) => ListenSpec::Uds { dir: dir.into() },
+                    None if v == "tcp" => ListenSpec::Tcp,
+                    None => return Err(format!("bad --listen {v:?}")),
                 };
             }
-            "--workload" => cfg.workload = parse_workload(&args.value()?)?,
-            "--chaos" => cfg.chaos = parse_chaos(&args.value()?)?,
-            "--clients" => client_count = Some(args.parse()?),
-            "--client-load" => client_load = Some(parse_workload(&args.value()?)?),
-            "--client-mutation" => client_mutation = Some(parse_client_mutation(&args.value()?)?),
+            "--chaos" => chaos = parse_chaos(&args.value()?)?,
+            _ if load.load_flag(&flag, &mut args)? => {}
             _ => return Err(args.unknown()),
         }
     }
-    if cfg.node == usize::MAX || cfg.n == 0 || cfg.edges.is_empty() {
-        return Err("--id, --n and --edges are required".into());
-    }
-    if let Some(clients) = client_count {
-        cfg.clients = Some(ClientSpec {
-            clients,
-            load: client_load.ok_or("--clients needs --client-load")?,
-            mutation: client_mutation,
-        });
-    } else if client_load.is_some() || client_mutation.is_some() {
-        return Err("--client-load/--client-mutation need --clients".into());
-    }
-    Ok(cfg)
-}
-
-/// Parses `open:<rate>:<msgs>` / `closed:<k>:<msgs>`.
-pub fn parse_workload(s: &str) -> Result<WorkloadSpec, String> {
-    let parts: Vec<&str> = s.split(':').collect();
-    let bad = || format!("bad workload {s:?} (want open:<rate>:<msgs> or closed:<k>:<msgs>)");
-    if parts.len() != 3 {
-        return Err(bad());
-    }
-    let messages: u64 = parts[2].parse().map_err(|_| bad())?;
-    let kind = match parts[0] {
-        "open" => WorkloadKind::Open {
-            rate_per_sec: parts[1].parse().map_err(|_| bad())?,
-        },
-        "closed" => WorkloadKind::Closed {
-            outstanding: parts[1].parse().map_err(|_| bad())?,
-        },
-        _ => return Err(bad()),
+    // Without `--n` the graph is empty, without `--edges` (n >= 2) it is
+    // disconnected: the graph refuses both.
+    let graph = Graph::from_edges(n, &edges).map_err(|e| format!("bad --n/--edges: {e}"))?;
+    let node = node.ok_or("--id is required")?;
+    load.clients.map_or(Ok(()), |c| c.validate(n))?;
+    let run = Run {
+        graph,
+        seed: load.seed,
+        listen,
+        workload: load.workload,
+        chaos,
+        clients: load.clients,
     };
-    Ok(WorkloadSpec { kind, messages })
+    Ok((node, run))
 }
 
 /// Parses `<seed>:<faults>[:<a>-<b>:<from>:<len>]`.
@@ -649,18 +586,14 @@ pub fn parse_chaos(s: &str) -> Result<ChaosSpec, String> {
     Ok(spec)
 }
 
-/// Parses a `--client-mutation` name: `dup-stamp`.
-pub fn parse_client_mutation(s: &str) -> Result<ClientMutation, String> {
-    match s {
-        "dup-stamp" => Ok(ClientMutation::DuplicateStamp),
-        other => Err(format!("unknown client mutation {other:?}")),
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::clients::{ClientMutation, ClientSpec};
+    use crate::scenario::parse_workload;
+    use crate::workload::{WorkloadKind, WorkloadSpec};
     use proptest::prelude::*;
+    use std::path::PathBuf;
 
     fn arb_ghost() -> impl Strategy<Value = MpGhost> {
         prop_oneof![
@@ -730,20 +663,32 @@ mod tests {
         )
     }
 
-    fn arb_workload() -> impl Strategy<Value = WorkloadSpec> {
+    /// Every workload [`crate::scenario::parse_workload`] accepts: any
+    /// finite rate above 0 or window of at least 1, any quota.
+    pub(crate) fn arb_workload() -> impl Strategy<Value = WorkloadSpec> {
         let kind = prop_oneof![
             any::<u64>()
                 .prop_map(f64::from_bits)
-                .prop_filter("a finite rate", |r| r.is_finite())
+                .prop_filter("a finite rate > 0", |r| r.is_finite() && *r > 0.0)
                 .prop_map(|rate_per_sec| WorkloadKind::Open { rate_per_sec }),
-            any::<u32>().prop_map(|outstanding| WorkloadKind::Closed { outstanding }),
+            (1..=u32::MAX).prop_map(|outstanding| WorkloadKind::Closed { outstanding }),
         ];
         (kind, any::<u64>()).prop_map(|(kind, messages)| WorkloadSpec { kind, messages })
     }
 
-    /// Random edges, a UDS directory or TCP, open or closed load, chaos
-    /// with or without a partition, clients with or without `dup-stamp`.
-    fn arb_node_config() -> impl Strategy<Value = NodeConfig> {
+    /// A node id and a run: a line, ring, grid or seeded random graph, a
+    /// UDS directory or TCP, open or closed load, chaos with or without a
+    /// partition, clients with or without `dup-stamp`.
+    fn arb_node_run() -> impl Strategy<Value = (NodeId, Run)> {
+        use ssmfp_topology::gen;
+        let graph = prop_oneof![
+            (2usize..12).prop_map(gen::line),
+            (3usize..12).prop_map(gen::ring),
+            (1usize..5, 2usize..5).prop_map(|(r, c)| gen::grid(r, c)),
+            (2usize..12, any::<u64>()).prop_map(|(n, seed)| {
+                gen::erdos_renyi(n, 0.6, seed).unwrap_or_else(|| gen::line(n))
+            }),
+        ];
         let listen = prop_oneof![
             Just(ListenSpec::Tcp),
             any::<u32>().prop_map(|k| ListenSpec::Uds {
@@ -774,35 +719,35 @@ mod tests {
         let mutation = prop_oneof![Just(None), Just(Some(ClientMutation::DuplicateStamp))];
         let clients = prop_oneof![
             Just(None),
-            (any::<u64>(), arb_workload(), mutation).prop_map(|(clients, load, mutation)| {
+            // What `ClientSpec::validate` takes on 2 to 12 nodes.
+            (1..1u64 << 23, arb_workload(), mutation).prop_map(|(clients, load, mutation)| {
+                let messages = load.messages % (ssmfp_mp::clients::MAX_SEQS_PER_CLIENT + 1);
                 Some(ClientSpec {
                     clients,
-                    load,
+                    load: WorkloadSpec { messages, ..load },
                     mutation,
                 })
             }),
         ];
         (
-            // `usize::MAX` is the parser's "no --id yet".
-            (0..usize::MAX, 1..=usize::MAX, any::<u64>()),
-            proptest::collection::vec((any::<usize>(), any::<usize>()), 1..12),
+            (any::<usize>(), any::<u64>()),
+            graph,
             listen,
             arb_workload(),
             chaos,
             clients,
         )
-            .prop_map(
-                |((node, n, seed), edges, listen, workload, chaos, clients)| NodeConfig {
-                    node,
-                    n,
-                    edges,
+            .prop_map(|((node, seed), graph, listen, workload, chaos, clients)| {
+                let run = Run {
+                    graph,
                     seed,
                     listen,
                     workload,
                     chaos,
                     clients,
-                },
-            )
+                };
+                (node, run)
+            })
     }
 
     /// Feeds a written block back through the parser, after its
@@ -894,31 +839,44 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
 
-        /// Every node config survives its `--node-worker` arguments whole.
-        /// The same arguments plus a flag the codec never writes (the gone
-        /// blocking plane's `--io`), or plus a client flag without
+        /// Every node's id and run survive its `--node-worker` arguments
+        /// whole. The same arguments plus a flag the codec never writes
+        /// (the gone blocking plane's `--io`), or plus a client flag without
         /// `--clients`, are refused, not ignored.
         #[test]
-        fn any_node_config_roundtrips_through_its_args(cfg in arb_node_config()) {
-            let args = node_args(&cfg);
-            prop_assert_eq!(parse_node_args(&args), Ok(cfg.clone()));
+        fn any_node_config_roundtrips_through_its_args((node, run) in arb_node_run()) {
+            let args = node_args(node, &run);
+            prop_assert_eq!(parse_node_args(&args), Ok((node, run.clone())));
             let with = |extra: [&str; 2]| {
                 let mut a = args.clone();
                 a.extend(extra.map(String::from));
                 parse_node_args(&a)
             };
             prop_assert!(with(["--io", "event"]).is_err());
-            if cfg.clients.is_none() {
+            if run.clients.is_none() {
                 prop_assert!(with(["--client-load", "closed:1:2"]).is_err());
                 prop_assert!(with(["--client-mutation", "dup-stamp"]).is_err());
             }
         }
     }
 
+    /// Garbage is refused, and so is a workload that cannot pace: an open
+    /// rate that is not finite and above 0, a closed window of 0. A zero
+    /// quota is legal.
     #[test]
     fn workload_and_chaos_parsers_reject_garbage() {
         assert!(parse_workload("open:fast:10").is_err());
         assert!(parse_workload("poisson:1:10").is_err());
+        for cannot_pace in [
+            "open:0:10",
+            "open:nan:10",
+            "open:-5:10",
+            "open:inf:10",
+            "closed:0:10",
+        ] {
+            assert!(parse_workload(cannot_pace).is_err(), "{cannot_pace}");
+        }
+        assert!(parse_workload("closed:4:0").is_ok());
         assert!(parse_chaos("1").is_err());
         assert!(parse_chaos("1:2:0-1:5").is_err());
         assert!(parse_workload("closed:4:100").is_ok());
@@ -927,6 +885,16 @@ mod tests {
             parse_node_args(&[]).is_err(),
             "--id, --n and --edges are required"
         );
+        let words = |line: &str| line.split(' ').map(String::from).collect::<Vec<_>>();
+        assert!(parse_node_args(&words("--id 0 --n 2 --edges 0-1")).is_ok());
+        for missing in [
+            "--n 2 --edges 0-1",
+            "--id 0 --edges 0-1",
+            "--id 0 --n 2",
+            "--id 0 --n 3 --edges 0-1",
+        ] {
+            assert!(parse_node_args(&words(missing)).is_err(), "{missing}");
+        }
     }
 
     /// Malformed tokens and a block cut before its `end` are refused with

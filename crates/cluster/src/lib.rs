@@ -30,12 +30,14 @@
 //!   flushes each of the group's streams once, waits once, reads each
 //!   ready stream and the group's one control pipe once and steps only
 //!   the nodes with frames or a passed deadline — forwarder and workload;
-//!   the control state, graph and routing trees are the group's — and
+//!   the control state and routing trees are the group's — and
 //!   [`node_main`] (a node process) is that loop with a group of one.
 //! * [`codec`] — the lines a group writes up its control pipe: its
 //!   `status`, its members' ledger deltas that ride behind every status
 //!   line, and their `report … end` blocks at `stop` — written and read as
-//!   bytes, by one line folder.
+//!   bytes, by one line folder; and a node process's argv.
+//! * [`scenario`] — what a run is: one [`Scenario`], one parser per run
+//!   flag, one text form that replays it, and the [`ClusterSpec`] it is.
 //! * [`orchestrator`] — the sharded control tree: K `shard.super`
 //!   threads each supervise their node groups (one data thread, or a
 //!   process per node) over one socketpair a group, folding each node's
@@ -58,6 +60,7 @@ pub mod evloop;
 pub mod frame;
 pub mod node;
 pub mod orchestrator;
+pub mod scenario;
 pub mod telemetry;
 pub mod transport;
 pub mod tuning;
@@ -65,12 +68,13 @@ pub mod workload;
 
 pub use chaos::{ChaosSpec, PartitionSpec};
 pub use clients::{ClientMutation, ClientMux, ClientSpec};
-pub use codec::{node_args, parse_chaos, parse_node_args, parse_workload};
-pub use node::{node_main, ListenSpec, NodeConfig, NodeReport, Status};
+pub use codec::{node_args, parse_chaos, parse_node_args};
+pub use node::{node_main, ListenSpec, NodeReport, Run, Status};
 pub use orchestrator::{
     pick_partition, run_cluster, shard_ranges, ClusterSpec, Detection, LedgerFlow, Phases, RunMode,
     RunReport, ShardReport, ShardSummary,
 };
+pub use scenario::{parse_workload, Scenario};
 pub use telemetry::{LogHistogram, NodeCounters};
 pub use transport::PolledTransport;
 pub use tuning::{ClusterTuning, TUNING};

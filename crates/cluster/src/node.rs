@@ -144,27 +144,23 @@ pub enum ListenSpec {
     Tcp,
 }
 
-/// Everything one node needs to run.
+/// What every node group of a run is handed at bring-up with its member
+/// ids, the [`crate::ClusterSpec`] fields a group reads: one value for all
+/// of a run's groups (a node process reads it off its argv).
 #[derive(Debug, Clone, PartialEq)]
-pub struct NodeConfig {
-    /// This node's id.
-    pub node: NodeId,
-    /// Cluster size.
-    pub n: usize,
-    /// The full (undirected) edge list of the topology.
-    pub edges: Vec<(NodeId, NodeId)>,
+pub struct Run {
+    /// The topology.
+    pub graph: Graph,
     /// Run seed (drives nonces, workload, chaos, backoff jitter).
     pub seed: u64,
     /// Listener flavour.
     pub listen: ListenSpec,
-    /// Workload shape and quota.
+    /// Every node's workload shape and quota.
     pub workload: WorkloadSpec,
     /// Link chaos.
     pub chaos: ChaosSpec,
-    /// Client mode: host this node's share of the cluster-wide logical
-    /// clients ([`crate::clients::ClientMux`]) instead of the node-level
-    /// workload generator, stamping every send with its `(client, seq)`
-    /// identity for the per-client audit.
+    /// Client mode: each node hosts its share of the logical clients
+    /// ([`crate::clients::ClientMux`]) instead of the node workload.
     pub clients: Option<ClientSpec>,
 }
 
@@ -188,8 +184,8 @@ struct Engine {
 }
 
 impl Engine {
-    fn new(cfg: &NodeConfig, graph: &Graph, next_hop: Vec<NodeId>) -> Self {
-        let (p, n) = (cfg.node, cfg.n);
+    fn new(run: &Run, p: NodeId, next_hop: Vec<NodeId>) -> Self {
+        let (graph, n) = (&run.graph, run.graph.n());
         Engine {
             p,
             n,
@@ -199,13 +195,13 @@ impl Engine {
                 graph.max_degree() as u8,
                 graph.neighbors(p).to_vec(),
                 next_hop,
-                cfg.seed,
+                run.seed,
             ),
-            gen: WorkloadGen::new(cfg.workload, p, n, cfg.seed),
-            mux: cfg
+            gen: WorkloadGen::new(run.workload, p, n, run.seed),
+            mux: run
                 .clients
                 .as_ref()
-                .map(|s| ClientMux::new(s, p, n, cfg.seed)),
+                .map(|s| ClientMux::new(s, p, n, run.seed)),
             out: Outbox::new(),
             deliveries: Vec::new(),
             latency: LogHistogram::new(),
@@ -335,10 +331,9 @@ struct Node {
 }
 
 impl Node {
-    fn new(cfg: &NodeConfig, graph: &Graph, next_hop: Vec<NodeId>) -> Self {
-        let p = cfg.node;
-        let neighbors: Vec<NodeId> = graph.neighbors(p).to_vec();
-        let eng = Engine::new(cfg, graph, next_hop);
+    fn new(run: &Run, p: NodeId, next_hop: Vec<NodeId>) -> Self {
+        let neighbors: Vec<NodeId> = run.graph.neighbors(p).to_vec();
+        let eng = Engine::new(run, p, next_hop);
         Node {
             encode: if eng.mux.is_some() {
                 msg_to_frame_client
@@ -348,7 +343,7 @@ impl Node {
             eng,
             chaos: neighbors
                 .iter()
-                .map(|&q| InboundChaos::new(&cfg.chaos, q, p))
+                .map(|&q| InboundChaos::new(&run.chaos, q, p))
                 .collect(),
             neighbors,
             counters: NodeCounters::default(),
@@ -561,35 +556,29 @@ struct Group {
 
 impl Group {
     /// Creates the thread's `Poller`, registers the control pipe, builds
-    /// the graph and one BFS tree per destination, binds the group's one
-    /// listener — per the first member's `listen`, named after it, if a
-    /// member has a neighbour outside to dial it — seats every node, and
-    /// writes `ready <addr>` up the pipe. A failure after the pipe is
-    /// registered goes up it as an `error` line. `clock` is the group's
-    /// time base, [`monotonic_us`] in a run.
-    fn new(cfgs: Vec<NodeConfig>, pipe: UnixStream, clock: fn() -> u64) -> io::Result<Self> {
-        let lead = cfgs.first().ok_or_else(|| io::Error::other("no nodes"))?;
+    /// one BFS tree per destination over the run's graph, binds the
+    /// group's one listener — per the run's `listen`, named after the
+    /// first member, if a member has a neighbour outside to dial it —
+    /// seats every member of `ids`, and writes `ready <addr>` up the pipe.
+    /// A failure after the pipe is registered goes up it as an `error`
+    /// line. `clock` is the group's time base, [`monotonic_us`] in a run.
+    fn new(run: &Run, ids: Vec<NodeId>, pipe: UnixStream, clock: fn() -> u64) -> io::Result<Self> {
+        let lead = *ids.first().ok_or_else(|| io::Error::other("no nodes"))?;
         let poller = Poller::new()?;
         let mut ctrl = Control::new(pipe, &poller)?;
-        let ids: Vec<NodeId> = cfgs.iter().map(|cfg| cfg.node).collect();
-        let bring_up = || {
-            let graph = Graph::from_edges(lead.n, &lead.edges).map_err(io::Error::other)?;
-            let io_seed =
-                lead.seed ^ ((lead.node as u64) << 32).wrapping_mul(0xDEAD_BEEF_1234_5677);
-            let crosses = |(a, b): &(NodeId, NodeId)| ids.contains(a) != ids.contains(b);
-            let listen = lead.edges.iter().any(crosses).then_some(&lead.listen);
-            let hub = Hub::new(listen, lead.node, ids.len(), io_seed, &poller)?;
-            Ok((graph, hub))
-        };
-        let (graph, mut hub) = bring_up().map_err(|e| ctrl.fail(lead.node, e))?;
-        let tables = next_hops(&graph, &ids);
-        let slots: Vec<Slot> = cfgs
+        let io_seed = run.seed ^ ((lead as u64) << 32).wrapping_mul(0xDEAD_BEEF_1234_5677);
+        let crosses = |(a, b): &(NodeId, NodeId)| ids.contains(a) != ids.contains(b);
+        let listen = run.graph.edges().iter().any(crosses).then_some(&run.listen);
+        let mut hub =
+            Hub::new(listen, lead, ids.len(), io_seed, &poller).map_err(|e| ctrl.fail(lead, e))?;
+        let tables = next_hops(&run.graph, &ids);
+        let slots: Vec<Slot> = ids
             .iter()
             .zip(tables)
             .enumerate()
-            .map(|(i, (cfg, table))| {
-                let node = Node::new(cfg, &graph, table);
-                hub.join(i, cfg.node, node.neighbors.clone());
+            .map(|(i, (&p, table))| {
+                let node = Node::new(run, p, table);
+                hub.join(i, p, node.neighbors.clone());
                 Slot {
                     node,
                     deadline: None,
@@ -605,8 +594,8 @@ impl Group {
             poller,
             hub,
             ctrl,
-            lead: lead.node,
-            n: lead.n,
+            lead,
+            n: run.graph.n(),
             slots,
             hub_events: Vec::new(),
             peers_wired: false,
@@ -836,27 +825,28 @@ fn refused(line: &str) -> io::Error {
     io::Error::other(format!("the group refuses a control line: {shown}"))
 }
 
-/// Runs a group of nodes to completion on the calling thread over its one
-/// control pipe: [`Group::turn`] until the group has stopped. What the
-/// nodes report, and what ended the group if it failed, went up the pipe.
-pub(crate) fn run_group(cfgs: Vec<NodeConfig>, pipe: UnixStream) -> io::Result<()> {
+/// Runs the group of nodes `ids` of `run` to completion on the calling
+/// thread over its one control pipe: [`Group::turn`] until the group has
+/// stopped. What the nodes report, and what ended the group if it failed,
+/// went up the pipe.
+pub(crate) fn run_group(run: &Run, ids: Vec<NodeId>, pipe: UnixStream) -> io::Result<()> {
     // In proc mode this is the process main thread; in inproc mode the
     // shard's spawn already registered it (re-registration is
     // idempotent). Either way the declared role holds from here on.
     register_thread(COMPONENT, "node.main");
-    let mut group = Group::new(cfgs, pipe, monotonic_us)?;
+    let mut group = Group::new(run, ids, pipe, monotonic_us)?;
     while !group.turn()? {}
     Ok(())
 }
 
-/// Runs a `--node-worker` process: one node, a `run_group` group of
-/// one, over the socket its shard handed it as fd 0.
-pub fn node_main(cfg: &NodeConfig) -> io::Result<()> {
+/// Runs a `--node-worker` process: node `node` of `run`, a `run_group`
+/// group of one, over the socket its shard handed it as fd 0.
+pub fn node_main(node: NodeId, run: &Run) -> io::Result<()> {
     // SAFETY: fd 0 is the process's, and nothing else in it reads or
     // closes stdin; the stream owns it from here to exit. (A stdin that
     // is no socket fails at registration, or at its first read.)
     let pipe = unsafe { UnixStream::from_raw_fd(0) };
-    run_group(vec![cfg.clone()], pipe)
+    run_group(run, vec![node], pipe)
 }
 
 #[cfg(test)]
@@ -895,10 +885,8 @@ mod tests {
         let graph = ssmfp_topology::gen::line(n);
         let mut engines: Vec<Engine> = (0..n)
             .map(|p| {
-                let cfg = NodeConfig {
-                    node: p,
-                    n,
-                    edges: graph.edges().to_vec(),
+                let run = Run {
+                    graph: graph.clone(),
                     seed: 7,
                     listen: ListenSpec::Tcp,
                     workload: WorkloadSpec {
@@ -908,7 +896,7 @@ mod tests {
                     chaos: ChaosSpec::none(),
                     clients: None,
                 };
-                Engine::new(&cfg, &graph, next_hops(&graph, &[p]).remove(0))
+                Engine::new(&run, p, next_hops(&graph, &[p]).remove(0))
             })
             .collect();
         let mut inbox: Vec<Vec<(NodeId, WireMsg)>> = vec![Vec::new(); n];
@@ -1018,23 +1006,21 @@ mod tests {
                 .iter()
                 .map(|&k| ids.by_ref().take(k).collect())
                 .collect();
+            let run = Run {
+                graph: ssmfp_topology::gen::line(4),
+                seed: 7,
+                listen: ListenSpec::Uds { dir: dir.clone() },
+                workload: stop_and_wait(0),
+                chaos: ChaosSpec::none(),
+                clients: None,
+            };
             let (mut supervisor, groups): (Vec<UnixStream>, Vec<Group>) = members
                 .iter()
                 .map(|ids| {
-                    let cfgs = ids.iter().map(|&node| NodeConfig {
-                        node,
-                        n: 4,
-                        edges: ssmfp_topology::gen::line(4).edges().to_vec(),
-                        seed: 7,
-                        listen: ListenSpec::Uds { dir: dir.clone() },
-                        workload: stop_and_wait(0),
-                        chaos: ChaosSpec::none(),
-                        clients: None,
-                    });
                     let (sup_side, group_side) = UnixStream::pair().unwrap();
                     (
                         sup_side,
-                        Group::new(cfgs.collect(), group_side, clock).unwrap(),
+                        Group::new(&run, ids.clone(), group_side, clock).unwrap(),
                     )
                 })
                 .unzip();
@@ -1569,22 +1555,20 @@ mod tests {
         let random = gen::erdos_renyi(16, 0.3, 5).expect("a connected sample");
         for graph in [gen::grid(4, 5), gen::caterpillar(4, 2), random] {
             let n = graph.n();
+            let run = Run {
+                graph: graph.clone(),
+                seed: 1,
+                listen: ListenSpec::Tcp,
+                workload: WorkloadSpec {
+                    kind: crate::workload::WorkloadKind::Closed { outstanding: 1 },
+                    messages: 0,
+                },
+                chaos: ChaosSpec::none(),
+                clients: None,
+            };
             for ids in [0..n / 3, n / 3..n] {
-                let cfgs = ids.map(|node| NodeConfig {
-                    node,
-                    n,
-                    edges: graph.edges().to_vec(),
-                    seed: 1,
-                    listen: ListenSpec::Tcp,
-                    workload: WorkloadSpec {
-                        kind: crate::workload::WorkloadKind::Closed { outstanding: 1 },
-                        messages: 0,
-                    },
-                    chaos: ChaosSpec::none(),
-                    clients: None,
-                });
                 let (_supervisor, pipe) = UnixStream::pair().unwrap();
-                let group = Group::new(cfgs.collect(), pipe, monotonic_us).unwrap();
+                let group = Group::new(&run, ids.collect(), pipe, monotonic_us).unwrap();
                 for eng in group.slots.iter().map(|s| &s.node.eng) {
                     for d in (0..n).filter(|&d| d != eng.p) {
                         let parent = BfsTree::new(&graph, d).parent(eng.p);

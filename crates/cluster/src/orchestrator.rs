@@ -66,7 +66,7 @@ use crate::clients::ClientSpec;
 use crate::codec::{node_args, shown, NodeReport, ReportFold, Status};
 use crate::conc::COMPONENT;
 use crate::evloop::{raise_nofile_limit, take_lines, Poller, POLLERR, POLLHUP, POLLIN, POLLOUT};
-use crate::node::{run_group, ListenSpec, NodeConfig};
+use crate::node::{run_group, ListenSpec, Run};
 use crate::telemetry::{LogHistogram, NodeCounters};
 use crate::tuning::TUNING;
 use crate::workload::WorkloadSpec;
@@ -85,6 +85,7 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -268,6 +269,8 @@ pub struct LedgerFlow {
 /// Outcome of one cluster run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
+    /// The [`crate::Scenario`] line that replays the run, if one named it.
+    pub scenario: Option<String>,
     /// Topology label.
     pub topology: String,
     /// Node count.
@@ -339,6 +342,8 @@ impl RunReport {
         let v = &self.verdict;
         let c = &self.counters;
         let last = &self.detect.last;
+        let scenario = self.scenario.as_deref().map(json_string);
+        let scenario = scenario.map_or(String::new(), |s| format!("  \"scenario\": {s},\n"));
         let clients_json = match &self.client_verdict {
             None => String::new(),
             Some(cv) => format!(
@@ -372,7 +377,7 @@ impl RunReport {
         };
         format!(
             concat!(
-                "{{\n",
+                "{{\n{}",
                 "  \"topology\": {},\n",
                 "  \"n\": {},\n",
                 "  \"seed\": {},\n",
@@ -398,6 +403,7 @@ impl RunReport {
                 "\"pending_peak\": {}, \"reference\": {}}}{}\n",
                 "}}"
             ),
+            scenario,
             json_string(&self.topology),
             self.n,
             self.seed,
@@ -511,19 +517,6 @@ fn nofile_budget(graph: &Graph, ranges: &[Range<usize>], mode: &RunMode) -> u64 
         RunMode::Proc { .. } => control,
     };
     (held + 64) as u64
-}
-
-fn node_config(spec: &ClusterSpec, p: usize) -> NodeConfig {
-    NodeConfig {
-        node: p,
-        n: spec.graph.n(),
-        edges: spec.graph.edges().to_vec(),
-        seed: spec.seed,
-        listen: spec.listen.clone(),
-        workload: spec.workload,
-        chaos: spec.chaos,
-        clients: spec.clients,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -722,13 +715,14 @@ enum Phase {
     Reporting,
 }
 
-/// Launches a shard's node groups, one control socketpair each: one
-/// `node.main` thread running all of the shard's nodes inproc (`Some`
-/// handle to join once its pipe is closed), a process per node in proc
-/// mode, its end of the pair as fd 0. On error `slots` holds what was
-/// launched before it.
+/// Launches the node groups of the shard's `members` of `run`, one
+/// control socketpair each: one `node.main` thread running all of them
+/// inproc (`Some` handle to join once its pipe is closed), a process per
+/// node in proc mode, its end of the pair as fd 0. On error `slots` holds
+/// what was launched before it.
 fn spawn_groups(
-    cfgs: Vec<NodeConfig>,
+    run: Arc<Run>,
+    members: Range<NodeId>,
     mode: &RunMode,
     slots: &mut Vec<GroupSlot>,
 ) -> io::Result<Option<JoinHandle<()>>> {
@@ -739,27 +733,27 @@ fn spawn_groups(
     };
     match mode {
         RunMode::Inproc => {
-            let ids: Vec<NodeId> = cfgs.iter().map(|cfg| cfg.node).collect();
+            let ids: Vec<NodeId> = members.collect();
             let (sup_side, group_side) = pair()?;
             slots.push(GroupSlot::new(&ids, sup_side, None));
             // What the group reports, and what ended it, went up the pipe.
             Ok(Some(spawn_registered(COMPONENT, "node.main", move || {
-                let _ = run_group(cfgs, group_side);
+                let _ = run_group(&run, ids, group_side);
             })))
         }
         RunMode::Proc { exe } => {
-            for cfg in &cfgs {
-                let named = |e: io::Error| io::Error::other(format!("node {}: {e}", cfg.node));
+            for p in members {
+                let named = |e: io::Error| io::Error::other(format!("node {p}: {e}"));
                 let (sup_side, group_side) = pair().map_err(named)?;
                 let child = Command::new(exe)
                     .arg("--node-worker")
-                    .args(node_args(cfg))
+                    .args(node_args(p, &run))
                     .stdin(OwnedFd::from(group_side))
                     .stdout(Stdio::null())
                     .stderr(Stdio::inherit())
                     .spawn()
                     .map_err(named)?;
-                slots.push(GroupSlot::new(&[cfg.node], sup_side, Some(child)));
+                slots.push(GroupSlot::new(&[p], sup_side, Some(child)));
             }
             Ok(None)
         }
@@ -791,7 +785,8 @@ const ORCH: usize = u32::MAX as usize;
 /// completes a probe wave, and otherwise once per `status_every`.
 fn shard_main(
     shard: usize,
-    cfgs: Vec<NodeConfig>,
+    run: Arc<Run>,
+    members: Range<NodeId>,
     mode: RunMode,
     orch: UnixStream,
     up: TrackedSender<(usize, ShardUp)>,
@@ -804,7 +799,7 @@ fn shard_main(
         let _ = up.send((shard, msg));
     };
     let mut slots: Vec<GroupSlot> = Vec::new();
-    let data = spawn_groups(cfgs, &mode, &mut slots);
+    let data = spawn_groups(run, members, &mode, &mut slots);
     let outcome = data
         .as_ref()
         .map_err(|e| format!("spawn {e}"))
@@ -1275,16 +1270,25 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
 
     let (up_tx, up_rx) =
         tracked_channel::<(usize, ShardUp)>(COMPONENT, model.channel_decl("orch.shard"));
+    // One run value for every group of the run.
+    let run = Arc::new(Run {
+        graph: spec.graph.clone(),
+        seed: spec.seed,
+        listen: spec.listen.clone(),
+        workload: spec.workload,
+        chaos: spec.chaos,
+        clients: spec.clients,
+    });
     let mut pipes: Vec<UnixStream> = Vec::with_capacity(k);
     let mut joins: Vec<JoinHandle<()>> = Vec::with_capacity(k);
     for (s, range) in ranges.iter().enumerate() {
         let (orch_side, shard_side) = UnixStream::pair()?;
         orch_side.set_nonblocking(true)?;
-        let cfgs: Vec<NodeConfig> = range.clone().map(|p| node_config(spec, p)).collect();
+        let (run, members) = (Arc::clone(&run), range.clone());
         let mode = spec.mode.clone();
         let tx = up_tx.clone();
         joins.push(spawn_registered(COMPONENT, "shard.super", move || {
-            shard_main(s, cfgs, mode, shard_side, tx)
+            shard_main(s, run, members, mode, shard_side, tx)
         }));
         pipes.push(orch_side);
     }
@@ -1360,6 +1364,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
         0.0
     };
     Ok(RunReport {
+        scenario: None,
         topology: spec.topology.clone(),
         n,
         seed: spec.seed,

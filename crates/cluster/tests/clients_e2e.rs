@@ -8,10 +8,13 @@
 //! * The audit is load-bearing: the seeded `dup-stamp` mutation — two
 //!   logical messages sharing one `(client, seq)` stamp — turns the
 //!   verdict red and the run dirty.
+//! * Both hold with a process per node: the client flags reach every
+//!   worker through its argv, and the run is the CLI's, built from its
+//!   [`Scenario`].
 
 use ssmfp_cluster::{
-    pick_partition, run_cluster, ChaosSpec, ClientMutation, ClientSpec, ClusterSpec, ListenSpec,
-    RunMode, WorkloadKind, WorkloadSpec,
+    parse_workload, pick_partition, run_cluster, ChaosSpec, ClientMutation, ClientSpec,
+    ClusterSpec, ListenSpec, RunMode, Scenario, WorkloadKind, WorkloadSpec,
 };
 use ssmfp_core::ClientViolation;
 use ssmfp_topology::gen;
@@ -147,4 +150,60 @@ fn dup_stamp_mutation_turns_the_client_verdict_red() {
     // it to the reference join, which reports it.
     assert!(report.ledger.reference, "{:?}", report.ledger);
     assert!(!report.verdict.clean(), "the SP join saw nothing");
+}
+
+/// `--topology line:5 --clients 50 --client-load closed:1:3 --seed 3
+/// --faults 1 --partition 5:15`, with or without `--client-mutation
+/// dup-stamp`, one process per node as the CLI runs it.
+fn line5_clients_in_processes(mutation: Option<ClientMutation>) -> ssmfp_cluster::RunReport {
+    let scenario = Scenario {
+        topology: "line:5".into(),
+        seed: 3,
+        clients: Some(ClientSpec {
+            clients: 50,
+            load: parse_workload("closed:1:3").unwrap(),
+            mutation,
+        }),
+        faults: 1,
+        partition: Some((5, 15)),
+        ..Scenario::default()
+    };
+    let mode = RunMode::Proc {
+        exe: PathBuf::from(env!("CARGO_BIN_EXE_ssmfp-cluster")),
+    };
+    let listen = ListenSpec::Uds { dir: uds_dir() };
+    let spec = scenario
+        .spec(listen, None, mode, Duration::from_secs(120))
+        .expect("a run");
+    run_cluster(&spec).expect("run")
+}
+
+/// Client mode in process mode comes out clean: every worker read its
+/// clients off its argv.
+#[test]
+fn line5_clients_in_processes_clean_per_client_verdict() {
+    let report = line5_clients_in_processes(None);
+    assert!(report.converged, "client run did not converge");
+    let cv = report.client_verdict.as_ref().expect("client mode verdict");
+    assert!(cv.clean(), "per-client violations: {:?}", cv.violations);
+    assert!(report.clean(), "report not clean");
+    assert_eq!((cv.clients, cv.stamped, cv.exactly_once), (50, 150, 150));
+    assert_eq!(report.clients_completed, 150);
+}
+
+/// …and red with `DuplicateStamp` when every worker was told to reuse a
+/// stamp.
+#[test]
+fn line5_dup_stamp_in_processes_turns_the_client_verdict_red() {
+    let report = line5_clients_in_processes(Some(ClientMutation::DuplicateStamp));
+    assert!(report.converged, "mutated run did not converge");
+    let cv = report.client_verdict.as_ref().expect("client mode verdict");
+    assert!(
+        cv.violations
+            .iter()
+            .any(|v| matches!(v, ClientViolation::DuplicateStamp { .. })),
+        "expected DuplicateStamp among: {:?}",
+        &cv.violations[..cv.violations.len().min(5)]
+    );
+    assert!(!report.clean(), "a red client verdict must dirty the run");
 }

@@ -18,8 +18,8 @@
 //! and exits — it neither spins nor mistakes the fd for a closed pipe.
 
 use ssmfp_cluster::{
-    node_args, pick_partition, run_cluster, ChaosSpec, ClusterSpec, ListenSpec, NodeConfig,
-    RunMode, RunReport, WorkloadKind, WorkloadSpec,
+    node_args, pick_partition, run_cluster, ChaosSpec, ClusterSpec, ListenSpec, Run, RunMode,
+    RunReport, WorkloadKind, WorkloadSpec,
 };
 use ssmfp_topology::{gen, Graph};
 use std::io;
@@ -168,10 +168,8 @@ fn a_shard_whose_nodes_never_get_ready_is_wound_down() {
 #[test]
 fn a_worker_whose_control_fd_cannot_be_polled_exits_with_a_message() {
     let dir = uds_dir("unpollable");
-    let cfg = NodeConfig {
-        node: 0,
-        n: 2,
-        edges: gen::line(2).edges().to_vec(),
+    let run = Run {
+        graph: gen::line(2),
         seed: 1,
         listen: ListenSpec::Uds { dir: dir.clone() },
         workload: WorkloadSpec {
@@ -186,7 +184,7 @@ fn a_worker_whose_control_fd_cannot_be_polled_exits_with_a_message() {
     for stdin in [PathBuf::from("/dev/null"), file] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_ssmfp-cluster"))
             .arg("--node-worker")
-            .args(node_args(&cfg))
+            .args(node_args(0, &run))
             .stdin(std::fs::File::open(&stdin).expect("open stdin"))
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
