@@ -1,8 +1,8 @@
 //! `ssmfp-cluster`: run an SSMFP topology as real nodes over sockets.
 //! Flags and exit codes are in `TOOL.usage`; the run flags go to a
 //! [`Scenario`], the rest say how to launch it and what to print. The
-//! hidden `--node-worker` mode is how the orchestrator spawns per-node
-//! processes.
+//! hidden `--node-worker` mode is how a shard spawns its one process,
+//! which runs the shard's nodes.
 
 use ssmfp_cluster::{node_main, parse_node_args, run_cluster, ListenSpec, RunMode, Scenario};
 use ssmfp_core::cli::Tool;
@@ -34,13 +34,13 @@ OPTIONS:
     --partition F:L    one partition/heal cycle: drop data-plane arrivals
                        [F, F+L) on a seed-picked edge (default off)
     --transport T      uds | tcp (default uds)
-    --shards K         orchestrator shards, each supervising a node group;
-                       with --inproc a shard's nodes share one data thread,
-                       so K is also the number of data threads (default:
-                       one per 25 nodes, and with --inproc at least one
-                       per available CPU; clamped to 1..=n)
-    --inproc           nodes inside this process, one thread per shard,
-                       instead of one process each
+    --shards K         orchestrator shards, each supervising one node
+                       group whose nodes share one data thread, so K is
+                       also the number of data threads (default: one per
+                       25 nodes and at least one per available CPU;
+                       clamped to 1..=n)
+    --inproc           each shard's nodes on a thread of this process,
+                       instead of in one process per shard
     --timeout-s T      convergence timeout in seconds (default 60)
     --json FILE        write the JSON run report to FILE ('-' = stdout)
     --quiet            suppress the human summary
@@ -67,7 +67,7 @@ fn main() -> ExitCode {
     let mut quiet = false;
 
     let node_worker = TOOL.parse(|args| {
-        // Hidden per-node worker mode (spawned by a shard supervisor).
+        // Hidden worker mode: a shard's nodes, spawned by its supervisor.
         if args.mode("--node-worker") {
             return parse_node_args(&args.rest()).map(Some);
         }
@@ -89,11 +89,11 @@ fn main() -> ExitCode {
         }
         Ok(None)
     });
-    if let Some((node, run)) = node_worker {
-        return match node_main(node, &run) {
+    if let Some((nodes, run)) = node_worker {
+        return match node_main(nodes.clone(), &run) {
             Ok(_) => ExitCode::SUCCESS,
             Err(e) => {
-                eprintln!("ssmfp-cluster node {node}: {e}");
+                eprintln!("ssmfp-cluster nodes {nodes:?}: {e}");
                 ExitCode::FAILURE
             }
         };

@@ -9,9 +9,10 @@
 //! the last head named as it completes (`ReportFold`), and
 //! [`parse_report_body`] folds a whole block the same way.
 //!
-//! The other way down, a shard hands a node process its id and [`Run`] as
-//! the `--node-worker` arguments [`node_args`] writes and
-//! [`parse_node_args`] reads, seed, workload and clients a [`Scenario`]'s.
+//! The other way down, a shard hands its group's process the shard's node
+//! range and [`Run`] as the `--node-worker` arguments [`node_args`] writes
+//! and [`parse_node_args`] reads, seed, workload and clients a
+//! [`Scenario`]'s.
 
 use crate::chaos::{ChaosSpec, PartitionSpec};
 use crate::node::{ListenSpec, Run};
@@ -21,6 +22,7 @@ use ssmfp_core::cli::{self, Args};
 use ssmfp_mp::MpGhost;
 use ssmfp_topology::{Graph, NodeId};
 use std::io::{self, Write};
+use std::ops::Range;
 
 /// One node's report, as folded from its lines by its shard.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -51,10 +53,9 @@ pub struct NodeReport {
 }
 
 /// What a `status` line says: sums over a set of nodes — one group's
-/// members at one instant, or the lines of several groups added up by a
-/// shard and again by the root. Every count is monotone per node while a
-/// run drains, which is what the root's stop rule rests on
-/// ([`crate::orchestrator`]).
+/// members at one instant, or the lines of every shard's group added up by
+/// the root. Every count is monotone per node while a run drains, which
+/// is what the root's stop rule rests on ([`crate::orchestrator`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Status {
     /// The last probe wave every summed group had answered when it took
@@ -480,11 +481,11 @@ pub fn parse_report_body(
     None
 }
 
-/// The `--node-worker` arguments of node `node` of `run` (the inverse of
-/// [`parse_node_args`]): `--id`, then the run's text form — `--n` and
-/// `--edges` for its graph, `--listen`, `--chaos`, and its seed, workload
-/// and clients in a [`Scenario`]'s words.
-pub fn node_args(node: NodeId, run: &Run) -> Vec<String> {
+/// The `--node-worker` arguments of the group of nodes `nodes` of `run`
+/// (the inverse of [`parse_node_args`]): `--nodes A..B`, then the run's
+/// text form — `--n` and `--edges` for its graph, `--listen`, `--chaos`,
+/// and its seed, workload and clients in a [`Scenario`]'s words.
+pub fn node_args(nodes: Range<NodeId>, run: &Run) -> Vec<String> {
     let edges = run.graph.edges().iter().map(|(a, b)| format!("{a}-{b}"));
     let listen = match &run.listen {
         ListenSpec::Uds { dir } => format!("uds:{}", dir.display()),
@@ -495,8 +496,8 @@ pub fn node_args(node: NodeId, run: &Run) -> Vec<String> {
         chaos.push_str(&format!(":{}-{}:{}:{}", p.a, p.b, p.from_arrival, p.len));
     }
     let mut args = vec![
-        "--id".into(),
-        node.to_string(),
+        "--nodes".into(),
+        format!("{}..{}", nodes.start, nodes.end),
         "--n".into(),
         run.graph.n().to_string(),
         "--edges".into(),
@@ -510,12 +511,12 @@ pub fn node_args(node: NodeId, run: &Run) -> Vec<String> {
     args
 }
 
-/// Parses the arguments produced by [`node_args`]: the node's id and its
-/// run. The seed, workload and client flags go through
-/// `Scenario::load_flag`, the CLI's parser, and the clients through the
-/// CLI's check. `Err` carries a usage message.
-pub fn parse_node_args(args: &[String]) -> Result<(NodeId, Run), String> {
-    let mut node: Option<NodeId> = None;
+/// Parses the arguments produced by [`node_args`]: the group's nodes, a
+/// non-empty range within the graph, and its run. The seed, workload and
+/// client flags go through `Scenario::load_flag`, the CLI's parser, and
+/// the clients through the CLI's check. `Err` carries a usage message.
+pub fn parse_node_args(args: &[String]) -> Result<(Range<NodeId>, Run), String> {
+    let mut nodes: Option<Range<NodeId>> = None;
     let (mut n, mut edges) = (0usize, Vec::new());
     let mut listen = ListenSpec::Tcp;
     let mut chaos = ChaosSpec::none();
@@ -523,7 +524,13 @@ pub fn parse_node_args(args: &[String]) -> Result<(NodeId, Run), String> {
     let mut args = Args::new(args.iter().cloned());
     while let Some(flag) = args.next_flag() {
         match flag.as_str() {
-            "--id" => node = Some(args.parse()?),
+            "--nodes" => {
+                let v = args.value()?;
+                let (a, b) = v
+                    .split_once("..")
+                    .ok_or_else(|| format!("bad --nodes {v:?} (want A..B)"))?;
+                nodes = Some(cli::parse("--nodes", a)?..cli::parse("--nodes", b)?);
+            }
             "--n" => n = args.parse()?,
             "--edges" => {
                 for pair in args.value()?.split(',') {
@@ -549,7 +556,10 @@ pub fn parse_node_args(args: &[String]) -> Result<(NodeId, Run), String> {
     // Without `--n` the graph is empty, without `--edges` (n >= 2) it is
     // disconnected: the graph refuses both.
     let graph = Graph::from_edges(n, &edges).map_err(|e| format!("bad --n/--edges: {e}"))?;
-    let node = node.ok_or("--id is required")?;
+    let nodes = nodes.ok_or("--nodes is required")?;
+    if nodes.is_empty() || nodes.end > n {
+        return Err(format!("bad --nodes {nodes:?} (want A..B, A < B <= {n})"));
+    }
     load.clients.map_or(Ok(()), |c| c.validate(n))?;
     let run = Run {
         graph,
@@ -559,7 +569,7 @@ pub fn parse_node_args(args: &[String]) -> Result<(NodeId, Run), String> {
         chaos,
         clients: load.clients,
     };
-    Ok((node, run))
+    Ok((nodes, run))
 }
 
 /// Parses `<seed>:<faults>[:<a>-<b>:<from>:<len>]`.
@@ -676,10 +686,11 @@ pub(crate) mod tests {
         (kind, any::<u64>()).prop_map(|(kind, messages)| WorkloadSpec { kind, messages })
     }
 
-    /// A node id and a run: a line, ring, grid or seeded random graph, a
-    /// UDS directory or TCP, open or closed load, chaos with or without a
-    /// partition, clients with or without `dup-stamp`.
-    fn arb_node_run() -> impl Strategy<Value = (NodeId, Run)> {
+    /// A group's node range and a run: a line, ring, grid or seeded random
+    /// graph, a non-empty range within it, a UDS directory or TCP, open or
+    /// closed load, chaos with or without a partition, clients with or
+    /// without `dup-stamp`.
+    fn arb_node_run() -> impl Strategy<Value = (Range<NodeId>, Run)> {
         use ssmfp_topology::gen;
         let graph = prop_oneof![
             (2usize..12).prop_map(gen::line),
@@ -730,14 +741,16 @@ pub(crate) mod tests {
             }),
         ];
         (
-            (any::<usize>(), any::<u64>()),
+            (any::<usize>(), any::<usize>(), any::<u64>()),
             graph,
             listen,
             arb_workload(),
             chaos,
             clients,
         )
-            .prop_map(|((node, seed), graph, listen, workload, chaos, clients)| {
+            .prop_map(|((a, b, seed), graph, listen, workload, chaos, clients)| {
+                let start = a % graph.n();
+                let nodes = start..start + 1 + b % (graph.n() - start);
                 let run = Run {
                     graph,
                     seed,
@@ -746,7 +759,7 @@ pub(crate) mod tests {
                     chaos,
                     clients,
                 };
-                (node, run)
+                (nodes, run)
             })
     }
 
@@ -839,14 +852,14 @@ pub(crate) mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
 
-        /// Every node's id and run survive its `--node-worker` arguments
-        /// whole. The same arguments plus a flag the codec never writes
-        /// (the gone blocking plane's `--io`), or plus a client flag without
-        /// `--clients`, are refused, not ignored.
+        /// Every group's node range and run survive its `--node-worker`
+        /// arguments whole. The same arguments plus a flag the codec never
+        /// writes (the gone blocking plane's `--io`), or plus a client flag
+        /// without `--clients`, are refused, not ignored.
         #[test]
-        fn any_node_config_roundtrips_through_its_args((node, run) in arb_node_run()) {
-            let args = node_args(node, &run);
-            prop_assert_eq!(parse_node_args(&args), Ok((node, run.clone())));
+        fn any_node_config_roundtrips_through_its_args((nodes, run) in arb_node_run()) {
+            let args = node_args(nodes.clone(), &run);
+            prop_assert_eq!(parse_node_args(&args), Ok((nodes, run.clone())));
             let with = |extra: [&str; 2]| {
                 let mut a = args.clone();
                 a.extend(extra.map(String::from));
@@ -883,17 +896,32 @@ pub(crate) mod tests {
         assert!(parse_chaos("3:2:0-4:10:40").is_ok());
         assert!(
             parse_node_args(&[]).is_err(),
-            "--id, --n and --edges are required"
+            "--nodes, --n and --edges are required"
         );
         let words = |line: &str| line.split(' ').map(String::from).collect::<Vec<_>>();
-        assert!(parse_node_args(&words("--id 0 --n 2 --edges 0-1")).is_ok());
+        assert!(parse_node_args(&words("--nodes 0..1 --n 2 --edges 0-1")).is_ok());
+        assert!(parse_node_args(&words("--nodes 0..2 --n 2 --edges 0-1")).is_ok());
         for missing in [
             "--n 2 --edges 0-1",
-            "--id 0 --edges 0-1",
-            "--id 0 --n 2",
-            "--id 0 --n 3 --edges 0-1",
+            "--nodes 0..1 --edges 0-1",
+            "--nodes 0..1 --n 2",
+            "--nodes 0..1 --n 3 --edges 0-1",
         ] {
             assert!(parse_node_args(&words(missing)).is_err(), "{missing}");
+        }
+        // A range that is empty or reaches past the graph is refused with
+        // a message, not run into an index out of bounds.
+        for (range, why) in [
+            ("9..10", "want A..B, A < B <= 2"),
+            ("0..3", "want A..B, A < B <= 2"),
+            ("1..1", "want A..B, A < B <= 2"),
+            ("2..1", "want A..B, A < B <= 2"),
+            ("1", "want A..B"),
+            ("0..x", "bad --nodes value"),
+        ] {
+            let line = format!("--nodes {range} --n 2 --edges 0-1");
+            let err = parse_node_args(&words(&line)).unwrap_err();
+            assert!(err.contains(why), "{range}: {err}");
         }
     }
 

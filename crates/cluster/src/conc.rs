@@ -13,14 +13,13 @@
 //! * `orch.main` — the run driver. Spawns shard supervisors, distributes
 //!   `peers`/`start`/`stop` over per-shard socketpairs, and drains the
 //!   one channel (`orch.shard`) everything flows up through.
-//! * `shard.super` — one per shard: supervises its node groups (one data
-//!   thread inproc, a process per node in proc mode), polls the one
-//!   control socketpair each group has, pre-merges status/telemetry,
+//! * `shard.super` — one per shard: supervises its one node group (a data
+//!   thread inproc, one process per shard in proc mode), polls the
+//!   group's control socketpair, passes status up, pre-merges telemetry,
 //!   forwards control lines downward with POLLOUT-gated nonblocking
 //!   writes.
-//! * `node.main` — the data plane: one per shard inproc, carrying every
-//!   node of the shard (one per process in proc mode, carrying its one
-//!   node). `crate::node::run_group` keeps the group's one control pipe
+//! * `node.main` — the data plane: one per shard, carrying every node of
+//!   the shard, inproc or as the main thread of the shard's process. `crate::node::run_group` keeps the group's one control pipe
 //!   and its sockets in one persistent `epoll` set, waits on it
 //!   to the nearest deadline of any node or stream, and runs the protocol
 //!   engine of each node that has frames or is due. Links between members
@@ -31,8 +30,9 @@
 //!
 //! Exactly two edges are untimed, and each waits on the waiter's spawner:
 //! `node.main` blocking-writes status/report lines to its shard (which
-//! polls group pipes unconditionally), and `shard.super` blocking-sends on
-//! `orch.shard` (which `orch.main` drains with a timeout). Leaf → shard →
+//! polls its group's pipe unconditionally), and `shard.super`
+//! blocking-sends on `orch.shard` (which `orch.main` drains with a
+//! timeout). Leaf → shard →
 //! root cannot close a cycle; `conc-deadlock` checks exactly that, and a
 //! red test flips a downward control write to untimed to keep it honest.
 //!
@@ -60,8 +60,8 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
             ThreadDecl {
                 role: "shard.super",
                 spawned_by: "orch.main",
-                doc: "supervises a shard's node groups: polls one ctrl pipe a group, pre-merges \
-                      status/telemetry",
+                doc: "supervises a shard's one node group: polls its ctrl pipe, passes status \
+                      up, pre-merges telemetry",
             },
             ThreadDecl {
                 role: "node.main",
@@ -82,8 +82,8 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
             // nowhere else on the data plane, between nodes of one thread
             // as between threads: reads and writes behind it are
             // nonblocking. The one untimed edge is the blocking
-            // status/report write up to the shard, which drains group pipes
-            // unconditionally.
+            // status/report write up to the shard, which drains its group's
+            // pipe unconditionally.
             BlockingEdge {
                 thread: "node.main",
                 waits: WaitPoint::SockRead("node.main"),
@@ -109,12 +109,12 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
                 waits: WaitPoint::SockWrite("shard.super"),
                 timed: false, // status/report write_all — leaf edge of the control tree
             },
-            // shard.super — polls group pipes and its orch socketpair;
+            // shard.super — polls its group's pipe and its orch socketpair;
             // downward control writes are POLLOUT-gated and nonblocking.
             BlockingEdge {
                 thread: "shard.super",
                 waits: WaitPoint::SockRead("node.main"),
-                timed: true, // poll over node ctrl pipes with a deadline
+                timed: true, // poll over the group's ctrl pipe with a deadline
             },
             BlockingEdge {
                 thread: "shard.super",

@@ -17,9 +17,10 @@
 //! encode, no syscall — and every link whose far end listens at one
 //! address rides the one stream to that address, where a
 //! `WireFrame::Route { src, dst }` says which link the frames after it
-//! crossed. A shard touches sockets only for edges that leave it; a
-//! `--node-worker` process, whose every neighbour has an address of its
-//! own, has one stream per directed edge by the same rule.
+//! crossed. A shard touches sockets only for edges that leave it, on a
+//! thread or in its worker process; a shard of one node, whose every
+//! neighbour has an address of its own, has one stream per directed edge
+//! by the same rule.
 //!
 //! Registration follows an fd's life, not the loop's iteration: the
 //! control pipe and the listener once, when the group comes up; an inbound
@@ -65,14 +66,14 @@
 //!
 //! A group has one control pipe, whatever its size: one end of a
 //! socketpair its shard opened, handed to the data thread inproc and as
-//! fd 0 to a `--node-worker` process. Its fd sits in the same readiness
+//! fd 0 to the shard's `--node-worker` process. Its fd sits in the same readiness
 //! set as the sockets.
 //! Reads are *single-shot*: one `read(2)` per `POLLIN` readiness on a
 //! blocking fd never blocks, and the level-triggered set reports anything
 //! left unread again. This deliberately avoids `BufReader`, whose
 //! invisible buffering holds complete lines where `poll` cannot see them.
 //! Writes (status lines, ledger deltas, the final reports) are plain
-//! blocking `write_all`: the supervising shard drains group pipes
+//! blocking `write_all`: the supervising shard drains its group's pipe
 //! unconditionally,
 //! and this edge is declared untimed in the concurrency model — it is the
 //! one leaf-to-root arc of an acyclic control tree.
@@ -469,7 +470,7 @@ impl NetListener {
 /// group dials from the `crate::node::run_group` loop that also accepts.
 /// A Unix-domain connect completes while the listener's backlog has room,
 /// and std listens with `somaxconn` (4096 here). std's TCP backlog is 128
-/// (a 200-leaf star of `--node-worker` processes dials its hub past it);
+/// (a 200-leaf star at `--shards 200` dials its hub past it);
 /// past it the kernel drops the SYN and a blocking connect sits out a 1 s
 /// retransmission — one a hub stuck in a dial never answers — so the TCP arm
 /// is bounded by the backoff base and a timeout is an ordinary failed
@@ -792,8 +793,8 @@ struct Member {
 /// *distinct address* among the members' outside neighbours, and whatever
 /// streams other groups dialled in. "Same address, same stream" is the
 /// only rule: a group of one whose neighbours each listen for themselves
-/// (`--node-worker`) has one stream per directed edge, a shard one to each
-/// thread it borders.
+/// (`--shards n`) has one stream per directed edge, a shard one to each
+/// shard it borders.
 ///
 /// Which link a run of frames crossed is said in-band: a
 /// `WireFrame::Route { src, dst }` goes into the stream's [`WriteBuf`]

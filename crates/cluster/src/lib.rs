@@ -25,26 +25,26 @@
 //!   else one listener and one simplex stream per destination address,
 //!   `Route` frames saying which link a run crossed — with heartbeat and
 //!   reconnect deadlines per stream.
-//! * [`node`] — one node = **one resumable task**, one shard = one
-//!   thread, one group = one control endpoint: a turn of `run_group`
-//!   flushes each of the group's streams once, waits once, reads each
-//!   ready stream and the group's one control pipe once and steps only
-//!   the nodes with frames or a passed deadline — forwarder and workload;
-//!   the control state and routing trees are the group's — and
-//!   [`node_main`] (a node process) is that loop with a group of one.
+//! * [`node`] — one node = **one resumable task**, one shard = one group
+//!   = one thread = one control endpoint: a turn of `run_group` flushes
+//!   each of the group's streams once, waits once, reads each ready
+//!   stream and the group's one control pipe once and steps only the
+//!   nodes with frames or a passed deadline — forwarder and workload; the
+//!   control state and routing trees are the group's — and [`node_main`]
+//!   (one process per shard) is that loop over the shard's nodes.
 //! * [`codec`] — the lines a group writes up its control pipe: its
 //!   `status`, its members' ledger deltas that ride behind every status
 //!   line, and their `report … end` blocks at `stop` — written and read as
-//!   bytes, by one line folder; and a node process's argv.
+//!   bytes, by one line folder; and a worker process's argv.
 //! * [`scenario`] — what a run is: one [`Scenario`], one parser per run
 //!   flag, one text form that replays it, and the [`ClusterSpec`] it is.
-//! * [`orchestrator`] — the sharded control tree: K `shard.super`
-//!   threads each supervise their node groups (one data thread, or a
-//!   process per node) over one socketpair a group, folding each node's
-//!   ledger as it streams in and
-//!   pre-merging status and telemetry so the root works O(shards) per
-//!   tick, then one global ledger reconciliation renders the SP verdict
-//!   and the JSON run report.
+//! * [`orchestrator`] — the sharded control tree: the root drives K
+//!   shards, works O(shards) per status, merges their pre-merged telemetry
+//!   and running joins into the SP verdict and renders the JSON run
+//!   report.
+//! * `shard` — a `shard.super` thread supervising its shard's one node
+//!   group (a data thread, or one process per shard) over one socketpair,
+//!   passing status up and folding each node's ledger as it streams in.
 //! * [`telemetry`] — log-bucketed latency histograms and counters.
 //! * [`tuning`] — every runtime knob in one documented [`ClusterTuning`]
 //!   struct, consumed by both the running code and the declared model.
@@ -61,6 +61,7 @@ pub mod frame;
 pub mod node;
 pub mod orchestrator;
 pub mod scenario;
+mod shard;
 pub mod telemetry;
 pub mod transport;
 pub mod tuning;

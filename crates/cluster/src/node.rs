@@ -1,6 +1,6 @@
 //! One SSMFP node as a resumable task: the forwarder from `crates/mp`
-//! driven by real sockets instead of the simulated scheduler, on a thread
-//! it may share with the other nodes of its shard.
+//! driven by real sockets instead of the simulated scheduler, on the one
+//! thread it shares with the other nodes of its shard.
 //!
 //! ## Connection model
 //!
@@ -17,9 +17,8 @@
 //! byte stream says which directed edge the frames after it crossed; a
 //! reader hangs up on a stream that names an edge that does not cross into
 //! its group. So a shard has no socket for its inner edges, two shards
-//! that share an edge have one stream each way, and a `--node-worker`
-//! process — a group of one whose every neighbour has an address of its
-//! own — has one per directed edge, by the same rule and the same code.
+//! that share an edge have one stream each way, and a shard of one node
+//! (`--shards n`) has one per directed edge, by the same rule and code.
 //! Reconnection stays trivially safe: a lost stream loses its in-flight
 //! frames on every link it carried (wire drops), which the protocol's
 //! retransmission already tolerates, and the dialler re-establishes with
@@ -52,9 +51,9 @@
 //! registered costs nothing: the control pipe and the listener go into
 //! the set when the group comes up, a connection when `accept` returns
 //! it, an out-stream only while a full socket holds its bytes back.
-//! `run_group` loops on `turn`; `RunMode::Inproc` runs it once per shard,
-//! on the shard's one `node.main` thread; [`node_main`] — a
-//! `--node-worker` process — runs it with a group of one. A frame between
+//! `run_group` loops on `turn`, once per shard: on the shard's
+//! `node.main` thread in `RunMode::Inproc`, and as [`node_main`], the
+//! shard's `--node-worker` process, in `RunMode::Proc`. A frame between
 //! two nodes of a group never touches the kernel: a receiver later in the
 //! slot order steps in the same turn, an earlier one in the next. There is
 //! no writer thread, no control-reader thread — frames and control lines
@@ -91,7 +90,8 @@
 //! * group → shard: `status <wave> <nodes> <done> <generated> <delivered>
 //!   <held> <busy>` ([`Status`]) — a cut of all its members at one
 //!   instant, written the turn the cut goes quiet or changes while quiet,
-//!   once per probe wave, and otherwise once per `status_every`
+//!   once per probe wave, and otherwise once per `status_every`; the
+//!   shard passes each up to the root as it reads it
 //! * group → shard, in the same write behind every status line: for each
 //!   member with ledger entries since the last one, a `node <id>` head,
 //!   then a `gen …` and a `del …` line (`crate::codec::push_delta`),
@@ -125,6 +125,7 @@ use ssmfp_core::wire::WireFrame;
 use ssmfp_mp::{ack_ghost_of, decode_client_ghost, MpForwarder, MpGhost, MpNode, Outbox, WireMsg};
 use ssmfp_topology::{BfsTree, Graph, NodeId};
 use std::io;
+use std::ops::Range;
 use std::os::unix::io::{FromRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -146,7 +147,7 @@ pub enum ListenSpec {
 
 /// What every node group of a run is handed at bring-up with its member
 /// ids, the [`crate::ClusterSpec`] fields a group reads: one value for all
-/// of a run's groups (a node process reads it off its argv).
+/// of a run's groups (a worker process reads it off its argv).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Run {
     /// The topology.
@@ -830,8 +831,8 @@ fn refused(line: &str) -> io::Error {
 /// stopped. What the nodes report, and what ended the group if it failed,
 /// went up the pipe.
 pub(crate) fn run_group(run: &Run, ids: Vec<NodeId>, pipe: UnixStream) -> io::Result<()> {
-    // In proc mode this is the process main thread; in inproc mode the
-    // shard's spawn already registered it (re-registration is
+    // In proc mode this is the worker process's main thread; in inproc
+    // mode the shard's spawn already registered it (re-registration is
     // idempotent). Either way the declared role holds from here on.
     register_thread(COMPONENT, "node.main");
     let mut group = Group::new(run, ids, pipe, monotonic_us)?;
@@ -839,14 +840,14 @@ pub(crate) fn run_group(run: &Run, ids: Vec<NodeId>, pipe: UnixStream) -> io::Re
     Ok(())
 }
 
-/// Runs a `--node-worker` process: node `node` of `run`, a `run_group`
-/// group of one, over the socket its shard handed it as fd 0.
-pub fn node_main(node: NodeId, run: &Run) -> io::Result<()> {
+/// Runs a `--node-worker` process: the `run_group` group of a shard's
+/// `nodes` of `run`, over the socket its shard handed it as fd 0.
+pub fn node_main(nodes: Range<NodeId>, run: &Run) -> io::Result<()> {
     // SAFETY: fd 0 is the process's, and nothing else in it reads or
     // closes stdin; the stream owns it from here to exit. (A stdin that
     // is no socket fails at registration, or at its first read.)
     let pipe = unsafe { UnixStream::from_raw_fd(0) };
-    run_group(run, vec![node], pipe)
+    run_group(run, nodes.collect(), pipe)
 }
 
 #[cfg(test)]

@@ -2,24 +2,25 @@
 //! watch it converge, reconcile the per-node ledgers into a cluster-wide
 //! SP verdict, and emit a JSON run report.
 //!
-//! ## The shard tree (PR 8)
+//! ## The shard tree
 //!
 //! The control plane is a two-level tree. `orch.main` spawns K
-//! `shard.super` threads, each supervising a contiguous block of nodes in
-//! node groups: one group, the tasks of one `node.main` data thread, in
-//! [`RunMode::Inproc`]; a group of one per OS process in
-//! [`RunMode::Proc`]. A group is one control endpoint — one socketpair to
+//! `shard.super` threads, each supervising a contiguous block of nodes as
+//! one node group: the tasks of one `node.main` data thread, on a thread
+//! of this process in [`RunMode::Inproc`] and in one `--node-worker`
+//! process per shard in [`RunMode::Proc`] — the same groups, streams and
+//! seeds either way. A group is one control endpoint — one socketpair to
 //! its shard in both modes, a worker's end as its fd 0 — and a shard
-//! polls those directly, no reader threads, so a whole inproc run costs
+//! polls it directly, no reader thread, so a whole inproc run costs
 //! `2 · shards + 1` threads: [`ClusterSpec::shards`] says how many groups
 //! the nodes run in and thereby how many threads carry them (`shards = n`
-//! is one thread per node).
+//! is one thread, or one process, per node).
 //!
-//! Shards pre-merge what flows upward: the `status` lines of their node
-//! groups (one per group, [`Status`]) become one sum, and per-node reports
-//! become one [`ShardReport`] whose [`ShardSummary`] already carries the
-//! merged histograms and counters ([`ShardSummary::merge`], the one fold
-//! from node reports to run totals). A node's ledger reaches its shard
+//! Shards pass their group's `status` lines ([`Status`]) up as they read
+//! them, and pre-merge per-node reports into one [`ShardReport`] whose
+//! [`ShardSummary`] already carries the merged histograms and counters
+//! ([`ShardSummary::merge`], the one fold from node reports to run
+//! totals). A node's ledger reaches its shard
 //! while the run runs — each member's new entries ride behind every status
 //! line of its group after a `node <id>` head, and the shard folds each
 //! line into that node's report as it completes ([`crate::codec`]) — so
@@ -39,16 +40,16 @@
 //! ## When a run is over: four counters
 //!
 //! A group writes its line the turn its cut goes quiet (every member done
-//! issuing, nothing held, nothing buffered) and a shard forwards its sum at
-//! once when that is quiet and new, so the root hears of a quiet cluster
-//! within a turn or two. But the lines are read at different instants: a
+//! issuing, nothing held, nothing buffered) and its shard passes it up as
+//! it reads it, so the root hears of a quiet cluster within a turn or two.
+//! But the lines are read at different instants: a
 //! sink read before it delivered a primary and generated its ack, and the
 //! source read after it delivered that ack, add up to Σgenerated ==
 //! Σdelivered while the two were in flight between the reads. So the root
 //! (`Detector`) runs Mattern's four-counter rule ("Algorithms for
 //! distributed termination detection", 1987). A quiet merged snapshot with
 //! Σgenerated == Σdelivered is wave 1; the root then writes `probe <w>`,
-//! which every shard forwards to every node, and each group answers once
+//! which every shard forwards to its group, and each group answers once
 //! with a cut taken after it read the probe (wave 2, a one-level
 //! propagation of information with feedback). The run has converged iff
 //! every answer is quiet and their Σgenerated G₂ equals wave 1's
@@ -58,35 +59,35 @@
 //! issuing nothing can be generated again. (A duplicate delivery could
 //! fake the equality, but that is an SP violation the verdict reports.)
 //! Anything else drops the candidate, and the next quiet snapshot starts
-//! wave `w + 1`. The same rule covers one group or many, threads or
+//! wave `w + 1`. The same rule covers one shard or many, threads or
 //! processes.
 
 use crate::chaos::{ChaosSpec, PartitionSpec};
 use crate::clients::ClientSpec;
-use crate::codec::{node_args, shown, NodeReport, ReportFold, Status};
+use crate::codec::{NodeReport, Status};
 use crate::conc::COMPONENT;
-use crate::evloop::{raise_nofile_limit, take_lines, Poller, POLLERR, POLLHUP, POLLIN, POLLOUT};
-use crate::node::{run_group, ListenSpec, Run};
+use crate::evloop::{raise_nofile_limit, Poller, POLLOUT};
+use crate::node::{ListenSpec, Run};
+use crate::shard::shard_main;
 use crate::telemetry::{LogHistogram, NodeCounters};
 use crate::tuning::TUNING;
 use crate::workload::WorkloadSpec;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use ssmfp_core::cli::json_string;
-use ssmfp_core::conc::{register_thread, spawn_registered, tracked_channel, TrackedSender};
+use ssmfp_core::conc::{register_thread, spawn_registered, tracked_channel};
 use ssmfp_core::{
     reconcile_clients, reconcile_ledgers, ClientVerdict, ClusterVerdict, NodeLedger, RunningAudit,
 };
 use ssmfp_topology::{Graph, NodeId};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::ops::Range;
-use std::os::unix::io::{AsRawFd, OwnedFd};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How nodes are launched.
@@ -94,7 +95,8 @@ use std::time::{Duration, Instant};
 pub enum RunMode {
     /// Inside this process, every shard's nodes on one thread.
     Inproc,
-    /// One OS process per node, running `<exe> --node-worker …`.
+    /// One OS process per shard, running `<exe> --node-worker --nodes
+    /// A..B …` over the shard's nodes.
     Proc {
         /// Path to the `ssmfp-cluster` binary.
         exe: PathBuf,
@@ -119,8 +121,8 @@ pub struct ClusterSpec {
     /// Client mode: multiplex this many logical clients over the nodes
     /// and audit them per-client at reconciliation.
     pub clients: Option<ClientSpec>,
-    /// Orchestrator shards (supervised node groups); clamped to `1..=n`.
-    /// Inproc, each group also shares one data thread.
+    /// Orchestrator shards, each supervising one node group on one data
+    /// thread; clamped to `1..=n`.
     pub shards: usize,
     /// Launch mode.
     pub mode: RunMode,
@@ -160,7 +162,7 @@ pub struct ShardSummary {
 
 impl ShardSummary {
     /// The totals of node reports: each one's, merged.
-    fn of(reports: &[NodeReport]) -> Self {
+    pub(crate) fn of(reports: &[NodeReport]) -> Self {
         let mut sum = ShardSummary::default();
         for r in reports {
             sum.merge(&ShardSummary {
@@ -219,10 +221,10 @@ pub struct ShardReport {
 }
 
 /// Shard → orchestrator upstream messages (the `orch.shard` channel).
-enum ShardUp {
-    /// All shard nodes reported the address they listen at.
+pub(crate) enum ShardUp {
+    /// The shard's group reported the address its members listen at.
     Ready(Vec<(NodeId, String)>),
-    /// The sum of the shard's latest group lines.
+    /// A `status` line of the shard's group, as the shard read it.
     Status(Status),
     /// Final report (boxed: the reports dwarf the other variants).
     Done(Box<ShardReport>),
@@ -490,550 +492,21 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
 /// edge — an edge inside a group is in memory and holds none — and is two
 /// descriptors, the dialling end and the accepted end; a group also holds
 /// at most a listener and its `epoll` set, and a control socketpair of two
-/// ends, every shard a socketpair to the orchestrator. Inproc a group is a
-/// shard and all of it is in this process. In process mode a group is one
-/// node in a process of its own, which inherits the limit set here: the
-/// parent holds the control tree only, and no child's two streams per
-/// neighbour come to more than that.
-fn nofile_budget(graph: &Graph, ranges: &[Range<usize>], mode: &RunMode) -> u64 {
-    let groups = match mode {
-        RunMode::Inproc => ranges.len(),
-        RunMode::Proc { .. } => graph.n(),
-    };
-    let control = 2 * groups + 2 * ranges.len();
-    let held = match mode {
-        RunMode::Inproc => {
-            let group = |p: NodeId| ranges.iter().position(|r| r.contains(&p));
-            let mut pairs: Vec<_> = graph
-                .edges()
-                .iter()
-                .filter(|&&(a, b)| group(a) != group(b))
-                .flat_map(|&(a, b)| [(group(a), group(b)), (group(b), group(a))])
-                .collect();
-            pairs.sort_unstable();
-            pairs.dedup();
-            control + 2 * pairs.len() + 2 * ranges.len()
-        }
-        RunMode::Proc { .. } => control,
-    };
-    (held + 64) as u64
-}
-
-// ---------------------------------------------------------------------------
-// Shard supervisor
-// ---------------------------------------------------------------------------
-
-/// A shard's handle on one node group — the shard's data thread inproc,
-/// one `--node-worker` process otherwise: its end of the group's control
-/// socketpair, the process if it is one (an inproc shard's data thread is
-/// joined once for the shard), and what the shard has read of it.
-struct GroupSlot {
-    /// The supervisor's end (nonblocking).
-    pipe: UnixStream,
-    child: Option<Child>,
-    /// Read accumulator (partial control lines).
-    acc: Vec<u8>,
-    /// Staged downward control bytes, written on `POLLOUT` only.
-    staged: Vec<u8>,
-    staged_at: usize,
-    eof: bool,
-    ready: Option<String>,
-    /// The group's latest `status` line.
-    status: Option<Status>,
-    /// Its members' reports as their lines arrive ([`GroupSlot::hear`]).
-    fold: ReportFold,
-    /// By member, how much of its report's generated and delivered lists
-    /// the shard's running join has been fed.
-    audited: Vec<(usize, usize)>,
-    /// Its members' ledger entries folded before and after `stop`.
-    ledger: LedgerFlow,
-    /// The interest registered for the pipe.
-    watched: i16,
-}
-
-impl GroupSlot {
-    fn new(members: &[NodeId], pipe: UnixStream, child: Option<Child>) -> Self {
-        GroupSlot {
-            pipe,
-            child,
-            acc: Vec::new(),
-            staged: Vec::new(),
-            staged_at: 0,
-            eof: false,
-            ready: None,
-            status: None,
-            fold: ReportFold::new(members.iter().copied()),
-            audited: vec![(0, 0); members.len()],
-            ledger: LedgerFlow::default(),
-            watched: 0,
-        }
-    }
-
-    /// The member a failure of the whole group is charged to: the first.
-    fn lead(&self) -> NodeId {
-        self.fold.reports[0].node
-    }
-
-    fn stage(&mut self, line: &[u8]) {
-        self.staged.extend_from_slice(line);
-        self.staged.push(b'\n');
-    }
-
-    /// One line from the group, read where it lies: `ready` and `status`
-    /// are the shard's; an `error` line ends the shard with it; every other
-    /// line folds into the report of the member the last head named the
-    /// moment it completes — ledger deltas whenever they come, counted as
-    /// streamed or, once the shard read `stop`, as tail. A line no reader
-    /// takes is an error: the group's status or ledger past it would be a
-    /// guess.
-    fn hear(&mut self, line: &[u8], stopped: bool) -> Result<(), String> {
-        if let Some(addr) = line.strip_prefix(b"ready ") {
-            self.ready = Some(String::from_utf8_lossy(addr).into_owned());
-        } else if let Some(rest) = line.strip_prefix(b"status ") {
-            self.status = Some(Status::parse(rest).ok_or_else(|| self.refused(line))?);
-        } else if line.starts_with(b"error ") {
-            let said = String::from_utf8_lossy(line);
-            return Err(match self.ready {
-                None => format!("node {} exited before ready: {said}", self.lead()),
-                Some(_) => said.into_owned(),
-            });
-        } else {
-            let entries = self.fold.fold(line).ok_or_else(|| self.refused(line))?;
-            if stopped {
-                self.ledger.tail += entries;
-            } else {
-                self.ledger.streamed += entries;
-            }
-        }
-        Ok(())
-    }
-
-    /// The error that ends the shard on a line it cannot read, charged to
-    /// the group's lead.
-    fn refused(&self, line: &[u8]) -> String {
-        let shown = shown(line);
-        format!(
-            "node {} wrote a line the shard refuses: {shown}",
-            self.lead()
-        )
-    }
-
-    /// Keeps slot `i`'s registration at what the shard still waits for:
-    /// the group's lines until EOF — a socket whose writer closed stays
-    /// open, and level-triggered `POLLHUP` would spin the loop — and
-    /// writability while bytes are staged.
-    fn watch(&mut self, i: usize, poll: &Poller) -> io::Result<()> {
-        let read = if self.eof { 0 } else { POLLIN };
-        let write = if self.staged_at < self.staged.len() {
-            POLLOUT
-        } else {
-            0
-        };
-        let (fd, want) = (self.pipe.as_raw_fd(), read | write);
-        match (self.watched, want) {
-            (had, want) if had == want => {}
-            (0, _) => poll.add(fd, want, Poller::token(i, fd))?,
-            (_, 0) => poll.del(fd)?,
-            _ => poll.modify(fd, want, Poller::token(i, fd))?,
-        }
-        self.watched = want;
-        Ok(())
-    }
-
-    /// Closes the control pipe (a group still running reads EOF and winds
-    /// down) and reaps the process, if it is one.
-    fn finish(self) {
-        drop(self.pipe);
-        let Some(mut child) = self.child else { return };
-        let deadline = Instant::now() + TUNING.proc_exit_grace();
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if Instant::now() < deadline => thread::sleep(TUNING.proc_wait_poll()),
-                _ => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// Ledger entries a shard joins per loop turn. A turn that leaves more
-/// runs the next one at once, so a line from the orchestrator — a probe
-/// at the end of a run — waits on at most this many.
-const JOIN_PER_TURN: usize = 1024;
-
-/// A shard's running SP join over its nodes' ledgers, and the time it
-/// took.
-#[derive(Default)]
-struct ShardAudit {
-    audit: RunningAudit,
-    spent: Duration,
-}
-
-impl ShardAudit {
-    /// Feeds the join about [`JOIN_PER_TURN`] of the entries folded since
-    /// it was last fed, and settles it. Each list gives its share of the
-    /// turn's entries, oldest first, so the two ends of a ghost tend to
-    /// meet in one settle. True while entries are left.
-    fn catch_up(&mut self, slots: &mut [GroupSlot]) -> bool {
-        let behind = |s: &GroupSlot| -> usize {
-            let members = s.fold.reports.iter().zip(&s.audited);
-            let each = |(r, (g, d)): (&NodeReport, &(usize, usize))| {
-                r.generated.len() + r.delivered.len() - g - d
-            };
-            members.map(each).sum()
-        };
-        let backlog: usize = slots.iter().map(behind).sum();
-        if backlog == 0 {
-            return false;
-        }
-        let t = Instant::now();
-        let share = |len: usize, at: usize| {
-            at + (len - at).min(((len - at) * JOIN_PER_TURN).div_ceil(backlog))
-        };
-        for s in slots.iter_mut() {
-            for (r, audited) in s.fold.reports.iter().zip(&mut s.audited) {
-                let (g, d) = *audited;
-                *audited = (share(r.generated.len(), g), share(r.delivered.len(), d));
-                self.audit.generated(&r.generated[g..audited.0]);
-                self.audit.delivered(r.node, &r.delivered[d..audited.1]);
-            }
-        }
-        self.audit.settle();
-        self.spent += t.elapsed();
-        backlog > JOIN_PER_TURN
-    }
-}
-
-#[derive(PartialEq, Clone, Copy)]
-enum Phase {
-    Ready,
-    Running,
-    Reporting,
-}
-
-/// Launches the node groups of the shard's `members` of `run`, one
-/// control socketpair each: one `node.main` thread running all of them
-/// inproc (`Some` handle to join once its pipe is closed), a process per
-/// node in proc mode, its end of the pair as fd 0. On error `slots` holds
-/// what was launched before it.
-fn spawn_groups(
-    run: Arc<Run>,
-    members: Range<NodeId>,
-    mode: &RunMode,
-    slots: &mut Vec<GroupSlot>,
-) -> io::Result<Option<JoinHandle<()>>> {
-    let pair = || {
-        let (sup_side, group_side) = UnixStream::pair()?;
-        sup_side.set_nonblocking(true)?;
-        Ok::<_, io::Error>((sup_side, group_side))
-    };
-    match mode {
-        RunMode::Inproc => {
-            let ids: Vec<NodeId> = members.collect();
-            let (sup_side, group_side) = pair()?;
-            slots.push(GroupSlot::new(&ids, sup_side, None));
-            // What the group reports, and what ended it, went up the pipe.
-            Ok(Some(spawn_registered(COMPONENT, "node.main", move || {
-                let _ = run_group(&run, ids, group_side);
-            })))
-        }
-        RunMode::Proc { exe } => {
-            for p in members {
-                let named = |e: io::Error| io::Error::other(format!("node {p}: {e}"));
-                let (sup_side, group_side) = pair().map_err(named)?;
-                let child = Command::new(exe)
-                    .arg("--node-worker")
-                    .args(node_args(p, &run))
-                    .stdin(OwnedFd::from(group_side))
-                    .stdout(Stdio::null())
-                    .stderr(Stdio::inherit())
-                    .spawn()
-                    .map_err(named)?;
-                slots.push(GroupSlot::new(&[p], sup_side, Some(child)));
-            }
-            Ok(None)
-        }
-    }
-}
-
-/// Closes **every** control pipe of the shard, and only then joins the
-/// data thread: its group leaves the thread when it reads EOF.
-fn wind_down(slots: Vec<GroupSlot>, data: Option<JoinHandle<()>>) {
-    for s in slots {
-        s.finish();
-    }
-    if let Some(join) = data {
-        // Whatever ended the group — error or panic — already reached the
-        // supervisor, as an `error` line or as EOF.
-        let _ = join.join();
-    }
-}
-
-/// The owner half of the orchestrator socketpair's [`Poller::token`] in a
-/// shard's set; a group's control pipe carries its slot index.
-const ORCH: usize = u32::MAX as usize;
-
-/// One shard supervisor: spawns its node groups, waits on every group's
-/// control pipe plus the orchestrator socketpair in one [`Poller`],
-/// forwards control lines downward (staged, `POLLOUT`-gated — the declared
-/// timed write), and pre-merges status and reports upward: the sum of its
-/// groups' latest lines goes up at once when it is quiet and new or
-/// completes a probe wave, and otherwise once per `status_every`.
-fn shard_main(
-    shard: usize,
-    run: Arc<Run>,
-    members: Range<NodeId>,
-    mode: RunMode,
-    orch: UnixStream,
-    up: TrackedSender<(usize, ShardUp)>,
-) {
-    register_thread(COMPONENT, "shard.super");
-    let send_up = |msg: ShardUp| {
-        // Untimed `ChanSend(orch.shard)` — the declared upstream edge.
-        // A disconnected receiver means the orchestrator already gave
-        // up; keep going so the group handles still get finished.
-        let _ = up.send((shard, msg));
-    };
-    let mut slots: Vec<GroupSlot> = Vec::new();
-    let data = spawn_groups(run, members, &mode, &mut slots);
-    let outcome = data
-        .as_ref()
-        .map_err(|e| format!("spawn {e}"))
-        .and_then(|_| {
-            let mut poll = watch(&orch, &mut slots).map_err(shard_wait)?;
-            let mut audit = ShardAudit::default();
-            supervise(&mut poll, &orch, &mut slots, &mut audit, &send_up)?;
-            Ok(shard_report(shard, &mut slots, audit))
-        });
-    send_up(match outcome {
-        Ok(report) => ShardUp::Done(Box::new(report)),
-        Err(e) => ShardUp::Error(e),
-    });
-    wind_down(slots, data.ok().flatten());
-}
-
-fn shard_wait(e: io::Error) -> String {
-    format!("shard wait: {e}")
-}
-
-/// A shard's readiness set: the orchestrator socketpair and every group's
-/// control pipe, each registered for as long as the shard waits on it.
-fn watch(orch: &UnixStream, slots: &mut [GroupSlot]) -> io::Result<Poller> {
-    let (poll, fd) = (Poller::new()?, orch.as_raw_fd());
-    poll.add(fd, POLLIN, Poller::token(ORCH, fd))?;
-    for (i, s) in slots.iter_mut().enumerate() {
-        s.watch(i, &poll)?;
-    }
-    Ok(poll)
-}
-
-/// The supervision loop, on the set [`watch`] built, until every node has
-/// reported. A wait that fails — anything but `EINTR` — a registration
-/// the set refuses, a line a group wrote that the shard cannot read, a
-/// group's `error` line, and a pipe that closes before every node on it
-/// sent its report cannot be retried into working: each ends the shard at
-/// once with the error instead of spinning or stalling it. Each turn ends
-/// with the running join of what the turns folded, after the turn's
-/// status went up ([`ShardAudit::catch_up`]).
-fn supervise(
-    poll: &mut Poller,
-    orch: &UnixStream,
-    slots: &mut [GroupSlot],
-    audit: &mut ShardAudit,
-    send_up: &dyn Fn(ShardUp),
-) -> Result<(), String> {
-    let nodes: u64 = slots.iter().map(|s| s.fold.reports.len() as u64).sum();
-    let mut events: Vec<(u64, i16)> = Vec::new();
-    let mut scratch = vec![0u8; 16 * 1024];
-    let mut orch_acc: Vec<u8> = Vec::new();
-    let mut phase = Phase::Ready;
-    let mut ready_sent = false;
-    let mut last_status = Instant::now();
-    let mut forwarded: Option<Status> = None;
-    let mut report_deadline = Instant::now();
-    let mut backlog = false;
-    loop {
-        let cap = Duration::from_millis(50);
-        let timeout = match phase {
-            _ if backlog => Duration::ZERO,
-            Phase::Ready => cap,
-            Phase::Running => TUNING
-                .status_every()
-                .saturating_sub(last_status.elapsed())
-                .min(cap),
-            Phase::Reporting => report_deadline
-                .saturating_duration_since(Instant::now())
-                .min(cap),
-        };
-        events.clear();
-        events.extend_from_slice(poll.wait(Some(timeout)).map_err(shard_wait)?);
-
-        // Orchestrator lines first: interpret, then forward verbatim to
-        // every group. (The shard's end of the socketpair is blocking: one
-        // single-shot read per POLLIN readiness never blocks.)
-        if events.iter().any(|&(t, _)| Poller::untoken(t).0 == ORCH) {
-            let orch_eof = match (&*orch).read(&mut scratch) {
-                Ok(0) => true,
-                Ok(k) => {
-                    take_lines(&mut orch_acc, &scratch[..k], |line| {
-                        for s in slots.iter_mut() {
-                            s.stage(line);
-                        }
-                        if line.starts_with(b"start") && phase == Phase::Ready {
-                            phase = Phase::Running;
-                            last_status = Instant::now();
-                        } else if line.starts_with(b"stop") && phase != Phase::Reporting {
-                            phase = Phase::Reporting;
-                            report_deadline = Instant::now() + TUNING.report_grace();
-                        }
-                    });
-                    false
-                }
-                Err(e) => !matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
-                ),
-            };
-            if orch_eof {
-                // It stays open: out of the level-triggered set by hand.
-                poll.del(orch.as_raw_fd()).map_err(shard_wait)?;
-                if phase != Phase::Reporting {
-                    // Orchestrator gone: wind the run down cleanly.
-                    for s in slots.iter_mut() {
-                        s.stage(b"stop");
-                    }
-                    phase = Phase::Reporting;
-                    report_deadline = Instant::now() + TUNING.report_grace();
-                }
-            }
-        }
-
-        for &(token, ev) in &events {
-            let (i, _) = Poller::untoken(token);
-            let Some(s) = slots.get_mut(i) else { continue };
-            // Group lines (nonblocking fds: drain to WouldBlock).
-            let readable = ev & (POLLIN | POLLERR | POLLHUP) != 0;
-            let stopped = phase == Phase::Reporting;
-            while readable && !s.eof {
-                match (&s.pipe).read(&mut scratch) {
-                    Ok(0) => s.eof = true,
-                    Ok(k) => {
-                        let mut acc = std::mem::take(&mut s.acc);
-                        let mut refused = Ok(());
-                        take_lines(&mut acc, &scratch[..k], |line| {
-                            if refused.is_ok() {
-                                refused = s.hear(line, stopped);
-                            }
-                        });
-                        s.acc = acc;
-                        refused?;
-                        if k < scratch.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => s.eof = true,
-                }
-            }
-            if let Some(node) = s.fold.unended().filter(|_| s.eof) {
-                return Err(match s.ready {
-                    None => format!("node {node} exited before ready"),
-                    Some(_) => format!("node {node} hung up before its report"),
-                });
-            }
-            // Staged downward writes, POLLOUT-gated (the declared timed
-            // `SockWrite(node.main)` edge — the shard never blocks on a
-            // group).
-            let writable = ev & (POLLOUT | POLLERR | POLLHUP) != 0;
-            while writable && s.staged_at < s.staged.len() {
-                match (&s.pipe).write(&s.staged[s.staged_at..]) {
-                    Ok(0) => break,
-                    Ok(k) => s.staged_at += k,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    // Group gone; the read side will surface EOF.
-                    Err(_) => s.staged_at = s.staged.len(),
-                }
-            }
-            if s.staged_at == s.staged.len() {
-                s.staged.clear();
-                s.staged_at = 0;
-            }
-        }
-        for (i, s) in slots.iter_mut().enumerate() {
-            s.watch(i, poll).map_err(shard_wait)?;
-        }
-
-        // Phase work.
-        match phase {
-            Phase::Ready => {
-                if !ready_sent && slots.iter().all(|s| s.ready.is_some()) {
-                    let list: Vec<(NodeId, String)> = slots
-                        .iter()
-                        .flat_map(|s| {
-                            let addr = s.ready.as_ref().expect("all ready");
-                            s.fold.reports.iter().map(|r| (r.node, addr.clone()))
-                        })
-                        .collect();
-                    send_up(ShardUp::Ready(list));
-                    ready_sent = true;
-                }
-            }
-            Phase::Running => {
-                let sum = Status::sum(slots.iter().filter_map(|s| s.status.as_ref()));
-                let quiet_news = sum.quiet(nodes) && forwarded != Some(sum);
-                let answered = sum.wave > forwarded.map_or(0, |f| f.wave);
-                if quiet_news || answered || last_status.elapsed() >= TUNING.status_every() {
-                    last_status = Instant::now();
-                    forwarded = Some(sum);
-                    send_up(ShardUp::Status(sum));
-                }
-            }
-            Phase::Reporting => {
-                let missing = slots.iter().find_map(|s| s.fold.unended());
-                let Some(missing) = missing else {
-                    return Ok(());
-                };
-                if Instant::now() >= report_deadline {
-                    return Err(format!("node {missing} sent no report in time"));
-                }
-            }
-        }
-        backlog = audit.catch_up(slots);
-    }
-}
-
-/// Takes every node's folded report, and the running join over them, into
-/// the pre-merged shard report.
-fn shard_report(shard: usize, slots: &mut [GroupSlot], mut audit: ShardAudit) -> ShardReport {
-    while audit.catch_up(slots) {}
-    audit.audit.close();
-    let mut ledger = LedgerFlow {
-        join_s: audit.spent.as_secs_f64(),
-        pending_peak: audit.audit.pending_peak(),
-        ..LedgerFlow::default()
-    };
-    let mut reports: Vec<NodeReport> = Vec::new();
-    for s in slots.iter_mut() {
-        ledger.streamed += s.ledger.streamed;
-        ledger.tail += s.ledger.tail;
-        reports.append(&mut s.fold.reports);
-    }
-    ShardReport {
-        shard,
-        summary: ShardSummary {
-            shard,
-            ledger,
-            ..ShardSummary::of(&reports)
-        },
-        reports,
-        audit: audit.audit,
-    }
+/// ends, every shard a socketpair to the orchestrator. A shard is one
+/// group, on its thread here or in a process of its own that inherits the
+/// limit set here and holds no more than its own group's share of it.
+fn nofile_budget(graph: &Graph, ranges: &[Range<usize>]) -> u64 {
+    let group = |p: NodeId| ranges.iter().position(|r| r.contains(&p));
+    let mut pairs: Vec<_> = graph
+        .edges()
+        .iter()
+        .filter(|&&(a, b)| group(a) != group(b))
+        .flat_map(|&(a, b)| [(group(a), group(b)), (group(b), group(a))])
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    // Streams, listeners and `epoll` sets, control pipes and shard pairs.
+    (2 * pairs.len() + 2 * ranges.len() + 4 * ranges.len() + 64) as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -1266,7 +739,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     let n = spec.graph.n();
     let ranges = shard_ranges(n, spec.shards);
     let k = ranges.len();
-    raise_nofile_limit(nofile_budget(&spec.graph, &ranges, &spec.mode));
+    raise_nofile_limit(nofile_budget(&spec.graph, &ranges));
 
     let (up_tx, up_rx) =
         tracked_channel::<(usize, ShardUp)>(COMPONENT, model.channel_decl("orch.shard"));
@@ -1545,122 +1018,26 @@ mod tests {
 
     /// The fd budget counts streams, not edges: a 100-node grid on four
     /// data threads holds 6 ordered pairs of distinct groups, whatever its
-    /// 180 edges; one thread holds no stream at all; a process per node
-    /// leaves the parent the control tree. Control costs 2 fds per group
-    /// and 2 per shard, not 2 per node.
+    /// 180 edges; one thread holds no stream at all. Control costs 2 fds
+    /// per group and 2 per shard, not 2 per node. A process per shard is
+    /// budgeted the same: each inherits the limit, and holds at most its
+    /// own group's share.
     #[test]
     fn nofile_budget_counts_streams_between_groups() {
         let grid = ssmfp_topology::gen::grid(10, 10);
         let slack = 64;
         // Streams, listeners and `epoll` sets, then control.
-        let four = nofile_budget(&grid, &shard_ranges(100, 4), &RunMode::Inproc);
+        let four = nofile_budget(&grid, &shard_ranges(100, 4));
         assert_eq!(four, 2 * 6 + 2 * 4 + (2 * 4 + 2 * 4) + slack);
-        let one = nofile_budget(&grid, &shard_ranges(100, 1), &RunMode::Inproc);
+        let one = nofile_budget(&grid, &shard_ranges(100, 1));
         assert_eq!(one, 2 + (2 + 2) + slack);
-        let each = nofile_budget(&grid, &shard_ranges(100, 100), &RunMode::Inproc);
+        let each = nofile_budget(&grid, &shard_ranges(100, 100));
         assert_eq!(each, 2 * 2 * 180 + 2 * 100 + (2 * 100 + 2 * 100) + slack);
-        let proc = RunMode::Proc {
-            exe: PathBuf::from("ssmfp-cluster"),
-        };
+        // Four group processes: the figure of four data threads.
         assert_eq!(
-            nofile_budget(&grid, &shard_ranges(100, 4), &proc),
-            2 * 100 + 2 * 4 + slack
+            nofile_budget(&grid, &shard_ranges(100, 4)),
+            2 * 6 + 2 * 4 + (2 * 4 + 2 * 4) + slack
         );
-    }
-
-    /// A shard of one inproc group, node `id`: the orchestrator's end of
-    /// the shard's socketpair, the shard's end, the group's end of its
-    /// control pipe, and the shard's slot for it.
-    fn shard_of_one(id: NodeId) -> (UnixStream, UnixStream, UnixStream, Vec<GroupSlot>) {
-        let (orch_side, orch) = UnixStream::pair().unwrap();
-        let (sup_side, group_side) = UnixStream::pair().unwrap();
-        sup_side.set_nonblocking(true).unwrap();
-        let slots = vec![GroupSlot::new(&[id], sup_side, None)];
-        (orch_side, orch, group_side, slots)
-    }
-
-    /// A wait that cannot work ends the shard with the error instead of
-    /// spinning it at full CPU with the error dropped.
-    #[test]
-    fn a_broken_poller_ends_the_shard_with_an_error() {
-        let (_orch_side, orch, _group_side, mut slots) = shard_of_one(0);
-        let mut poll = watch(&orch, &mut slots).unwrap();
-        poll.break_for_test();
-        let outcome = supervise_briefly(poll, orch, slots);
-        let err = outcome.expect("the shard spun").unwrap_err();
-        assert!(err.starts_with("shard wait:"), "{err}");
-    }
-
-    /// What `supervise` returns within five seconds, run on a thread of its
-    /// own.
-    fn supervise_briefly(
-        mut poll: Poller,
-        orch: UnixStream,
-        mut slots: Vec<GroupSlot>,
-    ) -> Result<Result<(), String>, RecvTimeoutError> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        thread::spawn(move || {
-            let mut audit = ShardAudit::default();
-            let _ = tx.send(supervise(&mut poll, &orch, &mut slots, &mut audit, &|_| {}));
-        });
-        rx.recv_timeout(Duration::from_secs(5))
-    }
-
-    /// A group that writes a `status` line the codec refuses ends its shard
-    /// at once, with an error naming the node and the line, instead of
-    /// leaving the shard on the group's last good status until the run
-    /// times out.
-    #[test]
-    fn a_refused_status_line_ends_the_shard_with_an_error() {
-        let (_orch_side, orch, mut group_side, mut slots) = shard_of_one(7);
-        let poll = watch(&orch, &mut slots).unwrap();
-        group_side
-            .write_all(b"ready here\nstatus 0 1 1 2 2 0 0\nstatus 0 1 x 2 2 0 0\n")
-            .unwrap();
-        let outcome = supervise_briefly(poll, orch, slots);
-        let err = outcome.expect("the shard kept running").unwrap_err();
-        assert_eq!(
-            err,
-            "node 7 wrote a line the shard refuses: \"status 0 1 x 2 2 0 0\""
-        );
-    }
-
-    /// A group whose pipe closes mid-run — a killed worker, a panicked
-    /// data thread — ends its shard at once, naming the node that sent no
-    /// report, instead of leaving the root to wait out its timeout for a
-    /// quiet cut that never comes.
-    #[test]
-    fn a_pipe_that_closes_mid_run_ends_the_shard_at_once() {
-        let (mut orch_side, orch, mut group_side, mut slots) = shard_of_one(3);
-        let poll = watch(&orch, &mut slots).unwrap();
-        // The shard reads the orchestrator's lines before a group's, so it
-        // is running by the time it reads `ready` and then EOF.
-        group_side.write_all(b"ready here\n").unwrap();
-        orch_side.write_all(b"start\n").unwrap();
-        drop(group_side);
-        let outcome = supervise_briefly(poll, orch, slots);
-        let err = outcome
-            .expect("the shard waited for its timeout")
-            .unwrap_err();
-        assert_eq!(err, "node 3 hung up before its report");
-    }
-
-    /// A group's `error` line ends its shard at once, and the shard's
-    /// error carries the line — behind the node that never got ready, if
-    /// it failed on the way up.
-    #[test]
-    fn a_group_error_line_ends_the_shard_with_it() {
-        for (said, want) in [
-            ("ready here\nerror 3 boom\n", "error 3 boom"),
-            ("error 3 boom\n", "node 3 exited before ready: error 3 boom"),
-        ] {
-            let (_orch_side, orch, mut group_side, mut slots) = shard_of_one(3);
-            let poll = watch(&orch, &mut slots).unwrap();
-            group_side.write_all(said.as_bytes()).unwrap();
-            let outcome = supervise_briefly(poll, orch, slots);
-            let err = outcome.expect("the shard kept running").unwrap_err();
-            assert_eq!(err, want);
-        }
     }
 
     /// A merged status of two nodes, both done, nothing held or buffered,

@@ -101,7 +101,7 @@ impl Scenario {
     }
 
     /// The run, launched over `listen` in `mode`; `shards: None` is one
-    /// per 25 nodes and, inproc, at least one per CPU. `Err` names what
+    /// per 25 nodes and at least one per CPU. `Err` names what
     /// makes it no run: a malformed topology, or clients the ghost packing
     /// cannot hold (a count of 0 included).
     pub fn spec(
@@ -115,8 +115,6 @@ impl Scenario {
         let n = graph.n();
         self.clients.map_or(Ok(()), |c| c.validate(n))?;
         let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-        let inproc = mode == RunMode::Inproc;
-        let threads = if inproc { cpus.min(n) } else { 1 };
         let pick = |(from, len)| pick_partition(&graph, self.seed, from, len);
         let partition = self.partition.map(pick);
         Ok(ClusterSpec {
@@ -131,7 +129,7 @@ impl Scenario {
             },
             listen,
             clients: self.clients,
-            shards: shards.unwrap_or(n.div_ceil(25).max(threads)),
+            shards: shards.unwrap_or(n.div_ceil(25).max(cpus.min(n))),
             mode,
             timeout,
         })

@@ -47,8 +47,8 @@ pub struct PolledTransport {
 }
 
 impl PolledTransport {
-    /// Every node a group of its own, as `--node-worker` processes run:
-    /// every link rides a Unix-domain stream of its own behind a `Route`.
+    /// Every node a group of its own, as `--shards n` runs: every link
+    /// rides a Unix-domain stream of its own behind a `Route`.
     pub fn new(graph: &Graph) -> Self {
         Self::with_groups(graph, graph.n(), false)
     }

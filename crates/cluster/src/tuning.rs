@@ -16,7 +16,8 @@ pub struct ClusterTuning {
     /// Idle gap after which a link emits a heartbeat.
     pub heartbeat_ms: u64,
     /// Status keep-alive period: a group's line to its shard supervisor,
-    /// and a shard's sum to the orchestrator, when nothing sent one sooner.
+    /// which passes it up to the orchestrator, when nothing sent one
+    /// sooner.
     pub status_every_ms: u64,
     /// Bounded shard → orchestrator upstream queue depth (`orch.shard`).
     /// Shards send a handful of messages per run; the bound is slack by
@@ -32,10 +33,10 @@ pub struct ClusterTuning {
     pub max_dial_attempts: u32,
     /// How long the orchestrator waits for final reports after `stop`.
     pub report_grace_s: u64,
-    /// How long a shard waits for a node process to exit before killing
-    /// it.
+    /// How long a shard waits for its worker process to exit before
+    /// killing it.
     pub proc_exit_grace_s: u64,
-    /// Poll interval while waiting for a node process to exit.
+    /// Poll interval while waiting for a worker process to exit.
     pub proc_wait_poll_ms: u64,
     /// Adaptive-batching byte budget: the node loop stops appending
     /// queued frames to one connection's write buffer past this many
@@ -70,7 +71,7 @@ pub const TUNING: ClusterTuning = ClusterTuning {
     tick_ms: 1,
     heartbeat_ms: 50,
     // 10ms: only the keep-alive. A group writes its status the turn its cut
-    // goes quiet, its shard forwards a quiet sum at once, and one probe
+    // goes quiet, its shard passes it up as it reads it, and one probe
     // wave confirms it, so a run's end waits on no period.
     status_every_ms: 10,
     orch_shard_queue: 1024,

@@ -8,7 +8,7 @@
 //! * The audit is load-bearing: the seeded `dup-stamp` mutation — two
 //!   logical messages sharing one `(client, seq)` stamp — turns the
 //!   verdict red and the run dirty.
-//! * Both hold with a process per node: the client flags reach every
+//! * Both hold with one process per shard: the client flags reach every
 //!   worker through its argv, and the run is the CLI's, built from its
 //!   [`Scenario`].
 
@@ -154,7 +154,7 @@ fn dup_stamp_mutation_turns_the_client_verdict_red() {
 
 /// `--topology line:5 --clients 50 --client-load closed:1:3 --seed 3
 /// --faults 1 --partition 5:15`, with or without `--client-mutation
-/// dup-stamp`, one process per node as the CLI runs it.
+/// dup-stamp`, one process per shard as the CLI runs it.
 fn line5_clients_in_processes(mutation: Option<ClientMutation>) -> ssmfp_cluster::RunReport {
     let scenario = Scenario {
         topology: "line:5".into(),

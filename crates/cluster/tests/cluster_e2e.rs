@@ -239,12 +239,20 @@ fn one_shard_line_in_memory_chaos_exactly_once() {
 }
 
 /// Two data threads over a 25-node grid, under chaos, over both socket
-/// flavours: the links inside a group are in memory, the ones across ride
-/// one stream each way, and each group's socket accounting reaches the run
-/// totals through exactly one report.
+/// flavours, in this process and in one process per shard: the links
+/// inside a group are in memory, the ones across ride one stream each way,
+/// and each group's socket accounting reaches the run totals through
+/// exactly one report.
 #[test]
 fn two_shard_grid_shares_one_cross_group_stream_each_way() {
-    for listen in [ListenSpec::Uds { dir: uds_dir() }, ListenSpec::Tcp] {
+    let proc = RunMode::Proc {
+        exe: PathBuf::from(env!("CARGO_BIN_EXE_ssmfp-cluster")),
+    };
+    let runs = [RunMode::Inproc, proc].into_iter().flat_map(|mode| {
+        let uds = ListenSpec::Uds { dir: uds_dir() };
+        [(mode.clone(), uds), (mode, ListenSpec::Tcp)]
+    });
+    for (mode, listen) in runs {
         let graph = gen::grid(5, 5);
         let spec = ClusterSpec {
             topology: "grid:5x5".into(),
@@ -258,7 +266,7 @@ fn two_shard_grid_shares_one_cross_group_stream_each_way() {
             listen,
             clients: None,
             shards: 2,
-            mode: RunMode::Inproc,
+            mode,
             timeout: Duration::from_secs(120),
         };
         let report = run_cluster(&spec).expect("run");
@@ -268,7 +276,12 @@ fn two_shard_grid_shares_one_cross_group_stream_each_way() {
             .nodes
             .iter()
             .filter(|r| r.counters.write_syscalls > 0 || r.counters.read_syscalls > 0);
-        assert_eq!(carriers.count(), 2, "one report per group carries its I/O");
+        assert_eq!(
+            carriers.count(),
+            2,
+            "{:?}: one report per group carries its I/O",
+            spec.mode
+        );
         // Four streams, each written at most once a turn: far fewer writes
         // than frames.
         let c = &report.counters;
@@ -376,8 +389,9 @@ fn message_set_deterministic_under_fixed_seed() {
     assert_eq!(a.verdict.exactly_once, b.verdict.exactly_once);
 }
 
-/// The real deployment shape: one OS process per node, controlled over
-/// stdin/stdout, Unix-domain sockets between them.
+/// Five shards of one node, each a worker process controlled over the
+/// socketpair its shard hands it as fd 0, with a Unix-domain stream on
+/// every link.
 #[test]
 fn process_mode_five_node_line_clean() {
     let graph = gen::line(5);
@@ -393,7 +407,7 @@ fn process_mode_five_node_line_clean() {
         chaos,
         listen: ListenSpec::Uds { dir: uds_dir() },
         clients: None,
-        shards: 2,
+        shards: 5,
         mode: RunMode::Proc {
             exe: PathBuf::from(env!("CARGO_BIN_EXE_ssmfp-cluster")),
         },

@@ -116,8 +116,8 @@ fn one_thread_spec(topology: &str, graph: Graph, listen: ListenSpec) -> ClusterS
 /// for itself, 199 leaves dialled one TCP hub from the hub's own thread,
 /// past std's listen backlog of 128: a blocking `connect` sat out SYN
 /// retransmissions the hub could not answer while its thread was in the
-/// dial, and the cluster never came up. A process per node still dials
-/// like that, across processes, behind a bounded dial.)
+/// dial, and the cluster never came up. A shard of one node, at `--shards
+/// n`, still dials like that, across shards, behind a bounded dial.)
 #[test]
 fn tcp_star_past_the_listen_backlog_comes_up_on_one_thread() {
     let report = run_watched(one_thread_spec("star:200", gen::star(200), ListenSpec::Tcp))
@@ -184,7 +184,7 @@ fn a_worker_whose_control_fd_cannot_be_polled_exits_with_a_message() {
     for stdin in [PathBuf::from("/dev/null"), file] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_ssmfp-cluster"))
             .arg("--node-worker")
-            .args(node_args(0, &run))
+            .args(node_args(0..1, &run))
             .stdin(std::fs::File::open(&stdin).expect("open stdin"))
             .stdout(Stdio::null())
             .stderr(Stdio::piped())

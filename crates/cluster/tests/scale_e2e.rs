@@ -10,7 +10,7 @@
 //!   runs on exactly one `node.main`, over UDS and over TCP.
 //! * Sharding is a pure scheduling detail: the primary message set is the
 //!   same whether the 25 nodes of a grid share one data thread, four, or
-//!   have one each, or are 25 processes.
+//!   have one each, or run in four processes.
 //!
 //! The registration counter is process-global and cumulative, so the
 //! tests serialize on a mutex and measure deltas.
@@ -172,7 +172,7 @@ fn line5_one_shard_chaos_runs_on_one_data_thread() {
 /// Sharding must not leak into protocol behaviour: at a fixed seed the
 /// primary ghost↔destination set of a 25-node grid is identical whether
 /// its nodes share one data thread, four, have one each (`shards = n`)
-/// or are 25 processes.
+/// or are four processes of a group each.
 #[test]
 fn primary_set_identical_across_shard_counts() {
     let _guard = SCALE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
