@@ -16,6 +16,7 @@
 
 use crate::chaos::{ChaosSpec, PartitionSpec};
 use crate::node::{ListenSpec, Run};
+use crate::orchestrator::LedgerFlow;
 use crate::scenario::{load_words, Scenario};
 use crate::telemetry::{LogHistogram, NodeCounters};
 use ssmfp_core::cli::{self, Args};
@@ -397,14 +398,20 @@ pub(crate) fn fold_line(r: &mut NodeReport, line: &[u8]) -> Option<bool> {
 /// What a shard folds off one group's pipe: each member's report, as its
 /// lines complete. A head — `node <id>` before a member's ledger delta,
 /// `report <id>` before its block — names the member whose lines follow,
-/// and [`fold_line`] folds each of them into that member's report.
+/// and [`fold_line`] folds each of them into that member's report. The
+/// head's kind also says when the entries under it left the member: a
+/// delta's were streamed while the run ran, a block's are the tail.
 pub(crate) struct ReportFold {
     /// By member, in the group's order.
     pub reports: Vec<NodeReport>,
     /// By member: its block's `end` arrived.
     pub ended: Vec<bool>,
-    /// The member the last head named, until its block ends.
-    current: Option<usize>,
+    /// The entries folded under `node` heads (`streamed`) and under
+    /// `report` heads (`tail`).
+    pub ledger: LedgerFlow,
+    /// The member the last head named, until its block ends, and whether
+    /// that head was `report`.
+    current: Option<(usize, bool)>,
 }
 
 impl ReportFold {
@@ -420,31 +427,40 @@ impl ReportFold {
         ReportFold {
             ended: vec![false; reports.len()],
             reports,
+            ledger: LedgerFlow::default(),
             current: None,
         }
     }
 
-    /// Folds one line other than `ready`, `status` and `error`. Returns
-    /// the ledger entries it added, or `None` for a line that is neither a
-    /// head naming a member nor, after one, a line [`fold_line`] takes.
-    pub fn fold(&mut self, line: &[u8]) -> Option<u64> {
-        if let Some(rest) = line
+    /// Folds one line other than `ready`, `status` and `error`; `None` for
+    /// a line that is neither a head naming a member nor, after one, a
+    /// line [`fold_line`] takes.
+    pub fn fold(&mut self, line: &[u8]) -> Option<()> {
+        let head = line
             .strip_prefix(b"node ")
-            .or_else(|| line.strip_prefix(b"report "))
-        {
+            .map(|rest| (rest, false))
+            .or_else(|| line.strip_prefix(b"report ").map(|rest| (rest, true)));
+        if let Some((rest, tail)) = head {
             let mut f = Fields(rest);
             let id = f.num().filter(|_| f.0.is_empty())?;
-            self.current = Some(self.reports.iter().position(|r| r.node as u64 == id)?);
-            return Some(0);
+            let i = self.reports.iter().position(|r| r.node as u64 == id)?;
+            self.current = Some((i, tail));
+            return Some(());
         }
-        let i = self.current?;
+        let (i, tail) = self.current?;
         let r = &mut self.reports[i];
         let before = r.generated.len() + r.delivered.len();
         if fold_line(r, line)? {
             self.ended[i] = true;
             self.current = None;
         }
-        Some((r.generated.len() + r.delivered.len() - before) as u64)
+        let entries = (r.generated.len() + r.delivered.len() - before) as u64;
+        if tail {
+            self.ledger.tail += entries;
+        } else {
+            self.ledger.streamed += entries;
+        }
+        Some(())
     }
 
     /// The first member whose block has not ended.
@@ -846,6 +862,58 @@ pub(crate) mod tests {
             let nodes: Vec<NodeId> = (0..group.len()).collect();
             let whole: Vec<NodeReport> = group.into_iter().map(|(r, _)| r).collect();
             prop_assert_eq!(fold_stream(&nodes, &stream), Some(whole));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+        /// Where an entry arrives says when it left its member: under a
+        /// `node` head it was streamed, under a `report` head it is the
+        /// tail — however the members' deltas and blocks interleave on the
+        /// pipe. Each member sends its deltas, then its block; `picks`
+        /// chooses whose item comes next.
+        #[test]
+        fn entries_count_as_streamed_or_tail_by_their_head(
+            plan in proptest::collection::vec(
+                (proptest::collection::vec((0..4usize, 0..4usize), 0..4), (0..4usize, 0..4usize)),
+                1..4,
+            ),
+            picks in proptest::collection::vec(any::<usize>(), 0..20),
+        ) {
+            let generated = |k: usize| vec![(MpGhost::Valid(7), 0); k];
+            let delivered = |k: usize| vec![MpGhost::Valid(7); k];
+            let (mut stream, mut streamed, mut tail) = (Vec::new(), 0, 0);
+            let mut sent = vec![0; plan.len()];
+            let mut picks = picks.into_iter();
+            loop {
+                let live: Vec<usize> = (0..plan.len()).filter(|&i| sent[i] <= plan[i].0.len()).collect();
+                if live.is_empty() {
+                    break;
+                }
+                let i = live[picks.next().unwrap_or(0) % live.len()];
+                let (deltas, (g, d)) = &plan[i];
+                if let Some(&(g, d)) = deltas.get(sent[i]) {
+                    push_delta(&mut stream, i, &generated(g), &delivered(d));
+                    streamed += (g + d) as u64;
+                } else {
+                    let block = NodeReport {
+                        node: i,
+                        generated: generated(*g),
+                        delivered: delivered(*d),
+                        ..NodeReport::default()
+                    };
+                    write_report(&mut stream, &block).unwrap();
+                    tail += (g + d) as u64;
+                }
+                sent[i] += 1;
+            }
+            let mut fold = ReportFold::new(0..plan.len());
+            for line in stream.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
+                prop_assert!(fold.fold(line).is_some(), "{}", shown(line));
+            }
+            prop_assert_eq!(fold.unended(), None);
+            prop_assert_eq!((fold.ledger.streamed, fold.ledger.tail), (streamed, tail));
         }
     }
 

@@ -1,7 +1,7 @@
 //! The cluster runtime's declared concurrency model.
 //!
 //! Every thread role, cross-thread channel and blocking edge of
-//! `node.rs`/`orchestrator.rs`, declared as data for `ssmfp-lint`'s
+//! `node.rs`/`shard.rs`/`orchestrator.rs`, declared as data for `ssmfp-lint`'s
 //! `conc-*` passes and for the debug-build runtime assertions. Bounds come
 //! from the same [`ClusterTuning`] the running code consumes, so the
 //! declaration cannot drift from the implementation.
@@ -10,14 +10,14 @@
 //!
 //! Three roles, zero locks, one channel:
 //!
-//! * `orch.main` — the run driver. Spawns shard supervisors, distributes
-//!   `peers`/`start`/`stop` over per-shard socketpairs, and drains the
+//! * `orch.main` — the run driver. Spawns shard supervisors, writes
+//!   `peers`/`start`/`probe`/`stop` straight down each group's control
+//!   socketpair with deadline-bounded nonblocking writes, and drains the
 //!   one channel (`orch.shard`) everything flows up through.
 //! * `shard.super` — one per shard: supervises its one node group (a data
 //!   thread inproc, one process per shard in proc mode), polls the
-//!   group's control socketpair, passes status up, pre-merges telemetry,
-//!   forwards control lines downward with POLLOUT-gated nonblocking
-//!   writes.
+//!   group's control socketpair, passes status up, pre-merges telemetry.
+//!   It writes nothing down.
 //! * `node.main` — the data plane: one per shard, carrying every node of
 //!   the shard, inproc or as the main thread of the shard's process. `crate::node::run_group` keeps the group's one control pipe
 //!   and its sockets in one persistent `epoll` set, waits on it
@@ -32,9 +32,9 @@
 //! `node.main` blocking-writes status/report lines to its shard (which
 //! polls its group's pipe unconditionally), and `shard.super`
 //! blocking-sends on `orch.shard` (which `orch.main` drains with a
-//! timeout). Leaf → shard →
-//! root cannot close a cycle; `conc-deadlock` checks exactly that, and a
-//! red test flips a downward control write to untimed to keep it honest.
+//! timeout). Leaf → shard → root cannot close a cycle; `conc-deadlock`
+//! checks exactly that, and a red test flips the root's downward control
+//! write to untimed — root → leaf → shard → root — to keep it honest.
 //!
 //! [`crate::clients::ClientMux`] adds no concurrency: it is a plain struct
 //! owned by its node in the `node.main` loop. A pin test holds the counts,
@@ -55,7 +55,8 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
             ThreadDecl {
                 role: "orch.main",
                 spawned_by: EXTERN_ROLE,
-                doc: "drives the run: spawns shards, distributes control, declares convergence",
+                doc: "drives the run: spawns shards, writes every group's control lines, declares \
+                      convergence",
             },
             ThreadDecl {
                 role: "shard.super",
@@ -101,7 +102,7 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
             },
             BlockingEdge {
                 thread: "node.main",
-                waits: WaitPoint::SockRead("shard.super"),
+                waits: WaitPoint::SockRead("orch.main"),
                 timed: true, // single-shot ctrl read behind the timed wait
             },
             BlockingEdge {
@@ -109,22 +110,12 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
                 waits: WaitPoint::SockWrite("shard.super"),
                 timed: false, // status/report write_all — leaf edge of the control tree
             },
-            // shard.super — polls its group's pipe and its orch socketpair;
-            // downward control writes are POLLOUT-gated and nonblocking.
+            // shard.super — reads its group's pipe and sends up; it writes
+            // nothing down.
             BlockingEdge {
                 thread: "shard.super",
                 waits: WaitPoint::SockRead("node.main"),
-                timed: true, // poll over the group's ctrl pipe with a deadline
-            },
-            BlockingEdge {
-                thread: "shard.super",
-                waits: WaitPoint::SockRead("orch.main"),
-                timed: true, // same poll set
-            },
-            BlockingEdge {
-                thread: "shard.super",
-                waits: WaitPoint::SockWrite("node.main"),
-                timed: true, // staged ctrl bytes, written on POLLOUT only
+                timed: true, // poll over the group's ctrl pipe, capped at 50 ms
             },
             BlockingEdge {
                 thread: "shard.super",
@@ -139,8 +130,8 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
             },
             BlockingEdge {
                 thread: "orch.main",
-                waits: WaitPoint::SockWrite("shard.super"),
-                timed: true, // peers/start/stop, POLLOUT-gated with a deadline
+                waits: WaitPoint::SockWrite("node.main"),
+                timed: true, // peers/start/probe/stop, POLLOUT-gated with a deadline
             },
         ],
     }
@@ -184,6 +175,32 @@ mod tests {
         }
         // And the model shrank for real: exactly three roles.
         assert_eq!(m.threads.len(), 3);
+    }
+
+    /// The shard only listens: it reads its group's pipe under a timed
+    /// wait and sends up, and writes nothing down. Every downward control
+    /// line is the root's, written straight to the group under a deadline.
+    #[test]
+    fn the_shard_only_listens_and_the_root_writes_down() {
+        let m = default_model();
+        let waits = |role| {
+            let edges = m.edges.iter().filter(|e| e.thread == role);
+            edges.map(|e| (e.waits, e.timed)).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            waits("shard.super"),
+            [
+                (WaitPoint::SockRead("node.main"), true),
+                (WaitPoint::ChanSend("orch.shard"), false),
+            ]
+        );
+        assert_eq!(
+            waits("orch.main"),
+            [
+                (WaitPoint::ChanRecv("orch.shard"), true),
+                (WaitPoint::SockWrite("node.main"), true),
+            ]
+        );
     }
 
     /// The client-mux design claim, pinned: multiplexing millions of

@@ -4,8 +4,8 @@
 //! not to the node. A `Hub` owns them: one between two members is a
 //! bounded queue in memory, the rest ride a listener (if anyone outside
 //! can dial it), one simplex out-stream per distinct listener address
-//! and the streams dialled in. The group's one `Control` pipe to its
-//! shard is the group's too, not a member's. None of them owns the
+//! and the streams dialled in. The group's one `Control` pipe — down
+//! from the root, up to its shard — is the group's too, not a member's. None of them owns the
 //! thread, the readiness set or the clock: the `node.main` thread
 //! (`crate::node::run_group`) owns one [`Poller`] — a persistent,
 //! level-triggered `epoll` set — for the whole group, and the group reads
@@ -65,9 +65,11 @@
 //! ## Control pipe
 //!
 //! A group has one control pipe, whatever its size: one end of a
-//! socketpair its shard opened, handed to the data thread inproc and as
-//! fd 0 to the shard's `--node-worker` process. Its fd sits in the same readiness
-//! set as the sockets.
+//! socketpair the root opened, handed by the group's shard to the data
+//! thread inproc and as fd 0 to the shard's `--node-worker` process. The
+//! root writes the control lines into the other end and the shard reads
+//! what the group writes out of it. Its fd sits in the same readiness set
+//! as the sockets.
 //! Reads are *single-shot*: one `read(2)` per `POLLIN` readiness on a
 //! blocking fd never blocks, and the level-triggered set reports anything
 //! left unread again. This deliberately avoids `BufReader`, whose
@@ -633,10 +635,10 @@ pub(crate) fn take_lines(acc: &mut Vec<u8>, bytes: &[u8], mut each: impl FnMut(&
     acc.extend_from_slice(rest);
 }
 
-/// A group's end of the socketpair to its supervising shard — a data
-/// thread's inproc, fd 0 of a `--node-worker` process — in the thread's
-/// [`Poller`] under the [`CTRL`] token for the group's whole life:
-/// single-shot reads into complete lines, blocking writes up.
+/// A group's end of its control socketpair — a data thread's inproc, fd 0
+/// of a `--node-worker` process — in the thread's [`Poller`] under the
+/// [`CTRL`] token for the group's whole life: single-shot reads of the
+/// root's lines into complete lines, blocking writes up to the shard.
 pub(crate) struct Control {
     pipe: UnixStream,
     eof: bool,
@@ -662,7 +664,7 @@ impl Control {
         })
     }
 
-    /// True once the supervisor closed the pipe.
+    /// True once the pipe's other end was shut down or closed.
     pub fn eof(&self) -> bool {
         self.eof
     }
@@ -692,9 +694,10 @@ impl Control {
         Ok(())
     }
 
-    /// Blocking write of whole lines to the supervisor — the declared
-    /// untimed `SockWrite(shard.super)` edge (the shard drains
-    /// unconditionally).
+    /// Blocking write of whole lines up to the supervising shard — the
+    /// declared untimed `SockWrite(shard.super)` edge (the shard drains
+    /// unconditionally; the root, which writes down the same socketpair,
+    /// reads nothing from it).
     pub fn write_line(&mut self, lines: &[u8]) -> io::Result<()> {
         (&self.pipe).write_all(lines)
     }

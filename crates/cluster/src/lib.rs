@@ -38,13 +38,15 @@
 //!   bytes, by one line folder; and a worker process's argv.
 //! * [`scenario`] — what a run is: one [`Scenario`], one parser per run
 //!   flag, one text form that replays it, and the [`ClusterSpec`] it is.
-//! * [`orchestrator`] — the sharded control tree: the root drives K
-//!   shards, works O(shards) per status, merges their pre-merged telemetry
-//!   and running joins into the SP verdict and renders the JSON run
-//!   report.
+//! * [`orchestrator`] — the sharded control tree: the root writes every
+//!   group's control lines straight down its socketpair, hears K shards on
+//!   one channel, works O(shards) per status, merges their pre-merged
+//!   telemetry and running joins into the SP verdict and renders the JSON
+//!   run report.
 //! * `shard` — a `shard.super` thread supervising its shard's one node
-//!   group (a data thread, or one process per shard) over one socketpair,
-//!   passing status up and folding each node's ledger as it streams in.
+//!   group (a data thread, or one process per shard) by listening on the
+//!   group's socketpair: it passes status up and folds each node's ledger
+//!   as it streams in, and writes nothing down.
 //! * [`telemetry`] — log-bucketed latency histograms and counters.
 //! * [`tuning`] — every runtime knob in one documented [`ClusterTuning`]
 //!   struct, consumed by both the running code and the declared model.

@@ -34,7 +34,8 @@
 //! the group's links) and `finish` (report). A `Group` is the daemon: it
 //! holds what its members share — the graph and one BFS tree per
 //! destination, built once at bring-up, the links, the one control pipe
-//! to the shard and the one copy of the control state — and its one
+//! (down from the root, up to the shard) and the one copy of the control
+//! state — and its one
 //! `turn` is the only copy of the iteration: read the group's clock (µs
 //! of `CLOCK_MONOTONIC` in a run, a hand-set value in a test), flush each
 //! stream **once**, take the group's status cut if a member moved,
@@ -83,10 +84,11 @@
 //!
 //! ## Control protocol
 //!
-//! Line-based, over one socketpair between the group and its shard — the
-//! data thread's end inproc, fd 0 of a `--node-worker` process:
+//! Line-based, over one socketpair — the data thread's end inproc, fd 0
+//! of a `--node-worker` process — whose other end the root writes down and
+//! the group's shard reads:
 //! * group → shard: `ready <addr>`, once for all its members
-//! * shard → group: `peers <addr_0> … <addr_{n-1}>`, then `start`
+//! * root → group: `peers <addr_0> … <addr_{n-1}>`, then `start`
 //! * group → shard: `status <wave> <nodes> <done> <generated> <delivered>
 //!   <held> <busy>` ([`Status`]) — a cut of all its members at one
 //!   instant, written the turn the cut goes quiet or changes while quiet,
@@ -97,9 +99,9 @@
 //!   then a `gen …` and a `del …` line (`crate::codec::push_delta`),
 //!   after which the member lets them go: the ledger leaves while the
 //!   run runs
-//! * shard → group: `probe <wave>` — the root's second wave; the group
+//! * root → group: `probe <wave>` — the root's second wave; the group
 //!   answers it once, with a cut taken after it read the probe
-//! * shard → group: `stop`
+//! * root → group: `stop`
 //! * group → shard: for each member a multi-line `report <id> … end`
 //!   block whose `gen` and `del` carry only the entries no status line
 //!   did, then the group closes the pipe
@@ -523,7 +525,7 @@ fn next_hops(graph: &Graph, ids: &[NodeId]) -> Vec<Vec<NodeId>> {
 
 /// The nodes that share one data thread, and the paper's daemon over
 /// them: one persistent [`Poller`], one [`Hub`] holding the links of them
-/// all, one control pipe to the shard and one copy of the control state,
+/// all, one control pipe and one copy of the control state,
 /// one status line for them all, and per member a deadline. [`Group::turn`]
 /// is the only copy of the iteration — [`run_group`] loops on it.
 struct Group {
@@ -610,10 +612,10 @@ impl Group {
     }
 
     /// Obeys the control lines the last read completed, each as it comes
-    /// — one read can surface several (the shard writes `peers` and
+    /// — one read can surface several (the root writes `peers` and
     /// `start` back to back). `Ok(true)` once the group is told to stop:
     /// `stop`, or the pipe closed after `start`. A line that is not
-    /// exactly one the shard writes, or comes out of order, ends the
+    /// exactly one the root writes, or comes out of order, ends the
     /// group: a probe it cannot read would go unanswered.
     fn obey(&mut self, now: u64) -> io::Result<bool> {
         for line in std::mem::take(&mut self.ctrl.lines) {

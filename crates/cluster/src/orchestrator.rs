@@ -9,12 +9,14 @@
 //! one node group: the tasks of one `node.main` data thread, on a thread
 //! of this process in [`RunMode::Inproc`] and in one `--node-worker`
 //! process per shard in [`RunMode::Proc`] — the same groups, streams and
-//! seeds either way. A group is one control endpoint — one socketpair to
-//! its shard in both modes, a worker's end as its fd 0 — and a shard
-//! polls it directly, no reader thread, so a whole inproc run costs
-//! `2 · shards + 1` threads: [`ClusterSpec::shards`] says how many groups
-//! the nodes run in and thereby how many threads carry them (`shards = n`
-//! is one thread, or one process, per node).
+//! seeds either way. A group is one control endpoint — one socketpair in
+//! both modes, a worker's end as its fd 0 — and each way along it has one
+//! writer: the root holds a clone of the supervisor's end and writes every
+//! control line down it, `peers`, `start`, `probe <w>` and `stop`; the
+//! shard polls the same end directly, no reader thread, and only reads. A
+//! whole inproc run costs `2 · shards + 1` threads: [`ClusterSpec::shards`]
+//! says how many groups the nodes run in and thereby how many threads
+//! carry them (`shards = n` is one thread, or one process, per node).
 //!
 //! Shards pass their group's `status` lines ([`Status`]) up as they read
 //! them, and pre-merge per-node reports into one [`ShardReport`] whose
@@ -48,8 +50,8 @@
 //! Σdelivered while the two were in flight between the reads. So the root
 //! (`Detector`) runs Mattern's four-counter rule ("Algorithms for
 //! distributed termination detection", 1987). A quiet merged snapshot with
-//! Σgenerated == Σdelivered is wave 1; the root then writes `probe <w>`,
-//! which every shard forwards to its group, and each group answers once
+//! Σgenerated == Σdelivered is wave 1; the root then writes `probe <w>`
+//! down every group's pipe, and each group answers once
 //! with a cut taken after it read the probe (wave 2, a one-level
 //! propagation of information with feedback). The run has converged iff
 //! every answer is quiet and their Σgenerated G₂ equals wave 1's
@@ -81,6 +83,7 @@ use ssmfp_core::{
 };
 use ssmfp_topology::{Graph, NodeId};
 use std::io::{self, Write};
+use std::net::Shutdown;
 use std::ops::Range;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -222,8 +225,8 @@ pub struct ShardReport {
 
 /// Shard → orchestrator upstream messages (the `orch.shard` channel).
 pub(crate) enum ShardUp {
-    /// The shard's group reported the address its members listen at.
-    Ready(Vec<(NodeId, String)>),
+    /// The shard's group reported the one address its members listen at.
+    Ready(String),
     /// A `status` line of the shard's group, as the shard read it.
     Status(Status),
     /// Final report (boxed: the reports dwarf the other variants).
@@ -236,7 +239,7 @@ pub(crate) enum ShardUp {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Phases {
     /// From the `run_cluster` call until `peers` and `start` went to
-    /// every shard: spawn, bind, listen, ready.
+    /// every group: spawn, bind, listen, ready.
     pub ready_s: f64,
     /// From `stop` until the last shard report arrived: every node's
     /// report written, read and parsed.
@@ -247,11 +250,11 @@ pub struct Phases {
 }
 
 /// When the ledger reached the shards, and how it was joined: entries —
-/// generated plus delivered — folded before the shard read `stop`, and
-/// after it. A node ships its new entries behind every status line of its
-/// group, so after a quiet probe answer, in a converged run, nothing is
-/// left for `stop`; and each shard joins what it folds as it folds it
-/// ([`RunningAudit`]).
+/// generated plus delivered — that a member shipped behind a status line
+/// of its group, and those in its report block at `stop`. A node ships its
+/// new entries behind every status line, so after a quiet probe answer, in
+/// a converged run, nothing is left for `stop`; and each shard joins what
+/// it folds as it folds it ([`RunningAudit`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LedgerFlow {
     /// Entries shipped while the run ran.
@@ -492,9 +495,10 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
 /// edge — an edge inside a group is in memory and holds none — and is two
 /// descriptors, the dialling end and the accepted end; a group also holds
 /// at most a listener and its `epoll` set, and a control socketpair of two
-/// ends, every shard a socketpair to the orchestrator. A shard is one
-/// group, on its thread here or in a process of its own that inherits the
-/// limit set here and holds no more than its own group's share of it.
+/// ends, whose supervisor end the orchestrator holds a clone of; its shard
+/// waits on an `epoll` set of its own. A shard is one group, on its thread
+/// here or in a process of its own that inherits the limit set here and
+/// holds no more than its own group's share of it.
 fn nofile_budget(graph: &Graph, ranges: &[Range<usize>]) -> u64 {
     let group = |p: NodeId| ranges.iter().position(|r| r.contains(&p));
     let mut pairs: Vec<_> = graph
@@ -505,7 +509,8 @@ fn nofile_budget(graph: &Graph, ranges: &[Range<usize>]) -> u64 {
         .collect();
     pairs.sort_unstable();
     pairs.dedup();
-    // Streams, listeners and `epoll` sets, control pipes and shard pairs.
+    // Streams, listeners and `epoll` sets, control pipes with the root's
+    // clone and the shard's `epoll` set.
     (2 * pairs.len() + 2 * ranges.len() + 4 * ranges.len() + 64) as u64
 }
 
@@ -513,20 +518,20 @@ fn nofile_budget(graph: &Graph, ranges: &[Range<usize>]) -> u64 {
 // Orchestrator
 // ---------------------------------------------------------------------------
 
-/// Deadline-bounded `write_all` on a nonblocking stream (the declared
-/// timed `SockWrite(shard.super)` edge). Control lines are tiny next to
-/// the socketpair buffer, so the wait — on a set of its own — is cold.
+/// Deadline-bounded `write_all` on a group's nonblocking control pipe (the
+/// declared timed `SockWrite(node.main)` edge). Control lines are tiny next
+/// to the socketpair buffer, so the wait — on a set of its own — is cold.
 fn write_all_deadline(s: &UnixStream, mut bytes: &[u8], deadline: Instant) -> io::Result<()> {
     while !bytes.is_empty() {
         match (&*s).write(bytes) {
-            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "shard hung up")),
+            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "group hung up")),
             Ok(k) => bytes = &bytes[k..],
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 let now = Instant::now();
                 if now >= deadline {
                     return Err(io::Error::new(
                         io::ErrorKind::TimedOut,
-                        "shard not draining control writes",
+                        "group not draining control writes",
                     ));
                 }
                 let mut writable = Poller::new()?;
@@ -562,7 +567,7 @@ fn recv_or_timeout(
 enum Step {
     /// Nothing yet.
     Wait,
-    /// Write `probe <w>` to every shard.
+    /// Write `probe <w>` to every group.
     Probe(u64),
     /// The run is over.
     Converged,
@@ -619,49 +624,41 @@ impl Detector {
     }
 }
 
-/// The orchestrator's control phases against live shards: gather ready
-/// addresses, broadcast `peers`/`start`, feed shard status sums to the
-/// [`Detector`] — writing its probes — until it declares convergence,
-/// broadcast `stop`, collect shard reports.
+/// The orchestrator's control phases against live shards, writing each
+/// group's control lines down its pipe and hearing the shards on the
+/// channel: gather ready addresses, broadcast `peers`/`start`, feed shard
+/// status sums to the [`Detector`] — writing its probes — until it
+/// declares convergence, broadcast `stop`, collect shard reports.
 fn drive(
     spec: &ClusterSpec,
-    n: usize,
     rx: &Receiver<(usize, ShardUp)>,
+    ranges: &[Range<usize>],
     pipes: &[UnixStream],
     called: Instant,
     phases: &mut Phases,
 ) -> io::Result<(bool, f64, Detection, Vec<ShardReport>)> {
     let k = pipes.len();
 
-    // --- gather ready addresses ---
+    // --- gather ready addresses, one a group ---
     let setup_deadline = Instant::now() + spec.timeout;
-    let mut addrs: Vec<Option<String>> = vec![None; n];
-    let mut filled = 0usize;
-    while filled < n {
+    let mut addrs: Vec<Option<String>> = vec![None; k];
+    while addrs.iter().any(Option::is_none) {
         let Some((s, up)) = recv_or_timeout(rx, setup_deadline)? else {
             return Err(io::Error::other("timed out waiting for ready"));
         };
         match up {
-            ShardUp::Ready(list) => {
-                for (p, a) in list {
-                    if addrs[p].is_none() {
-                        filled += 1;
-                    }
-                    addrs[p] = Some(a);
-                }
-            }
+            ShardUp::Ready(addr) => addrs[s] = Some(addr),
             ShardUp::Error(e) => return Err(io::Error::other(format!("shard {s}: {e}"))),
             _ => {}
         }
     }
-    let peer_line = format!(
-        "peers {}\n",
-        addrs
-            .iter()
-            .map(|a| a.as_deref().expect("all ready"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
+    // Every member of a group listens at the group's address.
+    let peers: Vec<&str> = ranges
+        .iter()
+        .zip(&addrs)
+        .flat_map(|(r, a)| r.clone().map(move |_| a.as_deref().expect("all ready")))
+        .collect();
+    let peer_line = format!("peers {}\n", peers.join(" "));
     let wdl = Instant::now() + TUNING.report_grace();
     for p in pipes {
         write_all_deadline(p, peer_line.as_bytes(), wdl)?;
@@ -673,7 +670,7 @@ fn drive(
     let started = Instant::now();
     let deadline = started + spec.timeout;
     let mut shard_status: Vec<Option<Status>> = vec![None; k];
-    let mut detector = Detector::new(n as u64);
+    let mut detector = Detector::new(spec.graph.n() as u64);
     let mut converged = false;
     let mut wall_s;
     loop {
@@ -752,26 +749,35 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
         chaos: spec.chaos,
         clients: spec.clients,
     });
+    // Each group's control socketpair, all made before any shard starts:
+    // the shard reads the supervisor's end, the root writes a clone of it.
     let mut pipes: Vec<UnixStream> = Vec::with_capacity(k);
+    let mut ends = Vec::with_capacity(k);
+    for _ in 0..k {
+        let (pipe, group_side) = UnixStream::pair()?;
+        pipe.set_nonblocking(true)?;
+        pipes.push(pipe.try_clone()?);
+        ends.push((pipe, group_side));
+    }
     let mut joins: Vec<JoinHandle<()>> = Vec::with_capacity(k);
-    for (s, range) in ranges.iter().enumerate() {
-        let (orch_side, shard_side) = UnixStream::pair()?;
-        orch_side.set_nonblocking(true)?;
-        let (run, members) = (Arc::clone(&run), range.clone());
+    for (s, ends) in ends.into_iter().enumerate() {
+        let (run, members) = (Arc::clone(&run), ranges[s].clone());
         let mode = spec.mode.clone();
         let tx = up_tx.clone();
         joins.push(spawn_registered(COMPONENT, "shard.super", move || {
-            shard_main(s, run, members, mode, shard_side, tx)
+            shard_main(s, run, members, mode, ends, tx)
         }));
-        pipes.push(orch_side);
     }
     drop(up_tx);
 
     let mut phases = Phases::default();
-    let outcome = drive(spec, n, &up_rx, &pipes, called, &mut phases);
-    // Dropping the pipes EOFs any shard still in flight (error paths);
-    // shards wind their nodes down and exit, so the joins are bounded.
-    drop(pipes);
+    let outcome = drive(spec, &up_rx, &ranges, &pipes, called, &mut phases);
+    // Shutting the pipes down — a drop would not do: each shard holds the
+    // other handle — EOFs every group still in flight (error paths) and
+    // its shard; they wind down and exit, so the joins are bounded.
+    for p in &pipes {
+        let _ = p.shutdown(Shutdown::Both);
+    }
     for j in joins {
         let _ = j.join();
     }
@@ -1018,8 +1024,9 @@ mod tests {
 
     /// The fd budget counts streams, not edges: a 100-node grid on four
     /// data threads holds 6 ordered pairs of distinct groups, whatever its
-    /// 180 edges; one thread holds no stream at all. Control costs 2 fds
-    /// per group and 2 per shard, not 2 per node. A process per shard is
+    /// 180 edges; one thread holds no stream at all. Control costs 4 fds
+    /// per group — the pair's two ends, the root's clone and the shard's
+    /// `epoll` set — not 2 per node. A process per shard is
     /// budgeted the same: each inherits the limit, and holds at most its
     /// own group's share.
     #[test]

@@ -96,11 +96,6 @@ impl Default for ClusterTuning {
 }
 
 impl ClusterTuning {
-    /// [`ClusterTuning::status_every_ms`] as a `Duration`.
-    pub fn status_every(&self) -> Duration {
-        Duration::from_millis(self.status_every_ms)
-    }
-
     /// [`ClusterTuning::report_grace_s`] as a `Duration`.
     pub fn report_grace(&self) -> Duration {
         Duration::from_secs(self.report_grace_s)

@@ -12,28 +12,20 @@
 //!   worker through its argv, and the run is the CLI's, built from its
 //!   [`Scenario`].
 
+mod common;
+
+use common::SocketDir;
 use ssmfp_cluster::{
     parse_workload, pick_partition, run_cluster, ChaosSpec, ClientMutation, ClientSpec,
-    ClusterSpec, ListenSpec, RunMode, Scenario, WorkloadKind, WorkloadSpec,
+    ClusterSpec, RunMode, Scenario, WorkloadKind, WorkloadSpec,
 };
 use ssmfp_core::ClientViolation;
 use ssmfp_topology::gen;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-fn uds_dir() -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ssmfp-clients-test-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("create uds dir");
-    dir
-}
-
 fn client_spec(
+    dir: &SocketDir,
     clients: u64,
     messages: u64,
     seed: u64,
@@ -61,7 +53,7 @@ fn client_spec(
         },
         seed,
         chaos,
-        listen: ListenSpec::Uds { dir: uds_dir() },
+        listen: dir.listen(),
         clients: Some(ClientSpec {
             clients,
             load: WorkloadSpec {
@@ -82,7 +74,8 @@ fn client_spec(
 fn grid_5x5_chaos_thousands_of_clients_clean_per_client_verdict() {
     let clients = 2_000u64;
     let messages = 2u64;
-    let spec = client_spec(clients, messages, 11, None, true);
+    let dir = SocketDir::new("clients-test");
+    let spec = client_spec(&dir, clients, messages, 11, None, true);
     let report = run_cluster(&spec).expect("run");
 
     assert!(report.converged, "client run did not converge");
@@ -133,7 +126,15 @@ fn grid_5x5_chaos_thousands_of_clients_clean_per_client_verdict() {
 /// violations, and the run reports unclean.
 #[test]
 fn dup_stamp_mutation_turns_the_client_verdict_red() {
-    let spec = client_spec(200, 3, 11, Some(ClientMutation::DuplicateStamp), false);
+    let dir = SocketDir::new("clients-test");
+    let spec = client_spec(
+        &dir,
+        200,
+        3,
+        11,
+        Some(ClientMutation::DuplicateStamp),
+        false,
+    );
     let report = run_cluster(&spec).expect("run");
     assert!(report.converged, "mutated run did not converge");
     let cv = report.client_verdict.as_ref().expect("client mode verdict");
@@ -156,6 +157,7 @@ fn dup_stamp_mutation_turns_the_client_verdict_red() {
 /// --faults 1 --partition 5:15`, with or without `--client-mutation
 /// dup-stamp`, one process per shard as the CLI runs it.
 fn line5_clients_in_processes(mutation: Option<ClientMutation>) -> ssmfp_cluster::RunReport {
+    let dir = SocketDir::new("clients-test");
     let scenario = Scenario {
         topology: "line:5".into(),
         seed: 3,
@@ -171,7 +173,7 @@ fn line5_clients_in_processes(mutation: Option<ClientMutation>) -> ssmfp_cluster
     let mode = RunMode::Proc {
         exe: PathBuf::from(env!("CARGO_BIN_EXE_ssmfp-cluster")),
     };
-    let listen = ListenSpec::Uds { dir: uds_dir() };
+    let listen = dir.listen();
     let spec = scenario
         .spec(listen, None, mode, Duration::from_secs(120))
         .expect("a run");

@@ -2,6 +2,9 @@
 //! on the wire — and still exactly-once with a clean cluster-wide SP
 //! verdict.
 
+mod common;
+
+use common::SocketDir;
 use ssmfp_cluster::{
     pick_partition, run_cluster, ChaosSpec, ClusterSpec, ListenSpec, RunMode, WorkloadKind,
     WorkloadSpec, TUNING,
@@ -9,19 +12,7 @@ use ssmfp_cluster::{
 use ssmfp_core::{reconcile_ledgers, NodeLedger};
 use ssmfp_topology::{gen, Graph};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
-
-fn uds_dir() -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ssmfp-cluster-test-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("create uds dir");
-    dir
-}
 
 fn chaos_spec(graph: &Graph, seed: u64) -> ChaosSpec {
     ChaosSpec {
@@ -119,6 +110,7 @@ fn ledgers(report: &ssmfp_cluster::RunReport) -> Vec<NodeLedger> {
 
 #[test]
 fn five_node_line_uds_chaos_exactly_once() {
+    let dir = SocketDir::new("cluster-test");
     let graph = gen::line(5);
     let chaos = chaos_spec(&graph, 1);
     let spec = ClusterSpec {
@@ -130,7 +122,7 @@ fn five_node_line_uds_chaos_exactly_once() {
             messages: 20,
         },
         chaos,
-        listen: ListenSpec::Uds { dir: uds_dir() },
+        listen: dir.listen(),
         clients: None,
         shards: 2,
         mode: RunMode::Inproc,
@@ -150,6 +142,7 @@ fn five_node_line_uds_chaos_exactly_once() {
 
 #[test]
 fn caterpillar_uds_open_loop_chaos_exactly_once() {
+    let dir = SocketDir::new("cluster-test");
     let graph = gen::caterpillar(3, 2);
     let chaos = chaos_spec(&graph, 7);
     let spec = ClusterSpec {
@@ -163,7 +156,7 @@ fn caterpillar_uds_open_loop_chaos_exactly_once() {
             messages: 20,
         },
         chaos,
-        listen: ListenSpec::Uds { dir: uds_dir() },
+        listen: dir.listen(),
         clients: None,
         shards: 3,
         mode: RunMode::Inproc,
@@ -207,6 +200,7 @@ fn tcp_transport_also_clean() {
 /// every message is still delivered exactly once.
 #[test]
 fn one_shard_line_in_memory_chaos_exactly_once() {
+    let dir = SocketDir::new("cluster-test");
     let graph = gen::line(5);
     let spec = ClusterSpec {
         topology: "line:5".into(),
@@ -217,7 +211,7 @@ fn one_shard_line_in_memory_chaos_exactly_once() {
             kind: WorkloadKind::Closed { outstanding: 4 },
             messages: 50,
         },
-        listen: ListenSpec::Uds { dir: uds_dir() },
+        listen: dir.listen(),
         clients: None,
         shards: 1,
         mode: RunMode::Inproc,
@@ -245,11 +239,12 @@ fn one_shard_line_in_memory_chaos_exactly_once() {
 /// exactly one report.
 #[test]
 fn two_shard_grid_shares_one_cross_group_stream_each_way() {
+    let dir = SocketDir::new("cluster-test");
     let proc = RunMode::Proc {
         exe: PathBuf::from(env!("CARGO_BIN_EXE_ssmfp-cluster")),
     };
     let runs = [RunMode::Inproc, proc].into_iter().flat_map(|mode| {
-        let uds = ListenSpec::Uds { dir: uds_dir() };
+        let uds = dir.listen();
         [(mode.clone(), uds), (mode, ListenSpec::Tcp)]
     });
     for (mode, listen) in runs {
@@ -303,7 +298,7 @@ fn two_shard_grid_shares_one_cross_group_stream_each_way() {
 #[test]
 fn a_run_of_zero_messages_converges_clean() {
     let modes = [
-        (RunMode::Inproc, 3, TUNING.status_every().as_secs_f64()),
+        (RunMode::Inproc, 3, TUNING.status_every_ms as f64 / 1e3),
         (
             RunMode::Proc {
                 exe: PathBuf::from(env!("CARGO_BIN_EXE_ssmfp-cluster")),
@@ -322,6 +317,7 @@ fn a_run_of_zero_messages_converges_clean() {
 
 /// One clean `line:5` run on two shards that issues nothing.
 fn run_zero_messages(mode: RunMode) -> ssmfp_cluster::RunReport {
+    let dir = SocketDir::new("cluster-test");
     let spec = ClusterSpec {
         topology: "line:5".into(),
         graph: gen::line(5),
@@ -331,7 +327,7 @@ fn run_zero_messages(mode: RunMode) -> ssmfp_cluster::RunReport {
             messages: 0,
         },
         chaos: ChaosSpec::none(),
-        listen: ListenSpec::Uds { dir: uds_dir() },
+        listen: dir.listen(),
         clients: None,
         shards: 2,
         mode,
@@ -351,6 +347,7 @@ fn run_zero_messages(mode: RunMode) -> ssmfp_cluster::RunReport {
 /// and exactly-once delivery are still checked by the verdict.)
 #[test]
 fn message_set_deterministic_under_fixed_seed() {
+    let dir = SocketDir::new("cluster-test");
     let run = || {
         let graph = gen::line(4);
         let spec = ClusterSpec {
@@ -362,7 +359,7 @@ fn message_set_deterministic_under_fixed_seed() {
                 messages: 10,
             },
             chaos: chaos_spec(&graph, 11),
-            listen: ListenSpec::Uds { dir: uds_dir() },
+            listen: dir.listen(),
             clients: None,
             shards: 2,
             mode: RunMode::Inproc,
@@ -394,6 +391,7 @@ fn message_set_deterministic_under_fixed_seed() {
 /// every link.
 #[test]
 fn process_mode_five_node_line_clean() {
+    let dir = SocketDir::new("cluster-test");
     let graph = gen::line(5);
     let chaos = chaos_spec(&graph, 5);
     let spec = ClusterSpec {
@@ -405,7 +403,7 @@ fn process_mode_five_node_line_clean() {
             messages: 10,
         },
         chaos,
-        listen: ListenSpec::Uds { dir: uds_dir() },
+        listen: dir.listen(),
         clients: None,
         shards: 5,
         mode: RunMode::Proc {
@@ -423,6 +421,7 @@ fn process_mode_five_node_line_clean() {
 /// of the call.
 #[test]
 fn a_report_prices_its_phases() {
+    let dir = SocketDir::new("cluster-test");
     let spec = ClusterSpec {
         topology: "line:5".into(),
         graph: gen::line(5),
@@ -432,7 +431,7 @@ fn a_report_prices_its_phases() {
             messages: 30,
         },
         chaos: ChaosSpec::none(),
-        listen: ListenSpec::Uds { dir: uds_dir() },
+        listen: dir.listen(),
         clients: None,
         shards: 1,
         mode: RunMode::Inproc,
@@ -472,6 +471,7 @@ fn a_report_prices_its_phases() {
 /// reconcile to.
 #[test]
 fn a_converged_run_streams_its_whole_ledger() {
+    let dir = SocketDir::new("cluster-test");
     let proc = RunMode::Proc {
         exe: PathBuf::from(env!("CARGO_BIN_EXE_ssmfp-cluster")),
     };
@@ -492,7 +492,7 @@ fn a_converged_run_streams_its_whole_ledger() {
                 messages: 40,
             },
             chaos: ChaosSpec::none(),
-            listen: ListenSpec::Uds { dir: uds_dir() },
+            listen: dir.listen(),
             clients: None,
             shards: 2,
             mode,

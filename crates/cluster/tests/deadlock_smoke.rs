@@ -17,6 +17,9 @@
 //! open. And a node whose control fd cannot be waited on at all says so
 //! and exits — it neither spins nor mistakes the fd for a closed pipe.
 
+mod common;
+
+use common::SocketDir;
 use ssmfp_cluster::{
     node_args, pick_partition, run_cluster, ChaosSpec, ClusterSpec, ListenSpec, Run, RunMode,
     RunReport, WorkloadKind, WorkloadSpec,
@@ -48,14 +51,9 @@ fn run_watched(spec: ClusterSpec) -> io::Result<RunReport> {
     })
 }
 
-fn uds_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ssmfp-deadlock-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create uds dir");
-    dir
-}
-
 #[test]
 fn five_node_uds_chaos_never_wedges() {
+    let dir = SocketDir::new("deadlock-smoke");
     let graph = gen::line(5);
     let chaos = ChaosSpec {
         seed: 0xDEAD,
@@ -73,9 +71,7 @@ fn five_node_uds_chaos_never_wedges() {
             messages: 30,
         },
         chaos,
-        listen: ListenSpec::Uds {
-            dir: uds_dir("smoke"),
-        },
+        listen: dir.listen(),
         clients: None,
         shards: 2,
         mode: RunMode::Inproc,
@@ -135,11 +131,11 @@ fn tcp_star_past_the_listen_backlog_comes_up_on_one_thread() {
 #[test]
 fn a_shard_whose_nodes_never_get_ready_is_wound_down() {
     let missing = std::env::temp_dir().join(format!("ssmfp-no-such-dir-{}", std::process::id()));
-    let blocked = uds_dir("blocked");
+    let blocked = SocketDir::new("deadlock-blocked");
     // `node3.sock` is a directory: bind fails for the group node 3 leads,
     // the second of two.
-    std::fs::create_dir_all(blocked.join("node3.sock")).expect("block node 3");
-    for (dir, shards) in [(missing, 2), (blocked, 2)] {
+    std::fs::create_dir_all(blocked.0.join("node3.sock")).expect("block node 3");
+    for (dir, shards) in [(missing, 2), (blocked.0.clone(), 2)] {
         let t0 = Instant::now();
         let err = run_watched(ClusterSpec {
             shards,
@@ -167,11 +163,11 @@ fn a_shard_whose_nodes_never_get_ready_is_wound_down() {
 /// "control pipe closed".
 #[test]
 fn a_worker_whose_control_fd_cannot_be_polled_exits_with_a_message() {
-    let dir = uds_dir("unpollable");
+    let dir = SocketDir::new("deadlock-unpollable");
     let run = Run {
         graph: gen::line(2),
         seed: 1,
-        listen: ListenSpec::Uds { dir: dir.clone() },
+        listen: dir.listen(),
         workload: WorkloadSpec {
             kind: WorkloadKind::Closed { outstanding: 1 },
             messages: 1,
@@ -179,7 +175,7 @@ fn a_worker_whose_control_fd_cannot_be_polled_exits_with_a_message() {
         chaos: ChaosSpec::none(),
         clients: None,
     };
-    let file = dir.join("not-a-pipe");
+    let file = dir.0.join("not-a-pipe");
     std::fs::write(&file, "peers a b\nstart\n").expect("write stdin file");
     for stdin in [PathBuf::from("/dev/null"), file] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_ssmfp-cluster"))
@@ -211,5 +207,4 @@ fn a_worker_whose_control_fd_cannot_be_polled_exits_with_a_message() {
             stdin.display()
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

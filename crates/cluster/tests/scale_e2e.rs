@@ -15,13 +15,15 @@
 //! The registration counter is process-global and cumulative, so the
 //! tests serialize on a mutex and measure deltas.
 
+mod common;
+
+use common::SocketDir;
 use ssmfp_cluster::{
     pick_partition, run_cluster, shard_ranges, ChaosSpec, ClusterSpec, ListenSpec, RunMode,
     WorkloadKind, WorkloadSpec,
 };
 use ssmfp_topology::{gen, Graph};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -29,19 +31,16 @@ use std::time::Duration;
 /// meaningful when no other cluster run is registering threads.
 static SCALE_LOCK: Mutex<()> = Mutex::new(());
 
-fn uds_dir() -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ssmfp-scale-test-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("create uds dir");
-    dir
-}
-
-fn grid_spec(rows: usize, cols: usize, seed: u64, shards: usize, msgs: u64) -> ClusterSpec {
+fn grid_spec(
+    dir: &SocketDir,
+    rows: usize,
+    cols: usize,
+    seed: u64,
+    shards: usize,
+    msgs: u64,
+) -> ClusterSpec {
     chaos_spec(
+        dir,
         format!("grid:{rows}x{cols}"),
         gen::grid(rows, cols),
         seed,
@@ -50,7 +49,14 @@ fn grid_spec(rows: usize, cols: usize, seed: u64, shards: usize, msgs: u64) -> C
     )
 }
 
-fn chaos_spec(topology: String, graph: Graph, seed: u64, shards: usize, msgs: u64) -> ClusterSpec {
+fn chaos_spec(
+    dir: &SocketDir,
+    topology: String,
+    graph: Graph,
+    seed: u64,
+    shards: usize,
+    msgs: u64,
+) -> ClusterSpec {
     let chaos = ChaosSpec {
         seed: seed ^ 0x5CA1E,
         // Modest budgets: this is a debug-build test with 64 unoptimized
@@ -67,7 +73,7 @@ fn chaos_spec(topology: String, graph: Graph, seed: u64, shards: usize, msgs: u6
             messages: msgs,
         },
         chaos,
-        listen: ListenSpec::Uds { dir: uds_dir() },
+        listen: dir.listen(),
         clients: None,
         shards,
         mode: RunMode::Inproc,
@@ -91,7 +97,8 @@ fn primary_set(r: &ssmfp_cluster::RunReport) -> Vec<(ssmfp_mp::MpGhost, usize)> 
 #[test]
 fn grid_8x8_uds_chaos_clean_with_bounded_threads() {
     let _guard = SCALE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let spec = grid_spec(8, 8, 64, 4, 6);
+    let dir = SocketDir::new("scale-test");
+    let spec = grid_spec(&dir, 8, 8, 64, 4, 6);
     let n = spec.graph.n();
     let shards = shard_ranges(n, spec.shards).len();
 
@@ -141,12 +148,13 @@ fn grid_8x8_uds_chaos_clean_with_bounded_threads() {
 /// flavours: clean verdict, and the registry saw exactly one `node.main`.
 #[test]
 fn line5_one_shard_chaos_runs_on_one_data_thread() {
+    let dir = SocketDir::new("scale-test");
     let _guard = SCALE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let component = ssmfp_cluster::conc::COMPONENT;
-    for listen in [ListenSpec::Uds { dir: uds_dir() }, ListenSpec::Tcp] {
+    for listen in [dir.listen(), ListenSpec::Tcp] {
         let spec = ClusterSpec {
             listen,
-            ..chaos_spec("line:5".into(), gen::line(5), 5, 1, 12)
+            ..chaos_spec(&dir, "line:5".into(), gen::line(5), 5, 1, 12)
         };
         let before = ssmfp_core::conc::registered_role_count(component, "node.main");
         let report = run_cluster(&spec).expect("run");
@@ -176,16 +184,17 @@ fn line5_one_shard_chaos_runs_on_one_data_thread() {
 #[test]
 fn primary_set_identical_across_shard_counts() {
     let _guard = SCALE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let dir = SocketDir::new("scale-test");
     let proc = ClusterSpec {
         mode: RunMode::Proc {
             exe: PathBuf::from(env!("CARGO_BIN_EXE_ssmfp-cluster")),
         },
-        ..grid_spec(5, 5, 17, 4, 6)
+        ..grid_spec(&dir, 5, 5, 17, 4, 6)
     };
     let runs = [
-        ("shards=1", grid_spec(5, 5, 17, 1, 6)),
-        ("shards=4", grid_spec(5, 5, 17, 4, 6)),
-        ("shards=n", grid_spec(5, 5, 17, 25, 6)),
+        ("shards=1", grid_spec(&dir, 5, 5, 17, 1, 6)),
+        ("shards=4", grid_spec(&dir, 5, 5, 17, 4, 6)),
+        ("shards=n", grid_spec(&dir, 5, 5, 17, 25, 6)),
         ("processes", proc),
     ]
     .map(|(name, spec)| (name, spec.shards, run_cluster(&spec).expect(name)));

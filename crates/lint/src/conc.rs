@@ -199,7 +199,34 @@ fn unblockers(model: &ConcModel, e: &BlockingEdge) -> Vec<&'static str> {
     .unwrap_or_default()
 }
 
-/// `conc-deadlock`: every untimed wait points at the waiter's spawner.
+/// A shortest chain of untimed waits from role `from` to role `to`, both
+/// ends included: each role in it waits untimed on the next.
+fn untimed_chain(model: &ConcModel, from: &'static str, to: &str) -> Option<Vec<&'static str>> {
+    let mut paths = vec![vec![from]];
+    let mut seen = BTreeSet::from([from]);
+    while !paths.is_empty() {
+        let mut longer = Vec::new();
+        for path in paths {
+            let at = path[path.len() - 1];
+            if at == to {
+                return Some(path);
+            }
+            for e in model.edges.iter().filter(|e| !e.timed && e.thread == at) {
+                for on in unblockers(model, e) {
+                    if seen.insert(on) {
+                        longer.push([&path[..], &[on]].concat());
+                    }
+                }
+            }
+        }
+        paths = longer;
+    }
+    None
+}
+
+/// `conc-deadlock`: every untimed wait points at the waiter's spawner. A
+/// wait that does not is reported with the cycle of untimed waits it
+/// closes, if it closes one.
 pub fn lint_conc_deadlock(model: &ConcModel, report: &mut LintReport) {
     for e in model.edges.iter().filter(|e| !e.timed) {
         let Some(decl) = model.thread(e.thread) else {
@@ -207,14 +234,22 @@ pub fn lint_conc_deadlock(model: &ConcModel, report: &mut LintReport) {
         };
         for on in unblockers(model, e) {
             if on != decl.spawned_by {
+                let cycle = untimed_chain(model, on, e.thread).map_or(String::new(), |chain| {
+                    let roles = chain.iter().map(|r| format!(" → `{r}`"));
+                    format!(
+                        " (it closes the cycle `{}`{})",
+                        e.thread,
+                        roles.collect::<String>()
+                    )
+                });
                 push(
                     report,
                     Severity::Violation,
                     "conc-deadlock",
                     format!(
-                        "{}: `{}` waits untimed on `{on}` ({}), but only its spawner `{}` may \
-                         end an untimed wait — untimed waits must climb the spawn tree; give \
-                         this one a deadline or re-layer it",
+                        "{}: `{}` waits untimed on `{on}` ({}){cycle}, but only its spawner \
+                         `{}` may end an untimed wait — untimed waits must climb the spawn \
+                         tree; give this one a deadline or re-layer it",
                         model.component,
                         e.thread,
                         e.waits.describe(),
@@ -424,22 +459,27 @@ mod tests {
 
     #[test]
     fn untimed_downward_ctrl_write_reintroduces_the_shard_cycle() {
-        // Documents WHY the shard's downward control writes are staged and
-        // POLLOUT-gated (a *timed* edge): `node.main` already blocks
-        // untimed writing status/reports up to its shard. If the shard
-        // also blocked untimed writing control lines down to a node —
-        // e.g. a naive `write_all` of `peers`/`stop` while that node is
-        // itself stuck pushing status into a full pipe — both sides wait
-        // for buffer space on the same socketpair and the control tree
-        // wedges. The lint must refuse that flip: the shard would wait
-        // untimed on its child, not on its spawner `orch.main`.
+        // Documents WHY the root's downward control writes carry a
+        // deadline (a *timed* edge): `node.main` blocks untimed writing
+        // status/reports up to its shard, and the shard blocks untimed
+        // sending them on to the root. If the root also blocked untimed
+        // writing control lines down to a group — a naive `write_all` of
+        // `peers`/`probe`/`stop` into a full pipe while that group is
+        // stuck pushing status to a shard that is stuck on a full
+        // `orch.shard` — the three wait in a ring and the control tree
+        // wedges. The lint must refuse that flip: the root would wait
+        // untimed on a grandchild, not on its spawner, and it names the
+        // cycle the wait closes.
         let mut model = ssmfp_cluster::conc::default_model();
         let edge = model
             .edges
             .iter_mut()
-            .find(|e| e.thread == "shard.super" && e.waits == WaitPoint::SockWrite("node.main"))
-            .expect("shard.super declares its downward ctrl write");
-        assert!(edge.timed, "shipped model gates this write with POLLOUT");
+            .find(|e| e.thread == "orch.main" && e.waits == WaitPoint::SockWrite("node.main"))
+            .expect("orch.main declares its downward ctrl write");
+        assert!(
+            edge.timed,
+            "shipped model bounds this write with a deadline"
+        );
         edge.timed = false;
         let mut report = LintReport::default();
         lint_conc_deadlock(&model, &mut report);
