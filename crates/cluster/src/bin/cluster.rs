@@ -34,11 +34,9 @@ OPTIONS:
     --partition F:L    one partition/heal cycle: drop data-plane arrivals
                        [F, F+L) on a seed-picked edge (default off)
     --transport T      uds | tcp (default uds)
-    --shards K         orchestrator shards, each supervising one node
-                       group whose nodes share one data thread, so K is
-                       also the number of data threads (default: one per
-                       25 nodes and at least one per available CPU;
-                       clamped to 1..=n)
+    --shards K         K node groups, each on one data thread (default:
+                       one per 25 nodes and at least one per available
+                       CPU; clamped to 1..=n)
     --inproc           each shard's nodes on a thread of this process,
                        instead of in one process per shard
     --timeout-s T      convergence timeout in seconds (default 60)

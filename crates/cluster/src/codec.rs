@@ -5,11 +5,11 @@
 //! whose `gen` / `del` carry only the tail ([`write_report`]). Numbers are
 //! ASCII decimal, written with a digit-pair table and read as bytes in
 //! place: no `fmt`, no allocation per token. `fold_line` is the one
-//! reader: the shard folds each line into the [`NodeReport`] of the member
+//! reader: the root folds each line into the [`NodeReport`] of the member
 //! the last head named as it completes (`ReportFold`), and
 //! [`parse_report_body`] folds a whole block the same way.
 //!
-//! The other way down, a shard hands its group's process the shard's node
+//! The other way down, the root hands a group's process the shard's node
 //! range and [`Run`] as the `--node-worker` arguments [`node_args`] writes
 //! and [`parse_node_args`] reads, seed, workload and clients a
 //! [`Scenario`]'s.
@@ -25,7 +25,7 @@ use ssmfp_topology::{Graph, NodeId};
 use std::io::{self, Write};
 use std::ops::Range;
 
-/// One node's report, as folded from its lines by its shard.
+/// One node's report, as folded from its lines by the root.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeReport {
     /// Reporting node.
@@ -54,8 +54,8 @@ pub struct NodeReport {
 }
 
 /// What a `status` line says: sums over a set of nodes — one group's
-/// members at one instant, or the lines of every shard's group added up by
-/// the root. Every count is monotone per node while a run drains, which
+/// members at one instant, or the lines of every group added up by the
+/// root. Every count is monotone per node while a run drains, which
 /// is what the root's stop rule rests on ([`crate::orchestrator`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Status {
@@ -395,7 +395,7 @@ pub(crate) fn fold_line(r: &mut NodeReport, line: &[u8]) -> Option<bool> {
     f.0.is_empty().then_some(tag == b"end")
 }
 
-/// What a shard folds off one group's pipe: each member's report, as its
+/// What the root folds off one group's pipe: each member's report, as its
 /// lines complete. A head — `node <id>` before a member's ledger delta,
 /// `report <id>` before its block — names the member whose lines follow,
 /// and [`fold_line`] folds each of them into that member's report. The
@@ -480,7 +480,7 @@ pub(crate) fn shown(line: &[u8]) -> String {
 
 /// Parses the block written by [`write_report`]; the `report <node>` line
 /// has already been consumed by the caller (who saw it arrive). Each line
-/// goes through `fold_line`, the shard's reader.
+/// goes through `fold_line`, the root's reader.
 pub fn parse_report_body(
     node: NodeId,
     lines: &mut impl Iterator<Item = String>,
@@ -780,14 +780,14 @@ pub(crate) mod tests {
     }
 
     /// Feeds a written block back through the parser, after its
-    /// `report <node>` line as the supervisor does.
+    /// `report <node>` line as the root does.
     fn parse_block(text: &str) -> Option<NodeReport> {
         let mut lines = text.lines().map(str::to_string);
         let node = lines.next()?.strip_prefix("report ")?.parse().ok()?;
         parse_report_body(node, &mut lines)
     }
 
-    /// What a shard makes of a group's stream: every line folded into the
+    /// What the root makes of a group's stream: every line folded into the
     /// report of the member the last head named; `None` once a line is
     /// refused or if a member's `end` did not come.
     fn fold_stream(nodes: &[NodeId], text: &str) -> Option<Vec<NodeReport>> {

@@ -5,7 +5,7 @@
 //! bounded queue in memory, the rest ride a listener (if anyone outside
 //! can dial it), one simplex out-stream per distinct listener address
 //! and the streams dialled in. The group's one `Control` pipe — down
-//! from the root, up to its shard — is the group's too, not a member's. None of them owns the
+//! from the root and back up to it — is the group's too, not a member's. None of them owns the
 //! thread, the readiness set or the clock: the `node.main` thread
 //! (`crate::node::run_group`) owns one [`Poller`] — a persistent,
 //! level-triggered `epoll` set — for the whole group, and the group reads
@@ -37,9 +37,9 @@
 //! to a stream's buffer or a member's inbox, and inbound ones surface in
 //! one plain vector per member, which the member drains when stepped.
 //!
-//! [`Poller`] is the crate's one readiness wait: the cold ones — a shard
-//! supervisor's pipes, a deadline-bounded control write, the shutdown
-//! flush — hold a set of their own.
+//! [`Poller`] is the crate's one readiness wait: the others — the root's
+//! over every group's control pipe, a deadline-bounded control write, the
+//! shutdown flush — hold a set of their own.
 //!
 //! **Platform floor:** `epoll_pwait2` needs Linux ≥ 5.11 and glibc ≥ 2.35.
 //!
@@ -65,20 +65,18 @@
 //! ## Control pipe
 //!
 //! A group has one control pipe, whatever its size: one end of a
-//! socketpair the root opened, handed by the group's shard to the data
-//! thread inproc and as fd 0 to the shard's `--node-worker` process. The
-//! root writes the control lines into the other end and the shard reads
-//! what the group writes out of it. Its fd sits in the same readiness set
-//! as the sockets.
+//! socketpair the root opened, handed to the data thread inproc and as
+//! fd 0 to the shard's `--node-worker` process. The root keeps the other
+//! end: it writes the control lines into it and reads what the group
+//! writes out of it. Its fd sits in the same readiness set as the sockets.
 //! Reads are *single-shot*: one `read(2)` per `POLLIN` readiness on a
 //! blocking fd never blocks, and the level-triggered set reports anything
 //! left unread again. This deliberately avoids `BufReader`, whose
 //! invisible buffering holds complete lines where `poll` cannot see them.
 //! Writes (status lines, ledger deltas, the final reports) are plain
-//! blocking `write_all`: the supervising shard drains its group's pipe
-//! unconditionally,
-//! and this edge is declared untimed in the concurrency model — it is the
-//! one leaf-to-root arc of an acyclic control tree.
+//! blocking `write_all`: the root reads every group's pipe each turn of
+//! its loop, and this edge is declared untimed in the concurrency model —
+//! it is the one leaf-to-root arc of an acyclic control tree.
 //!
 //! ## Failure policy
 //!
@@ -234,8 +232,8 @@ fn timespec_of(d: Duration) -> sys::timespec {
 /// next (the kernel serves its ready list round-robin).
 const POLLER_EVENTS: usize = 64;
 
-/// A persistent readiness set — a data thread's, a shard supervisor's, a
-/// cold wait's: an `epoll` instance, level-triggered. A registration
+/// A persistent readiness set — a data thread's, the root's over every
+/// group's control pipe, a cold wait's: an `epoll` instance, level-triggered. A registration
 /// follows its fd's life, not the loop's iteration — [`Poller::add`] when
 /// the fd starts to matter, [`Poller::modify`] when its interest changes,
 /// [`Poller::del`] when it stops, and *nothing* on close: the kernel drops
@@ -271,9 +269,8 @@ impl Poller {
         })
     }
 
-    /// The token of `fd` as owned by `owner`: on a data thread the
-    /// group's control pipe, `CTRL`, or its `Hub`, `HUB`; on a shard, a
-    /// group's seat.
+    /// The token of `fd` as owned by `owner` on a data thread: the group's
+    /// control pipe, `CTRL`, or its `Hub`, `HUB`.
     pub fn token(owner: usize, fd: RawFd) -> u64 {
         (owner as u64) << 32 | fd as u32 as u64
     }
@@ -638,7 +635,7 @@ pub(crate) fn take_lines(acc: &mut Vec<u8>, bytes: &[u8], mut each: impl FnMut(&
 /// A group's end of its control socketpair — a data thread's inproc, fd 0
 /// of a `--node-worker` process — in the thread's [`Poller`] under the
 /// [`CTRL`] token for the group's whole life: single-shot reads of the
-/// root's lines into complete lines, blocking writes up to the shard.
+/// root's lines into complete lines, blocking writes up to the root.
 pub(crate) struct Control {
     pipe: UnixStream,
     eof: bool,
@@ -664,7 +661,9 @@ impl Control {
         })
     }
 
-    /// True once the pipe's other end was shut down or closed.
+    /// True once the pipe's other end was shut down or closed: a read
+    /// returned EOF, or the `error` line of [`Control::fail`] found no
+    /// reader.
     pub fn eof(&self) -> bool {
         self.eof
     }
@@ -694,20 +693,23 @@ impl Control {
         Ok(())
     }
 
-    /// Blocking write of whole lines up to the supervising shard — the
-    /// declared untimed `SockWrite(shard.super)` edge (the shard drains
-    /// unconditionally; the root, which writes down the same socketpair,
-    /// reads nothing from it).
+    /// Blocking write of whole lines up to the root — the declared untimed
+    /// `SockWrite(orch.main)` edge: the root, which writes its control
+    /// lines down the same socketpair under deadlines, reads every group's
+    /// pipe each turn of its loop.
     pub fn write_line(&mut self, lines: &[u8]) -> io::Result<()> {
         (&self.pipe).write_all(lines)
     }
 
     /// The group ends on `e`, the fault of `node`: one `error <node>
     /// <message>` line goes up, if the pipe still takes it, and `e` comes
-    /// back.
+    /// back. A pipe that refuses the line is the root hanging up, as EOF
+    /// is.
     pub fn fail(&mut self, node: NodeId, e: io::Error) -> io::Error {
         let said = e.to_string().replace('\n', " ");
-        let _ = self.write_line(format!("error {node} {said}\n").as_bytes());
+        self.eof |= self
+            .write_line(format!("error {node} {said}\n").as_bytes())
+            .is_err();
         e
     }
 }

@@ -38,21 +38,21 @@
 //!   bytes, by one line folder; and a worker process's argv.
 //! * [`scenario`] — what a run is: one [`Scenario`], one parser per run
 //!   flag, one text form that replays it, and the [`ClusterSpec`] it is.
-//! * [`orchestrator`] — the sharded control tree: the root writes every
-//!   group's control lines straight down its socketpair, hears K shards on
-//!   one channel, works O(shards) per status, merges their pre-merged
-//!   telemetry and running joins into the SP verdict and renders the JSON
-//!   run report.
-//! * `shard` — a `shard.super` thread supervising its shard's one node
-//!   group (a data thread, or one process per shard) by listening on the
-//!   group's socketpair: it passes status up and folds each node's ledger
-//!   as it streams in, and writes nothing down.
+//! * [`orchestrator`] — the one-level control tree: the root launches K
+//!   node groups, runs the stop rule over their status lines, merges
+//!   their telemetry, takes the SP verdict from one running join and
+//!   renders the JSON run report.
+//! * `shard` — the root's side of the groups: it launches each group (a
+//!   data thread, or one process per shard), keeps the root's end of each
+//!   group's socketpair, writes the control lines down them and reads
+//!   every group's lines in one loop, folding each node's ledger into the
+//!   run's one join as it streams in.
 //! * [`telemetry`] — log-bucketed latency histograms and counters.
 //! * [`tuning`] — every runtime knob in one documented [`ClusterTuning`]
-//!   struct, consumed by both the running code and the declared model.
-//! * [`conc`] — the declared concurrency model (three thread roles, one
-//!   bounded channel, the blocking edges) feeding `ssmfp-lint`'s `conc-*`
-//!   passes and the debug-build runtime assertions.
+//!   struct.
+//! * [`conc`] — the declared concurrency model (two thread roles, no
+//!   channel, the blocking edges) feeding `ssmfp-lint`'s `conc-*` passes
+//!   and the debug-build runtime assertions.
 
 pub mod chaos;
 pub mod clients;
@@ -75,7 +75,7 @@ pub use codec::{node_args, parse_chaos, parse_node_args};
 pub use node::{node_main, ListenSpec, NodeReport, Run, Status};
 pub use orchestrator::{
     pick_partition, run_cluster, shard_ranges, ClusterSpec, Detection, LedgerFlow, Phases, RunMode,
-    RunReport, ShardReport, ShardSummary,
+    RunReport, ShardSummary,
 };
 pub use scenario::{parse_workload, Scenario};
 pub use telemetry::{LogHistogram, NodeCounters};

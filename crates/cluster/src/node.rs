@@ -34,7 +34,7 @@
 //! the group's links) and `finish` (report). A `Group` is the daemon: it
 //! holds what its members share — the graph and one BFS tree per
 //! destination, built once at bring-up, the links, the one control pipe
-//! (down from the root, up to the shard) and the one copy of the control
+//! (down from the root and back up to it) and the one copy of the control
 //! state — and its one
 //! `turn` is the only copy of the iteration: read the group's clock (µs
 //! of `CLOCK_MONOTONIC` in a run, a hand-set value in a test), flush each
@@ -85,27 +85,29 @@
 //! ## Control protocol
 //!
 //! Line-based, over one socketpair — the data thread's end inproc, fd 0
-//! of a `--node-worker` process — whose other end the root writes down and
-//! the group's shard reads:
-//! * group → shard: `ready <addr>`, once for all its members
+//! of a `--node-worker` process — whose other end the root holds, writes
+//! down and reads:
+//! * group → root: `ready <addr>`, once for all its members
 //! * root → group: `peers <addr_0> … <addr_{n-1}>`, then `start`
-//! * group → shard: `status <wave> <nodes> <done> <generated> <delivered>
+//! * group → root: `status <wave> <nodes> <done> <generated> <delivered>
 //!   <held> <busy>` ([`Status`]) — a cut of all its members at one
 //!   instant, written the turn the cut goes quiet or changes while quiet,
 //!   once per probe wave, and otherwise once per `status_every`; the
-//!   shard passes each up to the root as it reads it
-//! * group → shard, in the same write behind every status line: for each
+//!   root hands each to its stop rule as it reads it
+//! * group → root, in the same write behind every status line: for each
 //!   member with ledger entries since the last one, a `node <id>` head,
 //!   then a `gen …` and a `del …` line (`crate::codec::push_delta`),
 //!   after which the member lets them go: the ledger leaves while the
 //!   run runs
 //! * root → group: `probe <wave>` — the root's second wave; the group
 //!   answers it once, with a cut taken after it read the probe
-//! * root → group: `stop`
-//! * group → shard: for each member a multi-line `report <id> … end`
+//! * root → group: `stop`; or, when the run failed elsewhere, the pipe
+//!   shut down: a started group then shuts its hub down and ends,
+//!   writing nothing
+//! * group → root: for each member a multi-line `report <id> … end`
 //!   block whose `gen` and `del` carry only the entries no status line
 //!   did, then the group closes the pipe
-//! * group → shard, instead, when anything fails — a member, the group's
+//! * group → root, instead, when anything fails — a member, the group's
 //!   sockets or wait, a control line it cannot read: one `error <node>
 //!   <message>` line, then the group closes the pipe.
 //!
@@ -613,10 +615,10 @@ impl Group {
 
     /// Obeys the control lines the last read completed, each as it comes
     /// — one read can surface several (the root writes `peers` and
-    /// `start` back to back). `Ok(true)` once the group is told to stop:
-    /// `stop`, or the pipe closed after `start`. A line that is not
-    /// exactly one the root writes, or comes out of order, ends the
-    /// group: a probe it cannot read would go unanswered.
+    /// `start` back to back). `Ok(true)` once the group is told to stop.
+    /// A line that is not exactly one the root writes, or comes out of
+    /// order, ends the group: a probe it cannot read would go unanswered.
+    /// So does a closed pipe: the root is gone.
     fn obey(&mut self, now: u64) -> io::Result<bool> {
         for line in std::mem::take(&mut self.ctrl.lines) {
             let (verb, rest) = line.split_once(' ').unwrap_or((&line, ""));
@@ -648,10 +650,10 @@ impl Group {
                 _ => return Err(refused(&line)),
             }
         }
-        if self.ctrl.eof() && !self.started {
+        if self.ctrl.eof() {
             return Err(io::Error::other("control pipe closed"));
         }
-        Ok(self.ctrl.eof())
+        Ok(false)
     }
 
     /// `stop`: every member's report block goes up, the group's socket
@@ -752,9 +754,27 @@ impl Group {
     /// Anything that fails — a member's step, the wait (anything but
     /// `EINTR`), a socket the set refuses, the control pipe — ends the
     /// group: one `error` line goes up, charged to the member that failed
-    /// or else to the lead.
+    /// or else to the lead. Once started, a group whose pipe the root shut
+    /// has nobody to report to: it shuts its hub down and ends `Ok(true)`,
+    /// with no report and no `error` line.
     fn turn(&mut self) -> io::Result<bool> {
-        self.try_turn().map_err(|(node, e)| self.ctrl.fail(node, e))
+        self.try_turn().or_else(|(node, e)| self.end(node, e))
+    }
+
+    /// How a turn that failed ends the group: with one `error` line while
+    /// the pipe takes one, and, once started, quietly when the root is gone
+    /// — it shut the pipe, which reads EOF or refuses the line.
+    #[cold]
+    fn end(&mut self, node: NodeId, e: io::Error) -> io::Result<bool> {
+        let e = match self.ctrl.eof() {
+            true => e,
+            false => self.ctrl.fail(node, e),
+        };
+        if self.started && self.ctrl.eof() {
+            self.hub.shutdown();
+            return Ok(true);
+        }
+        Err(e)
     }
 
     fn try_turn(&mut self) -> Result<bool, (NodeId, io::Error)> {
@@ -834,7 +854,7 @@ fn refused(line: &str) -> io::Error {
 /// went up the pipe.
 pub(crate) fn run_group(run: &Run, ids: Vec<NodeId>, pipe: UnixStream) -> io::Result<()> {
     // In proc mode this is the worker process's main thread; in inproc
-    // mode the shard's spawn already registered it (re-registration is
+    // mode the root's spawn already registered it (re-registration is
     // idempotent). Either way the declared role holds from here on.
     register_thread(COMPONENT, "node.main");
     let mut group = Group::new(run, ids, pipe, monotonic_us)?;
@@ -843,7 +863,7 @@ pub(crate) fn run_group(run: &Run, ids: Vec<NodeId>, pipe: UnixStream) -> io::Re
 }
 
 /// Runs a `--node-worker` process: the `run_group` group of a shard's
-/// `nodes` of `run`, over the socket its shard handed it as fd 0.
+/// `nodes` of `run`, over the socket the root handed it as fd 0.
 pub fn node_main(nodes: Range<NodeId>, run: &Run) -> io::Result<()> {
     // SAFETY: fd 0 is the process's, and nothing else in it reads or
     // closes stdin; the stream owns it from here to exit. (A stdin that
@@ -971,10 +991,10 @@ mod tests {
         outcomes: Vec<Option<Result<(), String>>>,
         /// By group, its members.
         members: Vec<Vec<NodeId>>,
-        /// The supervisor end of each group's control pipe (kept open:
-        /// EOF means stop).
-        supervisor: Vec<UnixStream>,
-        /// By group, the bytes read off its supervisor end so far.
+        /// The root end of each group's control pipe (kept open: EOF
+        /// ends a started group).
+        root: Vec<UnixStream>,
+        /// By group, the bytes read off its root end so far.
         heard: Vec<Vec<u8>>,
         dir: PathBuf,
         pair: [NodeId; 2],
@@ -1017,12 +1037,12 @@ mod tests {
                 chaos: ChaosSpec::none(),
                 clients: None,
             };
-            let (mut supervisor, groups): (Vec<UnixStream>, Vec<Group>) = members
+            let (mut root, groups): (Vec<UnixStream>, Vec<Group>) = members
                 .iter()
                 .map(|ids| {
-                    let (sup_side, group_side) = UnixStream::pair().unwrap();
+                    let (root_side, group_side) = UnixStream::pair().unwrap();
                     (
-                        sup_side,
+                        root_side,
                         Group::new(&run, ids.clone(), group_side, clock).unwrap(),
                     )
                 })
@@ -1035,7 +1055,7 @@ mod tests {
             // One `ready` line a group, naming its one address for every
             // member: node order is group order.
             let mut addrs = Vec::new();
-            for (s, g) in supervisor.iter_mut().zip(groups.iter().flatten()) {
+            for (s, g) in root.iter_mut().zip(groups.iter().flatten()) {
                 let want = format!("ready {}\n", g.hub.addr());
                 let mut got = vec![0u8; want.len() + 1];
                 s.set_nonblocking(true).unwrap();
@@ -1044,7 +1064,7 @@ mod tests {
                 assert_eq!(String::from_utf8_lossy(&got[..k]), want);
                 addrs.extend(g.slots.iter().map(|_| g.hub.addr().to_string()));
             }
-            for s in &mut supervisor {
+            for s in &mut root {
                 writeln!(s, "peers {}\nstart", addrs.join(" ")).unwrap();
             }
             let nudge = (groups.len() > 1).then(|| {
@@ -1061,7 +1081,7 @@ mod tests {
                 heard: vec![Vec::new(); groups.len()],
                 groups,
                 members,
-                supervisor,
+                root,
                 dir,
                 pair,
                 _nudge: nudge,
@@ -1076,21 +1096,21 @@ mod tests {
             self.groups[g].as_mut().expect("a live group")
         }
 
-        /// The lines group `g`'s supervisor end has read so far.
+        /// The lines group `g`'s root end has read so far.
         fn lines(&self, g: usize) -> Vec<Vec<u8>> {
             let mut lines = Vec::new();
             take_lines(&mut Vec::new(), &self.heard[g], |l| lines.push(l.to_vec()));
             lines
         }
 
-        /// The `status` lines group `g`'s supervisor end has read so far.
+        /// The `status` lines group `g`'s root end has read so far.
         fn statuses(&self, g: usize) -> Vec<Status> {
             let lines = self.lines(g);
             let rests = lines.iter().filter_map(|l| l.strip_prefix(b"status "));
             rests.map(|rest| Status::parse(rest).unwrap()).collect()
         }
 
-        /// What a shard makes of every group's lines so far: each member's
+        /// What the root makes of every group's lines so far: each member's
         /// ledger deltas and, once it stopped, its block, folded into one
         /// report a node, by node.
         fn folded(&self) -> Vec<NodeReport> {
@@ -1125,7 +1145,7 @@ mod tests {
         }
 
         /// One turn of group `g` if it is live — a group that ends is
-        /// dropped, closing its pipe — then, as a shard would, whatever it
+        /// dropped, closing its pipe — then, as the root would, whatever it
         /// wrote up its control pipe, read without waiting: a pipe nobody
         /// reads fills, and a group's next line blocks.
         fn turn_group(&mut self, g: usize) {
@@ -1138,7 +1158,7 @@ mod tests {
             if ended.is_some() {
                 (self.groups[g], self.outcomes[g]) = (None, ended);
             }
-            let (s, mut buf) = (&mut self.supervisor[g], [0u8; 4096]);
+            let (s, mut buf) = (&mut self.root[g], [0u8; 4096]);
             s.set_nonblocking(true).unwrap();
             while let Ok(k @ 1..) = s.read(&mut buf) {
                 self.heard[g].extend_from_slice(&buf[..k]);
@@ -1164,7 +1184,7 @@ mod tests {
 
         /// `stop` to every group, then turns until each has ended.
         fn stop(&mut self) {
-            for s in &mut self.supervisor {
+            for s in &mut self.root {
                 writeln!(s, "stop").unwrap();
             }
             while self.groups.iter().any(Option::is_some) {
@@ -1308,7 +1328,7 @@ mod tests {
             assert_eq!(rig.statuses(0).len(), 2 + k);
         }
 
-        writeln!(rig.supervisor[0], "probe 7").unwrap();
+        writeln!(rig.root[0], "probe 7").unwrap();
         while pushed(&rig).unwrap().wave < 7 {
             rig.turn();
         }
@@ -1522,10 +1542,44 @@ mod tests {
             .unwrap_err();
         let last = rig.lines(0).pop().unwrap();
         assert_eq!(String::from_utf8_lossy(&last), format!("error 0 {err}"));
-        let s = &mut rig.supervisor[0];
+        let s = &mut rig.root[0];
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let mut rest = Vec::new();
         s.read_to_end(&mut rest).expect("EOF, not a timeout");
+    }
+
+    /// A started group whose pipe the root shuts down — the run failed
+    /// elsewhere — has nobody to report to: it shuts its hub down, which
+    /// unlinks its listener, and ends `Ok`, as `run_group` then does,
+    /// writing nothing into the shut socket. A group that read the EOF as
+    /// `stop` would write its reports there, and a worker process would
+    /// print "Broken pipe".
+    #[test]
+    fn a_pipe_shut_after_start_ends_the_group_quietly() {
+        use std::io::Read;
+        let mut rig = split_rig("hangup", 0, hand_clock);
+        let quiet = |rig: &Rig, g| rig.group(g).pushed.is_some_and(|s| s.quiet(2));
+        while !(quiet(&rig, 0) && quiet(&rig, 1)) {
+            rig.turn();
+        }
+        (0..3).for_each(|_| rig.turn());
+        let heard = rig.heard.clone();
+        for s in &rig.root {
+            s.shutdown(std::net::Shutdown::Write).unwrap();
+        }
+        while rig.groups.iter().any(Option::is_some) {
+            rig.turn();
+        }
+        assert_eq!(rig.outcomes, [Some(Ok(())), Some(Ok(()))]);
+        assert!(rig.heard == heard, "a group wrote after the EOF");
+        for s in &mut rig.root {
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut rest = Vec::new();
+            assert_eq!(s.read_to_end(&mut rest).expect("EOF, not a timeout"), 0);
+        }
+        for lead in ["node0.sock", "node2.sock"] {
+            assert!(!rig.dir.join(lead).exists(), "{lead} was not unlinked");
+        }
     }
 
     /// A control line the group cannot read ends it with an error naming
@@ -1537,7 +1591,7 @@ mod tests {
         let shown_long = format!("\"{}\"…", &long[..64]);
         for (line, shown) in [("probe x", "\"probe x\""), (&long, &shown_long)] {
             let mut rig = Rig::new("refuse", &[4], 0, 20, [0, 1], monotonic_us);
-            writeln!(rig.supervisor[0], "{line}").unwrap();
+            writeln!(rig.root[0], "{line}").unwrap();
             while rig.outcomes[0].is_none() {
                 rig.turn();
             }
@@ -1570,7 +1624,7 @@ mod tests {
                 clients: None,
             };
             for ids in [0..n / 3, n / 3..n] {
-                let (_supervisor, pipe) = UnixStream::pair().unwrap();
+                let (_root, pipe) = UnixStream::pair().unwrap();
                 let group = Group::new(&run, ids.collect(), pipe, monotonic_us).unwrap();
                 for eng in group.slots.iter().map(|s| &s.node.eng) {
                     for d in (0..n).filter(|&d| d != eng.p) {

@@ -2,37 +2,36 @@
 //! watch it converge, reconcile the per-node ledgers into a cluster-wide
 //! SP verdict, and emit a JSON run report.
 //!
-//! ## The shard tree
+//! ## The control tree
 //!
-//! The control plane is a two-level tree. `orch.main` spawns K
-//! `shard.super` threads, each supervising a contiguous block of nodes as
-//! one node group: the tasks of one `node.main` data thread, on a thread
-//! of this process in [`RunMode::Inproc`] and in one `--node-worker`
-//! process per shard in [`RunMode::Proc`] — the same groups, streams and
-//! seeds either way. A group is one control endpoint — one socketpair in
-//! both modes, a worker's end as its fd 0 — and each way along it has one
-//! writer: the root holds a clone of the supervisor's end and writes every
-//! control line down it, `peers`, `start`, `probe <w>` and `stop`; the
-//! shard polls the same end directly, no reader thread, and only reads. A
-//! whole inproc run costs `2 · shards + 1` threads: [`ClusterSpec::shards`]
-//! says how many groups the nodes run in and thereby how many threads
-//! carry them (`shards = n` is one thread, or one process, per node).
+//! The control plane is a one-level tree. `orch.main` launches K node
+//! groups itself, each a contiguous block of nodes: the tasks of one
+//! `node.main` data thread, on a thread of this process in
+//! [`RunMode::Inproc`] and in one `--node-worker` process per shard in
+//! [`RunMode::Proc`] — the same groups, streams and seeds either way. A
+//! group is one control endpoint — one socketpair in both modes, a
+//! worker's end as its fd 0 — and the root keeps the other end of each
+//! (`crate::shard`). It writes every control line down it, `peers`,
+//! `start`, `probe <w>` and `stop`, and reads what the group writes up it:
+//! all K ends sit in one readiness set, and one loop reads every ready one
+//! against the run deadline. A whole inproc run costs `shards + 1`
+//! threads: [`ClusterSpec::shards`] says how many groups the nodes run in
+//! and thereby how many threads carry them (`shards = n` is one thread, or
+//! one process, per node).
 //!
-//! Shards pass their group's `status` lines ([`Status`]) up as they read
-//! them, and pre-merge per-node reports into one [`ShardReport`] whose
-//! [`ShardSummary`] already carries the merged histograms and counters
-//! ([`ShardSummary::merge`], the one fold from node reports to run
-//! totals). A node's ledger reaches its shard
-//! while the run runs — each member's new entries ride behind every status
-//! line of its group after a `node <id>` head, and the shard folds each
-//! line into that node's report as it completes ([`crate::codec`]) — so
-//! `stop` draws only the tail
-//! ([`RunReport::ledger`]). Each turn, after its status went up, the shard
-//! feeds what it folded to its [`RunningAudit`], the SP join run on the
-//! stream: it pairs each ghost's generation with its delivery and keeps
-//! only what is unpaired. The orchestrator works O(K) per status and, at
-//! the end, merges the K audits — pairing what crossed shards — and takes
-//! their verdict. Only when a stream was irregular or left entries
+//! The root hands each group's `status` line ([`Status`]) to the stop rule
+//! as it reads it, and folds per-node reports into one [`ShardSummary`]
+//! per group ([`ShardSummary::merge`], the one fold from node reports to
+//! run totals). A node's ledger reaches the root while the run runs — each
+//! member's new entries ride behind every status line of its group after a
+//! `node <id>` head, and the root folds each line into that node's report
+//! as it completes ([`crate::codec`]) — so `stop` draws only the tail
+//! ([`RunReport::ledger`]). Each turn, after the statuses it read, the
+//! root feeds what it folded, from every group, to the run's one
+//! [`ssmfp_core::RunningAudit`], the SP join run on the stream: it pairs
+//! each ghost's generation with its delivery, wherever the two were
+//! logged, and keeps only what is unpaired. At the end it takes that
+//! join's verdict. Only when a stream was irregular or left entries
 //! unpaired does it lend the whole reports to `reconcile_ledgers`, which
 //! stays the one definition of the verdict (the running join returns
 //! exactly that verdict or none). [`RunReport::phases`] says where the
@@ -42,8 +41,8 @@
 //! ## When a run is over: four counters
 //!
 //! A group writes its line the turn its cut goes quiet (every member done
-//! issuing, nothing held, nothing buffered) and its shard passes it up as
-//! it reads it, so the root hears of a quiet cluster within a turn or two.
+//! issuing, nothing held, nothing buffered) and the root reads it in its
+//! next turn, so it hears of a quiet cluster within a turn or two.
 //! But the lines are read at different instants: a
 //! sink read before it delivered a primary and generated its ack, and the
 //! source read after it delivered that ack, add up to Σgenerated ==
@@ -68,29 +67,22 @@ use crate::chaos::{ChaosSpec, PartitionSpec};
 use crate::clients::ClientSpec;
 use crate::codec::{NodeReport, Status};
 use crate::conc::COMPONENT;
-use crate::evloop::{raise_nofile_limit, Poller, POLLOUT};
+use crate::evloop::raise_nofile_limit;
 use crate::node::{ListenSpec, Run};
-use crate::shard::shard_main;
+use crate::shard::Groups;
 use crate::telemetry::{LogHistogram, NodeCounters};
 use crate::tuning::TUNING;
 use crate::workload::WorkloadSpec;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use ssmfp_core::cli::json_string;
-use ssmfp_core::conc::{register_thread, spawn_registered, tracked_channel};
-use ssmfp_core::{
-    reconcile_clients, reconcile_ledgers, ClientVerdict, ClusterVerdict, NodeLedger, RunningAudit,
-};
+use ssmfp_core::conc::register_thread;
+use ssmfp_core::{reconcile_clients, reconcile_ledgers, ClientVerdict, ClusterVerdict, NodeLedger};
 use ssmfp_topology::{Graph, NodeId};
-use std::io::{self, Write};
-use std::net::Shutdown;
+use std::io;
 use std::ops::Range;
-use std::os::unix::io::AsRawFd;
-use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How nodes are launched.
@@ -124,8 +116,8 @@ pub struct ClusterSpec {
     /// Client mode: multiplex this many logical clients over the nodes
     /// and audit them per-client at reconciliation.
     pub clients: Option<ClientSpec>,
-    /// Orchestrator shards, each supervising one node group on one data
-    /// thread; clamped to `1..=n`.
+    /// Node groups the run splits its nodes into, each on one data thread
+    /// (or in one process); clamped to `1..=n`.
     pub shards: usize,
     /// Launch mode.
     pub mode: RunMode,
@@ -159,7 +151,8 @@ pub struct ShardSummary {
     pub clients: u64,
     /// Client mode: acked primaries in the shard.
     pub clients_completed: u64,
-    /// When the shard's ledger entries reached it.
+    /// How many of the shard's ledger entries streamed in and how many
+    /// came at `stop` (the join is the run's, so the rest stays zero).
     pub ledger: LedgerFlow,
 }
 
@@ -189,9 +182,9 @@ impl ShardSummary {
 
     /// Adds `other`'s totals to these: the one fold from node reports to
     /// shard summaries (`ShardSummary::of`) to run totals. Histograms
-    /// merge bucket-wise and everything else adds — the pending peak is
-    /// the larger — so the root's work is O(shards · buckets), however many
-    /// nodes and clients the run hosted (pinned by a unit test).
+    /// merge bucket-wise and everything else adds, so the root's work is
+    /// O(shards · buckets), however many nodes and clients the run hosted
+    /// (pinned by a unit test).
     pub fn merge(&mut self, other: &ShardSummary) {
         self.nodes += other.nodes;
         self.primaries_delivered += other.primaries_delivered;
@@ -202,37 +195,9 @@ impl ShardSummary {
         self.client_fair.merge(&other.client_fair);
         self.clients += other.clients;
         self.clients_completed += other.clients_completed;
-        let (l, o) = (&mut self.ledger, &other.ledger);
-        l.streamed += o.streamed;
-        l.tail += o.tail;
-        l.join_s += o.join_s;
-        l.pending_peak = l.pending_peak.max(o.pending_peak);
+        self.ledger.streamed += other.ledger.streamed;
+        self.ledger.tail += other.ledger.tail;
     }
-}
-
-/// Everything a shard sends upward at the end of a run.
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// Shard index.
-    pub shard: usize,
-    /// The pre-merged totals.
-    pub summary: ShardSummary,
-    /// The raw per-node reports.
-    pub reports: Vec<NodeReport>,
-    /// The shard's running SP join over those reports' ledgers, settled.
-    pub audit: RunningAudit,
-}
-
-/// Shard → orchestrator upstream messages (the `orch.shard` channel).
-pub(crate) enum ShardUp {
-    /// The shard's group reported the one address its members listen at.
-    Ready(String),
-    /// A `status` line of the shard's group, as the shard read it.
-    Status(Status),
-    /// Final report (boxed: the reports dwarf the other variants).
-    Done(Box<ShardReport>),
-    /// The shard cannot finish the run.
-    Error(String),
 }
 
 /// Where a run's time outside its measured window went, in seconds.
@@ -241,29 +206,30 @@ pub struct Phases {
     /// From the `run_cluster` call until `peers` and `start` went to
     /// every group: spawn, bind, listen, ready.
     pub ready_s: f64,
-    /// From `stop` until the last shard report arrived: every node's
-    /// report written, read and parsed.
+    /// From `stop` until the last group's reports arrived and the running
+    /// join caught up: every node's report written, read and parsed.
     pub report_s: f64,
-    /// The root's share of the SP verdict: merging the shards' running
-    /// joins, and the reference join and the client audit when they run.
+    /// The rest of the SP verdict: the running join's last settle, and the
+    /// reference join and the client audit when they run.
     pub audit_s: f64,
 }
 
-/// When the ledger reached the shards, and how it was joined: entries —
+/// When the ledger reached the root, and how it was joined: entries —
 /// generated plus delivered — that a member shipped behind a status line
 /// of its group, and those in its report block at `stop`. A node ships its
 /// new entries behind every status line, so after a quiet probe answer, in
-/// a converged run, nothing is left for `stop`; and each shard joins what
-/// it folds as it folds it ([`RunningAudit`]).
+/// a converged run, nothing is left for `stop`; and the root joins what
+/// it folds, from every group, as it folds it, in one
+/// [`ssmfp_core::RunningAudit`] for the run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LedgerFlow {
     /// Entries shipped while the run ran.
     pub streamed: u64,
     /// Entries in the blocks written at `stop`.
     pub tail: u64,
-    /// Shard seconds spent in the running join, summed over shards.
+    /// Root seconds spent in the running join.
     pub join_s: f64,
-    /// The most entries any shard's join held unpaired.
+    /// The most entries the running join held unpaired.
     pub pending_peak: u64,
     /// The verdict came from `reconcile_ledgers` over the whole reports:
     /// the running join met an entry only the reference join can judge,
@@ -292,7 +258,7 @@ pub struct RunReport {
     pub detect: Detection,
     /// Where the time outside `wall_s` went.
     pub phases: Phases,
-    /// When the ledger entries reached the shards.
+    /// When the ledger entries reached the root.
     pub ledger: LedgerFlow,
     /// Cluster-wide SP reconciliation.
     pub verdict: ClusterVerdict,
@@ -495,10 +461,10 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
 /// edge — an edge inside a group is in memory and holds none — and is two
 /// descriptors, the dialling end and the accepted end; a group also holds
 /// at most a listener and its `epoll` set, and a control socketpair of two
-/// ends, whose supervisor end the orchestrator holds a clone of; its shard
-/// waits on an `epoll` set of its own. A shard is one group, on its thread
-/// here or in a process of its own that inherits the limit set here and
-/// holds no more than its own group's share of it.
+/// ends, the root's and the group's; the root waits on all of its ends in
+/// one `epoll` set. A shard is one group, on its thread here or in a
+/// process of its own that inherits the limit set here and holds no more
+/// than its own group's share of it.
 fn nofile_budget(graph: &Graph, ranges: &[Range<usize>]) -> u64 {
     let group = |p: NodeId| ranges.iter().position(|r| r.contains(&p));
     let mut pairs: Vec<_> = graph
@@ -509,58 +475,13 @@ fn nofile_budget(graph: &Graph, ranges: &[Range<usize>]) -> u64 {
         .collect();
     pairs.sort_unstable();
     pairs.dedup();
-    // Streams, listeners and `epoll` sets, control pipes with the root's
-    // clone and the shard's `epoll` set.
-    (2 * pairs.len() + 2 * ranges.len() + 4 * ranges.len() + 64) as u64
+    // Streams, listeners and `epoll` sets, control pipes, the root's set.
+    (2 * pairs.len() + 2 * ranges.len() + 2 * ranges.len() + 1 + 64) as u64
 }
 
 // ---------------------------------------------------------------------------
 // Orchestrator
 // ---------------------------------------------------------------------------
-
-/// Deadline-bounded `write_all` on a group's nonblocking control pipe (the
-/// declared timed `SockWrite(node.main)` edge). Control lines are tiny next
-/// to the socketpair buffer, so the wait — on a set of its own — is cold.
-fn write_all_deadline(s: &UnixStream, mut bytes: &[u8], deadline: Instant) -> io::Result<()> {
-    while !bytes.is_empty() {
-        match (&*s).write(bytes) {
-            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "group hung up")),
-            Ok(k) => bytes = &bytes[k..],
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "group not draining control writes",
-                    ));
-                }
-                let mut writable = Poller::new()?;
-                writable.add(s.as_raw_fd(), POLLOUT, 0)?;
-                writable.wait(Some(deadline - now))?;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-fn recv_or_timeout(
-    rx: &Receiver<(usize, ShardUp)>,
-    deadline: Instant,
-) -> io::Result<Option<(usize, ShardUp)>> {
-    let now = Instant::now();
-    if now >= deadline {
-        return Ok(None);
-    }
-    match rx.recv_timeout(deadline - now) {
-        Ok(v) => Ok(Some(v)),
-        Err(RecvTimeoutError::Timeout) => Ok(None),
-        Err(RecvTimeoutError::Disconnected) => {
-            Err(io::Error::other("every shard hung up before reporting"))
-        }
-    }
-}
 
 /// What the root does after a merged status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -601,7 +522,7 @@ impl Detector {
         }
     }
 
-    /// One merged status: the sum of every shard's latest, its wave the
+    /// One merged status: the sum of every group's latest, its wave the
     /// lowest any of them has completed. While a probe is out, a status in
     /// which some group has not answered it is no answer.
     fn observe(&mut self, s: Status) -> Step {
@@ -624,122 +545,93 @@ impl Detector {
     }
 }
 
-/// The orchestrator's control phases against live shards, writing each
-/// group's control lines down its pipe and hearing the shards on the
-/// channel: gather ready addresses, broadcast `peers`/`start`, feed shard
-/// status sums to the [`Detector`] — writing its probes — until it
-/// declares convergence, broadcast `stop`, collect shard reports.
+/// The orchestrator's control phases against the live groups, over the
+/// root's one loop ([`Groups::turn`]): gather ready addresses, broadcast
+/// `peers`/`start`, feed every status line to the [`Detector`] as it is
+/// read — writing its probes — until it declares convergence, broadcast
+/// `stop`, and read the reports until every member's has ended.
 fn drive(
     spec: &ClusterSpec,
-    rx: &Receiver<(usize, ShardUp)>,
+    groups: &mut Groups,
     ranges: &[Range<usize>],
-    pipes: &[UnixStream],
     called: Instant,
     phases: &mut Phases,
-) -> io::Result<(bool, f64, Detection, Vec<ShardReport>)> {
-    let k = pipes.len();
+) -> io::Result<(bool, f64, Detection)> {
+    let mut heard = Vec::new();
 
     // --- gather ready addresses, one a group ---
     let setup_deadline = Instant::now() + spec.timeout;
-    let mut addrs: Vec<Option<String>> = vec![None; k];
-    while addrs.iter().any(Option::is_none) {
-        let Some((s, up)) = recv_or_timeout(rx, setup_deadline)? else {
+    while groups.addrs().any(|a| a.is_none()) {
+        if Instant::now() >= setup_deadline {
             return Err(io::Error::other("timed out waiting for ready"));
-        };
-        match up {
-            ShardUp::Ready(addr) => addrs[s] = Some(addr),
-            ShardUp::Error(e) => return Err(io::Error::other(format!("shard {s}: {e}"))),
-            _ => {}
         }
+        groups.turn(setup_deadline, &mut heard)?;
     }
     // Every member of a group listens at the group's address.
     let peers: Vec<&str> = ranges
         .iter()
-        .zip(&addrs)
-        .flat_map(|(r, a)| r.clone().map(move |_| a.as_deref().expect("all ready")))
+        .zip(groups.addrs())
+        .flat_map(|(r, a)| r.clone().map(move |_| a.expect("all ready")))
         .collect();
-    let peer_line = format!("peers {}\n", peers.join(" "));
-    let wdl = Instant::now() + TUNING.report_grace();
-    for p in pipes {
-        write_all_deadline(p, peer_line.as_bytes(), wdl)?;
-        write_all_deadline(p, b"start\n", wdl)?;
-    }
+    groups.tell(format!("peers {}\nstart\n", peers.join(" ")).as_bytes())?;
     phases.ready_s = called.elapsed().as_secs_f64();
 
-    // --- feed shard status sums to the detector until converged or timed out ---
+    // --- feed group statuses to the detector until converged or timed out ---
     let started = Instant::now();
     let deadline = started + spec.timeout;
-    let mut shard_status: Vec<Option<Status>> = vec![None; k];
+    let mut statuses: Vec<Option<Status>> = vec![None; ranges.len()];
     let mut detector = Detector::new(spec.graph.n() as u64);
     let mut converged = false;
     let mut wall_s;
-    loop {
+    'run: loop {
         wall_s = started.elapsed().as_secs_f64();
-        let Some((s, up)) = recv_or_timeout(rx, deadline)? else {
+        if Instant::now() >= deadline {
             break; // timeout: not converged
-        };
-        match up {
-            ShardUp::Status(st) => shard_status[s] = Some(st),
-            ShardUp::Error(e) => return Err(io::Error::other(format!("shard {s}: {e}"))),
-            _ => continue,
         }
-        if shard_status.iter().any(Option::is_none) {
-            continue;
-        }
-        match detector.observe(Status::sum(shard_status.iter().flatten())) {
-            Step::Wait => {}
-            Step::Probe(wave) => {
-                let wdl = Instant::now() + TUNING.report_grace();
-                for p in pipes {
-                    write_all_deadline(p, format!("probe {wave}\n").as_bytes(), wdl)?;
-                }
+        heard.clear();
+        groups.turn(deadline, &mut heard)?;
+        for &(s, st) in &heard {
+            statuses[s] = Some(st);
+            if statuses.iter().any(Option::is_none) {
+                continue;
             }
-            Step::Converged => {
-                converged = true;
-                wall_s = started.elapsed().as_secs_f64();
-                break;
+            match detector.observe(Status::sum(statuses.iter().flatten())) {
+                Step::Wait => {}
+                Step::Probe(wave) => groups.tell(format!("probe {wave}\n").as_bytes())?,
+                Step::Converged => {
+                    converged = true;
+                    wall_s = started.elapsed().as_secs_f64();
+                    break 'run;
+                }
             }
         }
     }
 
-    // --- stop everyone, collect the shard reports ---
+    // --- stop everyone, read the reports, finish the join ---
     let stopped = Instant::now();
-    let wdl = stopped + TUNING.report_grace();
-    for p in pipes {
-        let _ = write_all_deadline(p, b"stop\n", wdl);
-    }
+    let _ = groups.tell(b"stop\n");
     let report_deadline = Instant::now() + TUNING.report_grace();
-    let mut reports: Vec<Option<ShardReport>> = (0..k).map(|_| None).collect();
-    while reports.iter().any(Option::is_none) {
-        let Some((s, up)) = recv_or_timeout(rx, report_deadline)? else {
-            break;
-        };
-        match up {
-            ShardUp::Done(r) => reports[s] = Some(*r),
-            ShardUp::Error(e) => return Err(io::Error::other(format!("shard {s}: {e}"))),
-            _ => {}
+    while let Some(s) = groups.unreported() {
+        if Instant::now() >= report_deadline {
+            return Err(io::Error::other(format!("shard {s} sent no report")));
         }
+        heard.clear();
+        groups.turn(report_deadline, &mut heard)?;
     }
+    while groups.catch_up() {}
     phases.report_s = stopped.elapsed().as_secs_f64();
-    let mut out = Vec::with_capacity(k);
-    for (s, r) in reports.into_iter().enumerate() {
-        out.push(r.ok_or_else(|| io::Error::other(format!("shard {s} sent no report")))?);
-    }
-    Ok((converged, wall_s, detector.detect, out))
+    Ok((converged, wall_s, detector.detect))
 }
 
 /// Runs a cluster to convergence (or timeout) and reconciles the ledgers.
 pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     let called = Instant::now();
     register_thread(COMPONENT, "orch.main");
-    let model = crate::conc::model(&TUNING);
     let n = spec.graph.n();
     let ranges = shard_ranges(n, spec.shards);
     let k = ranges.len();
     raise_nofile_limit(nofile_budget(&spec.graph, &ranges));
 
-    let (up_tx, up_rx) =
-        tracked_channel::<(usize, ShardUp)>(COMPONENT, model.channel_decl("orch.shard"));
     // One run value for every group of the run.
     let run = Arc::new(Run {
         graph: spec.graph.clone(),
@@ -749,58 +641,24 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
         chaos: spec.chaos,
         clients: spec.clients,
     });
-    // Each group's control socketpair, all made before any shard starts:
-    // the shard reads the supervisor's end, the root writes a clone of it.
-    let mut pipes: Vec<UnixStream> = Vec::with_capacity(k);
-    let mut ends = Vec::with_capacity(k);
-    for _ in 0..k {
-        let (pipe, group_side) = UnixStream::pair()?;
-        pipe.set_nonblocking(true)?;
-        pipes.push(pipe.try_clone()?);
-        ends.push((pipe, group_side));
-    }
-    let mut joins: Vec<JoinHandle<()>> = Vec::with_capacity(k);
-    for (s, ends) in ends.into_iter().enumerate() {
-        let (run, members) = (Arc::clone(&run), ranges[s].clone());
-        let mode = spec.mode.clone();
-        let tx = up_tx.clone();
-        joins.push(spawn_registered(COMPONENT, "shard.super", move || {
-            shard_main(s, run, members, mode, ends, tx)
-        }));
-    }
-    drop(up_tx);
-
+    let mut groups = Groups::launch(&run, &ranges, &spec.mode)?;
     let mut phases = Phases::default();
-    let outcome = drive(spec, &up_rx, &ranges, &pipes, called, &mut phases);
-    // Shutting the pipes down — a drop would not do: each shard holds the
-    // other handle — EOFs every group still in flight (error paths) and
-    // its shard; they wind down and exit, so the joins are bounded.
-    for p in &pipes {
-        let _ = p.shutdown(Shutdown::Both);
-    }
-    for j in joins {
-        let _ = j.join();
-    }
-    let (converged, wall_s, detect, mut shard_reports) = outcome?;
+    let outcome = drive(spec, &mut groups, &ranges, called, &mut phases);
+    // Shutting the pipes down EOFs every group still in flight (error
+    // paths); they wind down and exit, so the joins are bounded.
+    groups.finish();
+    let (converged, wall_s, detect) = outcome?;
 
     // --- reconcile + hierarchical aggregation ---
-    let mut nodes: Vec<NodeReport> = Vec::with_capacity(n);
-    for sr in &mut shard_reports {
-        nodes.append(&mut sr.reports);
-    }
-    nodes.sort_by_key(|r| r.node);
-    // The shards joined their ledgers as they streamed in; the root merges
-    // the K joins, whose verdict stands when they paired every entry.
+    // The root joined the ledgers as they streamed in; that join's verdict
+    // stands when it paired every entry.
     let audit = Instant::now();
-    let mut running = RunningAudit::default();
-    for sr in &mut shard_reports {
-        running.merge(std::mem::take(&mut sr.audit));
-    }
-    let running = running.finish();
-    let reference = running.is_none();
+    let (shard_summaries, mut nodes, running, mut ledger) = groups.reports();
+    nodes.sort_by_key(|r| r.node);
+    ledger.reference = running.is_none();
     let mut verdict = running.unwrap_or_default();
     let mut client_verdict = None;
-    if reference || spec.clients.is_some() {
+    if ledger.reference || spec.clients.is_some() {
         // A report's three lists *are* its ledger: lend them to the joins
         // and hand them back, so `RunReport::nodes` stays whole.
         let ledgers: Vec<NodeLedger> = nodes
@@ -812,7 +670,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
                 held: std::mem::take(&mut r.held),
             })
             .collect();
-        if reference {
+        if ledger.reference {
             verdict = reconcile_ledgers(&ledgers);
         }
         // Client mode: the per-client audit is a sort-merge join over the
@@ -828,15 +686,10 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     }
     phases.audit_s = audit.elapsed().as_secs_f64();
 
-    let shard_summaries: Vec<ShardSummary> = shard_reports.into_iter().map(|r| r.summary).collect();
     let mut total = ShardSummary::default();
     for s in &shard_summaries {
         total.merge(s);
     }
-    let ledger = LedgerFlow {
-        reference,
-        ..total.ledger
-    };
     let throughput = if wall_s > 0.0 {
         total.primaries_delivered as f64 / wall_s
     } else {
@@ -1024,26 +877,25 @@ mod tests {
 
     /// The fd budget counts streams, not edges: a 100-node grid on four
     /// data threads holds 6 ordered pairs of distinct groups, whatever its
-    /// 180 edges; one thread holds no stream at all. Control costs 4 fds
-    /// per group — the pair's two ends, the root's clone and the shard's
-    /// `epoll` set — not 2 per node. A process per shard is
-    /// budgeted the same: each inherits the limit, and holds at most its
-    /// own group's share.
+    /// 180 edges; one thread holds no stream at all. Control costs the
+    /// pair's two ends per group, not 2 per node, and the root's one
+    /// `epoll` set over them. A process per shard is budgeted the same:
+    /// each inherits the limit, and holds at most its own group's share.
     #[test]
     fn nofile_budget_counts_streams_between_groups() {
         let grid = ssmfp_topology::gen::grid(10, 10);
         let slack = 64;
         // Streams, listeners and `epoll` sets, then control.
         let four = nofile_budget(&grid, &shard_ranges(100, 4));
-        assert_eq!(four, 2 * 6 + 2 * 4 + (2 * 4 + 2 * 4) + slack);
+        assert_eq!(four, 2 * 6 + 2 * 4 + (2 * 4 + 1) + slack);
         let one = nofile_budget(&grid, &shard_ranges(100, 1));
-        assert_eq!(one, 2 + (2 + 2) + slack);
+        assert_eq!(one, 2 + (2 + 1) + slack);
         let each = nofile_budget(&grid, &shard_ranges(100, 100));
-        assert_eq!(each, 2 * 2 * 180 + 2 * 100 + (2 * 100 + 2 * 100) + slack);
+        assert_eq!(each, 2 * 2 * 180 + 2 * 100 + (2 * 100 + 1) + slack);
         // Four group processes: the figure of four data threads.
         assert_eq!(
             nofile_budget(&grid, &shard_ranges(100, 4)),
-            2 * 6 + 2 * 4 + (2 * 4 + 2 * 4) + slack
+            2 * 6 + 2 * 4 + (2 * 4 + 1) + slack
         );
     }
 

@@ -1,24 +1,26 @@
-//! The shard supervisor. Each `shard.super` thread launches its shard's
-//! one node group — on a `node.main` thread in [`RunMode::Inproc`], as one
-//! `--node-worker` process in [`RunMode::Proc`] — and listens to that
-//! group's control pipe until every member has reported: it passes the
-//! group's `ready` and `status` lines up as it reads them, folds the
-//! members' ledger lines into their reports and joins them as they stream
-//! in ([`ShardAudit`]), and ends with one [`ShardReport`]. It writes
-//! nothing down the pipe: the orchestrator holds a clone of the same end
-//! and writes the group's control lines itself. The tree it is a level of
-//! is [`crate::orchestrator`]'s.
+//! The root's side of the node groups. [`Groups::launch`] starts each
+//! shard's one node group — on a `node.main` thread in
+//! [`RunMode::Inproc`], as one `--node-worker` process in
+//! [`RunMode::Proc`] — and keeps the root's end of the group's control
+//! socketpair in a [`GroupSlot`]. The K ends sit in one readiness set, and
+//! the root's loop ([`Groups::turn`]) reads every group's lines where they
+//! lie: it records `ready`, hands each `status` to the caller as it reads
+//! it, ends the run on an `error` line or a line it cannot read, and folds
+//! the members' ledger lines into their reports, which it joins into the
+//! run's one [`RunningAudit`] as they stream in. The root writes every
+//! control line down the same ends ([`Groups::tell`]). The tree this is
+//! the root's half of is [`crate::orchestrator`]'s.
 
 use crate::codec::{node_args, shown, NodeReport, ReportFold, Status};
 use crate::conc::COMPONENT;
-use crate::evloop::{take_lines, Poller, POLLIN};
+use crate::evloop::{take_lines, Poller, POLLIN, POLLOUT};
 use crate::node::{run_group, Run};
-use crate::orchestrator::{LedgerFlow, RunMode, ShardReport, ShardSummary, ShardUp};
+use crate::orchestrator::{LedgerFlow, RunMode, ShardSummary};
 use crate::tuning::TUNING;
-use ssmfp_core::conc::{register_thread, spawn_registered, TrackedSender};
-use ssmfp_core::RunningAudit;
+use ssmfp_core::conc::spawn_registered;
+use ssmfp_core::{ClusterVerdict, RunningAudit};
 use ssmfp_topology::NodeId;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::Shutdown;
 use std::ops::Range;
 use std::os::unix::io::{AsRawFd, OwnedFd};
@@ -36,51 +38,177 @@ enum Runner {
     Child(Child),
 }
 
-/// A shard's one node group: the supervisor's end of the group's control
-/// socketpair, what runs the group, and what the shard has read of it.
+/// A shard's one node group: the root's end of the group's control
+/// socketpair, and what the root has read of it.
 struct GroupSlot {
-    /// The supervisor's end (nonblocking; the orchestrator writes down a
-    /// clone of it).
+    /// The root's end (nonblocking): it writes the group's control lines
+    /// and reads the group's.
     pipe: UnixStream,
-    runner: Runner,
     /// Read accumulator (partial control lines).
     acc: Vec<u8>,
     eof: bool,
-    /// The group wrote its `ready` line.
-    ready: bool,
+    /// The address the group's `ready` line named.
+    addr: Option<String>,
     /// Its members' reports as their lines arrive ([`GroupSlot::hear`]).
     fold: ReportFold,
     /// By member, how much of its report's generated and delivered lists
-    /// the shard's running join has been fed.
+    /// the run's join has been fed.
     audited: Vec<(usize, usize)>,
 }
 
 impl GroupSlot {
-    fn new(members: Range<NodeId>, pipe: UnixStream, runner: Runner) -> Self {
+    fn new(members: Range<NodeId>, pipe: UnixStream) -> Self {
         GroupSlot {
             pipe,
-            runner,
             acc: Vec::new(),
             eof: false,
-            ready: false,
+            addr: None,
             audited: vec![(0, 0); members.len()],
             fold: ReportFold::new(members),
         }
     }
 
-    /// Launches the group of the shard's `members` of `run` on the group's
-    /// end of the control socketpair, `group_side`: on a `node.main`
-    /// thread inproc, as a `--node-worker` process with it as fd 0
-    /// otherwise. The shard keeps the other end, `pipe`.
-    fn spawn(
-        run: Arc<Run>,
-        members: Range<NodeId>,
-        mode: &RunMode,
-        (pipe, group_side): (UnixStream, UnixStream),
-    ) -> io::Result<Self> {
+    /// The member a failure of the whole group is charged to: the first.
+    fn lead(&self) -> NodeId {
+        self.fold.reports[0].node
+    }
+
+    /// One line from the group, read where it lies: `ready` records the
+    /// group's address; a `status` comes back, for the root's stop rule;
+    /// an `error` line ends the run with it; every other line folds into
+    /// the report of the member the last head named the moment it
+    /// completes. A line no reader takes is an error: the group's status
+    /// or ledger past it would be a guess.
+    fn hear(&mut self, line: &[u8]) -> Result<Option<Status>, String> {
+        if let Some(addr) = line.strip_prefix(b"ready ") {
+            self.addr = Some(String::from_utf8_lossy(addr).into_owned());
+            return Ok(None);
+        }
+        if let Some(rest) = line.strip_prefix(b"status ") {
+            return Status::parse(rest)
+                .map(Some)
+                .ok_or_else(|| self.refused(line));
+        }
+        if line.starts_with(b"error ") {
+            let said = String::from_utf8_lossy(line);
+            return Err(match self.addr {
+                Some(_) => said.into_owned(),
+                None => format!("node {} exited before ready: {said}", self.lead()),
+            });
+        }
+        self.fold.fold(line).ok_or_else(|| self.refused(line))?;
+        Ok(None)
+    }
+
+    /// The error that ends the run on a line the root cannot read, charged
+    /// to the group's lead.
+    fn refused(&self, line: &[u8]) -> String {
+        let shown = shown(line);
+        format!(
+            "node {} wrote a line the root refuses: {shown}",
+            self.lead()
+        )
+    }
+
+    /// Reads the pipe to `WouldBlock` or EOF, hearing each complete line;
+    /// each `status` goes to `heard`, behind the group's index `s`. A pipe
+    /// that closes before every member's report ended is an error: the
+    /// group is gone.
+    fn read(
+        &mut self,
+        s: usize,
+        scratch: &mut [u8],
+        heard: &mut Vec<(usize, Status)>,
+    ) -> Result<(), String> {
+        while !self.eof {
+            match (&self.pipe).read(scratch) {
+                Ok(0) => self.eof = true,
+                Ok(k) => {
+                    let mut acc = std::mem::take(&mut self.acc);
+                    let mut outcome = Ok(());
+                    take_lines(&mut acc, &scratch[..k], |line| {
+                        if outcome.is_ok() {
+                            outcome = self.hear(line).map(|st| heard.extend(st.map(|st| (s, st))));
+                        }
+                    });
+                    self.acc = acc;
+                    outcome?;
+                    if k < scratch.len() {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => self.eof = true,
+            }
+        }
+        match self.fold.unended() {
+            Some(node) if self.eof => Err(match self.addr {
+                Some(_) => format!("node {node} hung up before its report"),
+                None => format!("node {node} exited before ready"),
+            }),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Ledger entries the root joins per loop turn. A turn that leaves more
+/// runs the next one at once, so a line from a group — a probe answer at
+/// the end of a run — waits on at most this many.
+const JOIN_PER_TURN: usize = 1024;
+
+/// Every node group of a run, as the root holds them: one slot a group,
+/// all of their pipes in one readiness set, and the run's one SP join over
+/// every member's ledger.
+pub(crate) struct Groups {
+    slots: Vec<GroupSlot>,
+    runners: Vec<Runner>,
+    /// Every slot's pipe, under the slot's index as its token.
+    poll: Poller,
+    /// [`reconcile_ledgers`](ssmfp_core::reconcile_ledgers) run on the
+    /// stream, fed by [`Groups::catch_up`].
+    audit: RunningAudit,
+    /// Time spent in the running join.
+    spent: Duration,
+    /// The last turn's join left entries: the next wait does not block.
+    backlog: bool,
+    /// Read buffer (recycled).
+    scratch: Vec<u8>,
+}
+
+impl Groups {
+    /// Launches the group of each of `ranges` of `run` in `mode`, on the
+    /// group's end of a fresh control socketpair: on a `node.main` thread
+    /// inproc, as a `--node-worker` process with that end as fd 0
+    /// otherwise. The root keeps the other end. If a launch fails, what
+    /// was launched is wound down.
+    pub fn launch(run: &Arc<Run>, ranges: &[Range<NodeId>], mode: &RunMode) -> io::Result<Self> {
+        let mut groups = Groups {
+            slots: Vec::with_capacity(ranges.len()),
+            runners: Vec::with_capacity(ranges.len()),
+            poll: Poller::new()?,
+            audit: RunningAudit::default(),
+            spent: Duration::ZERO,
+            backlog: false,
+            scratch: vec![0u8; 16 * 1024],
+        };
+        for (s, members) in ranges.iter().enumerate() {
+            if let Err(e) = groups.spawn(run, members.clone(), mode) {
+                groups.finish();
+                return Err(io::Error::other(format!("shard {s}: spawn {e}")));
+            }
+        }
+        Ok(groups)
+    }
+
+    fn spawn(&mut self, run: &Arc<Run>, members: Range<NodeId>, mode: &RunMode) -> io::Result<()> {
+        let (pipe, group_side) = UnixStream::pair()?;
+        pipe.set_nonblocking(true)?;
+        self.poll
+            .add(pipe.as_raw_fd(), POLLIN, self.slots.len() as u64)?;
         let runner = match mode {
             RunMode::Inproc => {
-                let ids = members.clone().collect();
+                let (run, ids) = (Arc::clone(run), members.clone().collect());
                 // What the group reports, and what ended it, goes up the pipe.
                 Runner::Thread(spawn_registered(COMPONENT, "node.main", move || {
                     let _ = run_group(&run, ids, group_side);
@@ -89,104 +217,81 @@ impl GroupSlot {
             RunMode::Proc { exe } => Runner::Child(
                 Command::new(exe)
                     .arg("--node-worker")
-                    .args(node_args(members.clone(), &run))
+                    .args(node_args(members.clone(), run))
                     .stdin(OwnedFd::from(group_side))
                     .stdout(Stdio::null())
                     .stderr(Stdio::inherit())
                     .spawn()?,
             ),
         };
-        Ok(GroupSlot::new(members, pipe, runner))
+        self.slots.push(GroupSlot::new(members, pipe));
+        self.runners.push(runner);
+        Ok(())
     }
 
-    /// The member a failure of the whole group is charged to: the first.
-    fn lead(&self) -> NodeId {
-        self.fold.reports[0].node
+    /// The address of each group that has written its `ready` line.
+    pub fn addrs(&self) -> impl Iterator<Item = Option<&str>> {
+        self.slots.iter().map(|s| s.addr.as_deref())
     }
 
-    /// One line from the group, read where it lies: `ready` and `status`
-    /// are the orchestrator's, returned to go up as they are read; an
-    /// `error` line ends the shard with it; every other line folds into the
-    /// report of the member the last head named the moment it completes.
-    /// A line no reader takes is an error: the group's status or ledger
-    /// past it would be a guess.
-    fn hear(&mut self, line: &[u8]) -> Result<Option<ShardUp>, String> {
-        if let Some(addr) = line.strip_prefix(b"ready ") {
-            self.ready = true;
-            let addr = String::from_utf8_lossy(addr).into_owned();
-            return Ok(Some(ShardUp::Ready(addr)));
-        }
-        if let Some(rest) = line.strip_prefix(b"status ") {
-            let status = Status::parse(rest).ok_or_else(|| self.refused(line))?;
-            return Ok(Some(ShardUp::Status(status)));
-        }
-        if line.starts_with(b"error ") {
-            let said = String::from_utf8_lossy(line);
-            return Err(if self.ready {
-                said.into_owned()
-            } else {
-                format!("node {} exited before ready: {said}", self.lead())
-            });
-        }
-        self.fold.fold(line).ok_or_else(|| self.refused(line))?;
-        Ok(None)
+    /// The first group with a member that has not sent its whole report.
+    pub fn unreported(&self) -> Option<usize> {
+        self.slots.iter().position(|s| s.fold.unended().is_some())
     }
 
-    /// The error that ends the shard on a line it cannot read, charged to
-    /// the group's lead.
-    fn refused(&self, line: &[u8]) -> String {
-        let shown = shown(line);
-        format!(
-            "node {} wrote a line the shard refuses: {shown}",
-            self.lead()
-        )
-    }
-
-    /// Shuts the control pipe down — a drop would not do: the orchestrator
-    /// holds a clone — so a group still running reads EOF and winds down,
-    /// and only then waits for its runner: joins the thread, or reaps the
-    /// process, killing it once it outstays its grace.
-    fn finish(self) {
-        let _ = self.pipe.shutdown(Shutdown::Both);
-        match self.runner {
-            // Whatever ended the group — error or panic — already reached
-            // the supervisor, as an `error` line or as EOF.
-            Runner::Thread(join) => {
-                let _ = join.join();
-            }
-            Runner::Child(mut child) => {
-                let deadline = Instant::now() + TUNING.proc_exit_grace();
-                while matches!(child.try_wait(), Ok(None)) && Instant::now() < deadline {
-                    thread::sleep(TUNING.proc_wait_poll());
-                }
-                // A no-op on a child already reaped.
-                let _ = child.kill();
-                let _ = child.wait();
+    /// Writes `line` down every group's pipe under one deadline (the
+    /// declared timed `SockWrite(node.main)` edge), every pipe even after
+    /// one fails: the first failure comes back.
+    pub fn tell(&self, line: &[u8]) -> io::Result<()> {
+        let deadline = Instant::now() + TUNING.report_grace();
+        let mut first = Ok(());
+        for (s, slot) in self.slots.iter().enumerate() {
+            let wrote = write_all_deadline(&slot.pipe, line, deadline);
+            if first.is_ok() {
+                first = wrote.map_err(|e| io::Error::other(format!("shard {s}: {e}")));
             }
         }
+        first
     }
-}
 
-/// Ledger entries a shard joins per loop turn. A turn that leaves more
-/// runs the next one at once, so a line from the group — a probe answer
-/// at the end of a run — waits on at most this many.
-const JOIN_PER_TURN: usize = 1024;
+    /// One turn of the root's loop: one wait on every group's pipe — until
+    /// `deadline`, or not at all while the join is behind — then every
+    /// ready pipe read to `WouldBlock`, each `status` pushed to `heard`
+    /// with its group's index, then the running join of what the turn
+    /// folded ([`Groups::catch_up`]). A wait that fails — anything but
+    /// `EINTR` — a line the root cannot read, a group's `error` line and a
+    /// pipe that closes before every member of its group reported cannot
+    /// be retried into working: each ends the run at once with the error.
+    /// A pipe at EOF leaves the set, so its level-triggered `POLLHUP` never
+    /// spins the loop.
+    pub fn turn(&mut self, deadline: Instant, heard: &mut Vec<(usize, Status)>) -> io::Result<()> {
+        let timeout = match self.backlog {
+            true => Duration::ZERO,
+            false => deadline.saturating_duration_since(Instant::now()),
+        };
+        let ready = self.poll.wait(Some(timeout)).map_err(root_wait)?;
+        let ready: Vec<usize> = ready.iter().map(|&(token, _)| token as usize).collect();
+        for s in ready {
+            let slot = &mut self.slots[s];
+            let read = slot.read(s, &mut self.scratch, heard);
+            read.map_err(|e| io::Error::other(format!("shard {s}: {e}")))?;
+            if slot.eof {
+                self.poll.del(slot.pipe.as_raw_fd()).map_err(root_wait)?;
+            }
+        }
+        self.backlog = self.catch_up();
+        Ok(())
+    }
 
-/// A shard's running SP join over its nodes' ledgers, and the time it
-/// took.
-#[derive(Default)]
-struct ShardAudit {
-    audit: RunningAudit,
-    spent: Duration,
-}
-
-impl ShardAudit {
-    /// Feeds the join about [`JOIN_PER_TURN`] of the entries folded since
-    /// it was last fed, and settles it. Each list gives its share of the
-    /// turn's entries, oldest first, so the two ends of a ghost tend to
+    /// Feeds the run's join about [`JOIN_PER_TURN`] of the entries folded
+    /// since it was last fed, and settles it. Each list gives its share of
+    /// the turn's entries, oldest first, so the two ends of a ghost tend to
     /// meet in one settle. True while entries are left.
-    fn catch_up(&mut self, s: &mut GroupSlot) -> bool {
-        let members = s.fold.reports.iter().zip(&s.audited);
+    pub fn catch_up(&mut self) -> bool {
+        let members = self
+            .slots
+            .iter()
+            .flat_map(|s| s.fold.reports.iter().zip(&s.audited));
         let behind = |(r, (g, d)): (&NodeReport, &(usize, usize))| {
             r.generated.len() + r.delivered.len() - g - d
         };
@@ -198,249 +303,213 @@ impl ShardAudit {
         let share = |len: usize, at: usize| {
             at + (len - at).min(((len - at) * JOIN_PER_TURN).div_ceil(backlog))
         };
-        for (r, audited) in s.fold.reports.iter().zip(&mut s.audited) {
-            let (g, d) = *audited;
-            *audited = (share(r.generated.len(), g), share(r.delivered.len(), d));
-            self.audit.generated(&r.generated[g..audited.0]);
-            self.audit.delivered(r.node, &r.delivered[d..audited.1]);
+        for s in &mut self.slots {
+            for (r, audited) in s.fold.reports.iter().zip(&mut s.audited) {
+                let (g, d) = *audited;
+                *audited = (share(r.generated.len(), g), share(r.delivered.len(), d));
+                self.audit.generated(&r.generated[g..audited.0]);
+                self.audit.delivered(r.node, &r.delivered[d..audited.1]);
+            }
         }
         self.audit.settle();
         self.spent += t.elapsed();
         backlog > JOIN_PER_TURN
     }
-}
 
-/// One shard supervisor: spawns its node group on the `ends` of the
-/// group's control socketpair — the supervisor's, then the group's — and
-/// listens to the group until every member has reported, then sends the
-/// shard's report up and winds the group down.
-pub(crate) fn shard_main(
-    shard: usize,
-    run: Arc<Run>,
-    members: Range<NodeId>,
-    mode: RunMode,
-    ends: (UnixStream, UnixStream),
-    up: TrackedSender<(usize, ShardUp)>,
-) {
-    register_thread(COMPONENT, "shard.super");
-    let send_up = |msg: ShardUp| {
-        // Untimed `ChanSend(orch.shard)` — the declared upstream edge.
-        // A disconnected receiver means the orchestrator already gave
-        // up; keep going so the group still gets finished.
-        let _ = up.send((shard, msg));
-    };
-    let mut slot = match GroupSlot::spawn(run, members, &mode, ends) {
-        Ok(slot) => slot,
-        Err(e) => return send_up(ShardUp::Error(format!("spawn {e}"))),
-    };
-    let outcome = watch(&slot).map_err(shard_wait).and_then(|mut poll| {
-        let mut audit = ShardAudit::default();
-        supervise(&mut poll, &mut slot, &mut audit, &send_up)?;
-        Ok(shard_report(shard, &mut slot, audit))
-    });
-    send_up(match outcome {
-        Ok(report) => ShardUp::Done(Box::new(report)),
-        Err(e) => ShardUp::Error(e),
-    });
-    slot.finish();
-}
-
-fn shard_wait(e: io::Error) -> String {
-    format!("shard wait: {e}")
-}
-
-/// A shard's readiness set: the group's control pipe, its one fd. The
-/// shard leaves the loop at the pipe's EOF, so the level-triggered
-/// `POLLHUP` of a closed writer never spins it.
-fn watch(slot: &GroupSlot) -> io::Result<Poller> {
-    let (poll, fd) = (Poller::new()?, slot.pipe.as_raw_fd());
-    poll.add(fd, POLLIN, 0)?;
-    Ok(poll)
-}
-
-/// The supervision loop, on the set [`watch`] built, until every member
-/// has reported. It sends the group's `ready` and `status` lines up as it
-/// reads them: a group writes status on a quiet edge, a probe answer or a
-/// keep-alive, so the shard paces nothing, and its wait is capped at 50 ms
-/// only to keep the declared read edge timed. A wait that fails —
-/// anything but `EINTR` — a line the group wrote that the shard cannot
-/// read, the group's `error` line, and a pipe that closes before every
-/// member sent its report cannot be retried into working: each ends the
-/// shard at once with the error instead of spinning or stalling it. How
-/// long the reports may take after `stop` is the orchestrator's deadline,
-/// not the shard's. Each turn ends with the running join of what the turn
-/// folded, after its status went up ([`ShardAudit::catch_up`]).
-fn supervise(
-    poll: &mut Poller,
-    slot: &mut GroupSlot,
-    audit: &mut ShardAudit,
-    send_up: &dyn Fn(ShardUp),
-) -> Result<(), String> {
-    let mut scratch = vec![0u8; 16 * 1024];
-    let mut backlog = false;
-    loop {
-        let timeout = if backlog {
-            Duration::ZERO
-        } else {
-            Duration::from_millis(50)
-        };
-        // One fd: any event — `POLLIN`, `POLLERR`, `POLLHUP` — is a read.
-        let readable = !poll.wait(Some(timeout)).map_err(shard_wait)?.is_empty();
-        // Nonblocking fd: drain to WouldBlock.
-        while readable && !slot.eof {
-            match (&slot.pipe).read(&mut scratch) {
-                Ok(0) => slot.eof = true,
-                Ok(k) => {
-                    let mut acc = std::mem::take(&mut slot.acc);
-                    let mut heard = Ok(());
-                    take_lines(&mut acc, &scratch[..k], |line| {
-                        if heard.is_ok() {
-                            heard = slot.hear(line).map(|up| up.into_iter().for_each(send_up));
-                        }
-                    });
-                    slot.acc = acc;
-                    heard?;
-                    if k < scratch.len() {
-                        break;
-                    }
+    /// Shuts every pipe down, so a group still running reads EOF and winds
+    /// down, and only then waits for the runners under one shared grace:
+    /// joins each thread, and reaps each process, killing it once the
+    /// grace is out.
+    pub fn finish(&mut self) {
+        for slot in &self.slots {
+            let _ = slot.pipe.shutdown(Shutdown::Both);
+        }
+        let deadline = Instant::now() + TUNING.proc_exit_grace();
+        for runner in self.runners.drain(..) {
+            match runner {
+                // Whatever ended the group — error or panic — already
+                // reached the root, as an `error` line or as EOF.
+                Runner::Thread(join) => {
+                    let _ = join.join();
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => slot.eof = true,
+                Runner::Child(mut child) => {
+                    while matches!(child.try_wait(), Ok(None)) && Instant::now() < deadline {
+                        thread::sleep(TUNING.proc_wait_poll());
+                    }
+                    // A no-op on a child already reaped.
+                    let _ = child.kill();
+                    let _ = child.wait();
+                }
             }
         }
-        match slot.fold.unended() {
-            None => return Ok(()),
-            Some(node) if slot.eof => {
-                return Err(if slot.ready {
-                    format!("node {node} hung up before its report")
-                } else {
-                    format!("node {node} exited before ready")
-                })
-            }
-            Some(_) => {}
+    }
+
+    /// Each group's summary and reports, and the running join's verdict —
+    /// `None` when it cannot vouch for the run — with how the ledger
+    /// reached the root. Call once every member has reported.
+    pub fn reports(
+        self,
+    ) -> (
+        Vec<ShardSummary>,
+        Vec<NodeReport>,
+        Option<ClusterVerdict>,
+        LedgerFlow,
+    ) {
+        let mut ledger = LedgerFlow {
+            join_s: self.spent.as_secs_f64(),
+            pending_peak: self.audit.pending_peak(),
+            ..LedgerFlow::default()
+        };
+        let (mut summaries, mut nodes) = (Vec::new(), Vec::new());
+        for (shard, mut slot) in self.slots.into_iter().enumerate() {
+            let flow = slot.fold.ledger;
+            ledger.streamed += flow.streamed;
+            ledger.tail += flow.tail;
+            summaries.push(ShardSummary {
+                shard,
+                ledger: flow,
+                ..ShardSummary::of(&slot.fold.reports)
+            });
+            nodes.append(&mut slot.fold.reports);
         }
-        backlog = audit.catch_up(slot);
+        (summaries, nodes, self.audit.finish(), ledger)
     }
 }
 
-/// Takes every member's folded report, and the running join over them,
-/// into the pre-merged shard report.
-fn shard_report(shard: usize, slot: &mut GroupSlot, mut audit: ShardAudit) -> ShardReport {
-    while audit.catch_up(slot) {}
-    audit.audit.close();
-    let ledger = LedgerFlow {
-        join_s: audit.spent.as_secs_f64(),
-        pending_peak: audit.audit.pending_peak(),
-        ..slot.fold.ledger
-    };
-    let reports = std::mem::take(&mut slot.fold.reports);
-    ShardReport {
-        shard,
-        summary: ShardSummary {
-            shard,
-            ledger,
-            ..ShardSummary::of(&reports)
-        },
-        reports,
-        audit: audit.audit,
+fn root_wait(e: io::Error) -> io::Error {
+    io::Error::other(format!("root wait: {e}"))
+}
+
+/// Deadline-bounded `write_all` on a group's nonblocking control pipe (the
+/// declared timed `SockWrite(node.main)` edge). Control lines are tiny next
+/// to the socketpair buffer, and each group reads its pipe every turn, so
+/// the wait — on a set of its own — is cold.
+fn write_all_deadline(s: &UnixStream, mut bytes: &[u8], deadline: Instant) -> io::Result<()> {
+    while !bytes.is_empty() {
+        match (&*s).write(bytes) {
+            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "group hung up")),
+            Ok(k) => bytes = &bytes[k..],
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                let now = Instant::now();
+                if now >= deadline {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "group not draining control writes",
+                    ));
+                }
+                let mut writable = Poller::new()?;
+                writable.add(s.as_raw_fd(), POLLOUT, 0)?;
+                writable.wait(Some(deadline - now))?;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
     use std::sync::mpsc::RecvTimeoutError;
 
-    /// A shard of one inproc group, node `id`: the group's end of its
-    /// control pipe, and the shard's slot for it, run by a thread that is
-    /// done.
-    fn shard_of_one(id: NodeId) -> (UnixStream, GroupSlot) {
-        let (sup_side, group_side) = UnixStream::pair().unwrap();
-        sup_side.set_nonblocking(true).unwrap();
-        let runner = Runner::Thread(thread::spawn(|| {}));
-        let slot = GroupSlot::new(id..id + 1, sup_side, runner);
-        (group_side, slot)
+    /// The root's slots for one inproc group, node `id`, run by a thread
+    /// that is done, and the group's end of its control pipe.
+    fn group_of_one(id: NodeId) -> (UnixStream, Groups) {
+        let (root_side, group_side) = UnixStream::pair().unwrap();
+        root_side.set_nonblocking(true).unwrap();
+        let poll = Poller::new().unwrap();
+        poll.add(root_side.as_raw_fd(), POLLIN, 0).unwrap();
+        let groups = Groups {
+            slots: vec![GroupSlot::new(id..id + 1, root_side)],
+            runners: vec![Runner::Thread(thread::spawn(|| {}))],
+            poll,
+            audit: RunningAudit::default(),
+            spent: Duration::ZERO,
+            backlog: false,
+            scratch: vec![0u8; 16 * 1024],
+        };
+        (group_side, groups)
     }
 
-    /// A wait that cannot work ends the shard with the error instead of
-    /// spinning it at full CPU with the error dropped.
-    #[test]
-    fn a_broken_poller_ends_the_shard_with_an_error() {
-        let (_group_side, slot) = shard_of_one(0);
-        let mut poll = watch(&slot).unwrap();
-        poll.break_for_test();
-        let outcome = supervise_briefly(poll, slot);
-        let err = outcome.expect("the shard spun").unwrap_err();
-        assert!(err.starts_with("shard wait:"), "{err}");
-    }
-
-    /// What `supervise` returns within five seconds, run on a thread of its
-    /// own.
-    fn supervise_briefly(
-        mut poll: Poller,
-        mut slot: GroupSlot,
-    ) -> Result<Result<(), String>, RecvTimeoutError> {
+    /// What the root's loop ends with within five seconds, turned on a
+    /// thread of its own against a run deadline well past that.
+    fn turn_briefly(mut groups: Groups) -> Result<io::Result<()>, RecvTimeoutError> {
         let (tx, rx) = std::sync::mpsc::channel();
         thread::spawn(move || {
-            let mut audit = ShardAudit::default();
-            let _ = tx.send(supervise(&mut poll, &mut slot, &mut audit, &|_| {}));
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let outcome = loop {
+                if let Err(e) = groups.turn(deadline, &mut Vec::new()) {
+                    break Err(e);
+                }
+            };
+            let _ = tx.send(outcome);
         });
         rx.recv_timeout(Duration::from_secs(5))
     }
 
-    /// A group that writes a `status` line the codec refuses ends its shard
+    /// A wait that cannot work ends the run with the error instead of
+    /// spinning the root at full CPU with the error dropped.
+    #[test]
+    fn a_broken_poller_ends_the_run_with_an_error() {
+        let (_group_side, mut groups) = group_of_one(0);
+        groups.poll.break_for_test();
+        let outcome = turn_briefly(groups);
+        let err = outcome.expect("the root spun").unwrap_err().to_string();
+        assert!(err.starts_with("root wait:"), "{err}");
+    }
+
+    /// A group that writes a `status` line the codec refuses ends the run
     /// at once, with an error naming the node and the line, instead of
-    /// leaving the shard on the group's last good status until the run
+    /// leaving the root on the group's last good status until the run
     /// times out.
     #[test]
-    fn a_refused_status_line_ends_the_shard_with_an_error() {
-        let (mut group_side, slot) = shard_of_one(7);
-        let poll = watch(&slot).unwrap();
+    fn a_refused_status_line_ends_the_run_with_an_error() {
+        let (mut group_side, groups) = group_of_one(7);
         group_side
             .write_all(b"ready here\nstatus 0 1 1 2 2 0 0\nstatus 0 1 x 2 2 0 0\n")
             .unwrap();
-        let outcome = supervise_briefly(poll, slot);
-        let err = outcome.expect("the shard kept running").unwrap_err();
+        let outcome = turn_briefly(groups);
+        let err = outcome.expect("the root kept running").unwrap_err();
         assert_eq!(
-            err,
-            "node 7 wrote a line the shard refuses: \"status 0 1 x 2 2 0 0\""
+            err.to_string(),
+            "shard 0: node 7 wrote a line the root refuses: \"status 0 1 x 2 2 0 0\""
         );
     }
 
     /// A group whose pipe closes mid-run — a killed worker, a panicked
-    /// data thread — ends its shard at once, naming the node that sent no
+    /// data thread — ends the run at once, naming the node that sent no
     /// report, instead of leaving the root to wait out its timeout for a
     /// quiet cut that never comes.
     #[test]
-    fn a_pipe_that_closes_mid_run_ends_the_shard_at_once() {
-        let (mut group_side, slot) = shard_of_one(3);
-        let poll = watch(&slot).unwrap();
+    fn a_pipe_that_closes_mid_run_ends_the_run_at_once() {
+        let (mut group_side, groups) = group_of_one(3);
         group_side.write_all(b"ready here\n").unwrap();
         drop(group_side);
-        let outcome = supervise_briefly(poll, slot);
+        let outcome = turn_briefly(groups);
         let err = outcome
-            .expect("the shard waited for its timeout")
+            .expect("the root waited for its timeout")
             .unwrap_err();
-        assert_eq!(err, "node 3 hung up before its report");
+        assert_eq!(err.to_string(), "shard 0: node 3 hung up before its report");
     }
 
-    /// A group's `error` line ends its shard at once, and the shard's
-    /// error carries the line — behind the node that never got ready, if
-    /// it failed on the way up.
+    /// A group's `error` line ends the run at once, and the run's error
+    /// carries the line — behind the node that never got ready, if it
+    /// failed on the way up.
     #[test]
-    fn a_group_error_line_ends_the_shard_with_it() {
+    fn a_group_error_line_ends_the_run_with_it() {
         for (said, want) in [
-            ("ready here\nerror 3 boom\n", "error 3 boom"),
-            ("error 3 boom\n", "node 3 exited before ready: error 3 boom"),
+            ("ready here\nerror 3 boom\n", "shard 0: error 3 boom"),
+            (
+                "error 3 boom\n",
+                "shard 0: node 3 exited before ready: error 3 boom",
+            ),
         ] {
-            let (mut group_side, slot) = shard_of_one(3);
-            let poll = watch(&slot).unwrap();
+            let (mut group_side, groups) = group_of_one(3);
             group_side.write_all(said.as_bytes()).unwrap();
-            let outcome = supervise_briefly(poll, slot);
-            let err = outcome.expect("the shard kept running").unwrap_err();
-            assert_eq!(err, want);
+            let outcome = turn_briefly(groups);
+            let err = outcome.expect("the root kept running").unwrap_err();
+            assert_eq!(err.to_string(), want);
         }
     }
 }

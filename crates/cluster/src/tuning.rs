@@ -1,28 +1,19 @@
 //! Every tunable constant of the cluster runtime in one documented place.
-//!
-//! The channel bounds are *declared* in the concurrency model
-//! ([`crate::conc::model`]) and lint-gated, so the declaration and the
-//! running code come from the same struct and cannot drift. The runtime
-//! consumes [`TUNING`]; so does the model builder.
+//! The runtime consumes [`TUNING`].
 
 use std::time::Duration;
 
-/// The cluster runtime's knobs. One instance ([`TUNING`]) configures both
-/// the running code and the declared concurrency model.
+/// The cluster runtime's knobs. One instance ([`TUNING`]) configures the
+/// running code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterTuning {
     /// Main-loop granularity: protocol timeouts fire at most this often.
     pub tick_ms: u64,
     /// Idle gap after which a link emits a heartbeat.
     pub heartbeat_ms: u64,
-    /// Status keep-alive period: a group's line to its shard supervisor,
-    /// which passes it up to the orchestrator, when nothing sent one
-    /// sooner.
+    /// Status keep-alive period: a group's line to the orchestrator when
+    /// nothing sent one sooner.
     pub status_every_ms: u64,
-    /// Bounded shard → orchestrator upstream queue depth (`orch.shard`).
-    /// Shards send a handful of messages per run; the bound is slack by
-    /// orders of magnitude and **blocks** if ever hit.
-    pub orch_shard_queue: usize,
     /// Reconnect backoff base in ms (doubles per attempt, capped,
     /// jittered).
     pub backoff_base_ms: u64,
@@ -33,8 +24,8 @@ pub struct ClusterTuning {
     pub max_dial_attempts: u32,
     /// How long the orchestrator waits for final reports after `stop`.
     pub report_grace_s: u64,
-    /// How long a shard waits for its worker process to exit before
-    /// killing it.
+    /// How long the orchestrator waits for the worker processes to exit,
+    /// all under one deadline, before killing those left.
     pub proc_exit_grace_s: u64,
     /// Poll interval while waiting for a worker process to exit.
     pub proc_wait_poll_ms: u64,
@@ -71,10 +62,9 @@ pub const TUNING: ClusterTuning = ClusterTuning {
     tick_ms: 1,
     heartbeat_ms: 50,
     // 10ms: only the keep-alive. A group writes its status the turn its cut
-    // goes quiet, its shard passes it up as it reads it, and one probe
-    // wave confirms it, so a run's end waits on no period.
+    // goes quiet, the root reads it in its next turn, and one probe wave
+    // confirms it, so a run's end waits on no period.
     status_every_ms: 10,
-    orch_shard_queue: 1024,
     backoff_base_ms: 4,
     backoff_cap_ms: 250,
     max_dial_attempts: 400,

@@ -387,7 +387,7 @@ fn message_set_deterministic_under_fixed_seed() {
 }
 
 /// Five shards of one node, each a worker process controlled over the
-/// socketpair its shard hands it as fd 0, with a Unix-domain stream on
+/// socketpair the root hands it as fd 0, with a Unix-domain stream on
 /// every link.
 #[test]
 fn process_mode_five_node_line_clean() {
@@ -467,7 +467,7 @@ fn a_report_prices_its_phases() {
 /// converged run, with its nodes on a thread or in processes, on a line or
 /// a grid split over two shards, uploads nothing at `stop` — every entry
 /// of every node's report streamed in while the run ran — and its verdict
-/// is the shards' running join, which is the one the whole reports
+/// is the root's running join, which is the one the whole reports
 /// reconcile to.
 #[test]
 fn a_converged_run_streams_its_whole_ledger() {
@@ -535,4 +535,36 @@ fn a_converged_run_streams_its_whole_ledger() {
             "{json}"
         );
     }
+}
+
+/// The root runs one join for the whole run, so a ghost generated in one
+/// group and delivered in the other pairs as soon as both ends have
+/// streamed in: on a 25-node grid split over two data threads, the most
+/// entries the join ever holds unpaired is a small share of what streamed.
+/// A join per group would hold every entry whose other end the other group
+/// logged until the end of the run: about a quarter of them.
+#[test]
+fn one_join_for_the_run_pairs_across_groups_as_they_stream() {
+    let dir = SocketDir::new("cluster-test");
+    let spec = ClusterSpec {
+        topology: "grid:5x5".into(),
+        graph: gen::grid(5, 5),
+        seed: 1,
+        workload: WorkloadSpec {
+            kind: WorkloadKind::Closed { outstanding: 2 },
+            messages: 400,
+        },
+        chaos: ChaosSpec::none(),
+        listen: dir.listen(),
+        clients: None,
+        shards: 2,
+        mode: RunMode::Inproc,
+        timeout: Duration::from_secs(120),
+    };
+    let report = run_cluster(&spec).expect("run");
+    assert!(report.clean(), "{:?}", report.verdict);
+    let l = report.ledger;
+    assert!(!l.reference, "{l:?}");
+    assert_eq!(l.streamed, 25 * 400 * 4, "{l:?}");
+    assert!(l.pending_peak * 20 < l.streamed, "{l:?}");
 }

@@ -125,9 +125,9 @@ fn tcp_star_past_the_listen_backlog_comes_up_on_one_thread() {
 /// A group that cannot bind its listener ends the run with an error, not
 /// a hang — when every group fails (no socket directory), and when one
 /// of two fails and the three nodes of the other sit on their thread
-/// waiting for a `peers` line that will never come: their shard closes
-/// every one of their pipes before it joins the thread they share. (One
-/// shard binds nothing: its links are all in memory.)
+/// waiting for a `peers` line that will never come: the root shuts every
+/// group's pipe down before it joins the threads. (One shard binds
+/// nothing: its links are all in memory.)
 #[test]
 fn a_shard_whose_nodes_never_get_ready_is_wound_down() {
     let missing = std::env::temp_dir().join(format!("ssmfp-no-such-dir-{}", std::process::id()));

@@ -4,8 +4,8 @@
 //! * A 64-node grid over UDS with full chaos (per-link faults plus a
 //!   partition/heal cycle) converges with a clean reconciled SP verdict
 //!   under 4 shards.
-//! * The run's thread footprint is `2 · shards + O(1)` — a supervisor and
-//!   a data thread per shard — measured by the debug-build registration
+//! * The run's thread footprint is `shards + O(1)` — a data thread per
+//!   shard and the root — measured by the debug-build registration
 //!   counter, not inferred; with one shard a whole `line:5` under chaos
 //!   runs on exactly one `node.main`, over UDS and over TCP.
 //! * Sharding is a pure scheduling detail: the primary message set is the
@@ -93,7 +93,7 @@ fn primary_set(r: &ssmfp_cluster::RunReport) -> Vec<(ssmfp_mp::MpGhost, usize)> 
 }
 
 /// The tentpole e2e: 64 nodes, full chaos, 4 shards, clean verdict, and
-/// a thread footprint bounded by `2 · shards + O(1)`.
+/// a thread footprint bounded by `shards + O(1)`.
 #[test]
 fn grid_8x8_uds_chaos_clean_with_bounded_threads() {
     let _guard = SCALE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
@@ -124,22 +124,20 @@ fn grid_8x8_uds_chaos_clean_with_bounded_threads() {
         "chaos never fired: {c:?}"
     );
 
-    // Per shard one supervisor and one data thread carrying all its
-    // nodes, plus the orchestrator (the calling thread re-registers for
-    // free on repeat runs — hence ≤ 2 slack, not an exact count). Only
-    // meaningful in debug builds, where the registry records anything at
-    // all.
+    // Per shard one data thread carrying all its nodes, plus the
+    // orchestrator (the calling thread re-registers for free on repeat
+    // runs — hence ≤ 2 slack, not an exact count). Only meaningful in
+    // debug builds, where the registry records anything at all.
     if cfg!(debug_assertions) {
         let delta = after - before;
         assert!(
-            delta >= 2 * shards as u64,
-            "thread registry missed workers: delta {delta} < 2K = {}",
-            2 * shards
+            delta >= shards as u64,
+            "thread registry missed workers: delta {delta} < K = {shards}"
         );
         assert!(
-            delta <= 2 * shards as u64 + 2,
-            "thread footprint blew the per-run bound: delta {delta} > 2K+2 = {}",
-            2 * shards + 2
+            delta <= shards as u64 + 2,
+            "thread footprint blew the per-run bound: delta {delta} > K+2 = {}",
+            shards + 2
         );
     }
 }

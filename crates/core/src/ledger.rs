@@ -524,12 +524,11 @@ const BATCH_CAP: usize = 1 << 12;
 /// per run of consecutive retired ghosts — a stream of sequence numbers
 /// from one source is one range. Anything else the reference join would
 /// have to judge — a repeat, a wrong-node delivery, a generated invalid
-/// ghost — makes the audit *irregular*, and it stops joining. Audits of
-/// disjoint ledger sets [`RunningAudit::merge`]; [`RunningAudit::finish`]
-/// returns the verdict only when nothing is unpaired and nothing was
-/// irregular, and that verdict is then exactly what [`reconcile_ledgers`]
-/// returns on the same entries. `None` sends the caller to the reference
-/// join.
+/// ghost — makes the audit *irregular*, and it stops joining.
+/// [`RunningAudit::finish`] returns the verdict only when nothing is
+/// unpaired and nothing was irregular, and that verdict is then exactly
+/// what [`reconcile_ledgers`] returns on the same entries. `None` sends the
+/// caller to the reference join.
 #[derive(Debug, Clone, Default)]
 pub struct RunningAudit {
     /// Entries fed since the last join, as keys `k << 64 | tag`: a
@@ -580,8 +579,9 @@ impl RunningAudit {
 
     /// Joins the batch fed since the last join, once it is at least a
     /// quarter the size of the unpaired remainder: a join walks the whole
-    /// remainder, and entries whose other end another audit holds stay in
-    /// it until a merge, so a join per small batch would cost
+    /// remainder, and entries whose other end has not been fed yet — a
+    /// primary in flight, or a ghost whose far end streams in late — stay
+    /// in it until it arrives, so a join per small batch would cost
     /// O(remainder) each — quadratic over a run.
     pub fn settle(&mut self) {
         if self.batch.len() * 4 >= self.pending.len() {
@@ -667,37 +667,6 @@ impl RunningAudit {
         self.pending_peak = self.pending_peak.max(self.pending.len() as u64);
     }
 
-    /// Folds in the audit of a disjoint set of ledgers — another shard's:
-    /// its retired ranges must not meet these, and its unpaired entries
-    /// join these.
-    pub fn merge(&mut self, mut other: RunningAudit) {
-        self.join();
-        other.join();
-        self.exactly_once += other.exactly_once;
-        self.invalid_delivered += other.invalid_delivered;
-        self.pending_peak = self.pending_peak.max(other.pending_peak);
-        self.irregular |= other.irregular;
-        let ([ours, out], theirs) = (&mut self.retired, &other.retired[0]);
-        out.clear();
-        let (mut i, mut j) = (0, 0);
-        while i < ours.len() || j < theirs.len() {
-            let range = if j == theirs.len() || i < ours.len() && ours[i].0 <= theirs[j].0 {
-                i += 1;
-                ours[i - 1]
-            } else {
-                j += 1;
-                theirs[j - 1]
-            };
-            self.irregular |= out.last().is_some_and(|last| last.1 >= range.0);
-            extend(out, range);
-        }
-        self.retired.swap(0, 1);
-        // Joined, the batch is empty: the other side's sorted remainder
-        // becomes it.
-        self.batch = other.pending;
-        self.join();
-    }
-
     /// The verdict, when the fed entries show every generated ghost valid,
     /// generated once and delivered once at its destination — exactly
     /// [`reconcile_ledgers`] on the same entries. `None` when anything is
@@ -713,16 +682,7 @@ impl RunningAudit {
         })
     }
 
-    /// Joins what is fed and gives back the scratch: what stays is the
-    /// state a merge reads.
-    pub fn close(&mut self) {
-        self.join();
-        self.batch = Vec::new();
-        self.retired[1] = Vec::new();
-    }
-
-    /// The most entries left unpaired after any join, over the audits
-    /// merged in.
+    /// The most entries left unpaired after any join.
     pub fn pending_peak(&self) -> u64 {
         self.pending_peak
     }
@@ -1600,14 +1560,14 @@ mod tests {
             prop_assert_eq!(calls, oracle_calls);
         }
 
-        /// The running audit, fed the way shards feed it — the ledgers
-        /// dealt to random shards, each list cut into random deltas,
-        /// settles at random points, the shard audits merged — returns
-        /// `None` or exactly the reference verdict, and returns it
-        /// whenever every ghost is generated once and delivered once at
-        /// its destination. The regular sets are built from the
-        /// adversarial ones; a replayed ledger on top of one repeats every
-        /// entry in it, in the same settle, a later one or another shard.
+        /// The running audit, fed the way the root feeds it — every list
+        /// cut into random deltas, the lists interleaved at random,
+        /// settles at random points — returns `None` or exactly the
+        /// reference verdict, and returns it whenever every ghost is
+        /// generated once and delivered once at its destination. The
+        /// regular sets are built from the adversarial ones; a replayed
+        /// ledger on top of one repeats every entry in it, in the same
+        /// settle or a later one.
         #[test]
         fn the_running_audit_is_the_reference_join_or_nothing(
             ledgers in arb_ledgers(),
@@ -1642,26 +1602,22 @@ mod tests {
         }
     }
 
-    /// Deals `ledgers` to one to three shard audits, feeds each list in
-    /// random slices with random settles between them, and merges.
+    /// Feeds every list of `ledgers` to one audit in random slices, the
+    /// lists interleaved at random, with random settles between them.
     fn run_audit(ledgers: &[NodeLedger], rng: &mut Rng) -> Option<ClusterVerdict> {
-        let mut shards = vec![RunningAudit::default(); 1 + rng.below(3)];
-        let mut cursors: Vec<(usize, usize, usize)> = ledgers
-            .iter()
-            .map(|_| (rng.below(shards.len()), 0, 0))
-            .collect();
+        let mut audit = RunningAudit::default();
+        let mut cursors = vec![(0, 0); ledgers.len()];
         loop {
             let open: Vec<usize> = (0..ledgers.len())
                 .filter(|&i| {
-                    let (_, g, d) = cursors[i];
+                    let (g, d) = cursors[i];
                     g < ledgers[i].generated.len() || d < ledgers[i].delivered.len()
                 })
                 .collect();
             let Some(&i) = open.get(rng.below(open.len().max(1))) else {
                 break;
             };
-            let (l, (s, g, d)) = (&ledgers[i], &mut cursors[i]);
-            let audit = &mut shards[*s];
+            let (l, (g, d)) = (&ledgers[i], &mut cursors[i]);
             if *d == l.delivered.len() || *g < l.generated.len() && rng.below(2) == 0 {
                 let end = *g + 1 + rng.below(l.generated.len() - *g);
                 audit.generated(&l.generated[*g..end]);
@@ -1675,14 +1631,7 @@ mod tests {
                 audit.settle();
             }
         }
-        let mut root = RunningAudit::default();
-        for mut shard in shards {
-            if rng.below(2) == 0 {
-                shard.close();
-            }
-            root.merge(shard);
-        }
-        root.finish()
+        audit.finish()
     }
 
     /// Every generated ghost valid, generated once and delivered once, at
@@ -1744,10 +1693,10 @@ mod tests {
         ledgers
     }
 
-    /// A shard whose entries all pair in another shard holds every one
-    /// until the merge, and a join walks the whole remainder; settled after
-    /// every entry, it still walks each entry about five times in all, not
-    /// once per settle.
+    /// A stream whose entries all pair late — no other end has been fed
+    /// yet — is held whole, and a join walks the whole remainder; settled
+    /// after every entry, it still walks each entry about five times in
+    /// all, not once per settle.
     #[test]
     fn a_remainder_that_never_pairs_is_walked_a_bounded_number_of_times() {
         const ENTRIES: usize = 10_000;
@@ -1768,7 +1717,7 @@ mod tests {
 
     /// Resident state is O(in-flight): ten stop-and-wait streams — five
     /// sources, a primary and an ack stream each — of 10⁵ entries in all,
-    /// settled once a round as a shard settles once a turn, hold at most
+    /// settled once a round as the root settles once a turn, hold at most
     /// one unpaired entry per stream and at most one retired range per
     /// stream plus one per ghost in flight.
     #[test]

@@ -461,15 +461,13 @@ mod tests {
     fn untimed_downward_ctrl_write_reintroduces_the_shard_cycle() {
         // Documents WHY the root's downward control writes carry a
         // deadline (a *timed* edge): `node.main` blocks untimed writing
-        // status/reports up to its shard, and the shard blocks untimed
-        // sending them on to the root. If the root also blocked untimed
+        // status/reports up to the root. If the root also blocked untimed
         // writing control lines down to a group — a naive `write_all` of
         // `peers`/`probe`/`stop` into a full pipe while that group is
-        // stuck pushing status to a shard that is stuck on a full
-        // `orch.shard` — the three wait in a ring and the control tree
-        // wedges. The lint must refuse that flip: the root would wait
-        // untimed on a grandchild, not on its spawner, and it names the
-        // cycle the wait closes.
+        // stuck pushing status into a pipe the root is not reading — the
+        // two wait in a ring and the control tree wedges. The lint must
+        // refuse that flip: the root would wait untimed on its child, not
+        // on its spawner, and it names the cycle the wait closes.
         let mut model = ssmfp_cluster::conc::default_model();
         let edge = model
             .edges
@@ -483,8 +481,14 @@ mod tests {
         edge.timed = false;
         let mut report = LintReport::default();
         lint_conc_deadlock(&model, &mut report);
+        let found: Vec<_> = report
+            .violations()
+            .filter(|f| f.code == "conc-deadlock")
+            .collect();
+        assert_eq!(found.len(), 1, "{:?}", report.findings);
         assert!(
-            deadlock_names(&report, &["shard.super", "node.main", "orch.main"]),
+            deadlock_names(&report, &["node.main", "orch.main"])
+                && found[0].message.contains("it closes the cycle"),
             "{:?}",
             report.findings
         );
