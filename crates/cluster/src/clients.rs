@@ -151,7 +151,7 @@ struct Session {
 
 /// The per-node client multiplexer. Runs entirely inside the `node.main`
 /// thread between event-loop pump bursts — no threads, locks, or
-/// channels of its own (see `crate::conc`).
+/// channels of its own.
 #[derive(Debug)]
 pub struct ClientMux {
     node: NodeId,

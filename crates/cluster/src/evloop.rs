@@ -75,8 +75,8 @@
 //! invisible buffering holds complete lines where `poll` cannot see them.
 //! Writes (status lines, ledger deltas, the final reports) are plain
 //! blocking `write_all`: the root reads every group's pipe each turn of
-//! its loop, and this edge is declared untimed in the concurrency model —
-//! it is the one leaf-to-root arc of an acyclic control tree.
+//! its loop, and writes down it only under a deadline, so this one untimed
+//! wait of a group points up an acyclic control tree (DESIGN.md §13).
 //!
 //! ## Failure policy
 //!
@@ -693,10 +693,10 @@ impl Control {
         Ok(())
     }
 
-    /// Blocking write of whole lines up to the root — the declared untimed
-    /// `SockWrite(orch.main)` edge: the root, which writes its control
-    /// lines down the same socketpair under deadlines, reads every group's
-    /// pipe each turn of its loop.
+    /// Blocking write of whole lines up to the root — the group's one
+    /// untimed wait: the root, which writes its control lines down the same
+    /// socketpair under deadlines, reads every group's pipe each turn of
+    /// its loop.
     pub fn write_line(&mut self, lines: &[u8]) -> io::Result<()> {
         (&self.pipe).write_all(lines)
     }

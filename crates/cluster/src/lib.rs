@@ -50,14 +50,10 @@
 //! * [`telemetry`] — log-bucketed latency histograms and counters.
 //! * [`tuning`] — every runtime knob in one documented [`ClusterTuning`]
 //!   struct.
-//! * [`conc`] — the declared concurrency model (two thread roles, no
-//!   channel, the blocking edges) feeding `ssmfp-lint`'s `conc-*` passes
-//!   and the debug-build runtime assertions.
 
 pub mod chaos;
 pub mod clients;
 pub mod codec;
-pub mod conc;
 pub mod evloop;
 pub mod frame;
 pub mod node;

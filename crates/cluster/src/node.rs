@@ -116,7 +116,6 @@
 use crate::chaos::{ChaosSpec, InboundChaos};
 use crate::clients::{ClientMux, ClientSpec};
 use crate::codec::{push_delta, report_block, shown};
-use crate::conc::COMPONENT;
 use crate::evloop::{monotonic_us, Control, Hub, IoStats, Poller, CTRL, HUB};
 use crate::frame::{frame_to_msg, msg_to_frame, msg_to_frame_client};
 use crate::telemetry::{LogHistogram, NodeCounters};
@@ -124,7 +123,6 @@ use crate::tuning::TUNING;
 use crate::workload::{
     ack_payload, ghost_src, is_ack, stamp_of, WorkloadGen, WorkloadSpec, STAMP_MASK,
 };
-use ssmfp_core::conc::register_thread;
 use ssmfp_core::wire::WireFrame;
 use ssmfp_mp::{ack_ghost_of, decode_client_ghost, MpForwarder, MpGhost, MpNode, Outbox, WireMsg};
 use ssmfp_topology::{BfsTree, Graph, NodeId};
@@ -853,10 +851,6 @@ fn refused(line: &str) -> io::Error {
 /// stopped. What the nodes report, and what ended the group if it failed,
 /// went up the pipe.
 pub(crate) fn run_group(run: &Run, ids: Vec<NodeId>, pipe: UnixStream) -> io::Result<()> {
-    // In proc mode this is the worker process's main thread; in inproc
-    // mode the root's spawn already registered it (re-registration is
-    // idempotent). Either way the declared role holds from here on.
-    register_thread(COMPONENT, "node.main");
     let mut group = Group::new(run, ids, pipe, monotonic_us)?;
     while !group.turn()? {}
     Ok(())

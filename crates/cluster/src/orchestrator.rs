@@ -66,7 +66,6 @@
 use crate::chaos::{ChaosSpec, PartitionSpec};
 use crate::clients::ClientSpec;
 use crate::codec::{NodeReport, Status};
-use crate::conc::COMPONENT;
 use crate::evloop::raise_nofile_limit;
 use crate::node::{ListenSpec, Run};
 use crate::shard::Groups;
@@ -76,7 +75,6 @@ use crate::workload::WorkloadSpec;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use ssmfp_core::cli::json_string;
-use ssmfp_core::conc::register_thread;
 use ssmfp_core::{reconcile_clients, reconcile_ledgers, ClientVerdict, ClusterVerdict, NodeLedger};
 use ssmfp_topology::{Graph, NodeId};
 use std::io;
@@ -626,7 +624,6 @@ fn drive(
 /// Runs a cluster to convergence (or timeout) and reconciles the ledgers.
 pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     let called = Instant::now();
-    register_thread(COMPONENT, "orch.main");
     let n = spec.graph.n();
     let ranges = shard_ranges(n, spec.shards);
     let k = ranges.len();

@@ -12,12 +12,10 @@
 //! the root's half of is [`crate::orchestrator`]'s.
 
 use crate::codec::{node_args, shown, NodeReport, ReportFold, Status};
-use crate::conc::COMPONENT;
 use crate::evloop::{take_lines, Poller, POLLIN, POLLOUT};
 use crate::node::{run_group, Run};
 use crate::orchestrator::{LedgerFlow, RunMode, ShardSummary};
 use crate::tuning::TUNING;
-use ssmfp_core::conc::spawn_registered;
 use ssmfp_core::{ClusterVerdict, RunningAudit};
 use ssmfp_topology::NodeId;
 use std::io::{self, Read, Write};
@@ -210,9 +208,14 @@ impl Groups {
             RunMode::Inproc => {
                 let (run, ids) = (Arc::clone(run), members.clone().collect());
                 // What the group reports, and what ended it, goes up the pipe.
-                Runner::Thread(spawn_registered(COMPONENT, "node.main", move || {
+                let group = move || {
                     let _ = run_group(&run, ids, group_side);
-                }))
+                };
+                Runner::Thread(
+                    thread::Builder::new()
+                        .name("node.main".into())
+                        .spawn(group)?,
+                )
             }
             RunMode::Proc { exe } => Runner::Child(
                 Command::new(exe)
@@ -239,9 +242,10 @@ impl Groups {
         self.slots.iter().position(|s| s.fold.unended().is_some())
     }
 
-    /// Writes `line` down every group's pipe under one deadline (the
-    /// declared timed `SockWrite(node.main)` edge), every pipe even after
-    /// one fails: the first failure comes back.
+    /// Writes `line` down every group's pipe under one deadline, so a group
+    /// that stops reading costs the root `report_grace` and not the run
+    /// (`write_all_deadline`); every pipe even after one fails: the first
+    /// failure comes back.
     pub fn tell(&self, line: &[u8]) -> io::Result<()> {
         let deadline = Instant::now() + TUNING.report_grace();
         let mut first = Ok(());
@@ -380,10 +384,12 @@ fn root_wait(e: io::Error) -> io::Error {
     io::Error::other(format!("root wait: {e}"))
 }
 
-/// Deadline-bounded `write_all` on a group's nonblocking control pipe (the
-/// declared timed `SockWrite(node.main)` edge). Control lines are tiny next
-/// to the socketpair buffer, and each group reads its pipe every turn, so
-/// the wait — on a set of its own — is cold.
+/// Deadline-bounded `write_all` on a group's nonblocking control pipe.
+/// A group blocks writing up this pipe while the root is not reading it,
+/// so an untimed write down it could close a cycle; with the deadline the
+/// root gives up instead (`shard::tests::a_write_to_a_group_that_stops_reading_times_out`).
+/// Control lines are tiny next to the socketpair buffer, and each group
+/// reads its pipe every turn, so the wait — on a set of its own — is cold.
 fn write_all_deadline(s: &UnixStream, mut bytes: &[u8], deadline: Instant) -> io::Result<()> {
     while !bytes.is_empty() {
         match (&*s).write(bytes) {
@@ -491,6 +497,28 @@ mod tests {
             .expect("the root waited for its timeout")
             .unwrap_err();
         assert_eq!(err.to_string(), "shard 0: node 3 hung up before its report");
+    }
+
+    /// A group that stops reading its pipe costs the root one deadline and
+    /// not the run: with the group's end full, the root's next control line
+    /// times out — where an untimed write would wait on a group that may
+    /// itself be blocked writing up to the root.
+    #[test]
+    fn a_write_to_a_group_that_stops_reading_times_out() {
+        let (root_side, _group_side) = UnixStream::pair().unwrap();
+        root_side.set_nonblocking(true).unwrap();
+        for chunk in [&[0u8; 4096][..], &[0u8; 1][..]] {
+            while (&root_side).write(chunk).is_ok() {}
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_millis(200);
+            let _ = tx.send(write_all_deadline(&root_side, b"stop\n", deadline));
+        });
+        let outcome = rx.recv_timeout(Duration::from_secs(2));
+        let err = outcome.expect("the root's write hung").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert_eq!(err.to_string(), "group not draining control writes");
     }
 
     /// A group's `error` line ends the run at once, and the run's error

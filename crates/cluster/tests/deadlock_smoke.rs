@@ -1,15 +1,14 @@
-//! Deadlock smoke: an aggressive schedule must never wedge the data
-//! plane.
+//! Deadlock smoke: no schedule and no failed group may wedge a run.
 //!
-//! The `conc-deadlock` lint proves the *declared* blocking graph has no
-//! feasible circular wait; this test is the empirical counterpart for the
-//! real thing. A 5-node UDS cluster runs a hostile schedule — chaos on
-//! every link plus a partition/heal cycle, closed-loop workload keeping
-//! every queue warm — inside a worker thread, while the test thread sits
-//! on a watchdog channel. If the cluster wedges (a circular wait the
-//! model missed, a writer stuck on a full queue, a reader stuck on a dead
-//! socket), the watchdog expires and the test fails with a diagnosis
-//! instead of hanging the whole suite until the harness timeout.
+//! The control tree cannot wedge because every wait of the root has a
+//! deadline and a group blocks only on a write up to the root (DESIGN.md
+//! §13). These tests hold that on the real code. Each run goes on a
+//! thread of its own while the test thread sits on a watchdog channel, so
+//! a wedge fails the test with a diagnosis instead of hanging the suite.
+//! A 5-node UDS cluster runs a hostile schedule — chaos on every link plus
+//! a partition/heal cycle, closed-loop workload keeping every queue warm;
+//! a worker process stopped with `SIGSTOP` (a group that never writes)
+//! must end its run with an error inside the root's bounds.
 //!
 //! The same watchdog holds the two ways nodes that share a thread could
 //! wait on each other forever: a dial waiting on an accept its own thread
@@ -22,11 +21,11 @@ mod common;
 use common::SocketDir;
 use ssmfp_cluster::{
     node_args, pick_partition, run_cluster, ChaosSpec, ClusterSpec, ListenSpec, Run, RunMode,
-    RunReport, WorkloadKind, WorkloadSpec,
+    RunReport, WorkloadKind, WorkloadSpec, TUNING,
 };
 use ssmfp_topology::{gen, Graph};
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -43,10 +42,8 @@ fn run_watched(spec: ClusterSpec) -> io::Result<RunReport> {
     });
     done_rx.recv_timeout(WATCHDOG).unwrap_or_else(|_| {
         panic!(
-            "cluster wedged: no completion within {WATCHDOG:?} — a blocking cycle the declared \
-             concurrency model (crates/cluster/src/conc.rs) does not admit; run \
-             `ssmfp-lint --only conc-deadlock` against the updated model and check for \
-             undeclared blocking edges"
+            "cluster wedged: no completion within {WATCHDOG:?} — look for a wait of the root \
+             without a deadline, or a group blocking on anything but its write up to the root"
         )
     })
 }
@@ -207,4 +204,99 @@ fn a_worker_whose_control_fd_cannot_be_polled_exits_with_a_message() {
             stdin.display()
         );
     }
+}
+
+/// Linux's signal numbers (x86, ARM, RISC-V).
+const SIGKILL: i32 = 9;
+const SIGSTOP: i32 = 19;
+
+extern "C" {
+    fn kill(pid: i32, sig: i32) -> i32;
+}
+
+/// True iff `pid` is a child of this process — a zombie too — per
+/// `/proc/<pid>/stat` (`pid (comm) state ppid …`, read past the comm's
+/// `)`, which may hold spaces).
+fn our_child(pid: i32) -> bool {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap_or_default();
+    let ppid = stat
+        .rsplit_once(')')
+        .and_then(|(_, rest)| rest.split_whitespace().nth(1)?.parse::<u32>().ok());
+    ppid == Some(std::process::id())
+}
+
+/// A live `--node-worker` child of this process whose argv names `dir`.
+fn our_worker(pid: i32, dir: &Path) -> bool {
+    let argv = std::fs::read(format!("/proc/{pid}/cmdline")).unwrap_or_default();
+    let argv = String::from_utf8_lossy(&argv);
+    our_child(pid) && argv.contains("--node-worker") && argv.contains(&*dir.to_string_lossy())
+}
+
+/// A worker the test stopped: SIGKILLed on drop if it is still there, so
+/// no process outlives a failing test.
+struct Stopped<'a>(i32, &'a Path);
+
+impl Drop for Stopped<'_> {
+    fn drop(&mut self) {
+        if our_worker(self.0, self.1) {
+            // SAFETY: `kill` takes no pointers; the pid is our own child's.
+            unsafe { kill(self.0, SIGKILL) };
+        }
+    }
+}
+
+/// A group that never writes again — its worker stopped with `SIGSTOP`
+/// before or after `ready` — ends the run with an error inside the root's
+/// bounds: the ready wait or the report wait times out, and
+/// `Groups::finish` kills the worker once its exit grace is out.
+#[test]
+fn a_stopped_worker_ends_the_run_with_an_error_inside_its_bound() {
+    let dir = SocketDir::new("deadlock-stopped");
+    let spec = ClusterSpec {
+        shards: 2,
+        mode: RunMode::Proc {
+            exe: PathBuf::from(env!("CARGO_BIN_EXE_ssmfp-cluster")),
+        },
+        workload: WorkloadSpec {
+            kind: WorkloadKind::Closed { outstanding: 2 },
+            messages: 100_000_000,
+        },
+        timeout: Duration::from_secs(2),
+        ..one_thread_spec("line:5", gen::line(5), dir.listen())
+    };
+    let bound =
+        spec.timeout + TUNING.report_grace() + TUNING.proc_exit_grace() + Duration::from_secs(5);
+    let t0 = Instant::now();
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(run_cluster(&spec));
+    });
+
+    // One of this run's workers: the other tests here start workers too.
+    let pid = loop {
+        let pids = std::fs::read_dir("/proc").expect("read /proc").flatten();
+        let mut pids = pids.filter_map(|e| e.file_name().to_str()?.parse::<i32>().ok());
+        if let Some(pid) = pids.find(|&pid| our_worker(pid, &dir.0)) {
+            break pid;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "no worker of the run showed up"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    // SAFETY: as in `Stopped::drop`.
+    assert_eq!(unsafe { kill(pid, SIGSTOP) }, 0, "SIGSTOP {pid}");
+    let stopped = Stopped(pid, &dir.0);
+
+    let outcome = done_rx
+        .recv_timeout(bound.saturating_sub(t0.elapsed()))
+        .unwrap_or_else(|_| panic!("a stopped worker held the run past {bound:?}"));
+    let err = outcome.expect_err("a run with a stopped worker succeeded");
+    let err = err.to_string();
+    assert!(
+        err.contains("timed out waiting for ready") || err.contains("sent no report"),
+        "{err}"
+    );
+    assert!(!our_child(stopped.0), "worker {pid} outlived its run");
 }

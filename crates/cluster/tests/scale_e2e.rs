@@ -4,32 +4,48 @@
 //! * A 64-node grid over UDS with full chaos (per-link faults plus a
 //!   partition/heal cycle) converges with a clean reconciled SP verdict
 //!   under 4 shards.
-//! * The run's thread footprint is `shards + O(1)` — a data thread per
-//!   shard and the root — measured by the debug-build registration
-//!   counter, not inferred; with one shard a whole `line:5` under chaos
-//!   runs on exactly one `node.main`, over UDS and over TCP.
+//! * The run's data plane is one `node.main` thread per shard, counted
+//!   from `/proc/self/task` while the run runs, not inferred; with one
+//!   shard a whole `line:5` under chaos runs on exactly one `node.main`,
+//!   over UDS and over TCP. None is left when the run returns.
 //! * Sharding is a pure scheduling detail: the primary message set is the
 //!   same whether the 25 nodes of a grid share one data thread, four, or
 //!   have one each, or run in four processes.
 //!
-//! The registration counter is process-global and cumulative, so the
-//! tests serialize on a mutex and measure deltas.
+//! The thread count is the whole process's, so the tests serialize on a
+//! mutex.
 
 mod common;
 
-use common::SocketDir;
+use common::{peak_threads_named, threads_named, SocketDir};
 use ssmfp_cluster::{
     pick_partition, run_cluster, shard_ranges, ChaosSpec, ClusterSpec, ListenSpec, RunMode,
-    WorkloadKind, WorkloadSpec,
+    RunReport, WorkloadKind, WorkloadSpec,
 };
 use ssmfp_topology::{gen, Graph};
 use std::path::PathBuf;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Serializes the tests in this file: thread-count deltas are only
-/// meaningful when no other cluster run is registering threads.
+/// Serializes the tests in this file: a thread count is only meaningful
+/// when no other cluster run is starting threads.
 static SCALE_LOCK: Mutex<()> = Mutex::new(());
+
+/// A run's data threads: how many `node.main` threads it ran at its peak,
+/// and that none is left once it returns. (A joined thread can outlast its
+/// join in `/proc` for a moment, so the second count waits briefly.)
+fn data_threads_of(run: impl FnOnce() -> RunReport) -> (RunReport, usize) {
+    let (report, peak) = peak_threads_named("node.main", run);
+    let t0 = Instant::now();
+    while threads_named("node.main") > 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "a node.main thread outlived its run"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    (report, peak)
+}
 
 fn grid_spec(
     dir: &SocketDir,
@@ -81,7 +97,7 @@ fn chaos_spec(
     }
 }
 
-fn primary_set(r: &ssmfp_cluster::RunReport) -> Vec<(ssmfp_mp::MpGhost, usize)> {
+fn primary_set(r: &RunReport) -> Vec<(ssmfp_mp::MpGhost, usize)> {
     let mut g: Vec<_> = r
         .nodes
         .iter()
@@ -93,7 +109,7 @@ fn primary_set(r: &ssmfp_cluster::RunReport) -> Vec<(ssmfp_mp::MpGhost, usize)> 
 }
 
 /// The tentpole e2e: 64 nodes, full chaos, 4 shards, clean verdict, and
-/// a thread footprint bounded by `shards + O(1)`.
+/// one data thread per shard.
 #[test]
 fn grid_8x8_uds_chaos_clean_with_bounded_threads() {
     let _guard = SCALE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
@@ -102,9 +118,7 @@ fn grid_8x8_uds_chaos_clean_with_bounded_threads() {
     let n = spec.graph.n();
     let shards = shard_ranges(n, spec.shards).len();
 
-    let before = ssmfp_core::conc::registered_thread_count(ssmfp_cluster::conc::COMPONENT);
-    let report = run_cluster(&spec).expect("run");
-    let after = ssmfp_core::conc::registered_thread_count(ssmfp_cluster::conc::COMPONENT);
+    let (report, data_threads) = data_threads_of(|| run_cluster(&spec).expect("run"));
 
     assert!(report.converged, "64-node grid did not converge");
     assert!(
@@ -123,40 +137,23 @@ fn grid_8x8_uds_chaos_clean_with_bounded_threads() {
         c.chaos_dropped + c.chaos_duplicated + c.chaos_reordered + c.partition_dropped > 0,
         "chaos never fired: {c:?}"
     );
-
-    // Per shard one data thread carrying all its nodes, plus the
-    // orchestrator (the calling thread re-registers for free on repeat
-    // runs — hence ≤ 2 slack, not an exact count). Only meaningful in
-    // debug builds, where the registry records anything at all.
-    if cfg!(debug_assertions) {
-        let delta = after - before;
-        assert!(
-            delta >= shards as u64,
-            "thread registry missed workers: delta {delta} < K = {shards}"
-        );
-        assert!(
-            delta <= shards as u64 + 2,
-            "thread footprint blew the per-run bound: delta {delta} > K+2 = {}",
-            shards + 2
-        );
-    }
+    // Per shard one data thread carrying all its nodes; the root is the
+    // calling thread.
+    assert_eq!(data_threads, shards, "one node.main per shard");
 }
 
 /// Every node of the cluster on one thread, under chaos, over both socket
-/// flavours: clean verdict, and the registry saw exactly one `node.main`.
+/// flavours: clean verdict, and exactly one `node.main` ran.
 #[test]
 fn line5_one_shard_chaos_runs_on_one_data_thread() {
     let dir = SocketDir::new("scale-test");
     let _guard = SCALE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let component = ssmfp_cluster::conc::COMPONENT;
     for listen in [dir.listen(), ListenSpec::Tcp] {
         let spec = ClusterSpec {
             listen,
             ..chaos_spec(&dir, "line:5".into(), gen::line(5), 5, 1, 12)
         };
-        let before = ssmfp_core::conc::registered_role_count(component, "node.main");
-        let report = run_cluster(&spec).expect("run");
-        let after = ssmfp_core::conc::registered_role_count(component, "node.main");
+        let (report, data_threads) = data_threads_of(|| run_cluster(&spec).expect("run"));
         assert!(report.clean(), "{:?}: {:?}", spec.listen, report.verdict);
         assert_eq!(report.primaries_delivered, 5 * 12);
         let c = &report.counters;
@@ -164,14 +161,11 @@ fn line5_one_shard_chaos_runs_on_one_data_thread() {
             c.chaos_dropped + c.chaos_duplicated + c.chaos_reordered + c.partition_dropped > 0,
             "chaos never fired: {c:?}"
         );
-        if cfg!(debug_assertions) {
-            assert_eq!(
-                after - before,
-                1,
-                "{:?}: one shard, one data thread",
-                spec.listen
-            );
-        }
+        assert_eq!(
+            data_threads, 1,
+            "{:?}: one shard, one data thread",
+            spec.listen
+        );
     }
 }
 

@@ -45,10 +45,6 @@
 //!   for the link-crossing traffic (handshake, routing advertisements,
 //!   supervision), with a total decoder and the tag/event-kind surface
 //!   `ssmfp-lint`'s `wire-coverage` lint audits.
-//! * [`conc`] — declared concurrency footprints (thread roles, channel
-//!   bounds, blocking edges) for the runtime layers, with the bounded
-//!   [`conc::tracked_channel`] and the debug-build thread registry backing
-//!   `ssmfp-lint`'s `conc-*` passes.
 //! * [`cli`] — what the workspace's binaries share at their edges: one
 //!   argv parser and one JSON string encoder.
 
@@ -59,7 +55,6 @@ pub mod choice;
 pub mod cli;
 pub mod codec;
 pub mod color;
-pub mod conc;
 pub mod faults;
 pub mod footprint;
 pub mod ledger;
@@ -77,10 +72,6 @@ pub use choice::ChoiceStrategy;
 pub use codec::{
     codec_footprint, deep_node_bytes, node_fingerprint, MessageTable, PackedSnapshot, StateCodec,
     NO_MESSAGE,
-};
-pub use conc::{
-    observed_threads, register_thread, registered_thread_count, spawn_registered, tracked_channel,
-    BlockingEdge, ChannelDecl, ConcModel, ThreadDecl, TrackedSender, WaitPoint, EXTERN_ROLE,
 };
 pub use faults::{
     BufSel, Fault, FaultCursor, FaultInjector, FaultKind, FaultPlan, FaultPlanConfig, SeededBug,

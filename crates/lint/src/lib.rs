@@ -45,26 +45,12 @@
 //!   or state the protocol never repairs, and the soak oracle's
 //!   post-fault argument would be vacuous.
 //!
-//! * **`conc-*`** (module [`conc`]) — the runtime crates declare their
-//!   concurrency footprint ([`ssmfp_core::conc::ConcModel`]: thread
-//!   roles and their spawners, channel bounds, blocking edges) the same
-//!   way the rules declare state footprints. `conc-deadlock` requires
-//!   every untimed wait to point at the waiter's spawner, so untimed
-//!   waits climb the spawn tree and cannot close a cycle;
-//!   `conc-unbounded` requires a bound on every cross-thread channel; and
-//!   `conc-coverage` keeps the declarations referentially closed and the
-//!   spawn relation a tree (its runtime half — observed threads ⊆
-//!   declared roles — runs in the debug-build suites).
-//!
 //! Findings are emitted as a machine-readable JSON report by the
 //! `ssmfp-lint` binary, which exits nonzero on violations (and, under
 //! `-D`, on warnings). `ssmfp-lint --list` prints the pass catalog;
 //! `--only`/`--skip` filter findings by pass name.
 
-pub mod conc;
-
 use ssmfp_core::cli::json_string;
-use ssmfp_core::conc::ConcModel;
 use ssmfp_core::footprint::{composed_fwd_footprint, guards_can_overlap, LAYER_SSMFP};
 use ssmfp_core::wire::{
     FrameTag, CLIENT_STAMP_FIELDS, ENCODED_CLIENT_STAMP_FIELDS, LINK_EVENT_KINDS,
@@ -182,8 +168,6 @@ pub struct LintReport {
     pub fault_write_classes: Vec<String>,
     /// The wire surface as audited: `(frame tag, event kind)` pairs.
     pub wire_tags: Vec<(String, String)>,
-    /// Per-component summaries of the analyzed concurrency models.
-    pub conc: Vec<conc::ConcComponentSummary>,
 }
 
 impl LintReport {
@@ -210,12 +194,7 @@ impl LintReport {
     }
 }
 
-pub(crate) fn push(
-    report: &mut LintReport,
-    severity: Severity,
-    code: &'static str,
-    message: String,
-) {
+fn push(report: &mut LintReport, severity: Severity, code: &'static str, message: String) {
     report.findings.push(Finding {
         severity,
         code,
@@ -271,19 +250,6 @@ pub const PASSES: &[(&str, &str)] = &[
         "wire-coverage",
         "frame tags ↔ link-crossing event kinds is a bijection",
     ),
-    (
-        "conc-deadlock",
-        "every untimed wait can be ended only by the waiting role's spawner",
-    ),
-    (
-        "conc-unbounded",
-        "every cross-thread channel declares a bound",
-    ),
-    (
-        "conc-coverage",
-        "concurrency declarations are referentially closed, spawns form a tree \
-         (runtime half: observed ⊆ declared)",
-    ),
 ];
 
 /// True iff `name` is a known pass name.
@@ -294,7 +260,7 @@ pub fn known_pass(name: &str) -> bool {
 impl LintReport {
     /// Restricts the findings to the selected passes: with a non-empty
     /// `only`, keep only those codes; then drop every code in `skip`.
-    /// Summary sections (overlap matrices, conc summaries, …) are kept —
+    /// Summary sections (overlap matrices, codec reads, …) are kept —
     /// the filter gates pass *verdicts*, not the audit data.
     pub fn retain_passes(&mut self, only: &[String], skip: &[String]) {
         self.findings.retain(|f| {
@@ -304,14 +270,8 @@ impl LintReport {
     }
 }
 
-/// The shipped concurrency models: the cluster data plane and the
-/// (single-threaded) message-passing simulator.
-pub fn default_conc_models() -> Vec<ConcModel> {
-    vec![ssmfp_mp::conc_model(), ssmfp_cluster::conc::default_model()]
-}
-
-/// Runs every analysis over `decls` and `models`.
-pub fn analyze_with_conc(decls: &[RuleDecl], models: &[ConcModel]) -> LintReport {
+/// Runs every analysis over `decls`.
+pub fn analyze(decls: &[RuleDecl]) -> LintReport {
     let mut report = LintReport::default();
     lint_non_local_writes(decls, &mut report);
     lint_ownership(decls, &mut report);
@@ -321,18 +281,10 @@ pub fn analyze_with_conc(decls: &[RuleDecl], models: &[ConcModel]) -> LintReport
     lint_codec(decls, &codec_footprint(), &mut report);
     lint_fault_domains(decls, &mut report);
     lint_wire_coverage(&default_wire_surface(), &mut report);
-    for model in models {
-        conc::lint_conc_model(model, &mut report);
-    }
     report
         .findings
         .sort_by_key(|f| (f.severity == Severity::Warning) as u8);
     report
-}
-
-/// Runs every analysis over `decls`, with the shipped concurrency models.
-pub fn analyze(decls: &[RuleDecl]) -> LintReport {
-    analyze_with_conc(decls, &default_conc_models())
 }
 
 /// Convenience: analyze the shipped declarations.
@@ -769,26 +721,11 @@ pub fn to_json(report: &LintReport) -> String {
         let items: Vec<String> = list.iter().map(|v| json_string(v)).collect();
         items.join(",")
     };
-    let conc_items: Vec<String> = report
-        .conc
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"component\":{},\"threads\":{},\"channels\":{},\
-                 \"edges\":{},\"untimed_edges\":{}}}",
-                json_string(&c.component),
-                c.threads,
-                c.channels,
-                c.edges,
-                c.untimed_edges
-            )
-        })
-        .collect();
     format!(
         "{{\n  \"tool\": \"ssmfp-lint\",\n  \"violations\": {},\n  \"warnings\": {},\n  \
          \"guard_overlaps\": {},\n  \"same_dest_interference\": {},\n  \
          \"cross_dest_independent\": {},\n  \"codec_reads\": [{}],\n  \
-         \"fault_write_classes\": [{}],\n  \"wire_tags\": {},\n  \"conc\": [{}]\n}}",
+         \"fault_write_classes\": [{}],\n  \"wire_tags\": {}\n}}",
         findings(report.violations().collect()),
         findings(report.warnings().collect()),
         pairs(&report.guard_overlaps),
@@ -797,7 +734,6 @@ pub fn to_json(report: &LintReport) -> String {
         strings(&report.codec_reads),
         strings(&report.fault_write_classes),
         pairs(&report.wire_tags),
-        conc_items.join(","),
     )
 }
 

@@ -1,11 +1,11 @@
-//! `ssmfp-lint` — static rule-footprint and concurrency-model analyzer.
+//! `ssmfp-lint` — static rule-footprint analyzer.
 //!
 //! ```text
 //! cargo run -p ssmfp-lint            # JSON report on stdout, summary on stderr
 //! cargo run -p ssmfp-lint -- -D     # also fail (exit 1) on warnings
 //! cargo run -p ssmfp-lint -- --json report.json   # write the report to a file
 //! cargo run -p ssmfp-lint -- --list               # print the pass catalog
-//! cargo run -p ssmfp-lint -- --only conc-deadlock # gate on selected passes only
+//! cargo run -p ssmfp-lint -- --only ownership     # gate on selected passes only
 //! cargo run -p ssmfp-lint -- --skip guard-overlap # run all but the named passes
 //! ```
 //!
@@ -79,14 +79,12 @@ fn main() {
     }
     eprintln!(
         "ssmfp-lint: {} violation(s), {} warning(s); {} guard-overlap pair(s), \
-         {} same-destination interference edge(s), {} cross-destination independent pair(s), \
-         {} concurrency model(s)",
+         {} same-destination interference edge(s), {} cross-destination independent pair(s)",
         report.violations().count(),
         report.warnings().count(),
         report.guard_overlaps.len(),
         report.same_dest_interference.len(),
         report.cross_dest_independent.len(),
-        report.conc.len(),
     );
     std::process::exit(report.exit_code(deny_warnings));
 }

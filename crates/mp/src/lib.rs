@@ -35,12 +35,9 @@
 //! `(client, seq)` identity the audit can reconcile per client.
 
 pub mod clients;
-pub mod conc;
 pub mod net;
 pub mod port;
 pub mod suite;
-
-pub use conc::model as conc_model;
 
 pub use clients::{ack_ghost_of, client_ghost, decode_client_ghost, ClientParts};
 pub use net::{

@@ -9,25 +9,9 @@
 //! `evloop::Hub`: real sockets, `Route` multiplexing of several links on one
 //! stream, in-memory links inside a group, a stream cut and redialled.
 
-use crate::conc::{COMPONENT, DRIVER_ROLE};
 use crate::net::{ChannelFaults, MpConfig, Transport};
 use crate::port::{PortNetwork, WireMsg};
-use ssmfp_core::conc::{observed_threads, register_thread};
 use ssmfp_topology::{gen, Graph};
-
-/// Registers the caller as the declared driver thread and, in debug
-/// builds, asserts no undeclared `mp` role has been observed — the
-/// runtime half of the `conc-coverage` contract.
-fn assert_conc_coverage() {
-    register_thread(COMPONENT, DRIVER_ROLE);
-    if cfg!(debug_assertions) {
-        let undeclared = crate::conc::model().undeclared_observed(&observed_threads(COMPONENT));
-        assert!(
-            undeclared.is_empty(),
-            "threads outside the declared mp concurrency model: {undeclared:?}"
-        );
-    }
-}
 
 /// Outcome of one suite run, for reporting in callers' test output.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +66,6 @@ where
     T: Transport<WireMsg>,
     F: FnMut(&Graph) -> T,
 {
-    assert_conc_coverage();
     let mut outcome = SuiteOutcome::default();
     for seed in seeds {
         outcome.seeds += 1;
@@ -100,7 +83,6 @@ where
             drive(&mut net, &sends, 400_000, &mut outcome);
         }
     }
-    assert_conc_coverage();
     outcome
 }
 
@@ -114,7 +96,6 @@ where
     T: Transport<WireMsg>,
     F: FnMut(&Graph) -> T,
 {
-    assert_conc_coverage();
     let mut outcome = SuiteOutcome::default();
     for seed in seeds {
         outcome.seeds += 1;
@@ -133,7 +114,6 @@ where
             drive(&mut net, &sends, 800_000, &mut outcome);
         }
     }
-    assert_conc_coverage();
     outcome
 }
 
