@@ -470,6 +470,32 @@ impl ReportFold {
     }
 }
 
+/// Hands `each` the control lines that freshly read `bytes` complete, as
+/// bytes (trailing ASCII whitespace trimmed; empty lines dropped) — both
+/// ends of every control pipe read through this. `acc` holds the
+/// unfinished line between calls, so each byte is scanned once, and a line
+/// that arrives whole is read where it lies, in `bytes`.
+pub(crate) fn take_lines(acc: &mut Vec<u8>, bytes: &[u8], mut each: impl FnMut(&[u8])) {
+    let mut push = |line: &[u8]| {
+        let line = line.trim_ascii_end();
+        if !line.is_empty() {
+            each(line);
+        }
+    };
+    let mut rest = bytes;
+    while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+        if acc.is_empty() {
+            push(&rest[..nl]);
+        } else {
+            acc.extend_from_slice(&rest[..nl]);
+            push(acc);
+            acc.clear();
+        }
+        rest = &rest[nl + 1..];
+    }
+    acc.extend_from_slice(rest);
+}
+
 /// `line` as an error message shows it: quoted, cut at 64 bytes.
 pub(crate) fn shown(line: &[u8]) -> String {
     const SHOWN: usize = 64;
@@ -1159,5 +1185,32 @@ pub(crate) mod tests {
         assert_eq!(back.client_fair.count(), r.client_fair.count());
         assert_eq!(back.clients, 2);
         assert_eq!(back.clients_completed, 3);
+    }
+
+    /// A 1 MB line read 4 KB at a time comes out once, whole, on the read
+    /// that completes it; blank lines are dropped and trailing whitespace
+    /// trimmed, whichever read they straddle.
+    #[test]
+    fn take_lines_reassembles_a_long_line_across_reads() {
+        let long: String = (0..1 << 20)
+            .map(|i| (b'a' + (i % 26) as u8) as char)
+            .collect();
+        let stream = format!("first \r\n\n  \n{long}  \nlast\npart");
+        let mut acc = Vec::new();
+        let mut lines = Vec::new();
+        for chunk in stream.as_bytes().chunks(4096) {
+            take_lines(&mut acc, chunk, |l| {
+                lines.push(String::from_utf8_lossy(l).into_owned())
+            });
+        }
+        assert_eq!(lines.len(), 3);
+        assert_eq!(lines[0], "first");
+        assert!(lines[1] == long, "the long line came out changed");
+        assert_eq!(lines[2], "last");
+        assert_eq!(acc, b"part", "the unfinished line waits for its newline");
+        let mut last = Vec::new();
+        take_lines(&mut acc, b"ial \n", |l| last.push(l.to_vec()));
+        assert_eq!(last, [b"partial"]);
+        assert!(acc.is_empty());
     }
 }

@@ -18,24 +18,31 @@
 //!   clients per run, each a ~56-byte session stamping its sends with a
 //!   `(client, seq)` identity the shutdown reconcile audits per client
 //!   (exactly-once *and* FIFO), with fairness-spread telemetry.
-//! * [`evloop`] — a data thread's I/O machinery: [`evloop::Poller`], the
-//!   persistent `epoll` set and the crate's one readiness wait, coalescing
-//!   write buffers (zero-realloc hot path), and `evloop::Hub`,
-//!   the links of one group of nodes — in memory between two members,
-//!   else one listener and one simplex stream per destination address,
-//!   `Route` frames saying which link a run crossed — with heartbeat and
+//! * `poller` — the crate's hand-declared syscalls: `Poller` (re-exported
+//!   as [`evloop::Poller`]), the persistent `epoll` set and the crate's
+//!   one readiness wait; the group's clock (`CLOCK_MONOTONIC` µs); the
+//!   fd-limit raise.
+//! * [`evloop`] — the links of a node group (`evloop::Hub`): in memory
+//!   between two members, else one listener and one simplex stream per
+//!   destination address, `Route` frames saying which link a run crossed,
+//!   coalescing write buffers (zero-realloc hot path), heartbeat and
 //!   reconnect deadlines per stream.
-//! * [`node`] — one node = **one resumable task**, one shard = one group
-//!   = one thread = one control endpoint: a turn of `run_group` flushes
-//!   each of the group's streams once, waits once, reads each ready
-//!   stream and the group's one control pipe once and steps only the
-//!   nodes with frames or a passed deadline — forwarder and workload; the
-//!   control state and routing trees are the group's — and [`node_main`]
-//!   (one process per shard) is that loop over the shard's nodes.
+//! * [`node`] — one node as a pure event handler: `Node::on` takes the
+//!   frames that arrived and the instant, runs chaos shim, forwarder and
+//!   traffic source, and hands back the frames it sends and its next
+//!   deadline — no socket, no thread.
+//! * `group` — one shard = one node group = one thread = one control
+//!   endpoint, and the only driver of `Node::on` in a run: a turn flushes
+//!   each of the group's streams once, waits once, reads each ready stream
+//!   and the group's one control pipe once and steps only the members
+//!   with frames or a passed deadline; the control state and routing
+//!   trees are the group's; [`node_main`] (one process per shard) is that
+//!   loop over the shard's nodes.
 //! * [`codec`] — the lines a group writes up its control pipe: its
 //!   `status`, its members' ledger deltas that ride behind every status
 //!   line, and their `report … end` blocks at `stop` — written and read as
-//!   bytes, by one line folder; and a worker process's argv.
+//!   bytes, by one line folder, and split into lines by `take_lines`,
+//!   which both ends of a pipe read through; and a worker process's argv.
 //! * [`scenario`] — what a run is: one [`Scenario`], one parser per run
 //!   flag, one text form that replays it, and the [`ClusterSpec`] it is.
 //! * [`orchestrator`] — the one-level control tree: the root launches K
@@ -56,8 +63,10 @@ pub mod clients;
 pub mod codec;
 pub mod evloop;
 pub mod frame;
+mod group;
 pub mod node;
 pub mod orchestrator;
+mod poller;
 pub mod scenario;
 mod shard;
 pub mod telemetry;
@@ -68,7 +77,8 @@ pub mod workload;
 pub use chaos::{ChaosSpec, PartitionSpec};
 pub use clients::{ClientMutation, ClientMux, ClientSpec};
 pub use codec::{node_args, parse_chaos, parse_node_args};
-pub use node::{node_main, ListenSpec, NodeReport, Run, Status};
+pub use group::node_main;
+pub use node::{ListenSpec, NodeReport, Run, Status};
 pub use orchestrator::{
     pick_partition, run_cluster, shard_ranges, ClusterSpec, Detection, LedgerFlow, Phases, RunMode,
     RunReport, ShardSummary,

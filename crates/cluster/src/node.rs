@@ -1,122 +1,45 @@
-//! One SSMFP node as a resumable task: the forwarder from `crates/mp`
-//! driven by real sockets instead of the simulated scheduler, on the one
-//! thread it shares with the other nodes of its shard.
-//!
-//! ## Connection model
-//!
-//! A link is a logical FIFO channel, not a kernel connection, and the
-//! links belong to the *group* — the nodes that share a thread
-//! (`crate::evloop::Hub`). One between two members is in memory: a send
-//! pushes the frame into the receiver's inbox, bounded per link. Only the
-//! links that leave the group touch a socket, by one rule: **same
-//! address, same stream**. A group with a neighbour outside binds one
-//! listener, reports that address as every member's in its `ready` line,
-//! and keeps one simplex stream per distinct address among its
-//! members' outside neighbours. The dialling side only writes, the
-//! accepting side only reads, and a `WireFrame::Route { src, dst }` in the
-//! byte stream says which directed edge the frames after it crossed; a
-//! reader hangs up on a stream that names an edge that does not cross into
-//! its group. So a shard has no socket for its inner edges, two shards
-//! that share an edge have one stream each way, and a shard of one node
-//! (`--shards n`) has one per directed edge, by the same rule and code.
-//! Reconnection stays trivially safe: a lost stream loses its in-flight
-//! frames on every link it carried (wire drops), which the protocol's
-//! retransmission already tolerates, and the dialler re-establishes with
-//! exponential backoff plus jitter and opens with a `Route`.
-//!
-//! ## One thread per shard
+//! One SSMFP node as a pure event handler: the forwarder from
+//! `crates/mp`, its traffic source, the inbound chaos shim of every link
+//! and its counters, stepped by `Node::on` with no socket, no readiness
+//! set and no thread of its own.
 //!
 //! The paper's model is guarded commands under a daemon: which *enabled*
 //! processor moves next is the scheduler's choice, and SP holds under
-//! every choice. So a node is not a thread but a `Node` — engine, chaos
-//! shim, counters — with `prepare` (its nearest deadline), `step` (the
-//! frames in its inbox → chaos → `on_message`, one engine turn, outbox →
-//! the group's links) and `finish` (report). A `Group` is the daemon: it
-//! holds what its members share — the graph and one BFS tree per
-//! destination, built once at bring-up, the links, the one control pipe
-//! (down from the root and back up to it) and the one copy of the control
-//! state — and its one
-//! `turn` is the only copy of the iteration: read the group's clock (µs
-//! of `CLOCK_MONOTONIC` in a run, a hand-set value in a test), flush each
-//! stream **once**, take the group's status cut if a member moved,
-//! prepare the nodes that stepped last turn, one wait on the thread's
-//! persistent `epoll` set ([`crate::evloop::Poller`]) to the nearest
-//! deadline of any node or stream or the status keep-alive — zero while
-//! an inbox holds frames — read the clock again, one dispatch for the
-//! group (accept, read each ready stream, demultiplex by `Route` into the
-//! members' inboxes by local port, retry blocked writes), the control
-//! lines if the pipe is ready, then step, in slot order, the nodes that
-//! have frames or a passed deadline — the enabled ones — and nobody else.
-//! A turn costs one `write` and one `read` per stream that has something,
-//! however many links and members its bytes belong to, and what is
-//! registered costs nothing: the control pipe and the listener go into
-//! the set when the group comes up, a connection when `accept` returns
-//! it, an out-stream only while a full socket holds its bytes back.
-//! `run_group` loops on `turn`, once per shard: on the shard's
-//! `node.main` thread in `RunMode::Inproc`, and as [`node_main`], the
-//! shard's `--node-worker` process, in `RunMode::Proc`. A frame between
-//! two nodes of a group never touches the kernel: a receiver later in the
-//! slot order steps in the same turn, an earlier one in the next. There is
-//! no writer thread, no control-reader thread — frames and control lines
-//! surface in plain vectors the group drains, and outbound frames go to a
-//! stream's coalescing buffer or a thread-mate's inbox in the same stack
-//! frame that produced them.
+//! every choice. A timeout is one more scheduler event. So the node does
+//! not choose when it moves: it is handed the frames that arrived on its
+//! links, by local port, and the instant, and it hands back the frames it
+//! sends and the deadline at which it next has something to do with no
+//! frame arriving first. Whoever holds the node is its daemon. In a run
+//! that is the node group (`crate::group`): it reads the members'
+//! links, steps exactly the members that have frames or a passed
+//! deadline, and puts what each step sent on the links before the next
+//! member steps. In a test it is a loop over in-memory inboxes, in any
+//! order the test likes.
 //!
-//! The protocol iteration itself is *event-driven*, and a node is never
-//! left waiting while one of its own rules is enabled
-//! ([`MpForwarder::locally_enabled`], asserted at the end of every
-//! turn). Each `step` runs `on_message` for what arrived, then
-//! `on_timeout` if anything arrived, then the deliveries that produced —
-//! acks out, windows closed — then the workload; every send is followed by
-//! `advance(dest)`. So a primary, an ack and the next stop-and-wait primary
-//! are on the wire in the iteration that enabled them, and latency tracks
-//! socket readiness end to end — source, every hop and sink — not the
-//! tick. The tick is loss recovery: it runs only while a handshake is open
-//! ([`MpForwarder::timers_pending`]; a busy downstream slot answers when
-//! it frees, nobody polls it), and a group in which no node has anything
-//! to retransmit blocks until a frame, the next open-loop arrival or the
-//! group's status keep-alive — and then moves only the node that is
-//! about. Correctness
-//! is schedule-independent (the simulated suite drives the same forwarder
-//! under an adversarial scheduler), so running enabled rules at once — and
-//! in whatever order the group's nodes happen to sit — is safe by
-//! construction.
+//! One step runs, in order: the inbound frames through the link's chaos
+//! shim into `on_message`; `on_timeout` if anything arrived or the tick
+//! passed while a retransmission timer runs; the deliveries that
+//! produced — latency, acks out, windows closed; then the traffic source.
+//! Every send is followed by `advance(dest)`, so a node never waits while
+//! one of its own rules is enabled ([`MpForwarder::locally_enabled`],
+//! asserted at the end of every step in debug builds): a primary, an ack
+//! and the next stop-and-wait primary are on the wire in the step that
+//! enabled them, and latency tracks the links end to end, not the tick.
+//! The tick is loss recovery: it is a deadline only while a handshake is
+//! open ([`MpForwarder::timers_pending`]; a busy downstream slot answers
+//! when it frees, nobody polls it), and a node with nothing to retransmit
+//! and nothing scheduled has no deadline at all.
 //!
-//! ## Control protocol
-//!
-//! Line-based, over one socketpair — the data thread's end inproc, fd 0
-//! of a `--node-worker` process — whose other end the root holds, writes
-//! down and reads:
-//! * group → root: `ready <addr>`, once for all its members
-//! * root → group: `peers <addr_0> … <addr_{n-1}>`, then `start`
-//! * group → root: `status <wave> <nodes> <done> <generated> <delivered>
-//!   <held> <busy>` ([`Status`]) — a cut of all its members at one
-//!   instant, written the turn the cut goes quiet or changes while quiet,
-//!   once per probe wave, and otherwise once per `status_every`; the
-//!   root hands each to its stop rule as it reads it
-//! * group → root, in the same write behind every status line: for each
-//!   member with ledger entries since the last one, a `node <id>` head,
-//!   then a `gen …` and a `del …` line (`crate::codec::push_delta`),
-//!   after which the member lets them go: the ledger leaves while the
-//!   run runs
-//! * root → group: `probe <wave>` — the root's second wave; the group
-//!   answers it once, with a cut taken after it read the probe
-//! * root → group: `stop`; or, when the run failed elsewhere, the pipe
-//!   shut down: a started group then shuts its hub down and ends,
-//!   writing nothing
-//! * group → root: for each member a multi-line `report <id> … end`
-//!   block whose `gen` and `del` carry only the entries no status line
-//!   did, then the group closes the pipe
-//! * group → root, instead, when anything fails — a member, the group's
-//!   sockets or wait, a control line it cannot read: one `error <node>
-//!   <message>` line, then the group closes the pipe.
-//!
-//! Every line a group writes but `error` is [`crate::codec`]'s.
+//! Nothing here reads a clock but the payload stamps: a step is handed the
+//! daemon's reading, µs on the group's one clock, for the tick and the
+//! deadlines, and the clock itself, which it reads where a message is
+//! delivered and where the source issues, so a stamp is the instant the
+//! message entered or left the protocol.
 
 use crate::chaos::{ChaosSpec, InboundChaos};
 use crate::clients::{ClientMux, ClientSpec};
-use crate::codec::{push_delta, report_block, shown};
-use crate::evloop::{monotonic_us, Control, Hub, IoStats, Poller, CTRL, HUB};
+use crate::codec::{push_delta, report_block};
+use crate::evloop::IoStats;
 use crate::frame::{frame_to_msg, msg_to_frame, msg_to_frame_client};
 use crate::telemetry::{LogHistogram, NodeCounters};
 use crate::tuning::TUNING;
@@ -126,12 +49,7 @@ use crate::workload::{
 use ssmfp_core::wire::WireFrame;
 use ssmfp_mp::{ack_ghost_of, decode_client_ghost, MpForwarder, MpGhost, MpNode, Outbox, WireMsg};
 use ssmfp_topology::{BfsTree, Graph, NodeId};
-use std::io;
-use std::ops::Range;
-use std::os::unix::io::{FromRawFd, RawFd};
-use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::time::Duration;
 
 pub use crate::codec::{parse_report_body, write_report, NodeReport, Status};
 
@@ -169,181 +87,122 @@ pub struct Run {
 
 /// The protocol tick, µs: how often a retransmission timer that runs is
 /// looked at.
-const TICK_US: u64 = TUNING.tick_ms * 1_000;
+pub(crate) const TICK_US: u64 = TUNING.tick_ms * 1_000;
 
-/// The protocol side of a node — forwarder (its audit lists with it),
-/// traffic source, sink latency — apart from its sockets, so a test can
-/// drive the node's iteration over in-memory links.
-struct Engine {
-    p: NodeId,
-    n: usize,
-    fwd: MpForwarder,
-    gen: WorkloadGen,
-    mux: Option<ClientMux>,
-    out: Outbox<WireMsg>,
-    /// Drained scratch each turn swaps with `fwd.delivered_msgs`.
-    deliveries: Vec<(MpGhost, u64)>,
-    latency: LogHistogram,
+/// A node's one traffic source: the node-level generator, or in client
+/// mode the client multiplexer in its place.
+pub(crate) enum Source {
+    Gen(WorkloadGen),
+    Mux(ClientMux),
 }
 
-impl Engine {
-    fn new(run: &Run, p: NodeId, next_hop: Vec<NodeId>) -> Self {
+impl Source {
+    /// When the source next has something to send with no ack arriving
+    /// first, µs. Only a source with an arrival schedule — an open loop
+    /// still issuing, a client mux — has a deadline: a closed loop's
+    /// window opens on an ack, an event. A mux that ran out of send budget
+    /// is due at once.
+    fn next_due_us(&self, now: u64) -> Option<u64> {
+        match self {
+            Source::Gen(gen) => gen.next_due_us(now),
+            Source::Mux(mux) => mux.next_due_us(now),
+        }
+    }
+
+    fn done_issuing(&self) -> bool {
+        match self {
+            Source::Gen(gen) => gen.done_issuing(),
+            Source::Mux(mux) => mux.done_issuing(),
+        }
+    }
+}
+
+/// Every member's next hop to every destination, from one BFS tree per
+/// destination for all of `ids`: `tables[i][d]` is `ids[i]`'s parent in
+/// the tree rooted at `d`, and `ids[i]` itself at `d`.
+pub(crate) fn next_hops(graph: &Graph, ids: &[NodeId]) -> Vec<Vec<NodeId>> {
+    let mut tables = vec![Vec::with_capacity(graph.n()); ids.len()];
+    for d in 0..graph.n() {
+        let tree = BfsTree::new(graph, d);
+        for (table, &p) in tables.iter_mut().zip(ids) {
+            let hop = if p == d { Some(p) } else { tree.parent(p) };
+            table.push(hop.expect("connected topology"));
+        }
+    }
+    tables
+}
+
+/// Queues a send and runs its slot, so the `Offer` is in `outbox` now.
+fn send(
+    fwd: &mut MpForwarder,
+    outbox: &mut Outbox<WireMsg>,
+    dest: NodeId,
+    payload: u64,
+    ghost: MpGhost,
+) {
+    fwd.enqueue_send(dest, payload, ghost);
+    fwd.advance(dest, outbox);
+}
+
+/// One node: everything it keeps from one step to the next — forwarder
+/// (its audit lists with it), traffic source, chaos shims, sink latency,
+/// counters and the tick.
+pub(crate) struct Node {
+    pub(crate) p: NodeId,
+    n: usize,
+    pub(crate) fwd: MpForwarder,
+    pub(crate) source: Source,
+    /// The node's neighbours in local-port order.
+    pub(crate) neighbors: Vec<NodeId>,
+    /// Client-mode frames carry the `(client_id, client_seq)` wire stamp:
+    /// the source picks the encoder once, and the hot path has no branch.
+    encode: fn(&WireMsg) -> WireFrame,
+    /// What the forwarder sent this step, before it is encoded.
+    outbox: Outbox<WireMsg>,
+    /// Drained scratch each step swaps with `fwd.delivered_msgs`.
+    deliveries: Vec<(MpGhost, u64)>,
+    latency: LogHistogram,
+    /// The inbound chaos shim of every neighbour, by local port.
+    chaos: Vec<InboundChaos>,
+    pub(crate) counters: NodeCounters,
+    /// Whether a retransmission timer ran at the end of the last step.
+    pub(crate) ticking: bool,
+    /// The last timeout, or the last moment there was nothing to time
+    /// (`start` is the first), µs.
+    pub(crate) last_tick: u64,
+    /// Ledger entries generated and delivered that [`Node::ship`] wrote
+    /// and let go.
+    pub(crate) shipped: [u64; 2],
+}
+
+impl Node {
+    /// Node `p` of `run`, routing by `next_hop` (one entry a destination).
+    pub(crate) fn new(run: &Run, p: NodeId, next_hop: Vec<NodeId>) -> Self {
         let (graph, n) = (&run.graph, run.graph.n());
-        Engine {
+        let neighbors: Vec<NodeId> = graph.neighbors(p).to_vec();
+        let source = match &run.clients {
+            Some(spec) => Source::Mux(ClientMux::new(spec, p, n, run.seed)),
+            None => Source::Gen(WorkloadGen::new(run.workload, p, n, run.seed)),
+        };
+        Node {
             p,
             n,
             fwd: MpForwarder::new_static(
                 p,
                 n,
                 graph.max_degree() as u8,
-                graph.neighbors(p).to_vec(),
+                neighbors.clone(),
                 next_hop,
                 run.seed,
             ),
-            gen: WorkloadGen::new(run.workload, p, n, run.seed),
-            mux: run
-                .clients
-                .as_ref()
-                .map(|s| ClientMux::new(s, p, n, run.seed)),
-            out: Outbox::new(),
+            encode: match source {
+                Source::Gen(_) => msg_to_frame,
+                Source::Mux(_) => msg_to_frame_client,
+            },
+            source,
+            outbox: Outbox::new(),
             deliveries: Vec::new(),
             latency: LogHistogram::new(),
-        }
-    }
-
-    /// Queues a send and runs its slot, so the `Offer` is in `out` now.
-    fn send(&mut self, dest: NodeId, payload: u64, ghost: MpGhost) {
-        self.fwd.enqueue_send(dest, payload, ghost);
-        self.fwd.advance(dest, &mut self.out);
-    }
-
-    /// One iteration's protocol work, after its inbound frames went through
-    /// `fwd.on_message`: the timeout if `fire`, then what it delivered,
-    /// then new traffic. Whatever that enables leaves in `out`.
-    fn turn(&mut self, fire: bool, now_us: impl Fn() -> u64) {
-        // `on_timeout` runs every slot's rules after its retransmission
-        // timers, so what the inbound frames enabled — a confirmed copy to
-        // move on, a delivery at the sink — happens here, not a tick later.
-        if fire {
-            self.fwd.on_timeout(&mut self.out);
-        }
-
-        // New deliveries: record latency, issue acks, close windows.
-        let scratch = std::mem::take(&mut self.deliveries);
-        let mut deliveries = std::mem::replace(&mut self.fwd.delivered_msgs, scratch);
-        for (ghost, payload) in deliveries.drain(..) {
-            let now = now_us();
-            // A primary is answered with a real, audited SSMFP message. In
-            // client mode the ghost *is* the identity: acks credit their
-            // session, and the ack ghost is the primary's with the ack bit
-            // set — no per-client state here.
-            let answer = match self.mux.as_mut() {
-                Some(mux) => match decode_client_ghost(ghost) {
-                    Some(parts) if parts.ack => {
-                        mux.on_ack(parts, now);
-                        None
-                    }
-                    Some(parts) => Some((parts.node, ack_ghost_of(ghost))),
-                    None => None, // initial-configuration garbage: audited, not answered
-                },
-                None if is_ack(payload) => {
-                    self.gen.on_ack();
-                    None
-                }
-                None => Some((ghost_src(ghost), self.gen.next_ack_ghost())),
-            };
-            if let Some((src, ack_ghost)) = answer {
-                self.latency
-                    .record(now.wrapping_sub(stamp_of(payload)) & STAMP_MASK);
-                if src < self.n && src != self.p {
-                    self.send(src, ack_payload(now), ack_ghost);
-                }
-            }
-        }
-        self.deliveries = deliveries;
-
-        // Workload, after the acks that may have opened its window: the
-        // client mux replaces the node-level generator in client mode. The
-        // budget bounds time away from the socket pump; the mux's
-        // round-robin ready queue keeps the cut fair.
-        let now = now_us();
-        if self.mux.is_some() {
-            for _ in 0..TUNING.client_send_budget {
-                let Some(issue) = self.mux.as_mut().and_then(|m| m.next(now)) else {
-                    break;
-                };
-                self.send(issue.dest, issue.payload, issue.ghost);
-            }
-        } else {
-            while let Some(issue) = self.gen.poll(now) {
-                self.send(issue.dest, issue.payload, issue.ghost);
-            }
-        }
-        debug_assert!(!self.fwd.locally_enabled());
-        // …and nothing but a frame, an arrival or a running timer can move
-        // it: without the tick the node sleeps only on an empty forwarder.
-        debug_assert!(self.fwd.timers_pending() || self.fwd.is_idle());
-    }
-
-    /// When the traffic source next has something to send with no ack
-    /// arriving first, µs. Only a source with an arrival schedule — an
-    /// open loop still issuing, a client mux — has a deadline: a closed
-    /// loop's window opens on an ack, an event.
-    fn next_due_us(&self, now: u64) -> Option<u64> {
-        match &self.mux {
-            Some(mux) => mux.next_due_us(now),
-            None => self.gen.next_due_us(now),
-        }
-    }
-
-    fn done_issuing(&self) -> bool {
-        self.mux
-            .as_ref()
-            .map_or_else(|| self.gen.done_issuing(), |m| m.done_issuing())
-    }
-}
-
-/// One node as a resumable task: everything it keeps between two turns of
-/// the thread that carries it — engine, chaos shims, counters. Its links
-/// are the group's ([`Hub`]), and so are its control pipe and control
-/// state ([`Group`]): it is handed the frames that arrived on its links
-/// and hands back the frames it sends. The group is the daemon — it picks
-/// when each node moves; no rule here depends on that choice. Nothing in
-/// here reads a clock either: `prepare` and `step` are handed the turn's
-/// reading, µs on the group's clock, and `step` the clock itself, which
-/// [`Engine::turn`] reads for the payload stamps where a message is
-/// enqueued or delivered.
-struct Node {
-    eng: Engine,
-    /// The node's neighbours in local-port order.
-    neighbors: Vec<NodeId>,
-    /// Client-mode frames carry the `(client_id, client_seq)` wire stamp;
-    /// picking the encoder once keeps the hot path branch-free.
-    encode: fn(&WireMsg) -> WireFrame,
-    /// The inbound chaos shim of every neighbour, by local port.
-    chaos: Vec<InboundChaos>,
-    counters: NodeCounters,
-    /// Whether a retransmission timer ran when `prepare` looked.
-    ticking: bool,
-    /// The last timeout, or the last moment there was nothing to time
-    /// (`start` is the first), µs.
-    last_tick: u64,
-    /// Ledger entries generated and delivered that [`Node::ship`] wrote
-    /// and let go.
-    shipped: [u64; 2],
-}
-
-impl Node {
-    fn new(run: &Run, p: NodeId, next_hop: Vec<NodeId>) -> Self {
-        let neighbors: Vec<NodeId> = run.graph.neighbors(p).to_vec();
-        let eng = Engine::new(run, p, next_hop);
-        Node {
-            encode: if eng.mux.is_some() {
-                msg_to_frame_client
-            } else {
-                msg_to_frame
-            },
-            eng,
             chaos: neighbors
                 .iter()
                 .map(|&q| InboundChaos::new(&run.chaos, q, p))
@@ -356,65 +215,31 @@ impl Node {
         }
     }
 
-    /// Messages generated and delivered here so far, shipped or not.
-    fn totals(&self) -> [u64; 2] {
-        let fwd = &self.eng.fwd;
-        [
-            self.shipped[0] + fwd.generated.len() as u64,
-            self.shipped[1] + fwd.delivered.len() as u64,
-        ]
-    }
-
-    /// Behind a status line of its group: appends the ledger entries
-    /// recorded since the last call to `out` as one delta
-    /// ([`push_delta`]), then lets them go, keeping the lists' capacity. A
-    /// node with nothing new appends nothing.
-    fn ship(&mut self, out: &mut Vec<u8>) {
-        let fwd = &mut self.eng.fwd;
-        if fwd.generated.is_empty() && fwd.delivered.is_empty() {
-            return;
-        }
-        push_delta(out, self.eng.p, &fwd.generated, &fwd.delivered);
-        self.shipped[0] += fwd.generated.len() as u64;
-        self.shipped[1] += fwd.delivered.len() as u64;
-        fwd.generated.clear();
-        fwd.delivered.clear();
-    }
-
-    /// Before the wait, after a turn in which the node moved: the node's
-    /// deadline, if it has one — the nearer of the next open-loop arrival
-    /// and, only while a retransmission timer runs, the protocol tick. A
-    /// node with nothing to retransmit and nothing scheduled has no
-    /// standing wake-up, and until the deadline passes or a frame arrives,
-    /// stepping it would change nothing. (What it sent sits in an inbox or
-    /// a stream buffer; [`Hub::prepare`] flushes the buffers. Its status is
-    /// the group's, [`Group::status`].)
-    fn prepare(&mut self, now: u64) -> Option<u64> {
-        self.ticking = self.eng.fwd.timers_pending();
-        let tick = self.ticking.then(|| self.last_tick + TICK_US);
-        // A mux that ran out of budget is due at once.
-        tick.into_iter().chain(self.eng.next_due_us(now)).min()
-    }
-
-    /// After the wait, for member `index` of a started group that has
-    /// frames in its [`Hub::inbound`] or whose deadline has passed at
-    /// `now`: one protocol iteration, leaving what it sends in inboxes or
-    /// in stream buffers for the next [`Hub::prepare`] to flush (same
-    /// stack, no queue, no wake). `clock` is the group's, read for the
-    /// payload stamps.
-    fn step(
+    /// One step at `now`, µs on the daemon's clock: `inbound` are the
+    /// frames that arrived since the last step, by local port. They go
+    /// through the chaos shim into `on_message`; then the timeout if
+    /// anything arrived or, while a retransmission timer runs, the tick
+    /// passed; then what that delivered; then the traffic source. What the
+    /// step sends is appended to `out` as `(neighbour, frame)`, in send
+    /// order, for the caller to put on the links before any other node
+    /// steps. `clock` is read for the payload stamps, where a message is
+    /// delivered and where the source issues. Returns the node's next
+    /// deadline: the nearer of the tick, only while a timer runs, and the
+    /// source's next arrival. With no frame and no passed deadline, a step
+    /// would change nothing.
+    // Inlined into the group's turn, its one caller in a run: out of
+    // line, the step cost line5_stopwait ~4 % of its throughput.
+    #[inline]
+    pub(crate) fn on(
         &mut self,
-        index: usize,
+        inbound: impl IntoIterator<Item = (usize, WireFrame)>,
         now: u64,
         clock: fn() -> u64,
-        hub: &mut Hub,
-        poller: &Poller,
-    ) -> io::Result<()> {
+        out: &mut Vec<(NodeId, WireFrame)>,
+    ) -> Option<u64> {
         // Did anything arrive? Drives the event-driven timeout below.
         let mut worked = false;
-
-        // Inbound, by local port already, through the chaos shim.
-        for (port, frame) in hub.drain_inbound(index) {
+        for (port, frame) in inbound {
             self.counters.frames_received += 1;
             self.chaos[port].push(frame);
             worked = true;
@@ -422,38 +247,136 @@ impl Node {
         for (port, c) in self.chaos.iter_mut().enumerate() {
             while let Some(frame) = c.poll() {
                 if let Some(msg) = frame_to_msg(&frame) {
-                    self.eng
-                        .fwd
-                        .on_message(self.neighbors[port], msg, &mut self.eng.out);
+                    self.fwd
+                        .on_message(self.neighbors[port], msg, &mut self.outbox);
                     worked = true;
                 }
             }
         }
 
-        // Protocol timeout — event-driven, tick-bounded: after every
-        // iteration that received something, and at tick granularity while
-        // a timer runs so retransmission never starves — then deliveries,
-        // then the workload. The tick counts from the last timeout or the
-        // last moment there was nothing to time. The adversarial-scheduler
-        // suite proves correctness at any firing schedule.
+        // Protocol timeout — event-driven, tick-bounded: after every step
+        // that received something, and at tick granularity while a timer
+        // runs so retransmission never starves. The tick counts from the
+        // last timeout or the last moment there was nothing to time. The
+        // adversarial-scheduler suite proves correctness at any firing
+        // schedule. `on_timeout` runs every slot's rules after its
+        // retransmission timers, so what the inbound frames enabled — a
+        // confirmed copy to move on, a delivery at the sink — happens here,
+        // not a tick later.
         let fire = worked || (self.ticking && now.saturating_sub(self.last_tick) >= TICK_US);
         if fire || !self.ticking {
             self.last_tick = now;
         }
-        self.eng.turn(fire, clock);
-
-        for (to, msg) in self.eng.out.drain() {
-            self.counters.frames_sent += 1;
-            hub.send(index, to, &(self.encode)(&msg), now, poller)?;
+        if fire {
+            self.fwd.on_timeout(&mut self.outbox);
         }
-        Ok(())
+
+        // New deliveries: record latency, issue acks, close windows.
+        let scratch = std::mem::take(&mut self.deliveries);
+        let mut deliveries = std::mem::replace(&mut self.fwd.delivered_msgs, scratch);
+        for (ghost, payload) in deliveries.drain(..) {
+            let now = clock();
+            // A primary is answered with a real, audited SSMFP message. In
+            // client mode the ghost *is* the identity: acks credit their
+            // session, and the ack ghost is the primary's with the ack bit
+            // set — no per-client state here.
+            let answer = match &mut self.source {
+                Source::Mux(mux) => match decode_client_ghost(ghost) {
+                    Some(parts) if parts.ack => {
+                        mux.on_ack(parts, now);
+                        None
+                    }
+                    Some(parts) => Some((parts.node, ack_ghost_of(ghost))),
+                    None => None, // initial-configuration garbage: audited, not answered
+                },
+                Source::Gen(gen) if is_ack(payload) => {
+                    gen.on_ack();
+                    None
+                }
+                Source::Gen(gen) => Some((ghost_src(ghost), gen.next_ack_ghost())),
+            };
+            if let Some((src, ack_ghost)) = answer {
+                self.latency
+                    .record(now.wrapping_sub(stamp_of(payload)) & STAMP_MASK);
+                if src < self.n && src != self.p {
+                    send(
+                        &mut self.fwd,
+                        &mut self.outbox,
+                        src,
+                        ack_payload(now),
+                        ack_ghost,
+                    );
+                }
+            }
+        }
+        self.deliveries = deliveries;
+
+        // The source, after the acks that may have opened its window. The
+        // mux's budget bounds time away from the links; its round-robin
+        // ready queue keeps the cut fair.
+        let now_us = clock();
+        let (fwd, outbox) = (&mut self.fwd, &mut self.outbox);
+        match &mut self.source {
+            Source::Gen(gen) => {
+                while let Some(i) = gen.poll(now_us) {
+                    send(fwd, outbox, i.dest, i.payload, i.ghost);
+                }
+            }
+            Source::Mux(mux) => {
+                for _ in 0..TUNING.client_send_budget {
+                    let Some(i) = mux.next(now_us) else { break };
+                    send(fwd, outbox, i.dest, i.payload, i.ghost);
+                }
+            }
+        }
+        debug_assert!(!self.fwd.locally_enabled());
+        // …and nothing but a frame, an arrival or a running timer can move
+        // it: without the tick the node sleeps only on an empty forwarder.
+        debug_assert!(self.fwd.timers_pending() || self.fwd.is_idle());
+
+        for (to, msg) in self.outbox.drain() {
+            self.counters.frames_sent += 1;
+            out.push((to, (self.encode)(&msg)));
+        }
+        self.ticking = self.fwd.timers_pending();
+        let tick = self.ticking.then(|| self.last_tick + TICK_US);
+        tick.into_iter().chain(self.source.next_due_us(now)).min()
+    }
+
+    /// Whether the source has issued its whole quota.
+    pub(crate) fn done_issuing(&self) -> bool {
+        self.source.done_issuing()
+    }
+
+    /// Messages generated and delivered here so far, shipped or not.
+    pub(crate) fn totals(&self) -> [u64; 2] {
+        [
+            self.shipped[0] + self.fwd.generated.len() as u64,
+            self.shipped[1] + self.fwd.delivered.len() as u64,
+        ]
+    }
+
+    /// Behind a status line of its group: appends the ledger entries
+    /// recorded since the last call to `out` as one delta
+    /// ([`push_delta`]), then lets them go, keeping the lists' capacity. A
+    /// node with nothing new appends nothing.
+    pub(crate) fn ship(&mut self, out: &mut Vec<u8>) {
+        let fwd = &mut self.fwd;
+        if fwd.generated.is_empty() && fwd.delivered.is_empty() {
+            return;
+        }
+        push_delta(out, self.p, &fwd.generated, &fwd.delivered);
+        self.shipped[0] += fwd.generated.len() as u64;
+        self.shipped[1] += fwd.delivered.len() as u64;
+        fwd.generated.clear();
+        fwd.delivered.clear();
     }
 
     /// Shutdown: aggregate counters, emit the report block, its `gen` and
     /// `del` only what no status line shipped. `io` is the group's socket
     /// accounting for its last member and zeros for the others — every
     /// cluster-wide sum over the reports stays a sum.
-    fn finish(self, io: IoStats) -> Vec<u8> {
+    pub(crate) fn finish(self, io: IoStats) -> Vec<u8> {
         let mut counters = self.counters;
         for c in &self.chaos {
             let (d, u, r) = c.fault_counts();
@@ -468,14 +391,16 @@ impl Node {
         counters.read_syscalls = io.read_syscalls;
         counters.conn_frames_dropped = io.conn_frames_dropped;
 
-        let eng = self.eng;
-        let mux = eng.mux.as_ref();
+        let mux = match &self.source {
+            Source::Mux(mux) => Some(mux),
+            Source::Gen(_) => None,
+        };
         report_block(&NodeReport {
-            node: eng.p,
-            held: eng.fwd.held_ghosts(),
-            generated: eng.fwd.generated,
-            delivered: eng.fwd.delivered,
-            latency: eng.latency,
+            node: self.p,
+            held: self.fwd.held_ghosts(),
+            generated: self.fwd.generated,
+            delivered: self.fwd.delivered,
+            latency: self.latency,
             batch: io.batch,
             counters,
             client_rtt: mux.map(|m| m.rtt().clone()).unwrap_or_default(),
@@ -486,394 +411,14 @@ impl Node {
     }
 }
 
-/// One member of a [`Group`].
-struct Slot {
-    node: Node,
-    /// The node's nearest deadline, µs, as its last `prepare` computed it.
-    deadline: Option<u64>,
-    /// Stepped last turn: its deadline is stale, so the next turn
-    /// prepares it first.
-    stepped: bool,
-    #[cfg(debug_assertions)]
-    audit: StepAudit,
-}
-
-/// Debug builds count a member's `step` calls and what paid for them:
-/// turns that had frames for it, and turns that found its deadline passed.
-#[cfg(debug_assertions)]
-#[derive(Default)]
-struct StepAudit {
-    steps: u64,
-    events_seen: u64,
-    deadlines_due: u64,
-}
-
-/// Every member's next hop to every destination, from one BFS tree per
-/// destination for the whole group: `tables[i][d]` is `ids[i]`'s parent
-/// in the tree rooted at `d`, and `ids[i]` itself at `d`.
-fn next_hops(graph: &Graph, ids: &[NodeId]) -> Vec<Vec<NodeId>> {
-    let mut tables = vec![Vec::with_capacity(graph.n()); ids.len()];
-    for d in 0..graph.n() {
-        let tree = BfsTree::new(graph, d);
-        for (table, &p) in tables.iter_mut().zip(ids) {
-            let hop = if p == d { Some(p) } else { tree.parent(p) };
-            table.push(hop.expect("connected topology"));
-        }
-    }
-    tables
-}
-
-/// The nodes that share one data thread, and the paper's daemon over
-/// them: one persistent [`Poller`], one [`Hub`] holding the links of them
-/// all, one control pipe and one copy of the control state,
-/// one status line for them all, and per member a deadline. [`Group::turn`]
-/// is the only copy of the iteration — [`run_group`] loops on it.
-struct Group {
-    /// µs on the group's one time base: every deadline, every `now` and
-    /// every payload stamp of its members.
-    clock: fn() -> u64,
-    poller: Poller,
-    hub: Hub,
-    ctrl: Control,
-    /// The member an error of the whole group is charged to: the first.
-    lead: NodeId,
-    /// Cluster size: the arity of the `peers` line.
-    n: usize,
-    slots: Vec<Slot>,
-    /// This turn's `(fd, events)` of the hub's fds (recycled).
-    hub_events: Vec<(RawFd, i16)>,
-    // Control state: `peers`, then `start`; a `probe` any time after.
-    peers_wired: bool,
-    started: bool,
-    /// The highest `probe` wave read.
-    probe: u64,
-    /// A member stepped since the group last looked at its cut.
-    moved: bool,
-    /// The last status line the group wrote.
-    pushed: Option<Status>,
-    /// When the next keep-alive line is due, µs: the first at `start`.
-    keepalive: u64,
-    /// The bytes of the next status line and its ledger deltas (recycled).
-    line: Vec<u8>,
-}
-
-impl Group {
-    /// Creates the thread's `Poller`, registers the control pipe, builds
-    /// one BFS tree per destination over the run's graph, binds the
-    /// group's one listener — per the run's `listen`, named after the
-    /// first member, if a member has a neighbour outside to dial it —
-    /// seats every member of `ids`, and writes `ready <addr>` up the pipe.
-    /// A failure after the pipe is registered goes up it as an `error`
-    /// line. `clock` is the group's time base, [`monotonic_us`] in a run.
-    fn new(run: &Run, ids: Vec<NodeId>, pipe: UnixStream, clock: fn() -> u64) -> io::Result<Self> {
-        let lead = *ids.first().ok_or_else(|| io::Error::other("no nodes"))?;
-        let poller = Poller::new()?;
-        let mut ctrl = Control::new(pipe, &poller)?;
-        let io_seed = run.seed ^ ((lead as u64) << 32).wrapping_mul(0xDEAD_BEEF_1234_5677);
-        let crosses = |(a, b): &(NodeId, NodeId)| ids.contains(a) != ids.contains(b);
-        let listen = run.graph.edges().iter().any(crosses).then_some(&run.listen);
-        let mut hub =
-            Hub::new(listen, lead, ids.len(), io_seed, &poller).map_err(|e| ctrl.fail(lead, e))?;
-        let tables = next_hops(&run.graph, &ids);
-        let slots: Vec<Slot> = ids
-            .iter()
-            .zip(tables)
-            .enumerate()
-            .map(|(i, (&p, table))| {
-                let node = Node::new(run, p, table);
-                hub.join(i, p, node.neighbors.clone());
-                Slot {
-                    node,
-                    deadline: None,
-                    stepped: true,
-                    #[cfg(debug_assertions)]
-                    audit: StepAudit::default(),
-                }
-            })
-            .collect();
-        ctrl.write_line(format!("ready {}\n", hub.addr()).as_bytes())?;
-        Ok(Group {
-            clock,
-            poller,
-            hub,
-            ctrl,
-            lead,
-            n: run.graph.n(),
-            slots,
-            hub_events: Vec::new(),
-            peers_wired: false,
-            started: false,
-            probe: 0,
-            moved: false,
-            pushed: None,
-            keepalive: 0,
-            line: Vec::new(),
-        })
-    }
-
-    /// Obeys the control lines the last read completed, each as it comes
-    /// — one read can surface several (the root writes `peers` and
-    /// `start` back to back). `Ok(true)` once the group is told to stop.
-    /// A line that is not exactly one the root writes, or comes out of
-    /// order, ends the group: a probe it cannot read would go unanswered.
-    /// So does a closed pipe: the root is gone.
-    fn obey(&mut self, now: u64) -> io::Result<bool> {
-        for line in std::mem::take(&mut self.ctrl.lines) {
-            let (verb, rest) = line.split_once(' ').unwrap_or((&line, ""));
-            match verb {
-                "peers" if !self.peers_wired => {
-                    let addrs: Vec<&str> = rest.split(' ').collect();
-                    if addrs.len() != self.n {
-                        return Err(refused(&line));
-                    }
-                    for i in 0..self.slots.len() {
-                        self.hub.connect_peers(i, &addrs);
-                    }
-                    self.peers_wired = true;
-                }
-                "start" if self.peers_wired && !self.started && rest.is_empty() => {
-                    // Every member moves once: a closed loop's first sends
-                    // wait on no deadline.
-                    self.started = true;
-                    for slot in &mut self.slots {
-                        slot.node.last_tick = now;
-                        slot.deadline = Some(now);
-                    }
-                }
-                "probe" => {
-                    let wave: u64 = rest.parse().map_err(|_| refused(&line))?;
-                    self.probe = self.probe.max(wave);
-                }
-                "stop" if rest.is_empty() => return Ok(true),
-                _ => return Err(refused(&line)),
-            }
-        }
-        if self.ctrl.eof() {
-            return Err(io::Error::other("control pipe closed"));
-        }
-        Ok(false)
-    }
-
-    /// `stop`: every member's report block goes up, the group's socket
-    /// accounting in the last one's.
-    fn stop(&mut self) -> io::Result<()> {
-        let mut io = self.hub.shutdown();
-        let last = self.slots.len() - 1;
-        for (i, slot) in self.slots.drain(..).enumerate() {
-            let io = if i == last {
-                std::mem::take(&mut io)
-            } else {
-                IoStats::default()
-            };
-            self.ctrl.write_line(&slot.node.finish(io))?;
-        }
-        Ok(())
-    }
-
-    /// The group's status, looked at before every wait. Once started, the
-    /// group takes its cut — done, generated, delivered and held summed
-    /// over the members, and whether an inbox or a stream buffer still
-    /// holds a frame, all at this one instant between two turns — and
-    /// writes it as one line: when the cut is quiet and differs from the
-    /// last line (the quiet edge, or a change while quiet), when the group
-    /// read a probe it has not answered, and otherwise once per
-    /// `status_every`. Behind the line, in the same write — never ahead of
-    /// it, so a probe's answer waits for nobody's ledger — every member
-    /// ships the entries the cut counted and it had not shipped
-    /// ([`Node::ship`]): after a status line the thread holds no ledger
-    /// entry older than the line. A cut with a member still issuing cannot
-    /// be quiet, so a turn takes none — and scans no `held_count` — unless
-    /// a probe or the keep-alive asks for one. Returns the keep-alive
-    /// deadline while the group runs.
-    fn status(&mut self, now: u64) -> io::Result<Option<u64>> {
-        if !self.started {
-            return Ok(None);
-        }
-        let nodes = self.slots.len() as u64;
-        let done = self
-            .slots
-            .iter()
-            .filter(|s| s.node.eng.done_issuing())
-            .count() as u64;
-        let moved = std::mem::take(&mut self.moved);
-        let answer = self.probe > self.pushed.map_or(0, |s| s.wave);
-        let due = now >= self.keepalive;
-        if !(answer || due || moved && done == nodes) {
-            return Ok(Some(self.keepalive));
-        }
-        let mut cut = Status {
-            wave: self.probe,
-            nodes,
-            done,
-            busy: self.hub.holds_frames() as u64,
-            ..Status::default()
-        };
-        for node in self.slots.iter().map(|s| &s.node) {
-            let [generated, delivered] = node.totals();
-            cut.generated += generated;
-            cut.delivered += delivered;
-            cut.held += node.eng.fwd.held_count() as u64;
-        }
-        if !(answer || due || cut.quiet(nodes) && self.pushed != Some(cut)) {
-            return Ok(Some(self.keepalive));
-        }
-        self.line.clear();
-        cut.push_line(&mut self.line);
-        for slot in &mut self.slots {
-            slot.node.ship(&mut self.line);
-        }
-        self.ctrl.write_line(&self.line)?;
-        self.pushed = Some(cut);
-        self.keepalive = now + TUNING.status_every_ms * 1_000;
-        Ok(Some(self.keepalive))
-    }
-
-    /// One turn of the daemon: read the clock; flush each of the group's
-    /// streams — once, whichever members and links its bytes belong to;
-    /// look at the group's [`Group::status`]; `prepare` the members that
-    /// stepped last turn; wait to the nearest deadline of any member or
-    /// stream or the status keep-alive (a linear min over the members),
-    /// zero while an inbox holds frames; read the clock again; one
-    /// dispatch for the group — accept, read each ready stream,
-    /// demultiplex into the members' inboxes by local port, retry blocked
-    /// writes; read the control pipe if the wait named it and obey it;
-    /// then `step`, in slot order, exactly the members that have frames or
-    /// a passed deadline. A frame between two members is pushed into the
-    /// receiver's inbox: one later in the order steps this very turn, an
-    /// earlier one the next, and nobody sleeps in between.
-    ///
-    /// Skipping a member is skipping a no-op, not a move: with no frame
-    /// and no due deadline its `step` would find no inbound frame, no tick
-    /// to fire and a workload that is not due; a chaos shim drains its
-    /// queue inside the step that filled it, and a client mux that ran out
-    /// of send budget is due *now*, a zero deadline.
-    ///
-    /// `Ok(true)` once the group has stopped and every report went up.
-    /// Anything that fails — a member's step, the wait (anything but
-    /// `EINTR`), a socket the set refuses, the control pipe — ends the
-    /// group: one `error` line goes up, charged to the member that failed
-    /// or else to the lead. Once started, a group whose pipe the root shut
-    /// has nobody to report to: it shuts its hub down and ends `Ok(true)`,
-    /// with no report and no `error` line.
-    fn turn(&mut self) -> io::Result<bool> {
-        self.try_turn().or_else(|(node, e)| self.end(node, e))
-    }
-
-    /// How a turn that failed ends the group: with one `error` line while
-    /// the pipe takes one, and, once started, quietly when the root is gone
-    /// — it shut the pipe, which reads EOF or refuses the line.
-    #[cold]
-    fn end(&mut self, node: NodeId, e: io::Error) -> io::Result<bool> {
-        let e = match self.ctrl.eof() {
-            true => e,
-            false => self.ctrl.fail(node, e),
-        };
-        if self.started && self.ctrl.eof() {
-            self.hub.shutdown();
-            return Ok(true);
-        }
-        Err(e)
-    }
-
-    fn try_turn(&mut self) -> Result<bool, (NodeId, io::Error)> {
-        let lead = self.lead;
-        let group = |e| (lead, e);
-        let now = (self.clock)();
-        let mut wake = self.hub.prepare(now, &self.poller).map_err(group)?;
-        if let Some(keepalive) = self.status(now).map_err(group)? {
-            wake = wake.min(keepalive);
-        }
-        if self.started {
-            for slot in &mut self.slots {
-                if slot.stepped {
-                    slot.stepped = false;
-                    slot.deadline = slot.node.prepare(now);
-                }
-                if let Some(deadline) = slot.deadline {
-                    wake = wake.min(deadline);
-                }
-            }
-        }
-        let mut ctrl_ready = false;
-        let timeout = Duration::from_micros(wake.saturating_sub(now));
-        for &(token, events) in self.poller.wait(Some(timeout)).map_err(group)? {
-            let (owner, fd) = Poller::untoken(token);
-            if owner == HUB {
-                self.hub_events.push((fd, events));
-            } else if owner == CTRL {
-                ctrl_ready = true;
-            }
-        }
-        let now = (self.clock)();
-        let dispatched = self.hub.dispatch(now, &self.hub_events, &self.poller);
-        self.hub_events.clear();
-        dispatched.map_err(group)?;
-        if ctrl_ready {
-            self.ctrl.read(&self.poller).map_err(group)?;
-            if self.obey(now).map_err(group)? {
-                self.stop().map_err(group)?;
-                return Ok(true);
-            }
-        }
-        if !self.started {
-            return Ok(false);
-        }
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            let woken = !self.hub.inbound(i).is_empty();
-            let due = slot.deadline.is_some_and(|d| d <= now);
-            if !woken && !due {
-                continue;
-            }
-            #[cfg(debug_assertions)]
-            {
-                slot.audit.steps += 1;
-                slot.audit.events_seen += woken as u64;
-                slot.audit.deadlines_due += due as u64;
-            }
-            slot.stepped = true;
-            self.moved = true;
-            let (clock, hub, poller) = (self.clock, &mut self.hub, &self.poller);
-            let stepped = slot.node.step(i, now, clock, hub, poller);
-            stepped.map_err(|e| (slot.node.eng.p, e))?;
-        }
-        Ok(false)
-    }
-}
-
-/// The error that ends a group on a control line it cannot read.
-fn refused(line: &str) -> io::Error {
-    let shown = shown(line.as_bytes());
-    io::Error::other(format!("the group refuses a control line: {shown}"))
-}
-
-/// Runs the group of nodes `ids` of `run` to completion on the calling
-/// thread over its one control pipe: [`Group::turn`] until the group has
-/// stopped. What the nodes report, and what ended the group if it failed,
-/// went up the pipe.
-pub(crate) fn run_group(run: &Run, ids: Vec<NodeId>, pipe: UnixStream) -> io::Result<()> {
-    let mut group = Group::new(run, ids, pipe, monotonic_us)?;
-    while !group.turn()? {}
-    Ok(())
-}
-
-/// Runs a `--node-worker` process: the `run_group` group of a shard's
-/// `nodes` of `run`, over the socket the root handed it as fd 0.
-pub fn node_main(nodes: Range<NodeId>, run: &Run) -> io::Result<()> {
-    // SAFETY: fd 0 is the process's, and nothing else in it reads or
-    // closes stdin; the stream owns it from here to exit. (A stdin that
-    // is no socket fails at registration, or at its first read.)
-    let pipe = unsafe { UnixStream::from_raw_fd(0) };
-    run_group(run, nodes.collect(), pipe)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::codec::ReportFold;
-    use crate::evloop::take_lines;
+    use crate::workload::WorkloadKind;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use ssmfp_core::{reconcile_ledgers, NodeLedger};
     use std::cell::Cell;
-    use std::io::Write;
-    use std::time::Instant;
 
     thread_local! {
         /// A test's hand-set clock, µs: it moves only when the test moves
@@ -881,73 +426,94 @@ mod tests {
         static HAND_US: Cell<u64> = const { Cell::new(0) };
     }
 
-    /// The hand-set clock, as a group's `clock`.
-    fn hand_clock() -> u64 {
+    /// The hand-set clock, as a step's or a group's `clock`.
+    pub(crate) fn hand_clock() -> u64 {
         HAND_US.with(Cell::get)
     }
 
     /// Moves the hand-set clock `us` µs on.
-    fn advance(us: u64) {
+    pub(crate) fn advance(us: u64) {
         HAND_US.with(|c| c.set(c.get() + us));
     }
 
-    /// The node's iteration on `line:5` over in-memory FIFO links with
-    /// the tick branch off: the timeout fires only after an iteration that
-    /// received something, so every step — local or across a link — has to
-    /// happen without waiting for one. Node `p` is a stop-and-wait source
-    /// of `quota(p)` primaries.
+    /// Every node of `graph` under `run`'s closed loop of `outstanding`,
+    /// `quota(p)` primaries at node `p`.
+    fn nodes(
+        graph: &Graph,
+        seed: u64,
+        outstanding: u32,
+        quota: impl Fn(NodeId) -> u64,
+        chaos: ChaosSpec,
+    ) -> Vec<Node> {
+        let ids: Vec<NodeId> = (0..graph.n()).collect();
+        let tables = next_hops(graph, &ids);
+        let node = |(p, table)| {
+            let run = Run {
+                graph: graph.clone(),
+                seed,
+                listen: ListenSpec::Tcp,
+                workload: WorkloadSpec {
+                    kind: WorkloadKind::Closed { outstanding },
+                    messages: quota(p),
+                },
+                chaos,
+                clients: None,
+            };
+            Node::new(&run, p, table)
+        };
+        ids.iter().copied().zip(tables).map(node).collect()
+    }
+
+    /// Puts what node `p` sent into its neighbours' inboxes, by the
+    /// receiver's local port of `p`.
+    fn deliver(
+        nodes: &[Node],
+        p: NodeId,
+        out: &mut Vec<(NodeId, WireFrame)>,
+        inbox: &mut [Vec<(usize, WireFrame)>],
+    ) -> u64 {
+        let sent = out.len() as u64;
+        for (to, frame) in out.drain(..) {
+            let port = nodes[to].neighbors.iter().position(|&q| q == p);
+            inbox[to].push((port.expect("a neighbour"), frame));
+        }
+        sent
+    }
+
+    /// The shipped step on `line:5` over in-memory FIFO links, every node
+    /// stepped every round in id order on a clock that stands still: the
+    /// tick never comes, and the timeout fires only after a step that
+    /// received something, so every step — local or across a link — has
+    /// to happen without waiting for one. Node `p` is a stop-and-wait
+    /// source of `quota(p)` primaries.
     fn tick_free_line5(quota: impl Fn(NodeId) -> u64) {
-        use crate::workload::{WorkloadKind, WorkloadSpec};
-        let n = 5usize;
-        let graph = ssmfp_topology::gen::line(n);
-        let mut engines: Vec<Engine> = (0..n)
-            .map(|p| {
-                let run = Run {
-                    graph: graph.clone(),
-                    seed: 7,
-                    listen: ListenSpec::Tcp,
-                    workload: WorkloadSpec {
-                        kind: WorkloadKind::Closed { outstanding: 1 },
-                        messages: quota(p),
-                    },
-                    chaos: ChaosSpec::none(),
-                    clients: None,
-                };
-                Engine::new(&run, p, next_hops(&graph, &[p]).remove(0))
-            })
-            .collect();
-        let mut inbox: Vec<Vec<(NodeId, WireMsg)>> = vec![Vec::new(); n];
+        let graph = ssmfp_topology::gen::line(5);
+        let mut nodes = nodes(&graph, 7, 1, &quota, ChaosSpec::none());
+        let mut inbox: Vec<Vec<(usize, WireFrame)>> = vec![Vec::new(); nodes.len()];
+        let mut out = Vec::new();
         let mut frames = 0u64;
         for round in 0.. {
             assert!(round < 100_000, "the links never went quiet");
             let before = frames;
-            for p in 0..n {
-                let arrived = std::mem::take(&mut inbox[p]);
-                let eng = &mut engines[p];
-                for &(from, msg) in &arrived {
-                    eng.fwd.on_message(from, msg, &mut eng.out);
-                }
-                eng.turn(!arrived.is_empty(), || 0);
-                for (to, msg) in eng.out.drain() {
-                    inbox[to].push((p, msg));
-                    frames += 1;
-                }
+            for p in 0..nodes.len() {
+                nodes[p].on(inbox[p].drain(..), 0, hand_clock, &mut out);
+                frames += deliver(&nodes, p, &mut out, &mut inbox);
             }
             if frames == before {
                 break;
             }
         }
         // Quiet before the quota is out means a step waited for a tick.
-        assert!(engines.iter().all(Engine::done_issuing));
-        let sent: Vec<(NodeId, NodeId)> = engines
+        assert!(nodes.iter().all(Node::done_issuing));
+        let sent: Vec<(NodeId, NodeId)> = nodes
             .iter()
-            .flat_map(|e| e.fwd.generated.iter().map(|&(_, dest)| (e.p, dest)))
+            .flat_map(|n| n.fwd.generated.iter().map(|&(_, dest)| (n.p, dest)))
             .collect();
-        let primaries: u64 = (0..n).map(quota).sum();
+        let primaries: u64 = (0..nodes.len()).map(quota).sum();
         assert_eq!(sent.len() as u64, 2 * primaries, "every primary acked");
-        let delivered: usize = engines.iter().map(|e| e.fwd.delivered.len()).sum();
+        let delivered: usize = nodes.iter().map(|n| n.fwd.delivered.len()).sum();
         assert_eq!(delivered, sent.len(), "primaries and acks all delivered");
-        assert!(engines.iter().all(|e| e.fwd.is_idle()));
+        assert!(nodes.iter().all(|n| n.fwd.is_idle()));
         // Offer, Accept, Confirm per hop and nothing else: no step needed a
         // retransmission to make progress.
         let hops: u64 = sent.iter().map(|&(s, d)| s.abs_diff(d) as u64).sum();
@@ -968,664 +534,79 @@ mod tests {
         tick_free_line5(|_| 40);
     }
 
-    /// A hand-driven `line:4` over real control pipes, every node on the
-    /// test thread, in groups of consecutive ids `sizes` long: `&[4]` is
-    /// one group, every link in memory; `&[2, 2]` the split
-    /// `{0, 1} | {2, 3}`, whose `1 ↔ 2` edge crosses a socket. Node
-    /// `source` is a stop-and-wait source of `quota` primaries whose
-    /// generator is narrowed to one destination — in a cluster of two,
-    /// every destination is node 0, or node 1 for node 0 — so one
-    /// handshake is in flight at a time and a warm vector never needs to
-    /// grow; nobody else sends anything. `pair` is the busy link
-    /// [`Rig::turn_until`] watches, and every group runs on `clock`.
-    struct Rig {
-        /// By group; `None` once it ended, its pipe closed with it.
-        groups: Vec<Option<Group>>,
-        /// By group, how it ended: `Ok` once it stopped, else the error.
-        outcomes: Vec<Option<Result<(), String>>>,
-        /// By group, its members.
-        members: Vec<Vec<NodeId>>,
-        /// The root end of each group's control pipe (kept open: EOF
-        /// ends a started group).
-        root: Vec<UnixStream>,
-        /// By group, the bytes read off its root end so far.
-        heard: Vec<Vec<u8>>,
-        dir: PathBuf,
-        pair: [NodeId; 2],
-        /// Groups turned in alternation must not sleep on frames only the
-        /// other's turn sends: a byte nobody reads, in every group's set
-        /// under an owner that is neither the hub nor the control pipe,
-        /// makes every wait a poll.
-        _nudge: Option<(UnixStream, UnixStream)>,
-    }
-
-    impl Rig {
-        fn new(
-            tag: &str,
-            sizes: &[usize],
-            source: NodeId,
-            quota: u64,
-            pair: [NodeId; 2],
-            clock: fn() -> u64,
-        ) -> Self {
-            use crate::evloop::POLLIN;
-            use crate::workload::{WorkloadKind, WorkloadSpec};
-            use std::io::Read;
-            use std::os::unix::io::AsRawFd;
-            let dir = std::env::temp_dir().join(format!("ssmfp-node-{tag}-{}", std::process::id()));
-            std::fs::create_dir_all(&dir).unwrap();
-            let stop_and_wait = |messages| WorkloadSpec {
-                kind: WorkloadKind::Closed { outstanding: 1 },
-                messages,
-            };
-            let mut ids = 0..4usize;
-            let members: Vec<Vec<NodeId>> = sizes
-                .iter()
-                .map(|&k| ids.by_ref().take(k).collect())
-                .collect();
-            let run = Run {
-                graph: ssmfp_topology::gen::line(4),
-                seed: 7,
-                listen: ListenSpec::Uds { dir: dir.clone() },
-                workload: stop_and_wait(0),
-                chaos: ChaosSpec::none(),
-                clients: None,
-            };
-            let (mut root, groups): (Vec<UnixStream>, Vec<Group>) = members
-                .iter()
-                .map(|ids| {
-                    let (root_side, group_side) = UnixStream::pair().unwrap();
-                    (
-                        root_side,
-                        Group::new(&run, ids.clone(), group_side, clock).unwrap(),
-                    )
-                })
-                .unzip();
-            let mut groups: Vec<Option<Group>> = groups.into_iter().map(Some).collect();
-            let slots = groups.iter_mut().flatten().flat_map(|g| &mut g.slots);
-            for slot in slots.filter(|s| s.node.eng.p == source) {
-                slot.node.eng.gen = WorkloadGen::new(stop_and_wait(quota), source, 2, 7);
-            }
-            // One `ready` line a group, naming its one address for every
-            // member: node order is group order.
-            let mut addrs = Vec::new();
-            for (s, g) in root.iter_mut().zip(groups.iter().flatten()) {
-                let want = format!("ready {}\n", g.hub.addr());
-                let mut got = vec![0u8; want.len() + 1];
-                s.set_nonblocking(true).unwrap();
-                let k = s.read(&mut got).unwrap();
-                s.set_nonblocking(false).unwrap();
-                assert_eq!(String::from_utf8_lossy(&got[..k]), want);
-                addrs.extend(g.slots.iter().map(|_| g.hub.addr().to_string()));
-            }
-            for s in &mut root {
-                writeln!(s, "peers {}\nstart", addrs.join(" ")).unwrap();
-            }
-            let nudge = (groups.len() > 1).then(|| {
-                let (mut tx, rx) = UnixStream::pair().unwrap();
-                tx.write_all(&[1]).unwrap();
-                let token = Poller::token(HUB - 1, rx.as_raw_fd());
-                for g in groups.iter().flatten() {
-                    g.poller.add(rx.as_raw_fd(), POLLIN, token).unwrap();
-                }
-                (tx, rx)
-            });
-            Rig {
-                outcomes: vec![None; groups.len()],
-                heard: vec![Vec::new(); groups.len()],
-                groups,
-                members,
-                root,
-                dir,
-                pair,
-                _nudge: nudge,
-            }
-        }
-
-        fn group(&self, g: usize) -> &Group {
-            self.groups[g].as_ref().expect("a live group")
-        }
-
-        fn group_mut(&mut self, g: usize) -> &mut Group {
-            self.groups[g].as_mut().expect("a live group")
-        }
-
-        /// The lines group `g`'s root end has read so far.
-        fn lines(&self, g: usize) -> Vec<Vec<u8>> {
-            let mut lines = Vec::new();
-            take_lines(&mut Vec::new(), &self.heard[g], |l| lines.push(l.to_vec()));
-            lines
-        }
-
-        /// The `status` lines group `g`'s root end has read so far.
-        fn statuses(&self, g: usize) -> Vec<Status> {
-            let lines = self.lines(g);
-            let rests = lines.iter().filter_map(|l| l.strip_prefix(b"status "));
-            rests.map(|rest| Status::parse(rest).unwrap()).collect()
-        }
-
-        /// What the root makes of every group's lines so far: each member's
-        /// ledger deltas and, once it stopped, its block, folded into one
-        /// report a node, by node.
-        fn folded(&self) -> Vec<NodeReport> {
-            let mut reports = Vec::new();
-            for (g, members) in self.members.iter().enumerate() {
-                let mut fold = ReportFold::new(members.iter().copied());
-                for line in self.lines(g) {
-                    if !(line.starts_with(b"status ") || line.starts_with(b"ready ")) {
-                        let text = String::from_utf8_lossy(&line);
-                        assert!(fold.fold(&line).is_some(), "group {g}: {text}");
-                    }
-                }
-                reports.append(&mut fold.reports);
-            }
-            reports
-        }
-
-        fn nodes(&self) -> impl Iterator<Item = &Node> {
-            let slots = self.groups.iter().flatten().flat_map(|g| &g.slots);
-            slots.map(|s| &s.node)
-        }
-
-        fn node(&self, p: NodeId) -> &Node {
-            self.nodes().find(|n| n.eng.p == p).expect("a live node")
-        }
-
-        /// One turn of every live group, in order.
-        fn turn(&mut self) {
-            for g in 0..self.groups.len() {
-                self.turn_group(g);
-            }
-        }
-
-        /// One turn of group `g` if it is live — a group that ends is
-        /// dropped, closing its pipe — then, as the root would, whatever it
-        /// wrote up its control pipe, read without waiting: a pipe nobody
-        /// reads fills, and a group's next line blocks.
-        fn turn_group(&mut self, g: usize) {
-            use std::io::Read;
-            let ended = match self.groups[g].as_mut().map(Group::turn) {
-                None | Some(Ok(false)) => None,
-                Some(Ok(true)) => Some(Ok(())),
-                Some(Err(e)) => Some(Err(e.to_string())),
-            };
-            if ended.is_some() {
-                (self.groups[g], self.outcomes[g]) = (None, ended);
-            }
-            let (s, mut buf) = (&mut self.root[g], [0u8; 4096]);
-            s.set_nonblocking(true).unwrap();
-            while let Ok(k @ 1..) = s.read(&mut buf) {
-                self.heard[g].extend_from_slice(&buf[..k]);
-            }
-            s.set_nonblocking(false).unwrap();
-        }
-
-        /// Turns, `each_turn` after every round, until both nodes of the
-        /// busy pair have received `frames`.
-        fn turn_until(&mut self, frames: u64, each_turn: &mut dyn FnMut(&mut Rig)) {
-            for _ in 0..1_000_000 {
-                let received = |p| self.node(p).counters.frames_received;
-                if self.pair.iter().all(|&p| received(p) >= frames) {
-                    return;
-                }
-                self.turn();
-                let ended = self.outcomes.iter().flatten();
-                assert!(ended.count() == 0, "nobody said stop");
-                each_turn(self);
-            }
-            panic!("the link went quiet before {frames} frames");
-        }
-
-        /// `stop` to every group, then turns until each has ended.
-        fn stop(&mut self) {
-            for s in &mut self.root {
-                writeln!(s, "stop").unwrap();
-            }
-            while self.groups.iter().any(Option::is_some) {
-                self.turn();
-            }
-            assert!(self.outcomes.iter().all(|o| o == &Some(Ok(()))));
-        }
-    }
-
-    impl Drop for Rig {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
-    }
-
-    /// The split, node 2 a stop-and-wait source to node 0: every frame
-    /// of the run crosses the `1 ↔ 2` edge, the one link between the
-    /// groups.
-    fn split_rig(tag: &str, quota: u64, clock: fn() -> u64) -> Rig {
-        Rig::new(tag, &[2, 2], 2, quota, [1, 2], clock)
-    }
-
-    /// Four nodes of one thread, driven through the [`Group::turn`] that
-    /// [`run_group`] loops on, every link in memory. Once warm, a turn
-    /// neither frees nor regrows a member's inbound vector: same
-    /// allocation, same capacity, however many frames pass through it.
+    /// SP holds under any daemon, through the shipped step — chaos shim
+    /// and tick included. On `line:5` and `grid:3x3`, every node a source
+    /// of 12 primaries two at a time, every link dropping, duplicating and
+    /// reordering up to twice: each round steps, in a seeded random order,
+    /// the members that have frames or a passed deadline, each step's
+    /// frames in its neighbours' inboxes before the next member steps, and
+    /// the hand clock moves one tick on whenever every inbox is empty.
+    /// Every node ends done and idle, and the ledgers reconcile clean:
+    /// every message generated delivered exactly once.
     #[test]
-    fn steady_state_iterations_never_realloc_inbound() {
-        let mut rig = Rig::new("pin", &[4], 0, 1_000_000, [0, 1], monotonic_us);
-        rig.turn_until(300, &mut |_| {});
-        let pin = |rig: &mut Rig, i| {
-            let inbound = rig.group_mut(0).hub.inbound(i);
-            (inbound.as_ptr(), inbound.capacity())
-        };
-        let pins = [pin(&mut rig, 0), pin(&mut rig, 1)];
-        assert!(pins.iter().all(|&(_, cap)| cap > 0));
-        rig.turn_until(3_000, &mut |rig| {
-            for (i, &pinned) in pins.iter().enumerate() {
-                assert_eq!(pin(rig, i), pinned, "node {i} reallocated inbound");
-            }
-        });
-        let hub = &rig.group(0).hub;
-        assert_eq!(hub.shape(), (0, 0), "no socket: every link in memory");
-        assert_eq!(
-            (hub.stats().write_syscalls, hub.stats().read_syscalls),
-            (0, 0)
-        );
-    }
-
-    /// The daemon steps only what is ready or due: every `step` is paid
-    /// for by frames in that node's inbox or its deadline having passed,
-    /// and a member that no data frame ever reaches moves once, at
-    /// `start` — not once per frame of its thread-mates, not once per
-    /// control line, and not for the status, which is the group's.
-    #[cfg(debug_assertions)]
-    #[test]
-    fn a_turn_steps_only_members_that_are_ready_or_due() {
-        let mut rig = Rig::new("ready-or-due", &[4], 0, 1_000_000, [0, 1], monotonic_us);
-        rig.turn_until(3_000, &mut |_| {});
-        let slots: Vec<&StepAudit> = rig.group(0).slots.iter().map(|s| &s.audit).collect();
-        for s in &slots {
-            assert!(
-                s.steps <= s.events_seen + s.deadlines_due,
-                "{} steps for {} events + {} deadlines",
-                s.steps,
-                s.events_seen,
-                s.deadlines_due
-            );
-        }
-        assert!(slots[0].steps >= 1_000, "{} steps", slots[0].steps);
-        for idle in &slots[2..] {
-            let seen = (idle.steps, idle.events_seen, idle.deadlines_due);
-            assert_eq!(seen, (1, 0, 1), "an idle member moves at start only");
-        }
-    }
-
-    /// The tick runs on the group's clock. Only the source's group turns,
-    /// so node 2's `Offer` across `1 ↔ 2` goes unanswered and its
-    /// retransmission timer runs: its tick is all that can step it. On a
-    /// clock that stands still the tick never comes, however many turns;
-    /// `tick_ms` less 1 µs on, still not; 1 µs more, exactly once.
-    #[cfg(debug_assertions)]
-    #[test]
-    fn the_tick_waits_for_the_groups_clock() {
-        let mut rig = split_rig("tick", 1, hand_clock);
-        let ticks = |rig: &Rig| rig.group(1).slots[0].audit.deadlines_due;
-        rig.turn_group(1);
-        let started = ticks(&rig);
-        for _ in 0..300 {
-            rig.turn_group(1);
-        }
-        let source = rig.node(2);
-        assert!(source.ticking && source.counters.frames_received == 0);
-        assert_eq!(ticks(&rig), started, "a clock that stands still");
-        advance(TICK_US - 1);
-        for _ in 0..30 {
-            rig.turn_group(1);
-        }
-        assert_eq!(ticks(&rig), started, "1 µs short of the tick");
-        advance(1);
-        for _ in 0..30 {
-            rig.turn_group(1);
-        }
-        assert_eq!(ticks(&rig), started + 1);
-    }
-
-    /// One status line per group, for all its members, the turn the
-    /// group's cut goes quiet — not one per turn, not one per member — one
-    /// keep-alive per `status_every` of the group's clock, and one answer
-    /// per probe wave.
-    #[test]
-    fn a_group_writes_one_status_line_per_quiet_edge() {
-        let mut rig = Rig::new("status", &[4], 0, 20, [0, 1], hand_clock);
-        let pushed = |rig: &Rig| rig.group(0).pushed;
-        let mut turns = 0u64;
-        while !pushed(&rig).is_some_and(|s| s.quiet(4)) {
-            assert!(turns < 100_000, "the group never went quiet");
-            rig.turn();
-            turns += 1;
-        }
-        let quiet = pushed(&rig).unwrap();
-        assert_eq!(
-            (quiet.generated, quiet.delivered),
-            (40, 40),
-            "20 primaries, 20 acks"
-        );
-        // The clock stood still: the first line after `start` and the
-        // quiet edge, however many turns that took.
-        let lines = rig.statuses(0);
-        assert_eq!(lines.len(), 2, "{lines:?} in {turns} turns");
-        assert!(!lines[0].quiet(4) && lines[1] == quiet, "{lines:?}");
-        assert!(lines.iter().all(|s| s.nodes == 4), "one line a group");
-        // Then a keep-alive each `status_every`, and none a µs sooner.
-        let every = TUNING.status_every_ms * 1_000;
-        for k in 1..=3 {
-            advance(every - 1);
-            (0..3).for_each(|_| rig.turn());
-            assert_eq!(rig.statuses(0).len(), 1 + k, "1 µs short");
-            advance(1);
-            (0..3).for_each(|_| rig.turn());
-            assert_eq!(rig.statuses(0).len(), 2 + k);
-        }
-
-        writeln!(rig.root[0], "probe 7").unwrap();
-        while pushed(&rig).unwrap().wave < 7 {
-            rig.turn();
-        }
-        let answers: Vec<Status> = rig
-            .statuses(0)
-            .into_iter()
-            .filter(|s| s.wave == 7)
-            .collect();
-        assert_eq!(answers, [Status { wave: 7, ..quiet }]);
-    }
-
-    /// The cluster-wide SP verdict over reports.
-    fn reconcile(reports: Vec<NodeReport>) -> ssmfp_core::ClusterVerdict {
-        let ledgers: Vec<ssmfp_core::NodeLedger> = reports
-            .into_iter()
-            .map(|r| ssmfp_core::NodeLedger {
-                node: r.node,
-                generated: r.generated,
-                delivered: r.delivered,
-                held: r.held,
-            })
-            .collect();
-        ssmfp_core::reconcile_ledgers(&ledgers)
-    }
-
-    /// The ledger leaves behind the status line: once the group wrote its
-    /// quiet edge, no member holds a ledger entry; the group's pipe holds,
-    /// after `node` heads, `gen` / `del` lines with every entry each member
-    /// generated or delivered, in order — each node's ghosts, of one kind,
-    /// count up — and as many as the line counted; and the blocks `stop`
-    /// draws carry empty `gen` and `del` lines.
-    #[test]
-    fn a_quiet_edge_ships_every_ledger_entry() {
-        let mut rig = Rig::new("ledger", &[4], 0, 20, [0, 1], monotonic_us);
-        let mut turns = 0u64;
-        let quiet = loop {
-            if let Some(s) = rig.group(0).pushed.filter(|s| s.quiet(4)) {
-                break s;
-            }
-            assert!(turns < 100_000, "the group never went quiet");
-            rig.turn();
-            turns += 1;
-        };
-        for node in rig.nodes() {
-            let fwd = &node.eng.fwd;
-            assert!(fwd.generated.is_empty() && fwd.delivered.is_empty());
-            assert_eq!(node.totals(), node.shipped);
-        }
-        let streamed = rig.folded();
-        for r in &streamed {
-            let ghosts = r.generated.iter().map(|&(g, _)| g);
-            for list in [ghosts.collect(), r.delivered.clone()] {
-                assert!(list.windows(2).all(|w| w[0] < w[1]), "node {}", r.node);
-            }
-        }
-        let sum = |count: fn(&NodeReport) -> usize| streamed.iter().map(count).sum::<usize>();
-        assert_eq!(
-            (quiet.generated, quiet.delivered),
-            (
-                sum(|r| r.generated.len()) as u64,
-                sum(|r| r.delivered.len()) as u64
-            )
-        );
-        let verdict = reconcile(streamed);
-        assert!(verdict.clean(), "{:?}", verdict.violations);
-        assert_eq!((verdict.generated, verdict.exactly_once), (40, 40));
-        // A delta rides behind its status line, never ahead of it: each
-        // head follows the status line or the delta before it, and each
-        // `gen` its head.
-        let lines = rig.lines(0);
-        for (i, line) in lines.iter().enumerate().skip(1) {
-            let after = |tag: &[u8]| lines[i - 1].starts_with(tag);
-            if line.starts_with(b"node ") {
-                assert!(after(b"status ") || after(b"del"), "line {i}");
-            } else if line.starts_with(b"gen") {
-                assert!(after(b"node "), "line {i}");
-            }
-        }
-
-        let from = rig.heard[0].len();
-        rig.stop();
-        let text = String::from_utf8_lossy(&rig.heard[0][from..]).into_owned();
-        let blocks: Vec<&str> = text.split("report ").skip(1).collect();
-        assert_eq!(blocks.len(), 4, "{text}");
-        for block in blocks {
-            assert!(block.contains("\ngen\ndel\nheld"), "{block}");
-        }
-    }
-
-    /// Same address, same stream: each group of the split holds one
-    /// listener, one out-stream — to the other — and the one stream it
-    /// accepted, and a turn writes its stream at most once and reads at
-    /// most once, whatever the frames it carries.
-    #[test]
-    fn a_turn_flushes_each_stream_once() {
-        let mut rig = split_rig("once", 1_000_000, monotonic_us);
-        let mut turns = 0u64;
-        rig.turn_until(3_000, &mut |_| turns += 1);
-        let sent: u64 = rig.nodes().map(|n| n.counters.frames_sent).sum();
-        assert!(sent >= 6_000, "{sent} frames");
-        for g in 0..2 {
-            let hub = &rig.group(g).hub;
-            assert_eq!(hub.shape(), (1, 1), "group {g}: (out-streams, accepted)");
-            let io = hub.stats();
-            assert!(
-                io.write_syscalls > 0 && io.write_syscalls <= turns && io.read_syscalls <= turns,
-                "group {g}: {} writes and {} reads in {turns} turns",
-                io.write_syscalls,
-                io.read_syscalls
-            );
-        }
-    }
-
-    /// A stream speaks only for links that end in this group and cross a
-    /// socket: a `Route` to a node that is no member, a `Route` from a
-    /// node that is no neighbour of its `dst`, a `Route` for a link the
-    /// group carries in memory, and data before any `Route` each cost the
-    /// stranger its connection — and nobody else anything.
-    #[test]
-    fn a_route_to_a_stranger_drops_the_connection() {
-        use ssmfp_core::wire::encode_frame;
-        use std::io::Read;
-        let mut rig = split_rig("stranger", 1_000_000, monotonic_us);
-        rig.turn_until(30, &mut |_| {});
-        let addr = rig.group(0).hub.addr();
-        let path = addr.strip_prefix("uds:").unwrap().to_string();
-        let data = msg_to_frame(&WireMsg::Dv { d: 0, dist: 1 });
-        let connect = |frames: &[WireFrame]| {
-            let mut bytes = Vec::new();
-            frames.iter().for_each(|f| encode_frame(f, &mut bytes));
-            let mut s = UnixStream::connect(&path).unwrap();
-            s.write_all(&bytes).unwrap();
-            s.set_nonblocking(true).unwrap();
-            s
-        };
-        for (why, frames) in [
-            ("no member", vec![WireFrame::Route { src: 0, dst: 9 }]),
-            ("no neighbour", vec![WireFrame::Route { src: 3, dst: 0 }]),
-            ("in memory", vec![WireFrame::Route { src: 0, dst: 1 }]),
-            ("no route", vec![data]),
-        ] {
-            let mut stranger = connect(&frames);
-            let hung_up = (0..10_000).any(|_| {
-                rig.turn();
-                matches!(stranger.read(&mut [0u8; 8]), Ok(0))
-            });
-            assert!(hung_up, "{why}: the connection stayed");
-            assert_eq!(rig.group(0).hub.shape(), (1, 1), "{why}");
-        }
-        // A link that does end here is taken, whoever dialled.
-        let before = rig.node(1).counters.frames_received;
-        let _neighbour = connect(&[WireFrame::Route { src: 2, dst: 1 }, data]);
-        rig.turn_until(before + 30, &mut |_| {});
-        assert_eq!(rig.group(0).hub.shape(), (1, 2));
-    }
-
-    /// The stream across the split is cut mid-run: the write that finds
-    /// out drops what it held, the stream redials — once: a redialled
-    /// stream that did not open with a `Route` would be hung up on at its
-    /// first frame, and redial again — retransmission recovers what the
-    /// cut lost, and the run ends with every message delivered exactly
-    /// once.
-    #[test]
-    fn a_cut_stream_redials_and_the_run_stays_clean() {
-        let mut rig = split_rig("cut", 400, monotonic_us);
-        rig.turn_until(300, &mut |_| {});
-        rig.group_mut(1).hub.cut_stream_for_test(0);
-        let quiet = |rig: &Rig| {
-            rig.nodes()
-                .all(|n| n.eng.done_issuing() && n.eng.fwd.is_idle())
-        };
-        let give_up = Instant::now() + Duration::from_secs(30);
-        while !quiet(&rig) && Instant::now() < give_up {
-            rig.turn();
-        }
-        assert!(quiet(&rig), "the run never drained");
-        assert_eq!(rig.group(1).hub.stats().reconnects, 1);
-        for g in 0..2 {
-            assert_eq!(rig.group(g).hub.shape(), (1, 1));
-        }
-        rig.stop();
-        let reports = rig.folded();
-        // Each group's socket accounting rides exactly one report.
-        let carriers = reports.iter().filter(|r| r.counters.write_syscalls > 0);
-        assert_eq!(carriers.count(), 2);
-        let reconnects: u64 = reports.iter().map(|r| r.counters.reconnects).sum();
-        let dropped: u64 = reports.iter().map(|r| r.counters.conn_frames_dropped).sum();
-        assert_eq!(reconnects, 1);
-        assert!(dropped >= 1, "the cut lost nothing");
-        let verdict = reconcile(reports);
-        assert!(verdict.clean(), "{:?}", verdict.violations);
-        assert_eq!(verdict.generated, 800, "400 primaries, 400 acks");
-        assert_eq!(verdict.exactly_once, verdict.generated);
-        for lead in ["node0.sock", "node2.sock"] {
-            assert!(!rig.dir.join(lead).exists(), "{lead} was not unlinked");
-        }
-    }
-
-    /// A wait that cannot work ends the group instead of spinning it: one
-    /// `error` line, charged to the lead, then the pipe closes.
-    #[test]
-    fn a_broken_poller_ends_the_group_with_an_error() {
-        use std::io::Read;
-        let mut rig = Rig::new("broken", &[4], 0, 1_000_000, [0, 1], monotonic_us);
-        rig.turn_until(30, &mut |_| {});
-        rig.group_mut(0).poller.break_for_test();
-        rig.turn();
-        let err = rig.outcomes[0]
-            .clone()
-            .expect("the group ended")
-            .unwrap_err();
-        let last = rig.lines(0).pop().unwrap();
-        assert_eq!(String::from_utf8_lossy(&last), format!("error 0 {err}"));
-        let s = &mut rig.root[0];
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut rest = Vec::new();
-        s.read_to_end(&mut rest).expect("EOF, not a timeout");
-    }
-
-    /// A started group whose pipe the root shuts down — the run failed
-    /// elsewhere — has nobody to report to: it shuts its hub down, which
-    /// unlinks its listener, and ends `Ok`, as `run_group` then does,
-    /// writing nothing into the shut socket. A group that read the EOF as
-    /// `stop` would write its reports there, and a worker process would
-    /// print "Broken pipe".
-    #[test]
-    fn a_pipe_shut_after_start_ends_the_group_quietly() {
-        use std::io::Read;
-        let mut rig = split_rig("hangup", 0, hand_clock);
-        let quiet = |rig: &Rig, g| rig.group(g).pushed.is_some_and(|s| s.quiet(2));
-        while !(quiet(&rig, 0) && quiet(&rig, 1)) {
-            rig.turn();
-        }
-        (0..3).for_each(|_| rig.turn());
-        let heard = rig.heard.clone();
-        for s in &rig.root {
-            s.shutdown(std::net::Shutdown::Write).unwrap();
-        }
-        while rig.groups.iter().any(Option::is_some) {
-            rig.turn();
-        }
-        assert_eq!(rig.outcomes, [Some(Ok(())), Some(Ok(()))]);
-        assert!(rig.heard == heard, "a group wrote after the EOF");
-        for s in &mut rig.root {
-            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            let mut rest = Vec::new();
-            assert_eq!(s.read_to_end(&mut rest).expect("EOF, not a timeout"), 0);
-        }
-        for lead in ["node0.sock", "node2.sock"] {
-            assert!(!rig.dir.join(lead).exists(), "{lead} was not unlinked");
-        }
-    }
-
-    /// A control line the group cannot read ends it with an error naming
-    /// the line, cut to 64 bytes: a probe wave it read as 0 would never
-    /// be answered, and the run would stall to its timeout.
-    #[test]
-    fn a_group_refuses_a_control_line_it_cannot_read() {
-        let long = format!("probe 1{}", "0".repeat(80));
-        let shown_long = format!("\"{}\"…", &long[..64]);
-        for (line, shown) in [("probe x", "\"probe x\""), (&long, &shown_long)] {
-            let mut rig = Rig::new("refuse", &[4], 0, 20, [0, 1], monotonic_us);
-            writeln!(rig.root[0], "{line}").unwrap();
-            while rig.outcomes[0].is_none() {
-                rig.turn();
-            }
-            let err = rig.outcomes[0].clone().unwrap().unwrap_err();
-            assert_eq!(err, format!("the group refuses a control line: {shown}"));
-            let last = rig.lines(0).pop().unwrap();
-            assert_eq!(String::from_utf8_lossy(&last), format!("error 0 {err}"));
-        }
-    }
-
-    /// Each group builds one BFS tree per destination for all its
-    /// members, and every member's next hop to every other node is still
-    /// its parent in that node's tree — on a grid, a caterpillar and a
-    /// random graph, each split into two groups.
-    #[test]
-    fn every_members_next_hop_is_its_bfs_parent() {
+    fn any_member_order_is_clean() {
         use ssmfp_topology::gen;
-        let random = gen::erdos_renyi(16, 0.3, 5).expect("a connected sample");
-        for graph in [gen::grid(4, 5), gen::caterpillar(4, 2), random] {
-            let n = graph.n();
-            let run = Run {
-                graph: graph.clone(),
-                seed: 1,
-                listen: ListenSpec::Tcp,
-                workload: WorkloadSpec {
-                    kind: crate::workload::WorkloadKind::Closed { outstanding: 1 },
-                    messages: 0,
-                },
-                chaos: ChaosSpec::none(),
-                clients: None,
-            };
-            for ids in [0..n / 3, n / 3..n] {
-                let (_root, pipe) = UnixStream::pair().unwrap();
-                let group = Group::new(&run, ids.collect(), pipe, monotonic_us).unwrap();
-                for eng in group.slots.iter().map(|s| &s.node.eng) {
-                    for d in (0..n).filter(|&d| d != eng.p) {
-                        let parent = BfsTree::new(&graph, d).parent(eng.p);
-                        assert_eq!(Some(eng.fwd.route(d)), parent, "{} → {d}", eng.p);
+        for (name, graph) in [("line:5", gen::line(5)), ("grid:3x3", gen::grid(3, 3))] {
+            for seed in 1..=10u64 {
+                let chaos = ChaosSpec {
+                    seed,
+                    faults_per_link: 2,
+                    partition: None,
+                };
+                let mut nodes = nodes(&graph, seed, 2, |_| 12, chaos);
+                let n = nodes.len();
+                let mut inbox: Vec<Vec<(usize, WireFrame)>> = vec![Vec::new(); n];
+                let mut deadline: Vec<Option<u64>> = vec![Some(0); n];
+                let (mut out, mut order) = (Vec::new(), (0..n).collect::<Vec<_>>());
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let quiet = |nodes: &[Node], inbox: &[Vec<_>]| {
+                    inbox.iter().all(Vec::is_empty)
+                        && nodes.iter().all(|n| n.done_issuing() && n.fwd.is_idle())
+                };
+                let mut rounds = 0u64;
+                while !quiet(&nodes, &inbox) {
+                    rounds += 1;
+                    assert!(rounds < 1_000_000, "{name} seed {seed}: never went quiet");
+                    for i in (1..n).rev() {
+                        order.swap(i, rng.gen_range(0..=i));
+                    }
+                    let now = hand_clock();
+                    for &p in &order {
+                        let due = deadline[p].is_some_and(|d| d <= now);
+                        if inbox[p].is_empty() && !due {
+                            continue;
+                        }
+                        deadline[p] = nodes[p].on(inbox[p].drain(..), now, hand_clock, &mut out);
+                        deliver(&nodes, p, &mut out, &mut inbox);
+                    }
+                    if inbox.iter().all(Vec::is_empty) {
+                        advance(TICK_US);
                     }
                 }
+                let ledgers: Vec<NodeLedger> = nodes
+                    .iter()
+                    .map(|node| NodeLedger {
+                        node: node.p,
+                        generated: node.fwd.generated.clone(),
+                        delivered: node.fwd.delivered.clone(),
+                        held: node.fwd.held_ghosts(),
+                    })
+                    .collect();
+                let verdict = reconcile_ledgers(&ledgers);
+                let at = format!("{name} seed {seed}");
+                assert!(verdict.clean(), "{at}: {:?}", verdict.violations);
+                assert_eq!(
+                    verdict.generated,
+                    2 * 12 * n as u64,
+                    "{at}: every primary acked"
+                );
+                assert_eq!(verdict.exactly_once, verdict.generated, "{at}");
+                let faults: u64 = nodes
+                    .iter()
+                    .flat_map(|n| &n.chaos)
+                    .map(|c| c.fault_counts().0)
+                    .sum();
+                assert!(faults > 0, "{at}: the shim never dropped a frame");
             }
         }
     }

@@ -642,9 +642,11 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     let mut phases = Phases::default();
     let outcome = drive(spec, &mut groups, &ranges, called, &mut phases);
     // Shutting the pipes down EOFs every group still in flight (error
-    // paths); they wind down and exit, so the joins are bounded.
-    groups.finish();
+    // paths); they wind down and exit, and a group that does not fails
+    // the run once the exit grace is out.
+    let finished = groups.finish();
     let (converged, wall_s, detect) = outcome?;
+    finished?;
 
     // --- reconcile + hierarchical aggregation ---
     // The root joined the ledgers as they streamed in; that join's verdict

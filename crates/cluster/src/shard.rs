@@ -11,9 +11,10 @@
 //! control line down the same ends ([`Groups::tell`]). The tree this is
 //! the root's half of is [`crate::orchestrator`]'s.
 
-use crate::codec::{node_args, shown, NodeReport, ReportFold, Status};
-use crate::evloop::{take_lines, Poller, POLLIN, POLLOUT};
-use crate::node::{run_group, Run};
+use crate::codec::{node_args, shown, take_lines, NodeReport, ReportFold, Status};
+use crate::evloop::{Poller, POLLIN, POLLOUT};
+use crate::group::run_group;
+use crate::node::Run;
 use crate::orchestrator::{LedgerFlow, RunMode, ShardSummary};
 use crate::tuning::TUNING;
 use ssmfp_core::{ClusterVerdict, RunningAudit};
@@ -24,16 +25,34 @@ use std::ops::Range;
 use std::os::unix::io::{AsRawFd, OwnedFd};
 use std::os::unix::net::UnixStream;
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// What runs a shard's node group.
 enum Runner {
-    /// The shard's `node.main` thread ([`RunMode::Inproc`]).
-    Thread(JoinHandle<()>),
+    /// The shard's `node.main` thread ([`RunMode::Inproc`]), and the
+    /// channel its end hangs up.
+    Thread(JoinHandle<()>, Receiver<()>),
     /// A `--node-worker` process ([`RunMode::Proc`]).
     Child(Child),
+}
+
+impl Runner {
+    /// Runs `group` on a `node.main` thread whose end — a return or a
+    /// panic — hangs up the runner's channel.
+    fn thread(group: impl FnOnce() + Send + 'static) -> io::Result<Self> {
+        let (ended, end) = mpsc::channel();
+        let main = move || {
+            let _ended: Sender<()> = ended;
+            group()
+        };
+        let join = thread::Builder::new()
+            .name("node.main".into())
+            .spawn(main)?;
+        Ok(Runner::Thread(join, end))
+    }
 }
 
 /// A shard's one node group: the root's end of the group's control
@@ -192,7 +211,7 @@ impl Groups {
         };
         for (s, members) in ranges.iter().enumerate() {
             if let Err(e) = groups.spawn(run, members.clone(), mode) {
-                groups.finish();
+                let _ = groups.finish();
                 return Err(io::Error::other(format!("shard {s}: spawn {e}")));
             }
         }
@@ -208,14 +227,9 @@ impl Groups {
             RunMode::Inproc => {
                 let (run, ids) = (Arc::clone(run), members.clone().collect());
                 // What the group reports, and what ended it, goes up the pipe.
-                let group = move || {
+                Runner::thread(move || {
                     let _ = run_group(&run, ids, group_side);
-                };
-                Runner::Thread(
-                    thread::Builder::new()
-                        .name("node.main".into())
-                        .spawn(group)?,
-                )
+                })?
             }
             RunMode::Proc { exe } => Runner::Child(
                 Command::new(exe)
@@ -322,19 +336,28 @@ impl Groups {
 
     /// Shuts every pipe down, so a group still running reads EOF and winds
     /// down, and only then waits for the runners under one shared grace:
-    /// joins each thread, and reaps each process, killing it once the
-    /// grace is out.
-    pub fn finish(&mut self) {
+    /// joins each thread the moment it ends, and reaps each process,
+    /// killing it once the grace is out. A thread still running at the
+    /// deadline is left behind and named in the error: a wedged group
+    /// costs the run its grace, not the root's life.
+    pub fn finish(&mut self) -> io::Result<()> {
         for slot in &self.slots {
             let _ = slot.pipe.shutdown(Shutdown::Both);
         }
         let deadline = Instant::now() + TUNING.proc_exit_grace();
-        for runner in self.runners.drain(..) {
+        let mut outcome = Ok(());
+        for (s, runner) in self.runners.drain(..).enumerate() {
             match runner {
                 // Whatever ended the group — error or panic — already
                 // reached the root, as an `error` line or as EOF.
-                Runner::Thread(join) => {
-                    let _ = join.join();
+                Runner::Thread(join, end) => {
+                    let grace = deadline.saturating_duration_since(Instant::now());
+                    if end.recv_timeout(grace) != Err(RecvTimeoutError::Timeout) {
+                        let _ = join.join();
+                    } else if outcome.is_ok() {
+                        let e = format!("shard {s}: node group still running past its exit grace");
+                        outcome = Err(io::Error::other(e));
+                    }
                 }
                 Runner::Child(mut child) => {
                     while matches!(child.try_wait(), Ok(None)) && Instant::now() < deadline {
@@ -346,6 +369,7 @@ impl Groups {
                 }
             }
         }
+        outcome
     }
 
     /// Each group's summary and reports, and the running join's verdict —
@@ -417,7 +441,6 @@ fn write_all_deadline(s: &UnixStream, mut bytes: &[u8], deadline: Instant) -> io
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::RecvTimeoutError;
 
     /// The root's slots for one inproc group, node `id`, run by a thread
     /// that is done, and the group's end of its control pipe.
@@ -428,7 +451,7 @@ mod tests {
         poll.add(root_side.as_raw_fd(), POLLIN, 0).unwrap();
         let groups = Groups {
             slots: vec![GroupSlot::new(id..id + 1, root_side)],
-            runners: vec![Runner::Thread(thread::spawn(|| {}))],
+            runners: vec![Runner::thread(|| {}).unwrap()],
             poll,
             audit: RunningAudit::default(),
             spent: Duration::ZERO,
@@ -539,5 +562,27 @@ mod tests {
             let err = outcome.expect("the root kept running").unwrap_err();
             assert_eq!(err.to_string(), want);
         }
+    }
+
+    /// A group that never ends costs the run its exit grace, not the
+    /// root: with its pipe shut and its thread still running, `finish`
+    /// names the shard inside the grace and 1 s, and leaves the thread.
+    #[test]
+    fn a_group_that_never_ends_fails_finish_inside_its_grace() {
+        let (_group_side, mut groups) = group_of_one(4);
+        let (release, wedged) = mpsc::channel::<()>();
+        let runner = Runner::thread(move || {
+            let _ = wedged.recv();
+        });
+        groups.runners = vec![runner.unwrap()];
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(groups.finish());
+        });
+        let outcome = rx.recv_timeout(TUNING.proc_exit_grace() + Duration::from_secs(1));
+        let err = outcome.expect("finish waited past its grace").unwrap_err();
+        let want = "shard 0: node group still running past its exit grace";
+        assert_eq!(err.to_string(), want);
+        release.send(()).unwrap();
     }
 }
