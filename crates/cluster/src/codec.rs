@@ -261,6 +261,8 @@ pub(crate) fn report_block(r: &NodeReport) -> Vec<u8> {
             c.write_syscalls,
             c.read_syscalls,
             c.conn_frames_dropped,
+            c.timeouts,
+            c.slot_visits,
         ],
     );
     out.extend_from_slice(b"\nend\n");
@@ -387,6 +389,8 @@ pub(crate) fn fold_line(r: &mut NodeReport, line: &[u8]) -> Option<bool> {
                 write_syscalls: next()?,
                 read_syscalls: next()?,
                 conn_frames_dropped: next()?,
+                timeouts: next()?,
+                slot_visits: next()?,
             };
         }
         b"end" => {}
@@ -683,7 +687,7 @@ pub(crate) mod tests {
             arb_histogram(),
             arb_histogram(),
         );
-        let counts = proptest::collection::vec(any::<u64>(), 13);
+        let counts = proptest::collection::vec(any::<u64>(), 15);
         (lists, histograms, counts).prop_map(
             |((node, generated, delivered, held), (latency, batch, client_rtt, client_fair), c)| {
                 NodeReport {
@@ -705,11 +709,13 @@ pub(crate) mod tests {
                         write_syscalls: c[8],
                         read_syscalls: c[9],
                         conn_frames_dropped: c[10],
+                        timeouts: c[11],
+                        slot_visits: c[12],
                     },
                     client_rtt,
                     client_fair,
-                    clients: c[11],
-                    clients_completed: c[12],
+                    clients: c[13],
+                    clients_completed: c[14],
                 }
             },
         )
@@ -1142,6 +1148,8 @@ pub(crate) mod tests {
                 write_syscalls: 11,
                 read_syscalls: 12,
                 conn_frames_dropped: 13,
+                timeouts: 14,
+                slot_visits: 15,
             },
             client_rtt: crtt,
             client_fair: cfair,
@@ -1163,7 +1171,7 @@ pub(crate) mod tests {
              crtt 3 90000 90550 79:1 82:1 213:1\n\
              cfair 2 90000 90275 81:1 213:1\n\
              cli 2 3\n\
-             ctr 1 2 3 4 5 6 7 8 11 12 13\n\
+             ctr 1 2 3 4 5 6 7 8 11 12 13 14 15\n\
              end\n"
         );
         let mut lines = text.lines().map(str::to_string);

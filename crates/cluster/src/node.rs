@@ -17,7 +17,8 @@
 //! order the test likes.
 //!
 //! One step runs, in order: the inbound frames through the link's chaos
-//! shim into `on_message`; `on_timeout` if anything arrived or the tick
+//! shim into `on_message`; `on_timeout` — the rules and timers of the
+//! forwarder's active slots, not all `n` — if anything arrived or the tick
 //! passed while a retransmission timer runs; the deliveries that
 //! produced — latency, acks out, windows closed; then the traffic source.
 //! Every send is followed by `advance(dest)`, so a node never waits while
@@ -259,10 +260,10 @@ impl Node {
         // runs so retransmission never starves. The tick counts from the
         // last timeout or the last moment there was nothing to time. The
         // adversarial-scheduler suite proves correctness at any firing
-        // schedule. `on_timeout` runs every slot's rules after its
-        // retransmission timers, so what the inbound frames enabled — a
-        // confirmed copy to move on, a delivery at the sink — happens here,
-        // not a tick later.
+        // schedule. `on_timeout` runs every active slot's rules after its
+        // retransmission timers (a slot that holds nothing has neither), so
+        // what the inbound frames enabled — a confirmed copy to move on, a
+        // delivery at the sink — happens here, not a tick later.
         let fire = worked || (self.ticking && now.saturating_sub(self.last_tick) >= TICK_US);
         if fire || !self.ticking {
             self.last_tick = now;
@@ -390,6 +391,8 @@ impl Node {
         counters.write_syscalls = io.write_syscalls;
         counters.read_syscalls = io.read_syscalls;
         counters.conn_frames_dropped = io.conn_frames_dropped;
+        counters.timeouts = self.fwd.timeouts();
+        counters.slot_visits = self.fwd.slot_visits();
 
         let mux = match &self.source {
             Source::Mux(mux) => Some(mux),

@@ -361,7 +361,8 @@ impl RunReport {
                 "\"p99\": {}, \"p999\": {}, \"max\": {}}},\n",
                 "  \"counters\": {{\"frames_sent\": {}, \"frames_received\": {}, ",
                 "\"heartbeats_sent\": {}, \"reconnects\": {}, \"chaos_dropped\": {}, ",
-                "\"chaos_duplicated\": {}, \"chaos_reordered\": {}, \"partition_dropped\": {}}},\n",
+                "\"chaos_duplicated\": {}, \"chaos_reordered\": {}, \"partition_dropped\": {}, ",
+                "\"timeouts\": {}, \"slot_visits\": {}, \"slot_visits_per_frame\": {:.3}}},\n",
                 "  \"io\": {{\"write_syscalls\": {}, \"read_syscalls\": {}, ",
                 "\"conn_frames_dropped\": {}, \"frames_per_write\": {{\"count\": {}, ",
                 "\"mean\": {:.2}, \"p50\": {}, \"p99\": {}, \"max\": {}}}}},\n",
@@ -402,6 +403,9 @@ impl RunReport {
             c.chaos_duplicated,
             c.chaos_reordered,
             c.partition_dropped,
+            c.timeouts,
+            c.slot_visits,
+            c.slot_visits as f64 / c.frames_received.max(1) as f64,
             c.write_syscalls,
             c.read_syscalls,
             c.conn_frames_dropped,
@@ -789,6 +793,8 @@ mod tests {
                         write_syscalls: 5 + p as u64,
                         read_syscalls: 6 + p as u64,
                         conn_frames_dropped: p as u64 % 4,
+                        timeouts: 30 + p as u64,
+                        slot_visits: 40 + 2 * p as u64,
                     },
                 }
             })

@@ -155,11 +155,11 @@ impl LogHistogram {
     }
 }
 
-/// Per-node transport and chaos counters, reported at shutdown. The
-/// sockets are the group's, so the five socket counters (heartbeats,
-/// reconnects, the two syscall counts, connection drops) ride the report of
-/// the group's last member to retire and are zero in the others; sums
-/// over a run's reports are the run's totals either way.
+/// Per-node transport, chaos and forwarder work counters, reported at
+/// shutdown. The sockets are the group's, so the five socket counters
+/// (heartbeats, reconnects, the two syscall counts, connection drops) ride
+/// the report of the group's last member to retire and are zero in the
+/// others; sums over a run's reports are the run's totals either way.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeCounters {
     /// Data-plane frames handed to writer queues.
@@ -188,6 +188,13 @@ pub struct NodeCounters {
     /// out-buffer cap or routed to a node that had already retired — counted wire drops, distinct from the chaos
     /// shim's deliberate ones.
     pub conn_frames_dropped: u64,
+    /// `on_timeout` calls: one after every step that received a frame,
+    /// and one per tick while a retransmission timer runs.
+    pub timeouts: u64,
+    /// Slots the `on_timeout` walks visited: the active ones, so per
+    /// frame it does not grow with `n` (the work counter for the
+    /// forwarder's cost).
+    pub slot_visits: u64,
 }
 
 impl NodeCounters {
@@ -207,6 +214,8 @@ impl NodeCounters {
         self.write_syscalls += other.write_syscalls;
         self.read_syscalls += other.read_syscalls;
         self.conn_frames_dropped += other.conn_frames_dropped;
+        self.timeouts += other.timeouts;
+        self.slot_visits += other.slot_visits;
     }
 }
 
@@ -286,6 +295,8 @@ mod tests {
                 write_syscalls: 50 + i,
                 read_syscalls: 60 + i,
                 conn_frames_dropped: i % 2,
+                timeouts: 70 + i,
+                slot_visits: 80 + 3 * i,
             })
             .collect();
 

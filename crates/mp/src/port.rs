@@ -13,13 +13,20 @@
 //! | routing algorithm `A` | a per-node table that self-repairs after a configurable number of local timeouts (standing in for a message-passing self-stabilizing routing layer) |
 //!
 //! R1, R2 and R6 read and write one node's state only, so nothing makes
-//! them wait: `on_timeout` is the routing layer, the per-slot
-//! retransmission timers, and `advance(d)` for every `d`, and a host that
-//! queues a send calls `advance(dest)` itself. A host that also fires
-//! `on_timeout` after the messages it handled never sleeps on an enabled
-//! rule ([`MpForwarder::locally_enabled`]). The timers recover from
-//! *loss* only — a full slot answers when it frees, the offerer does not
-//! poll it — and run only while [`MpForwarder::timers_pending`].
+//! them wait: `on_timeout` is the routing layer, then the retransmission
+//! timers and `advance(d)` of every *active* slot — one that holds a
+//! `bufR`, a `bufE`, a tentative copy, a waiting offer or a queued send —
+//! in destination order, and a host that queues a send calls
+//! `advance(dest)` itself. A slot that holds nothing has no enabled rule
+//! and no running timer, so skipping it is a step the daemon could have
+//! chosen not to take: the node keeps the active destinations in a bitset
+//! that `enqueue_send`, `on_message` (for its `d`) and `advance(d)` bring
+//! up to date, and a frame costs O(active + deg), not O(n). A host that
+//! also fires `on_timeout` after the messages it handled never sleeps on
+//! an enabled rule ([`MpForwarder::locally_enabled`], which still scans
+//! every slot). The timers recover from *loss* only — a full slot answers
+//! when it frees, the offerer does not poll it — and run only while
+//! [`MpForwarder::timers_pending`].
 //!
 //! Handshake messages carry a fresh 64-bit nonce per offer: the port's
 //! substitute for the unforgeable shared-memory reads of R4. A transient
@@ -207,6 +214,46 @@ impl Slot {
     }
 }
 
+/// A set of destinations, one bit each, walked in destination order.
+#[derive(Debug, Clone)]
+struct DestSet(Vec<u64>);
+
+impl DestSet {
+    fn new(n: usize) -> Self {
+        DestSet(vec![0; n.div_ceil(64)])
+    }
+
+    fn set(&mut self, d: NodeId, member: bool) {
+        let (word, bit) = (&mut self.0[d / 64], 1u64 << (d % 64));
+        if member {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
+
+    /// The smallest member at or after `from`.
+    fn next_from(&self, from: NodeId) -> Option<NodeId> {
+        let mut w = from / 64;
+        let mut bits = self.0.get(w)? & (u64::MAX << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.0.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// The members, ascending.
+    fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let mut next = self.next_from(0);
+        std::iter::from_fn(move || {
+            let d = next?;
+            next = self.next_from(d + 1);
+            Some(d)
+        })
+    }
+}
+
 /// The routing layer driving `next_hop`.
 enum RoutingLayer {
     /// A fixed table that self-repairs after a timer (the stand-in).
@@ -243,6 +290,12 @@ pub struct MpForwarder {
     /// Sorted neighbour list (`N_p`), with local ports = indices.
     neighbors: Vec<NodeId>,
     slots: Vec<Slot>,
+    /// The destinations whose slot holds something ([`MpForwarder::holds`]):
+    /// the only slots `on_timeout` and the held/idle queries visit.
+    active: DestSet,
+    /// Slots the `on_timeout` walk visited (a work counter: at most the
+    /// active slots per timeout, not `n`).
+    slot_visits: u64,
     /// Current routing table (materialized from the routing layer).
     next_hop: Vec<NodeId>,
     routing: RoutingLayer,
@@ -285,6 +338,8 @@ impl MpForwarder {
             delta,
             neighbors,
             slots: (0..n).map(|_| Slot::empty()).collect(),
+            active: DestSet::new(n),
+            slot_visits: 0,
             next_hop,
             routing: RoutingLayer::Timer {
                 true_next_hop,
@@ -317,7 +372,46 @@ impl MpForwarder {
     /// [`MpForwarder::advance`] of `dest` — call it now to skip the wait.
     pub fn enqueue_send(&mut self, dest: NodeId, payload: u64, ghost: MpGhost) {
         self.app_queues[dest].push_back(AppSend { payload, ghost });
+        self.active.set(dest, true);
         self.generated.push((ghost, dest));
+    }
+
+    /// Whether slot `d` holds something: a `bufR`, a `bufE`, a tentative
+    /// copy, a waiting offer or a queued send. A slot that holds nothing
+    /// has no enabled rule and no running timer, so `on_timeout` skips it.
+    fn holds(&self, d: NodeId) -> bool {
+        let s = &self.slots[d];
+        s.buf_r.is_some()
+            || s.buf_e.is_some()
+            || s.tentative.is_some()
+            || s.waiting.iter().any(Option::is_some)
+            || !self.app_queues[d].is_empty()
+    }
+
+    /// Brings slot `d`'s membership of the active set up to date.
+    fn mark(&mut self, d: NodeId) {
+        let holds = self.holds(d);
+        self.active.set(d, holds);
+    }
+
+    /// The one way in for a transient fault's garbage: `f` may rewrite any
+    /// slot, and the active set is then rebuilt from a scan of all of them.
+    fn corrupt(&mut self, f: impl FnOnce(&mut [Slot])) {
+        f(&mut self.slots);
+        for d in 0..self.n {
+            self.mark(d);
+        }
+    }
+
+    /// `on_timeout` calls so far (a work counter).
+    pub fn timeouts(&self) -> u64 {
+        self.timeout_count
+    }
+
+    /// Slots the `on_timeout` walk visited so far (a work counter): the
+    /// active slots of every timeout, not `n` of them.
+    pub fn slot_visits(&self) -> u64 {
+        self.slot_visits
     }
 
     /// Switches the node to the distance-vector routing layer with the
@@ -373,9 +467,10 @@ impl MpForwarder {
 
     /// Occupied buffers (both kinds) plus tentative copies at this node.
     pub fn occupied(&self) -> usize {
-        self.slots
+        self.active
             .iter()
-            .map(|s| {
+            .map(|d| {
+                let s = &self.slots[d];
                 s.buf_r.is_some() as usize
                     + s.buf_e.is_some() as usize
                     + s.tentative.is_some() as usize
@@ -386,13 +481,17 @@ impl MpForwarder {
     /// How many messages this node holds — `held_ghosts().len()` without
     /// the list.
     pub fn held_count(&self) -> usize {
-        self.occupied() + self.app_queues.iter().map(|q| q.len()).sum::<usize>()
+        let queued: usize = self.active.iter().map(|d| self.app_queues[d].len()).sum();
+        self.occupied() + queued
     }
 
-    /// Ghosts of all messages currently held by this node.
+    /// Ghosts of all messages currently held by this node: the slots'
+    /// buffers and tentative copies, then the queued sends, each in
+    /// destination order.
     pub fn held_ghosts(&self) -> Vec<MpGhost> {
         let mut out = Vec::new();
-        for s in &self.slots {
+        for d in self.active.iter() {
+            let s = &self.slots[d];
             for m in [&s.buf_r, &s.buf_e].into_iter().flatten() {
                 out.push(m.ghost);
             }
@@ -400,10 +499,8 @@ impl MpForwarder {
                 out.push(m.ghost);
             }
         }
-        for q in &self.app_queues {
-            for a in q {
-                out.push(a.ghost);
-            }
+        for d in self.active.iter() {
+            out.extend(self.app_queues[d].iter().map(|a| a.ghost));
         }
         out
     }
@@ -416,11 +513,12 @@ impl MpForwarder {
     /// Runs slot `d`'s local rules — consumption (R6), internal move (R2),
     /// and `choice_p(d)` filling a free `bufR` (R1, or a waiting offer) —
     /// until none is enabled, then puts the first `Offer` of a freshly
-    /// filled `bufE` on the wire. None of them waits on a neighbour, so a
+    /// filled `bufE` on the wire, and brings the slot's membership of the
+    /// active set up to date. None of them waits on a neighbour, so a
     /// host calls this wherever one may have become enabled (after
-    /// `enqueue_send`; `on_timeout` does it for every slot) and never
-    /// sleeps on an enabled rule. Each pass is a step the adversarial
-    /// scheduler could have taken through `on_timeout`.
+    /// `enqueue_send`; `on_timeout` does it for every active slot) and
+    /// never sleeps on an enabled rule. Each pass is a step the
+    /// adversarial scheduler could have taken through `on_timeout`.
     pub fn advance(&mut self, d: NodeId, out: &mut Outbox<WireMsg>) {
         loop {
             let slot = &mut self.slots[d];
@@ -450,6 +548,7 @@ impl MpForwarder {
         if self.unoffered(d) {
             self.send_offer(d, out);
         }
+        self.mark(d);
     }
 
     /// `choice_p(d)`: the first position of `N_p ∪ {p}`, at or after the
@@ -538,7 +637,8 @@ impl MpForwarder {
     /// requester (a queued send, R1, or a waiting offer), or a `bufE` still
     /// waiting for its first `Offer`. A host that sleeps while this holds
     /// is charging its own scheduling delay to the protocol; `advance`
-    /// clears it.
+    /// clears it. It scans all `n` slots, not the active set, so a slot
+    /// the set lost shows up here (a debug-build check, not a hot path).
     pub fn locally_enabled(&self) -> bool {
         (0..self.n).any(|d| {
             let slot = &self.slots[d];
@@ -555,11 +655,10 @@ impl MpForwarder {
     /// enabled, a host may sleep until a message or a send arrives.
     pub fn timers_pending(&self) -> bool {
         !self.routing_idle()
-            || self
-                .slots
-                .iter()
-                .enumerate()
-                .any(|(d, s)| s.tentative.is_some() || (d != self.id && s.buf_e.is_some()))
+            || self.active.iter().any(|d| {
+                let s = &self.slots[d];
+                s.tentative.is_some() || (d != self.id && s.buf_e.is_some())
+            })
     }
 
     fn routing_idle(&self) -> bool {
@@ -570,10 +669,11 @@ impl MpForwarder {
     }
 }
 
-impl MpNode for MpForwarder {
-    type Msg = WireMsg;
-
-    fn on_message(&mut self, from: NodeId, msg: WireMsg, out: &mut Outbox<WireMsg>) {
+impl MpForwarder {
+    /// `on_message`'s handshake and routing arms. Only the message's own
+    /// slot `d` can start or stop holding something, and `on_message`
+    /// marks it afterwards.
+    fn handle(&mut self, from: NodeId, msg: WireMsg, out: &mut Outbox<WireMsg>) {
         match msg {
             WireMsg::Offer { d, msg, nonce } => {
                 if d >= self.n {
@@ -694,7 +794,29 @@ impl MpNode for MpForwarder {
             }
         }
     }
+}
 
+impl MpNode for MpForwarder {
+    type Msg = WireMsg;
+
+    fn on_message(&mut self, from: NodeId, msg: WireMsg, out: &mut Outbox<WireMsg>) {
+        self.handle(from, msg, out);
+        if let WireMsg::Offer { d, .. }
+        | WireMsg::Accept { d, .. }
+        | WireMsg::Confirm { d, .. }
+        | WireMsg::Deny { d, .. } = msg
+        {
+            if d < self.n {
+                self.mark(d);
+            }
+        }
+    }
+
+    /// The routing layer's timeout, then every active slot in destination
+    /// order: its re-query and re-offer timers, then `advance(d)`. A slot
+    /// outside the set holds nothing, so it has no timer to run and no
+    /// rule to fire; the walk's cost is the active slots, counted in
+    /// [`MpForwarder::slot_visits`].
     fn on_timeout(&mut self, out: &mut Outbox<WireMsg>) {
         // Routing layer.
         self.timeout_count += 1;
@@ -736,7 +858,10 @@ impl MpNode for MpForwarder {
             }
         }
 
-        for d in 0..self.n {
+        // Only slot `d`'s own membership can change while it is visited.
+        let mut next = self.active.next_from(0);
+        while let Some(d) = next {
+            self.slot_visits += 1;
             // Tentative re-query with exponential backoff: a pending
             // tentative whose `Confirm`/`Deny` was lost on the wire would
             // otherwise block this slot forever. Re-sending `Accept` is
@@ -768,6 +893,7 @@ impl MpNode for MpForwarder {
             // is offered once now and re-offered `1 << RETX_FLOOR` timeouts
             // on, the cadence the timers above have always counted.
             self.advance(d, out);
+            next = self.active.next_from(d + 1);
         }
     }
 
@@ -775,11 +901,15 @@ impl MpNode for MpForwarder {
         // A pending tentative keeps the node busy: its re-query timer must
         // keep firing until the offerer's `Confirm`/`Deny` resolves it
         // (garbage or fault-orphaned tentatives resolve through a `Deny`).
-        let buffers_empty = self
-            .slots
-            .iter()
-            .all(|s| s.buf_r.is_none() && s.buf_e.is_none() && s.tentative.is_none());
-        buffers_empty && self.app_queues.iter().all(|q| q.is_empty()) && self.routing_idle()
+        // A waiting offer alone does not: it is a hint, not a copy.
+        self.routing_idle()
+            && self.active.iter().all(|d| {
+                let s = &self.slots[d];
+                s.buf_r.is_none()
+                    && s.buf_e.is_none()
+                    && s.tentative.is_none()
+                    && self.app_queues[d].is_empty()
+            })
     }
 }
 
@@ -908,21 +1038,23 @@ impl<T: Transport<WireMsg>> PortNetwork<T> {
                     config.seed,
                 );
                 // Buffer garbage.
-                for _ in 0..buffer_garbage {
-                    let d = rng.gen_range(0..n);
-                    let msg = MpMessage {
-                        payload: rng.gen_range(0..8),
-                        color: rng.gen_range(0..=delta),
-                        ghost: MpGhost::Invalid(next_invalid),
-                    };
-                    next_invalid += 1;
-                    if rng.gen_bool(0.5) {
-                        node.slots[d].buf_r = Some(msg);
-                    } else {
-                        node.slots[d].buf_e = Some(msg);
-                        node.slots[d].offer_nonce = rng.gen();
+                node.corrupt(|slots| {
+                    for _ in 0..buffer_garbage {
+                        let d = rng.gen_range(0..n);
+                        let msg = MpMessage {
+                            payload: rng.gen_range(0..8),
+                            color: rng.gen_range(0..=delta),
+                            ghost: MpGhost::Invalid(next_invalid),
+                        };
+                        next_invalid += 1;
+                        if rng.gen_bool(0.5) {
+                            slots[d].buf_r = Some(msg);
+                        } else {
+                            slots[d].buf_e = Some(msg);
+                            slots[d].offer_nonce = rng.gen();
+                        }
                     }
-                }
+                });
                 node
             })
             .collect();
@@ -1090,6 +1222,7 @@ impl<T: Transport<WireMsg>> PortNetwork<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, ProptestConfig};
     use ssmfp_topology::gen;
 
     fn config(seed: u64) -> MpConfig {
@@ -1282,16 +1415,19 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             for p in 0..5 {
                 let node = net.net.node_mut(p);
-                for slot in &mut node.slots {
-                    slot.choice_ptr = rng.gen();
-                    slot.waiting = (0..node.neighbors.len())
-                        .map(|_| {
-                            let ghost = MpGhost::Invalid(rng.gen());
-                            let msg = MpMessage { ghost, ..msg_of(3) };
-                            Some((rng.gen(), msg))
-                        })
-                        .collect();
-                }
+                let deg = node.neighbors.len();
+                node.corrupt(|slots| {
+                    for slot in slots {
+                        slot.choice_ptr = rng.gen();
+                        slot.waiting = (0..deg)
+                            .map(|_| {
+                                let ghost = MpGhost::Invalid(rng.gen());
+                                let msg = MpMessage { ghost, ..msg_of(3) };
+                                Some((rng.gen(), msg))
+                            })
+                            .collect();
+                    }
+                });
             }
             let ghosts: Vec<_> = (0..5).map(|s| net.send(s, (s + 2) % 5, s as u64)).collect();
             assert!(net.run_to_quiescence(2_000_000), "seed {seed}");
@@ -1564,6 +1700,98 @@ mod tests {
         let audit = net.audit();
         assert_eq!(audit.exactly_once + audit.in_flight, 1);
         assert_eq!(audit.lost(), 0);
+    }
+
+    /// The oracle for the active set: the destinations whose slot a scan
+    /// of all `n` finds holding anything.
+    fn scan_active(node: &MpForwarder) -> Vec<NodeId> {
+        (0..node.n)
+            .filter(|&d| {
+                let s = &node.slots[d];
+                s.buf_r.is_some()
+                    || s.buf_e.is_some()
+                    || s.tentative.is_some()
+                    || s.waiting.iter().flatten().next().is_some()
+                    || !node.app_queues[d].is_empty()
+            })
+            .collect()
+    }
+
+    /// Seeded garbage in every kind of slot state the set depends on.
+    fn garbage_slots(node: &mut MpForwarder, rng: &mut ChaCha8Rng, count: usize) {
+        let (n, deg) = (node.n, node.neighbors.len());
+        let from = node.neighbors.first().copied().unwrap_or(node.id);
+        node.corrupt(|slots| {
+            for _ in 0..count {
+                let d = rng.gen_range(0..n);
+                let msg = MpMessage {
+                    ghost: MpGhost::Invalid(rng.gen()),
+                    ..msg_of(rng.gen_range(0..8))
+                };
+                let slot = &mut slots[d];
+                match rng.gen_range(0..4) {
+                    0 => slot.buf_r = Some(msg),
+                    1 => slot.buf_e = Some(msg),
+                    2 => slot.tentative = Some((from, rng.gen(), msg)),
+                    _ => {
+                        slot.choice_ptr = rng.gen();
+                        slot.waiting = (0..deg)
+                            .map(|_| rng.gen_bool(0.5).then(|| (rng.gen(), msg)))
+                            .collect();
+                    }
+                }
+            }
+        });
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The active set is exactly the slots a full scan finds holding
+        /// something, after every event of an adversarial schedule: sends,
+        /// deliveries and timeouts in a seeded order, over faulty channels,
+        /// from corrupted tables, garbage slots and garbage on the wire.
+        #[test]
+        fn active_set_equals_the_full_scan(
+            (ring, n, seed) in (any::<bool>(), 2usize..7, any::<u64>()),
+            timeout_bias in 0.05f64..0.95,
+            (corrupt, dv, faults) in (any::<bool>(), any::<bool>(), 0u32..4),
+            (wire_garbage, buffer_garbage, slot_garbage) in (0usize..12, 0usize..4, 0usize..6),
+            sends in proptest::collection::vec((0usize..7, 0usize..7, 0u64..400), 1..12),
+        ) {
+            let graph = if ring && n >= 3 { gen::ring(n) } else { gen::line(n) };
+            let config = MpConfig { seed, timeout_bias };
+            let mut net = if dv {
+                PortNetwork::new_dv(graph, config, corrupt, wire_garbage, buffer_garbage)
+            } else {
+                PortNetwork::new(graph, config, corrupt, 6, wire_garbage, buffer_garbage)
+            };
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            for p in 0..n {
+                garbage_slots(net.net.node_mut(p), &mut rng, slot_garbage);
+            }
+            net.set_channel_faults(ChannelFaults::budget(seed, faults));
+            let check = |net: &PortNetwork, event: &str| {
+                for (p, node) in net.net.nodes().iter().enumerate() {
+                    let set: Vec<NodeId> = node.active.iter().collect();
+                    assert_eq!(set, scan_active(node), "node {p} after {event}");
+                }
+            };
+            check(&net, "the start");
+            for &(src, dst, at) in &sends {
+                // Each send lands after `at` events of the schedule so far.
+                for k in 0..at {
+                    let Some(event) = net.net.step() else { break };
+                    check(&net, &format!("{event:?} (step {k})"));
+                }
+                net.send(src % n, dst % n, at % 8);
+                check(&net, "a send");
+            }
+            for k in 0..20_000 {
+                let Some(event) = net.net.step() else { break };
+                check(&net, &format!("{event:?} (drain step {k})"));
+            }
+        }
     }
 
     #[test]
