@@ -30,10 +30,7 @@ pub struct PortTally {
 pub enum PortRouting {
     /// Correct static tables.
     Clean,
-    /// Random tables that self-repair on a timer (stand-in for A).
-    TimerRepair,
-    /// The real message-passing distance-vector layer, from garbage
-    /// estimates.
+    /// The message-passing distance-vector layer, from garbage estimates.
     DistVecGarbage,
 }
 
@@ -53,12 +50,7 @@ pub fn sweep(
             timeout_bias: 0.3,
         };
         let mut net = match routing {
-            PortRouting::Clean => {
-                PortNetwork::new(graph, config, false, 0, wire_garbage, buffer_garbage)
-            }
-            PortRouting::TimerRepair => {
-                PortNetwork::new(graph, config, true, 10, wire_garbage, buffer_garbage)
-            }
+            PortRouting::Clean => PortNetwork::new(graph, config, wire_garbage, buffer_garbage),
             PortRouting::DistVecGarbage => {
                 PortNetwork::new_dv(graph, config, true, wire_garbage, buffer_garbage)
             }
@@ -98,20 +90,15 @@ pub fn run(seed: u64) -> Table {
     );
     let scenarios: [(&str, PortRouting, usize, usize); 4] = [
         ("clean", PortRouting::Clean, 0, 0),
+        ("DV from garbage", PortRouting::DistVecGarbage, 0, 0),
         (
-            "corrupted tables (timer repair)",
-            PortRouting::TimerRepair,
-            0,
-            0,
-        ),
-        (
-            "corrupted + wire/buffer garbage",
-            PortRouting::TimerRepair,
+            "DV from garbage + 24 wire / 3 buffer",
+            PortRouting::DistVecGarbage,
             24,
             3,
         ),
         (
-            "distance-vector layer, garbage init",
+            "DV from garbage + 12 wire / 2 buffer",
             PortRouting::DistVecGarbage,
             12,
             2,
@@ -140,7 +127,7 @@ mod tests {
     fn port_is_exactly_once_across_sweeps() {
         for (routing, wire, buffers) in [
             (PortRouting::Clean, 0, 0),
-            (PortRouting::TimerRepair, 16, 2),
+            (PortRouting::DistVecGarbage, 16, 2),
             (PortRouting::DistVecGarbage, 8, 1),
         ] {
             let t = sweep(0..6, routing, wire, buffers);

@@ -286,7 +286,7 @@ mod tests {
             seed: 1,
             timeout_bias: 0.3,
         };
-        let mut net = PortNetwork::with_transport(graph, config, t, false, 0, 0, 0);
+        let mut net = PortNetwork::with_transport(graph, config, t);
         for k in 0..20 {
             for s in 0..5 {
                 net.send(s, (s + 2) % 5, k);

@@ -19,7 +19,11 @@
 //!   plays the role of rules R4/R5 (erase the source copy only once the
 //!   unique successor copy is certified; drop tentative copies the source
 //!   disowns). Colors survive as the per-hop disambiguator of
-//!   consecutive same-payload messages, exactly as in Algorithm 1.
+//!   consecutive same-payload messages, exactly as in Algorithm 1;
+//! * [`port_network`] — [`PortNetwork`], the facade that builds one
+//!   forwarder per node from a clean or a garbage start (static tables, or
+//!   the distance-vector routing layer from garbage estimates) and audits
+//!   the run.
 //!
 //! **Status of the claim.** This port is *not* proven snap-stabilizing —
 //! the paper says the general transformation is open, and we do not close
@@ -37,6 +41,7 @@
 pub mod clients;
 pub mod net;
 pub mod port;
+pub mod port_network;
 pub mod suite;
 
 pub use clients::{ack_ghost_of, client_ghost, decode_client_ghost, ClientParts};
@@ -44,4 +49,5 @@ pub use net::{
     ChannelFaults, ChannelTransport, FaultClerk, LinkId, MpConfig, MpNetwork, MpNode, Outbox,
     SchedulerEvent, Transport,
 };
-pub use port::{MpForwarder, MpGhost, MpMessage, PortNetwork, WireMsg};
+pub use port::{MpForwarder, MpGhost, MpMessage, WireMsg};
+pub use port_network::PortNetwork;

@@ -10,7 +10,7 @@
 //! | `R4` (erase source after unique copy certified) | the source erases on `Accept` from its **current** next hop, matching the offer nonce — at most one `Accept` can ever be confirmed per offer |
 //! | `R5` (drop duplicate copies after re-routing) | `Deny`: the source disowns stale `Accept`s (re-routed or already-erased offers), and the receiver drops the corresponding tentative copy |
 //! | `R6` (consumption at the destination) | local rule, run to fixpoint in `advance` |
-//! | routing algorithm `A` | a per-node table that self-repairs after a configurable number of local timeouts (standing in for a message-passing self-stabilizing routing layer) |
+//! | routing algorithm `A` | a static table (the cluster's BFS tables), or the distance-vector layer of [`MpForwarder::with_dist_vec`]: cached neighbour vectors, min+1, a broadcast on every change and a refresh whose period doubles while the vector stands still; a next-hop change re-offers the slot's `bufE` under a fresh nonce |
 //!
 //! R1, R2 and R6 read and write one node's state only, so nothing makes
 //! them wait: `on_timeout` is the routing layer, then the retransmission
@@ -35,14 +35,11 @@
 //! paper's open problem, unavoidable without further machinery — gap
 //! between this port and true snap-stabilization).
 
-use crate::net::{
-    ChannelFaults, ChannelTransport, LinkId, MpConfig, MpNetwork, MpNode, Outbox, Transport,
-};
+use crate::net::{MpNode, Outbox};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use ssmfp_core::choice::advance_ptr;
-use ssmfp_core::{reconcile_ledgers, ClusterVerdict, NodeLedger};
-use ssmfp_topology::{BfsTree, Graph, NodeId};
+use ssmfp_topology::NodeId;
 use std::collections::VecDeque;
 
 /// Instrumentation-only message identity: the state model's ghost id, under
@@ -101,8 +98,8 @@ pub enum WireMsg {
         nonce: u64,
     },
     /// Distance-vector advertisement: "my estimated distance to `d` is
-    /// `dist`" (the message-passing routing layer, replacing the
-    /// timer-repair stand-in when enabled).
+    /// `dist`" (the message-passing routing layer `A`; a forwarder with a
+    /// static table ignores it).
     Dv {
         /// Destination the estimate refers to.
         d: NodeId,
@@ -133,11 +130,11 @@ const RETX_FLOOR: u8 = 1;
 
 /// Per-destination forwarding slot.
 #[derive(Debug, Clone)]
-struct Slot {
-    buf_r: Option<MpMessage>,
-    buf_e: Option<MpMessage>,
+pub(crate) struct Slot {
+    pub(crate) buf_r: Option<MpMessage>,
+    pub(crate) buf_e: Option<MpMessage>,
     /// Nonce of the outstanding offer for `buf_e` (refreshed per fill).
-    offer_nonce: u64,
+    pub(crate) offer_nonce: u64,
     /// Tentative copy awaiting `Confirm`: (from, nonce, message).
     tentative: Option<(NodeId, u64, MpMessage)>,
     /// Rotating color counter for internal moves.
@@ -254,32 +251,29 @@ impl DestSet {
     }
 }
 
-/// The routing layer driving `next_hop`.
-enum RoutingLayer {
-    /// A fixed table that self-repairs after a timer (the stand-in).
-    Timer {
-        /// The correct table restored by the repair.
-        true_next_hop: Vec<NodeId>,
-        /// Local timeouts until repair (`0` = already correct).
-        repair_after: u64,
-    },
-    /// A real message-passing distance-vector protocol: cached neighbour
-    /// vectors, min+1 recomputation, change-driven broadcasts plus a slow
-    /// periodic refresh (the self-stabilization mechanism — stale caches
-    /// are eventually overwritten).
-    DistVec {
-        /// Cached neighbour estimates, per local port, per destination.
-        nbr_dist: Vec<Vec<u32>>,
-        /// Own estimates (capped at `n`).
-        own_dist: Vec<u32>,
-        /// Timeouts until the next unconditional re-broadcast.
-        refresh_timer: u32,
-        /// Own vector changed since last broadcast.
-        dirty: bool,
-    },
+/// The message-passing distance-vector routing layer driving `next_hop`:
+/// cached neighbour vectors, min+1 recomputation, change-driven broadcasts
+/// plus a periodic refresh (the self-stabilization mechanism — stale caches
+/// are eventually overwritten).
+struct DistVec {
+    /// Cached neighbour estimates, per local port, per destination.
+    nbr_dist: Vec<Vec<u32>>,
+    /// Own estimates (capped at `n`).
+    own_dist: Vec<u32>,
+    /// Timeouts until the next unconditional re-broadcast.
+    refresh_timer: u32,
+    /// Backoff exponent of the refresh period (capped).
+    refresh_backoff: u8,
+    /// Own vector changed since last broadcast.
+    dirty: bool,
 }
 
-/// Period of the distance-vector layer's unconditional refresh.
+/// First period of the distance-vector layer's unconditional refresh. The
+/// period doubles after every refresh that found the vector unchanged, up
+/// to `DV_REFRESH << 10`, and starts over after a change: a fixed period
+/// sends `n · deg` frames every few timeouts whatever the traffic, and a
+/// schedule that fires timeouts faster than it delivers frames then queues
+/// them without bound ahead of the handshake.
 const DV_REFRESH: u32 = 24;
 
 /// One node of the ported protocol.
@@ -296,9 +290,9 @@ pub struct MpForwarder {
     /// Slots the `on_timeout` walk visited (a work counter: at most the
     /// active slots per timeout, not `n`).
     slot_visits: u64,
-    /// Current routing table (materialized from the routing layer).
+    /// Current routing table: static, or materialized from `dv`.
     next_hop: Vec<NodeId>,
-    routing: RoutingLayer,
+    dv: Option<DistVec>,
     timeout_count: u64,
     /// Pending higher-layer sends, one FIFO **per destination**. R1 is
     /// enabled for every destination whose slot is free, so a backlog for
@@ -321,15 +315,15 @@ pub struct MpForwarder {
 }
 
 impl MpForwarder {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
+    /// A standalone forwarder with a fixed, already-correct routing table
+    /// (the cluster runtime computes tables from BFS trees and hands them
+    /// in).
+    pub fn new_static(
         id: NodeId,
         n: usize,
         delta: u8,
         neighbors: Vec<NodeId>,
-        true_next_hop: Vec<NodeId>,
         next_hop: Vec<NodeId>,
-        repair_after: u64,
         seed: u64,
     ) -> Self {
         MpForwarder {
@@ -341,10 +335,7 @@ impl MpForwarder {
             active: DestSet::new(n),
             slot_visits: 0,
             next_hop,
-            routing: RoutingLayer::Timer {
-                true_next_hop,
-                repair_after,
-            },
+            dv: None,
             timeout_count: 0,
             app_queues: (0..n).map(|_| VecDeque::new()).collect(),
             nonce_rng: ChaCha8Rng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9)),
@@ -352,20 +343,6 @@ impl MpForwarder {
             delivered_msgs: Vec::new(),
             generated: Vec::new(),
         }
-    }
-
-    /// A standalone forwarder with a fixed, already-correct routing table
-    /// (the cluster runtime computes tables from BFS trees and hands them
-    /// in; the timer repair layer is idle from the start).
-    pub fn new_static(
-        id: NodeId,
-        n: usize,
-        delta: u8,
-        neighbors: Vec<NodeId>,
-        next_hop: Vec<NodeId>,
-        seed: u64,
-    ) -> Self {
-        Self::new(id, n, delta, neighbors, next_hop.clone(), next_hop, 0, seed)
     }
 
     /// Queues a higher-layer send on this node. R1 picks it up at the next
@@ -396,7 +373,7 @@ impl MpForwarder {
 
     /// The one way in for a transient fault's garbage: `f` may rewrite any
     /// slot, and the active set is then rebuilt from a scan of all of them.
-    fn corrupt(&mut self, f: impl FnOnce(&mut [Slot])) {
+    pub(crate) fn corrupt(&mut self, f: impl FnOnce(&mut [Slot])) {
         f(&mut self.slots);
         for d in 0..self.n {
             self.mark(d);
@@ -417,52 +394,53 @@ impl MpForwarder {
     /// Switches the node to the distance-vector routing layer with the
     /// given (possibly garbage) initial estimates and caches.
     pub fn with_dist_vec(mut self, own_dist: Vec<u32>, nbr_dist: Vec<Vec<u32>>) -> Self {
-        self.routing = RoutingLayer::DistVec {
+        self.dv = Some(DistVec {
             nbr_dist,
             own_dist,
             refresh_timer: 0,
+            refresh_backoff: 0,
             dirty: true,
-        };
-        self.recompute_routes();
+        });
+        for d in 0..self.n {
+            self.recompute_route(d);
+        }
         self
     }
 
-    /// Recomputes `own_dist` and `next_hop` from the cached neighbour
-    /// vectors (min+1 with the `n` cap; smallest-port tie-break). Returns
-    /// whether the own vector changed.
-    fn recompute_routes(&mut self) -> bool {
-        let RoutingLayer::DistVec {
-            nbr_dist, own_dist, ..
-        } = &mut self.routing
-        else {
-            return false;
-        };
+    /// Recomputes `own_dist[d]` and `next_hop[d]` from the cached neighbour
+    /// vectors (min+1 with the `n` cap; smallest-port tie-break), and marks
+    /// the vector dirty if the estimate changed. A new next hop for a slot
+    /// holding a `bufE` starts a new handshake under a fresh nonce: an
+    /// `Accept` the old hop sent must not certify the re-offer, which it
+    /// would if the route flipped back before the `Deny` reached it (the
+    /// old hop drops its tentative copy on that `Deny`, so the erasure
+    /// would leave no copy at all).
+    fn recompute_route(&mut self, d: NodeId) {
+        let Some(dv) = &mut self.dv else { return };
         let cap = self.n as u32;
-        let mut changed = false;
-        for d in 0..self.n {
-            if d == self.id {
-                if own_dist[d] != 0 {
-                    own_dist[d] = 0;
-                    changed = true;
-                }
-                continue;
-            }
-            let mut best = cap;
-            let mut hop = self.neighbors.first().copied().unwrap_or(self.id);
+        let (best, hop) = if d == self.id {
+            (0, self.id)
+        } else {
+            let mut best = (cap, self.neighbors.first().copied().unwrap_or(self.id));
             for (port, &q) in self.neighbors.iter().enumerate() {
-                let cand = nbr_dist[port][d].min(cap).saturating_add(1).min(cap);
-                if cand < best {
-                    best = cand;
-                    hop = q;
+                let cand = dv.nbr_dist[port][d].min(cap).saturating_add(1).min(cap);
+                if cand < best.0 {
+                    best = (cand, q);
                 }
             }
-            if own_dist[d] != best {
-                own_dist[d] = best;
-                changed = true;
-            }
-            self.next_hop[d] = hop;
+            best
+        };
+        if dv.own_dist[d] != best {
+            dv.own_dist[d] = best;
+            dv.dirty = true;
         }
-        changed
+        let slot = &mut self.slots[d];
+        if self.next_hop[d] != hop && slot.buf_e.is_some() {
+            slot.offer_nonce = self.nonce_rng.gen();
+            slot.offer_timer = 0;
+            slot.offer_backoff = 0;
+        }
+        self.next_hop[d] = hop;
     }
 
     /// Occupied buffers (both kinds) plus tentative copies at this node.
@@ -651,8 +629,9 @@ impl MpForwarder {
 
     /// Whether a retransmission timer is running: some slot holds a `bufE`
     /// its next hop has not certified or a tentative copy, or the routing
-    /// layer is still repairing. While it is false and nothing is locally
-    /// enabled, a host may sleep until a message or a send arrives.
+    /// layer has a changed vector to broadcast. While it is false and
+    /// nothing is locally enabled, a host may sleep until a message or a
+    /// send arrives.
     pub fn timers_pending(&self) -> bool {
         !self.routing_idle()
             || self.active.iter().any(|d| {
@@ -662,10 +641,7 @@ impl MpForwarder {
     }
 
     fn routing_idle(&self) -> bool {
-        match &self.routing {
-            RoutingLayer::Timer { repair_after, .. } => *repair_after == 0,
-            RoutingLayer::DistVec { dirty, .. } => !*dirty,
-        }
+        !self.dv.as_ref().is_some_and(|dv| dv.dirty)
     }
 }
 
@@ -771,25 +747,11 @@ impl MpForwarder {
                 let Some(port) = self.neighbors.iter().position(|&q| q == from) else {
                     return;
                 };
-                let cap = self.n as u32;
-                let mut changed_cache = false;
-                if let RoutingLayer::DistVec { nbr_dist, .. } = &mut self.routing {
-                    let v = dist.min(cap);
-                    if nbr_dist[port][d] != v {
-                        nbr_dist[port][d] = v;
-                        changed_cache = true;
-                    }
-                }
-                if changed_cache && self.recompute_routes() {
-                    if let RoutingLayer::DistVec { dirty, .. } = &mut self.routing {
-                        *dirty = true;
-                    }
-                    // A route change invalidates offer targets: re-offer
-                    // promptly.
-                    for slot in &mut self.slots {
-                        slot.offer_timer = 0;
-                        slot.offer_backoff = 0;
-                    }
+                let Some(dv) = &mut self.dv else { return };
+                let v = dist.min(self.n as u32);
+                if dv.nbr_dist[port][d] != v {
+                    dv.nbr_dist[port][d] = v;
+                    self.recompute_route(d);
                 }
             }
         }
@@ -820,41 +782,22 @@ impl MpNode for MpForwarder {
     fn on_timeout(&mut self, out: &mut Outbox<WireMsg>) {
         // Routing layer.
         self.timeout_count += 1;
-        match &mut self.routing {
-            RoutingLayer::Timer {
-                true_next_hop,
-                repair_after,
-            } => {
-                if *repair_after > 0 && self.timeout_count >= *repair_after {
-                    self.next_hop = true_next_hop.clone();
-                    *repair_after = 0;
-                    // The next hops changed: re-offer everything promptly.
-                    for slot in &mut self.slots {
-                        slot.offer_timer = 0;
-                        slot.offer_backoff = 0;
-                    }
-                }
-            }
-            RoutingLayer::DistVec {
-                refresh_timer,
-                dirty,
-                own_dist,
-                ..
-            } => {
-                let broadcast = *dirty || *refresh_timer == 0;
-                if *refresh_timer == 0 {
-                    *refresh_timer = DV_REFRESH;
+        if let Some(dv) = &mut self.dv {
+            if dv.dirty || dv.refresh_timer == 0 {
+                dv.refresh_backoff = if dv.dirty {
+                    0
                 } else {
-                    *refresh_timer -= 1;
-                }
-                if broadcast {
-                    *dirty = false;
-                    for &q in &self.neighbors {
-                        for (d, &dist) in own_dist.iter().enumerate() {
-                            out.send(q, WireMsg::Dv { d, dist });
-                        }
+                    (dv.refresh_backoff + 1).min(10)
+                };
+                dv.refresh_timer = DV_REFRESH << dv.refresh_backoff;
+                dv.dirty = false;
+                for &q in &self.neighbors {
+                    for (d, &dist) in dv.own_dist.iter().enumerate() {
+                        out.send(q, WireMsg::Dv { d, dist });
                     }
                 }
+            } else {
+                dv.refresh_timer -= 1;
             }
         }
 
@@ -913,315 +856,11 @@ impl MpNode for MpForwarder {
     }
 }
 
-/// The user-facing facade for the port (mirrors `ssmfp_core::Network`).
-///
-/// ```
-/// use ssmfp_mp::{MpConfig, PortNetwork};
-/// use ssmfp_topology::gen;
-///
-/// // The distance-vector routing layer learns routes from garbage while
-/// // the handshake port carries the message — exactly once.
-/// let mut net = PortNetwork::new_dv(gen::line(4), MpConfig::default(), true, 0, 0);
-/// let msg = net.send(0, 3, 9);
-/// assert!(net.run_to_quiescence(2_000_000));
-/// assert_eq!(net.deliveries_of(msg), 1);
-/// ```
-pub struct PortNetwork<T: Transport<WireMsg> = ChannelTransport<WireMsg>> {
-    net: MpNetwork<MpForwarder, T>,
-    next_valid: u64,
-}
-
-impl PortNetwork {
-    /// Builds a port network over in-process channels. `corrupt_tables`
-    /// randomizes every next-hop entry (each node repairs after
-    /// `repair_after` of its own timeouts); `wire_garbage` injects that
-    /// many random handshake messages into random channels;
-    /// `buffer_garbage` pre-fills that many random node buffers with
-    /// invalid messages.
-    pub fn new(
-        graph: Graph,
-        config: MpConfig,
-        corrupt_tables: bool,
-        repair_after: u64,
-        wire_garbage: usize,
-        buffer_garbage: usize,
-    ) -> Self {
-        let transport = ChannelTransport::new(&graph);
-        Self::with_transport(
-            graph,
-            config,
-            transport,
-            corrupt_tables,
-            repair_after,
-            wire_garbage,
-            buffer_garbage,
-        )
-    }
-
-    /// As [`PortNetwork::new`], but with the **distance-vector routing
-    /// layer**: every node learns its routes from `Dv` advertisements
-    /// instead of a timer-repaired table. `garbage_dv` randomizes the
-    /// initial estimates and caches (the routing layer's own transient
-    /// faults); it must converge by itself — no oracle repair exists.
-    pub fn new_dv(
-        graph: Graph,
-        config: MpConfig,
-        garbage_dv: bool,
-        wire_garbage: usize,
-        buffer_garbage: usize,
-    ) -> Self {
-        let transport = ChannelTransport::new(&graph);
-        Self::with_transport_dv(
-            graph,
-            config,
-            transport,
-            garbage_dv,
-            wire_garbage,
-            buffer_garbage,
-        )
-    }
-}
-
-impl<T: Transport<WireMsg>> PortNetwork<T> {
-    /// Builds a port network over an arbitrary [`Transport`] — the cluster
-    /// crate passes its socket-backed transport here so the same
-    /// exactly-once suite runs over real OS sockets.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_transport(
-        graph: Graph,
-        config: MpConfig,
-        transport: T,
-        corrupt_tables: bool,
-        repair_after: u64,
-        wire_garbage: usize,
-        buffer_garbage: usize,
-    ) -> Self {
-        let n = graph.n();
-        let delta = graph.max_degree() as u8;
-        let trees: Vec<BfsTree> = (0..n).map(|d| BfsTree::new(&graph, d)).collect();
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0xFEED_FACE_CAFE_BEEF);
-        let mut next_invalid = 0u64;
-        let nodes: Vec<MpForwarder> = (0..n)
-            .map(|p| {
-                let true_next_hop: Vec<NodeId> = (0..n)
-                    .map(|d| {
-                        if p == d {
-                            p
-                        } else {
-                            trees[d].parent(p).expect("non-root")
-                        }
-                    })
-                    .collect();
-                let (next_hop, repair) = if corrupt_tables {
-                    let neighbors = graph.neighbors(p);
-                    let wrong: Vec<NodeId> = (0..n)
-                        .map(|d| {
-                            if p == d || neighbors.is_empty() {
-                                p
-                            } else {
-                                neighbors[rng.gen_range(0..neighbors.len())]
-                            }
-                        })
-                        .collect();
-                    (wrong, repair_after)
-                } else {
-                    (true_next_hop.clone(), 0)
-                };
-                let mut node = MpForwarder::new(
-                    p,
-                    n,
-                    delta,
-                    graph.neighbors(p).to_vec(),
-                    true_next_hop,
-                    next_hop,
-                    repair,
-                    config.seed,
-                );
-                // Buffer garbage.
-                node.corrupt(|slots| {
-                    for _ in 0..buffer_garbage {
-                        let d = rng.gen_range(0..n);
-                        let msg = MpMessage {
-                            payload: rng.gen_range(0..8),
-                            color: rng.gen_range(0..=delta),
-                            ghost: MpGhost::Invalid(next_invalid),
-                        };
-                        next_invalid += 1;
-                        if rng.gen_bool(0.5) {
-                            slots[d].buf_r = Some(msg);
-                        } else {
-                            slots[d].buf_e = Some(msg);
-                            slots[d].offer_nonce = rng.gen();
-                        }
-                    }
-                });
-                node
-            })
-            .collect();
-        let mut net = MpNetwork::with_transport(graph, nodes, config, transport);
-        // Wire garbage: random handshake messages on random links.
-        for _ in 0..wire_garbage {
-            let edges = net.graph().edges().to_vec();
-            let &(a, b) = &edges[rng.gen_range(0..edges.len())];
-            let (from, to) = if rng.gen_bool(0.5) { (a, b) } else { (b, a) };
-            let d = rng.gen_range(0..n);
-            let msg = MpMessage {
-                payload: rng.gen_range(0..8),
-                color: rng.gen_range(0..=net.graph().max_degree() as u8),
-                ghost: MpGhost::Invalid(next_invalid),
-            };
-            next_invalid += 1;
-            let wire = match rng.gen_range(0..5) {
-                0 => WireMsg::Offer {
-                    d,
-                    msg,
-                    nonce: rng.gen(),
-                },
-                1 => WireMsg::Accept {
-                    d,
-                    msg,
-                    nonce: rng.gen(),
-                },
-                2 => WireMsg::Confirm {
-                    d,
-                    msg,
-                    nonce: rng.gen(),
-                },
-                3 => WireMsg::Dv {
-                    d,
-                    dist: rng.gen_range(0..=n as u32),
-                },
-                _ => WireMsg::Deny {
-                    d,
-                    msg,
-                    nonce: rng.gen(),
-                },
-            };
-            net.inject_wire(LinkId { from, to }, wire);
-        }
-        PortNetwork { net, next_valid: 0 }
-    }
-
-    /// As [`PortNetwork::with_transport`], but with the **distance-vector
-    /// routing layer**: every node learns its routes from `Dv`
-    /// advertisements instead of a timer-repaired table. `garbage_dv`
-    /// randomizes the initial estimates and caches (the routing layer's
-    /// own transient faults); it must converge by itself — no oracle
-    /// repair exists.
-    pub fn with_transport_dv(
-        graph: Graph,
-        config: MpConfig,
-        transport: T,
-        garbage_dv: bool,
-        wire_garbage: usize,
-        buffer_garbage: usize,
-    ) -> Self {
-        let mut port = Self::with_transport(
-            graph,
-            config,
-            transport,
-            false,
-            0,
-            wire_garbage,
-            buffer_garbage,
-        );
-        let n = port.net.graph().n();
-        let cap = n as u32;
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x00DF_ACED_BEAD_5EED);
-        for p in 0..n {
-            let deg = port.net.graph().degree(p);
-            let (own, cache) = if garbage_dv {
-                (
-                    (0..n).map(|_| rng.gen_range(0..=cap)).collect(),
-                    (0..deg)
-                        .map(|_| (0..n).map(|_| rng.gen_range(0..=cap)).collect())
-                        .collect(),
-                )
-            } else {
-                (vec![cap; n], vec![vec![cap; n]; deg])
-            };
-            let node = std::mem::replace(
-                port.net.node_mut(p),
-                MpForwarder::new(p, n, 0, Vec::new(), Vec::new(), Vec::new(), 0, 0),
-            );
-            *port.net.node_mut(p) = node.with_dist_vec(own, cache);
-        }
-        port
-    }
-
-    /// The underlying substrate.
-    pub fn net(&self) -> &MpNetwork<MpForwarder, T> {
-        &self.net
-    }
-
-    /// Installs transient link-fault budgets (drop / duplicate / reorder)
-    /// on the substrate's channels. The handshake is *not* loss-tolerant
-    /// in general, so the spec a test may demand is the snap-stabilizing
-    /// one: messages sent after the last link fault are exactly-once.
-    pub fn set_channel_faults(&mut self, faults: ChannelFaults) {
-        self.net.set_channel_faults(faults);
-    }
-
-    /// True when no further link fault can occur.
-    pub fn channel_faults_exhausted(&self) -> bool {
-        self.net.channel_faults_exhausted()
-    }
-
-    /// Queues a higher-layer send; returns its ghost identity.
-    pub fn send(&mut self, src: NodeId, dst: NodeId, payload: u64) -> MpGhost {
-        let ghost = MpGhost::Valid(self.next_valid);
-        self.next_valid += 1;
-        self.net.node_mut(src).enqueue_send(dst, payload, ghost);
-        ghost
-    }
-
-    /// Runs until quiescence or the step budget. Returns true if quiescent.
-    pub fn run_to_quiescence(&mut self, max_steps: u64) -> bool {
-        self.net.run_to_quiescence(max_steps)
-    }
-
-    /// Deliveries of one message across all nodes.
-    pub fn deliveries_of(&self, ghost: MpGhost) -> u64 {
-        self.net
-            .nodes()
-            .iter()
-            .map(|n| n.delivered.iter().filter(|g| **g == ghost).count() as u64)
-            .sum()
-    }
-
-    /// Whether `ghost` was delivered at the *correct* node only.
-    pub fn delivered_at_destination(&self, ghost: MpGhost) -> bool {
-        let nodes = self.net.nodes();
-        let mut generated = nodes.iter().flat_map(|n| &n.generated);
-        let Some(&(_, dst)) = generated.find(|(g, _)| *g == ghost) else {
-            return false;
-        };
-        nodes
-            .iter()
-            .enumerate()
-            .all(|(p, n)| p == dst || !n.delivered.contains(&ghost))
-    }
-
-    /// Every node's ledger slice, as a cluster node would export it.
-    pub fn ledgers(&self) -> Vec<NodeLedger> {
-        let ledger = |(node, n): (NodeId, &MpForwarder)| NodeLedger {
-            node,
-            generated: n.generated.clone(),
-            delivered: n.delivered.clone(),
-            held: n.held_ghosts(),
-        };
-        self.net.nodes().iter().enumerate().map(ledger).collect()
-    }
-
-    /// Audits the run: the join that judges the socket cluster.
-    pub fn audit(&self) -> ClusterVerdict {
-        reconcile_ledgers(&self.ledgers())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::{ChannelFaults, MpConfig};
+    use crate::PortNetwork;
     use proptest::prelude::{any, ProptestConfig};
     use ssmfp_topology::gen;
 
@@ -1411,7 +1050,7 @@ mod tests {
     #[test]
     fn garbage_waiting_entries_drain_without_a_trace() {
         for seed in 0..6 {
-            let mut net = PortNetwork::new(gen::ring(5), config(seed), false, 0, 0, 0);
+            let mut net = PortNetwork::new(gen::ring(5), config(seed), 0, 0);
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             for p in 0..5 {
                 let node = net.net.node_mut(p);
@@ -1440,6 +1079,32 @@ mod tests {
                 assert_eq!(left.count(), 0, "seed {seed}: every hint was served");
             }
         }
+    }
+
+    /// Node 0 of a 4-ring offers to node 1 for destination 2; the route
+    /// moves to node 3 and back before an `Accept` node 1 sent for that
+    /// offer arrives. Node 1 dropped its tentative copy on the `Deny` of
+    /// the move, so certifying the late `Accept` would erase the last copy.
+    #[test]
+    fn a_stale_accept_cannot_certify_the_re_offer_after_a_route_flips_back() {
+        let (own, cache) = (vec![0, 1, 2, 1], vec![vec![1, 0, 1, 2], vec![1, 2, 1, 0]]);
+        let mut node = MpForwarder::new_static(0, 4, 2, vec![1, 3], vec![0, 1, 1, 3], 7)
+            .with_dist_vec(own, cache);
+        let mut out = Outbox::new();
+        node.enqueue_send(2, 5, MpGhost::Valid(1));
+        node.advance(2, &mut out);
+        let sent: Vec<_> = out.drain().collect();
+        let [(1, WireMsg::Offer { d: 2, msg, nonce })] = sent[..] else {
+            panic!("one Offer to node 1: {sent:?}")
+        };
+        node.on_message(1, WireMsg::Dv { d: 2, dist: 4 }, &mut out);
+        assert_eq!(node.route(2), 3);
+        node.on_message(1, WireMsg::Dv { d: 2, dist: 1 }, &mut out);
+        assert_eq!(node.route(2), 1);
+        node.on_message(1, WireMsg::Accept { d: 2, msg, nonce }, &mut out);
+        let reply: Vec<_> = out.drain().collect();
+        assert_eq!(reply, vec![(1, WireMsg::Deny { d: 2, msg, nonce })]);
+        assert_eq!(node.held_ghosts(), vec![msg.ghost], "the copy stays");
     }
 
     #[test]
@@ -1487,219 +1152,6 @@ mod tests {
             w.sort_unstable();
             assert_eq!(w, vec![0, 1, 2, 3, 4], "bounded overtaking: {served:?}");
         }
-    }
-
-    #[test]
-    fn clean_single_message() {
-        let mut net = PortNetwork::new(gen::line(4), config(1), false, 0, 0, 0);
-        let g = net.send(0, 3, 42);
-        assert!(net.run_to_quiescence(100_000));
-        assert_eq!(net.deliveries_of(g), 1);
-        assert!(net.delivered_at_destination(g));
-        let audit = net.audit();
-        assert_eq!(audit.exactly_once, 1);
-        assert_eq!(audit.lost() + audit.duplicated(), 0);
-    }
-
-    #[test]
-    fn clean_all_pairs() {
-        let graph = gen::ring(5);
-        let mut net = PortNetwork::new(graph, config(2), false, 0, 0, 0);
-        let mut ghosts = Vec::new();
-        for s in 0..5 {
-            for d in 0..5 {
-                if s != d {
-                    ghosts.push(net.send(s, d, ((s + d) % 8) as u64));
-                }
-            }
-        }
-        assert!(net.run_to_quiescence(2_000_000));
-        for g in &ghosts {
-            assert_eq!(net.deliveries_of(*g), 1);
-        }
-        let audit = net.audit();
-        assert_eq!(audit.exactly_once, ghosts.len() as u64);
-    }
-
-    #[test]
-    fn consecutive_same_payload_not_merged() {
-        let mut net = PortNetwork::new(gen::line(3), config(3), false, 0, 0, 0);
-        let a = net.send(0, 2, 7);
-        let b = net.send(0, 2, 7);
-        assert!(net.run_to_quiescence(200_000));
-        assert_eq!(net.deliveries_of(a), 1);
-        assert_eq!(net.deliveries_of(b), 1);
-    }
-
-    #[test]
-    fn corrupted_tables_self_repair_and_deliver() {
-        for seed in 0..8 {
-            let mut net = PortNetwork::new(gen::grid(2, 3), config(seed), true, 12, 0, 0);
-            let mut ghosts = Vec::new();
-            for s in 0..6 {
-                ghosts.push(net.send(s, (s + 3) % 6, s as u64));
-            }
-            assert!(net.run_to_quiescence(3_000_000), "seed {seed}");
-            for g in &ghosts {
-                assert_eq!(net.deliveries_of(*g), 1, "seed {seed}: {g:?}");
-                assert!(net.delivered_at_destination(*g), "seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn wire_and_buffer_garbage_tolerated() {
-        for seed in 0..8 {
-            let mut net = PortNetwork::new(gen::ring(6), config(seed), true, 10, 24, 3);
-            let mut ghosts = Vec::new();
-            for s in 0..6 {
-                ghosts.push(net.send(s, (s + 2) % 6, s as u64 % 8));
-            }
-            let quiescent = net.run_to_quiescence(5_000_000);
-            assert!(quiescent, "seed {seed}: port must drain");
-            let audit = net.audit();
-            assert_eq!(
-                audit.exactly_once,
-                ghosts.len() as u64,
-                "seed {seed}: {audit:?}"
-            );
-            assert_eq!(audit.lost(), 0, "seed {seed}: {audit:?}");
-            assert_eq!(audit.duplicated(), 0, "seed {seed}: {audit:?}");
-        }
-    }
-
-    #[test]
-    fn post_fault_traffic_exactly_once_under_channel_faults() {
-        // The link-fault analogue of the state model's `FaultPlan`: while
-        // seeded drop/duplicate/reorder budgets last, the channels
-        // misbehave; once they are spent the execution's *post-fault
-        // suffix* begins and SP must hold for every message sent in it.
-        // Sacrificial traffic burns the budgets — its fate is deliberately
-        // unasserted (a dropped Confirm may lose it; the handshake is not
-        // loss-tolerant, which is exactly why the oracle is epoch-scoped).
-        for seed in 0..12u64 {
-            let mut net = PortNetwork::new(gen::ring(5), config(seed), false, 0, 0, 0);
-            net.set_channel_faults(ChannelFaults::budget(seed ^ 0xD1CE, 3));
-            let mut burn = 0u64;
-            while !net.channel_faults_exhausted() {
-                // Liveness guard only. The reorder budget needs a queue
-                // depth of ≥2 at a delivery opportunity; with the
-                // `RETX_FLOOR`ed retransmission schedule a lone handshake
-                // rarely queues two frames on one link, so each round
-                // burns with five concurrent handshakes over shared links.
-                assert!(burn < 2_000, "seed {seed}: budgets never spent");
-                for s in 0..5 {
-                    net.send(s, (s + 2) % 5, burn % 8);
-                }
-                net.run_to_quiescence(500_000);
-                burn += 1;
-            }
-            // Drain whatever the faults left behind before the fresh batch.
-            net.run_to_quiescence(2_000_000);
-            let fresh: Vec<MpGhost> = (0..5).map(|s| net.send(s, (s + 1) % 5, s as u64)).collect();
-            assert!(net.run_to_quiescence(2_000_000), "seed {seed}: must drain");
-            for g in &fresh {
-                assert_eq!(net.deliveries_of(*g), 1, "seed {seed}: {g:?}");
-                assert!(net.delivered_at_destination(*g), "seed {seed}");
-            }
-            assert_eq!(net.audit().invalid_delivered, 0, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn channel_fault_budgets_are_transient_and_deterministic() {
-        let run = |seed: u64| {
-            let mut net = PortNetwork::new(gen::line(4), config(seed), false, 0, 0, 0);
-            net.set_channel_faults(ChannelFaults::budget(seed, 2));
-            for s in 0..4usize {
-                net.send(s, 3 - s, s as u64);
-            }
-            net.run_to_quiescence(2_000_000);
-            let (d, u, r) = net.net().channel_fault_counts();
-            (net.net().steps(), d, u, r)
-        };
-        let (steps, d, u, r) = run(9);
-        assert_eq!((steps, d, u, r), run(9), "same seed, same execution");
-        assert!(d + u + r > 0, "faults must actually fire");
-        assert!(d <= 2 && u <= 2 && r <= 2, "budgets bound every kind");
-    }
-
-    #[test]
-    fn dv_layer_learns_routes_from_scratch() {
-        // All estimates start at the cap; the DV layer must converge and
-        // then carry traffic exactly-once.
-        let mut net = PortNetwork::new_dv(gen::line(4), config(5), false, 0, 0);
-        let mut ghosts = Vec::new();
-        for s in 0..4 {
-            for d in 0..4 {
-                if s != d {
-                    ghosts.push(net.send(s, d, ((s + d) % 8) as u64));
-                }
-            }
-        }
-        assert!(net.run_to_quiescence(4_000_000));
-        for g in &ghosts {
-            assert_eq!(net.deliveries_of(*g), 1);
-            assert!(net.delivered_at_destination(*g));
-        }
-    }
-
-    #[test]
-    fn dv_layer_survives_garbage_estimates() {
-        for seed in 0..6 {
-            let mut net = PortNetwork::new_dv(gen::ring(5), config(seed), true, 10, 2);
-            let mut ghosts = Vec::new();
-            for s in 0..5 {
-                ghosts.push(net.send(s, (s + 2) % 5, s as u64 % 8));
-            }
-            assert!(net.run_to_quiescence(8_000_000), "seed {seed}");
-            let audit = net.audit();
-            assert_eq!(
-                audit.exactly_once,
-                ghosts.len() as u64,
-                "seed {seed}: {audit:?}"
-            );
-            assert_eq!(audit.lost() + audit.duplicated(), 0, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn dv_routes_are_minimal_after_convergence() {
-        let graph = gen::grid(2, 3);
-        let mut net = PortNetwork::new_dv(graph.clone(), config(2), true, 0, 0);
-        let g = net.send(0, 5, 1);
-        assert!(net.run_to_quiescence(4_000_000));
-        assert_eq!(net.deliveries_of(g), 1);
-        // After quiescence every node's next hop decreases the true
-        // distance by one (minimal routes).
-        let ap = ssmfp_topology::AllPairs::new(&graph);
-        for p in 0..graph.n() {
-            for d in 0..graph.n() {
-                if p == d {
-                    continue;
-                }
-                let nh = net.net().node(p).route(d);
-                assert!(graph.has_edge(p, nh), "p={p} d={d} nh={nh}");
-                assert_eq!(
-                    ap.dist(nh, d) + 1,
-                    ap.dist(p, d),
-                    "p={p} d={d}: next hop {nh} not on a shortest path"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn audit_counts_in_flight_messages() {
-        let mut net = PortNetwork::new(gen::line(6), config(4), false, 0, 0, 0);
-        net.send(0, 5, 1);
-        // A handful of steps: the message cannot have arrived yet.
-        for _ in 0..4 {
-            net.net.step();
-        }
-        let audit = net.audit();
-        assert_eq!(audit.exactly_once + audit.in_flight, 1);
-        assert_eq!(audit.lost(), 0);
     }
 
     /// The oracle for the active set: the destinations whose slot a scan
@@ -1750,7 +1202,9 @@ mod tests {
         /// The active set is exactly the slots a full scan finds holding
         /// something, after every event of an adversarial schedule: sends,
         /// deliveries and timeouts in a seeded order, over faulty channels,
-        /// from corrupted tables, garbage slots and garbage on the wire.
+        /// from garbage distance-vector estimates, garbage slots and garbage
+        /// on the wire. Every assertion names the case: the runner does
+        /// not shrink.
         #[test]
         fn active_set_equals_the_full_scan(
             (ring, n, seed) in (any::<bool>(), 2usize..7, any::<u64>()),
@@ -1760,11 +1214,18 @@ mod tests {
             sends in proptest::collection::vec((0usize..7, 0usize..7, 0u64..400), 1..12),
         ) {
             let graph = if ring && n >= 3 { gen::ring(n) } else { gen::line(n) };
+            let case = format!(
+                "edges {:?}, seed {seed}, timeout_bias {timeout_bias}, dv {}, garbage dv \
+                 {corrupt}, faults {faults}, wire {wire_garbage}, buffer {buffer_garbage}, \
+                 slots {slot_garbage}, sends (src, dst, at) {sends:?}",
+                graph.edges(),
+                dv || corrupt,
+            );
             let config = MpConfig { seed, timeout_bias };
-            let mut net = if dv {
+            let mut net = if dv || corrupt {
                 PortNetwork::new_dv(graph, config, corrupt, wire_garbage, buffer_garbage)
             } else {
-                PortNetwork::new(graph, config, corrupt, 6, wire_garbage, buffer_garbage)
+                PortNetwork::new(graph, config, wire_garbage, buffer_garbage)
             };
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             for p in 0..n {
@@ -1774,7 +1235,7 @@ mod tests {
             let check = |net: &PortNetwork, event: &str| {
                 for (p, node) in net.net.nodes().iter().enumerate() {
                     let set: Vec<NodeId> = node.active.iter().collect();
-                    assert_eq!(set, scan_active(node), "node {p} after {event}");
+                    assert_eq!(set, scan_active(node), "node {p} after {event}: {case}");
                 }
             };
             check(&net, "the start");
@@ -1792,18 +1253,5 @@ mod tests {
                 check(&net, &format!("{event:?} (drain step {k})"));
             }
         }
-    }
-
-    #[test]
-    fn port_is_deterministic_per_seed() {
-        let run = |seed| {
-            let mut net = PortNetwork::new(gen::ring(5), config(seed), true, 8, 10, 2);
-            for s in 0..5 {
-                net.send(s, (s + 2) % 5, s as u64);
-            }
-            net.run_to_quiescence(2_000_000);
-            (net.net.steps(), net.audit())
-        };
-        assert_eq!(run(9), run(9));
     }
 }

@@ -10,7 +10,8 @@
 //! stream, in-memory links inside a group, a stream cut and redialled.
 
 use crate::net::{ChannelFaults, MpConfig, Transport};
-use crate::port::{PortNetwork, WireMsg};
+use crate::port::WireMsg;
+use crate::port_network::PortNetwork;
 use ssmfp_topology::{gen, Graph};
 
 /// Outcome of one suite run, for reporting in callers' test output.
@@ -76,7 +77,7 @@ where
                 timeout_bias: 0.3,
             };
             let transport = make(&graph);
-            let mut net = PortNetwork::with_transport(graph, config, transport, false, 0, 0, 0);
+            let mut net = PortNetwork::with_transport(graph, config, transport);
             let sends: Vec<(usize, usize, u64)> = (0..n)
                 .map(|s| (s, (s + n - 1) % n, seed.wrapping_add(s as u64)))
                 .collect();
@@ -106,7 +107,7 @@ where
                 timeout_bias: 0.3,
             };
             let transport = make(&graph);
-            let mut net = PortNetwork::with_transport(graph, config, transport, false, 0, 0, 0);
+            let mut net = PortNetwork::with_transport(graph, config, transport);
             net.set_channel_faults(ChannelFaults::budget(seed ^ 0x5EED, 3));
             let sends: Vec<(usize, usize, u64)> = (0..n)
                 .map(|s| (s, (s + 1) % n, seed.wrapping_mul(31).wrapping_add(s as u64)))

@@ -1,8 +1,8 @@
 //! The §4 open problem, live: SSMFP's forwarding core running over an
 //! asynchronous message-passing network (FIFO channels, adversarial
-//! scheduler) instead of shared memory — with corrupted routing tables,
-//! garbage handshake messages pre-loaded on the wires, and garbage in the
-//! buffers.
+//! scheduler) instead of shared memory — with the distance-vector routing
+//! layer started from garbage estimates, garbage handshake messages
+//! pre-loaded on the wires, and garbage in the buffers.
 //!
 //! Run with: `cargo run --release --example message_passing_port`
 
@@ -15,24 +15,24 @@ fn main() {
         "{:<34} | {:>5} | {:>12} | {:>5} | {:>5} | {:>10}",
         "scenario", "sent", "exactly-once", "lost", "dup", "steps"
     );
-    let scenarios: [(&str, u8, usize, usize); 5] = [
-        ("clean", 0, 0, 0),
-        ("corrupted tables (self-repair)", 1, 0, 0),
-        ("corrupted + 24 wire garbage msgs", 1, 24, 0),
-        ("corrupted + wire + buffer garbage", 1, 24, 3),
-        ("distance-vector layer, garbage init", 2, 12, 2),
+    let scenarios: [(&str, bool, usize, usize); 5] = [
+        ("clean", false, 0, 0),
+        ("DV from garbage", true, 0, 0),
+        ("DV from garbage + 24 wire msgs", true, 24, 0),
+        ("DV from garbage + 24 wire + 3 buf", true, 24, 3),
+        ("DV from garbage + 12 wire + 2 buf", true, 12, 2),
     ];
-    for (name, mode, wire, buffers) in scenarios {
+    for (name, dv, wire, buffers) in scenarios {
         let graph = gen::grid(2, 3);
         let n = graph.n();
         let config = MpConfig {
             seed: 11,
             timeout_bias: 0.3,
         };
-        let mut net = match mode {
-            0 => PortNetwork::new(graph, config, false, 0, wire, buffers),
-            1 => PortNetwork::new(graph, config, true, 10, wire, buffers),
-            _ => PortNetwork::new_dv(graph, config, true, wire, buffers),
+        let mut net = if dv {
+            PortNetwork::new_dv(graph, config, true, wire, buffers)
+        } else {
+            PortNetwork::new(graph, config, wire, buffers)
         };
         let mut ghosts = Vec::new();
         for s in 0..n {

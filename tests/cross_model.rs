@@ -38,8 +38,6 @@ fn both_models_exactly_once_clean() {
             seed: 4,
             timeout_bias: 0.3,
         },
-        false,
-        0,
         0,
         0,
     );
@@ -57,7 +55,8 @@ fn both_models_exactly_once_clean() {
     }
 }
 
-/// Same workload from corrupted starts: both models survive.
+/// Same workload from corrupted starts — the port's distance-vector layer
+/// from garbage estimates, with wire and buffer garbage: both models survive.
 #[test]
 fn both_models_survive_corruption() {
     for seed in 0..4 {
@@ -65,14 +64,13 @@ fn both_models_survive_corruption() {
         let n = graph.n();
 
         let mut sm = Network::new(graph.clone(), NetworkConfig::adversarial(seed));
-        let mut mp = PortNetwork::new(
+        let mut mp = PortNetwork::new_dv(
             graph,
             MpConfig {
                 seed,
                 timeout_bias: 0.3,
             },
             true,
-            10,
             16,
             2,
         );
@@ -113,8 +111,6 @@ fn port_wire_overhead_is_bounded() {
             seed: 8,
             timeout_bias: 0.3,
         },
-        false,
-        0,
         0,
         0,
     );
