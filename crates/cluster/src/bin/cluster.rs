@@ -39,7 +39,9 @@ OPTIONS:
                        CPU; clamped to 1..=n)
     --inproc           each shard's nodes on a thread of this process,
                        instead of in one process per shard
-    --timeout-s T      convergence timeout in seconds (default 60)
+    --timeout-s T      convergence timeout in seconds (default 60); a node
+                       group that stops answering fails the run at most
+                       min(T, 20) + min(T, 5) s past it
     --json FILE        write the JSON run report to FILE ('-' = stdout)
     --quiet            suppress the human summary
     --version          print version and exit

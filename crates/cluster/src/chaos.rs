@@ -150,7 +150,7 @@ impl InboundChaos {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssmfp_core::wire::{ClientStamp, WireMessage};
+    use ssmfp_core::wire::WireMessage;
     use ssmfp_core::GhostId;
 
     fn frame(k: u64) -> WireFrame {
@@ -160,7 +160,6 @@ mod tests {
                 payload: k,
                 color: 0,
                 ghost: GhostId::Valid(k),
-                stamp: ClientStamp::NONE,
             },
             nonce: k,
         }

@@ -36,8 +36,7 @@
 
 use crate::telemetry::LogHistogram;
 use crate::workload::{primary_payload, Issue, WorkloadKind, WorkloadSpec, STAMP_MASK};
-use ssmfp_core::wire::ClientStamp;
-use ssmfp_core::GhostId;
+use ssmfp_core::{ClientStamp, GhostId};
 use ssmfp_mp::clients::{MAX_CLIENT_NODES, MAX_SEQS_PER_CLIENT, MAX_SESSIONS_PER_NODE};
 use ssmfp_mp::{client_ghost, ClientParts};
 use ssmfp_topology::NodeId;

@@ -918,7 +918,7 @@ impl Hub {
 mod tests {
     use super::*;
     use ssmfp_core::message::GhostId;
-    use ssmfp_core::wire::{ClientStamp, WireMessage};
+    use ssmfp_core::wire::WireMessage;
 
     fn data_frame(seq: u64) -> WireFrame {
         WireFrame::Offer {
@@ -927,7 +927,6 @@ mod tests {
                 payload: seq,
                 color: (seq % 3) as u8,
                 ghost: GhostId::Valid(seq),
-                stamp: ClientStamp::NONE,
             },
             nonce: seq,
         }

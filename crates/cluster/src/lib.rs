@@ -86,5 +86,5 @@ pub use orchestrator::{
 pub use scenario::{parse_workload, Scenario};
 pub use telemetry::{LogHistogram, NodeCounters};
 pub use transport::PolledTransport;
-pub use tuning::{ClusterTuning, TUNING};
+pub use tuning::{ClusterTuning, Graces, TUNING};
 pub use workload::{is_ack_ghost, WorkloadGen, WorkloadKind, WorkloadSpec};

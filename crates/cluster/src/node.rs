@@ -41,7 +41,7 @@ use crate::chaos::{ChaosSpec, InboundChaos};
 use crate::clients::{ClientMux, ClientSpec};
 use crate::codec::{push_delta, report_block};
 use crate::evloop::IoStats;
-use crate::frame::{frame_to_msg, msg_to_frame, msg_to_frame_client};
+use crate::frame::{frame_to_msg, msg_to_frame};
 use crate::telemetry::{LogHistogram, NodeCounters};
 use crate::tuning::TUNING;
 use crate::workload::{
@@ -155,9 +155,6 @@ pub(crate) struct Node {
     pub(crate) source: Source,
     /// The node's neighbours in local-port order.
     pub(crate) neighbors: Vec<NodeId>,
-    /// Client-mode frames carry the `(client_id, client_seq)` wire stamp:
-    /// the source picks the encoder once, and the hot path has no branch.
-    encode: fn(&WireMsg) -> WireFrame,
     /// What the forwarder sent this step, before it is encoded.
     outbox: Outbox<WireMsg>,
     /// Drained scratch each step swaps with `fwd.delivered_msgs`.
@@ -196,10 +193,6 @@ impl Node {
                 next_hop,
                 run.seed,
             ),
-            encode: match source {
-                Source::Gen(_) => msg_to_frame,
-                Source::Mux(_) => msg_to_frame_client,
-            },
             source,
             outbox: Outbox::new(),
             deliveries: Vec::new(),
@@ -337,7 +330,7 @@ impl Node {
 
         for (to, msg) in self.outbox.drain() {
             self.counters.frames_sent += 1;
-            out.push((to, (self.encode)(&msg)));
+            out.push((to, msg_to_frame(&msg)));
         }
         self.ticking = self.fwd.timers_pending();
         let tick = self.ticking.then(|| self.last_tick + TICK_US);

@@ -70,7 +70,7 @@ use crate::evloop::raise_nofile_limit;
 use crate::node::{ListenSpec, Run};
 use crate::shard::Groups;
 use crate::telemetry::{LogHistogram, NodeCounters};
-use crate::tuning::TUNING;
+use crate::tuning::Graces;
 use crate::workload::WorkloadSpec;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -119,7 +119,9 @@ pub struct ClusterSpec {
     pub shards: usize,
     /// Launch mode.
     pub mode: RunMode,
-    /// Give up (converged = false) after this long.
+    /// Give up (converged = false) after this long. The root's waits past
+    /// it, for the reports and for the groups' exit, derive from it
+    /// ([`Graces::of`]).
     pub timeout: Duration,
 }
 
@@ -612,7 +614,7 @@ fn drive(
     // --- stop everyone, read the reports, finish the join ---
     let stopped = Instant::now();
     let _ = groups.tell(b"stop\n");
-    let report_deadline = Instant::now() + TUNING.report_grace();
+    let report_deadline = Instant::now() + Graces::of(spec.timeout).report;
     while let Some(s) = groups.unreported() {
         if Instant::now() >= report_deadline {
             return Err(io::Error::other(format!("shard {s} sent no report")));
@@ -642,7 +644,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
         chaos: spec.chaos,
         clients: spec.clients,
     });
-    let mut groups = Groups::launch(&run, &ranges, &spec.mode)?;
+    let mut groups = Groups::launch(&run, &ranges, &spec.mode, Graces::of(spec.timeout))?;
     let mut phases = Phases::default();
     let outcome = drive(spec, &mut groups, &ranges, called, &mut phases);
     // Shutting the pipes down EOFs every group still in flight (error

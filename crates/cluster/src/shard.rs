@@ -16,7 +16,7 @@ use crate::evloop::{Poller, POLLIN, POLLOUT};
 use crate::group::run_group;
 use crate::node::Run;
 use crate::orchestrator::{LedgerFlow, RunMode, ShardSummary};
-use crate::tuning::TUNING;
+use crate::tuning::{Graces, TUNING};
 use ssmfp_core::{ClusterVerdict, RunningAudit};
 use ssmfp_topology::NodeId;
 use std::io::{self, Read, Write};
@@ -191,15 +191,22 @@ pub(crate) struct Groups {
     backlog: bool,
     /// Read buffer (recycled).
     scratch: Vec<u8>,
+    /// The run's waits for a control write and for the groups' exit.
+    graces: Graces,
 }
 
 impl Groups {
     /// Launches the group of each of `ranges` of `run` in `mode`, on the
     /// group's end of a fresh control socketpair: on a `node.main` thread
     /// inproc, as a `--node-worker` process with that end as fd 0
-    /// otherwise. The root keeps the other end. If a launch fails, what
-    /// was launched is wound down.
-    pub fn launch(run: &Arc<Run>, ranges: &[Range<NodeId>], mode: &RunMode) -> io::Result<Self> {
+    /// otherwise. The root keeps the other end, and waits on the groups
+    /// under `graces`. If a launch fails, what was launched is wound down.
+    pub fn launch(
+        run: &Arc<Run>,
+        ranges: &[Range<NodeId>],
+        mode: &RunMode,
+        graces: Graces,
+    ) -> io::Result<Self> {
         let mut groups = Groups {
             slots: Vec::with_capacity(ranges.len()),
             runners: Vec::with_capacity(ranges.len()),
@@ -208,6 +215,7 @@ impl Groups {
             spent: Duration::ZERO,
             backlog: false,
             scratch: vec![0u8; 16 * 1024],
+            graces,
         };
         for (s, members) in ranges.iter().enumerate() {
             if let Err(e) = groups.spawn(run, members.clone(), mode) {
@@ -257,11 +265,11 @@ impl Groups {
     }
 
     /// Writes `line` down every group's pipe under one deadline, so a group
-    /// that stops reading costs the root `report_grace` and not the run
+    /// that stops reading costs the root its report grace and not the run
     /// (`write_all_deadline`); every pipe even after one fails: the first
     /// failure comes back.
     pub fn tell(&self, line: &[u8]) -> io::Result<()> {
-        let deadline = Instant::now() + TUNING.report_grace();
+        let deadline = Instant::now() + self.graces.report;
         let mut first = Ok(());
         for (s, slot) in self.slots.iter().enumerate() {
             let wrote = write_all_deadline(&slot.pipe, line, deadline);
@@ -344,7 +352,7 @@ impl Groups {
         for slot in &self.slots {
             let _ = slot.pipe.shutdown(Shutdown::Both);
         }
-        let deadline = Instant::now() + TUNING.proc_exit_grace();
+        let deadline = Instant::now() + self.graces.exit;
         let mut outcome = Ok(());
         for (s, runner) in self.runners.drain(..).enumerate() {
             match runner {
@@ -457,6 +465,7 @@ mod tests {
             spent: Duration::ZERO,
             backlog: false,
             scratch: vec![0u8; 16 * 1024],
+            graces: Graces::of(Duration::from_secs(60)),
         };
         (group_side, groups)
     }
@@ -567,9 +576,12 @@ mod tests {
     /// A group that never ends costs the run its exit grace, not the
     /// root: with its pipe shut and its thread still running, `finish`
     /// names the shard inside the grace and 1 s, and leaves the thread.
+    /// A run with a 1 s timeout has a 1 s exit grace.
     #[test]
     fn a_group_that_never_ends_fails_finish_inside_its_grace() {
         let (_group_side, mut groups) = group_of_one(4);
+        groups.graces = Graces::of(Duration::from_secs(1));
+        let grace = groups.graces.exit;
         let (release, wedged) = mpsc::channel::<()>();
         let runner = Runner::thread(move || {
             let _ = wedged.recv();
@@ -579,7 +591,7 @@ mod tests {
         thread::spawn(move || {
             let _ = tx.send(groups.finish());
         });
-        let outcome = rx.recv_timeout(TUNING.proc_exit_grace() + Duration::from_secs(1));
+        let outcome = rx.recv_timeout(grace + Duration::from_secs(1));
         let err = outcome.expect("finish waited past its grace").unwrap_err();
         let want = "shard 0: node group still running past its exit grace";
         assert_eq!(err.to_string(), want);

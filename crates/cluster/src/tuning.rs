@@ -22,11 +22,6 @@ pub struct ClusterTuning {
     /// Dial attempts before a link gives up (node is shutting down or
     /// the peer is gone for good).
     pub max_dial_attempts: u32,
-    /// How long the orchestrator waits for final reports after `stop`.
-    pub report_grace_s: u64,
-    /// How long the orchestrator waits for the worker processes to exit,
-    /// all under one deadline, before killing those left.
-    pub proc_exit_grace_s: u64,
     /// Poll interval while waiting for a worker process to exit.
     pub proc_wait_poll_ms: u64,
     /// Adaptive-batching byte budget: the node loop stops appending
@@ -68,8 +63,6 @@ pub const TUNING: ClusterTuning = ClusterTuning {
     backoff_base_ms: 4,
     backoff_cap_ms: 250,
     max_dial_attempts: 400,
-    report_grace_s: 20,
-    proc_exit_grace_s: 5,
     proc_wait_poll_ms: 10,
     batch_max_bytes: 32 * 1024,
     batch_max_frames: 512,
@@ -86,16 +79,6 @@ impl Default for ClusterTuning {
 }
 
 impl ClusterTuning {
-    /// [`ClusterTuning::report_grace_s`] as a `Duration`.
-    pub fn report_grace(&self) -> Duration {
-        Duration::from_secs(self.report_grace_s)
-    }
-
-    /// [`ClusterTuning::proc_exit_grace_s`] as a `Duration`.
-    pub fn proc_exit_grace(&self) -> Duration {
-        Duration::from_secs(self.proc_exit_grace_s)
-    }
-
     /// [`ClusterTuning::proc_wait_poll_ms`] as a `Duration`.
     pub fn proc_wait_poll(&self) -> Duration {
         Duration::from_millis(self.proc_wait_poll_ms)
@@ -105,5 +88,29 @@ impl ClusterTuning {
     /// (exclusive of jitter).
     pub fn backoff_ms(&self, attempt: u32) -> u64 {
         (self.backoff_base_ms << attempt.min(6)).min(self.backoff_cap_ms)
+    }
+}
+
+/// The root's waits past a run's deadline, each derived from the run's
+/// own timeout by [`Graces::of`], so a run with a short timeout also
+/// fails a wedged group in short order: a group that stops answering
+/// holds a run at most `report + exit` past its deadline.
+#[derive(Debug, Clone, Copy)]
+pub struct Graces {
+    /// For the reports after `stop`, and for each control line down the
+    /// groups' pipes: `min(timeout, 20 s)`.
+    pub report: Duration,
+    /// For every group to exit once its pipe is shut, under one deadline,
+    /// before the root kills the processes left: `min(timeout, 5 s)`.
+    pub exit: Duration,
+}
+
+impl Graces {
+    /// The graces of a run whose convergence timeout is `timeout`.
+    pub fn of(timeout: Duration) -> Graces {
+        Graces {
+            report: timeout.min(Duration::from_secs(20)),
+            exit: timeout.min(Duration::from_secs(5)),
+        }
     }
 }

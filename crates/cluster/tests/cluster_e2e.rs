@@ -517,10 +517,14 @@ fn a_converged_run_streams_its_whole_ledger() {
 
 /// The root runs one join for the whole run, so a ghost generated in one
 /// group and delivered in the other pairs as soon as both ends have
-/// streamed in: on a 25-node grid split over two data threads, the most
-/// entries the join ever holds unpaired is a small share of what streamed.
-/// A join per group would hold every entry whose other end the other group
-/// logged until the end of the run: about a quarter of them.
+/// streamed in: on a 25-node grid split over two data threads, a group
+/// ships its entries behind each status line, at least once a status
+/// period, so the join holds unpaired a fraction of one period of the
+/// run's own entries (0.1–0.4 measured), plus the messages in flight. The
+/// bound is one period at the rate the run itself reached, so a faster
+/// build does not fail it; a join per group (about a quarter of the
+/// entries), or a group that ships only every few periods, holds entries
+/// for several periods and fails it.
 #[test]
 fn one_join_for_the_run_pairs_across_groups_as_they_stream() {
     let dir = SocketDir::new("cluster-test");
@@ -544,5 +548,12 @@ fn one_join_for_the_run_pairs_across_groups_as_they_stream() {
     let l = report.ledger;
     assert!(!l.reference, "{l:?}");
     assert_eq!(l.streamed, 25 * 400 * 4, "{l:?}");
-    assert!(l.pending_peak * 20 < l.streamed, "{l:?}");
+    let per_period = l.streamed as f64 / report.wall_s * TUNING.status_every_ms as f64 / 1e3;
+    // Every node's two primaries in flight, and their acks.
+    let in_flight = 25 * 2 * 2;
+    assert!(
+        l.pending_peak as f64 <= per_period + in_flight as f64,
+        "{l:?}: {per_period:.0} entries a status period over {:.3} s",
+        report.wall_s
+    );
 }

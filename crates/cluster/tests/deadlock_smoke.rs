@@ -20,8 +20,8 @@ mod common;
 
 use common::SocketDir;
 use ssmfp_cluster::{
-    node_args, pick_partition, run_cluster, ChaosSpec, ClusterSpec, ListenSpec, Run, RunMode,
-    RunReport, WorkloadKind, WorkloadSpec, TUNING,
+    node_args, pick_partition, run_cluster, ChaosSpec, ClusterSpec, Graces, ListenSpec, Run,
+    RunMode, RunReport, WorkloadKind, WorkloadSpec,
 };
 use ssmfp_topology::{gen, Graph};
 use std::io;
@@ -248,7 +248,9 @@ impl Drop for Stopped<'_> {
 /// A group that never writes again — its worker stopped with `SIGSTOP`
 /// before or after `ready` — ends the run with an error inside the root's
 /// bounds: the ready wait or the report wait times out, and
-/// `Groups::finish` kills the worker once its exit grace is out.
+/// `Groups::finish` kills the worker once its exit grace is out. Both
+/// graces derive from the run's timeout, so with 2 s the run ends in
+/// about 6 s.
 #[test]
 fn a_stopped_worker_ends_the_run_with_an_error_inside_its_bound() {
     let dir = SocketDir::new("deadlock-stopped");
@@ -264,8 +266,9 @@ fn a_stopped_worker_ends_the_run_with_an_error_inside_its_bound() {
         timeout: Duration::from_secs(2),
         ..one_thread_spec("line:5", gen::line(5), dir.listen())
     };
-    let bound =
-        spec.timeout + TUNING.report_grace() + TUNING.proc_exit_grace() + Duration::from_secs(5);
+    // The root's own waits, past the deadline, plus 5 s for the spawn.
+    let graces = Graces::of(spec.timeout);
+    let bound = spec.timeout + graces.report + graces.exit + Duration::from_secs(5);
     let t0 = Instant::now();
     let (done_tx, done_rx) = mpsc::channel();
     std::thread::spawn(move || {

@@ -78,7 +78,7 @@ pub use faults::{
 };
 pub use footprint::{action_footprint, guards_can_overlap, rule_footprint};
 pub use ledger::{
-    reconcile_clients, reconcile_ledgers, reconcile_ledgers_counted, ClientVerdict,
+    reconcile_clients, reconcile_ledgers, reconcile_ledgers_counted, ClientStamp, ClientVerdict,
     ClientViolation, ClusterVerdict, DeliveryLedger, NodeLedger, ReconcileWork, RunningAudit,
     SpViolation,
 };
@@ -88,6 +88,6 @@ pub use rules::Rule;
 pub use state::{FwdSlot, NodeState};
 pub use trajectory::{Trajectory, TrajectoryLog, TrajectoryViolation};
 pub use wire::{
-    decode_body, encode_frame, ClientStamp, FrameReader, FrameTag, WireError, WireFrame,
-    WireMessage, CLIENT_STAMP_FIELDS, ENCODED_CLIENT_STAMP_FIELDS, LINK_EVENT_KINDS, MAX_FRAME_LEN,
+    decode_body, encode_frame, FrameReader, FrameTag, WireError, WireFrame, WireMessage,
+    LINK_EVENT_KINDS, MAX_FRAME_LEN,
 };

@@ -7,6 +7,11 @@
 //! [`crate::codec::encode_ghost`]/[`crate::codec::decode_ghost`] — the
 //! same `(tag, lo, hi)` convention the packed state codec frames its
 //! word streams with — so the wire and the checker agree on one encoding.
+//! A handshake frame carries the handshake's destination and nonce and
+//! the paper's message triplet less its last hop, which the link implies:
+//! payload, color and ghost, 32 body bytes. A client's identity rides in
+//! the ghost and nowhere else. Each tag's encoded length is pinned by a
+//! test, so a field added to or dropped from a frame is a reviewed change.
 //!
 //! The decoder is **total**: truncated input parks in the reader until
 //! more bytes arrive, and structurally invalid input (unknown tag, body
@@ -24,8 +29,8 @@
 use crate::codec::{decode_ghost, encode_ghost};
 use crate::message::GhostId;
 
-/// Upper bound on a frame body. The largest legal body today is
-/// [`FrameTag::Offer`]'s 44 bytes (client stamp included); the bound
+/// Upper bound on a frame body. The largest legal body today is a
+/// handshake's ([`FrameTag::Offer`] and its replies) 32 bytes; the bound
 /// leaves headroom for growth while making a garbage length prefix
 /// unable to stall the stream or balloon the reader's buffer.
 pub const MAX_FRAME_LEN: u32 = 256;
@@ -102,54 +107,20 @@ pub const LINK_EVENT_KINDS: [&str; 7] = [
     "control.route",
 ];
 
-/// The logical-client identity stamped on a message by the client
-/// multiplexer: which client issued it and its per-client sequence
-/// number. [`ClientStamp::NONE`] marks traffic with no client attached
-/// (node-level workloads, protocol internals) — the sentinel client id
-/// `u64::MAX` is reserved and never minted by a mux.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ClientStamp {
-    /// Cluster-wide logical client id.
-    pub client: u64,
-    /// The client's own sequence number for this message.
-    pub seq: u32,
-}
-
-impl ClientStamp {
-    /// "No client attached" sentinel.
-    pub const NONE: ClientStamp = ClientStamp {
-        client: u64::MAX,
-        seq: 0,
-    };
-
-    /// Whether a real client identity is attached.
-    pub fn is_present(self) -> bool {
-        self.client != u64::MAX
-    }
-}
-
-/// The per-client audit's identity fields, declared once. Every field
-/// here must be carried by the message codec (`put_msg` and its
-/// decoder) or the stamp would be dropped on the wire and the
-/// per-client exactly-once verdict could not be reconstructed. The
-/// `wire-coverage` lint checks this list against
-/// [`ENCODED_CLIENT_STAMP_FIELDS`] in both directions.
-pub const CLIENT_STAMP_FIELDS: [&str; 2] = ["stamp.client_id", "stamp.client_seq"];
-
-/// The message triplet as it crosses a link: payload, color, ghost —
-/// plus the client stamp when a client multiplexer issued it. The
+/// The message triplet as it crosses a link: payload, color, ghost. The
 /// last-hop field of the state model's triplet is implicit in the link
-/// the frame arrives on.
+/// the frame arrives on. The port's buffers hold this same struct
+/// (`MpMessage` in `crates/mp`), so a frame carries exactly what a
+/// buffer holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WireMessage {
     /// Application payload.
     pub payload: u64,
     /// Per-hop color in `{0..Δ}`.
     pub color: u8,
-    /// Ghost identity (test instrumentation; carried for the audit).
+    /// Ghost identity (test instrumentation; carried for the audit, and
+    /// the only place a client's identity rides).
     pub ghost: GhostId,
-    /// Logical-client identity ([`ClientStamp::NONE`] outside client mode).
-    pub stamp: ClientStamp,
 }
 
 /// One decoded frame.
@@ -292,12 +263,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// The client-stamp fields `put_msg` actually writes (and
-/// `Cursor::msg` reads back), declared adjacent to the codec so a
-/// dropped field is a one-line diff away from this list. The
-/// `wire-coverage` lint checks it against [`CLIENT_STAMP_FIELDS`].
-pub const ENCODED_CLIENT_STAMP_FIELDS: [&str; 2] = ["stamp.client_id", "stamp.client_seq"];
-
 fn put_msg(out: &mut Vec<u8>, msg: &WireMessage) {
     put_u64(out, msg.payload);
     out.push(msg.color);
@@ -305,14 +270,10 @@ fn put_msg(out: &mut Vec<u8>, msg: &WireMessage) {
     put_u32(out, gtag);
     put_u32(out, lo);
     put_u32(out, hi);
-    // Client stamp — see ENCODED_CLIENT_STAMP_FIELDS above.
-    put_u64(out, msg.stamp.client);
-    put_u32(out, msg.stamp.seq);
 }
 
-/// Bytes of a handshake body: tag + d + nonce + (payload, color, ghost,
-/// client stamp).
-const HANDSHAKE_BODY: usize = 1 + 2 + 8 + (8 + 1 + 12 + 12);
+/// Bytes of a handshake body: tag + d + nonce + (payload, color, ghost).
+const HANDSHAKE_BODY: usize = 1 + 2 + 8 + (8 + 1 + 12);
 
 struct Cursor<'a> {
     bytes: &'a [u8],
@@ -344,15 +305,10 @@ impl<'a> Cursor<'a> {
         let color = self.bytes[self.at];
         self.at += 1;
         let (gtag, lo, hi) = (self.u32(), self.u32(), self.u32());
-        let stamp = ClientStamp {
-            client: self.u64(),
-            seq: self.u32(),
-        };
         WireMessage {
             payload,
             color,
             ghost: decode_ghost(gtag, lo, hi),
-            stamp,
         }
     }
 }
@@ -518,16 +474,11 @@ mod tests {
             payload: 0xDEAD_BEEF_0BAD_F00D,
             color: 3,
             ghost: GhostId::Valid(42),
-            stamp: ClientStamp {
-                client: 0x0123_4567_89AB_CDEF,
-                seq: 77,
-            },
         };
         let inv = WireMessage {
             payload: 7,
             color: 0,
             ghost: GhostId::Invalid(u64::MAX),
-            stamp: ClientStamp::NONE,
         };
         vec![
             WireFrame::Offer {
@@ -628,75 +579,41 @@ mod tests {
         ));
     }
 
+    /// Each tag's encoded length, length prefix included, is pinned: a
+    /// field added to or dropped from a frame is a reviewed change here,
+    /// and a peer built with the earlier 44-byte handshake body (it
+    /// carried a 12-byte client stamp) is refused, not misread.
     #[test]
-    fn every_declared_stamp_field_is_really_on_the_wire() {
-        // For each field in ENCODED_CLIENT_STAMP_FIELDS, flipping that
-        // component of the stamp must change the encoded bytes and
-        // roundtrip to the flipped value — proving the declaration is
-        // anchored to the codec, not aspirational.
-        let base = WireMessage {
-            payload: 5,
-            color: 1,
-            ghost: GhostId::Valid(9),
-            stamp: ClientStamp {
-                client: 10,
-                seq: 20,
-            },
+    fn every_frame_has_its_pinned_length() {
+        let want = |f: &WireFrame| match f.tag() {
+            FrameTag::Offer | FrameTag::Accept | FrameTag::Confirm | FrameTag::Deny => 36,
+            FrameTag::Dv => 11,
+            FrameTag::Heartbeat => 15,
+            FrameTag::Route => 9,
         };
-        let variants: Vec<(&str, WireMessage)> = vec![
-            (
-                "stamp.client_id",
-                WireMessage {
-                    stamp: ClientStamp {
-                        client: 11,
-                        ..base.stamp
-                    },
-                    ..base
-                },
-            ),
-            (
-                "stamp.client_seq",
-                WireMessage {
-                    stamp: ClientStamp {
-                        seq: 21,
-                        ..base.stamp
-                    },
-                    ..base
-                },
-            ),
-        ];
-        assert_eq!(variants.len(), ENCODED_CLIENT_STAMP_FIELDS.len());
-        for (field, msg) in variants {
-            assert!(ENCODED_CLIENT_STAMP_FIELDS.contains(&field));
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            encode_frame(
-                &WireFrame::Offer {
-                    d: 0,
-                    msg: base,
-                    nonce: 1,
-                },
-                &mut a,
-            );
-            encode_frame(
-                &WireFrame::Offer {
-                    d: 0,
-                    msg,
-                    nonce: 1,
-                },
-                &mut b,
-            );
-            assert_ne!(a, b, "{field} is not encoded");
-            let mut r = FrameReader::new();
-            r.extend(&b);
-            assert_eq!(
-                r.next_frame(),
-                Ok(Some(WireFrame::Offer {
-                    d: 0,
-                    msg,
-                    nonce: 1
-                }))
-            );
+        let frames = sample_frames();
+        for tag in FrameTag::ALL {
+            assert!(frames.iter().any(|f| f.tag() == tag), "{tag:?} unsampled");
         }
+        for frame in &frames {
+            let mut bytes = Vec::new();
+            encode_frame(frame, &mut bytes);
+            assert_eq!(bytes.len(), want(frame), "{frame:?}");
+        }
+        let mut old = Vec::new();
+        put_u32(&mut old, 44);
+        old.push(FrameTag::Offer.as_u8());
+        old.extend_from_slice(&[0; 43]);
+        let mut r = FrameReader::new();
+        r.extend(&old);
+        assert_eq!(
+            r.next_frame(),
+            Err(WireError::BadBodyLen {
+                tag: FrameTag::Offer,
+                expected: 31,
+                got: 43
+            })
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 use ssmfp_core::message::{Color, GhostId, Message};
 use ssmfp_core::wire::{
-    decode_body, encode_frame, ClientStamp, FrameReader, FrameTag, WireError, WireFrame,
-    WireMessage, MAX_FRAME_LEN,
+    decode_body, encode_frame, FrameReader, FrameTag, WireError, WireFrame, WireMessage,
+    MAX_FRAME_LEN,
 };
 use ssmfp_core::MessageTable;
 
@@ -20,24 +20,12 @@ fn arb_ghost() -> impl Strategy<Value = GhostId> {
     ]
 }
 
-fn arb_stamp() -> impl Strategy<Value = ClientStamp> {
-    // The NONE sentinel, tiny ids, and arbitrary ids all ride the same
-    // 12 fixed bytes — the codec must not special-case any of them.
-    prop_oneof![
-        Just(ClientStamp::NONE),
-        (any::<u64>(), any::<u32>()).prop_map(|(client, seq)| ClientStamp { client, seq }),
-    ]
-}
-
 fn arb_msg() -> impl Strategy<Value = WireMessage> {
-    (any::<u64>(), any::<u8>(), arb_ghost(), arb_stamp()).prop_map(
-        |(payload, color, ghost, stamp)| WireMessage {
-            payload,
-            color,
-            ghost,
-            stamp,
-        },
-    )
+    (any::<u64>(), any::<u8>(), arb_ghost()).prop_map(|(payload, color, ghost)| WireMessage {
+        payload,
+        color,
+        ghost,
+    })
 }
 
 fn arb_frame() -> impl Strategy<Value = WireFrame> {

@@ -36,7 +36,9 @@
 //!   tag maps back to exactly one declared kind. A link-crossing event
 //!   with no frame cannot leave the process; two tags for one kind (or
 //!   one tag claiming an undeclared kind) would let the socket and
-//!   in-process transports disagree about what a byte stream means.
+//!   in-process transports disagree about what a byte stream means. The
+//!   fields each frame carries are the codec's to pin (its per-tag
+//!   length test), not a declared list's.
 //! * **`fault-domain`** — every fault kind the injection engine can plant
 //!   ([`ssmfp_core::faults::FaultKind`]) confines its writes to variable
 //!   classes some declared rule already writes. Snap-stabilization is
@@ -52,9 +54,7 @@
 
 use ssmfp_core::cli::json_string;
 use ssmfp_core::footprint::{composed_fwd_footprint, guards_can_overlap, LAYER_SSMFP};
-use ssmfp_core::wire::{
-    FrameTag, CLIENT_STAMP_FIELDS, ENCODED_CLIENT_STAMP_FIELDS, LINK_EVENT_KINDS,
-};
+use ssmfp_core::wire::{FrameTag, LINK_EVENT_KINDS};
 use ssmfp_core::{codec_footprint, FaultKind, Rule};
 use ssmfp_kernel::footprint::{independent, Access, Footprint, Locus, VarClass};
 use ssmfp_routing::footprint::{routing_footprint, LAYER_A};
@@ -578,25 +578,16 @@ pub struct WireSurface {
     pub kinds: Vec<String>,
     /// Every frame tag and the kind it claims to carry.
     pub tags: Vec<(String, String)>,
-    /// Per-client audit stamp fields the handshake body must carry.
-    pub stamp_required: Vec<String>,
-    /// Stamp fields the codec declares it actually encodes.
-    pub stamp_encoded: Vec<String>,
 }
 
-/// The shipped wire surface, read off [`FrameTag::ALL`],
-/// [`LINK_EVENT_KINDS`] and the client-stamp field declarations.
+/// The shipped wire surface, read off [`FrameTag::ALL`] and
+/// [`LINK_EVENT_KINDS`].
 pub fn default_wire_surface() -> WireSurface {
     WireSurface {
         kinds: LINK_EVENT_KINDS.iter().map(|k| k.to_string()).collect(),
         tags: FrameTag::ALL
             .iter()
             .map(|t| (format!("{t:?}"), t.event_kind().to_string()))
-            .collect(),
-        stamp_required: CLIENT_STAMP_FIELDS.iter().map(|f| f.to_string()).collect(),
-        stamp_encoded: ENCODED_CLIENT_STAMP_FIELDS
-            .iter()
-            .map(|f| f.to_string())
             .collect(),
     }
 }
@@ -661,36 +652,6 @@ fn lint_wire_coverage(surface: &WireSurface, report: &mut LintReport) {
             );
         }
         seen.push(tag);
-    }
-    // Client-stamp coverage: every field the per-client audit needs on
-    // the wire must be one the codec declares it encodes, and vice versa
-    // (an encoded-but-unrequired field is dead weight in every frame).
-    for f in &surface.stamp_required {
-        if !surface.stamp_encoded.contains(f) {
-            push(
-                report,
-                Severity::Violation,
-                "wire-coverage",
-                format!(
-                    "client stamp field `{f}` is required by the per-client audit but the \
-                     codec does not declare it encoded — the stamp would be dropped on the \
-                     wire and cross-process runs could not render a per-client verdict"
-                ),
-            );
-        }
-    }
-    for f in &surface.stamp_encoded {
-        if !surface.stamp_required.contains(f) {
-            push(
-                report,
-                Severity::Violation,
-                "wire-coverage",
-                format!(
-                    "codec encodes client stamp field `{f}` that no audit requires — \
-                     retire the field or declare the requirement"
-                ),
-            );
-        }
     }
 }
 
@@ -987,29 +948,6 @@ mod tests {
         assert!(report
             .violations()
             .any(|f| f.code == "wire-coverage" && f.message.contains("declared twice")));
-    }
-
-    #[test]
-    fn stamp_dropped_from_codec_is_caught() {
-        // Red test: the audit requires both stamp fields; a codec that
-        // stops encoding one (say, a refactor drops `client_seq` from
-        // `put_msg`) must fail wire-coverage.
-        let mut surface = default_wire_surface();
-        let dropped = surface.stamp_encoded.pop().expect("shipped stamp fields");
-        let mut report = LintReport::default();
-        lint_wire_coverage(&surface, &mut report);
-        assert!(report
-            .violations()
-            .any(|f| f.code == "wire-coverage" && f.message.contains(&dropped)));
-        assert_ne!(report.exit_code(false), 0);
-        // And the mirror: encoding a stamp field no audit requires.
-        let mut surface = default_wire_surface();
-        surface.stamp_encoded.push("stamp.vintage".to_string());
-        let mut report = LintReport::default();
-        lint_wire_coverage(&surface, &mut report);
-        assert!(report
-            .violations()
-            .any(|f| f.code == "wire-coverage" && f.message.contains("stamp.vintage")));
     }
 
     #[test]

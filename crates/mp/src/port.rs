@@ -46,16 +46,10 @@ use std::collections::VecDeque;
 /// the name the port's callers know it by. Never consulted by protocol logic.
 pub use ssmfp_core::GhostId as MpGhost;
 
-/// A message occupying a port buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MpMessage {
-    /// Useful information.
-    pub payload: u64,
-    /// Color in `{0..Δ}`.
-    pub color: u8,
-    /// Instrumentation identity.
-    pub ghost: MpGhost,
-}
+/// A message occupying a port buffer: the wire codec's message, so a
+/// buffer holds exactly what a frame carries (useful information, color
+/// in `{0..Δ}` and the instrumentation identity).
+pub use ssmfp_core::wire::WireMessage as MpMessage;
 
 /// Wire messages of the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
