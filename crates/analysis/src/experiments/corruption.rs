@@ -4,12 +4,16 @@
 //! once.
 //!
 //! Both protocols run the same workload from equally corrupted starts
-//! across a seed sweep; we report per-protocol totals of lost, duplicated,
-//! and undelivered valid messages, plus SP violations for SSMFP (always 0).
+//! across a seed sweep, on the state model's one [`Network`], and one
+//! judge reads both: each run's [`Network::audit`] verdict gives the
+//! per-protocol totals of exactly-once, lost, duplicated and undelivered
+//! valid messages. SSMFP's runs must also pass [`Network::check_sp`].
 
 use crate::report::Table;
 use ssmfp_core::baseline::BaselineNetwork;
-use ssmfp_core::{DaemonKind, Network, NetworkConfig};
+use ssmfp_core::state::HigherLayer;
+use ssmfp_core::{ClusterVerdict, DaemonKind, Event, Network, NetworkConfig};
+use ssmfp_kernel::Protocol;
 use ssmfp_routing::CorruptionKind;
 use ssmfp_topology::gen;
 
@@ -28,6 +32,32 @@ pub struct CorruptionTally {
     pub undelivered: u64,
 }
 
+impl CorruptionTally {
+    /// Adds one run: `sent` messages handed to the higher layer and the
+    /// run's exactly-once verdict. A message not yet generated is
+    /// undelivered, like one still in flight.
+    fn add(&mut self, sent: u64, verdict: &ClusterVerdict) {
+        self.sent += sent;
+        self.exactly_once += verdict.exactly_once;
+        self.lost += verdict.lost();
+        self.duplicated += verdict.duplicated();
+        self.undelivered += verdict.in_flight + (sent - verdict.generated);
+    }
+}
+
+/// Hands `sends` to `net`, runs it to quiescence (or the step budget) and
+/// returns its verdict.
+fn drain<P: Protocol<Event = Event, State: HigherLayer>>(
+    net: &mut Network<P>,
+    sends: &[(usize, usize, u64)],
+) -> ClusterVerdict {
+    for &(s, d, p) in sends {
+        net.send(s, d, p);
+    }
+    net.run_to_quiescence(500_000);
+    net.audit()
+}
+
 /// Runs the sweep for one protocol.
 pub fn sweep(seeds: std::ops::Range<u64>, baseline: bool) -> CorruptionTally {
     let mut tally = CorruptionTally::default();
@@ -37,53 +67,25 @@ pub fn sweep(seeds: std::ops::Range<u64>, baseline: bool) -> CorruptionTally {
         let sends: Vec<(usize, usize, u64)> = (0..n)
             .flat_map(|s| (0..2).map(move |k| (s, (s + 3 + k) % n, ((s + k) % 8) as u64)))
             .collect();
-        if baseline {
-            let mut net = BaselineNetwork::new(
-                graph,
-                DaemonKind::CentralRandom { seed },
-                CorruptionKind::AntiDistance,
-                0.5,
-                seed,
-            );
-            let ghosts: Vec<_> = sends.iter().map(|&(s, d, p)| net.send(s, d, p)).collect();
-            net.run_to_quiescence(500_000);
-            let lost: std::collections::HashSet<_> = net.lost_messages().into_iter().collect();
-            for g in &ghosts {
-                tally.sent += 1;
-                match net.deliveries_of(*g) {
-                    0 if lost.contains(g) => tally.lost += 1,
-                    0 => tally.undelivered += 1,
-                    1 => tally.exactly_once += 1,
-                    _ => tally.duplicated += 1,
-                }
-            }
+        let daemon = DaemonKind::CentralRandom { seed };
+        let verdict = if baseline {
+            let mut net =
+                BaselineNetwork::baseline(graph, daemon, CorruptionKind::AntiDistance, 0.5, seed);
+            drain(&mut net, &sends)
         } else {
-            let config = NetworkConfig {
-                daemon: DaemonKind::CentralRandom { seed },
-                corruption: CorruptionKind::AntiDistance,
-                garbage_fill: 0.5,
-                seed,
-                routing_priority: true,
-                choice_strategy: Default::default(),
-                seeded_bug: None,
-            };
+            let config = NetworkConfig::adversarial(seed)
+                .with_daemon(daemon)
+                .with_corruption(CorruptionKind::AntiDistance);
             let mut net = Network::new(graph, config);
-            let ghosts: Vec<_> = sends.iter().map(|&(s, d, p)| net.send(s, d, p)).collect();
-            net.run_to_quiescence(500_000);
+            let verdict = drain(&mut net, &sends);
+            let violations = net.check_sp();
             assert!(
-                net.check_sp().is_empty(),
-                "SSMFP violated SP under seed {seed}: {:?}",
-                net.check_sp()
+                violations.is_empty(),
+                "SSMFP violated SP under seed {seed}: {violations:?}"
             );
-            for g in &ghosts {
-                tally.sent += 1;
-                match net.deliveries_of(*g) {
-                    0 => tally.undelivered += 1,
-                    1 => tally.exactly_once += 1,
-                    _ => tally.duplicated += 1,
-                }
-            }
-        }
+            verdict
+        };
+        tally.add(sends.len() as u64, &verdict);
     }
     tally
 }

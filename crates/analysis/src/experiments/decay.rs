@@ -9,7 +9,7 @@
 
 use crate::report::Table;
 use crate::workload::small_suite;
-use ssmfp_core::{DaemonKind, Network, NetworkConfig, NodeState};
+use ssmfp_core::{DaemonKind, Network, NetworkConfig};
 use ssmfp_routing::CorruptionKind;
 
 /// Time series of one drain run.
@@ -36,14 +36,14 @@ pub fn decay_run(graph: ssmfp_topology::Graph, seed: u64) -> DecayRun {
         seeded_bug: None,
     };
     let mut net = Network::new(graph, config);
-    let initial: usize = net.states().iter().map(NodeState::occupied_buffers).sum();
+    let initial: usize = net.messages_in_flight();
     let mut series: Vec<(u64, usize)> = vec![(0, initial)];
     let mut half_life_rounds = 0;
     loop {
         if let ssmfp_kernel::StepOutcome::Terminal = net.pump() {
             break;
         }
-        let pop: usize = net.states().iter().map(NodeState::occupied_buffers).sum();
+        let pop: usize = net.messages_in_flight();
         series.push((net.rounds(), pop));
         if half_life_rounds == 0 && pop * 2 <= initial {
             half_life_rounds = net.rounds();

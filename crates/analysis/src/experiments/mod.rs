@@ -20,18 +20,13 @@ pub mod stretch;
 use crate::report::Table;
 
 /// Runs every experiment at its default scale and returns the tables in
-/// index order (E1..E11). This is what the `ssmfp-experiments` binary
-/// prints and what `EXPERIMENTS.md` records.
-pub fn run_all(seed: u64) -> Vec<Table> {
-    run_all_with(seed, 1)
-}
-
-/// Like [`run_all`], fanning each converted sweep's replicate runs out
-/// over `threads` workers ([`crate::parallel::run_ordered`]). The output
-/// is identical to `run_all(seed)` for every thread count — the fan-out
-/// is a wall-clock optimization only. Experiments whose runs share
-/// mutable state across cells (none today) must stay on the sequential
-/// path.
+/// index order. This is what the `experiments` binary prints and what
+/// `EXPERIMENTS.md` records. Each converted sweep fans its replicate runs
+/// out over `threads` workers ([`crate::parallel::run_ordered`]); the
+/// output is the same for every thread count (CI compares `--threads 1`
+/// with `--threads 2`), so the fan-out is a wall-clock optimization only.
+/// Experiments whose runs share mutable state across cells (none today)
+/// must stay on the sequential path.
 pub fn run_all_with(seed: u64, threads: usize) -> Vec<Table> {
     vec![
         schemes::run(),

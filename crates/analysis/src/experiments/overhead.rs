@@ -47,7 +47,7 @@ pub fn paired_run(graph: &ssmfp_topology::Graph, seed: u64) -> OverheadRun {
         (net.ledger().forwards + net.ledger().internal_moves) as f64 / delivered as f64;
 
     // Baseline.
-    let mut bl = BaselineNetwork::new(
+    let mut bl = BaselineNetwork::baseline(
         graph.clone(),
         DaemonKind::CentralRandom { seed },
         CorruptionKind::None,

@@ -1,23 +1,29 @@
-//! [`Network`]: the user-facing facade over the composed protocol.
+//! [`Network`]: the state model's one higher layer, for any protocol
+//! whose local state implements [`HigherLayer`].
 //!
-//! A `Network` owns a state-model [`Engine`] running [`SsmfpProtocol`]
-//! (SSMFP + routing algorithm `A` with priority), plays the *higher layer*
-//! of Algorithm 1 (enqueueing messages and raising `request_p`), and feeds
-//! every observable event into a [`DeliveryLedger`] so callers can audit
-//! Specification `SP` at any time.
+//! A `Network<P>` owns a state-model [`Engine`] running `P`, plays the
+//! *higher layer* of Algorithm 1 (enqueueing messages and raising
+//! `request_p`), and feeds every observable event into a
+//! [`DeliveryLedger`]. [`Network::audit`] judges the run with
+//! [`reconcile_ledgers`], the port's and the cluster's join. `P` defaults
+//! to [`SsmfpProtocol`] (SSMFP + routing algorithm `A` with priority),
+//! which alone has the configured constructor, `SP`'s Proposition 4 clause
+//! ([`Network::check_sp`]) and fault plans; the fault-free baseline is
+//! [`crate::baseline::BaselineNetwork`].
 
 use crate::choice::ChoiceStrategy;
-use crate::faults::{Fault, FaultCursor, FaultInjector, FaultPlan, SeededBug};
-use crate::ledger::{DeliveryLedger, SpViolation};
+use crate::faults::{FaultCursor, FaultInjector, FaultPlan, SeededBug};
+use crate::ledger::{reconcile_ledgers, ClusterVerdict, DeliveryLedger, SpViolation};
 use crate::message::{GhostId, Payload};
-use crate::protocol::{Event, SsmfpAction, SsmfpProtocol};
-use crate::state::{NodeState, Outgoing};
+use crate::protocol::{Event, SsmfpProtocol};
+use crate::state::{HigherLayer, NodeState, Outgoing};
 use crate::trajectory::TrajectoryLog;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use ssmfp_kernel::engine::EventRecord;
 use ssmfp_kernel::{
     AdversarialDaemon, CentralRandomDaemon, Daemon, DistributedRandomDaemon, Engine,
-    LocallyCentralDaemon, RoundRobinDaemon, StepOutcome, SynchronousDaemon,
+    LocallyCentralDaemon, Protocol, RoundRobinDaemon, StepOutcome, SynchronousDaemon,
 };
 use ssmfp_routing::{corruption, CorruptionKind};
 use ssmfp_topology::{Graph, NodeId};
@@ -214,7 +220,9 @@ pub struct NetRunStats {
     pub quiescent: bool,
 }
 
-/// The executable network.
+/// The executable network: a state-model [`Engine`] running protocol `P`
+/// behind Algorithm 1's higher layer, with every event fed into a
+/// [`DeliveryLedger`].
 ///
 /// ```
 /// use ssmfp_core::{Network, NetworkConfig};
@@ -228,44 +236,19 @@ pub struct NetRunStats {
 /// assert_eq!(net.deliveries_of(msg), 1);
 /// assert!(net.check_sp().is_empty());
 /// ```
-pub struct Network {
-    engine: Engine<SsmfpProtocol>,
+pub struct Network<P: Protocol<Event = Event> = SsmfpProtocol> {
+    engine: Engine<P>,
     ledger: DeliveryLedger,
     trajectories: Option<TrajectoryLog>,
     next_valid: u64,
     /// Reused event drain buffer (pump runs once per step; draining into a
     /// fresh Vec each time would allocate on the hot path).
-    event_buf: Vec<ssmfp_kernel::engine::EventRecord<Event>>,
+    event_buf: Vec<EventRecord<Event>>,
 }
 
-impl Network {
-    /// Builds a network on `graph` according to `config`.
-    pub fn new(graph: Graph, config: NetworkConfig) -> Self {
-        let n = graph.n();
-        let delta = graph.max_degree();
-        let routing_states = corruption::corrupt(&graph, config.corruption, config.seed);
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0xD1B5_4A32_D192_ED03);
-        let mut next_invalid = 0u64;
-        let states: Vec<NodeState> = routing_states
-            .into_iter()
-            .enumerate()
-            .map(|(p, r)| {
-                let mut s = NodeState::clean(n, r);
-                if config.garbage_fill > 0.0 {
-                    s.scatter_garbage(&graph, p, config.garbage_fill, &mut rng, &mut next_invalid);
-                }
-                s
-            })
-            .collect();
-        let mut proto = SsmfpProtocol::new(n, delta).with_choice_strategy(config.choice_strategy);
-        if !config.routing_priority {
-            proto = proto.without_routing_priority();
-        }
-        if let Some(bug) = config.seeded_bug {
-            proto = proto.with_seeded_bug(bug);
-        }
-        let daemon = config.daemon.build_for(&graph);
-        let engine = Engine::new(graph, proto, daemon, states);
+impl<P: Protocol<Event = Event, State: HigherLayer>> Network<P> {
+    /// Wraps a built engine with an empty ledger.
+    pub(crate) fn with_engine(engine: Engine<P>) -> Self {
         Network {
             engine,
             ledger: DeliveryLedger::new(),
@@ -294,12 +277,12 @@ impl Network {
     }
 
     /// The underlying engine (read access for diagnostics).
-    pub fn engine(&self) -> &Engine<SsmfpProtocol> {
+    pub fn engine(&self) -> &Engine<P> {
         &self.engine
     }
 
     /// Mutable access to the engine (trace enabling, fault injection).
-    pub fn engine_mut(&mut self) -> &mut Engine<SsmfpProtocol> {
+    pub fn engine_mut(&mut self) -> &mut Engine<P> {
         &mut self.engine
     }
 
@@ -309,7 +292,7 @@ impl Network {
     }
 
     /// Current configuration.
-    pub fn states(&self) -> &[NodeState] {
+    pub fn states(&self) -> &[P::State] {
         self.engine.states()
     }
 
@@ -332,14 +315,11 @@ impl Network {
         let ghost = GhostId::Valid(self.next_valid);
         self.next_valid += 1;
         self.engine.mutate_state(src, |s| {
-            s.outbox.push_back(Outgoing {
+            s.enqueue(Outgoing {
                 dest: dst,
                 payload,
                 ghost,
-            });
-            if !s.request {
-                s.request = true;
-            }
+            })
         });
         ghost
     }
@@ -356,11 +336,9 @@ impl Network {
         }
         // Higher layer: re-arm requests (the paper's blocking wait ends as
         // soon as the protocol lowers the bit and a message still waits).
-        let n = self.graph().n();
-        for p in 0..n {
-            let s = self.engine.state(p);
-            if !s.request && !s.outbox.is_empty() {
-                self.engine.mutate_state(p, |s| s.request = true);
+        for p in 0..self.graph().n() {
+            if self.engine.state(p).request_lapsed() {
+                self.engine.mutate_state(p, P::State::raise_request);
             }
         }
         outcome
@@ -423,20 +401,64 @@ impl Network {
 
     /// Messages currently occupying buffers anywhere in the network.
     pub fn messages_in_flight(&self) -> usize {
-        self.states().iter().map(NodeState::occupied_buffers).sum()
+        self.states().iter().map(|s| s.held().count()).sum()
     }
 
-    /// Audits Specification `SP` against the current configuration.
+    /// What each node holds in its buffers, by node.
+    fn held(&self) -> Vec<Vec<GhostId>> {
+        self.states().iter().map(|s| s.held().collect()).collect()
+    }
+
+    /// The run's exactly-once verdict: [`reconcile_ledgers`] over the
+    /// ledger cut into per-node slices — the port's and the cluster's
+    /// join (see [`DeliveryLedger::node_ledgers`]).
+    pub fn audit(&self) -> ClusterVerdict {
+        reconcile_ledgers(&self.ledger.node_ledgers(0, self.held()))
+    }
+}
+
+impl Network {
+    /// Builds an SSMFP network on `graph` according to `config`.
+    pub fn new(graph: Graph, config: NetworkConfig) -> Self {
+        let n = graph.n();
+        let delta = graph.max_degree();
+        let routing_states = corruption::corrupt(&graph, config.corruption, config.seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0xD1B5_4A32_D192_ED03);
+        let mut next_invalid = 0u64;
+        let states: Vec<NodeState> = routing_states
+            .into_iter()
+            .enumerate()
+            .map(|(p, r)| {
+                let mut s = NodeState::clean(n, r);
+                if config.garbage_fill > 0.0 {
+                    s.scatter_garbage(&graph, p, config.garbage_fill, &mut rng, &mut next_invalid);
+                }
+                s
+            })
+            .collect();
+        let mut proto = SsmfpProtocol::new(n, delta).with_choice_strategy(config.choice_strategy);
+        if !config.routing_priority {
+            proto = proto.without_routing_priority();
+        }
+        if let Some(bug) = config.seeded_bug {
+            proto = proto.with_seeded_bug(bug);
+        }
+        let daemon = config.daemon.build_for(&graph);
+        Network::with_engine(Engine::new(graph, proto, daemon, states))
+    }
+
+    /// Audits Specification `SP` against the current configuration: the
+    /// join's violations, then Proposition 4's (see
+    /// [`DeliveryLedger::check_sp_since`]).
     pub fn check_sp(&self) -> Vec<SpViolation> {
-        self.ledger.check_sp(self.states(), self.graph().n())
+        self.check_sp_since(0)
     }
 
     /// Audits `SP` for the post-fault epoch: only messages generated at
     /// step `>= since_step` are held to exactly-once (see
     /// [`DeliveryLedger::check_sp_since`]).
     pub fn check_sp_since(&self, since_step: u64) -> Vec<SpViolation> {
-        self.ledger
-            .check_sp_since(self.states(), self.graph().n(), since_step)
+        self.ledger.check_sp_since(since_step, self.held())
     }
 
     /// Installs a [`FaultPlan`] as the engine's step hook and returns the
@@ -449,31 +471,9 @@ impl Network {
         cursor
     }
 
-    /// Applies one fault immediately (outside any installed plan), with
-    /// guard refresh. Used by replayed scenarios and tests.
-    pub fn force_fault(&mut self, fault: &Fault) {
-        self.engine.mutate_with_graph(|graph, states, touched| {
-            touched.push(fault.apply(graph, states));
-        });
-    }
-
-    /// Events drained so far live in the ledger; this exposes raw access to
-    /// the protocol for advanced scenarios.
+    /// The composed protocol, for advanced scenarios.
     pub fn protocol(&self) -> &SsmfpProtocol {
         self.engine.protocol()
-    }
-
-    /// Captures the current configuration as a packed snapshot (flat
-    /// words + interned messages — see [`crate::codec`]), cheap to store
-    /// by the thousand for later [`Network::restore_snapshot`].
-    pub fn snapshot(&self) -> crate::codec::PackedSnapshot {
-        crate::codec::PackedSnapshot::capture(self.engine.states())
-    }
-
-    /// Restores a configuration captured with [`Network::snapshot`]
-    /// (resets ledger and counters, like any configuration injection).
-    pub fn restore_snapshot(&mut self, snap: &crate::codec::PackedSnapshot) {
-        self.reset_configuration(snap.restore());
     }
 
     /// Injects an arbitrary configuration (snap-stabilization starts from
@@ -483,24 +483,6 @@ impl Network {
         self.ledger = DeliveryLedger::new();
         if self.trajectories.is_some() {
             self.trajectories = Some(TrajectoryLog::new());
-        }
-    }
-
-    /// Replays recorded actions is not supported; provided to document the
-    /// deterministic alternative: rebuild with the same config and seed.
-    pub fn describe_action(&self, a: SsmfpAction) -> String {
-        use ssmfp_kernel::Protocol as _;
-        self.engine.protocol().describe(a)
-    }
-
-    /// Drains any events still buffered in the engine into the ledger
-    /// (useful after direct `engine_mut` stepping).
-    pub fn sync_ledger(&mut self) {
-        self.event_buf.clear();
-        self.engine.drain_events_into(&mut self.event_buf);
-        self.ledger.absorb(&self.event_buf);
-        if let Some(log) = &mut self.trajectories {
-            log.absorb(&self.event_buf);
         }
     }
 }

@@ -16,18 +16,20 @@
 //!   *silent loss* (the sender erases a message that was never copied);
 //! * messages can chase routing loops.
 //!
-//! The E9/E10 experiments quantify exactly this contrast against SSMFP:
-//! comparable cost when clean, broken when started from an arbitrary
-//! configuration.
+//! [`BaselineNetwork`] is the state model's one [`Network`] running this
+//! protocol, judged by the same exactly-once join as SSMFP
+//! ([`Network::audit`]). The E9/E10 experiments quantify exactly this
+//! contrast against SSMFP: comparable cost when clean, broken when started
+//! from an arbitrary configuration.
 
-use crate::ledger::DeliveryLedger;
+use crate::api::{DaemonKind, Network};
 use crate::message::{GhostId, Payload};
 use crate::protocol::Event;
-use crate::state::Outgoing;
+use crate::state::{HigherLayer, Outgoing};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use ssmfp_kernel::{Engine, Protocol, StepOutcome, View};
+use ssmfp_kernel::{Engine, Protocol, View};
 use ssmfp_routing::{corruption, CorruptionKind, HasRouting, RoutingProtocol, RoutingState};
 use ssmfp_topology::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -125,10 +127,24 @@ impl BaselineState {
             self.next_flag[d] = rng.gen_bool(0.5);
         }
     }
+}
 
-    /// Occupied buffers at this processor.
-    pub fn occupied_buffers(&self) -> usize {
-        self.bufs.iter().filter(|b| b.is_some()).count()
+impl HigherLayer for BaselineState {
+    fn enqueue(&mut self, out: Outgoing) {
+        self.outbox.push_back(out);
+        self.request = true;
+    }
+
+    fn request_lapsed(&self) -> bool {
+        !self.request && !self.outbox.is_empty()
+    }
+
+    fn raise_request(&mut self) {
+        self.request = true;
+    }
+
+    fn held(&self) -> impl Iterator<Item = GhostId> + '_ {
+        self.bufs.iter().flatten().map(|m| m.ghost)
     }
 }
 
@@ -351,21 +367,16 @@ impl Protocol for BaselineProtocol {
     }
 }
 
-/// Facade mirroring [`crate::api::Network`] for the baseline protocol.
-pub struct BaselineNetwork {
-    engine: Engine<BaselineProtocol>,
-    ledger: DeliveryLedger,
-    next_valid: u64,
-    /// Reused event drain buffer (see `Network::event_buf`).
-    event_buf: Vec<ssmfp_kernel::engine::EventRecord<Event>>,
-}
+/// The state model's [`Network`] running the baseline protocol.
+pub type BaselineNetwork = Network<BaselineProtocol>;
 
-impl BaselineNetwork {
+impl Network<BaselineProtocol> {
     /// Builds a baseline network with the given table corruption and
-    /// garbage fill, scheduled by `daemon`.
-    pub fn new(
+    /// garbage fill, scheduled by `daemon`. (Not `new`: a second inherent
+    /// `new` would make every `Network::new(..)` ambiguous.)
+    pub fn baseline(
         graph: Graph,
-        daemon: crate::api::DaemonKind,
+        daemon: DaemonKind,
         corruption_kind: CorruptionKind,
         garbage_fill: f64,
         seed: u64,
@@ -386,133 +397,19 @@ impl BaselineNetwork {
             })
             .collect();
         let d = daemon.build_for(&graph);
-        let engine = Engine::new(graph, BaselineProtocol::new(n), d, states);
-        BaselineNetwork {
-            engine,
-            ledger: DeliveryLedger::new(),
-            next_valid: 0,
-            event_buf: Vec::new(),
-        }
-    }
-
-    /// The network graph.
-    pub fn graph(&self) -> &Graph {
-        self.engine.graph()
-    }
-
-    /// The ground-truth ledger.
-    pub fn ledger(&self) -> &DeliveryLedger {
-        &self.ledger
-    }
-
-    /// Steps executed.
-    pub fn steps(&self) -> u64 {
-        self.engine.steps()
-    }
-
-    /// Rounds completed.
-    pub fn rounds(&self) -> u64 {
-        self.engine.rounds()
-    }
-
-    /// Hands a message to the higher layer (see `Network::send`).
-    pub fn send(&mut self, src: NodeId, dst: NodeId, payload: Payload) -> GhostId {
-        let ghost = GhostId::Valid(self.next_valid);
-        self.next_valid += 1;
-        self.engine.mutate_state(src, |s| {
-            s.outbox.push_back(Outgoing {
-                dest: dst,
-                payload,
-                ghost,
-            });
-            if !s.request {
-                s.request = true;
-            }
-        });
-        ghost
-    }
-
-    /// One step plus higher-layer upkeep.
-    pub fn pump(&mut self) -> StepOutcome {
-        let outcome = self.engine.step();
-        self.event_buf.clear();
-        self.engine.drain_events_into(&mut self.event_buf);
-        self.ledger.absorb(&self.event_buf);
-        let n = self.graph().n();
-        for p in 0..n {
-            let s = self.engine.state(p);
-            if !s.request && !s.outbox.is_empty() {
-                self.engine.mutate_state(p, |s| s.request = true);
-            }
-        }
-        outcome
-    }
-
-    /// Runs for at most `max_steps`, stopping at quiescence. Returns true
-    /// if quiescent.
-    pub fn run_to_quiescence(&mut self, max_steps: u64) -> bool {
-        for _ in 0..max_steps {
-            if let StepOutcome::Terminal = self.pump() {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Deliveries of one message.
-    pub fn deliveries_of(&self, ghost: GhostId) -> u64 {
-        self.ledger.deliveries_of(ghost)
-    }
-
-    /// Messages currently in buffers.
-    pub fn messages_in_flight(&self) -> usize {
-        self.engine
-            .states()
-            .iter()
-            .map(BaselineState::occupied_buffers)
-            .sum()
-    }
-
-    /// Valid messages that are neither delivered nor anywhere in the
-    /// system (buffers or outboxes): lost by the baseline.
-    pub fn lost_messages(&self) -> Vec<GhostId> {
-        let mut in_flight = std::collections::HashSet::new();
-        for s in self.engine.states() {
-            for b in s.bufs.iter().flatten() {
-                in_flight.insert(b.ghost);
-            }
-            for o in &s.outbox {
-                in_flight.insert(o.ghost);
-            }
-        }
-        self.ledger
-            .outstanding()
-            .into_iter()
-            .filter(|g| !in_flight.contains(g))
-            .collect()
-    }
-
-    /// Valid messages delivered more than once.
-    pub fn duplicated_messages(&self) -> Vec<(GhostId, u64)> {
-        (0..self.next_valid)
-            .map(GhostId::Valid)
-            .filter_map(|g| {
-                let k = self.ledger.deliveries_of(g);
-                (k > 1).then_some((g, k))
-            })
-            .collect()
+        Network::with_engine(Engine::new(graph, BaselineProtocol::new(n), d, states))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::DaemonKind;
+    use crate::ledger::SpViolation;
     use ssmfp_topology::gen;
 
     #[test]
     fn baseline_correct_tables_exactly_once() {
-        let mut net = BaselineNetwork::new(
+        let mut net = BaselineNetwork::baseline(
             gen::line(5),
             DaemonKind::RoundRobin,
             CorruptionKind::None,
@@ -522,13 +419,14 @@ mod tests {
         let g = net.send(0, 4, 42);
         assert!(net.run_to_quiescence(200_000));
         assert_eq!(net.deliveries_of(g), 1);
-        assert!(net.lost_messages().is_empty());
-        assert!(net.duplicated_messages().is_empty());
+        let verdict = net.audit();
+        assert!(verdict.clean(), "{verdict:?}");
+        assert_eq!((verdict.generated, verdict.exactly_once), (1, 1));
     }
 
     #[test]
     fn baseline_all_pairs_clean() {
-        let mut net = BaselineNetwork::new(
+        let mut net = BaselineNetwork::baseline(
             gen::grid(3, 3),
             DaemonKind::RoundRobin,
             CorruptionKind::None,
@@ -553,7 +451,7 @@ mod tests {
     fn baseline_consecutive_same_payload_not_merged() {
         // The alternating flag distinguishes two consecutive identical
         // messages from the same source (the paper's stated purpose).
-        let mut net = BaselineNetwork::new(
+        let mut net = BaselineNetwork::baseline(
             gen::line(4),
             DaemonKind::RoundRobin,
             CorruptionKind::None,
@@ -576,7 +474,7 @@ mod tests {
         // (its R4 erase checks the *message*, re-colored per hop, not a
         // stale acknowledgment).
         let graph = gen::line(3);
-        let mut net = BaselineNetwork::new(
+        let mut net = BaselineNetwork::baseline(
             graph.clone(),
             DaemonKind::RoundRobin,
             CorruptionKind::None,
@@ -585,13 +483,13 @@ mod tests {
         );
         // First generation of node 0 toward destination 2: key (7, 0, false).
         let port_of_0_at_1 = graph.port_of(1, 0).unwrap();
-        net.engine.mutate_state(1, |s| {
+        net.engine_mut().mutate_state(1, |s| {
             s.last_recv[2][port_of_0_at_1] = Some((7, 0, false));
         });
         let g = net.send(0, 2, 7);
         net.run_to_quiescence(100_000);
         assert_eq!(net.deliveries_of(g), 0, "message must be silently lost");
-        assert_eq!(net.lost_messages(), vec![g]);
+        assert_eq!(net.audit().violations, vec![SpViolation::Lost { ghost: g }]);
     }
 
     #[test]
@@ -603,7 +501,7 @@ mod tests {
         // within the budget). This is E10's headline.
         let mut broken = 0;
         for seed in 0..20 {
-            let mut net = BaselineNetwork::new(
+            let mut net = BaselineNetwork::baseline(
                 gen::ring(8),
                 DaemonKind::CentralRandom { seed },
                 CorruptionKind::AntiDistance,
@@ -617,10 +515,9 @@ mod tests {
                 }
             }
             net.run_to_quiescence(400_000);
-            let lost = !net.lost_messages().is_empty();
-            let duplicated = !net.duplicated_messages().is_empty();
+            let verdict = net.audit();
             let undelivered = ghosts.iter().any(|g| net.deliveries_of(*g) == 0);
-            if lost || duplicated || undelivered {
+            if !verdict.clean() || undelivered {
                 broken += 1;
             }
         }

@@ -1,11 +1,11 @@
 //! Packed state codec: message interning and a flat fixed-width encoding
 //! of [`NodeState`].
 //!
-//! The checker's exploration and the snapshot/replay paths all store many
-//! configurations at once; the natural representation (a
-//! `Vec<Arc<NodeState>>` of pointer-heavy nodes) makes every stored state
-//! cost hundreds of bytes of scattered heap. This module provides the
-//! compact alternative, the standard explicit-state model-checking trick:
+//! The checker's exploration stores many configurations at once; the
+//! natural representation (a `Vec<Arc<NodeState>>` of pointer-heavy
+//! nodes) makes every stored state cost hundreds of bytes of scattered
+//! heap. This module provides the compact alternative, the standard
+//! explicit-state model-checking trick:
 //!
 //! * [`MessageTable`] interns [`Message`] values to dense `u32` ids for
 //!   the duration of a run. Messages are immutable triplets plus a ghost;
@@ -48,9 +48,7 @@
 //! states must go through [`StateCodec::fingerprint`] (or unpacking),
 //! never through word comparison.
 
-use crate::footprint::{
-    BUF_E, BUF_R, CHOICE_PTR, DEST_CURSOR, LAYER_SSMFP, OUTBOX, REQUEST, WAITS,
-};
+use crate::footprint::{BUF_E, BUF_R, CHOICE_PTR, DEST_CURSOR, OUTBOX, REQUEST, WAITS};
 use crate::message::{GhostId, Message};
 use crate::state::{FwdSlot, NodeState, Outgoing};
 use fxhash::FxHashMap;
@@ -384,44 +382,6 @@ pub fn codec_footprint() -> Footprint {
     )
 }
 
-/// The layer tag reported for the codec observer in lint output.
-pub const CODEC_OBSERVER: &str = LAYER_SSMFP;
-
-/// A packed snapshot of a full configuration, self-contained: carries its
-/// own message table, so it can be stored, shipped, and restored later
-/// (the `Network` snapshot path).
-#[derive(Debug, Clone)]
-pub struct PackedSnapshot {
-    codec: StateCodec,
-    table: MessageTable,
-    words: Box<[u32]>,
-}
-
-impl PackedSnapshot {
-    /// Packs `nodes` into a self-contained snapshot.
-    pub fn capture(nodes: &[NodeState]) -> Self {
-        let codec = StateCodec::new(nodes.len());
-        let mut table = MessageTable::new();
-        let mut words = Vec::new();
-        codec.pack_config(nodes, &mut table, &mut words);
-        PackedSnapshot {
-            codec,
-            table,
-            words: words.into_boxed_slice(),
-        }
-    }
-
-    /// Restores the configuration the snapshot was captured from.
-    pub fn restore(&self) -> Vec<NodeState> {
-        self.codec.unpack_config(&self.words, &self.table)
-    }
-
-    /// Packed payload size in bytes (words + interned messages).
-    pub fn packed_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u32>() + self.table.memory_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,14 +466,6 @@ mod tests {
         let deep = node_fingerprint(2, &nodes[2]);
         assert_eq!(codec.fingerprint(2, &w1, &t1), deep);
         assert_eq!(codec.fingerprint(2, &w2, &t2), deep);
-    }
-
-    #[test]
-    fn snapshot_roundtrip() {
-        let nodes = garbage_config(5);
-        let snap = PackedSnapshot::capture(&nodes);
-        assert_eq!(snap.restore(), nodes);
-        assert!(snap.packed_bytes() > 0);
     }
 
     #[test]

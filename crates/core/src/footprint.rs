@@ -81,17 +81,6 @@ pub const DEST_CURSOR: VarClass = VarClass {
     per_dest: false,
 };
 
-/// All SSMFP-owned variable classes (lint enumeration).
-pub const SSMFP_CLASSES: [VarClass; 7] = [
-    BUF_R,
-    BUF_E,
-    CHOICE_PTR,
-    WAITS,
-    REQUEST,
-    OUTBOX,
-    DEST_CURSOR,
-];
-
 /// Reads of `choice_p(d)`: the rotation pointer and wait counters, the
 /// self-candidate's `request`/outbox head, and each neighbour candidate's
 /// `bufE(d)` and `parent(d)`.

@@ -4,22 +4,28 @@
 //! ground truth the proofs reason about: which valid messages were
 //! generated, how often each physical message (ghost identity) was
 //! delivered, and how many *invalid* messages reached each destination.
-//! [`DeliveryLedger::check_sp`] then audits Specification `SP` —
+//!
+//! Every model decides exactly-once with one join, [`reconcile_ledgers`],
+//! over per-node slices ([`NodeLedger`]): each node knows only what it
+//! generated, what was delivered at it, and what it holds. The join checks
+//! Specification `SP` —
 //!
 //! * no valid message delivered more than once (Lemma 5: no duplication),
 //! * no valid message lost: every generated message is delivered or still
 //!   in flight (Lemma 4: no deletion without delivery),
-//! * at most `2n` invalid messages delivered per destination
-//!   (Proposition 4).
+//! * every valid message delivered at its destination.
 //!
-//! The cluster's ledgers are per-node slices ([`NodeLedger`]) that
-//! [`reconcile_ledgers`] (or [`RunningAudit`], on the stream) joins into
-//! the cluster-wide `SP` verdict, and [`reconcile_clients`] (its own
-//! module, `ledger/clients.rs`) into each logical client's.
+//! The cluster's nodes export their slices; the state model cuts its
+//! ledger into them ([`DeliveryLedger::node_ledgers`]); [`RunningAudit`]
+//! is the same join on a stream, proven equal to it. Proposition 4's bound
+//! — at most `2n` invalid messages delivered per destination — sits beside
+//! the join, in [`DeliveryLedger::check_sp_since`]: it is proven for the
+//! state model, and whether the port keeps it is still open.
+//! [`reconcile_clients`] (its own module, `ledger/clients.rs`) audits each
+//! logical client.
 
 use crate::message::{GhostId, Payload};
 use crate::protocol::Event;
-use crate::state::NodeState;
 use ssmfp_kernel::engine::EventRecord;
 use ssmfp_topology::NodeId;
 use std::collections::HashMap;
@@ -199,20 +205,38 @@ impl DeliveryLedger {
         self.invalid_per_dest.get(&dest).copied().unwrap_or(0)
     }
 
-    /// Valid messages generated but not yet delivered.
-    pub fn outstanding(&self) -> Vec<GhostId> {
-        self.generated
-            .keys()
-            .filter(|g| self.deliveries_of(**g) == 0)
-            .copied()
-            .collect()
-    }
-
-    /// Audits Specification `SP` against the final configuration `states`
-    /// (needed to distinguish "still in flight" from "lost"). `n` is the
-    /// network size (for the `2n` bound).
-    pub fn check_sp(&self, states: &[NodeState], n: usize) -> Vec<SpViolation> {
-        self.check_sp_since(states, n, 0)
+    /// Cuts the ledger into per-node slices for [`reconcile_ledgers`], one
+    /// per entry of `held` (what each node holds in its buffers). The
+    /// slice of node `p` lists the valid messages `p` generated at step
+    /// `>= since_step`, the ghosts delivered at `p` — those messages' and
+    /// every invalid one — and `held[p]`.
+    pub fn node_ledgers(&self, since_step: u64, held: Vec<Vec<GhostId>>) -> Vec<NodeLedger> {
+        let mut ledgers: Vec<NodeLedger> = held
+            .into_iter()
+            .enumerate()
+            .map(|(node, held)| NodeLedger {
+                node,
+                held,
+                ..NodeLedger::default()
+            })
+            .collect();
+        for (&ghost, r) in &self.generated {
+            if r.step >= since_step {
+                ledgers[r.source].generated.push((ghost, r.dest));
+            }
+        }
+        for (&ghost, recs) in &self.deliveries {
+            if self
+                .generated
+                .get(&ghost)
+                .is_none_or(|r| r.step >= since_step)
+            {
+                for r in recs {
+                    ledgers[r.node].delivered.push(ghost);
+                }
+            }
+        }
+        ledgers
     }
 
     /// Audits `SP` for the **post-fault epoch**: only messages generated at
@@ -220,62 +244,29 @@ impl DeliveryLedger {
     /// the quantifier the paper actually proves — a transient fault may
     /// legitimately destroy or duplicate a copy of a message generated
     /// *before* it struck, but everything generated after the last fault
-    /// must be delivered once and only once. Proposition 4's `2n` bound on
-    /// invalid deliveries likewise only applies to the initial epoch
-    /// (`since_step == 0`): mid-run faults mint fresh invalid messages
-    /// outside its counting argument.
-    pub fn check_sp_since(
-        &self,
-        states: &[NodeState],
-        n: usize,
-        since_step: u64,
-    ) -> Vec<SpViolation> {
-        let mut violations = Vec::new();
-        // Which ghosts still exist in some buffer?
-        let mut in_flight: std::collections::HashSet<GhostId> = std::collections::HashSet::new();
-        for s in states {
-            for slot in &s.slots {
-                for m in [&slot.buf_r, &slot.buf_e].into_iter().flatten() {
-                    in_flight.insert(m.ghost);
-                }
-            }
-            for o in &s.outbox {
-                in_flight.insert(o.ghost);
-            }
-        }
-        for (&ghost, gen_rec) in &self.generated {
-            if gen_rec.step < since_step {
-                continue;
-            }
-            let recs = self.delivery_records(ghost);
-            match recs.len() {
-                0 => {
-                    if !in_flight.contains(&ghost) {
-                        violations.push(SpViolation::Lost { ghost });
-                    }
-                }
-                1 => {
-                    if recs[0].node != gen_rec.dest {
-                        violations.push(SpViolation::Misdelivered {
-                            ghost,
-                            expected: gen_rec.dest,
-                            actual: recs[0].node,
-                        });
-                    }
-                }
-                k => violations.push(SpViolation::DuplicateDelivery {
-                    ghost,
-                    count: k as u64,
-                }),
-            }
-        }
+    /// must be delivered once and only once.
+    ///
+    /// The violations are [`reconcile_ledgers`]' over
+    /// [`DeliveryLedger::node_ledgers`] (by ghost), then Proposition 4's:
+    /// more than `2n` invalid deliveries at one destination, `n` being
+    /// `held.len()` (by destination). That bound only applies to the
+    /// initial epoch (`since_step == 0`): mid-run faults mint fresh
+    /// invalid messages outside its counting argument.
+    pub fn check_sp_since(&self, since_step: u64, held: Vec<Vec<GhostId>>) -> Vec<SpViolation> {
+        let bound = 2 * held.len() as u64;
+        let mut violations = reconcile_ledgers(&self.node_ledgers(since_step, held)).violations;
         if since_step == 0 {
-            for (&dest, &count) in &self.invalid_per_dest {
-                let bound = 2 * n as u64;
-                if count > bound {
-                    violations.push(SpViolation::InvalidOverBound { dest, count, bound });
-                }
-            }
+            let mut over: Vec<(NodeId, u64)> = self
+                .invalid_per_dest
+                .iter()
+                .filter(|&(_, &count)| count > bound)
+                .map(|(&dest, &count)| (dest, count))
+                .collect();
+            over.sort_unstable();
+            violations.extend(
+                over.into_iter()
+                    .map(|(dest, count)| SpViolation::InvalidOverBound { dest, count, bound }),
+            );
         }
         violations
     }
@@ -551,7 +542,8 @@ pub struct RunningAudit {
     exactly_once: u64,
     /// Invalid ghosts delivered.
     invalid_delivered: u64,
-    /// The most entries left unpaired after any join.
+    /// The most entries held after any settle: the unpaired remainder
+    /// and the batch a settle left unjoined.
     pending_peak: u64,
     /// An entry only the reference join can judge was seen.
     irregular: bool,
@@ -595,6 +587,8 @@ impl RunningAudit {
         if self.batch.len() * 4 >= self.pending.len() {
             self.join();
         }
+        let held = (self.batch.len() + self.pending.len()) as u64;
+        self.pending_peak = self.pending_peak.max(held);
     }
 
     /// One sort of the batch, one merge of it into the unpaired remainder
@@ -672,7 +666,6 @@ impl RunningAudit {
         if irregular {
             self.pending.clear();
         }
-        self.pending_peak = self.pending_peak.max(self.pending.len() as u64);
     }
 
     /// The verdict, when the fed entries show every generated ghost valid,
@@ -690,7 +683,8 @@ impl RunningAudit {
         })
     }
 
-    /// The most entries left unpaired after any join.
+    /// The most entries held after any settle, joined or not: the
+    /// unpaired remainder plus the batch the ¼ rule left unjoined.
     pub fn pending_peak(&self) -> u64 {
         self.pending_peak
     }
@@ -816,7 +810,7 @@ mod tests {
             },
         ));
         assert_eq!(ledger.deliveries_of(g), 1);
-        assert!(ledger.check_sp(&[], 4).is_empty());
+        assert!(ledger.check_sp_since(0, vec![Vec::new(); 4]).is_empty());
     }
 
     #[test]
@@ -849,7 +843,7 @@ mod tests {
             },
         ));
         assert_eq!(
-            ledger.check_sp(&[], 4),
+            ledger.check_sp_since(0, vec![Vec::new(); 4]),
             vec![SpViolation::DuplicateDelivery { ghost: g, count: 2 }]
         );
     }
@@ -876,7 +870,7 @@ mod tests {
             },
         ));
         assert_eq!(
-            ledger.check_sp(&[], 4),
+            ledger.check_sp_since(0, vec![Vec::new(); 4]),
             vec![SpViolation::Misdelivered {
                 ghost: g,
                 expected: 3,
@@ -887,14 +881,6 @@ mod tests {
 
     #[test]
     fn undelivered_but_in_flight_is_not_lost() {
-        use crate::message::{Color, Message};
-        use ssmfp_routing::{corruption, CorruptionKind};
-        use ssmfp_topology::gen;
-        let graph = gen::line(3);
-        let mut states: Vec<NodeState> = corruption::corrupt(&graph, CorruptionKind::None, 0)
-            .into_iter()
-            .map(|r| NodeState::clean(3, r))
-            .collect();
         let g = GhostId::Valid(0);
         let mut ledger = DeliveryLedger::new();
         ledger.record(&rec(
@@ -907,18 +893,14 @@ mod tests {
             },
         ));
         // Not delivered, not in any buffer: lost.
+        let mut held = vec![Vec::new(); 3];
         assert_eq!(
-            ledger.check_sp(&states, 3),
+            ledger.check_sp_since(0, held.clone()),
             vec![SpViolation::Lost { ghost: g }]
         );
-        // Put a copy in flight: no violation.
-        states[1].slots[2].buf_r = Some(Message {
-            payload: 7,
-            last_hop: 0,
-            color: Color(1),
-            ghost: g,
-        });
-        assert!(ledger.check_sp(&states, 3).is_empty());
+        // Put a copy in flight at node 1: no violation.
+        held[1].push(g);
+        assert!(ledger.check_sp_since(0, held).is_empty());
     }
 
     #[test]
@@ -927,26 +909,26 @@ mod tests {
         for k in 0..5 {
             ledger.record(&rec(
                 k,
-                2,
+                1,
                 Event::Delivered {
                     ghost: GhostId::Invalid(k),
                     payload: 0,
                 },
             ));
         }
-        assert_eq!(ledger.invalid_delivered_at(2), 5);
-        assert_eq!(ledger.invalid_delivered_at(1), 0);
+        assert_eq!(ledger.invalid_delivered_at(1), 5);
+        assert_eq!(ledger.invalid_delivered_at(0), 0);
         // Bound 2n with n = 2 → bound 4 → violated.
         assert_eq!(
-            ledger.check_sp(&[], 2),
+            ledger.check_sp_since(0, vec![Vec::new(); 2]),
             vec![SpViolation::InvalidOverBound {
-                dest: 2,
+                dest: 1,
                 count: 5,
                 bound: 4
             }]
         );
         // With n = 3 → bound 6 → fine.
-        assert!(ledger.check_sp(&[], 3).is_empty());
+        assert!(ledger.check_sp_since(0, vec![Vec::new(); 3]).is_empty());
     }
 
     #[test]
@@ -999,7 +981,7 @@ mod tests {
                 payload: 0,
             },
         ));
-        assert_eq!(ledger.outstanding(), vec![b]);
+        assert_eq!(ledger.outstanding_since(0), vec![b]);
     }
 
     #[test]
@@ -1040,14 +1022,14 @@ mod tests {
         // Epoch at step 5: the pre-fault loss is forgiven, the post-fault
         // duplication is not.
         assert_eq!(
-            ledger.check_sp_since(&[], 2, 5),
+            ledger.check_sp_since(5, vec![Vec::new(); 2]),
             vec![SpViolation::DuplicateDelivery {
                 ghost: new,
                 count: 2
             }]
         );
         // Full-history audit sees both.
-        assert_eq!(ledger.check_sp(&[], 2).len(), 2);
+        assert_eq!(ledger.check_sp_since(0, vec![Vec::new(); 2]).len(), 2);
         assert_eq!(ledger.outstanding_since(5), vec![]);
         assert_eq!(ledger.outstanding_since(0), vec![old]);
     }
@@ -1066,8 +1048,8 @@ mod tests {
             ));
         }
         // n = 2 → bound 4 → violated from step 0, forgiven post-fault.
-        assert_eq!(ledger.check_sp_since(&[], 2, 0).len(), 1);
-        assert!(ledger.check_sp_since(&[], 2, 1).is_empty());
+        assert_eq!(ledger.check_sp_since(0, vec![Vec::new(); 2]).len(), 1);
+        assert!(ledger.check_sp_since(1, vec![Vec::new(); 2]).is_empty());
     }
 
     #[test]
@@ -1403,6 +1385,23 @@ mod tests {
         audit.join();
         assert_eq!(audit.pending.len(), ENTRIES);
         assert!(walked <= 6 * ENTRIES, "{walked} entries walked");
+    }
+
+    /// The peak counts what a settle leaves unjoined: 1 000 generations
+    /// joined and left unpaired, then 100 more the ¼ rule keeps in the
+    /// batch, hold 1 100 entries.
+    #[test]
+    fn the_peak_counts_the_batch_a_settle_leaves_unjoined() {
+        let mut audit = RunningAudit::default();
+        let fed: Vec<(GhostId, NodeId)> = (0..1_100).map(|k| (GhostId::Valid(k), 1)).collect();
+        audit.generated(&fed[..1_000]);
+        audit.settle();
+        assert_eq!((audit.batch.len(), audit.pending.len()), (0, 1_000));
+        audit.generated(&fed[1_000..]);
+        audit.settle();
+        assert_eq!((audit.batch.len(), audit.pending.len()), (100, 1_000));
+        assert!(audit.pending_peak() >= 1_100, "{}", audit.pending_peak());
+        assert_eq!(audit.finish(), None);
     }
 
     /// Resident state is O(in-flight): ten stop-and-wait streams — five

@@ -27,20 +27,21 @@
 //!   multiplexed at each processor and composed with the routing algorithm
 //!   `A` under the paper's priority rule.
 //! * [`caterpillar`] — Definition 3's caterpillar classifier (Figure 4).
-//! * [`ledger`] — the `SP`/`SP'` specification monitors: exactly-once
-//!   delivery of valid messages, invalid-delivery census (Proposition 4).
+//! * [`ledger`] — the `SP`/`SP'` specification monitors: one exactly-once
+//!   join for every model ([`reconcile_ledgers`]), invalid-delivery census
+//!   (Proposition 4).
 //! * [`faults`] — mid-execution transient faults: seeded, serializable
 //!   [`FaultPlan`]s of domain-legal corruptions and the [`FaultInjector`]
 //!   step-hook that applies them between daemon selections.
 //! * [`baseline`] — the fault-free Merlin–Schweitzer destination-based
 //!   forwarding protocol of \[21\] (one buffer per destination, source/flag
 //!   dedup), the paper's implicit comparison point.
-//! * [`api`] — [`Network`]: the user-facing facade (build, send, run,
-//!   observe deliveries).
+//! * [`api`] — [`Network`]: the state model's one higher layer (build,
+//!   send, run, observe deliveries, audit), for SSMFP and the baseline.
 //! * [`replay`] — the scripted Figure 3 scenario.
 //! * [`codec`] — the packed state codec: message interning and the flat
-//!   fixed-width encoding the checker's visited/frontier sets and the
-//!   snapshot path store configurations in.
+//!   fixed-width encoding the checker's visited/frontier sets store
+//!   configurations in.
 //! * [`wire`] — the cluster runtime's wire codec: length-prefixed frames
 //!   for the link-crossing traffic (handshake, routing advertisements,
 //!   supervision), with a total decoder and the tag/event-kind surface
@@ -70,8 +71,7 @@ pub use api::{DaemonKind, Network, NetworkConfig};
 pub use caterpillar::{classify_buffers, CaterpillarCensus, CaterpillarType};
 pub use choice::ChoiceStrategy;
 pub use codec::{
-    codec_footprint, deep_node_bytes, node_fingerprint, MessageTable, PackedSnapshot, StateCodec,
-    NO_MESSAGE,
+    codec_footprint, deep_node_bytes, node_fingerprint, MessageTable, StateCodec, NO_MESSAGE,
 };
 pub use faults::{
     BufSel, Fault, FaultCursor, FaultInjector, FaultKind, FaultPlan, FaultPlanConfig, SeededBug,

@@ -126,19 +126,55 @@ impl NodeState {
         }
     }
 
-    /// Number of occupied buffers (both kinds) at this processor.
-    pub fn occupied_buffers(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.buf_r.is_some() as usize + s.buf_e.is_some() as usize)
-            .sum()
-    }
-
     /// Whether any buffer holds a message.
     pub fn has_messages(&self) -> bool {
         self.slots
             .iter()
             .any(|s| s.buf_r.is_some() || s.buf_e.is_some())
+    }
+}
+
+/// Algorithm 1's higher layer, as a state-model protocol's local state
+/// offers it: [`crate::api::Network`] queues messages through it, keeps
+/// `request_p` raised while one waits, and audits what the node holds.
+/// SSMFP's [`NodeState`] and the baseline's
+/// [`crate::baseline::BaselineState`] implement it.
+pub trait HigherLayer {
+    /// Queues `out` behind the waiting messages and raises `request_p`.
+    fn enqueue(&mut self, out: Outgoing);
+
+    /// Whether `request_p` is down while a message still waits: the
+    /// protocol ended the higher layer's blocking wait, so it raises the
+    /// bit again.
+    fn request_lapsed(&self) -> bool;
+
+    /// Raises `request_p`.
+    fn raise_request(&mut self);
+
+    /// The ghost of every message held in one of this node's buffers.
+    fn held(&self) -> impl Iterator<Item = GhostId> + '_;
+}
+
+impl HigherLayer for NodeState {
+    fn enqueue(&mut self, out: Outgoing) {
+        self.outbox.push_back(out);
+        self.request = true;
+    }
+
+    fn request_lapsed(&self) -> bool {
+        !self.request && !self.outbox.is_empty()
+    }
+
+    fn raise_request(&mut self) {
+        self.request = true;
+    }
+
+    fn held(&self) -> impl Iterator<Item = GhostId> + '_ {
+        self.slots
+            .iter()
+            .flat_map(|s| [&s.buf_r, &s.buf_e])
+            .flatten()
+            .map(|m| m.ghost)
     }
 }
 
@@ -170,7 +206,7 @@ mod tests {
         let s = mk_state(5);
         assert_eq!(s.slots.len(), 5);
         assert!(!s.has_messages());
-        assert_eq!(s.occupied_buffers(), 0);
+        assert_eq!(s.held().count(), 0);
         assert!(!s.request);
         assert!(s.outbox.is_empty());
     }
@@ -185,7 +221,7 @@ mod tests {
             let routing = corruption::corrupt(&g, CorruptionKind::None, 0).remove(p);
             let mut s = NodeState::clean(g.n(), routing);
             s.scatter_garbage(&g, p, 1.0, &mut rng, &mut inv);
-            assert_eq!(s.occupied_buffers(), 2 * g.n());
+            assert_eq!(s.held().count(), 2 * g.n());
             for slot in &s.slots {
                 for m in [slot.buf_r.as_ref().unwrap(), slot.buf_e.as_ref().unwrap()] {
                     assert!(m.last_hop == p || g.has_edge(p, m.last_hop));

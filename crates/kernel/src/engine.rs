@@ -246,15 +246,8 @@ impl<P: Protocol> Engine<P> {
         &self.events
     }
 
-    /// Removes and returns all collected events.
-    pub fn drain_events(&mut self) -> Vec<EventRecord<P::Event>> {
-        std::mem::take(&mut self.events)
-    }
-
     /// Moves all collected events into `out`, preserving the internal
-    /// buffer's capacity. Callers that poll events every few steps should
-    /// prefer this over [`Engine::drain_events`], which surrenders the
-    /// buffer and forces a fresh allocation on the next emission.
+    /// buffer's capacity.
     pub fn drain_events_into(&mut self, out: &mut Vec<EventRecord<P::Event>>) {
         out.append(&mut self.events);
     }
@@ -282,21 +275,6 @@ impl<P: Protocol> Engine<P> {
     pub fn mutate_state(&mut self, p: NodeId, f: impl FnOnce(&mut P::State)) {
         f(&mut self.states[p]);
         self.refresh_after_write(p);
-    }
-
-    /// Externally mutates any subset of the configuration with read access
-    /// to the graph (multi-node fault injection). The closure pushes every
-    /// node it touched into the provided list; the engine then re-evaluates
-    /// the guards of each touched node and its neighbourhood, exactly as
-    /// [`Engine::mutate_state`] does.
-    pub fn mutate_with_graph(&mut self, f: impl FnOnce(&Graph, &mut [P::State], &mut Vec<NodeId>)) {
-        let mut touched = std::mem::take(&mut self.scratch_hook_touched);
-        touched.clear();
-        f(&self.graph, &mut self.states, &mut touched);
-        for &p in &touched {
-            self.refresh_after_write(p);
-        }
-        self.scratch_hook_touched = touched;
     }
 
     /// Installs a pre-step hook (replacing any previous one). The hook runs

@@ -1,37 +1,37 @@
 //! Cross-model comparison: the state-model SSMFP and its message-passing
-//! port run the same workloads; both must deliver exactly once, and their
-//! relative costs characterize what the model switch buys and costs.
+//! port run the same workloads, and one join — `reconcile_ledgers`, behind
+//! both `Network::audit` and `PortNetwork::audit` — judges both: the same
+//! messages generated, every one delivered exactly once. Their relative
+//! costs characterize what the model switch buys and costs.
 
-use ssmfp::core::{DaemonKind, Network, NetworkConfig};
+use ssmfp::core::{ClusterVerdict, DaemonKind, Network, NetworkConfig};
 use ssmfp::mp::{MpConfig, PortNetwork};
 use ssmfp::topology::gen;
 
-/// Same all-pairs workload on both models, clean start: both exactly-once.
+/// The two models' verdicts on one workload of `sent` messages: both
+/// clean, nothing in flight, and the same count generated and delivered
+/// exactly once.
+fn assert_same_verdict(sm: &ClusterVerdict, mp: &ClusterVerdict, sent: u64, what: &str) {
+    assert!(sm.clean() && mp.clean(), "{what}: {sm:?} / {mp:?}");
+    assert_eq!((sm.in_flight, mp.in_flight), (0, 0), "{what}");
+    assert_eq!((sm.generated, sm.exactly_once), (sent, sent), "{what}");
+    assert_eq!(
+        (mp.generated, mp.exactly_once),
+        (sm.generated, sm.exactly_once),
+        "{what}"
+    );
+}
+
+/// Same all-pairs workload on both models, clean start: one join, one
+/// verdict.
 #[test]
 fn both_models_exactly_once_clean() {
     let graph = gen::ring(5);
     let n = graph.n();
-
-    // State model.
     let mut sm = Network::new(
         graph.clone(),
         NetworkConfig::clean().with_daemon(DaemonKind::CentralRandom { seed: 4 }),
     );
-    let mut sm_ghosts = Vec::new();
-    for s in 0..n {
-        for d in 0..n {
-            if s != d {
-                sm_ghosts.push(sm.send(s, d, ((s + d) % 8) as u64));
-            }
-        }
-    }
-    assert!(sm.run_to_quiescence(10_000_000));
-    for g in &sm_ghosts {
-        assert_eq!(sm.deliveries_of(*g), 1);
-    }
-    assert!(sm.check_sp().is_empty());
-
-    // Message-passing port.
     let mut mp = PortNetwork::new(
         graph,
         MpConfig {
@@ -41,22 +41,25 @@ fn both_models_exactly_once_clean() {
         0,
         0,
     );
-    let mut mp_ghosts = Vec::new();
+    let mut sent = 0;
     for s in 0..n {
         for d in 0..n {
             if s != d {
-                mp_ghosts.push(mp.send(s, d, ((s + d) % 8) as u64));
+                sm.send(s, d, ((s + d) % 8) as u64);
+                mp.send(s, d, ((s + d) % 8) as u64);
+                sent += 1;
             }
         }
     }
+    assert!(sm.run_to_quiescence(10_000_000));
     assert!(mp.run_to_quiescence(10_000_000));
-    for g in &mp_ghosts {
-        assert_eq!(mp.deliveries_of(*g), 1);
-    }
+    assert!(sm.check_sp().is_empty());
+    assert_same_verdict(&sm.audit(), &mp.audit(), sent, "clean start");
 }
 
 /// Same workload from corrupted starts — the port's distance-vector layer
-/// from garbage estimates, with wire and buffer garbage: both models survive.
+/// from garbage estimates, with wire and buffer garbage: both models
+/// survive, and the join judges them alike.
 #[test]
 fn both_models_survive_corruption() {
     for seed in 0..4 {
@@ -74,27 +77,15 @@ fn both_models_survive_corruption() {
             16,
             2,
         );
-        let mut sm_ghosts = Vec::new();
-        let mut mp_ghosts = Vec::new();
         for s in 0..n {
-            sm_ghosts.push(sm.send(s, (s + 3) % n, s as u64 % 8));
-            mp_ghosts.push(mp.send(s, (s + 3) % n, s as u64 % 8));
+            sm.send(s, (s + 3) % n, s as u64 % 8);
+            mp.send(s, (s + 3) % n, s as u64 % 8);
         }
         assert!(sm.run_to_quiescence(20_000_000), "seed {seed}");
         assert!(mp.run_to_quiescence(20_000_000), "seed {seed}");
-        for g in &sm_ghosts {
-            assert_eq!(sm.deliveries_of(*g), 1, "state model, seed {seed}");
-        }
-        for g in &mp_ghosts {
-            assert_eq!(mp.deliveries_of(*g), 1, "mp port, seed {seed}");
-        }
-        assert!(sm.check_sp().is_empty());
-        let audit = mp.audit();
-        assert_eq!(
-            audit.lost() + audit.duplicated(),
-            0,
-            "seed {seed}: {audit:?}"
-        );
+        // Proposition 4's bound sits beside the join.
+        assert!(sm.check_sp().is_empty(), "seed {seed}");
+        assert_same_verdict(&sm.audit(), &mp.audit(), n as u64, &format!("seed {seed}"));
     }
 }
 

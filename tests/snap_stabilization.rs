@@ -6,7 +6,7 @@
 //! bound, and the network drains.
 
 use proptest::prelude::*;
-use ssmfp::core::{DaemonKind, Network, NetworkConfig};
+use ssmfp::core::{DaemonKind, GhostId, Network, NetworkConfig, SeededBug, SpViolation};
 use ssmfp::routing::CorruptionKind;
 use ssmfp::topology::{gen, Graph};
 
@@ -137,6 +137,35 @@ fn runs_are_reproducible() {
         )
     };
     assert_eq!(run(), run());
+}
+
+/// Determinism of the verdict: a run with violations reports them as the
+/// same list every time, in ghost order, so a red run's report can be
+/// compared with its replay entry by entry.
+#[test]
+fn violations_come_out_in_ghost_order() {
+    let run = || {
+        let config = NetworkConfig::adversarial(0).with_seeded_bug(SeededBug::ColorReuse);
+        let mut net = Network::new(gen::ring(8), config);
+        for k in 0..32 {
+            net.send(k % 8, (k % 8 + 1 + k / 8) % 8, (k % 2) as u64);
+        }
+        net.run_to_quiescence(2_000_000);
+        net.check_sp()
+    };
+    let first = run();
+    assert!(first.len() >= 2, "{first:?}");
+    assert_eq!(first, run());
+    let ghosts: Vec<GhostId> = first
+        .iter()
+        .map(|v| match *v {
+            SpViolation::Lost { ghost }
+            | SpViolation::DuplicateDelivery { ghost, .. }
+            | SpViolation::Misdelivered { ghost, .. } => ghost,
+            SpViolation::InvalidOverBound { .. } => panic!("no invalid census here: {v:?}"),
+        })
+        .collect();
+    assert!(ghosts.is_sorted(), "{first:?}");
 }
 
 /// The unfair daemon may stall liveness but can never break safety.
