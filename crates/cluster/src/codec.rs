@@ -263,6 +263,7 @@ pub(crate) fn report_block(r: &NodeReport) -> Vec<u8> {
             c.conn_frames_dropped,
             c.timeouts,
             c.slot_visits,
+            c.waits,
         ],
     );
     out.extend_from_slice(b"\nend\n");
@@ -391,6 +392,7 @@ pub(crate) fn fold_line(r: &mut NodeReport, line: &[u8]) -> Option<bool> {
                 conn_frames_dropped: next()?,
                 timeouts: next()?,
                 slot_visits: next()?,
+                waits: next()?,
             };
         }
         b"end" => {}
@@ -687,7 +689,7 @@ pub(crate) mod tests {
             arb_histogram(),
             arb_histogram(),
         );
-        let counts = proptest::collection::vec(any::<u64>(), 15);
+        let counts = proptest::collection::vec(any::<u64>(), 16);
         (lists, histograms, counts).prop_map(
             |((node, generated, delivered, held), (latency, batch, client_rtt, client_fair), c)| {
                 NodeReport {
@@ -711,6 +713,7 @@ pub(crate) mod tests {
                         conn_frames_dropped: c[10],
                         timeouts: c[11],
                         slot_visits: c[12],
+                        waits: c[15],
                     },
                     client_rtt,
                     client_fair,
@@ -1150,6 +1153,7 @@ pub(crate) mod tests {
                 conn_frames_dropped: 13,
                 timeouts: 14,
                 slot_visits: 15,
+                waits: 16,
             },
             client_rtt: crtt,
             client_fair: cfair,
@@ -1171,7 +1175,7 @@ pub(crate) mod tests {
              crtt 3 90000 90550 79:1 82:1 213:1\n\
              cfair 2 90000 90275 81:1 213:1\n\
              cli 2 3\n\
-             ctr 1 2 3 4 5 6 7 8 11 12 13 14 15\n\
+             ctr 1 2 3 4 5 6 7 8 11 12 13 14 15 16\n\
              end\n"
         );
         let mut lines = text.lines().map(str::to_string);

@@ -8,8 +8,8 @@
 //! readiness set nor the clock: the group (`crate::group`) owns one
 //! [`Poller`] — a persistent, level-triggered `epoll` set, in
 //! `crate::poller` with the crate's other syscalls — and reads its
-//! clock — `monotonic_us` in a run — twice a turn and hands the reading
-//! down.
+//! clock — `monotonic_us` in a run — twice a turn that waits, once a turn
+//! that only sweeps its members, and hands the reading down.
 //!
 //! A link is the paper's logical FIFO channel, not a kernel connection:
 //! to a member, `Hub::send` pushes the frame into its inbox — no
@@ -326,6 +326,9 @@ pub struct IoStats {
     /// Frames per buffer-emptying `write()`, supervision frames not
     /// counted (the coalescing win, observable rather than inferred).
     pub batch: LogHistogram,
+    /// The group's [`Poller::wait`] calls, which the group counts itself:
+    /// the hub never waits on the group's set.
+    pub waits: u64,
 }
 
 /// Worst-case encoded frame size (length prefix + body), the margin the
@@ -426,7 +429,10 @@ struct Member {
 /// `crate::group::run_group` calls [`Hub::prepare`] once a turn — every
 /// stream flushed **once** — waits, hands [`Hub::dispatch`] the events
 /// under the [`HUB`] token, steps the members whose [`Hub::inbound`]
-/// filled, and puts what each step sent through [`Hub::send`]. Every deadline and `now` is µs on the group's
+/// filled, and puts what each step sent through [`Hub::send`]. A hub that
+/// is [`Hub::memory_only`] has no fd in the set, so while an inbox holds
+/// frames the group skips the first three and only steps and sends, up to
+/// its keep-alive. Every deadline and `now` is µs on the group's
 /// clock, handed down by the thread's loop: only [`Hub::shutdown`], whose
 /// flush really waits, reads [`monotonic_us`] itself.
 pub(crate) struct Hub {
@@ -543,6 +549,12 @@ impl Hub {
     /// The frames that arrived for member `index` since it last drained.
     pub fn inbound(&mut self, index: usize) -> &mut Vec<(usize, WireFrame)> {
         &mut self.members[index].inbound
+    }
+
+    /// Whether every link is in memory: no listener, no out-stream and no
+    /// accepted stream, so nothing of the hub's is in the thread's set.
+    pub fn memory_only(&self) -> bool {
+        self.listener.is_none() && self.streams.is_empty() && self.conns.is_empty()
     }
 
     /// Whether a frame still waits in a member's inbox or a stream's

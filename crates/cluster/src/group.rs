@@ -7,9 +7,12 @@
 //! and the one copy of the control state — and its one `turn`
 //! (`Group::turn`) is the only copy of the iteration: flush each stream
 //! once, take the status cut, one wait on the thread's [`Poller`] to the
-//! nearest deadline, one dispatch, the control lines, then, in slot
-//! order, step exactly the members that have frames or a passed deadline,
-//! each step's frames onto the links before the next member steps.
+//! nearest deadline, one dispatch, the control lines, then one sweep
+//! (`Group::sweep`): in slot order, step exactly the members that have
+//! frames or a passed deadline, each step's frames onto the links before
+//! the next member steps. A busy group whose every link is in memory
+//! turns by the sweep alone until its keep-alive is due: the kernel could
+//! tell it nothing but a control line.
 //! `run_group` loops on `turn`, once per shard: on the shard's
 //! `node.main` thread in `RunMode::Inproc`, and as [`node_main`], the
 //! shard's `--node-worker` process, in `RunMode::Proc`. Correctness is
@@ -201,6 +204,8 @@ struct Group {
     keepalive: u64,
     /// The bytes of the next status line and its ledger deltas (recycled).
     line: Vec<u8>,
+    /// [`Poller::wait`] calls so far: `IoStats::waits` at `stop`.
+    waits: u64,
 }
 
 impl Group {
@@ -254,6 +259,7 @@ impl Group {
             pushed: None,
             keepalive: 0,
             line: Vec::new(),
+            waits: 0,
         })
     }
 
@@ -304,6 +310,7 @@ impl Group {
     /// accounting in the last one's.
     fn stop(&mut self) -> io::Result<()> {
         let mut io = self.hub.shutdown();
+        io.waits = self.waits;
         let last = self.slots.len() - 1;
         for (i, slot) in self.slots.drain(..).enumerate() {
             let io = if i == last {
@@ -316,7 +323,8 @@ impl Group {
         Ok(())
     }
 
-    /// The group's status, looked at before every wait. Once started, the
+    /// The group's status, looked at before every wait and again when a
+    /// turn reads a probe. Once started, the
     /// group takes its cut — done, generated, delivered and held summed
     /// over the members, and whether an inbox or a stream buffer still
     /// holds a frame, all at this one instant between two turns — and
@@ -375,15 +383,22 @@ impl Group {
     /// look at the group's [`Group::status`]; wait to the nearest deadline
     /// of any member or stream or the status keep-alive (a linear min over
     /// the deadlines the members' last steps returned), zero while an inbox
-    /// holds frames; read the clock again; one dispatch for the group —
+    /// holds frames — which, with no socket, only the keep-alive's turn
+    /// does (below); read the clock again; one dispatch for the group —
     /// accept, read each ready stream, demultiplex into the members'
     /// inboxes by local port, retry blocked writes; read the control pipe
-    /// if the wait named it and obey it; then, in slot order, step
-    /// ([`Node::on`]) exactly the members that have frames or a passed
-    /// deadline, each step's frames onto the links before the next member
-    /// steps. A frame between two members is pushed into the receiver's
-    /// inbox: one later in the order steps this very turn, an earlier one
-    /// the next, and nobody sleeps in between.
+    /// if the wait named it, obey it, and answer a probe it read; then
+    /// [`Group::sweep`]. A frame between two members is pushed into the
+    /// receiver's inbox: one later in the order steps this very turn, an
+    /// earlier one the next, and nobody sleeps in between.
+    ///
+    /// A started group with no socket — no listener, no stream — and a
+    /// frame in an inbox has nothing to flush, dispatch or sleep for, and
+    /// nothing to write up its pipe while its cut cannot be quiet: until
+    /// the keep-alive is due, its turn reads the clock once and sweeps. The
+    /// first turn at the keep-alive is a whole one — its line, a
+    /// zero-timeout wait, the control lines — so a `probe`, `stop` or EOF
+    /// is read within one `status_every` while busy, and at once otherwise.
     ///
     /// Skipping a member is skipping a no-op, not a move: with no frame
     /// and no due deadline its step would find no inbound frame, no tick
@@ -422,6 +437,12 @@ impl Group {
         let lead = self.lead;
         let group = |e| (lead, e);
         let now = (self.clock)();
+        // Busy, and every link in memory: the kernel could report nothing
+        // but a control line, and that waits for the keep-alive.
+        if self.started && now < self.keepalive && self.hub.memory_only() && self.hub.holds_frames()
+        {
+            return self.sweep(now).map(|()| false);
+        }
         let mut wake = self.hub.prepare(now, &self.poller).map_err(group)?;
         if let Some(keepalive) = self.status(now).map_err(group)? {
             wake = wake.min(keepalive);
@@ -431,6 +452,7 @@ impl Group {
         wake = deadlines.fold(wake, u64::min);
         let mut ctrl_ready = false;
         let timeout = Duration::from_micros(wake.saturating_sub(now));
+        self.waits += 1;
         for &(token, events) in self.poller.wait(Some(timeout)).map_err(group)? {
             let (owner, fd) = Poller::untoken(token);
             if owner == HUB {
@@ -444,15 +466,28 @@ impl Group {
         self.hub_events.clear();
         dispatched.map_err(group)?;
         if ctrl_ready {
+            let probed = self.probe;
             self.ctrl.read(&self.poller).map_err(group)?;
             if self.obey(now).map_err(group)? {
                 self.stop().map_err(group)?;
                 return Ok(true);
             }
+            // A probe is answered in the turn that read it, the cut taken
+            // after the read.
+            if self.probe > probed {
+                self.status(now).map_err(group)?;
+            }
         }
         if !self.started {
             return Ok(false);
         }
+        self.sweep(now).map(|()| false)
+    }
+
+    /// In slot order, steps exactly the members that have frames or a
+    /// deadline at or before `now`, each step's frames onto the links
+    /// before the next member steps.
+    fn sweep(&mut self, now: u64) -> Result<(), (NodeId, io::Error)> {
         let (clock, hub, poller, out) = (self.clock, &mut self.hub, &self.poller, &mut self.out);
         for (i, slot) in self.slots.iter_mut().enumerate() {
             let woken = !hub.inbound(i).is_empty();
@@ -476,7 +511,7 @@ impl Group {
             }
             out.clear();
         }
-        Ok(false)
+        Ok(())
     }
 }
 
@@ -968,8 +1003,8 @@ mod tests {
 
     /// Same address, same stream: each group of the split holds one
     /// listener, one out-stream — to the other — and the one stream it
-    /// accepted, and a turn writes its stream at most once and reads at
-    /// most once, whatever the frames it carries.
+    /// accepted, and a turn waits once, writes its stream at most once and
+    /// reads at most once, whatever the frames it carries.
     #[test]
     fn a_turn_flushes_each_stream_once() {
         let mut rig = split_rig("once", 1_000_000, monotonic_us);
@@ -987,6 +1022,7 @@ mod tests {
                 io.write_syscalls,
                 io.read_syscalls
             );
+            assert_eq!(rig.group(g).waits, turns, "group {g}: one wait a turn");
         }
     }
 
@@ -1073,13 +1109,20 @@ mod tests {
     }
 
     /// A wait that cannot work ends the group instead of spinning it: one
-    /// `error` line, charged to the lead, then the pipe closes.
+    /// `error` line, charged to the lead, then the pipe closes. A busy
+    /// group whose links are all in memory does not wait before its
+    /// keep-alive, so the broken set shows at the keep-alive's turn.
     #[test]
     fn a_broken_poller_ends_the_group_with_an_error() {
         use std::io::Read;
-        let mut rig = Rig::new("broken", &[4], 0, 1_000_000, [0, 1], monotonic_us);
+        let mut rig = Rig::new("broken", &[4], 0, 1_000_000, [0, 1], hand_clock);
         rig.turn_until(30, &mut |_| {});
         rig.group_mut(0).poller.break_for_test();
+        for _ in 0..300 {
+            rig.turn();
+        }
+        assert_eq!(rig.outcomes[0], None, "a busy in-memory turn waited");
+        advance(TUNING.status_every_ms * 1_000);
         rig.turn();
         let err = rig.outcomes[0]
             .clone()
@@ -1091,6 +1134,39 @@ mod tests {
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let mut rest = Vec::new();
         s.read_to_end(&mut rest).expect("EOF, not a timeout");
+    }
+
+    /// A busy group whose every link is in memory enters the kernel once
+    /// per keep-alive, not once per sweep: on a clock that stands still its
+    /// turns wait for nothing, read no control line and write no status
+    /// line, however many frames they move. The first turn at the
+    /// keep-alive waits once, writes the keep-alive line and reads what the
+    /// root wrote meanwhile — a probe, which it answers in that turn.
+    #[test]
+    fn a_busy_in_memory_group_waits_once_per_keepalive() {
+        let mut rig = Rig::new("keepalive", &[4], 0, 1_000_000, [0, 1], hand_clock);
+        rig.turn_until(30, &mut |_| {});
+        let waits = |rig: &Rig| rig.group(0).waits;
+        let (before, lines) = (waits(&rig), rig.statuses(0).len());
+        writeln!(rig.root[0], "probe 7").unwrap();
+        let received = rig.node(1).counters.frames_received;
+        for _ in 0..300 {
+            rig.turn();
+        }
+        assert!(rig.node(1).counters.frames_received >= received + 100);
+        assert_eq!(waits(&rig), before, "a busy turn waited");
+        assert_eq!(rig.statuses(0).len(), lines, "a busy turn wrote a line");
+        assert_eq!(rig.group(0).probe, 0, "read before the keep-alive");
+
+        advance(TUNING.status_every_ms * 1_000);
+        rig.turn();
+        assert_eq!(waits(&rig), before + 1);
+        let new: Vec<u64> = rig.statuses(0)[lines..].iter().map(|s| s.wave).collect();
+        assert_eq!(new, [0, 7], "the keep-alive, then the probe's answer");
+        for _ in 0..300 {
+            rig.turn();
+        }
+        assert_eq!(waits(&rig), before + 1, "not before the next keep-alive");
     }
 
     /// A started group whose pipe the root shuts down — the run failed

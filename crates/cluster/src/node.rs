@@ -221,7 +221,7 @@ impl Node {
     /// deadline: the nearer of the tick, only while a timer runs, and the
     /// source's next arrival. With no frame and no passed deadline, a step
     /// would change nothing.
-    // Inlined into the group's turn, its one caller in a run: out of
+    // Inlined into the group's sweep, its one caller in a run: out of
     // line, the step cost line5_stopwait ~4 % of its throughput.
     #[inline]
     pub(crate) fn on(
@@ -384,6 +384,7 @@ impl Node {
         counters.write_syscalls = io.write_syscalls;
         counters.read_syscalls = io.read_syscalls;
         counters.conn_frames_dropped = io.conn_frames_dropped;
+        counters.waits = io.waits;
         counters.timeouts = self.fwd.timeouts();
         counters.slot_visits = self.fwd.slot_visits();
 

@@ -367,7 +367,7 @@ impl RunReport {
                 "\"timeouts\": {}, \"slot_visits\": {}, \"slot_visits_per_frame\": {:.3}}},\n",
                 "  \"io\": {{\"write_syscalls\": {}, \"read_syscalls\": {}, ",
                 "\"conn_frames_dropped\": {}, \"frames_per_write\": {{\"count\": {}, ",
-                "\"mean\": {:.2}, \"p50\": {}, \"p99\": {}, \"max\": {}}}}},\n",
+                "\"mean\": {:.2}, \"p50\": {}, \"p99\": {}, \"max\": {}}}, \"waits\": {}}},\n",
                 "  \"detect\": {{\"probes\": {}, \"last\": {{\"nodes\": {}, \"done\": {}, ",
                 "\"generated\": {}, \"delivered\": {}, \"held\": {}}}}},\n",
                 "  \"phases\": {{\"ready_s\": {:.6}, \"report_s\": {:.6}, \"audit_s\": {:.6}}},\n",
@@ -416,6 +416,7 @@ impl RunReport {
             self.batch.quantile(0.50),
             self.batch.quantile(0.99),
             self.batch.max(),
+            c.waits,
             self.detect.probes,
             last.nodes,
             last.done,
@@ -797,6 +798,7 @@ mod tests {
                         conn_frames_dropped: p as u64 % 4,
                         timeouts: 30 + p as u64,
                         slot_visits: 40 + 2 * p as u64,
+                        waits: 50 + p as u64,
                     },
                 }
             })

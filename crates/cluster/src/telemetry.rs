@@ -195,6 +195,9 @@ pub struct NodeCounters {
     /// frame it does not grow with `n` (the work counter for the
     /// forwarder's cost).
     pub slot_visits: u64,
+    /// The group's readiness waits (`epoll_pwait2`): a work counter of
+    /// the group, on its last member, as `write_syscalls` is.
+    pub waits: u64,
 }
 
 impl NodeCounters {
@@ -216,6 +219,7 @@ impl NodeCounters {
         self.conn_frames_dropped += other.conn_frames_dropped;
         self.timeouts += other.timeouts;
         self.slot_visits += other.slot_visits;
+        self.waits += other.waits;
     }
 }
 
@@ -297,6 +301,7 @@ mod tests {
                 conn_frames_dropped: i % 2,
                 timeouts: 70 + i,
                 slot_visits: 80 + 3 * i,
+                waits: 90 + i,
             })
             .collect();
 
